@@ -57,9 +57,9 @@ use distributed_coloring::{
 };
 use engine::{
     engine_cole_vishkin_3color, engine_gather_balls, engine_h_partition,
-    engine_randomized_list_coloring, engine_ruling_forest, Activation, CongestMode, EngineConfig,
-    EngineMessage, EngineMetrics, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, VertexOrder,
-    WireCodec, SPLIT_PHASE,
+    engine_randomized_list_coloring, engine_ruling_forest, Activation, EngineConfig, EngineMessage,
+    EngineMetrics, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, VertexOrder, WireCodec,
+    SPLIT_PHASE,
 };
 use graphs::gen;
 use local_model::{
@@ -630,7 +630,7 @@ fn ruling_rows(
 /// pipeline under `CongestMode::Split(SPLIT_WIDTH)` — identical colors, the
 /// split surplus charged under `SPLIT_PHASE`. With `twin` set, the
 /// largest-shard unlimited configuration reruns with
-/// `engine_frontier: false` — every internal session of the pipeline on
+/// `engine.frontier = false` — every internal session of the pipeline on
 /// the historical full scan — for the frontier-speedup gate.
 fn theorem13_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord>, twin: bool) {
     let family = "apollonian";
@@ -684,12 +684,7 @@ fn theorem13_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord
         let (col, wall) = best_of(reps, || {
             let config = SparseColoringConfig {
                 engine_shards: Some(shards),
-                engine_congest: if split == 0 {
-                    CongestMode::Unlimited
-                } else {
-                    CongestMode::Split(split)
-                },
-                engine_frontier: frontier,
+                engine: engine_config(shards, split).with_frontier(frontier),
                 ..Default::default()
             };
             let outcome = list_color_sparse(&g, &lists, d, config).expect("engine theorem13 runs");

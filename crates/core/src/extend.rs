@@ -21,64 +21,10 @@ use crate::ert::{color_component, ErtError};
 use crate::happy::Classification;
 use crate::lists::ListAssignment;
 use crate::state::ColoringState;
-use engine::{layered_slots, CongestMode, EngineMetrics, EnginePool, FaultPlan, VertexOrder};
+use engine::{layered_slots, EngineConfig, EngineMetrics};
 use graphs::{ball, Graph, VertexId, VertexSet};
 use local_model::{degree_plus_one_coloring, ruling_forest, RoundLedger};
 use std::fmt;
-
-/// Engine-substrate selection for one composite phase: the shard count,
-/// the CONGEST bandwidth mode every internal session runs under, and the
-/// accumulator that absorbs each session's observed [`EngineMetrics`] —
-/// how composite pipelines (Theorem 1.3's peel/extend loop) finally report
-/// real traffic instead of `messages = 0`.
-pub struct EngineMode<'m> {
-    /// Logical shard count for every internal engine session.
-    pub shards: usize,
-    /// CONGEST treatment ([`CongestMode::Unlimited`] /
-    /// [`CongestMode::Reject`] / [`CongestMode::Split`]) applied to every
-    /// internal session.
-    pub congest: CongestMode,
-    /// Fault plan injected into every internal session (empty for a clean
-    /// run) — faults key on logical messages, so they perturb each session
-    /// identically at any shard count.
-    pub faults: FaultPlan,
-    /// Frontier-sparse rounds for every internal session (`true` for the
-    /// production default). `false` forces the historical full-range scan —
-    /// the equivalence baseline and the `--no-frontier` twin rows the bench
-    /// gate compares against. Purely a performance knob: outputs, ledger
-    /// charges, and statistics are bit-identical either way.
-    pub frontier: bool,
-    /// Vertex-storage order for every internal session
-    /// ([`VertexOrder::Identity`] by default). [`VertexOrder::Locality`]
-    /// relabels each session's shard-local layout along the seeded
-    /// bandwidth-minimizing order; observables stay on original ids, so
-    /// outputs and ledger charges are bit-identical either way. Purely a
-    /// performance knob, like `pool` and `frontier`.
-    pub order: VertexOrder,
-    /// Shared worker pool threaded through every internal session: `Some`
-    /// amortizes thread spawns to one per composite phase (a peeling run's
-    /// levels all reuse these threads); `None` lets each session spawn its
-    /// own. Purely a performance knob.
-    pub pool: Option<EnginePool>,
-    /// Accumulator absorbing each internal session's metrics.
-    pub metrics: &'m mut EngineMetrics,
-}
-
-impl EngineMode<'_> {
-    /// The engine config every internal session of this phase starts from.
-    pub fn config(&self) -> engine::EngineConfig {
-        let config = engine::EngineConfig::default()
-            .with_shards(self.shards)
-            .with_congest(self.congest)
-            .with_frontier(self.frontier)
-            .with_order(self.order)
-            .with_faults(self.faults.clone());
-        match &self.pool {
-            Some(pool) => config.with_pool(pool),
-            None => config,
-        }
-    }
-}
 
 /// Failure of the Lemma 3.2 extension.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,15 +79,16 @@ fn reduced_list(
 /// `alive`, possibly recoloring some sad vertices. See module docs.
 ///
 /// `engine` selects the substrate for this level's communication phases:
-/// `None` runs the sequential simulations; `Some(mode)` runs the
-/// ruling-forest construction (step 1, [`engine::engine_ruling_forest`]),
+/// `None` runs the sequential simulations; `Some((template, sink))` runs
+/// the ruling-forest construction (step 1, [`engine::engine_ruling_forest`]),
 /// the `(d+1)`-coloring (step 3,
 /// [`engine::engine_degree_plus_one_coloring`]), and the layered greedy
 /// (step 4, [`engine::engine_layered_greedy`]) on masked
-/// [`engine::EngineSession`]s over the level's scopes — identical outputs
-/// and ledger charges, executed as message passing under the mode's shard
-/// count and [`CongestMode`], with every session's observed metrics
-/// absorbed into `mode.metrics`. Step 5's root-ball recoloring is
+/// [`engine::EngineSession`]s over the level's scopes, each a clone of
+/// `template` with only its mask set — identical outputs and ledger
+/// charges, executed as message passing under the template's shards,
+/// CONGEST mode, faults and pool, with every session's observed metrics
+/// absorbed into `sink`. Step 5's root-ball recoloring is
 /// node-local (each ball sits inside one root's radius-`r` neighborhood)
 /// and stays a host computation on both substrates.
 ///
@@ -161,7 +108,7 @@ pub fn extend_to_happy_set(
     classification: &Classification,
     coloring: &mut [usize],
     ledger: &mut RoundLedger,
-    mut engine: Option<EngineMode<'_>>,
+    mut engine: Option<&mut (EngineConfig, EngineMetrics)>,
 ) -> Result<(), ExtendError> {
     let n = g.n();
     let happy: Vec<VertexId> = classification.happy.iter().collect();
@@ -173,18 +120,18 @@ pub fn extend_to_happy_set(
 
     // 1. Ruling forest in G[R] with respect to A — sequential simulation or
     // a masked engine session running the same per-round steps.
-    let rf = match engine.as_mut() {
+    let rf = match engine.as_deref_mut() {
         None => ruling_forest(g, Some(&classification.rich), &happy, alpha, ledger),
-        Some(mode) => {
+        Some((template, sink)) => {
             let (rf, metrics) = engine::engine_ruling_forest(
                 g,
                 Some(&classification.rich),
                 &happy,
                 alpha,
-                mode.config(),
+                template.clone(),
                 ledger,
             );
-            mode.metrics.absorb(metrics);
+            sink.absorb(metrics);
             rf
         }
     };
@@ -199,12 +146,12 @@ pub fn extend_to_happy_set(
     // 3. (d+1)-coloring of G[T] (T ⊆ R keeps degrees ≤ d) — sequential
     // simulation or a masked engine session over the tree scope; the two
     // substrates are bit-identical in colors and ledger charges.
-    let classes = match engine.as_mut() {
+    let classes = match engine.as_deref_mut() {
         None => degree_plus_one_coloring(g, Some(&scope), ledger),
-        Some(mode) => {
+        Some((template, sink)) => {
             let (classes, metrics) =
-                engine::engine_degree_plus_one_coloring(g, Some(&scope), mode.config(), ledger);
-            mode.metrics.absorb(metrics);
+                engine::engine_degree_plus_one_coloring(g, Some(&scope), template.clone(), ledger);
+            sink.absorb(metrics);
             classes
         }
     };
@@ -223,7 +170,7 @@ pub fn extend_to_happy_set(
         })
         .collect();
     let max_depth = rf.max_depth();
-    let tree_colors = match engine.as_mut() {
+    let tree_colors = match engine {
         None => {
             let mut st = ColoringState::new(g, scope.clone(), reduced);
             for (depth, class) in layered_slots(max_depth, class_count) {
@@ -243,7 +190,7 @@ pub fn extend_to_happy_set(
             );
             st.into_colors()
         }
-        Some(mode) => {
+        Some((template, sink)) => {
             let (colors, metrics) = engine::engine_layered_greedy(
                 g,
                 &scope,
@@ -251,10 +198,10 @@ pub fn extend_to_happy_set(
                 &rf.depth,
                 &classes,
                 class_count,
-                mode.config(),
+                template.clone(),
                 ledger,
             );
-            mode.metrics.absorb(metrics);
+            sink.absorb(metrics);
             colors
         }
     };
@@ -357,18 +304,20 @@ mod tests {
         for engine_shards in [None, Some(2)] {
             let mut coloring = coloring.clone();
             let mut ledger = RoundLedger::new();
-            let mut metrics = EngineMetrics::default();
-            let engine = engine_shards.map(|shards| EngineMode {
-                shards,
-                congest: CongestMode::Unlimited,
-                faults: FaultPlan::default(),
-                frontier: true,
-                order: VertexOrder::Identity,
-                pool: None,
-                metrics: &mut metrics,
+            let mut engine = engine_shards.map(|shards| {
+                let template = EngineConfig::default().with_shards(shards);
+                (template, EngineMetrics::default())
             });
-            extend_to_happy_set(g, &alive, lists, &cls, &mut coloring, &mut ledger, engine)
-                .expect("extension succeeds");
+            extend_to_happy_set(
+                g,
+                &alive,
+                lists,
+                &cls,
+                &mut coloring,
+                &mut ledger,
+                engine.as_mut(),
+            )
+            .expect("extension succeeds");
             assert!(graphs::is_proper(g, &coloring));
             for v in g.vertices() {
                 assert!(
@@ -377,7 +326,7 @@ mod tests {
                     coloring[v]
                 );
             }
-            if engine_shards.is_some() {
+            if let Some((_, metrics)) = &engine {
                 assert!(
                     metrics.total_messages() > 0,
                     "engine-mode extension must surface its sessions' traffic"

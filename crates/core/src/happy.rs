@@ -188,8 +188,8 @@ pub fn classify(
 ///
 /// Bit-identical to [`classify`] — same sets, same radius, same
 /// `"rich-poor"` + `"ball-gather"` charges — at any shard count; this is
-/// the classification path `list_color_sparse` takes when
-/// `engine_shards: Some(k)`. The session's observed
+/// the classification path `list_color_sparse` takes in engine mode, on a
+/// clone of the run's session template. The session's observed
 /// [`EngineMetrics`](engine::EngineMetrics) are returned alongside the
 /// classification so composite pipelines can aggregate real traffic.
 pub fn classify_engine(

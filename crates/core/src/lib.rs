@@ -35,7 +35,7 @@ pub mod state;
 pub mod theorem13;
 
 pub use ert::{degree_choosable_coloring, ErtError};
-pub use extend::{extend_to_happy_set, EngineMode, ExtendError, UNCOLORED};
+pub use extend::{extend_to_happy_set, ExtendError, UNCOLORED};
 pub use happy::{classify, paper_radius, Classification};
 pub use lists::ListAssignment;
 pub use state::ColoringState;

@@ -16,32 +16,32 @@
 //! precondition `d ≥ mad(G)` must have been violated and a diagnostic
 //! error is returned.
 
-use crate::extend::{extend_to_happy_set, EngineMode, ExtendError, UNCOLORED};
+use crate::extend::{extend_to_happy_set, ExtendError, UNCOLORED};
 use crate::happy::{classify, classify_engine, paper_radius, Classification};
 use crate::lists::ListAssignment;
-use engine::{CongestMode, EngineMetrics, FaultPlan, VertexOrder};
+use engine::{EngineConfig, EngineMetrics, EnginePool};
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{detect_clique, RoundLedger};
 use std::fmt;
 
 /// Runs one classification of `g[alive]` on the substrate `engine` selects:
-/// the sequential simulation, or a masked engine session (the rich/poor
-/// exchange plus the rich-ball flood as real message rounds), absorbing the
-/// session's metrics into the mode's accumulator.
+/// the sequential simulation, or a masked engine session cloned from the
+/// template (the rich/poor exchange plus the rich-ball flood as real message
+/// rounds), absorbing the session's metrics into the sink.
 fn classify_on(
     g: &Graph,
     alive: &VertexSet,
     d: usize,
     radius: usize,
-    engine: Option<&mut EngineMode<'_>>,
+    engine: Option<&mut (EngineConfig, EngineMetrics)>,
     ledger: &mut RoundLedger,
 ) -> Classification {
     match engine {
         None => classify(g, alive, d, radius, ledger),
-        Some(mode) => {
+        Some((template, sink)) => {
             let (classification, metrics) =
-                classify_engine(g, alive, d, radius, mode.config(), ledger);
-            mode.metrics.absorb(metrics);
+                classify_engine(g, alive, d, radius, template.clone(), ledger);
+            sink.absorb(metrics);
             classification
         }
     }
@@ -52,15 +52,15 @@ fn detect_clique_on(
     g: &Graph,
     alive: &VertexSet,
     d: usize,
-    engine: Option<&mut EngineMode<'_>>,
+    engine: Option<&mut (EngineConfig, EngineMetrics)>,
     ledger: &mut RoundLedger,
 ) -> Option<Vec<VertexId>> {
     match engine {
         None => detect_clique(g, Some(alive), d, ledger),
-        Some(mode) => {
+        Some((template, sink)) => {
             let (found, metrics) =
-                engine::engine_detect_clique(g, Some(alive), d, mode.config(), ledger);
-            mode.metrics.absorb(metrics);
+                engine::engine_detect_clique(g, Some(alive), d, template.clone(), ledger);
+            sink.absorb(metrics);
             found
         }
     }
@@ -91,7 +91,7 @@ impl Default for RadiusPolicy {
 }
 
 /// Configuration for [`list_color_sparse`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SparseColoringConfig {
     /// Ball-radius policy (default: adaptive from 2).
     pub radius: RadiusPolicy,
@@ -107,47 +107,24 @@ pub struct SparseColoringConfig {
     /// colors, statistics, and ledger charges, executed as sharded message
     /// passing. `None` (default) stays sequential.
     pub engine_shards: Option<usize>,
-    /// CONGEST bandwidth treatment for every engine session of an
-    /// engine-mode run ([`CongestMode::Unlimited`] by default). Under
-    /// [`CongestMode::Split`] the pipeline's outputs and statistics stay
-    /// bit-identical to unlimited-width runs; only the round accounting
-    /// grows — the fragmentation surplus lands under the
+    /// The session template of an engine-mode run ([`EngineConfig::default`]
+    /// by default; ignored in sequential mode). Every internal engine
+    /// session — classification, clique detection and, per extension level,
+    /// the ruling forest, each forest's Cole–Vishkin pass, the class sweeps
+    /// and the layered greedy — runs on a clone of it, so its CONGEST mode,
+    /// fault plan, frontier gating, vertex order, seed, round cap, worker
+    /// cap and pool reach them all. Two fields are overwritten:
+    /// `engine_shards` sets `shards`, and each session sets its own `mask`.
+    /// Without a `pool`, the run spawns one [`EnginePool`] sized by
+    /// [`EngineConfig::workers_for`] and shares it across every session.
+    ///
+    /// A fault-free run's colors, statistics and ledger charges are
+    /// bit-identical to the sequential run; [`engine::CongestMode::Split`]
+    /// only adds its fragmentation surplus, under the
     /// [`engine::SPLIT_PHASE`] ledger phase and in
-    /// [`SparseColoring::engine_metrics`]. Ignored in sequential mode.
-    pub engine_congest: CongestMode,
-    /// Fault plan injected into **every** engine session of an engine-mode
-    /// run — how the chaos suites perturb the full pipeline (seeded edge
-    /// loss, crash storms, adversarial reorder). Faults key on logical
-    /// messages, so a faulted run still replays bit-identically across
-    /// shard counts; what it computes may of course differ from the
-    /// fault-free run. Empty by default; ignored in sequential mode.
-    pub engine_faults: FaultPlan,
-    /// Frontier-sparse rounds for every engine session of an engine-mode
-    /// run (`true` by default). `false` forces the historical full-range
-    /// scan — the baseline the bench gate's `--no-frontier` twin rows
-    /// measure. Outputs, ledger charges, and statistics are bit-identical
-    /// either way; ignored in sequential mode.
-    pub engine_frontier: bool,
-    /// Vertex-storage order for every engine session of an engine-mode run
-    /// ([`VertexOrder::Identity`] by default). [`VertexOrder::Locality`]
-    /// relabels each session's shard-local layout along the seeded
-    /// bandwidth-minimizing order; outputs, ledger charges, and statistics
-    /// are bit-identical either way. Ignored in sequential mode.
-    pub engine_order: VertexOrder,
-}
-
-impl Default for SparseColoringConfig {
-    fn default() -> Self {
-        SparseColoringConfig {
-            radius: RadiusPolicy::default(),
-            verify_mad: false,
-            engine_shards: None,
-            engine_congest: CongestMode::default(),
-            engine_faults: FaultPlan::default(),
-            engine_frontier: true,
-            engine_order: VertexOrder::Identity,
-        }
-    }
+    /// [`SparseColoring::engine_metrics`]. Faults key on logical messages,
+    /// so a faulted run still replays bit-identically across shard counts.
+    pub engine: EngineConfig,
 }
 
 /// Per-level peeling statistics.
@@ -334,42 +311,30 @@ pub fn list_color_sparse(
     let mut stats = PeelStats::default();
     let mut alive = VertexSet::full(n);
     let mut levels: Vec<Level> = Vec::new();
-    let mut engine_metrics = EngineMetrics::default();
-    // One worker pool for the whole pipeline: every internal engine session
-    // across every peeling level and extension borrows these threads, so
-    // thread spawns are a constant per run instead of linear in the level
-    // count. Sized for the largest session — level scopes only shrink.
-    let engine_pool = config
-        .engine_shards
-        .map(|shards| engine::EnginePool::new(default_pool_workers(shards, n)));
-    // One `EngineMode` per engine-phase call, all draining into the same
-    // accumulator so the end-to-end run reports its real traffic.
-    macro_rules! engine_mode {
-        () => {
-            config.engine_shards.map(|shards| EngineMode {
-                shards,
-                congest: config.engine_congest,
-                faults: config.engine_faults.clone(),
-                frontier: config.engine_frontier,
-                order: config.engine_order,
-                pool: engine_pool.clone(),
-                metrics: &mut engine_metrics,
-            })
-        };
-    }
+    // The engine substrate: the session template every internal session
+    // clones, and the sink absorbing each session's metrics so the run
+    // reports its real traffic. Without a caller pool, one pool serves the
+    // whole run — every session across every peeling level and extension
+    // borrows its threads, so thread spawns are a constant per run. It is
+    // sized for the largest session; level scopes only shrink.
+    let mut engine = config.engine_shards.map(|shards| {
+        let mut template = config.engine.with_shards(shards);
+        if template.pool.is_none() {
+            template.pool = Some(EnginePool::new(template.workers_for(n)));
+        }
+        (template, EngineMetrics::default())
+    });
 
     // Peeling phase.
     while !alive.is_empty() {
         let mut radius = initial_radius(config.radius, n);
         let classification = loop {
-            let c = classify_on(g, &alive, d, radius, engine_mode!().as_mut(), &mut ledger);
+            let c = classify_on(g, &alive, d, radius, engine.as_mut(), &mut ledger);
             if !c.happy.is_empty() {
                 break c;
             }
             // Stuck: the paper's promise — find the (d+1)-clique.
-            if let Some(clique) =
-                detect_clique_on(g, &alive, d, engine_mode!().as_mut(), &mut ledger)
-            {
+            if let Some(clique) = detect_clique_on(g, &alive, d, engine.as_mut(), &mut ledger) {
                 return Ok(Outcome::CliqueFound {
                     vertices: clique,
                     ledger,
@@ -408,7 +373,7 @@ pub fn list_color_sparse(
             &level.classification,
             &mut colors,
             &mut ledger,
-            engine_mode!(),
+            engine.as_mut(),
         )?;
     }
     debug_assert!(graphs::is_proper(g, &colors));
@@ -416,17 +381,8 @@ pub fn list_color_sparse(
         colors,
         ledger,
         stats,
-        engine_metrics,
+        engine_metrics: engine.map(|(_, metrics)| metrics).unwrap_or_default(),
     })))
-}
-
-/// Worker count for the pipeline-shared [`engine::EnginePool`]: mirror the
-/// engine's own default (one per CPU, never more than the shard request or
-/// the vertex count — sessions clamp further for small masked scopes).
-fn default_pool_workers(shards: usize, n: usize) -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let shard_cap = if shards == 0 { cpus } else { shards };
-    cpus.min(shard_cap).clamp(1, n.max(1))
 }
 
 fn initial_radius(policy: RadiusPolicy, n: usize) -> usize {
@@ -701,7 +657,7 @@ mod tests {
         for shards in [1usize, 2, 8] {
             let config = SparseColoringConfig {
                 engine_shards: Some(shards),
-                engine_congest: CongestMode::Split(4),
+                engine: EngineConfig::default().congest_split(4),
                 ..Default::default()
             };
             let split = list_color_sparse(&g, &lists, 6, config).unwrap();

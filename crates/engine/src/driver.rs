@@ -302,6 +302,13 @@ impl EngineConfig {
         self
     }
 
+    /// Worker groups a private-pool session over `n` live vertices runs
+    /// with — the size a caller-owned [`EnginePool`] needs to serve every
+    /// session of a pipeline at full width.
+    pub fn workers_for(&self, n: usize) -> usize {
+        self.resolve_workers(self.resolve_shards(n))
+    }
+
     fn resolve_shards(&self, n: usize) -> usize {
         let requested = if self.shards == 0 {
             available_cpus()

@@ -25,8 +25,10 @@
 //!
 //! Together the last four retire the last sequential phases inside an
 //! engine-mode Theorem 1.3 run: with `engine_shards` set, classification,
-//! clique detection, ruling forests, per-level coloring, and the layered
-//! greedy all execute as masked engine sessions.
+//! clique detection, ruling forests, per-level coloring (each forest's
+//! Cole–Vishkin pass included), and the layered greedy all execute as
+//! engine sessions, every one a clone of the caller's
+//! `SparseColoringConfig::engine` with only its mask set.
 //!
 //! # Worst-case logical message widths
 //!

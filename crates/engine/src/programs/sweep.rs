@@ -8,7 +8,7 @@
 //!
 //! * each forest's Cole–Vishkin pass is the existing
 //!   [`engine_cole_vishkin_3color`] port (own session over the forest
-//!   edges);
+//!   edges, on the caller's config);
 //! * each class sweep runs on a **single masked [`EngineSession`] over the
 //!   host graph** (the first masked consumer of the engine's
 //!   [`GraphView`](crate::GraphView)): one announce round in which every
@@ -157,11 +157,15 @@ impl NodeProgram for SweepProgram {
 /// Engine twin of [`local_model::coloring_by_forest_merge`]: same colors
 /// (bit for bit, masked or not, at any shard count) and same ledger phase
 /// totals (`"forest-decomposition"`, `"cole-vishkin"`, `"shift-down"`,
-/// `"class-sweep"`), plus the sweep session's observed [`EngineMetrics`].
+/// `"class-sweep"`), plus the observed [`EngineMetrics`] of every session
+/// it runs.
 ///
-/// `config.faults`/`config.congest` apply to the masked sweep session; the
-/// per-forest Cole–Vishkin sessions run fault-free (they execute over
-/// separate forest graphs). Any `config.mask` is overridden by `mask`.
+/// Every session runs on `config`: the masked sweep session and each
+/// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
+/// frontier, order, seed and round cap, and the returned metrics hold the
+/// rounds of both. The sweep runs over `mask`, overriding any
+/// `config.mask`; the Cole–Vishkin sessions run unmasked over their forest
+/// graphs, where non-members are isolated and inert.
 ///
 /// # Panics
 ///
@@ -220,13 +224,16 @@ fn forest_merge_with_members(
 
     let mut sweep_config = config.clone();
     sweep_config.mask = mask.cloned();
-    let cv_config = EngineConfig::default()
-        .with_shards(config.shards)
-        .with_workers(config.workers);
+    let cv_config = EngineConfig {
+        mask: None,
+        ..config
+    };
     let mut sess = EngineSession::new(g, sweep_config, |_| SweepProgram::idle());
+    let mut metrics = EngineMetrics::default();
 
     for (fi, forest) in forests.iter().enumerate() {
-        let (f3, _) = engine_cole_vishkin_3color(forest, cv_config.clone(), ledger);
+        let (f3, cv_metrics) = engine_cole_vishkin_3color(forest, cv_config.clone(), ledger);
+        metrics.absorb(cv_metrics);
         for &v in members {
             let p = forest.parent(v);
             if p != usize::MAX && p != v {
@@ -275,8 +282,9 @@ fn forest_merge_with_members(
         }
     }
     debug_assert!(members.iter().all(|&v| color[v] < target));
-    let (_, metrics, sweep_ledger) = sess.into_parts();
+    let (_, sweep_metrics, sweep_ledger) = sess.into_parts();
     ledger.absorb(sweep_ledger);
+    metrics.absorb(sweep_metrics);
     (color, metrics)
 }
 
@@ -323,6 +331,7 @@ pub fn engine_degree_plus_one_coloring(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use graphs::gen;
     use local_model::degree_plus_one_coloring;
 
@@ -380,10 +389,37 @@ mod tests {
         assert!(col.iter().all(|&c| c < 5));
         assert!(metrics.total_rounds() > 0, "the sweeps actually executed");
         assert_eq!(
-            ledger.phase_total("class-sweep"),
+            ledger.total() - ledger.phase_total("forest-decomposition"),
             metrics.total_rounds(),
-            "every sweep round was executed on the engine"
+            "every Cole–Vishkin and class-sweep round was executed on the engine"
         );
+    }
+
+    #[test]
+    fn cole_vishkin_rounds_are_counted_and_faultable() {
+        // A path orients into one forest, so its Cole–Vishkin pass is the
+        // only communication: those rounds must reach the returned metrics,
+        // and a loss plan on the caller's config must reach them too.
+        let g = gen::path(64);
+        let cole_vishkin = |config: EngineConfig| {
+            let mut ledger = RoundLedger::new();
+            let (_, metrics) = engine_degree_plus_one_coloring(&g, None, config, &mut ledger);
+            let (rounds, lost) = metrics
+                .per_round()
+                .iter()
+                .filter(|r| &*r.phase == "cole-vishkin")
+                .fold((0u64, 0usize), |(rounds, lost), r| {
+                    (rounds + 1, lost + r.lost)
+                });
+            assert_eq!(rounds, ledger.phase_total("cole-vishkin"));
+            (rounds, lost)
+        };
+        let (rounds, lost) = cole_vishkin(EngineConfig::default().with_shards(2));
+        assert!(rounds > 0, "the Cole–Vishkin rounds are in the metrics");
+        assert_eq!(lost, 0);
+        let faults = FaultPlan::new().lose_edges(5, 0.2);
+        let (_, lost) = cole_vishkin(EngineConfig::default().with_shards(2).with_faults(faults));
+        assert!(lost > 0, "the loss plan reaches the Cole–Vishkin sessions");
     }
 
     #[test]

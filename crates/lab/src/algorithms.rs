@@ -390,16 +390,14 @@ fn run_ruling(spec: &TrialSpec, g: &Graph) -> TrialOutput {
 fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     // The pipeline manages its own residual masks; `mask_mod` does not
     // apply. Sequential trials run the simulation; engine trials put every
-    // phase on masked sessions, with the declared congest mode and fault
-    // plan threaded into each internal session.
+    // phase on masked sessions cloned from the trial's engine config, so its
+    // workers, congest mode, fault plan, frontier and order reach each
+    // internal session.
     let d = spec.params.d;
     let lists = ListAssignment::uniform(g.n(), d);
     let config = SparseColoringConfig {
         engine_shards: (!spec.is_sequential()).then_some(spec.shards),
-        engine_congest: spec.congest.to_mode(),
-        engine_faults: spec.faults.plan(g.n()),
-        engine_frontier: spec.frontier,
-        engine_order: spec.order.to_order(),
+        engine: engine_config(spec, g.n()),
         ..Default::default()
     };
     match list_color_sparse(g, &lists, d, config) {

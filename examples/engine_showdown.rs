@@ -254,7 +254,7 @@ fn congest_split_demo() {
         d,
         SparseColoringConfig {
             engine_shards: Some(4),
-            engine_congest: CongestMode::Split(4),
+            engine: EngineConfig::default().congest_split(4),
             ..Default::default()
         },
     )

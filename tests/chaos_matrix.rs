@@ -9,7 +9,7 @@
 //! in, percentile-bearing rows and check verdicts out.
 
 use distributed_coloring::{list_color_sparse, ListAssignment, SparseColoringConfig};
-use engine::{CongestMode, SPLIT_PHASE};
+use engine::{CongestMode, EngineConfig, SPLIT_PHASE};
 use lab::{evaluate, run_suite, Suite};
 
 /// Split(w) for w ∈ {1, 2, 4, 8} on the full `list_color_sparse` pipeline:
@@ -76,7 +76,7 @@ fn split_width_ladder_reconciles_ledgers() {
     let run = |congest: CongestMode| {
         let config = SparseColoringConfig {
             engine_shards: Some(2),
-            engine_congest: congest,
+            engine: EngineConfig::default().with_congest(congest),
             ..Default::default()
         };
         list_color_sparse(&g, &lists, d, config)

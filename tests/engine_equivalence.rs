@@ -206,10 +206,11 @@ fn degree_plus_one_equivalence_masked_and_whole() {
                 eng_ledger.phase_total("class-sweep"),
                 seq_ledger.phase_total("class-sweep")
             );
-            // Every class-sweep round was actually executed on the engine.
+            // Every Cole–Vishkin and class-sweep round was actually
+            // executed on the engine.
             assert_eq!(
                 metrics.total_rounds(),
-                eng_ledger.phase_total("class-sweep")
+                eng_ledger.total() - eng_ledger.phase_total("forest-decomposition")
             );
         }
     }

@@ -105,15 +105,17 @@ fn shared_pool_keeps_thread_spawns_flat_and_results_identical() {
 
     // The full Theorem 1.3 pipeline: every peeling level runs several
     // internal engine sessions, all on one pipeline-owned pool — the spawn
-    // delta per run is the pool size, independent of the level count.
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let per_run = cpus.min(4) - 1;
+    // delta per run is the pool size, independent of the level count. The
+    // worker cap of 4 makes that pool spawn 3 threads on any core count, so
+    // a sub-session that rebuilds its config instead of cloning the
+    // caller's shows up as extra spawns on every machine.
     let mut level_counts = Vec::new();
     for n in [60usize, 400] {
         let g = gen::apollonian(n, 9);
         let lists = ListAssignment::uniform(g.n(), 6);
         let config = SparseColoringConfig {
             engine_shards: Some(4),
+            engine: EngineConfig::default().with_workers(4),
             ..SparseColoringConfig::default()
         };
         let base = engine::worker_threads_spawned();
@@ -123,10 +125,24 @@ fn shared_pool_keeps_thread_spawns_flat_and_results_identical() {
         level_counts.push(coloring.stats.alive_sizes.len());
         assert_eq!(
             engine::worker_threads_spawned() - base,
-            per_run,
+            3,
             "a peeling run must spawn exactly one pool (n = {n})"
         );
     }
+    // A caller-provided pool serves the whole run: it spawns nothing.
+    let g = gen::apollonian(60, 9);
+    let config = SparseColoringConfig {
+        engine_shards: Some(4),
+        engine: EngineConfig::default().with_pool(&pool),
+        ..SparseColoringConfig::default()
+    };
+    let base = engine::worker_threads_spawned();
+    list_color_sparse(&g, &ListAssignment::uniform(g.n(), 6), 6, config).expect("runs");
+    assert_eq!(
+        engine::worker_threads_spawned() - base,
+        0,
+        "a run on the caller's pool must not spawn threads"
+    );
     assert!(
         level_counts[1] >= level_counts[0],
         "the larger workload should not peel fewer levels: {level_counts:?}"
