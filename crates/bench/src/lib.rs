@@ -1,14 +1,11 @@
-//! Shared harness utilities for the experiment tables and criterion
-//! benches: aligned table printing and the standard workload families used
+//! Shared harness utilities for the experiment tables and the determinism
+//! gate: aligned table printing and the standard workload families used
 //! across EXPERIMENTS.md.
 
 use distributed_coloring::{
     list_color_sparse, ListAssignment, Outcome, SparseColoring, SparseColoringConfig,
 };
 use graphs::Graph;
-
-pub mod engine_report;
-pub use engine_report::{parse_engine_bench_json, render_engine_bench_json, EngineBenchRecord};
 
 /// Prints an aligned table: header row then rows, all right-aligned to the
 /// widest cell per column.

@@ -58,8 +58,7 @@ pub struct RoundMetrics {
     /// Fraction of live nodes actually *stepped* this round — the frontier
     /// density (`stepped / live`). 1.0 with frontier gating off (or every
     /// node active); tails of peeling levels and ruling-forest floods decay
-    /// toward 0 as the quiescent bulk is skipped. `bench_trend` charts this
-    /// decay.
+    /// toward 0 as the quiescent bulk is skipped.
     pub active_frac: f64,
     /// Wall-clock time of the round (compute + routing).
     pub wall: Duration,
@@ -67,9 +66,9 @@ pub struct RoundMetrics {
     /// compute epoch's close and the buffer flip — yield collection, split
     /// continuation scheduling, delayed-fault injection, the worker-parallel
     /// counting passes (dest placement + sender-rank ordering), and inbox
-    /// finalization. A subset of [`wall`](RoundMetrics::wall); the
-    /// `bench_gate --max-route-frac` budget judges this number, so it must
-    /// not under-count any epoch step.
+    /// finalization. A subset of [`wall`](RoundMetrics::wall); the lab's
+    /// `route-frac` budget judges this number, so it must not under-count
+    /// any epoch step.
     pub route_wall: Duration,
 }
 
@@ -242,9 +241,9 @@ impl EngineMetrics {
 
     /// Total node-steps skipped by frontier gating across the run:
     /// `Σ (live - stepped)`. 0 with gating off; the companion number to
-    /// [`mean_active_frac`](EngineMetrics::mean_active_frac) in
-    /// `bench_trend`'s frontier column (density says how sparse rounds
-    /// were, this says how much absolute work that sparsity saved).
+    /// [`mean_active_frac`](EngineMetrics::mean_active_frac) (density says
+    /// how sparse rounds were, this says how much absolute work that
+    /// sparsity saved).
     pub fn total_frontier_skipped(&self) -> usize {
         self.rounds.iter().map(|r| r.live - r.stepped).sum()
     }

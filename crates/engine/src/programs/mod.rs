@@ -88,8 +88,7 @@
 //! wall-clock or shard placement.
 //!
 //! [`RoundMetrics::active_frac`](crate::RoundMetrics) reports the realized
-//! ratio per round; `bench_trend` charts its decay across committed bench
-//! artifacts.
+//! ratio per round.
 //!
 //! # Sender-rank memory cost
 //!

@@ -1,7 +1,7 @@
 //! Named graph-family registry: `name → generator(n, seed)`.
 //!
-//! Every experiment harness in the workspace — the `engine_table` bench
-//! bin, the scenario lab, the gate binaries — used to re-encode its own
+//! Every experiment harness in the workspace — the scenario lab, its
+//! suites, the determinism gate — used to re-encode its own
 //! `match family { "grid" => …, }` arms. This registry is the single
 //! source of truth: a family is a *name* plus a deterministic builder
 //! taking a target vertex count and a seed, so a scenario declared as data

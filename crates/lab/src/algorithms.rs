@@ -11,6 +11,8 @@
 //! "it is right" genuinely diverge and the chaos suites exist to see
 //! where.
 
+use std::time::Instant;
+
 use distributed_coloring::{list_color_sparse, ListAssignment, Outcome, SparseColoringConfig};
 use engine::{
     engine_cole_vishkin_3color, engine_gather_balls, engine_h_partition,
@@ -48,6 +50,11 @@ pub fn is_known(name: &str) -> bool {
 /// The reduced result of one trial's computation.
 #[derive(Clone, Debug)]
 pub struct TrialOutput {
+    /// Wall-clock of the algorithm call alone, milliseconds. Instance
+    /// preparation (lists, forests, subsets, masks), validation and
+    /// fingerprinting stay outside it: the wall measures the protocol, not
+    /// the harness around it.
+    pub wall_ms: f64,
     /// FNV-1a fingerprint of the canonical output (colors, layers, balls,
     /// forest, …) — the unit of bit-identity comparisons.
     pub output_hash: u64,
@@ -83,6 +90,11 @@ pub fn run(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         "theorem13" => run_theorem13(spec, g),
         other => panic!("unknown algorithm {other:?} (plan expansion admits known names only)"),
     }
+}
+
+/// Milliseconds elapsed since `started`.
+fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 /// 64-bit FNV-1a over a stream of words.
@@ -176,6 +188,7 @@ fn run_randomized(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         .collect();
     let mut ledger = RoundLedger::new();
     let seed = spec.protocol_seed();
+    let started = Instant::now();
     let (colors, complete, metrics) = if spec.is_sequential() {
         let out = randomized_list_coloring(
             g,
@@ -198,6 +211,7 @@ fn run_randomized(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         );
         (out.colors, out.complete, Some(metrics))
     };
+    let wall_ms = ms_since(started);
     let on_list = g
         .vertices()
         .filter(|&v| in_mask(mask_ref, v))
@@ -210,6 +224,7 @@ fn run_randomized(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         _ => None,
     };
     TrialOutput {
+        wall_ms,
         output_hash: hash_usizes(&colors),
         ledger_rounds: ledger.total(),
         split_surplus: ledger.phase_total(SPLIT_PHASE),
@@ -224,6 +239,7 @@ fn run_h_partition(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     let mask = mask_of(spec, g.n());
     let mask_ref = mask.as_ref();
     let mut ledger = RoundLedger::new();
+    let started = Instant::now();
     let (hp, metrics) = if spec.is_sequential() {
         (
             h_partition(
@@ -246,11 +262,13 @@ fn run_h_partition(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         );
         (hp, Some(metrics))
     };
+    let wall_ms = ms_since(started);
     let layered = g
         .vertices()
         .filter(|&v| in_mask(mask_ref, v))
         .all(|v| hp.layer[v] < hp.layers);
     TrialOutput {
+        wall_ms,
         output_hash: hash_usizes(&hp.layer),
         ledger_rounds: ledger.total(),
         split_surplus: ledger.phase_total(SPLIT_PHASE),
@@ -266,6 +284,7 @@ fn run_cole_vishkin(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     // does not apply (the forest *is* the instance).
     let forest = RootedForest::new(bfs_parents(g, 0, None));
     let mut ledger = RoundLedger::new();
+    let started = Instant::now();
     let (colors, metrics) = if spec.is_sequential() {
         (cole_vishkin_3color(&forest, &mut ledger), None)
     } else {
@@ -273,6 +292,7 @@ fn run_cole_vishkin(spec: &TrialSpec, g: &Graph) -> TrialOutput {
             engine_cole_vishkin_3color(&forest, engine_config(spec, g.n()), &mut ledger);
         (colors, Some(metrics))
     };
+    let wall_ms = ms_since(started);
     let ok = forest.n() == colors.len()
         && (0..forest.n()).filter(|&v| forest.contains(v)).all(|v| {
             let p = forest.parent(v);
@@ -280,6 +300,7 @@ fn run_cole_vishkin(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         });
     let members: Vec<usize> = (0..forest.n()).filter(|&v| forest.contains(v)).collect();
     TrialOutput {
+        wall_ms,
         output_hash: hash_usizes(&colors),
         ledger_rounds: ledger.total(),
         split_surplus: ledger.phase_total(SPLIT_PHASE),
@@ -299,6 +320,7 @@ fn run_gather(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     let mask_ref = mask.as_ref();
     let centers: Vec<usize> = g.vertices().filter(|&v| in_mask(mask_ref, v)).collect();
     let mut ledger = RoundLedger::new();
+    let started = Instant::now();
     let (balls, metrics) = if spec.is_sequential() {
         (
             gather_balls(g, mask_ref, &centers, spec.params.radius, &mut ledger),
@@ -315,6 +337,7 @@ fn run_gather(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         );
         (balls, Some(metrics))
     };
+    let wall_ms = ms_since(started);
     let ok = balls.len() == centers.len() && balls.iter().zip(&centers).all(|(b, c)| b.contains(c));
     let hash = Fnv::new()
         .words(balls.iter().flat_map(|b| {
@@ -323,6 +346,7 @@ fn run_gather(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         }))
         .done();
     TrialOutput {
+        wall_ms,
         output_hash: hash,
         ledger_rounds: ledger.total(),
         split_surplus: ledger.phase_total(SPLIT_PHASE),
@@ -342,6 +366,7 @@ fn run_ruling(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         .step_by(2)
         .collect();
     let mut ledger = RoundLedger::new();
+    let started = Instant::now();
     let (rf, metrics) = if spec.is_sequential() {
         (
             ruling_forest(g, mask_ref, &subset, spec.params.alpha, &mut ledger),
@@ -358,6 +383,7 @@ fn run_ruling(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         );
         (rf, Some(metrics))
     };
+    let wall_ms = ms_since(started);
     // Structural coherence: roots are their own parents at depth 0, every
     // subset vertex belongs to a tree, and every member's recorded root is
     // an actual root.
@@ -377,6 +403,7 @@ fn run_ruling(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         .words(rf.depth.iter().map(|&d| d as u64))
         .done();
     TrialOutput {
+        wall_ms,
         output_hash: hash,
         ledger_rounds: ledger.total(),
         split_surplus: ledger.phase_total(SPLIT_PHASE),
@@ -400,7 +427,10 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         engine: engine_config(spec, g.n()),
         ..Default::default()
     };
-    match list_color_sparse(g, &lists, d, config) {
+    let started = Instant::now();
+    let outcome = list_color_sparse(g, &lists, d, config);
+    let wall_ms = ms_since(started);
+    match outcome {
         Ok(Outcome::Colored(col)) => {
             let proper = graphs::is_proper(g, &col.colors);
             let on_list = g.vertices().all(|v| lists.list(v).contains(&col.colors[v]));
@@ -410,6 +440,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
                 _ => None,
             };
             TrialOutput {
+                wall_ms,
                 output_hash: hash_usizes(&col.colors),
                 ledger_rounds: col.ledger.total(),
                 split_surplus: col.ledger.phase_total(SPLIT_PHASE),
@@ -427,6 +458,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
                         .all(|&v| g.neighbors(u).contains(&v))
                 });
             TrialOutput {
+                wall_ms,
                 output_hash: Fnv::new()
                     .words(std::iter::once(u64::MAX))
                     .words(vertices.iter().map(|&v| v as u64))
@@ -440,6 +472,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
             }
         }
         Err(e) => TrialOutput {
+            wall_ms,
             output_hash: 0,
             ledger_rounds: 0,
             split_surplus: 0,

@@ -4,13 +4,15 @@
 //! that knows what they mean. Each check reduces to a [`CheckOutcome`]:
 //! pass/fail plus a violation list naming the offending rows — what the
 //! `lab` binary prints and what decides its exit code, and what the
-//! determinism/bench gates reuse instead of hand-rolled comparison loops.
+//! determinism gate reuses instead of hand-rolled comparison loops.
 
 use std::collections::BTreeMap;
 
 use crate::json::Value;
+use crate::plan::TrialSpec;
+use crate::report::timed_reps;
 use crate::runner::{RunOutcome, TrialRow};
-use crate::schema::{BudgetMetric, Check, CongestSpec, Suite};
+use crate::schema::{BudgetMetric, Check, CongestSpec, OrderSpec, Suite};
 
 /// The verdict of one declared check.
 #[derive(Clone, Debug)]
@@ -243,54 +245,88 @@ fn check_valid(run: &RunOutcome) -> Vec<String> {
         .collect()
 }
 
-/// Best-of-reps wall/route per configuration×shards×workers.
-fn best_walls(run: &RunOutcome) -> BTreeMap<String, (f64, f64)> {
-    let mut best: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for row in &run.rows {
-        if row.error.is_some() {
-            continue;
-        }
+/// One measured configuration: a representative spec plus the best wall
+/// and its route time over the configuration's timed reps.
+struct Best<'a> {
+    spec: &'a TrialSpec,
+    wall: f64,
+    route: f64,
+}
+
+/// Best-of-timed-reps wall/route per configuration × shards × workers ×
+/// order × frontier — every perf knob apart, so a budget never takes the
+/// min over a locality twin and its identity sibling.
+fn best_walls(run: &RunOutcome) -> Vec<Best<'_>> {
+    let mut groups: BTreeMap<String, Vec<&TrialRow>> = BTreeMap::new();
+    for row in run.rows.iter().filter(|r| r.error.is_none()) {
         let key = format!(
-            "{}|{}|{}",
+            "{}|{}|{}|{}|{}",
             row.spec.config_key(),
             row.spec.shards,
-            row.spec.workers.label()
+            row.spec.workers.label(),
+            row.spec.order.label(),
+            row.spec.frontier
         );
-        let entry = best.entry(key).or_insert((f64::INFINITY, 0.0));
-        if row.wall_ms < entry.0 {
-            *entry = (row.wall_ms, row.route_ms);
-        }
+        groups.entry(key).or_default().push(row);
     }
-    best
+    groups
+        .values()
+        .map(|rows| {
+            let best = timed_reps(rows)
+                .into_iter()
+                .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+                .expect("groups are non-empty");
+            Best {
+                spec: &best.spec,
+                wall: best.wall_ms,
+                route: best.route_ms,
+            }
+        })
+        .collect()
 }
 
 /// Ratio budgets, evaluated at the largest `n` of every (scenario,
-/// algorithm) — matching `bench_gate`'s "judge at scale" convention.
+/// algorithm) — small sizes are fixed overhead and noise.
 fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String> {
     let mut max_n: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let mut max_shards: BTreeMap<String, usize> = BTreeMap::new();
     for row in &run.rows {
         let key = (row.spec.scenario.clone(), row.spec.algorithm.clone());
         let n = max_n.entry(key).or_default();
         *n = (*n).max(row.spec.n);
+        let shards = max_shards.entry(row.spec.config_key()).or_default();
+        *shards = (*shards).max(row.spec.shards);
     }
     let at_scale = |row: &TrialRow| {
         max_n[&(row.spec.scenario.clone(), row.spec.algorithm.clone())] == row.spec.n
     };
+    let widest = |spec: &TrialSpec| max_shards[&spec.config_key()];
     let best = best_walls(run);
-    let wall_of = |spec_row: &TrialRow, shards: usize, congest: Option<CongestSpec>| {
-        let mut spec = spec_row.spec.clone();
-        spec.shards = shards;
-        if let Some(c) = congest {
-            spec.congest = c;
-        }
-        if shards == 0 {
-            spec.congest = CongestSpec::Unlimited;
-        }
-        // Workers are part of the best-walls key; scan all worker specs.
+    let wall_where = |pick: &dyn Fn(&TrialSpec) -> bool| {
         best.iter()
-            .filter(|(k, _)| k.starts_with(&format!("{}|{}|", spec.config_key(), spec.shards)))
-            .map(|(_, &(wall, _))| wall)
+            .filter(|b| pick(b.spec))
+            .map(|b| b.wall)
             .min_by(f64::total_cmp)
+    };
+    // The same perf knobs as `row` at `shards`, under configuration key `key`.
+    let engine_wall = |row: &TrialSpec, key: &str, shards: usize| {
+        wall_where(&|s| {
+            s.config_key() == key
+                && s.shards == shards
+                && s.workers == row.workers
+                && s.order == row.order
+                && s.frontier == row.frontier
+        })
+    };
+    // The twin of `row` — same workload, shards and workers — wherever in
+    // the suite it is declared, with `differs` naming the knob it flips.
+    let twin_wall = |row: &TrialSpec, differs: &dyn Fn(&TrialSpec) -> bool| {
+        wall_where(&|s| {
+            s.workload_key() == row.workload_key()
+                && s.shards == row.shards
+                && s.workers == row.workers
+                && differs(s)
+        })
     };
     let mut violations = Vec::new();
     let mut applied = false;
@@ -298,64 +334,79 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
         if row.error.is_some() || !at_scale(row) || row.spec.rep != 0 {
             continue;
         }
+        let spec = &row.spec;
+        let own = || engine_wall(spec, &spec.config_key(), spec.shards);
         let ratio = match metric {
             BudgetMetric::EngineRatio => {
                 // Judged once per configuration, from its shards=1 row.
-                if row.spec.shards != 1
-                    || row.spec.congest != CongestSpec::Unlimited
-                    || !row.spec.faults.is_none()
+                if spec.shards != 1
+                    || spec.congest != CongestSpec::Unlimited
+                    || !spec.faults.is_none()
                 {
                     continue;
                 }
-                let (Some(engine), Some(seq)) = (wall_of(row, 1, None), wall_of(row, 0, None))
-                else {
+                let seq = wall_where(&|s| s.config_key() == spec.config_key() && s.shards == 0);
+                let (Some(engine), Some(seq)) = (own(), seq) else {
                     continue;
                 };
                 Some(("engine/1 vs sequential", engine / seq.max(f64::EPSILON)))
             }
             BudgetMetric::ShardRatio => {
-                let widest = run
-                    .rows
-                    .iter()
-                    .filter(|r| r.spec.config_key() == row.spec.config_key())
-                    .map(|r| r.spec.shards)
-                    .max()
-                    .unwrap_or(0);
-                if row.spec.shards != widest || widest <= 1 {
+                let widest = widest(spec);
+                if spec.shards != widest || widest <= 1 {
                     continue;
                 }
-                let (Some(wide), Some(one)) = (wall_of(row, widest, None), wall_of(row, 1, None))
+                let (Some(wide), Some(one)) = (own(), engine_wall(spec, &spec.config_key(), 1))
                 else {
                     continue;
                 };
                 Some(("max-shards vs engine/1", wide / one.max(f64::EPSILON)))
             }
             BudgetMetric::RouteFrac => {
-                if row.spec.shards == 0 {
+                if spec.shards == 0 || spec.shards != widest(spec) {
                     continue;
                 }
-                let key = format!(
-                    "{}|{}|{}",
-                    row.spec.config_key(),
-                    row.spec.shards,
-                    row.spec.workers.label()
-                );
-                let (wall, route) = best[&key];
-                Some(("route/wall", route / wall.max(f64::EPSILON)))
+                let Some(b) = best.iter().find(|b| {
+                    b.spec.config_key() == spec.config_key()
+                        && b.spec.shards == spec.shards
+                        && b.spec.workers == spec.workers
+                        && b.spec.order == spec.order
+                }) else {
+                    continue;
+                };
+                Some(("route/wall", b.route / b.wall.max(f64::EPSILON)))
             }
             BudgetMetric::SplitRatio => {
-                if row.spec.congest.split_width().is_none() {
+                if spec.congest.split_width().is_none() {
                     continue;
                 }
-                let split_wall = wall_of(row, row.spec.shards, None);
-                let mut unlimited = row.clone();
-                unlimited.spec.congest = CongestSpec::Unlimited;
-                let unlimited_wall =
-                    wall_of(&unlimited, row.spec.shards, Some(CongestSpec::Unlimited));
-                let (Some(split), Some(open)) = (split_wall, unlimited_wall) else {
+                let unlimited = engine_wall(spec, &spec.unlimited_key(), spec.shards);
+                let (Some(split), Some(open)) = (own(), unlimited) else {
                     continue;
                 };
                 Some(("split vs unlimited", split / open.max(f64::EPSILON)))
+            }
+            BudgetMetric::FrontierRatio => {
+                if spec.shards == 0 || spec.frontier {
+                    continue;
+                }
+                let on = twin_wall(spec, &|s| s.frontier && s.order == spec.order);
+                let (Some(on), Some(full)) = (on, own()) else {
+                    continue;
+                };
+                Some(("frontier vs full scan", on / full.max(f64::EPSILON)))
+            }
+            BudgetMetric::OrderRatio => {
+                if spec.shards == 0 || spec.order != OrderSpec::Locality {
+                    continue;
+                }
+                let identity = twin_wall(spec, &|s| {
+                    s.order == OrderSpec::Identity && s.frontier == spec.frontier
+                });
+                let (Some(local), Some(identity)) = (own(), identity) else {
+                    continue;
+                };
+                Some(("locality vs identity", local / identity.max(f64::EPSILON)))
             }
         };
         if let Some((what, ratio)) = ratio {
@@ -364,7 +415,7 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
                 violations.push(format!(
                     "trial {} ({} {} n={} shards={}): {what} ratio {ratio:.2} \
                      exceeds budget {max}",
-                    row.spec.id, row.spec.scenario, row.spec.algorithm, row.spec.n, row.spec.shards
+                    spec.id, spec.scenario, spec.algorithm, spec.n, spec.shards
                 ));
             }
         }
@@ -382,7 +433,6 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
 mod tests {
     use super::*;
     use crate::runner::run_suite;
-    use crate::schema::Suite;
 
     fn run(body: &str) -> (Suite, RunOutcome) {
         let suite = Suite::from_json(body).unwrap();
@@ -434,6 +484,109 @@ mod tests {
         );
         assert!(!outcomes[1].passed);
         assert_eq!(outcomes[1].violations.len(), 2);
+    }
+
+    /// Runs `body`, then overwrites every row's wall with `wall(spec)` —
+    /// budget arithmetic on chosen numbers instead of scheduler noise.
+    fn run_with_walls(body: &str, wall: impl Fn(&TrialSpec) -> f64) -> (Suite, RunOutcome) {
+        let (suite, mut out) = run(body);
+        for row in &mut out.rows {
+            row.wall_ms = wall(&row.spec);
+        }
+        (suite, out)
+    }
+
+    #[test]
+    fn budgets_keep_order_twins_apart() {
+        // Identity scales badly (1 → 2 ms), locality well (10 → 1 ms). A
+        // min over both orders would see 1 ms at both shard counts and
+        // pass; judged per order, identity blows the budget.
+        let (suite, out) = run_with_walls(
+            r#"{"name": "t", "scenarios": [{
+                "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
+                "shards": [1, 2], "order": ["identity", "locality"]
+            }], "checks": [{"kind": "budget", "metric": "shard-ratio", "max": 1.5}]}"#,
+            |s| match (s.order, s.shards) {
+                (OrderSpec::Identity, 1) => 1.0,
+                (OrderSpec::Identity, _) => 2.0,
+                (OrderSpec::Locality, 1) => 10.0,
+                (OrderSpec::Locality, _) => 1.0,
+            },
+        );
+        let outcome = &evaluate(&suite, &out)[0];
+        assert!(!outcome.passed, "the identity pair scales 2x");
+        assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
+        assert!(outcome.violations[0].contains("ratio 2.00"));
+    }
+
+    #[test]
+    fn budgets_discard_the_warm_up_rep() {
+        // Rep 0 of every configuration is slow (a cold first run); the
+        // budget must judge reps 1.. only.
+        let (suite, out) = run_with_walls(
+            r#"{"name": "t", "scenarios": [{
+                "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
+                "shards": [1, 2], "reps": 3
+            }], "checks": [{"kind": "budget", "metric": "shard-ratio", "max": 1.5}]}"#,
+            |s| match (s.rep, s.shards) {
+                (0, 1) => 1.0,
+                (0, _) => 100.0,
+                _ => 5.0,
+            },
+        );
+        let outcome = &evaluate(&suite, &out)[0];
+        assert!(outcome.passed, "{:?}", outcome.violations);
+    }
+
+    const TWINS: &str = r#"{"name": "t", "scenarios": [
+            {"name": "base", "family": "grid", "n": [16, 36], "algorithm": "ruling",
+             "shards": [1, 2]},
+            {"name": "base-full-scan", "family": "grid", "n": 36, "algorithm": "ruling",
+             "shards": 2, "frontier": false},
+            {"name": "base-locality", "family": "grid", "n": 36, "algorithm": "ruling",
+             "shards": 2, "order": "locality"}
+        ], "checks": [
+            {"kind": "budget", "metric": "frontier-ratio", "max": 0.91},
+            {"kind": "budget", "metric": "order-ratio", "max": 2.5}
+        ]}"#;
+
+    #[test]
+    fn twin_budgets_pair_rows_across_scenarios() {
+        let wall = |frontier_on: f64, locality: f64| {
+            move |s: &TrialSpec| match (s.frontier, s.order) {
+                (false, _) => 10.0,
+                (true, OrderSpec::Locality) => locality,
+                (true, OrderSpec::Identity) => frontier_on,
+            }
+        };
+        let (suite, out) = run_with_walls(TWINS, wall(5.0, 6.0));
+        for o in evaluate(&suite, &out) {
+            assert!(o.passed, "{}: {:?}", o.check, o.violations);
+        }
+        // Frontier on at 9.5 of the full scan's 10 is not a 1.1x win, and
+        // a locality run 3x its identity twin is past the backstop.
+        let (suite, out) = run_with_walls(TWINS, wall(9.5, 28.5));
+        let outcomes = evaluate(&suite, &out);
+        assert!(outcomes[0].violations[0].contains("frontier vs full scan ratio 0.95"));
+        assert!(outcomes[1].violations[0].contains("locality vs identity ratio 3.00"));
+    }
+
+    #[test]
+    fn twin_budgets_without_twins_fail() {
+        // Without the base scenario the twins only have each other, and
+        // each differs from the other in two knobs: nothing pairs.
+        let base = TWINS.find("{\"name\": \"base\"").unwrap();
+        let twins = TWINS.find("{\"name\": \"base-full-scan\"").unwrap();
+        let lonely = format!("{}{}", &TWINS[..base], &TWINS[twins..]);
+        let (suite, out) = run(&lonely);
+        for o in evaluate(&suite, &out) {
+            assert!(!o.passed, "{} certified nothing but passed", o.check);
+            assert!(
+                o.violations[0].contains("applies to no row"),
+                "{:?}",
+                o.violations
+            );
+        }
     }
 
     #[test]

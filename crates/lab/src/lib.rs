@@ -7,10 +7,12 @@
 //! trial with fixed per-trial seeds ([`runner`]), persists per-trial JSON
 //! rows plus a merged summary with percentile statistics ([`report`],
 //! [`stats`]), and evaluates the declared invariants over the artifact
-//! ([`invariants`]) — so the determinism and bench gates become thin
-//! wrappers over declared suites, and chaos experiments (loss-rate curves,
-//! crash storms, reorder sweeps, split-width ladders) are one suite file
-//! away instead of one hand-written binary away.
+//! ([`invariants`]) — so the determinism gate is a thin wrapper over a
+//! declared suite, every perf tier (`suites/bench.json`, `xl.json`,
+//! `xl-ruling.json`, `xxl.json`) is a suite whose budgets are the gate,
+//! and chaos experiments (loss-rate curves, crash storms, reorder sweeps,
+//! split-width ladders) are one suite file away instead of one
+//! hand-written binary away.
 //!
 //! ```text
 //! suite.json ──expand──▶ plan ──run──▶ trials.jsonl ──merge──▶ summary.json

@@ -92,6 +92,23 @@ impl TrialSpec {
         )
     }
 
+    /// The *workload key*: the configuration key without the scenario name,
+    /// plus the algorithm parameters. Twin scenarios — a full-scan or
+    /// locality rerun declared next to its base scenario — share it, which
+    /// is how the frontier and order budgets pair rows across scenarios.
+    pub(crate) fn workload_key(&self) -> String {
+        format!(
+            "{}|{}|{}|{}|{}|{}|{:?}",
+            self.family,
+            self.n,
+            self.seed,
+            self.algorithm,
+            self.congest.label(),
+            self.faults.label(),
+            self.params
+        )
+    }
+
     /// The key of this trial's unlimited-congest twin: same configuration,
     /// width cap removed. Split-reconciliation pairs rows through this.
     pub fn unlimited_key(&self) -> String {

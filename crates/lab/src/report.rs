@@ -56,20 +56,35 @@ pub fn render_summary(run: &RunOutcome) -> Value {
     ])
 }
 
-/// One summary group: a configuration's reps merged into best-of *and*
-/// percentile wall statistics.
+/// The timing method: the reps of one configuration (or one scenario)
+/// that wall statistics are taken from. When any row is a repeat
+/// (`rep ≥ 1`), every rep-0 row is a discarded warm-up — the first run of
+/// a configuration pays page faults and cold caches the rest do not. A
+/// single-rep configuration keeps its only row. Checks other than budgets
+/// still see every row.
+pub(crate) fn timed_reps<'a>(rows: &[&'a TrialRow]) -> Vec<&'a TrialRow> {
+    let repeated = rows.iter().any(|r| r.spec.rep > 0);
+    rows.iter()
+        .copied()
+        .filter(|r| !repeated || r.spec.rep > 0)
+        .collect()
+}
+
+/// One summary group: a configuration's timed reps (see [`timed_reps`])
+/// merged into best-of *and* percentile wall statistics.
 fn group_json(rows: &[&TrialRow]) -> Value {
     let first = rows[0];
-    let walls: Vec<f64> = rows.iter().map(|r| r.wall_ms).collect();
+    let timed = timed_reps(rows);
+    let walls: Vec<f64> = timed.iter().map(|r| r.wall_ms).collect();
     let wall_p = summarize(&walls).expect("groups are non-empty");
     let best = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let route_fracs: Vec<f64> = rows
+    let route_fracs: Vec<f64> = timed
         .iter()
         .map(|r| r.route_ms / r.wall_ms.max(f64::EPSILON))
         .collect();
-    let round_p50: Vec<f64> = rows.iter().map(|r| r.round_p50_ms).collect();
-    let round_p95: Vec<f64> = rows.iter().map(|r| r.round_p95_ms).collect();
-    let round_p99: Vec<f64> = rows.iter().map(|r| r.round_p99_ms).collect();
+    let round_p50: Vec<f64> = timed.iter().map(|r| r.round_p50_ms).collect();
+    let round_p95: Vec<f64> = timed.iter().map(|r| r.round_p95_ms).collect();
+    let round_p99: Vec<f64> = timed.iter().map(|r| r.round_p99_ms).collect();
     let median = |v: &[f64]| summarize(v).map_or(0.0, |p| p.p50);
     Value::Obj(vec![
         ("algorithm".into(), Value::str(&first.spec.algorithm)),
@@ -92,6 +107,7 @@ fn group_json(rows: &[&TrialRow]) -> Value {
         ("seed".into(), Value::int(first.spec.seed)),
         ("shards".into(), Value::int(first.spec.shards as u64)),
         ("split_surplus".into(), Value::int(first.split_surplus)),
+        ("timed_reps".into(), Value::int(timed.len() as u64)),
         ("valid".into(), Value::Bool(rows.iter().all(|r| r.valid))),
         ("wall_ms_best".into(), Value::num(best)),
         ("wall_ms_p50".into(), Value::num(wall_p.p50)),
@@ -101,16 +117,20 @@ fn group_json(rows: &[&TrialRow]) -> Value {
     ])
 }
 
-/// Per-scenario tails: wall, physical-round, and fragment percentiles over
-/// *all* the scenario's trials — the distribution view across the whole
-/// declared matrix, where a pathological configuration shows up as a fat
-/// p99 even when every best-of mean looks healthy.
+/// Per-scenario tails: physical-round and fragment percentiles over *all*
+/// the scenario's trials, wall and route-fraction percentiles over its
+/// timed reps — the distribution view across the whole declared matrix,
+/// where a pathological configuration shows up as a fat p99 even when
+/// every best-of mean looks healthy.
 fn scenario_json(run: &RunOutcome, name: &str) -> Value {
     let rows: Vec<&TrialRow> = run
         .rows
         .iter()
         .filter(|r| r.spec.scenario == name)
         .collect();
+    // A scenario's reps are uniform across its configurations, so its
+    // timed reps are the union of theirs.
+    let timed = timed_reps(&rows);
     let triple = |vals: Vec<f64>, label: &str, out: &mut Vec<(String, Value)>| {
         let p = summarize(&vals).expect("scenario has rows");
         out.push((format!("{label}_p50"), Value::num(p.p50)));
@@ -138,7 +158,8 @@ fn scenario_json(run: &RunOutcome, name: &str) -> Value {
         &mut fields,
     );
     triple(
-        rows.iter()
+        timed
+            .iter()
             .map(|r| r.route_ms / r.wall_ms.max(f64::EPSILON))
             .collect(),
         "route_frac",
@@ -147,7 +168,7 @@ fn scenario_json(run: &RunOutcome, name: &str) -> Value {
     fields.push(("scenario".into(), Value::str(name)));
     fields.push(("trials".into(), Value::int(rows.len() as u64)));
     triple(
-        rows.iter().map(|r| r.wall_ms).collect(),
+        timed.iter().map(|r| r.wall_ms).collect(),
         "wall_ms",
         &mut fields,
     );
@@ -224,6 +245,36 @@ mod tests {
                 "summary is missing {key}"
             );
         }
+    }
+
+    #[test]
+    fn summary_walls_discard_the_warm_up_rep() {
+        let suite = Suite::from_json(
+            r#"{"name": "t", "scenarios": [
+                {"name": "warm", "family": "grid", "n": 36, "algorithm": "gather",
+                 "shards": 2, "reps": 3},
+                {"name": "single", "family": "grid", "n": 36, "algorithm": "gather",
+                 "shards": 2}
+            ]}"#,
+        )
+        .unwrap();
+        let mut run = run_suite(&suite, |_, _| {}).unwrap();
+        for row in &mut run.rows {
+            row.wall_ms = if row.spec.rep == 0 { 1e6 } else { 1.0 };
+        }
+        let summary = render_summary(&run);
+        let groups = summary.get("groups").and_then(Value::as_arr).unwrap();
+        let field = |g: &Value, key: &str| g.get(key).and_then(Value::as_f64).unwrap();
+        // Three reps ran; the cold rep 0 is out of every wall statistic.
+        assert_eq!(field(&groups[0], "reps"), 3.0);
+        assert_eq!(field(&groups[0], "timed_reps"), 2.0);
+        assert_eq!(field(&groups[0], "wall_ms_p99"), 1.0);
+        // A single-rep configuration keeps its only row.
+        assert_eq!(field(&groups[1], "timed_reps"), 1.0);
+        assert_eq!(field(&groups[1], "wall_ms_best"), 1e6);
+        let scenarios = summary.get("scenarios").and_then(Value::as_arr).unwrap();
+        assert_eq!(field(&scenarios[0], "wall_ms_p99"), 1.0);
+        assert_eq!(field(&scenarios[0], "trials"), 3.0);
     }
 
     #[test]

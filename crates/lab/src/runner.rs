@@ -30,7 +30,9 @@ pub struct TrialRow {
     pub graph_n: usize,
     /// Generated graph size (edges).
     pub graph_m: usize,
-    /// Wall-clock of the run, milliseconds (graph generation excluded).
+    /// Wall-clock of the algorithm call, milliseconds (see
+    /// [`algorithms::TrialOutput::wall_ms`]); a trial that died records its
+    /// whole elapsed time.
     pub wall_ms: f64,
     /// Routing-phase wall, milliseconds (engine trials; 0 sequential).
     pub route_ms: f64,
@@ -224,6 +226,7 @@ pub fn run_trial(spec: &TrialSpec, g: &Graph) -> TrialRow {
             row.error = Some(panic_message(panic.as_ref()));
         }
         Ok(out) => {
+            row.wall_ms = out.wall_ms;
             row.output_hash = out.output_hash;
             row.ledger_rounds = out.ledger_rounds;
             row.split_surplus = out.split_surplus;

@@ -210,8 +210,7 @@ impl OrderSpec {
     }
 
     /// Stable label (`identity`, `locality`) for rows and grouping —
-    /// parses back via [`OrderSpec::parse`]. `bench_trend` matches lab
-    /// summary groups to committed bench rows on exactly these strings.
+    /// parses back via [`OrderSpec::parse`].
     pub fn label(self) -> &'static str {
         match self {
             OrderSpec::Identity => "identity",
@@ -408,7 +407,8 @@ pub enum Check {
 }
 
 /// The ratio a [`Check::Budget`] constrains, evaluated per `(scenario,
-/// algorithm)` at the largest benched `n` (matching `bench_gate`).
+/// algorithm)` at the scenario's largest `n` — small sizes are fixed
+/// overhead and noise; regressions that matter show at scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BudgetMetric {
     /// `wall(engine/1) / wall(sequential)`.
@@ -419,6 +419,14 @@ pub enum BudgetMetric {
     RouteFrac,
     /// `wall(split) / wall(unlimited twin)`, all split rows.
     SplitRatio,
+    /// `wall(frontier on) / wall(full-scan twin)`, every `"frontier":
+    /// false` row against the frontier run of the same workload, order,
+    /// shards and workers — wherever in the suite that run is declared.
+    FrontierRatio,
+    /// `wall(locality) / wall(identity twin)`, every locality row against
+    /// the identity run of the same workload, frontier, shards and workers
+    /// — wherever in the suite that run is declared.
+    OrderRatio,
 }
 
 impl BudgetMetric {
@@ -429,6 +437,8 @@ impl BudgetMetric {
             BudgetMetric::ShardRatio => "shard-ratio",
             BudgetMetric::RouteFrac => "route-frac",
             BudgetMetric::SplitRatio => "split-ratio",
+            BudgetMetric::FrontierRatio => "frontier-ratio",
+            BudgetMetric::OrderRatio => "order-ratio",
         }
     }
 
@@ -439,6 +449,8 @@ impl BudgetMetric {
             "shard-ratio" => Ok(BudgetMetric::ShardRatio),
             "route-frac" => Ok(BudgetMetric::RouteFrac),
             "split-ratio" => Ok(BudgetMetric::SplitRatio),
+            "frontier-ratio" => Ok(BudgetMetric::FrontierRatio),
+            "order-ratio" => Ok(BudgetMetric::OrderRatio),
             other => Err(format!("unknown budget metric {other:?}")),
         }
     }
@@ -883,6 +895,17 @@ mod tests {
             }
         );
         assert_eq!(suite.checks[3].label(), "budget:route-frac ≤ 0.75");
+        for metric in [
+            BudgetMetric::EngineRatio,
+            BudgetMetric::ShardRatio,
+            BudgetMetric::RouteFrac,
+            BudgetMetric::SplitRatio,
+            BudgetMetric::FrontierRatio,
+            BudgetMetric::OrderRatio,
+        ] {
+            assert_eq!(BudgetMetric::parse(metric.label()).unwrap(), metric);
+        }
+        assert!(BudgetMetric::parse("frontier-speedup").is_err());
     }
 
     #[test]

@@ -782,6 +782,54 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
         assert_eq!(steps[2], Vec::<u64>::new(), "node 2 never hears anything");
         assert_eq!(skipped, 3 * 6 - 1, "every other (node, round) was skipped");
     }
+
+    // The O(frontier) claim, as a count: one endlessly echoing edge on an
+    // otherwise silent path. Each round steps only the node holding the
+    // ping, so a frontier run skips exactly the other n − 1 every round,
+    // with traffic identical to the full scan's.
+    struct Echo;
+    impl NodeProgram for Echo {
+        type Message = u64;
+        fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<u64> {
+            if ctx.id == 0 {
+                Outbox::Unicast(1, 0)
+            } else {
+                Outbox::Silent
+            }
+        }
+        fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, u64)]) -> Outbox<u64> {
+            match inbox.first() {
+                Some(&(src, ping)) => Outbox::Unicast(src, ping),
+                None => Outbox::Silent,
+            }
+        }
+        fn halted(&self) -> bool {
+            false
+        }
+        fn activation(&self) -> Activation {
+            Activation::OnMessage
+        }
+    }
+
+    let (n, rounds) = (10_000, 64);
+    let path = gen::path(n);
+    let echo = |frontier: bool| {
+        let config = EngineConfig::default()
+            .with_shards(1)
+            .with_frontier(frontier);
+        let mut sess = EngineSession::new(&path, config, |_| Echo);
+        sess.run_phase("echo", Stop::Rounds(rounds));
+        sess.into_parts().1
+    };
+    let (full, front) = (echo(false), echo(true));
+    assert_eq!(front.total_rounds(), full.total_rounds());
+    assert_eq!(front.message_counts(), full.message_counts());
+    assert_eq!(full.total_frontier_skipped(), 0);
+    assert_eq!(
+        front.total_frontier_skipped(),
+        (n - 1) * rounds as usize,
+        "every round steps exactly the one node holding the ping"
+    );
 }
 
 #[test]
