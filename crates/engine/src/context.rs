@@ -3,22 +3,25 @@
 use graphs::VertexId;
 use rand::rngs::StdRng;
 
-/// What a node knows and owns while running: its identifier, its
-/// neighborhood, the global vertex count, the current round, and a private
-/// deterministic random stream.
+use crate::view::GraphView;
+
+/// What a node knows while running: its identifier, its neighborhood, the
+/// global vertex count, and the current round.
 ///
-/// In a masked session (see [`GraphView`](crate::GraphView)) everything
-/// here keeps the **original** vertex numbering: `id` is the original id,
-/// `neighbors` lists the node's *live* neighbors by original id (edges to
-/// masked-out vertices do not exist), and the random stream is still seeded
-/// by the original id — so a masked program observes exactly what the
+/// In a masked session (see [`GraphView`]) everything here keeps the
+/// **original** vertex numbering: `id` is the original id and `neighbors`
+/// lists the node's *live* neighbors by original id (edges to masked-out
+/// vertices do not exist) — so a masked program observes exactly what the
 /// sequential masked primitives compute with.
 ///
-/// The stream is seeded from `(engine seed, original node id)` only — never
-/// from the shard layout, the worker-pool size, or the thread schedule — so
-/// randomized programs replay bit-identically across any shard and worker
-/// count. During a round the context is visited exclusively by the worker
-/// group that owns its vertex range; between rounds the driver owns it.
+/// The engine builds a context from its view for every step and drops it
+/// afterwards, so a context holds no state between rounds. A program that
+/// draws randomness owns its stream: it seeds a [`StdRng`] field with
+/// [`node_rng`]`(seed, ctx.id)` in its factory (see
+/// [`RandomizedProgram`](crate::programs::RandomizedProgram)). The stream
+/// depends on `(seed, original id)` only — never on the shard layout, the
+/// worker-pool size, or the thread schedule — so randomized programs replay
+/// bit-identically across any shard and worker count.
 pub struct NodeCtx<'g> {
     /// This node's unique identifier (original, even under a mask).
     pub id: VertexId,
@@ -29,20 +32,16 @@ pub struct NodeCtx<'g> {
     pub neighbors: &'g [VertexId],
     /// Current round: 0 during [`init`](crate::NodeProgram::init), then 1, 2, …
     pub round: u64,
-    /// Private per-node random stream; identical for a given `(seed, id)`
-    /// regardless of sharding.
-    pub rng: StdRng,
 }
 
 impl<'g> NodeCtx<'g> {
-    /// Builds the context for node `id` under the given engine seed.
-    pub fn new(id: VertexId, n: usize, neighbors: &'g [VertexId], seed: u64) -> Self {
+    /// The context of dense vertex `dv` of `view` at `round`.
+    pub(crate) fn at(view: &'g GraphView<'_>, dv: usize, round: u64) -> Self {
         NodeCtx {
-            id,
-            n,
-            neighbors,
-            round: 0,
-            rng: node_rng(seed, id),
+            id: view.original(dv),
+            n: view.n(),
+            neighbors: view.neighbors(dv),
+            round,
         }
     }
 
@@ -80,10 +79,12 @@ mod tests {
 
     #[test]
     fn ctx_exposes_neighborhood() {
-        let nbrs = [1usize, 4, 9];
-        let ctx = NodeCtx::new(2, 10, &nbrs, 0);
-        assert_eq!(ctx.degree(), 3);
-        assert_eq!(ctx.round, 0);
-        assert_eq!(ctx.neighbors, &[1, 4, 9]);
+        let g = graphs::gen::path(4);
+        let mask = graphs::VertexSet::from_iter_with_universe(4, [0, 1, 3]);
+        let view = GraphView::masked(&g, &mask);
+        let ctx = NodeCtx::at(&view, 1, 5);
+        assert_eq!((ctx.id, ctx.n, ctx.round), (1, 4, 5));
+        assert_eq!(ctx.neighbors, &[0], "masked-out neighbor 2 is gone");
+        assert_eq!(ctx.degree(), 1);
     }
 }

@@ -31,11 +31,11 @@
 //!    bookkeeping between the epochs are charged to the routing epoch too.
 //!
 //! Determinism: program state is touched only by its owning worker group,
-//! inboxes are delivered in ascending original-sender order, per-node RNG
-//! streams depend on `(seed, original id)` alone, and fault plans are keyed
-//! by `(round, original node)` — so colorings, round counts, and per-round
-//! message counts are bit-identical across shard counts, worker counts, and
-//! thread schedules, masked or not. The same original-id keying makes the
+//! inboxes are delivered in ascending original-sender order, programs that
+//! draw randomness seed their own stream with `node_rng(seed, original
+//! id)`, and fault plans are keyed by `(round, original node)` — so
+//! colorings, round counts, and per-round message counts are bit-identical
+//! across shard counts, worker counts, and thread schedules, masked or not. The same original-id keying makes the
 //! internal vertex layout a free variable: [`EngineConfig::with_order`]
 //! relabels the dense index space into a cache-local order
 //! ([`VertexOrder::Locality`]) without perturbing a single observable.
@@ -61,7 +61,7 @@ use crate::view::{GraphView, SenderRanks, VertexOrder};
 /// traffic (`u64::MAX` = never). `EveryRound` wants the very next round; a
 /// `WakeAt` in the past collapses to it too — the node was already stepped
 /// on time, so only future rounds matter.
-fn wake_round(hint: Activation, round: u64) -> u64 {
+pub(crate) fn wake_round(hint: Activation, round: u64) -> u64 {
     match hint {
         Activation::EveryRound => round + 1,
         Activation::OnMessage => u64::MAX,
@@ -137,7 +137,9 @@ pub struct EngineConfig {
     /// available CPU. Purely a performance knob — results are bit-identical
     /// for any value.
     pub workers: usize,
-    /// Global seed from which every per-node random stream is derived.
+    /// Global seed: seeds the [`VertexOrder::Locality`] relabel, and by
+    /// convention the per-node streams ([`node_rng`](crate::node_rng)) of
+    /// programs that draw randomness.
     pub seed: u64,
     /// Hard cap on total **logical** rounds across all phases of a session.
     pub max_rounds: u64,
@@ -365,15 +367,13 @@ pub struct PhaseReport {
     pub converged: bool,
 }
 
-/// A running network: programs, contexts, mailboxes, the worker pool, and
-/// both books of account, all indexed by the view's dense live-vertex
-/// order. Create with [`EngineSession::new`], drive with
+/// A running network: programs, mailboxes, the worker pool, and both
+/// books of account, all indexed by the view's dense live-vertex order. Create with [`EngineSession::new`], drive with
 /// [`run_phase`](EngineSession::run_phase), inspect or
 /// [`into_parts`](EngineSession::into_parts) when done. Dropping the session
 /// (or dismantling it) parks, releases, and joins the pool's threads.
 pub struct EngineSession<'g, P: NodeProgram + 'static> {
-    /// The active set. Must not be mutated after construction: contexts
-    /// hold `'g`-extended borrows of its filtered adjacency (see `new`).
+    /// The active set. Every step builds its node's [`NodeCtx`] from it.
     view: GraphView<'g>,
     config: EngineConfig,
     plan: ShardPlan,
@@ -385,7 +385,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     bounds: Vec<usize>,
     pool: WorkerPool<P>,
     programs: Vec<P>,
-    ctxs: Vec<NodeCtx<'g>>,
     /// Per-directed-edge sender ranks, built once from the view: the
     /// routing epoch's counting-sort keys (see [`SenderRanks`]).
     ranks: SenderRanks,
@@ -424,10 +423,10 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
 
 impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// Boots a network over `graph` (restricted to `config.mask` if set):
-    /// builds one context and one program per live vertex (`factory` is
-    /// called in ascending original-id order), spawns the session's
-    /// persistent worker pool, runs every program's `init`, and routes the
-    /// initial outboxes into round 1's inboxes.
+    /// builds one program per live vertex (`factory` is called in ascending
+    /// original-id order), spawns the session's persistent worker pool,
+    /// runs every program's `init`, and routes the initial outboxes into
+    /// round 1's inboxes.
     ///
     /// `init` traffic is charged zero rounds (see [`NodeProgram::init`]);
     /// fault rules for round 0 apply to it.
@@ -459,29 +458,13 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 .unwrap_or_else(|| EnginePool::new(groups.len())),
             groups.len(),
         );
-        let mut ctxs: Vec<NodeCtx<'g>> = (0..live)
-            .map(|dv| {
-                let nbrs = view.neighbors(dv);
-                // SAFETY: for whole-graph identity views this slice already
-                // borrows the graph (`'g`). For masked and/or relabeled
-                // views it points into the view's flat materialized CSR
-                // (`packed`), whose heap buffer is address-stable for the
-                // session's whole lifetime: the view moves into the session
-                // below, is never mutated, and `NodeCtx` values never
-                // escape the session at `'g` (only reborrows reach
-                // factories and programs).
-                let nbrs: &'g [VertexId] =
-                    unsafe { std::slice::from_raw_parts(nbrs.as_ptr(), nbrs.len()) };
-                NodeCtx::new(view.original(dv), graph.n(), nbrs, config.seed)
-            })
-            .collect();
         // The factory contract is ascending *original* id order — under a
         // relabeled layout that is not dense order, so visit via the
         // view's ascending index.
         let mut programs: Vec<P> = {
             let mut slots: Vec<Option<P>> = (0..live).map(|_| None).collect();
             for dv in view.ascending() {
-                slots[dv] = Some(factory(&ctxs[dv]));
+                slots[dv] = Some(factory(&NodeCtx::at(&view, dv, 0)));
             }
             slots
                 .into_iter()
@@ -499,17 +482,16 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let counters = {
             let env = StageEnv {
                 faults: &config.faults,
-                dense: view.dense_table(),
-                live: view.live(),
+                view: &view,
                 bounds: &bounds,
                 ranks: &ranks,
                 congest: config.congest.reject_budget(),
                 frontier: config.frontier,
             };
             let y = pool.home_arena();
-            for (p, ctx) in programs.iter_mut().zip(ctxs.iter_mut()) {
-                ctx.round = 0;
-                let outbox = p.init(ctx);
+            for (dv, p) in programs.iter_mut().enumerate() {
+                let mut ctx = NodeCtx::at(&view, dv, 0);
+                let outbox = p.init(&mut ctx);
                 stage_outbox(ctx.id, outbox, ctx.neighbors, 0, &env, y);
             }
             for (due, batch) in y.delayed_batches.drain(..) {
@@ -578,7 +560,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             bounds,
             pool,
             programs,
-            ctxs,
             ranks,
             mail,
             metrics,
@@ -798,8 +779,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
 
         let env = StageEnv {
             faults: &self.config.faults,
-            dense: self.view.dense_table(),
-            live: self.view.live(),
+            view: &self.view,
             bounds: &self.bounds,
             ranks: &self.ranks,
             congest: self.config.congest.reject_budget(),
@@ -807,7 +787,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         };
         if let Err(payload) = self.pool.execute(
             &mut self.programs,
-            &mut self.ctxs,
             self.mail.cur(),
             &self.due,
             &env,

@@ -34,8 +34,9 @@
 //!   [`RoundLedger`](local_model::RoundLedger). [`EngineConfig::shards`]
 //!   and [`EngineConfig::workers`] are pure performance knobs: any
 //!   combination replays the same run.
-//! * Determinism — per-node random streams are derived from
-//!   `(seed, node id)` only ([`node_rng`]), inboxes are delivered in
+//! * Determinism — a program that draws randomness owns its stream,
+//!   seeded with [`node_rng`]`(seed, node id)` in its factory, so the
+//!   stream depends on `(seed, node id)` only; inboxes are delivered in
 //!   ascending original-sender order (enforced by a counting pass on
 //!   precomputed sender ranks — the routing epoch performs no comparison
 //!   sort), so randomized programs replay **bit-identically regardless of
@@ -54,7 +55,7 @@
 //!   certifying completed phases CONGEST-safe; [`CongestMode::Split`]
 //!   ([`EngineConfig::congest_split`]) fragments wide messages into
 //!   budget-sized `(seq, total)` frames delivered over consecutive virtual
-//!   rounds and reassembled per edge, with the extra physical rounds
+//!   rounds and reassembled at the receiver, with the extra physical rounds
 //!   charged to the [`SPLIT_PHASE`] ledger phase and counted in
 //!   [`EngineMetrics`] (`physical_rounds`, `fragments`).
 //! * [`programs`] — ports of the repository's algorithms onto the engine,

@@ -54,13 +54,16 @@
 //! message wider than the budget never crosses an edge whole. The routing
 //! phase encodes it through its [`WireCodec`](crate::WireCodec), chops the
 //! words into `(seq, total)`-headed frames of at most the budget, and feeds
-//! them — in order, over consecutive virtual rounds — into the receiving
-//! edge’s `Reassembly` buffer, which releases the decoded logical message
-//! to the program **only when the last frame lands**. Each live vertex owns
-//! one `EdgeReassembly` map (sender → in-flight buffer), persisted across
-//! rounds so buffer capacity is reused. Faults act on *logical* messages in
-//! the staging phase, before fragmentation, so fault replay is identical
-//! across split and unlimited modes.
+//! them — in order, over consecutive virtual rounds — into a `Reassembly`
+//! buffer, which releases the decoded logical message to the program
+//! **only when the last frame lands**. One message's frames are encoded,
+//! fed and decoded within a single call, so nothing is ever in flight
+//! between messages and no per-vertex or per-edge state is needed: each
+//! routing group keeps one `SplitScratch` — its encode arena and one
+//! reassembly buffer — reused for every message the group's worker splits.
+//! Faults act on *logical* messages in the staging phase, before
+//! fragmentation, so fault replay is identical across split and unlimited
+//! modes.
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
 //! fed a `RouteTargets` pointer bundle from
@@ -254,10 +257,9 @@ pub(crate) fn sort_span_by_rank<M>(
     bits.drain(|r| counts[r] = 0);
 }
 
-/// One edge's in-flight fragment buffer: accumulates the `(seq, total)`
-/// frames of a single logical message and reports completion. The words
-/// vector is retained across messages, so steady-state reassembly
-/// allocates nothing.
+/// A fragment buffer: accumulates the `(seq, total)` frames of a single
+/// logical message and reports completion. The words vector is retained
+/// across messages, so steady-state reassembly allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Reassembly {
     total: u32,
@@ -274,8 +276,8 @@ impl Reassembly {
     ///
     /// Panics on a protocol violation — a frame out of sequence, a `total`
     /// that changes mid-message, or a frame after completion. The engine
-    /// delivers frames in order per edge, so a violation is a runtime bug,
-    /// never a valid execution.
+    /// feeds each message's frames in order, so a violation is a runtime
+    /// bug, never a valid execution.
     pub(crate) fn push(&mut self, seq: u32, total: u32, frame: &[u64]) -> bool {
         if seq == 0 {
             assert_eq!(
@@ -301,7 +303,7 @@ impl Reassembly {
         &self.words
     }
 
-    /// Readies the buffer for the edge's next message, keeping capacity.
+    /// Readies the buffer for the next message, keeping capacity.
     pub(crate) fn reset(&mut self) {
         self.total = 0;
         self.next_seq = 0;
@@ -314,23 +316,13 @@ impl Reassembly {
     }
 }
 
-/// One receiver's reassembly state: a per-sender ([`Reassembly`]) buffer
-/// for every edge that is currently — or was ever — delivering fragmented
-/// traffic to this vertex. Encode scratch lives **per routing group** (see
-/// [`Mailboxes`]), not here: one arena per worker instead of one per
-/// vertex, reused across every message the worker splits.
+/// One routing group's split-mode scratch: the encode arena and the
+/// reassembly buffer every over-budget message the group's worker ships
+/// passes through, one message at a time (see [`split_roundtrip`]).
 #[derive(Debug, Default)]
-pub(crate) struct EdgeReassembly {
-    streams: BTreeMap<VertexId, Reassembly>,
-}
-
-impl EdgeReassembly {
-    /// Whether any edge has a message mid-reassembly (must be false at
-    /// every round boundary: fragments of one logical round never leak
-    /// into the next).
-    pub(crate) fn any_in_flight(&self) -> bool {
-        self.streams.values().any(Reassembly::in_flight)
-    }
+pub(crate) struct SplitScratch {
+    encode: Vec<u64>,
+    reasm: Reassembly,
 }
 
 /// What one inbox's finalization observed: CONGEST frames produced, and
@@ -356,41 +348,38 @@ impl RouteTally {
 }
 
 /// Ships one over-budget logical message through the wire: encode (into
-/// the caller's reusable `scratch` arena), chop into ≤ `budget`-word
-/// `(seq, total)` frames, feed every frame through the receiving edge's
-/// buffer, decode on completion. Returns the decoded message — what the
-/// program will actually observe, so a codec defect is a visible output
-/// divergence, never a silent one — and the frame count.
+/// the group's reusable arena), chop into ≤ `budget`-word `(seq, total)`
+/// frames, feed every frame through the group's reassembly buffer, decode
+/// on completion. Returns the decoded message — what the program will
+/// actually observe, so a codec defect is a visible output divergence,
+/// never a silent one — and the frame count.
 ///
 /// # Panics
 ///
 /// Panics if the codec violates its contract (encode/decode mismatch).
 pub(crate) fn split_roundtrip<M: EngineMessage>(
-    src: VertexId,
     m: &M,
     budget: usize,
-    reasm: &mut EdgeReassembly,
-    scratch: &mut Vec<u64>,
+    split: &mut SplitScratch,
 ) -> (M, usize) {
     debug_assert!(budget >= 1);
-    let EdgeReassembly { streams } = reasm;
-    scratch.clear();
-    m.encode(scratch);
-    let total = scratch.len().div_ceil(budget).max(1) as u32;
-    let stream = streams.entry(src).or_default();
+    let SplitScratch { encode, reasm } = split;
+    encode.clear();
+    m.encode(encode);
+    let total = encode.len().div_ceil(budget).max(1) as u32;
     let mut complete = false;
-    if scratch.is_empty() {
+    if encode.is_empty() {
         // A zero-word encoding still crosses as one (empty) frame.
-        complete = stream.push(0, 1, &[]);
+        complete = reasm.push(0, 1, &[]);
     } else {
-        for (seq, frame) in scratch.chunks(budget).enumerate() {
+        for (seq, frame) in encode.chunks(budget).enumerate() {
             assert!(!complete, "message released before its last frame");
-            complete = stream.push(seq as u32, total, frame);
+            complete = reasm.push(seq as u32, total, frame);
         }
     }
     assert!(complete, "last frame must complete the message");
-    let decoded = M::decode(stream.words()).expect("wire codec must round-trip its own encoding");
-    stream.reset();
+    let decoded = M::decode(reasm.words()).expect("wire codec must round-trip its own encoding");
+    reasm.reset();
     (decoded, total as usize)
 }
 
@@ -399,7 +388,7 @@ pub(crate) fn split_roundtrip<M: EngineMessage>(
 /// segment):
 ///
 /// 1. **split mode**: every over-budget message is fragmented and
-///    reassembled through the receiver's per-edge buffers ([`split_roundtrip`]);
+///    reassembled through the group's [`SplitScratch`] ([`split_roundtrip`]);
 /// 2. the optional seeded adversarial reorder of same-sender runs.
 ///
 /// The span arrives **already in delivery order**: the routing epoch's
@@ -414,10 +403,9 @@ pub(crate) fn split_roundtrip<M: EngineMessage>(
 /// Returns the frames produced and the widest delivered message.
 pub(crate) fn finalize_inbox<M: EngineMessage>(
     inbox: &mut [(VertexId, M)],
-    reasm: &mut EdgeReassembly,
     receiver: VertexId,
     env: &RouteEnv<'_>,
-    scratch: &mut Vec<u64>,
+    split: &mut SplitScratch,
 ) -> RouteTally {
     let mut tally = RouteTally::default();
     if env.split != usize::MAX {
@@ -429,17 +417,17 @@ pub(crate) fn finalize_inbox<M: EngineMessage>(
                 }
             }
             _ => {
-                for (src, m) in inbox.iter_mut() {
+                for (_, m) in inbox.iter_mut() {
                     let width = m.width();
                     tally.wire_width = tally.wire_width.max(width);
                     if width > env.split {
-                        let (decoded, frames) = split_roundtrip(*src, m, env.split, reasm, scratch);
+                        let (decoded, frames) = split_roundtrip(m, env.split, split);
                         *m = decoded;
                         tally.fragments += frames;
                     }
                 }
                 debug_assert!(
-                    !reasm.any_in_flight(),
+                    !split.reasm.in_flight(),
                     "fragments of one round must not leak into the next"
                 );
             }
@@ -524,7 +512,7 @@ impl<'a, M> GroupInboxes<'a, M> {
 
 /// The raw-pointer bundle the routing epoch writes through — base pointers
 /// of the `next` buffer's segments and spans, the counting scratch, the
-/// per-group pending lists, and the reassembly buffers. Built by
+/// per-group pending lists, and the per-group scratch. Built by
 /// [`Mailboxes::next_targets`]; each worker touches only its own group's
 /// segment/pending slot and its own dense range of the per-vertex arrays,
 /// so the epoch-barrier discipline (see `pool`) makes the writes disjoint.
@@ -543,11 +531,9 @@ pub(crate) struct RouteTargets<M> {
     pub(crate) counts: *mut usize,
     /// Per-group due-delayed lists (`add(group)`), drained first.
     pub(crate) pending: *mut Vec<Routed<M>>,
-    /// Per-vertex reassembly buffers.
-    pub(crate) reasm: *mut EdgeReassembly,
-    /// Per-group encode arenas (`add(group)` = the group's own), reused by
-    /// every split encode the group's worker performs.
-    pub(crate) scratch: *mut Vec<u64>,
+    /// Per-group split scratch (`add(group)` = the group's own), reused
+    /// by every message the group's worker fragments.
+    pub(crate) split: *mut SplitScratch,
     /// Per-group rank side-buffers (`add(group)`): during placement the
     /// routing epoch writes each message's sender rank at the same cursor
     /// its payload takes in the segment, so the rank counting pass reads
@@ -591,12 +577,11 @@ pub(crate) struct Mailboxes<M> {
     /// routing epoch so late traffic precedes fresh traffic from the same
     /// sender after the stable sort.
     pending: Vec<Vec<Routed<M>>>,
-    /// Per-receiver reassembly buffers (dense-indexed, like the spans).
-    reasm: Vec<EdgeReassembly>,
-    /// Per-group split-encode arenas: each routing worker reuses its own
-    /// across every over-budget message it fragments, so steady-state
-    /// split routing performs zero per-message allocation.
-    scratch: Vec<Vec<u64>>,
+    /// Per-group split scratch (encode arena + reassembly buffer): each
+    /// routing worker reuses its own across every over-budget message it
+    /// fragments, so steady-state split routing performs zero per-message
+    /// allocation and keeps no per-vertex state.
+    split: Vec<SplitScratch>,
     /// Per-group rank side-buffers for the routing epoch (see
     /// [`RouteTargets::rank_bufs`]).
     rank_bufs: Vec<Vec<u32>>,
@@ -620,8 +605,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             bounds,
             counts: vec![0; live],
             pending: (0..groups).map(|_| Vec::new()).collect(),
-            reasm: (0..live).map(|_| EdgeReassembly::default()).collect(),
-            scratch: (0..groups).map(|_| Vec::new()).collect(),
+            split: (0..groups).map(|_| SplitScratch::default()).collect(),
             rank_bufs: (0..groups).map(|_| Vec::new()).collect(),
             vbits: (0..groups).map(|_| TwoLevelBits::default()).collect(),
             rank_scratch: (0..groups).map(|_| RankScratch::default()).collect(),
@@ -656,8 +640,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             active: self.next.active.as_mut_ptr(),
             counts: self.counts.as_mut_ptr(),
             pending: self.pending.as_mut_ptr(),
-            reasm: self.reasm.as_mut_ptr(),
-            scratch: self.scratch.as_mut_ptr(),
+            split: self.split.as_mut_ptr(),
             rank_bufs: self.rank_bufs.as_mut_ptr(),
             vbits: self.vbits.as_mut_ptr(),
             rank_scratch: self.rank_scratch.as_mut_ptr(),
@@ -719,8 +702,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             next,
             bounds,
             pending,
-            reasm,
-            scratch,
+            split,
             ..
         } = self;
         let Inboxes {
@@ -738,14 +720,15 @@ impl<M: EngineMessage> Mailboxes<M> {
             seg.clear();
             active[g].clear();
             let mut iter = items.into_iter().peekable();
-            for dv in bounds[g]..bounds[g + 1] {
+            let range = bounds[g]..bounds[g + 1];
+            for (dv, span) in range.clone().zip(&mut spans[range]) {
                 let start = seg.len();
                 while iter.peek().is_some_and(|r| r.0 == dv) {
                     let (_, src, _rank, m) = iter.next().expect("peeked");
                     seg.push((src, m));
                 }
-                spans[dv] = (start, seg.len() - start);
-                if spans[dv].1 > 0 {
+                *span = (start, seg.len() - start);
+                if span.1 > 0 {
                     active[g].push(dv);
                 }
                 // The spec's delivery order: a stable comparison sort on
@@ -754,10 +737,9 @@ impl<M: EngineMessage> Mailboxes<M> {
                 seg[start..].sort_by_key(|&(src, _)| src);
                 tally.absorb(finalize_inbox(
                     &mut seg[start..],
-                    &mut reasm[dv],
                     env.live[dv],
                     env,
-                    &mut scratch[g],
+                    &mut split[g],
                 ));
             }
         }
@@ -889,24 +871,23 @@ mod tests {
         // u32 is not an EngineMessage; use u64's codec via the blanket
         // impls in lib.rs on a wide Vec-like payload: the gather message.
         use crate::programs::gather::NbrList;
-        let mut reasm = EdgeReassembly::default();
-        let mut scratch = Vec::new();
+        let mut split = SplitScratch::default();
         let msg = NbrList(vec![3, 5, 8, 13, 21]);
-        let (decoded, frames) = split_roundtrip(7, &msg, 2, &mut reasm, &mut scratch);
+        let (decoded, frames) = split_roundtrip(&msg, 2, &mut split);
         assert_eq!(decoded.0, msg.0);
         assert_eq!(frames, 3, "5 words at 2 per frame");
-        // The edge buffer and encode arena are reusable for the next message.
-        let (decoded, frames) = split_roundtrip(7, &NbrList(vec![1]), 2, &mut reasm, &mut scratch);
+        // The buffer and encode arena are reusable for the next message,
+        // whichever edge it crosses.
+        let (decoded, frames) = split_roundtrip(&NbrList(vec![1]), 2, &mut split);
         assert_eq!(decoded.0, vec![1]);
         assert_eq!(frames, 1);
-        assert!(!reasm.any_in_flight());
-        assert!(scratch.capacity() >= 5, "arena capacity is retained");
+        assert!(!split.reasm.in_flight());
+        assert!(split.encode.capacity() >= 5, "arena capacity is retained");
     }
 
     #[test]
     fn finalize_inbox_splits_and_counts_without_reordering() {
         use crate::programs::gather::NbrList;
-        let mut reasm = EdgeReassembly::default();
         let env = RouteEnv {
             split: 2,
             round: 1,
@@ -917,7 +898,7 @@ mod tests {
             (4usize, NbrList(vec![1, 2, 3, 4, 5])), // 3 frames at width 2
             (1, NbrList(vec![9])),                  // within budget: whole
         ];
-        let tally = finalize_inbox(&mut inbox, &mut reasm, 0, &env, &mut Vec::new());
+        let tally = finalize_inbox(&mut inbox, 0, &env, &mut SplitScratch::default());
         assert_eq!(tally.fragments, 3);
         assert_eq!(tally.wire_width, 5, "delivered width drives the charge");
         // Delivery order is the routing epoch's job now: finalize must
@@ -932,7 +913,6 @@ mod tests {
         // u64 carries MAX_WIDTH = Some(1): under any budget ≥ 1 the fast
         // path reports width 1 for non-empty inboxes and 0 for empty ones —
         // exactly what the scan would have found.
-        let mut reasm = EdgeReassembly::default();
         let env = RouteEnv {
             split: 4,
             round: 1,
@@ -940,12 +920,12 @@ mod tests {
             live: &[],
         };
         let mut inbox: Vec<(VertexId, u64)> = vec![(2, 5), (0, 9)];
-        let tally = finalize_inbox(&mut inbox, &mut reasm, 0, &env, &mut Vec::new());
+        let tally = finalize_inbox(&mut inbox, 0, &env, &mut SplitScratch::default());
         assert_eq!(tally.wire_width, 1);
         assert_eq!(tally.fragments, 0);
         assert_eq!(inbox, vec![(2, 5), (0, 9)], "placed order is preserved");
         let mut empty: Vec<(VertexId, u64)> = Vec::new();
-        let tally = finalize_inbox(&mut empty, &mut reasm, 0, &env, &mut Vec::new());
+        let tally = finalize_inbox(&mut empty, 0, &env, &mut SplitScratch::default());
         assert_eq!(tally.wire_width, 0, "empty inbox charges nothing");
     }
 

@@ -71,6 +71,7 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -80,12 +81,13 @@ use std::thread::JoinHandle;
 use graphs::VertexId;
 
 use crate::context::NodeCtx;
+use crate::driver::wake_round;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
     finalize_inbox, sort_span_by_rank, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed,
 };
-use crate::program::{Activation, EngineMessage, NodeProgram, Outbox};
-use crate::view::SenderRanks;
+use crate::program::{EngineMessage, NodeProgram, Outbox};
+use crate::view::{GraphView, SenderRanks};
 
 /// Global count of worker threads ever spawned by any [`PoolCore`] in this
 /// process — the observable that pins "pool sharing actually shares": a
@@ -93,16 +95,16 @@ use crate::view::SenderRanks;
 /// levels. Exposed as [`crate::worker_threads_spawned`].
 pub(crate) static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
-/// Everything the staging path needs besides the outbox itself: the fault
-/// plan, the view's id tables, the group partition, and the CONGEST budget.
-/// Built by the driver once per epoch; borrowed by every worker group.
+/// Everything a step needs besides the program and its inbox: the fault
+/// plan, the session's view (contexts and id tables), the group partition,
+/// and the CONGEST budget. Built by the driver once per epoch; borrowed by
+/// every worker group.
 pub(crate) struct StageEnv<'a> {
     /// Outbox fault schedule + duplication rule.
     pub(crate) faults: &'a FaultPlan,
-    /// Original id → dense index (`usize::MAX` for masked-out vertices).
-    pub(crate) dense: &'a [usize],
-    /// Dense index → original id.
-    pub(crate) live: &'a [VertexId],
+    /// The session's view: each step's [`NodeCtx`] is built from it, and
+    /// staging maps original ids to dense indices through it.
+    pub(crate) view: &'a GraphView<'a>,
     /// Per-directed-edge sender ranks (see [`SenderRanks`]): staging
     /// attaches each message's counting-sort key in O(1).
     pub(crate) ranks: &'a SenderRanks,
@@ -156,6 +158,11 @@ pub(crate) struct ShardYield<M> {
     buckets: Vec<UnsafeCell<Vec<Routed<M>>>>,
     /// Scratch: each bucket's length when the current outbox began staging.
     starts: Vec<usize>,
+    /// Scratch of the loss and duplication faults: the occurrence index of
+    /// each message of the batch being decided, and the per-destination
+    /// counts a `Multi` batch is indexed with (see `occurrences`).
+    occ: Vec<usize>,
+    seen: HashMap<usize, usize>,
     /// Fault-delayed batches: `(due round, one node's outbox)`.
     pub(crate) delayed_batches: Vec<(u64, Vec<Routed<M>>)>,
     /// Messages emitted (before faults).
@@ -194,6 +201,8 @@ impl<M> ShardYield<M> {
         ShardYield {
             buckets: (0..groups).map(|_| UnsafeCell::new(Vec::new())).collect(),
             starts: vec![0; groups],
+            occ: Vec::new(),
+            seen: HashMap::new(),
             delayed_batches: Vec::new(),
             messages: 0,
             dropped: 0,
@@ -250,7 +259,8 @@ impl<M> ShardYield<M> {
     }
 }
 
-/// Steps the nodes of `programs`/`ctxs` (one group's dense range),
+/// Steps the nodes of `programs` (one group's dense range, starting at
+/// dense index `base`), building each node's context from `env.view`,
 /// reading inboxes from the group's segment view and expanding outboxes
 /// into `y`'s bucketed arena, applying faults.
 ///
@@ -269,10 +279,8 @@ impl<M> ShardYield<M> {
 /// unstepped node's vote cannot change, so the driver's running halt
 /// count stays exact without an O(range) census); the frontier path also
 /// records each stepped node's next wake request in `y.new_wakes`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_range<P: NodeProgram>(
     programs: &mut [P],
-    ctxs: &mut [NodeCtx<'_>],
     inboxes: GroupInboxes<'_, P::Message>,
     due: &[usize],
     base: usize,
@@ -282,30 +290,31 @@ pub(crate) fn run_range<P: NodeProgram>(
 ) {
     y.reset();
     debug_assert_eq!(inboxes.len(), programs.len());
+    // Steps local vertex `i`; returns its post-step activation hint for
+    // the frontier path's wake registration.
+    let mut step = |i: usize, y: &mut ShardYield<P::Message>| {
+        let p = &mut programs[i];
+        let was_halted = p.halted();
+        y.stepped += 1;
+        let mut ctx = NodeCtx::at(env.view, base + i, round);
+        let outbox = p.on_round(&mut ctx, inboxes.inbox(i));
+        stage_outbox(ctx.id, outbox, ctx.neighbors, round, env, y);
+        match (was_halted, p.halted()) {
+            (false, true) => y.newly_halted += 1,
+            (true, false) => y.newly_unhalted += 1,
+            _ => {}
+        }
+        p.activation()
+    };
     if env.frontier {
-        let len = programs.len();
-        let mut step = |i: usize, y: &mut ShardYield<P::Message>| {
-            let (p, ctx) = (&mut programs[i], &mut ctxs[i]);
-            let was_halted = p.halted();
-            y.stepped += 1;
-            ctx.round = round;
-            let outbox = p.on_round(ctx, inboxes.inbox(i));
-            stage_outbox(ctx.id, outbox, ctx.neighbors, round, env, y);
-            match (was_halted, p.halted()) {
-                (false, true) => y.newly_halted += 1,
-                (true, false) => y.newly_unhalted += 1,
-                _ => {}
-            }
-            let wake = match p.activation() {
-                Activation::EveryRound => round + 1,
-                Activation::OnMessage => u64::MAX,
-                Activation::WakeAt(r) => r.max(round + 1),
-            };
+        let len = inboxes.len();
+        let mut step_and_wake = |i: usize, y: &mut ShardYield<P::Message>| {
+            let wake = wake_round(step(i, y), round);
             y.new_wakes.push((base + i, wake));
         };
         for &dv in inboxes.active {
             debug_assert!(dv >= base && dv - base < len);
-            step(dv - base, y);
+            step_and_wake(dv - base, y);
         }
         for &dv in due {
             debug_assert!(dv >= base && dv - base < len);
@@ -313,21 +322,12 @@ pub(crate) fn run_range<P: NodeProgram>(
             // list; the lists are otherwise disjoint (active holds exactly
             // the non-empty inboxes) and internally duplicate-free.
             if inboxes.inbox(dv - base).is_empty() {
-                step(dv - base, y);
+                step_and_wake(dv - base, y);
             }
         }
     } else {
-        for (i, (p, ctx)) in programs.iter_mut().zip(ctxs.iter_mut()).enumerate() {
-            let was_halted = p.halted();
-            y.stepped += 1;
-            ctx.round = round;
-            let outbox = p.on_round(ctx, inboxes.inbox(i));
-            stage_outbox(ctx.id, outbox, ctx.neighbors, round, env, y);
-            match (was_halted, p.halted()) {
-                (false, true) => y.newly_halted += 1,
-                (true, false) => y.newly_unhalted += 1,
-                _ => {}
-            }
+        for i in 0..inboxes.len() {
+            step(i, y);
         }
     }
 }
@@ -358,6 +358,9 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
     for b in 0..y.buckets.len() {
         y.starts[b] = y.buckets[b].get_mut().len();
     }
+    // Only a `Multi` outbox can name one destination twice; for the others
+    // every message is its destination's first (occurrence 0).
+    let repeats = matches!(outbox, Outbox::Multi(_));
     let width = expand_into(src, outbox, neighbors, env, &mut y.buckets);
     let batch_len: usize = y
         .buckets
@@ -380,10 +383,10 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
             // traffic coordinates, so the combined perturbation replays at
             // any shard layout.
             if env.faults.loses_messages() {
-                lose_batch(src, round, env, y);
+                lose_batch(src, round, repeats, env, y);
             }
             if env.faults.duplicates_messages() {
-                duplicate_batch(src, round, env, y);
+                duplicate_batch(src, round, repeats, env, y);
             }
         }
         FaultAction::Drop => {
@@ -403,6 +406,30 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
     }
 }
 
+/// Fills `occ` with the occurrence index of each message of `batch`: how
+/// many earlier messages of the batch go to the same destination. Without
+/// `repeats` (a `Broadcast` or `Unicast` batch) every index is 0; a `Multi`
+/// batch is counted in one pass through the reusable `seen` map. O(batch)
+/// either way — the faults key their coins on these indices.
+fn occurrences<M>(
+    batch: &[Routed<M>],
+    repeats: bool,
+    occ: &mut Vec<usize>,
+    seen: &mut HashMap<usize, usize>,
+) {
+    occ.clear();
+    if !repeats {
+        occ.resize(batch.len(), 0);
+        return;
+    }
+    seen.clear();
+    occ.extend(batch.iter().map(|r| {
+        let count = seen.entry(r.0).or_insert(0);
+        *count += 1;
+        *count - 1
+    }));
+}
+
 /// Removes each seeded-lost message of the current outbox's batch from its
 /// bucket. Occurrence indices are taken over the batch as staged — per
 /// destination, in emission order — so the decision is independent of the
@@ -410,6 +437,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
 fn lose_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
+    repeats: bool,
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) {
@@ -419,21 +447,20 @@ fn lose_batch<M: EngineMessage>(
         if start == bucket.len() {
             continue;
         }
-        // Decide per message against its original occurrence index, then
-        // compact the survivors in place.
-        let doomed: Vec<bool> = (start..bucket.len())
-            .map(|i| {
-                let dv = bucket[i].0;
-                let occurrence = bucket[start..i].iter().filter(|r| r.0 == dv).count();
-                env.faults.loses(round, src, env.live[dv], occurrence)
-            })
-            .collect();
+        occurrences(&bucket[start..], repeats, &mut y.occ, &mut y.seen);
+        // Compact the survivors in place. The write cursor never passes
+        // the read position, so message `j` is still unmoved when it is
+        // decided.
         let mut kept = start;
-        for (offset, lost) in doomed.iter().enumerate() {
-            if *lost {
+        for (j, &occurrence) in y.occ.iter().enumerate() {
+            let dv = bucket[start + j].0;
+            if env
+                .faults
+                .loses(round, src, env.view.original(dv), occurrence)
+            {
                 y.lost += 1;
             } else {
-                bucket.swap(kept, start + offset);
+                bucket.swap(kept, start + j);
                 kept += 1;
             }
         }
@@ -448,24 +475,30 @@ fn lose_batch<M: EngineMessage>(
 fn duplicate_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
+    repeats: bool,
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) {
     for (b, bucket) in y.buckets.iter_mut().enumerate() {
         let start = y.starts[b];
         let bucket = bucket.get_mut();
-        let mut dups: Vec<Routed<M>> = Vec::new();
-        for i in start..bucket.len() {
-            let dv = bucket[i].0;
-            // Occurrence index among this outbox's messages to the same
-            // destination (> 0 only for Multi outboxes repeating a target).
-            let occurrence = bucket[start..i].iter().filter(|r| r.0 == dv).count();
-            if env.faults.duplicates(round, src, env.live[dv], occurrence) {
-                dups.push(bucket[i].clone());
+        if start == bucket.len() {
+            continue;
+        }
+        occurrences(&bucket[start..], repeats, &mut y.occ, &mut y.seen);
+        let mut dups = 0;
+        for (j, &occurrence) in y.occ.iter().enumerate() {
+            let dv = bucket[start + j].0;
+            if env
+                .faults
+                .duplicates(round, src, env.view.original(dv), occurrence)
+            {
+                let copy = bucket[start + j].clone();
+                bucket.push(copy);
+                dups += 1;
             }
         }
-        y.duplicated += dups.len();
-        bucket.append(&mut dups);
+        y.duplicated += dups;
     }
 }
 
@@ -485,14 +518,15 @@ fn expand_into<M: EngineMessage>(
     env: &StageEnv<'_>,
     buckets: &mut [UnsafeCell<Vec<Routed<M>>>],
 ) -> usize {
-    let sv = env.dense[src];
+    let dense = env.view.dense_table();
+    let sv = dense[src];
     debug_assert_ne!(sv, usize::MAX, "stepped senders are live");
     // `i` is the destination's position in the sender's neighbor list —
     // the coordinate [`SenderRanks`] is keyed on. Broadcasts get it for
     // free from the loop; unicast/multi reuse the membership check's
     // binary-search position, so attaching the rank costs O(1) either way.
     let push = |dst: VertexId, i: usize, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
-        let dv = env.dense[dst];
+        let dv = dense[dst];
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
         let rank = env.ranks.rank(sv, i);
         buckets[env.group_of(dv)].get_mut().push((dv, src, rank, m));
@@ -557,10 +591,9 @@ fn expand_into<M: EngineMessage>(
 /// The caller must guarantee, for the duration of the call: bucket `group`
 /// of every arena is accessed by this caller alone; `t.segs.add(group)`,
 /// `t.active.add(group)`, and `t.pending.add(group)` are accessed by this
-/// caller alone; the per-vertex arrays behind `t.spans` / `t.counts` /
-/// `t.reasm` hold at least `range.end` entries, with the entries in
-/// `range` accessed by this caller alone. The epoch barrier protocol
-/// provides all of it.
+/// caller alone; the per-vertex arrays behind `t.spans` / `t.counts`
+/// hold at least `range.end` entries, with the entries in `range` accessed
+/// by this caller alone. The epoch barrier protocol provides all of it.
 unsafe fn route_range<M: EngineMessage>(
     arenas: &[ArenaSlot<M>],
     group: usize,
@@ -570,14 +603,14 @@ unsafe fn route_range<M: EngineMessage>(
 ) -> RouteTally {
     let base = range.start;
     // SAFETY: `range` is this worker's exclusive slice of the per-vertex
-    // arrays; segment, active list, pending list, and encode arena `group`
-    // are ours alone.
+    // arrays; segment, active list, pending list, and split scratch
+    // `group` are ours alone.
     let counts = unsafe { std::slice::from_raw_parts_mut(t.counts.add(base), range.len()) };
     let spans = unsafe { std::slice::from_raw_parts_mut(t.spans.add(base), range.len()) };
     let active = unsafe { &mut *t.active.add(group) };
     let pending = unsafe { &mut *t.pending.add(group) };
     let seg = unsafe { &mut *t.segs.add(group) };
-    let scratch = unsafe { &mut *t.scratch.add(group) };
+    let split = unsafe { &mut *t.split.add(group) };
     let rank_buf = unsafe { &mut *t.rank_bufs.add(group) };
     let vbits = unsafe { &mut *t.vbits.add(group) };
     let rank_scratch = unsafe { &mut *t.rank_scratch.add(group) };
@@ -683,14 +716,11 @@ unsafe fn route_range<M: EngineMessage>(
             &rank_buf[start..start + len],
             rank_scratch,
         );
-        // SAFETY: the range's reassembly buffers are ours alone.
-        let buffers = unsafe { &mut *t.reasm.add(dv) };
         tally.absorb(finalize_inbox(
             &mut seg[start..start + len],
-            buffers,
             env.live[dv],
             env,
-            scratch,
+            split,
         ));
     }
     tally
@@ -739,7 +769,7 @@ impl<T> SyncPtr<T> {
 }
 
 // SAFETY: the pointer is only dereferenced through the epoch protocol's
-// disjoint-range discipline; the pointees are `Send` (programs, contexts).
+// disjoint-range discipline; the pointees are `Send` (programs).
 unsafe impl<T> Send for SyncPtr<T> {}
 unsafe impl<T> Sync for SyncPtr<T> {}
 
@@ -982,11 +1012,9 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     /// one per worker group, matching `env.bounds`; `due` is the driver's
     /// per-group scheduled-wake lists for this round (absolute dense
     /// indices, consulted only when `env.frontier` is set).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
         programs: &mut [P],
-        ctxs: &mut [NodeCtx<'_>],
         inboxes: &Inboxes<P::Message>,
         due: &[Vec<usize>],
         env: &StageEnv<'_>,
@@ -998,25 +1026,20 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         // Every group derives its slice from the same root pointers, so no
         // group's reborrow can invalidate another's.
         let prog_root = SyncPtr(programs.as_mut_ptr());
-        let ctx_root = SyncPtr(ctxs.as_mut_ptr());
         let arenas = &self.arenas;
         let job = move |g: usize| {
             // Surplus workers of a wider shared pool have no group.
             let Some(range) = ranges.get(g) else { return };
-            // SAFETY: `ranges` are disjoint, so group `g`'s program/context
-            // slices alias no other group's; arena `g` is group `g`'s own
-            // during a compute epoch; the driver keeps every pointee alive
-            // for the whole epoch window.
-            let (progs, ctxs) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(prog_root.get().add(range.start), range.len()),
-                    std::slice::from_raw_parts_mut(ctx_root.get().add(range.start), range.len()),
-                )
+            // SAFETY: `ranges` are disjoint, so group `g`'s program slice
+            // aliases no other group's; arena `g` is group `g`'s own during
+            // a compute epoch; the driver keeps every pointee alive for the
+            // whole epoch window.
+            let progs = unsafe {
+                std::slice::from_raw_parts_mut(prog_root.get().add(range.start), range.len())
             };
             let arena = unsafe { &mut *arenas[g].0.get() };
             run_range(
                 progs,
-                ctxs,
                 inboxes.group(g, range.clone()),
                 &due[g],
                 range.start,
@@ -1046,8 +1069,8 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         let job = move |g: usize| {
             let Some(range) = ranges.get(g) else { return };
             // SAFETY: bucket `g` of every arena, segment/pending/scratch
-            // slot `g`, and the span/count/reassembly entries of `range`
-            // belong exclusively to group `g` during a routing epoch;
+            // slot `g`, and the span/count entries of `range` belong
+            // exclusively to group `g` during a routing epoch;
             // tally slot `g` likewise.
             let tally = unsafe { route_range(arenas, g, targets, range.clone(), env) };
             unsafe { *tallies[g].0.get() = tally };
@@ -1088,6 +1111,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphs::Graph;
 
     #[derive(Clone, PartialEq, Debug)]
     struct W(usize);
@@ -1105,30 +1129,24 @@ mod tests {
         }
     }
 
-    /// An identity env over `n` vertices in one group, no faults. The
-    /// `by_src` rank table makes every staged rank the sender's dense
-    /// index — under identity tables, rank == original sender id, so
+    /// An edgeless `n`-vertex graph — its whole view is the identity id
+    /// table (staging takes neighbor lists as arguments) — plus one group
+    /// and a `by_src` rank table that makes every staged rank the sender's
+    /// dense index: under identity tables, rank == original sender id, so
     /// expected tuples read directly.
-    fn identity_tables(n: usize) -> (Vec<usize>, Vec<VertexId>, Vec<usize>, SenderRanks) {
-        (
-            (0..n).collect(),
-            (0..n).collect(),
-            vec![0, n],
-            SenderRanks::by_src(n),
-        )
+    fn identity_tables(n: usize) -> (Graph, Vec<usize>, SenderRanks) {
+        (Graph::from_edges(n, []), vec![0, n], SenderRanks::by_src(n))
     }
 
     fn env<'a>(
         faults: &'a FaultPlan,
-        dense: &'a [usize],
-        live: &'a [VertexId],
+        view: &'a GraphView<'a>,
         bounds: &'a [usize],
         ranks: &'a SenderRanks,
     ) -> StageEnv<'a> {
         StageEnv {
             faults,
-            dense,
-            live,
+            view,
             bounds,
             ranks,
             congest: usize::MAX,
@@ -1140,8 +1158,9 @@ mod tests {
     fn expand_into_appends_and_reports_width() {
         let neighbors = [1usize, 3, 5];
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(6);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(6);
+        let view = GraphView::whole(&g);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 2);
@@ -1164,9 +1183,10 @@ mod tests {
         // messages to {4, 5} in bucket 1.
         let neighbors = [1usize, 2, 4, 5];
         let faults = FaultPlan::new();
-        let (dense, live, _, ranks) = identity_tables(6);
+        let (g, _, ranks) = identity_tables(6);
+        let view = GraphView::whole(&g);
         let bounds = vec![0, 3, 6];
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(2);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.bucket_mut(0), &vec![(1, 3, 3, W(1)), (2, 3, 3, W(1))]);
@@ -1178,8 +1198,9 @@ mod tests {
     fn stage_outbox_applies_faults_in_place() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().drop_outbox(0, 5).delay_outbox(0, 6, 2);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(3);
+        let view = GraphView::whole(&g);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
         assert_eq!((y.messages, y.bucket_mut(0).len()), (2, 2), "delivered");
@@ -1198,8 +1219,9 @@ mod tests {
     fn duplication_appends_after_the_batch_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().duplicate_edges(3, 1.0);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(3);
+        let view = GraphView::whole(&g);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "originals only");
@@ -1219,8 +1241,9 @@ mod tests {
     fn loss_removes_in_place_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().lose_edges(3, 1.0);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(3);
+        let view = GraphView::whole(&g);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "loss does not change the sent count");
@@ -1233,11 +1256,12 @@ mod tests {
         // Find a (seed, round) where exactly one of the two messages is
         // lost, and check the survivor stays, in place.
         let neighbors = [1usize, 2, 3];
-        let (dense, live, bounds, ranks) = identity_tables(4);
+        let (g, bounds, ranks) = identity_tables(4);
+        let view = GraphView::whole(&g);
         let mut found = false;
         for seed in 0..64u64 {
             let faults = FaultPlan::new().lose_edges(seed, 0.5);
-            let e = env(&faults, &dense, &live, &bounds, &ranks);
+            let e = env(&faults, &view, &bounds, &ranks);
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.lost == 1 {
@@ -1252,11 +1276,70 @@ mod tests {
     }
 
     #[test]
+    fn multi_repeats_match_the_prefix_scan_under_loss_and_duplication() {
+        // A Multi outbox naming targets 1 and 2 several times. Each fault
+        // coin is keyed on the message's occurrence index — how many
+        // earlier messages of the batch go to the same target — and the
+        // spec computes it the quadratic way, by scanning the prefix.
+        let neighbors = [1usize, 2, 3];
+        let batch: Vec<(usize, W)> = [1, 2, 1, 3, 1, 2, 1]
+            .into_iter()
+            .enumerate()
+            .map(|(i, dst)| (dst, W(10 + i)))
+            .collect();
+        let prefix_occurrence =
+            |msgs: &[(usize, W)], i: usize| msgs[..i].iter().filter(|m| m.0 == msgs[i].0).count();
+        let (g, _, ranks) = identity_tables(4);
+        let view = GraphView::whole(&g);
+        let mut repeats_decided = false;
+        for seed in 0..32u64 {
+            let faults = FaultPlan::new()
+                .lose_edges(seed, 0.3)
+                .duplicate_edges(seed + 100, 0.5);
+            // Loss first, duplication on the survivors.
+            let survivors: Vec<(usize, W)> = (0..batch.len())
+                .filter(|&i| !faults.loses(1, 0, batch[i].0, prefix_occurrence(&batch, i)))
+                .map(|i| batch[i].clone())
+                .collect();
+            let dups: Vec<(usize, W)> = (0..survivors.len())
+                .filter(|&i| {
+                    faults.duplicates(1, 0, survivors[i].0, prefix_occurrence(&survivors, i))
+                })
+                .map(|i| survivors[i].clone())
+                .collect();
+            repeats_decided |= survivors.len() < batch.len() && !dups.is_empty();
+            // One group, and two groups splitting target 1 from 2 and 3:
+            // each bucket holds its survivors, then its duplicates.
+            for bounds in [vec![0, 4], vec![0, 2, 4]] {
+                let e = env(&faults, &view, &bounds, &ranks);
+                let mut y: ShardYield<W> = ShardYield::with_groups(bounds.len() - 1);
+                stage_outbox(0, Outbox::Multi(batch.clone()), &neighbors, 1, &e, &mut y);
+                assert_eq!(y.lost, batch.len() - survivors.len(), "seed {seed}");
+                assert_eq!(y.duplicated, dups.len(), "seed {seed}");
+                for b in 0..bounds.len() - 1 {
+                    let mine = |m: &&(usize, W)| e.group_of(m.0) == b;
+                    let expect: Vec<(usize, W)> = survivors
+                        .iter()
+                        .filter(mine)
+                        .chain(dups.iter().filter(mine))
+                        .cloned()
+                        .collect();
+                    let got: Vec<(usize, W)> =
+                        y.bucket_mut(b).iter().map(|r| (r.0, r.3.clone())).collect();
+                    assert_eq!(got, expect, "seed {seed}, bucket {b} of {bounds:?}");
+                }
+            }
+        }
+        assert!(repeats_decided, "some seed both loses and duplicates");
+    }
+
+    #[test]
     #[should_panic(expected = "CONGEST violation")]
     fn congest_budget_rejects_wide_messages() {
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let mut e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(3);
+        let view = GraphView::whole(&g);
+        let mut e = env(&faults, &view, &bounds, &ranks);
         e.congest = 4;
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(4)), &[1], 1, &e, &mut y);
@@ -1267,8 +1350,9 @@ mod tests {
     #[test]
     fn arena_reset_keeps_capacity() {
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(5);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (g, bounds, ranks) = identity_tables(5);
+        let view = GraphView::whole(&g);
+        let e = env(&faults, &view, &bounds, &ranks);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &[1, 2, 3, 4], 1, &e, &mut y);
         let cap = y.bucket_mut(0).capacity();
@@ -1357,9 +1441,10 @@ mod tests {
     #[test]
     fn group_of_respects_bounds() {
         let faults = FaultPlan::new();
-        let (dense, live, _, ranks) = identity_tables(10);
+        let (g, _, ranks) = identity_tables(10);
+        let view = GraphView::whole(&g);
         let bounds = vec![0, 4, 7, 10];
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds, &ranks);
         let groups: Vec<usize> = (0..10).map(|dv| e.group_of(dv)).collect();
         assert_eq!(groups, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }

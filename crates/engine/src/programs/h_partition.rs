@@ -5,6 +5,13 @@
 //! which decrement their residual degree when the peel messages arrive next
 //! round. The layer index *is* the round index — one LOCAL round per layer,
 //! exactly what [`local_model::h_partition`] charges.
+//!
+//! Only the first round needs every node: after it, an unpeeled node's
+//! residual degree can fall — and let it peel — only when peel messages
+//! arrive, and a peeled node is silent for good. So the program asks for
+//! [`Activation::EveryRound`] until its first step and
+//! [`Activation::OnMessage`] after it, and each later round steps only the
+//! nodes that hear a neighbor peel.
 
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{HPartition, RoundLedger};
@@ -12,7 +19,7 @@ use local_model::{HPartition, RoundLedger};
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{EngineMessage, NodeProgram, Outbox, WireCodec};
+use crate::program::{Activation, EngineMessage, NodeProgram, Outbox, WireCodec};
 
 /// "I peeled this round" — the only thing neighbors need to hear.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,6 +49,8 @@ pub struct HPartitionProgram {
     threshold: usize,
     resid: usize,
     layer: usize,
+    /// Whether the node has taken its first step (see the module docs).
+    started: bool,
 }
 
 impl HPartitionProgram {
@@ -60,6 +69,7 @@ impl NodeProgram for HPartitionProgram {
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(VertexId, Peeled)]) -> Outbox<Peeled> {
+        self.started = true;
         if self.layer != usize::MAX {
             return Outbox::Silent;
         }
@@ -78,6 +88,14 @@ impl NodeProgram for HPartitionProgram {
 
     fn halted(&self) -> bool {
         self.layer != usize::MAX
+    }
+
+    fn activation(&self) -> Activation {
+        if self.started {
+            Activation::OnMessage
+        } else {
+            Activation::EveryRound
+        }
     }
 }
 
@@ -127,6 +145,7 @@ pub fn engine_h_partition(
         threshold,
         resid: 0,
         layer: usize::MAX,
+        started: false,
     });
     let report = sess.run_phase("h-partition", Stop::AllHalted);
     assert!(
@@ -189,6 +208,26 @@ mod tests {
                 );
                 assert_eq!(metrics.total_rounds(), hp.layers as u64);
             }
+        }
+    }
+
+    #[test]
+    fn peel_steps_only_nodes_that_hear_a_peel_after_round_one() {
+        let g = gen::forest_union(500, 2, 3);
+        let mut ledger = RoundLedger::new();
+        let (_, metrics) =
+            engine_h_partition(&g, None, 2, 1.0, EngineConfig::default(), &mut ledger);
+        let rounds = metrics.per_round();
+        assert!(rounds.len() > 1, "the peel takes several rounds");
+        assert_eq!(rounds[0].stepped, 500, "round 1 steps every node");
+        for r in &rounds[1..] {
+            assert!(
+                r.stepped < r.live,
+                "round {} stepped {} of {} live nodes",
+                r.round,
+                r.stepped,
+                r.live
+            );
         }
     }
 

@@ -72,9 +72,12 @@
 //! * [`LayeredGreedyProgram`]: `WakeAt` wakes exactly one (depth, class)
 //!   layer per slot round, so the per-round frontier is the largest layer —
 //!   worst case `n` when the layering is flat (e.g. a single depth).
-//! * `EveryRound` programs ([`CvProgram`], [`HPartitionProgram`],
-//!   [`RandomizedProgram`], [`SweepProgram`]): the frontier is `n` by
-//!   declaration; they broadcast every round, so there is nothing to skip.
+//! * [`HPartitionProgram`]: `EveryRound` until its first step, then
+//!   `OnMessage` — round 1 steps all `n` nodes, every later round only the
+//!   unpeeled nodes that hear a neighbor peel.
+//! * `EveryRound` programs ([`CvProgram`], [`RandomizedProgram`],
+//!   [`SweepProgram`]): the frontier is `n` by declaration; they broadcast
+//!   every round, so there is nothing to skip.
 //!
 //! Wake-queue contract for `WakeAt` programs: the engine re-reads the
 //! activation hint after every step and keeps only the **latest** reading,
@@ -99,7 +102,10 @@
 //! adjacency entry plus a `u32` offset per live vertex (plus one) —
 //! ~`4·(m_live + n_live + 1)` bytes per session, about 8 MB at the 10⁶
 //! tier on 4-regular inputs and independent of round count or traffic
-//! volume. Composite pipelines (Theorem 1.3's peel loop) pay it once per
+//! volume. Building it takes one transient `u32` counter per vertex of the
+//! whole graph (`n` words, indexed by original id, zero-allocated so pages
+//! no live vertex touches cost nothing), freed before the first round.
+//! Composite pipelines (Theorem 1.3's peel loop) pay the table once per
 //! internal session on that session's *masked* CSR, so the charge shrinks
 //! with the residual graph exactly like the compacted adjacency it
 //! annotates.

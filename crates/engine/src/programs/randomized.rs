@@ -13,16 +13,17 @@
 //!   color; on commit it broadcasts `Committed` and halts.
 //!
 //! Because each node draws from [`local_model::per_vertex_rng`]`(seed, id)`
-//! — the engine seeds [`NodeCtx::rng`](crate::NodeCtx) with exactly that
-//! stream — and inboxes are sorted by sender, the engine run commits the
-//! same vertices with the same colors in the same cycles as the sequential
-//! implementation, at any shard count.
+//! — the program owns exactly that stream, seeded in its factory with
+//! [`node_rng`] — and inboxes are sorted by sender, the engine run commits
+//! the same vertices with the same colors in the same cycles as the
+//! sequential implementation, at any shard count.
 
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{RandomizedColoring, RoundLedger};
+use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::context::NodeCtx;
+use crate::context::{node_rng, NodeCtx};
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
 use crate::program::{EngineMessage, NodeProgram, Outbox, WireCodec};
@@ -69,6 +70,8 @@ pub struct RandomizedProgram {
     proposal: usize,
     /// Colors committed by neighbors (for the "neighbor owns it" conflict).
     taken: Vec<usize>,
+    /// This node's private stream, `node_rng(seed, id)`.
+    rng: StdRng,
 }
 
 impl RandomizedProgram {
@@ -109,7 +112,7 @@ impl NodeProgram for RandomizedProgram {
             // Propose: strike last cycle's commitments first, exactly the
             // knowledge the sequential implementation draws with.
             self.strike(inbox);
-            self.proposal = self.live[ctx.rng.gen_range(0..self.live.len())];
+            self.proposal = self.live[self.rng.gen_range(0..self.live.len())];
             Outbox::Broadcast(ColorMsg::Proposal(self.proposal))
         } else {
             // Resolve: ties kill both, owned colors kill the proposer.
@@ -187,7 +190,8 @@ pub fn engine_randomized_list_coloring(
             );
         }
     }
-    // The node RNG stream is the sequential contract: per_vertex_rng(seed, v).
+    // The node RNG stream is the sequential contract: per_vertex_rng(seed, v),
+    // seeded in the factory below; the session seed follows it.
     config.seed = seed;
     config.mask = mask.cloned();
     config.max_rounds = config.max_rounds.min(2 * max_cycles);
@@ -196,6 +200,7 @@ pub fn engine_randomized_list_coloring(
         color: usize::MAX,
         proposal: usize::MAX,
         taken: Vec::new(),
+        rng: node_rng(seed, ctx.id),
     });
     let report = sess.run_phase("randomized-coloring", Stop::AllHalted);
     let colors = sess.view().scatter(

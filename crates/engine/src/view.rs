@@ -4,12 +4,12 @@
 //! The sequential primitives in `local-model` all take `Option<&VertexSet>`;
 //! this type is the engine-side twin. A view over a masked graph exposes the
 //! **live** vertices (the mask members) as a dense range `0..live_count()`,
-//! so sessions allocate programs, contexts, and mailboxes only for live
-//! vertices — masked-out nodes never get a program, a mailbox, an RNG
-//! stream, or a ledger charge. Everything observable stays keyed on the
-//! *original* [`VertexId`]: contexts report original ids, neighbor lists
-//! hold original ids, inboxes are sorted by original sender id, and RNG
-//! streams derive from `(seed, original id)` — which is what makes a masked
+//! so sessions allocate programs and mailboxes only for live vertices —
+//! masked-out nodes never get a program, a mailbox, an RNG stream, or a
+//! ledger charge. Everything observable stays keyed on the *original*
+//! [`VertexId`]: contexts report original ids, neighbor lists hold
+//! original ids, inboxes are sorted by original sender id, and RNG streams
+//! derive from `(seed, original id)` — which is what makes a masked
 //! engine run bit-identical to the sequential masked primitives at any
 //! shard count.
 //!
@@ -65,10 +65,7 @@ pub struct GraphView<'g> {
     /// Masked or relabeled case: a compacted CSR over the live vertices —
     /// row `dv`'s filtered neighbors (original ids, sorted) live at
     /// `packed[offsets[dv]..offsets[dv + 1]]`. Both vecs stay empty for
-    /// identity whole-graph views, which borrow the graph's own CSR. The
-    /// flat buffers are never mutated after construction, so their heap
-    /// addresses are stable and the session can hand out `&'g`-extended
-    /// borrows into `packed` (see `driver.rs`).
+    /// identity whole-graph views, which borrow the graph's own CSR.
     offsets: Vec<usize>,
     packed: Vec<VertexId>,
     /// Locality case only: dense indices in ascending **original**-id
@@ -324,7 +321,10 @@ pub(crate) struct SenderRanks {
 impl SenderRanks {
     /// Builds the table for `view` in one O(m) pass: senders are visited
     /// in ascending **original** order, so each receiver's counter hands
-    /// out ranks 0, 1, … exactly in its neighbor-list order.
+    /// out ranks 0, 1, … exactly in its neighbor-list order. The counters
+    /// are indexed by original id — one transient word per vertex of the
+    /// graph, zero-allocated so pages no live vertex touches cost nothing —
+    /// which spares every directed edge a lookup in the dense table.
     pub(crate) fn build(view: &GraphView<'_>) -> Self {
         let live = view.live_count();
         let mut offsets = Vec::with_capacity(live + 1);
@@ -339,11 +339,11 @@ impl SenderRanks {
             offsets.push(total as u32);
         }
         let mut ranks = vec![0u32; total];
-        let mut counter = vec![0u32; live];
+        let mut counter = vec![0u32; view.n()];
         for sv in view.ascending() {
             let base = offsets[sv] as usize;
             for (i, &dst) in view.neighbors(sv).iter().enumerate() {
-                let c = &mut counter[view.dense[dst]];
+                let c = &mut counter[dst];
                 ranks[base + i] = *c;
                 *c += 1;
             }

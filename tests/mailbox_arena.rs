@@ -14,41 +14,58 @@
 //! orders of magnitude apart. Per-message allocations would show up ~10⁵
 //! times over; the assertion leaves slack only for per-round constants
 //! (metrics rows, phase bookkeeping).
+//!
+//! The same allocator also counts requested bytes, which pins what a
+//! session keeps per live vertex when it boots.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use engine::{
     EngineConfig, EngineMessage, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
 };
 use graphs::gen;
 
-/// Counts allocations (not bytes — growth doublings are amortized, a
-/// per-message `Vec` is not) while the gate is up.
+/// Counts allocations and requested bytes while the gate is up. The
+/// steady-state tests read the count (growth doublings are amortized, a
+/// per-message `Vec` is not); the boot test reads the bytes, where a
+/// `realloc` adds only its growth.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The counters are process-wide, so the tests of this file take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn count(bytes: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -105,7 +122,7 @@ impl EngineMessage for WidePing {
 
 /// Broadcasts a six-word stamp every round: with a Split(4) budget every
 /// delivery fragments into two frames, exercising the per-group encode
-/// arena and the per-edge reassembly buffers each round.
+/// arena and reassembly buffer each round.
 struct WideChatter;
 
 impl NodeProgram for WideChatter {
@@ -136,6 +153,7 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
     rounds: u64,
     mk: impl Fn() -> P + Copy,
 ) -> usize {
+    let _turn = serial();
     let g = gen::cycle(n);
     // Split(4) keeps the CONGEST accounting on in both rows. For `Chatter`
     // (usize, `MAX_WIDTH = Some(1)`) the static bound fits the budget, so
@@ -180,14 +198,57 @@ fn split_fragmentation_rounds_allocate_independently_of_message_count() {
     let large = steady_state_allocs(large_n, rounds, || WideChatter);
     // Every one of the large run's ~195k extra deliveries encodes, chops,
     // and reassembles a six-word message under the Split(4) budget. The
-    // per-group encode arena and the per-edge reassembly buffers warmed up
-    // before counting started, so the steady-state allocation count must
-    // stay flat in n.
+    // per-group encode arena and reassembly buffer warmed up before
+    // counting started, so the steady-state allocation count must stay
+    // flat in n.
     let slack = 64;
     assert!(
         large <= small + slack,
         "split-path rounds must not allocate per fragmented message: \
          {small} allocs at n={small_n} vs {large} at n={large_n} \
          (allowed slack {slack})"
+    );
+}
+
+/// Sends nothing at init, so booting it allocates session state only —
+/// no staged or routed traffic.
+struct Quiet;
+
+impl NodeProgram for Quiet {
+    type Message = usize;
+
+    fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<usize> {
+        Outbox::Silent
+    }
+
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, _: &[(usize, usize)]) -> Outbox<usize> {
+        Outbox::Silent
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
+    // Booting a session allocates its view tables, sender ranks, mailbox
+    // spans and wake queue per live vertex (about 92 B on this input), plus
+    // per-group constants. A stored context (72 B) and a reassembly map
+    // (24 B) per vertex would take it past the bound.
+    let _turn = serial();
+    let n = 100_000;
+    let g = gen::cycle(n);
+    let config = EngineConfig::default().with_shards(1).with_workers(1);
+    BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let session = EngineSession::new(&g, config, |_| Quiet);
+    COUNTING.store(false, Ordering::SeqCst);
+    let per_vertex = BYTES.load(Ordering::SeqCst) as f64 / n as f64;
+    drop(session);
+    let bound = 128.0;
+    assert!(
+        per_vertex < bound,
+        "session boot requested {per_vertex:.1} B per live vertex (bound {bound})"
     );
 }
