@@ -19,11 +19,6 @@
 //! * the `RoundLedger` totals (engine vs sequential *and* across shards),
 //! * split-mode ledger reconciliation (`total − SPLIT_PHASE == unlimited`).
 //!
-//! The suite also sweeps the vertex-order axis (`identity` / `locality`),
-//! so every diff above runs for both shard-local layouts: the locality
-//! relabeling is a performance knob exactly like shards and workers, and
-//! this gate is where that claim is enforced.
-//!
 //! Any divergence prints the offending configuration and exits nonzero.
 //! This is the invariant the worker-pool executor must never trade for
 //! speed: shard count and worker count are performance knobs, not

@@ -21,24 +21,22 @@
 //! 2. **Route** — after the driver tallies counters and (re)schedules
 //!    fault-delayed batches, every worker counting-sorts its own bucket of
 //!    every arena into its group's contiguous inbox segment (spans per
-//!    vertex, no per-message allocation) and puts each span into the
-//!    deterministic sender order with a second counting pass on
-//!    precomputed sender ranks — no comparison sort anywhere in the epoch;
-//!    the buffers then flip. Routing no longer serializes on
-//!    the driver thread — its wall time is recorded per round
-//!    ([`RoundMetrics::route_wall`]), measured from the moment the compute
-//!    epoch closes so the driver-side drain, batch scheduling, and wake
-//!    bookkeeping between the epochs are charged to the routing epoch too.
+//!    vertex, no per-message allocation). Groups stage their senders in
+//!    ascending id order and are drained in group order, so each span
+//!    lands in the deterministic sender order as placed; only a group with
+//!    fault-delayed traffic due sorts its spans. The buffers then flip.
+//!    Routing no longer serializes on the driver thread — its wall time is
+//!    recorded per round ([`RoundMetrics::route_wall`]), measured from the
+//!    moment the compute epoch closes so the driver-side drain, batch
+//!    scheduling, and wake bookkeeping between the epochs are charged to
+//!    the routing epoch too.
 //!
 //! Determinism: program state is touched only by its owning worker group,
 //! inboxes are delivered in ascending original-sender order, programs that
 //! draw randomness seed their own stream with `node_rng(seed, original
 //! id)`, and fault plans are keyed by `(round, original node)` — so
 //! colorings, round counts, and per-round message counts are bit-identical
-//! across shard counts, worker counts, and thread schedules, masked or not. The same original-id keying makes the
-//! internal vertex layout a free variable: [`EngineConfig::with_order`]
-//! relabels the dense index space into a cache-local order
-//! ([`VertexOrder::Locality`]) without perturbing a single observable.
+//! across shard counts, worker counts, and thread schedules, masked or not.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -49,12 +47,12 @@ use local_model::RoundLedger;
 
 use crate::context::NodeCtx;
 use crate::faults::FaultPlan;
-use crate::mailbox::Mailboxes;
+use crate::mailbox::{Mailboxes, TwoLevelBits};
 use crate::metrics::{EngineMetrics, RoundMetrics};
 use crate::pool::{stage_outbox, EnginePool, RouteEnv, StageEnv, WorkerPool};
 use crate::program::{Activation, NodeProgram};
 use crate::shard::ShardPlan;
-use crate::view::{GraphView, SenderRanks, VertexOrder};
+use crate::view::GraphView;
 
 /// Resolves an [`Activation`] hint read after `round` into the wake-queue
 /// key: the first round at which the node must be stepped even without
@@ -137,9 +135,8 @@ pub struct EngineConfig {
     /// available CPU. Purely a performance knob — results are bit-identical
     /// for any value.
     pub workers: usize,
-    /// Global seed: seeds the [`VertexOrder::Locality`] relabel, and by
-    /// convention the per-node streams ([`node_rng`](crate::node_rng)) of
-    /// programs that draw randomness.
+    /// Global seed: by convention, seeds the per-node streams
+    /// ([`node_rng`](crate::node_rng)) of programs that draw randomness.
     pub seed: u64,
     /// Hard cap on total **logical** rounds across all phases of a session.
     pub max_rounds: u64,
@@ -162,11 +159,6 @@ pub struct EngineConfig {
     /// instead of spawning its own — see [`EnginePool`]. When set, the pool
     /// supersedes `workers` as the worker-group cap.
     pub pool: Option<EnginePool>,
-    /// Internal vertex layout (default [`VertexOrder::Identity`]): how the
-    /// session maps live vertices to dense indices. Purely a performance
-    /// knob — every observable is keyed on original ids, so results are
-    /// bit-identical for any value. See [`EngineConfig::with_order`].
-    pub order: VertexOrder,
 }
 
 impl Default for EngineConfig {
@@ -181,7 +173,6 @@ impl Default for EngineConfig {
             congest: CongestMode::Unlimited,
             frontier: true,
             pool: None,
-            order: VertexOrder::Identity,
         }
     }
 }
@@ -291,19 +282,6 @@ impl EngineConfig {
         self
     }
 
-    /// Chooses the internal vertex layout. [`VertexOrder::Locality`]
-    /// relabels live vertices into a seeded RCM-style cache-local order
-    /// (derived from `seed` and the view's adjacency), so shard spans
-    /// become graph neighborhoods instead of arbitrary id ranges. Purely a
-    /// performance knob: contexts, inboxes, RNG streams, fault keys, and
-    /// [`GraphView::scatter`] stay keyed on original ids, so a locality run
-    /// is bit-identical to an identity run at every shard count.
-    #[must_use]
-    pub fn with_order(mut self, order: VertexOrder) -> Self {
-        self.order = order;
-        self
-    }
-
     /// Worker groups a private-pool session over `n` live vertices runs
     /// with — the size a caller-owned [`EnginePool`] needs to serve every
     /// session of a pipeline at full width.
@@ -385,9 +363,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     bounds: Vec<usize>,
     pool: WorkerPool<P>,
     programs: Vec<P>,
-    /// Per-directed-edge sender ranks, built once from the view: the
-    /// routing epoch's counting-sort keys (see [`SenderRanks`]).
-    ranks: SenderRanks,
     mail: Mailboxes<P::Message>,
     metrics: EngineMetrics,
     ledger: RoundLedger,
@@ -409,8 +384,14 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     wakes: Vec<BTreeMap<u64, Vec<usize>>>,
     /// Per worker group: this round's validated due list (absolute dense
     /// indices), handed to the compute epoch alongside the inbox active
-    /// lists.
+    /// lists. Ascending, like the active lists, so the compute epoch can
+    /// step its frontier in dense order.
     due: Vec<Vec<usize>>,
+    /// Per worker group: the bitmap `due` is drained through (indexed
+    /// relative to the group's range start). Wake buckets fill in
+    /// registration order; draining the bitmap hands out the due list
+    /// ascending without a comparison sort.
+    due_bits: Vec<TwoLevelBits>,
     /// Recycled wake-bucket vectors, so steady-state queue churn (one
     /// bucket per round for `EveryRound` programs) allocates nothing.
     spare: Vec<Vec<usize>>,
@@ -439,7 +420,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         config: EngineConfig,
         mut factory: impl FnMut(&NodeCtx<'_>) -> P,
     ) -> Self {
-        let view = GraphView::with_order(graph, config.mask.as_ref(), config.order, config.seed);
+        let view = GraphView::new(graph, config.mask.as_ref());
         let live = view.live_count();
         let plan = ShardPlan::for_view(&view, config.resolve_shards(live));
         // A shared pool fixes the worker-group budget (its thread count);
@@ -458,20 +439,10 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 .unwrap_or_else(|| EnginePool::new(groups.len())),
             groups.len(),
         );
-        // The factory contract is ascending *original* id order — under a
-        // relabeled layout that is not dense order, so visit via the
-        // view's ascending index.
-        let mut programs: Vec<P> = {
-            let mut slots: Vec<Option<P>> = (0..live).map(|_| None).collect();
-            for dv in view.ascending() {
-                slots[dv] = Some(factory(&NodeCtx::at(&view, dv, 0)));
-            }
-            slots
-                .into_iter()
-                .map(|p| p.expect("ascending() visits every live vertex"))
-                .collect()
-        };
-        let ranks = SenderRanks::build(&view);
+        // Dense order is ascending original id: the factory's contract.
+        let mut programs: Vec<P> = (0..live)
+            .map(|dv| factory(&NodeCtx::at(&view, dv, 0)))
+            .collect();
 
         // Round 0: init every node and route the initial knowledge
         // exchange. Staging runs on the driver into the pool's group-0
@@ -484,7 +455,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 faults: &config.faults,
                 view: &view,
                 bounds: &bounds,
-                ranks: &ranks,
                 congest: config.congest.reject_budget(),
                 frontier: config.frontier,
             };
@@ -551,6 +521,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             }
         }
         let due = (0..groups.len()).map(|_| Vec::new()).collect();
+        let due_bits = (0..groups.len()).map(|_| TwoLevelBits::default()).collect();
 
         EngineSession {
             view,
@@ -560,7 +531,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             bounds,
             pool,
             programs,
-            ranks,
             mail,
             metrics,
             ledger: RoundLedger::new(),
@@ -569,6 +539,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             next_wake,
             wakes,
             due,
+            due_bits,
             spare: Vec::new(),
             poisoned: false,
         }
@@ -640,11 +611,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// the "synchronizer" seam multi-phase algorithms use to switch modes
     /// without spending communication rounds.
     pub fn for_each_program(&mut self, mut f: impl FnMut(VertexId, &mut P)) {
-        // Dense order is not ascending-original under a relabeled layout;
-        // the view's ascending index restores the documented order.
-        let view = &self.view;
-        for dv in view.ascending() {
-            f(view.original(dv), &mut self.programs[dv]);
+        for (dv, p) in self.programs.iter_mut().enumerate() {
+            f(self.view.original(dv), p);
         }
         // The hook may have rewritten any program's state: recount the halt
         // votes and re-register every activation hint. Queue entries the
@@ -760,17 +728,22 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         // Assemble this round's due wake lists: pop the round's bucket per
         // group and keep only entries whose registration still stands —
         // superseded ones are invalidated here, at fire time, and a firing
-        // entry is consumed (its node re-registers after its step).
+        // entry is consumed (its node re-registers after its step). The
+        // survivors pass through the group's bitmap, so each list ascends.
         if self.config.frontier {
             for (g, due) in self.due.iter_mut().enumerate() {
                 due.clear();
                 if let Some(mut bucket) = self.wakes[g].remove(&round) {
+                    let range = &self.groups[g];
+                    let bits = &mut self.due_bits[g];
+                    bits.ensure(range.len());
                     for &dv in &bucket {
                         if self.next_wake[dv] == round {
                             self.next_wake[dv] = u64::MAX;
-                            due.push(dv);
+                            bits.set(dv - range.start);
                         }
                     }
+                    bits.drain(|i| due.push(range.start + i));
                     bucket.clear();
                     self.spare.push(bucket);
                 }
@@ -781,7 +754,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             faults: &self.config.faults,
             view: &self.view,
             bounds: &self.bounds,
-            ranks: &self.ranks,
             congest: self.config.congest.reject_budget(),
             frontier: self.config.frontier,
         };

@@ -37,12 +37,10 @@
 //! * Determinism — a program that draws randomness owns its stream,
 //!   seeded with [`node_rng`]`(seed, node id)` in its factory, so the
 //!   stream depends on `(seed, node id)` only; inboxes are delivered in
-//!   ascending original-sender order (enforced by a counting pass on
-//!   precomputed sender ranks — the routing epoch performs no comparison
-//!   sort), so randomized programs replay **bit-identically regardless of
-//!   shard count**. The internal vertex layout is itself a free variable:
-//!   [`EngineConfig::with_order`] ([`VertexOrder`]) relabels the dense
-//!   index space into a cache-local order without changing one observable.
+//!   ascending original-sender order (worker groups stage their senders in
+//!   ascending id order and routing concatenates groups in order, so only
+//!   fault-delayed traffic is ever sorted), so randomized programs replay
+//!   **bit-identically regardless of shard count**.
 //! * [`FaultPlan`] — drop or delay a node's outbox at a chosen round, or
 //!   duplicate / lose individual messages with seeded per-edge rules
 //!   ([`FaultPlan::duplicate_edges`], [`FaultPlan::lose_edges`]), without
@@ -121,7 +119,7 @@ pub use programs::{
     engine_randomized_list_coloring, engine_ruling_forest, layered_slot, layered_slots,
 };
 pub use shard::ShardPlan;
-pub use view::{GraphView, VertexOrder};
+pub use view::GraphView;
 
 /// Total worker threads spawned by engine pools since process start — the
 /// observable a pipeline test pins to prove pool *sharing* actually shares:

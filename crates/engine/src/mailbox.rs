@@ -5,19 +5,16 @@
 //! per routing group holds the `(sender, payload)` entries of the group's
 //! whole dense vertex range packed back to back, and a per-vertex table of
 //! `(start, len)` **spans** says where each inbox lives inside its group's
-//! segment. The routing epoch rebuilds a segment with a **two-pass
-//! counting sort** — count per receiver, prefix-sum into spans, place each
-//! message once, then put each span into delivery order with a second
-//! per-inbox counting pass keyed on the message's precomputed **sender
-//! rank** (see `view::SenderRanks` and `sort_span_by_rank`) — so a
-//! routing epoch is O(traffic) with **zero
-//! comparison sorts** and **no per-message allocation**: segments, spans,
-//! and every counting scratch are reused round over round. The first pass
-//! additionally emits a per-group **active list** — the ascending dense
-//! indices of exactly the non-empty spans — nearly for free: it is the
-//! compute epoch's frontier index (only listed vertices plus the driver's
-//! due wake list are stepped) and the buffer's own next span-reset list,
-//! which is what makes quiescent rounds O(frontier) rather than O(range).
+//! segment. The routing epoch rebuilds a segment with a **counting sort**
+//! — count per receiver, prefix-sum into spans, place each message once —
+//! so a routing epoch is O(traffic) with **no per-message allocation**:
+//! segments, spans, and the counting scratch are reused round over round.
+//! The counting pass additionally emits a per-group **active list** — the
+//! ascending dense indices of exactly the non-empty spans — nearly for
+//! free: it is the compute epoch's frontier index (only listed vertices
+//! plus the driver's due wake list are stepped) and the buffer's own next
+//! span-reset list, which is what makes quiescent rounds O(frontier)
+//! rather than O(range).
 //!
 //! Two such buffers — `cur` (read this round) and `next` (rebuilt for the
 //! coming round) — plus a schedule of fault-delayed batches. Inboxes are
@@ -37,16 +34,15 @@
 //! installed [`FaultPlan::reorder`](crate::FaultPlan::reorder) rule then
 //! adversarially permutes each same-sender run — seeded, shard-invariant.
 //!
-//! The contract is *implemented* without comparing senders: every staged
-//! message carries the rank of its sender in the receiver's neighbor list
-//! (attached in O(1) at stage time from the session's
-//! `SenderRanks` table in `view`). Neighbor lists ascend
-//! in original id, so rank order per receiver ≡ original-sender order,
-//! and a stable per-span counting sort on ranks reproduces the old stable
-//! comparison sort verbatim. Stability comes from placement order —
-//! pending delayed batches are enumerated before the arenas, arenas in
-//! ascending group order — which is exactly the "reserved front sub-band"
-//! each `(receiver, sender)` rank slot gives its late traffic.
+//! The contract is *implemented* by staging order, not by sorting. Dense
+//! order is ascending original id, worker groups own ascending contiguous
+//! dense ranges, each group steps (and so stages) its senders in ascending
+//! order, and routing places the arenas in group order. Fresh traffic
+//! therefore lands in every span already sorted by sender, one sender's
+//! messages in send order with its duplicates after them. Delayed batches
+//! are the one exception: they are placed ahead of the arenas, so a group
+//! with delayed traffic due stable-sorts its spans by sender, which keeps
+//! each delayed batch ahead of fresh traffic from the same sender.
 //!
 //! # Fragmentation and reassembly
 //!
@@ -80,19 +76,15 @@ use crate::pool::RouteEnv;
 use crate::program::EngineMessage;
 
 /// A routed point-to-point message: `(destination dense index, original
-/// sender id, sender rank at the destination, payload)`. The rank — the
-/// sender's position in the receiver's neighbor list, attached at stage
-/// time from the session's [`SenderRanks`](crate::view::SenderRanks)
-/// table — is the routing epoch's counting-sort key; it rides through
-/// delay schedules and duplication so late and cloned traffic sorts
-/// exactly like fresh traffic.
-pub(crate) type Routed<M> = (usize, VertexId, u32, M);
+/// sender id, payload)`.
+pub(crate) type Routed<M> = (usize, VertexId, M);
 
 /// A reusable two-level bitmap: one bit per element plus a summary bit
 /// per 64-bit word, so the set bits of a sparse domain are enumerable in
-/// ascending order in O(set + domain/4096) — the routing epoch's
-/// replacement for sorting its touched-key lists. Grown on demand and
-/// cleared by its own drain, it allocates nothing at steady state.
+/// ascending order in O(set + domain/4096) — how the routing epoch builds
+/// its active lists and the driver its due lists without sorting them.
+/// Grown on demand and cleared by its own drain, it allocates nothing at
+/// steady state.
 #[derive(Default)]
 pub(crate) struct TwoLevelBits {
     words: Vec<u64>,
@@ -123,25 +115,6 @@ impl TwoLevelBits {
         self.any
     }
 
-    /// Visits every set bit in ascending order without clearing.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(usize)) {
-        if !self.any {
-            return;
-        }
-        for (si, &sw0) in self.summary.iter().enumerate() {
-            let mut sw = sw0;
-            while sw != 0 {
-                let wi = (si << 6) | sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                let mut w = self.words[wi];
-                while w != 0 {
-                    f((wi << 6) | w.trailing_zeros() as usize);
-                    w &= w - 1;
-                }
-            }
-        }
-    }
-
     /// Visits every set bit in ascending order, clearing the bitmap —
     /// only the touched words are rewritten.
     pub(crate) fn drain(&mut self, mut f: impl FnMut(usize)) {
@@ -167,94 +140,6 @@ impl TwoLevelBits {
         }
         self.any = false;
     }
-}
-
-/// Per-group scratch of the per-span rank counting sort
-/// ([`sort_span_by_rank`]): grow-on-demand rank counters, the two-level
-/// bitmap that enumerates touched ranks in ascending order, and a
-/// capacity-only spill buffer for the stable placement pass. All three
-/// persist across spans and rounds, so the sort allocates nothing once
-/// the session's degree profile has been seen.
-pub(crate) struct RankScratch<M> {
-    /// Rank → count, then placement cursor. All-zeros between spans.
-    counts: Vec<u32>,
-    /// The ranks touched by the current span.
-    bits: TwoLevelBits,
-    /// Spill buffer for the stable pass; `len` stays 0 — only its
-    /// capacity is used, via raw pointers, so `M` values are moved, never
-    /// dropped here.
-    tmp: Vec<(VertexId, M)>,
-}
-
-impl<M> Default for RankScratch<M> {
-    fn default() -> Self {
-        RankScratch {
-            counts: Vec::new(),
-            bits: TwoLevelBits::default(),
-            tmp: Vec::new(),
-        }
-    }
-}
-
-/// Puts one freshly placed span into delivery order with a **stable
-/// counting sort on sender ranks** — the comparison-free twin of the old
-/// `sort_by_key(|(src, _)| src)`: rank order ≡ original-sender order per
-/// receiver (neighbor lists ascend in original id), and placing the
-/// span's entries in their pre-sort order keeps every equal-rank run —
-/// one sender's send order, delayed-before-fresh, duplicate-after-
-/// original — intact.
-///
-/// `ranks[i]` is the sort key of `span[i]`; the ranks are *consumed* (not
-/// permuted alongside), so the buffer they live in is free for reuse
-/// right after. Spans whose ranks already ascend — under the identity
-/// layout, every span fed by a single worker group, in particular all
-/// single-worker runs — skip the counting entirely (a monotonicity
-/// *check* is not a comparison sort: nothing is reordered by comparisons).
-pub(crate) fn sort_span_by_rank<M>(
-    span: &mut [(VertexId, M)],
-    ranks: &[u32],
-    scratch: &mut RankScratch<M>,
-) {
-    debug_assert_eq!(span.len(), ranks.len());
-    if ranks.len() < 2 || ranks.windows(2).all(|w| w[0] <= w[1]) {
-        return;
-    }
-    let RankScratch { counts, bits, tmp } = scratch;
-    let max = *ranks.iter().max().expect("span is non-empty") as usize;
-    if counts.len() <= max {
-        counts.resize(max + 1, 0);
-    }
-    bits.ensure(max + 1);
-    for &r in ranks {
-        counts[r as usize] += 1;
-        bits.set(r as usize);
-    }
-    // Prefix-sum the touched ranks in ascending order: counters become
-    // placement cursors.
-    let mut total = 0u32;
-    bits.for_each(|r| {
-        let c = counts[r];
-        counts[r] = total;
-        total += c;
-    });
-    let len = span.len();
-    tmp.reserve(len);
-    let spill = tmp.as_mut_ptr();
-    let base = span.as_mut_ptr();
-    // SAFETY: `spill` has capacity for `len` entries and `tmp.len()` stays
-    // 0, so the copies below are moves — each value is read exactly once
-    // and written exactly once back into `span` (the cursors partition
-    // `0..len`), and nothing is double-dropped.
-    unsafe {
-        std::ptr::copy_nonoverlapping(base, spill, len);
-        for (i, &r) in ranks.iter().enumerate() {
-            let cursor = &mut counts[r as usize];
-            base.add(*cursor as usize).write(spill.add(i).read());
-            *cursor += 1;
-        }
-    }
-    // Restore the all-zeros counter invariant, touched entries only.
-    bits.drain(|r| counts[r] = 0);
 }
 
 /// A fragment buffer: accumulates the `(seq, total)` frames of a single
@@ -391,9 +276,8 @@ pub(crate) fn split_roundtrip<M: EngineMessage>(
 ///    reassembled through the group's [`SplitScratch`] ([`split_roundtrip`]);
 /// 2. the optional seeded adversarial reorder of same-sender runs.
 ///
-/// The span arrives **already in delivery order**: the routing epoch's
-/// rank counting pass (`sort_span_by_rank`) put it there, so finalize no
-/// longer sorts anything.
+/// The span arrives **already in delivery order** (see the module docs),
+/// so finalize sorts nothing.
 ///
 /// Message types with a static width bound within the budget
 /// ([`EngineMessage::MAX_WIDTH`]) skip the per-message width scan: no
@@ -534,17 +418,10 @@ pub(crate) struct RouteTargets<M> {
     /// Per-group split scratch (`add(group)` = the group's own), reused
     /// by every message the group's worker fragments.
     pub(crate) split: *mut SplitScratch,
-    /// Per-group rank side-buffers (`add(group)`): during placement the
-    /// routing epoch writes each message's sender rank at the same cursor
-    /// its payload takes in the segment, so the rank counting pass reads
-    /// the span's keys contiguously.
-    pub(crate) rank_bufs: *mut Vec<u32>,
     /// Per-group vertex bitmaps (`add(group)`) marking the dense indices
     /// that received traffic — drained ascending to rebuild the active
     /// list without sorting it.
     pub(crate) vbits: *mut TwoLevelBits,
-    /// Per-group [`sort_span_by_rank`] scratch (`add(group)`).
-    pub(crate) rank_scratch: *mut RankScratch<M>,
 }
 
 impl<M> Clone for RouteTargets<M> {
@@ -575,20 +452,15 @@ pub(crate) struct Mailboxes<M> {
     /// Per-group delayed batches due the round being routed: filled by
     /// [`inject_due`](Mailboxes::inject_due), drained **first** by the
     /// routing epoch so late traffic precedes fresh traffic from the same
-    /// sender after the stable sort.
+    /// sender after the stable sender sort.
     pending: Vec<Vec<Routed<M>>>,
     /// Per-group split scratch (encode arena + reassembly buffer): each
     /// routing worker reuses its own across every over-budget message it
     /// fragments, so steady-state split routing performs zero per-message
     /// allocation and keeps no per-vertex state.
     split: Vec<SplitScratch>,
-    /// Per-group rank side-buffers for the routing epoch (see
-    /// [`RouteTargets::rank_bufs`]).
-    rank_bufs: Vec<Vec<u32>>,
     /// Per-group traffic-receiver bitmaps (see [`RouteTargets::vbits`]).
     vbits: Vec<TwoLevelBits>,
-    /// Per-group rank counting-sort scratch.
-    rank_scratch: Vec<RankScratch<M>>,
     delayed: BTreeMap<u64, Vec<Routed<M>>>,
 }
 
@@ -606,9 +478,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             counts: vec![0; live],
             pending: (0..groups).map(|_| Vec::new()).collect(),
             split: (0..groups).map(|_| SplitScratch::default()).collect(),
-            rank_bufs: (0..groups).map(|_| Vec::new()).collect(),
             vbits: (0..groups).map(|_| TwoLevelBits::default()).collect(),
-            rank_scratch: (0..groups).map(|_| RankScratch::default()).collect(),
             delayed: BTreeMap::new(),
         }
     }
@@ -641,21 +511,19 @@ impl<M: EngineMessage> Mailboxes<M> {
             counts: self.counts.as_mut_ptr(),
             pending: self.pending.as_mut_ptr(),
             split: self.split.as_mut_ptr(),
-            rank_bufs: self.rank_bufs.as_mut_ptr(),
             vbits: self.vbits.as_mut_ptr(),
-            rank_scratch: self.rank_scratch.as_mut_ptr(),
         }
     }
 
     /// Moves any batch whose delay expires at `round` into the per-group
     /// pending lists — must happen *before* fresh traffic is routed so
     /// late traffic precedes fresh traffic from the same sender after the
-    /// stable sort.
+    /// stable sender sort.
     pub(crate) fn inject_due(&mut self, round: u64) {
         if let Some(batch) = self.delayed.remove(&round) {
-            for (dst, src, rank, m) in batch {
-                let g = self.group_of(dst);
-                self.pending[g].push((dst, src, rank, m));
+            for r in batch {
+                let g = self.group_of(r.0);
+                self.pending[g].push(r);
             }
         }
     }
@@ -683,8 +551,8 @@ impl<M: EngineMessage> Mailboxes<M> {
     /// into the `next` segments group by group and finalizes every inbox.
     /// Deliberately the **comparison-sort executable spec** — a stable
     /// sort by destination, placement, then a stable per-inbox sort by
-    /// original sender — that the production rank counting path must
-    /// reproduce verbatim.
+    /// original sender — that the production path, which sorts only
+    /// delayed traffic, must reproduce verbatim.
     #[cfg(test)]
     pub(crate) fn route_serial(
         &mut self,
@@ -724,7 +592,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             for (dv, span) in range.clone().zip(&mut spans[range]) {
                 let start = seg.len();
                 while iter.peek().is_some_and(|r| r.0 == dv) {
-                    let (_, src, _rank, m) = iter.next().expect("peeked");
+                    let (_, src, m) = iter.next().expect("peeked");
                     seg.push((src, m));
                 }
                 *span = (start, seg.len() - start);
@@ -765,7 +633,7 @@ mod tests {
     #[test]
     fn messages_visible_only_after_flip() {
         let mut mail: Mailboxes<u64> = Mailboxes::new(3, vec![0, 3]);
-        mail.route_serial(vec![(2, 0, 0, 7)], &plain_env());
+        mail.route_serial(vec![(2, 0, 7)], &plain_env());
         assert!(mail.inbox(2).is_empty(), "sent this round, not visible yet");
         mail.flip();
         assert_eq!(mail.inbox(2), &[(0, 7)]);
@@ -779,10 +647,7 @@ mod tests {
         let mut mail: Mailboxes<u64> = Mailboxes::new(4, vec![0, 4]);
         // Sender 2 then sender 0, sender 2 again: sorted to 0, 2, 2 with
         // sender 2's messages in send order.
-        mail.route_serial(
-            vec![(3, 2, 2, 10), (3, 0, 0, 20), (3, 2, 2, 11)],
-            &plain_env(),
-        );
+        mail.route_serial(vec![(3, 2, 10), (3, 0, 20), (3, 2, 11)], &plain_env());
         mail.flip();
         assert_eq!(mail.inbox(3), &[(0, 20), (2, 10), (2, 11)]);
     }
@@ -793,7 +658,7 @@ mod tests {
         // of vertices 0 and 1 back to back; group 1's those of 2 and 3.
         let mut mail: Mailboxes<u64> = Mailboxes::new(4, vec![0, 2, 4]);
         mail.route_serial(
-            vec![(1, 3, 3, 30), (0, 2, 2, 20), (1, 0, 0, 10), (3, 1, 1, 40)],
+            vec![(1, 3, 30), (0, 2, 20), (1, 0, 10), (3, 1, 40)],
             &plain_env(),
         );
         mail.flip();
@@ -818,7 +683,7 @@ mod tests {
     #[test]
     fn delayed_batches_arrive_on_time_and_first() {
         let mut mail: Mailboxes<u64> = Mailboxes::new(2, vec![0, 2]);
-        mail.schedule(3, vec![(1, 0, 0, 99)]);
+        mail.schedule(3, vec![(1, 0, 99)]);
         // Rounds 1 and 2: nothing due.
         for round in 1..3u64 {
             mail.inject_due(round);
@@ -830,7 +695,7 @@ mod tests {
         // Round 3: due batch plus fresh traffic from the same sender — the
         // delayed message comes first.
         mail.inject_due(3);
-        mail.route_serial(vec![(1, 0, 0, 100)], &plain_env());
+        mail.route_serial(vec![(1, 0, 100)], &plain_env());
         mail.flip();
         assert_eq!(mail.inbox(1), &[(0, 99), (0, 100)]);
         assert!(!mail.has_pending_delays());
@@ -937,58 +802,15 @@ mod tests {
         for i in [9_999usize, 0, 4_096, 63, 64, 4_095, 9_999] {
             bits.set(i);
         }
-        let mut seen = Vec::new();
-        bits.for_each(|i| seen.push(i));
-        assert_eq!(seen, vec![0, 63, 64, 4_095, 4_096, 9_999]);
         let mut drained = Vec::new();
         bits.drain(|i| drained.push(i));
-        assert_eq!(drained, seen, "drain visits the same ascending set");
+        assert_eq!(drained, vec![0, 63, 64, 4_095, 4_096, 9_999]);
         assert!(!bits.any());
-        bits.for_each(|_| panic!("cleared bitmap must be empty"));
+        bits.drain(|_| panic!("cleared bitmap must be empty"));
         // Reusable after draining.
         bits.set(7);
         let mut again = Vec::new();
         bits.drain(|i| again.push(i));
         assert_eq!(again, vec![7]);
-    }
-
-    #[test]
-    fn rank_sort_matches_the_stable_comparison_sort() {
-        let mut scratch = RankScratch::default();
-        // Deterministic pseudo-random spans, checked against the spec.
-        let mut state = 0x9e37_79b9u64;
-        for len in [0usize, 1, 2, 3, 7, 64, 257] {
-            let mut span: Vec<(VertexId, u32)> = Vec::new();
-            let mut ranks: Vec<u32> = Vec::new();
-            for i in 0..len {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let r = (state >> 33) as u32 % 17;
-                // Payload i makes every entry unique, so stability is
-                // observable: equal ranks must keep their span order.
-                span.push((r as usize, i as u32));
-                ranks.push(r);
-            }
-            let mut expect = span.clone();
-            expect.sort_by_key(|&(src, _)| src);
-            sort_span_by_rank(&mut span, &ranks, &mut scratch);
-            assert_eq!(span, expect, "len {len}");
-            assert!(scratch.tmp.is_empty(), "spill buffer must stay length 0");
-        }
-    }
-
-    #[test]
-    fn rank_sort_fast_path_skips_sorted_spans() {
-        let mut scratch = RankScratch::default();
-        let mut span: Vec<(VertexId, u32)> = vec![(3, 0), (3, 1), (5, 2), (9, 3)];
-        let ranks = vec![0u32, 0, 1, 4];
-        sort_span_by_rank(&mut span, &ranks, &mut scratch);
-        assert_eq!(span, vec![(3, 0), (3, 1), (5, 2), (9, 3)]);
-        assert_eq!(
-            scratch.counts.len(),
-            0,
-            "already-sorted spans never touch the counters"
-        );
     }
 }

@@ -34,21 +34,23 @@
 //! * **Routing epoch** — worker `g` rebuilds its group's `next` segment
 //!   with a **counting sort** over bucket `g` of *every* arena (in
 //!   ascending group order): count per receiver, prefix-sum into the span
-//!   table, place each message exactly once into the contiguous segment,
-//!   then put each span into delivery order with a second counting pass on
-//!   its precomputed sender ranks (`mailbox::sort_span_by_rank` — no
-//!   comparison sort anywhere in the epoch). Steady-state rounds
-//!   perform no per-message allocation — segments, spans, and the counting
-//!   scratch persist across rounds. Between the two epochs the driver does
-//!   the cheap global work: tallying fault counters, scheduling
-//!   fault-delayed batches, and injecting batches that come due.
+//!   table, and place each message exactly once into the contiguous
+//!   segment. Steady-state rounds perform no per-message allocation —
+//!   segments, spans, and the counting scratch persist across rounds.
+//!   Between the two epochs the driver does the cheap global work:
+//!   tallying fault counters, scheduling fault-delayed batches, and
+//!   injecting batches that come due.
 //!
-//! Determinism is untouched: for any inbox, messages arrive in (source
-//! group, staging order) order — exactly the order the old driver-side
-//! drain produced — and the final stable rank counting pass reproduces the
-//! historical stable sort by original sender id verbatim, making
-//! the delivered order a pure function of the traffic. Worker count and
-//! shard count remain pure performance knobs.
+//! Determinism: for any inbox, messages are placed in (source group,
+//! staging order) order. Groups own ascending dense ranges and step their
+//! senders in ascending dense (= original id) order, so that placement
+//! order *is* the delivery order — ascending sender, one sender's messages
+//! in send order — with no sort at all. The one exception is fault-delayed
+//! traffic, which is placed ahead of the fresh traffic: a group that had
+//! delayed batches due stable-sorts its spans by sender, which keeps each
+//! delayed batch ahead of fresh traffic from the same sender. Either way
+//! the delivered order is a pure function of the traffic, so worker count
+//! and shard count remain pure performance knobs.
 //!
 //! * **Worker lifetime** — `workers - 1` OS threads are spawned when the
 //!   core boots (per session by default, once per pipeline with a shared
@@ -83,11 +85,9 @@ use graphs::VertexId;
 use crate::context::NodeCtx;
 use crate::driver::wake_round;
 use crate::faults::{FaultAction, FaultPlan};
-use crate::mailbox::{
-    finalize_inbox, sort_span_by_rank, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed,
-};
+use crate::mailbox::{finalize_inbox, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed};
 use crate::program::{EngineMessage, NodeProgram, Outbox};
-use crate::view::{GraphView, SenderRanks};
+use crate::view::GraphView;
 
 /// Global count of worker threads ever spawned by any [`PoolCore`] in this
 /// process — the observable that pins "pool sharing actually shares": a
@@ -105,9 +105,6 @@ pub(crate) struct StageEnv<'a> {
     /// The session's view: each step's [`NodeCtx`] is built from it, and
     /// staging maps original ids to dense indices through it.
     pub(crate) view: &'a GraphView<'a>,
-    /// Per-directed-edge sender ranks (see [`SenderRanks`]): staging
-    /// attaches each message's counting-sort key in O(1).
-    pub(crate) ranks: &'a SenderRanks,
     /// Dense group boundaries, ascending, `len = groups + 1`.
     pub(crate) bounds: &'a [usize],
     /// Per-message width budget (`usize::MAX` = no CONGEST mode).
@@ -264,13 +261,16 @@ impl<M> ShardYield<M> {
 /// reading inboxes from the group's segment view and expanding outboxes
 /// into `y`'s bucketed arena, applying faults.
 ///
+/// Nodes are stepped in ascending dense order — the staging order the
+/// routing epoch relies on to place every inbox in sender order.
+///
 /// With `env.frontier` set this is **frontier-indexed**: instead of
 /// scanning the whole range, only the vertices of the inbox active list
-/// (built for free by last round's routing epoch) plus the driver's `due`
-/// wake list are stepped, so quiescent-bulk rounds cost O(frontier)
-/// rather than O(range). A node in neither list behaves exactly as if its
-/// `on_round` had returned `Silent` without touching state — the
-/// [`Activation`](crate::Activation) contract. Both lists are pure
+/// (built for free by last round's routing epoch) merged with the
+/// driver's `due` wake list (both ascending) are stepped, so quiescent-bulk
+/// rounds cost O(frontier) rather than O(range). A node in neither list
+/// behaves exactly as if its `on_round` had returned `Silent` without
+/// touching state — the [`Activation`](crate::Activation) contract. Both lists are pure
 /// functions of shard-invariant state (the routed traffic and the hints),
 /// so gated runs replay bit-identically at any shard count; with the flag
 /// off, every node of the range is stepped — the historical full scan.
@@ -312,18 +312,22 @@ pub(crate) fn run_range<P: NodeProgram>(
             let wake = wake_round(step(i, y), round);
             y.new_wakes.push((base + i, wake));
         };
+        debug_assert!(due.windows(2).all(|w| w[0] < w[1]), "due ascends");
+        debug_assert!(due.iter().all(|&dv| dv >= base && dv - base < len));
+        // Merge the two ascending lists. A due node with traffic is also on
+        // the active list (active holds exactly the non-empty inboxes) and
+        // is stepped once, from there.
+        let mut due = due.iter().copied().peekable();
         for &dv in inboxes.active {
             debug_assert!(dv >= base && dv - base < len);
+            while let Some(d) = due.next_if(|&d| d < dv) {
+                step_and_wake(d - base, y);
+            }
+            due.next_if_eq(&dv);
             step_and_wake(dv - base, y);
         }
-        for &dv in due {
-            debug_assert!(dv >= base && dv - base < len);
-            // A due node with traffic was already stepped off the active
-            // list; the lists are otherwise disjoint (active holds exactly
-            // the non-empty inboxes) and internally duplicate-free.
-            if inboxes.inbox(dv - base).is_empty() {
-                step_and_wake(dv - base, y);
-            }
+        for d in due {
+            step_and_wake(d - base, y);
         }
     } else {
         for i in 0..inboxes.len() {
@@ -470,8 +474,9 @@ fn lose_batch<M: EngineMessage>(
 
 /// Appends a seeded duplicate of each chosen message right after the
 /// current outbox's batch in its bucket. Keyed on `(round, src, original
-/// dst, occurrence)`, so the decision — and the delivered order, after the
-/// stable sender sort — is independent of the bucket partition.
+/// dst, occurrence)`, so the decision — and the delivered order, where each
+/// duplicate follows its sender's batch — is independent of the bucket
+/// partition.
 fn duplicate_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
@@ -519,17 +524,10 @@ fn expand_into<M: EngineMessage>(
     buckets: &mut [UnsafeCell<Vec<Routed<M>>>],
 ) -> usize {
     let dense = env.view.dense_table();
-    let sv = dense[src];
-    debug_assert_ne!(sv, usize::MAX, "stepped senders are live");
-    // `i` is the destination's position in the sender's neighbor list —
-    // the coordinate [`SenderRanks`] is keyed on. Broadcasts get it for
-    // free from the loop; unicast/multi reuse the membership check's
-    // binary-search position, so attaching the rank costs O(1) either way.
-    let push = |dst: VertexId, i: usize, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
+    let push = |dst: VertexId, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
         let dv = dense[dst];
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
-        let rank = env.ranks.rank(sv, i);
-        buckets[env.group_of(dv)].get_mut().push((dv, src, rank, m));
+        buckets[env.group_of(dv)].get_mut().push((dv, src, m));
     };
     match outbox {
         Outbox::Silent => 0,
@@ -538,27 +536,27 @@ fn expand_into<M: EngineMessage>(
                 return 0;
             }
             let width = m.width();
-            for (i, &dst) in neighbors.iter().enumerate() {
-                push(dst, i, m.clone(), buckets);
+            for &dst in neighbors {
+                push(dst, m.clone(), buckets);
             }
             width
         }
         Outbox::Unicast(dst, m) => {
-            let Ok(i) = neighbors.binary_search(&dst) else {
+            if neighbors.binary_search(&dst).is_err() {
                 panic!("node {src} unicast to non-neighbor {dst}")
-            };
+            }
             let width = m.width();
-            push(dst, i, m, buckets);
+            push(dst, m, buckets);
             width
         }
         Outbox::Multi(msgs) => {
             let mut width = 0;
             for (dst, m) in msgs {
-                let Ok(i) = neighbors.binary_search(&dst) else {
+                if neighbors.binary_search(&dst).is_err() {
                     panic!("node {src} sent to non-neighbor {dst}")
-                };
+                }
                 width = width.max(m.width());
-                push(dst, i, m, buckets);
+                push(dst, m, buckets);
             }
             width
         }
@@ -568,13 +566,18 @@ fn expand_into<M: EngineMessage>(
 /// The routing epoch's per-worker share: rebuild group `group`'s `next`
 /// segment with a counting sort over its pending-delayed list and bucket
 /// `group` of every arena (pending first, then ascending arena order —
-/// the determinism contract), put each span into delivery order with the
-/// rank counting pass (`mailbox::sort_span_by_rank` over the rank
-/// side-buffer filled during placement), then finalize it — fragmentation
-/// / reassembly in split mode and the optional adversarial reorder (see
+/// the determinism contract), then finalize each span — fragmentation /
+/// reassembly in split mode and the optional adversarial reorder (see
 /// `mailbox::finalize_inbox`). Returns the range's [`RouteTally`] (frames
-/// produced, widest delivered message). No step compares two messages:
-/// the epoch is O(traffic + frontier).
+/// produced, widest delivered message).
+///
+/// Arenas hold ascending sender ranges and each stages its senders in
+/// ascending order, so a span placed from the arenas alone is already in
+/// delivery order. Delayed traffic is placed first and breaks that; when
+/// the pending list was non-empty, every span of the group is stable-sorted
+/// by sender, which keeps delayed-before-fresh and duplicate-after-original
+/// within each sender. Without due delays the epoch compares nothing and
+/// is O(traffic + frontier).
 ///
 /// The sort is **frontier-sparse**: every pass walks only the vertices
 /// that actually receive traffic this round, collected into the buffer's
@@ -611,9 +614,7 @@ unsafe fn route_range<M: EngineMessage>(
     let pending = unsafe { &mut *t.pending.add(group) };
     let seg = unsafe { &mut *t.segs.add(group) };
     let split = unsafe { &mut *t.split.add(group) };
-    let rank_buf = unsafe { &mut *t.rank_bufs.add(group) };
     let vbits = unsafe { &mut *t.vbits.add(group) };
-    let rank_scratch = unsafe { &mut *t.rank_scratch.add(group) };
 
     // Reset exactly the spans this buffer's previous routing left
     // non-empty — its active list. Every other span of the range is
@@ -629,7 +630,7 @@ unsafe fn route_range<M: EngineMessage>(
     // marking each receiver in the group's two-level bitmap. `counts` is
     // all-zeros on entry (each routing re-zeroes what it touched).
     vbits.ensure(range.len());
-    for &(dv, _, _, _) in pending.iter() {
+    for &(dv, _, _) in pending.iter() {
         debug_assert!(range.contains(&dv), "pending {group} holds only our range");
         counts[dv - base] += 1;
         vbits.set(dv - base);
@@ -668,26 +669,17 @@ unsafe fn route_range<M: EngineMessage>(
 
     // Placement pass, same source order as the counting pass: pending
     // first (so delayed batches precede fresh same-sender traffic after
-    // the stable rank pass), then the arenas in ascending order. Each
-    // message's sender rank lands in the side-buffer at the same cursor
-    // its payload takes, giving the rank pass contiguous keys per span.
+    // the stable sender sort), then the arenas in ascending order.
+    let had_pending = !pending.is_empty();
     seg.clear();
     seg.reserve(total);
-    if rank_buf.len() < total {
-        rank_buf.resize(total, 0);
-    }
     let out = seg.as_mut_ptr();
-    let rank_out = rank_buf.as_mut_ptr();
     {
-        let mut place = |(dv, src, rank, m): Routed<M>| {
+        let mut place = |(dv, src, m): Routed<M>| {
             let cursor = &mut counts[dv - base];
-            // SAFETY: cursor < total ≤ capacity (and ≤ rank_buf.len()), and
-            // both passes see the same messages, so every slot is written
-            // exactly once.
-            unsafe {
-                out.add(*cursor).write((src, m));
-                rank_out.add(*cursor).write(rank);
-            }
+            // SAFETY: cursor < total ≤ capacity, and both passes see the
+            // same messages, so every slot is written exactly once.
+            unsafe { out.add(*cursor).write((src, m)) };
             *cursor += 1;
         };
         for r in pending.drain(..) {
@@ -704,24 +696,22 @@ unsafe fn route_range<M: EngineMessage>(
     // SAFETY: exactly `total` slots were initialized above.
     unsafe { seg.set_len(total) };
 
-    // Rank-sort and finalize only the active spans — there are no other
-    // non-empty ones — and restore the all-zeros counting-scratch
-    // invariant as we go.
+    // Finalize only the active spans — there are no other non-empty ones
+    // — and restore the all-zeros counting-scratch invariant as we go.
     let mut tally = RouteTally::default();
     for &dv in active.iter() {
         let (start, len) = spans[dv - base];
         counts[dv - base] = 0;
-        sort_span_by_rank(
-            &mut seg[start..start + len],
-            &rank_buf[start..start + len],
-            rank_scratch,
-        );
-        tally.absorb(finalize_inbox(
-            &mut seg[start..start + len],
-            env.live[dv],
-            env,
-            split,
-        ));
+        let span = &mut seg[start..start + len];
+        if had_pending {
+            span.sort_by_key(|&(src, _)| src);
+        } else {
+            debug_assert!(
+                span.windows(2).all(|w| w[0].0 <= w[1].0),
+                "fresh traffic is placed in sender order"
+            );
+        }
+        tally.absorb(finalize_inbox(span, env.live[dv], env, split));
     }
     tally
 }
@@ -1053,10 +1043,10 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 
     /// Runs one **routing epoch**: worker `g` rebuilds group `g`'s `next`
     /// segment from bucket `g` of every arena plus its pending-delayed
-    /// list, and finalizes every span of `ranges[g]` (split / sort /
-    /// reorder; group 0 on the calling thread). `targets` must come from
-    /// the session's [`Mailboxes::next_targets`]; `ranges` must match the
-    /// compute epoch's. Returns the epoch's [`RouteTally`].
+    /// list, and finalizes every span of `ranges[g]` (delayed-traffic sort
+    /// / split / reorder; group 0 on the calling thread). `targets` must
+    /// come from the session's [`Mailboxes::next_targets`]; `ranges` must
+    /// match the compute epoch's. Returns the epoch's [`RouteTally`].
     pub(crate) fn route(
         &mut self,
         targets: RouteTargets<P::Message>,
@@ -1130,25 +1120,21 @@ mod tests {
     }
 
     /// An edgeless `n`-vertex graph — its whole view is the identity id
-    /// table (staging takes neighbor lists as arguments) — plus one group
-    /// and a `by_src` rank table that makes every staged rank the sender's
-    /// dense index: under identity tables, rank == original sender id, so
-    /// expected tuples read directly.
-    fn identity_tables(n: usize) -> (Graph, Vec<usize>, SenderRanks) {
-        (Graph::from_edges(n, []), vec![0, n], SenderRanks::by_src(n))
+    /// table (staging takes neighbor lists as arguments), so expected
+    /// tuples read directly — plus one group.
+    fn identity_tables(n: usize) -> (Graph, Vec<usize>) {
+        (Graph::from_edges(n, []), vec![0, n])
     }
 
     fn env<'a>(
         faults: &'a FaultPlan,
         view: &'a GraphView<'a>,
         bounds: &'a [usize],
-        ranks: &'a SenderRanks,
     ) -> StageEnv<'a> {
         StageEnv {
             faults,
             view,
             bounds,
-            ranks,
             congest: usize::MAX,
             frontier: true,
         }
@@ -1158,15 +1144,15 @@ mod tests {
     fn expand_into_appends_and_reports_width() {
         let neighbors = [1usize, 3, 5];
         let faults = FaultPlan::new();
-        let (g, bounds, ranks) = identity_tables(6);
+        let (g, bounds) = identity_tables(6);
         let view = GraphView::whole(&g);
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 2);
         assert_eq!(
             y.bucket_mut(0),
-            &vec![(1, 0, 0, W(2)), (3, 0, 0, W(2)), (5, 0, 0, W(2))]
+            &vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
         );
         stage_outbox(0, Outbox::Unicast(3, W(7)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 7);
@@ -1183,14 +1169,14 @@ mod tests {
         // messages to {4, 5} in bucket 1.
         let neighbors = [1usize, 2, 4, 5];
         let faults = FaultPlan::new();
-        let (g, _, ranks) = identity_tables(6);
+        let (g, _) = identity_tables(6);
         let view = GraphView::whole(&g);
         let bounds = vec![0, 3, 6];
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(2);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.bucket_mut(0), &vec![(1, 3, 3, W(1)), (2, 3, 3, W(1))]);
-        assert_eq!(y.bucket_mut(1), &vec![(4, 3, 3, W(1)), (5, 3, 3, W(1))]);
+        assert_eq!(y.bucket_mut(0), &vec![(1, 3, W(1)), (2, 3, W(1))]);
+        assert_eq!(y.bucket_mut(1), &vec![(4, 3, W(1)), (5, 3, W(1))]);
         assert_eq!(y.messages, 4);
     }
 
@@ -1198,9 +1184,9 @@ mod tests {
     fn stage_outbox_applies_faults_in_place() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().drop_outbox(0, 5).delay_outbox(0, 6, 2);
-        let (g, bounds, ranks) = identity_tables(3);
+        let (g, bounds) = identity_tables(3);
         let view = GraphView::whole(&g);
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
         assert_eq!((y.messages, y.bucket_mut(0).len()), (2, 2), "delivered");
@@ -1219,21 +1205,16 @@ mod tests {
     fn duplication_appends_after_the_batch_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().duplicate_edges(3, 1.0);
-        let (g, bounds, ranks) = identity_tables(3);
+        let (g, bounds) = identity_tables(3);
         let view = GraphView::whole(&g);
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "originals only");
         assert_eq!(y.duplicated, 2, "probability 1.0 duplicates both");
         assert_eq!(
             y.bucket_mut(0),
-            &vec![
-                (1, 0, 0, W(1)),
-                (2, 0, 0, W(1)),
-                (1, 0, 0, W(1)),
-                (2, 0, 0, W(1))
-            ]
+            &vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
         );
     }
 
@@ -1241,9 +1222,9 @@ mod tests {
     fn loss_removes_in_place_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().lose_edges(3, 1.0);
-        let (g, bounds, ranks) = identity_tables(3);
+        let (g, bounds) = identity_tables(3);
         let view = GraphView::whole(&g);
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "loss does not change the sent count");
@@ -1256,12 +1237,12 @@ mod tests {
         // Find a (seed, round) where exactly one of the two messages is
         // lost, and check the survivor stays, in place.
         let neighbors = [1usize, 2, 3];
-        let (g, bounds, ranks) = identity_tables(4);
+        let (g, bounds) = identity_tables(4);
         let view = GraphView::whole(&g);
         let mut found = false;
         for seed in 0..64u64 {
             let faults = FaultPlan::new().lose_edges(seed, 0.5);
-            let e = env(&faults, &view, &bounds, &ranks);
+            let e = env(&faults, &view, &bounds);
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.lost == 1 {
@@ -1289,7 +1270,7 @@ mod tests {
             .collect();
         let prefix_occurrence =
             |msgs: &[(usize, W)], i: usize| msgs[..i].iter().filter(|m| m.0 == msgs[i].0).count();
-        let (g, _, ranks) = identity_tables(4);
+        let (g, _) = identity_tables(4);
         let view = GraphView::whole(&g);
         let mut repeats_decided = false;
         for seed in 0..32u64 {
@@ -1311,7 +1292,7 @@ mod tests {
             // One group, and two groups splitting target 1 from 2 and 3:
             // each bucket holds its survivors, then its duplicates.
             for bounds in [vec![0, 4], vec![0, 2, 4]] {
-                let e = env(&faults, &view, &bounds, &ranks);
+                let e = env(&faults, &view, &bounds);
                 let mut y: ShardYield<W> = ShardYield::with_groups(bounds.len() - 1);
                 stage_outbox(0, Outbox::Multi(batch.clone()), &neighbors, 1, &e, &mut y);
                 assert_eq!(y.lost, batch.len() - survivors.len(), "seed {seed}");
@@ -1325,7 +1306,7 @@ mod tests {
                         .cloned()
                         .collect();
                     let got: Vec<(usize, W)> =
-                        y.bucket_mut(b).iter().map(|r| (r.0, r.3.clone())).collect();
+                        y.bucket_mut(b).iter().map(|r| (r.0, r.2.clone())).collect();
                     assert_eq!(got, expect, "seed {seed}, bucket {b} of {bounds:?}");
                 }
             }
@@ -1337,9 +1318,9 @@ mod tests {
     #[should_panic(expected = "CONGEST violation")]
     fn congest_budget_rejects_wide_messages() {
         let faults = FaultPlan::new();
-        let (g, bounds, ranks) = identity_tables(3);
+        let (g, bounds) = identity_tables(3);
         let view = GraphView::whole(&g);
-        let mut e = env(&faults, &view, &bounds, &ranks);
+        let mut e = env(&faults, &view, &bounds);
         e.congest = 4;
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(4)), &[1], 1, &e, &mut y);
@@ -1350,9 +1331,9 @@ mod tests {
     #[test]
     fn arena_reset_keeps_capacity() {
         let faults = FaultPlan::new();
-        let (g, bounds, ranks) = identity_tables(5);
+        let (g, bounds) = identity_tables(5);
         let view = GraphView::whole(&g);
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &[1, 2, 3, 4], 1, &e, &mut y);
         let cap = y.bucket_mut(0).capacity();
@@ -1377,16 +1358,20 @@ mod tests {
     #[test]
     fn routing_epoch_counting_sort_matches_contract() {
         use crate::mailbox::Mailboxes;
-        // Three vertices in one group; traffic from two arenas plus a
-        // delayed batch due this round. Per inbox the pre-sort order is
-        // pending first, then arena order × staging order; the stable
-        // rank counting pass then fixes the delivered order.
+        // Three vertices in one group; traffic from two arenas staged the
+        // way the compute epoch stages it — arena 0 holds senders 0 and 1,
+        // arena 1 sender 2, each in ascending sender order. Placement alone
+        // (arena order × staging order) is then the delivery order.
         let mut mail: Mailboxes<W> = Mailboxes::new(3, vec![0, 3]);
-        mail.schedule(2, vec![(0, 2, 2, W(9))]);
-        mail.inject_due(2);
         let arenas = [
-            mk(vec![(0, 1, 1, W(1)), (2, 0, 0, W(2)), (0, 0, 0, W(3))]),
-            mk(vec![(1, 2, 2, W(4)), (0, 0, 0, W(5))]),
+            mk(vec![
+                (0, 0, W(1)),
+                (2, 0, W(2)),
+                (0, 0, W(3)),
+                (1, 1, W(4)),
+                (0, 1, W(5)),
+            ]),
+            mk(vec![(1, 2, W(6)), (0, 2, W(7))]),
         ];
         let live = [0usize, 1, 2];
         let env = RouteEnv {
@@ -1400,9 +1385,8 @@ mod tests {
         let tally = unsafe { route_range(&arenas, 0, mail.next_targets(), 0..3, &env) };
         assert_eq!(tally.fragments, 0);
         mail.flip();
-        // Inbox 0 pre-sort: (2, 9) pending, then (1, 1), (0, 3), (0, 5).
-        assert_eq!(mail.inbox(0), &[(0, W(3)), (0, W(5)), (1, W(1)), (2, W(9))]);
-        assert_eq!(mail.inbox(1), &[(2, W(4))]);
+        assert_eq!(mail.inbox(0), &[(0, W(1)), (0, W(3)), (1, W(5)), (2, W(7))]);
+        assert_eq!(mail.inbox(1), &[(1, W(4)), (2, W(6))]);
         assert_eq!(mail.inbox(2), &[(0, W(2))]);
         for a in &arenas {
             // SAFETY: as above.
@@ -1416,14 +1400,14 @@ mod tests {
     #[test]
     fn delayed_batch_precedes_fresh_same_sender_under_rank_routing() {
         use crate::mailbox::Mailboxes;
-        // The rank band pins the contract: a delay-fault batch from sender
-        // 1 due this round must land *ahead of* fresh round traffic from
-        // the same sender 1 (equal rank, pending placed first), while a
-        // lower-rank fresh sender still sorts ahead of both.
+        // Delayed traffic is placed ahead of fresh traffic, so its group
+        // sorts by sender. A delay-fault batch from sender 1 due this round
+        // must land *ahead of* fresh round traffic from the same sender 1,
+        // while a lower fresh sender still sorts ahead of both.
         let mut mail: Mailboxes<W> = Mailboxes::new(2, vec![0, 2]);
-        mail.schedule(5, vec![(0, 1, 1, W(7))]);
+        mail.schedule(5, vec![(0, 1, W(7))]);
         mail.inject_due(5);
-        let arenas = [mk(vec![(0, 1, 1, W(8)), (0, 0, 0, W(6))])];
+        let arenas = [mk(vec![(0, 0, W(6)), (0, 1, W(8))])];
         let live = [0usize, 1];
         let env = RouteEnv {
             split: usize::MAX,
@@ -1439,12 +1423,50 @@ mod tests {
     }
 
     #[test]
+    fn frontier_steps_due_and_active_senders_in_ascending_order() {
+        // Star 0–1, 0–2. Sender 2 has mail (active list), sender 1 is only
+        // due by a wake hint; both broadcast to receiver 0. Staging must
+        // walk the merged frontier ascending, so the bucket — and with it
+        // receiver 0's inbox — lists sender 1 before sender 2.
+        struct Shout;
+        impl NodeProgram for Shout {
+            type Message = W;
+            fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<W> {
+                Outbox::Silent
+            }
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(VertexId, W)]) -> Outbox<W> {
+                Outbox::Broadcast(W(ctx.id))
+            }
+            fn halted(&self) -> bool {
+                false
+            }
+        }
+        let g = Graph::from_edges(3, [(0, 1), (0, 2)]);
+        let view = GraphView::whole(&g);
+        let faults = FaultPlan::new();
+        let bounds = [0, 3];
+        let e = env(&faults, &view, &bounds);
+        let mut programs = [Shout, Shout, Shout];
+        let seg = [(0, W(0))];
+        let spans = [(0, 0), (0, 0), (0, 1)];
+        let inboxes = GroupInboxes {
+            seg: &seg,
+            spans: &spans,
+            active: &[2],
+        };
+        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
+        assert_eq!(y.stepped, 2);
+        assert_eq!(y.bucket_mut(0), &vec![(0, 1, W(1)), (0, 2, W(2))]);
+    }
+
+    #[test]
     fn group_of_respects_bounds() {
         let faults = FaultPlan::new();
-        let (g, _, ranks) = identity_tables(10);
+        let (g, _) = identity_tables(10);
         let view = GraphView::whole(&g);
         let bounds = vec![0, 4, 7, 10];
-        let e = env(&faults, &view, &bounds, &ranks);
+        let e = env(&faults, &view, &bounds);
         let groups: Vec<usize> = (0..10).map(|dv| e.group_of(dv)).collect();
         assert_eq!(groups, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }

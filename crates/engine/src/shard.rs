@@ -1,18 +1,15 @@
 //! Vertex sharding: how the network is split across worker threads.
 //!
 //! Shards are contiguous, near-equal ranges of the session's **dense**
-//! live-vertex index (see [`GraphView`]) — for an
-//! unmasked identity-order session that is the vertex-id range itself;
-//! under [`VertexOrder::Locality`](crate::VertexOrder) it is a span of the
-//! relabeled cache-local layout, so a shard is a graph neighborhood.
-//! Contiguity matters twice: worker threads walk cache-friendly slices,
-//! and shard ranges tile the dense index space, so the routing epoch can
-//! hand each worker one contiguous block of spans. Delivery order does not
-//! depend on the partition at all: each inbox is put into ascending
-//! original-sender order by a counting pass on precomputed sender ranks
-//! (see `mailbox`), and under the identity layout a span fed by one worker
-//! group arrives already rank-sorted (staging walks ascending ids), so the
-//! pass's monotonicity fast path skips it.
+//! live-vertex index (see [`GraphView`]) — for an unmasked session that is
+//! the vertex-id range itself, and dense order always ascends in original
+//! id. Contiguity matters three times: worker threads walk cache-friendly
+//! slices; shard ranges tile the dense index space, so the routing epoch
+//! can hand each worker one contiguous block of spans; and because the
+//! ranges ascend, staging each group's senders in ascending order and
+//! draining the groups in order places every inbox in ascending
+//! original-sender order (see `mailbox`). Delivery order therefore does
+//! not depend on the partition at all.
 
 use std::ops::Range;
 

@@ -46,7 +46,6 @@ pub mod gen;
 pub mod girth;
 pub mod graph;
 pub mod iso;
-pub mod order;
 pub mod subgraph;
 pub mod traversal;
 pub mod vertex_set;
@@ -64,7 +63,6 @@ pub use exact::{chromatic_number, is_proper, is_proper_list_coloring, k_coloring
 pub use girth::{girth, is_triangle_free};
 pub use graph::{Edge, Graph, GraphBuilder, VertexId};
 pub use iso::{are_isomorphic, are_rooted_isomorphic, isomorphism};
-pub use order::locality_order;
 pub use subgraph::InducedSubgraph;
 pub use traversal::{
     ball, bfs_distances, bfs_parents, bipartition, component_of, components, eccentricity,

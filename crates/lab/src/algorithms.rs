@@ -142,7 +142,6 @@ fn engine_config(spec: &TrialSpec, n: usize) -> EngineConfig {
         .with_workers(spec.workers.resolve(spec.shards))
         .with_congest(spec.congest.to_mode())
         .with_frontier(spec.frontier)
-        .with_order(spec.order.to_order())
         .with_faults(spec.faults.plan(n))
 }
 
@@ -418,7 +417,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     // The pipeline manages its own residual masks; `mask_mod` does not
     // apply. Sequential trials run the simulation; engine trials put every
     // phase on masked sessions cloned from the trial's engine config, so its
-    // workers, congest mode, fault plan, frontier and order reach each
+    // workers, congest mode, fault plan and frontier reach each
     // internal session.
     let d = spec.params.d;
     let lists = ListAssignment::uniform(g.n(), d);
@@ -487,7 +486,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{CongestSpec, FaultSpec, OrderSpec, Params, WorkerSpec};
+    use crate::schema::{CongestSpec, FaultSpec, Params, WorkerSpec};
 
     fn spec(algorithm: &str, shards: usize) -> TrialSpec {
         TrialSpec {
@@ -501,7 +500,6 @@ mod tests {
             workers: WorkerSpec::MatchShards,
             congest: CongestSpec::Unlimited,
             faults: FaultSpec::default(),
-            order: OrderSpec::Identity,
             frontier: true,
             rep: 0,
             params: Params::default(),
@@ -551,28 +549,6 @@ mod tests {
                 "{alg}: ledger-identical"
             );
             assert!(one.metrics.is_some());
-        }
-    }
-
-    #[test]
-    fn locality_order_replays_identity_everywhere() {
-        for alg in names() {
-            let g = match alg {
-                "randomized" => graphs::gen::random_regular(40, 4, 7),
-                "theorem13" => graphs::gen::apollonian(40, 7),
-                "h-partition" => graphs::gen::forest_union(40, 2, 7),
-                _ => graphs::gen::grid(6, 6),
-            };
-            let identity = run(&spec(alg, 2), &g);
-            let mut local_spec = spec(alg, 2);
-            local_spec.order = OrderSpec::Locality;
-            let local = run(&local_spec, &g);
-            assert!(local.valid, "{alg} locality: {:?}", local.invalid_reason);
-            assert_eq!(
-                local.output_hash, identity.output_hash,
-                "{alg}: the relabeled layout must replay bit for bit"
-            );
-            assert_eq!(local.ledger_rounds, identity.ledger_rounds, "{alg}");
         }
     }
 

@@ -68,7 +68,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             (None, true) => format!("ok {:8.2} ms", row.wall_ms),
         };
         println!(
-            "[{done:>4}/{total}] {} {} n={} seed={} shards={} workers={} {} {} {} rep{}: {verdict}",
+            "[{done:>4}/{total}] {} {} n={} seed={} shards={} workers={} {} {} rep{}: {verdict}",
             row.spec.scenario,
             row.spec.algorithm,
             row.spec.n,
@@ -77,7 +77,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             row.spec.workers.label(),
             row.spec.congest.label(),
             row.spec.faults.label(),
-            row.spec.order.label(),
             row.spec.rep,
         );
     }) {

@@ -12,7 +12,7 @@ use crate::json::Value;
 use crate::plan::TrialSpec;
 use crate::report::timed_reps;
 use crate::runner::{RunOutcome, TrialRow};
-use crate::schema::{BudgetMetric, Check, CongestSpec, OrderSpec, Suite};
+use crate::schema::{BudgetMetric, Check, CongestSpec, Suite};
 
 /// The verdict of one declared check.
 #[derive(Clone, Debug)]
@@ -254,17 +254,16 @@ struct Best<'a> {
 }
 
 /// Best-of-timed-reps wall/route per configuration × shards × workers ×
-/// order × frontier — every perf knob apart, so a budget never takes the
-/// min over a locality twin and its identity sibling.
+/// frontier — every perf knob apart, so a budget never takes the min over
+/// two worker settings or a full-scan twin and its frontier sibling.
 fn best_walls(run: &RunOutcome) -> Vec<Best<'_>> {
     let mut groups: BTreeMap<String, Vec<&TrialRow>> = BTreeMap::new();
     for row in run.rows.iter().filter(|r| r.error.is_none()) {
         let key = format!(
-            "{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}",
             row.spec.config_key(),
             row.spec.shards,
             row.spec.workers.label(),
-            row.spec.order.label(),
             row.spec.frontier
         );
         groups.entry(key).or_default().push(row);
@@ -314,18 +313,7 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
             s.config_key() == key
                 && s.shards == shards
                 && s.workers == row.workers
-                && s.order == row.order
                 && s.frontier == row.frontier
-        })
-    };
-    // The twin of `row` — same workload, shards and workers — wherever in
-    // the suite it is declared, with `differs` naming the knob it flips.
-    let twin_wall = |row: &TrialSpec, differs: &dyn Fn(&TrialSpec) -> bool| {
-        wall_where(&|s| {
-            s.workload_key() == row.workload_key()
-                && s.shards == row.shards
-                && s.workers == row.workers
-                && differs(s)
         })
     };
     let mut violations = Vec::new();
@@ -370,7 +358,6 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
                     b.spec.config_key() == spec.config_key()
                         && b.spec.shards == spec.shards
                         && b.spec.workers == spec.workers
-                        && b.spec.order == spec.order
                 }) else {
                     continue;
                 };
@@ -390,23 +377,18 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
                 if spec.shards == 0 || spec.frontier {
                     continue;
                 }
-                let on = twin_wall(spec, &|s| s.frontier && s.order == spec.order);
+                // The frontier twin — same workload, shards and workers —
+                // wherever in the suite it is declared.
+                let on = wall_where(&|s| {
+                    s.workload_key() == spec.workload_key()
+                        && s.shards == spec.shards
+                        && s.workers == spec.workers
+                        && s.frontier
+                });
                 let (Some(on), Some(full)) = (on, own()) else {
                     continue;
                 };
                 Some(("frontier vs full scan", on / full.max(f64::EPSILON)))
-            }
-            BudgetMetric::OrderRatio => {
-                if spec.shards == 0 || spec.order != OrderSpec::Locality {
-                    continue;
-                }
-                let identity = twin_wall(spec, &|s| {
-                    s.order == OrderSpec::Identity && s.frontier == spec.frontier
-                });
-                let (Some(local), Some(identity)) = (own(), identity) else {
-                    continue;
-                };
-                Some(("locality vs identity", local / identity.max(f64::EPSILON)))
             }
         };
         if let Some((what, ratio)) = ratio {
@@ -433,6 +415,7 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
 mod tests {
     use super::*;
     use crate::runner::run_suite;
+    use crate::schema::WorkerSpec;
 
     fn run(body: &str) -> (Suite, RunOutcome) {
         let suite = Suite::from_json(body).unwrap();
@@ -497,24 +480,25 @@ mod tests {
     }
 
     #[test]
-    fn budgets_keep_order_twins_apart() {
-        // Identity scales badly (1 → 2 ms), locality well (10 → 1 ms). A
-        // min over both orders would see 1 ms at both shard counts and
-        // pass; judged per order, identity blows the budget.
+    fn budgets_keep_worker_twins_apart() {
+        // One worker scales badly (1 → 2 ms), a worker per shard well
+        // (10 → 1 ms). A min over both worker specs would see 1 ms at both
+        // shard counts and pass; judged per worker spec, the single-worker
+        // pair blows the budget.
         let (suite, out) = run_with_walls(
             r#"{"name": "t", "scenarios": [{
                 "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
-                "shards": [1, 2], "order": ["identity", "locality"]
+                "shards": [1, 2], "workers": [1, "shards"]
             }], "checks": [{"kind": "budget", "metric": "shard-ratio", "max": 1.5}]}"#,
-            |s| match (s.order, s.shards) {
-                (OrderSpec::Identity, 1) => 1.0,
-                (OrderSpec::Identity, _) => 2.0,
-                (OrderSpec::Locality, 1) => 10.0,
-                (OrderSpec::Locality, _) => 1.0,
+            |s| match (s.workers, s.shards) {
+                (WorkerSpec::Fixed(_), 1) => 1.0,
+                (WorkerSpec::Fixed(_), _) => 2.0,
+                (_, 1) => 10.0,
+                _ => 1.0,
             },
         );
         let outcome = &evaluate(&suite, &out)[0];
-        assert!(!outcome.passed, "the identity pair scales 2x");
+        assert!(!outcome.passed, "the single-worker pair scales 2x");
         assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
         assert!(outcome.violations[0].contains("ratio 2.00"));
     }
@@ -542,39 +526,29 @@ mod tests {
             {"name": "base", "family": "grid", "n": [16, 36], "algorithm": "ruling",
              "shards": [1, 2]},
             {"name": "base-full-scan", "family": "grid", "n": 36, "algorithm": "ruling",
-             "shards": 2, "frontier": false},
-            {"name": "base-locality", "family": "grid", "n": 36, "algorithm": "ruling",
-             "shards": 2, "order": "locality"}
+             "shards": 2, "frontier": false}
         ], "checks": [
-            {"kind": "budget", "metric": "frontier-ratio", "max": 0.91},
-            {"kind": "budget", "metric": "order-ratio", "max": 2.5}
+            {"kind": "budget", "metric": "frontier-ratio", "max": 0.91}
         ]}"#;
 
     #[test]
     fn twin_budgets_pair_rows_across_scenarios() {
-        let wall = |frontier_on: f64, locality: f64| {
-            move |s: &TrialSpec| match (s.frontier, s.order) {
-                (false, _) => 10.0,
-                (true, OrderSpec::Locality) => locality,
-                (true, OrderSpec::Identity) => frontier_on,
-            }
-        };
-        let (suite, out) = run_with_walls(TWINS, wall(5.0, 6.0));
+        let wall =
+            |frontier_on: f64| move |s: &TrialSpec| if s.frontier { frontier_on } else { 10.0 };
+        let (suite, out) = run_with_walls(TWINS, wall(5.0));
         for o in evaluate(&suite, &out) {
             assert!(o.passed, "{}: {:?}", o.check, o.violations);
         }
-        // Frontier on at 9.5 of the full scan's 10 is not a 1.1x win, and
-        // a locality run 3x its identity twin is past the backstop.
-        let (suite, out) = run_with_walls(TWINS, wall(9.5, 28.5));
+        // Frontier on at 9.5 of the full scan's 10 is not a 1.1x win.
+        let (suite, out) = run_with_walls(TWINS, wall(9.5));
         let outcomes = evaluate(&suite, &out);
         assert!(outcomes[0].violations[0].contains("frontier vs full scan ratio 0.95"));
-        assert!(outcomes[1].violations[0].contains("locality vs identity ratio 3.00"));
     }
 
     #[test]
     fn twin_budgets_without_twins_fail() {
-        // Without the base scenario the twins only have each other, and
-        // each differs from the other in two knobs: nothing pairs.
+        // Without the base scenario the full-scan twin has no frontier
+        // sibling: nothing pairs.
         let base = TWINS.find("{\"name\": \"base\"").unwrap();
         let twins = TWINS.find("{\"name\": \"base-full-scan\"").unwrap();
         let lonely = format!("{}{}", &TWINS[..base], &TWINS[twins..]);

@@ -2,11 +2,11 @@
 //!
 //! The plan is the cross-product of every scenario's axes in declared
 //! order — family, n, seed, algorithm, shards, workers, congest, faults,
-//! order, rep — with two pruning rules for the sequential baseline
-//! (`shards: 0`): it ignores the worker/congest/fault/order axes (those
-//! knobs are engine machinery), so it is emitted exactly once per (family,
-//! n, seed, algorithm, rep) — at the first worker spec, unlimited width,
-//! no faults, identity order.
+//! rep — with two pruning rules for the sequential baseline
+//! (`shards: 0`): it ignores the worker/congest/fault axes (those knobs
+//! are engine machinery), so it is emitted exactly once per (family, n,
+//! seed, algorithm, rep) — at the first worker spec, unlimited width, no
+//! faults.
 //! Trial ids are consecutive positions in this expansion, so the same
 //! suite always yields the same plan, row for row.
 
@@ -14,7 +14,7 @@ use rand::mix64;
 
 use crate::algorithms;
 use crate::json::Value;
-use crate::schema::{CongestSpec, FaultSpec, OrderSpec, Params, Suite, WorkerSpec};
+use crate::schema::{CongestSpec, FaultSpec, Params, Suite, WorkerSpec};
 
 /// Domain separator for [`TrialSpec::protocol_seed`].
 const PROTOCOL_DOMAIN: u64 = 0x6c61_622d_7072_6f74; // "lab-prot"
@@ -45,12 +45,6 @@ pub struct TrialSpec {
     pub congest: CongestSpec,
     /// Declared fault plan.
     pub faults: FaultSpec,
-    /// Vertex-storage order for the engine's shard-local layouts. A perf
-    /// knob like shards and workers: it never enters
-    /// [`TrialSpec::config_key`], because a locality-relabeled trial and
-    /// its identity twin must produce bit-identical outputs — the
-    /// determinism check diffs them automatically.
-    pub order: OrderSpec,
     /// Frontier-sparse rounds (scenario-level flag; `false` forces the
     /// full-range scan). Purely a perf knob, like shards and workers: it
     /// never enters [`TrialSpec::config_key`], because a frontier trial
@@ -93,9 +87,9 @@ impl TrialSpec {
     }
 
     /// The *workload key*: the configuration key without the scenario name,
-    /// plus the algorithm parameters. Twin scenarios — a full-scan or
-    /// locality rerun declared next to its base scenario — share it, which
-    /// is how the frontier and order budgets pair rows across scenarios.
+    /// plus the algorithm parameters. Twin scenarios — a full-scan rerun
+    /// declared next to its base scenario — share it, which is how the
+    /// frontier budget pairs rows across scenarios.
     pub(crate) fn workload_key(&self) -> String {
         format!(
             "{}|{}|{}|{}|{}|{}|{:?}",
@@ -134,7 +128,6 @@ impl TrialSpec {
             ("frontier".into(), Value::Bool(self.frontier)),
             ("id".into(), Value::int(self.id as u64)),
             ("n".into(), Value::int(self.n as u64)),
-            ("order".into(), Value::str(self.order.label())),
             ("rep".into(), Value::int(self.rep as u64)),
             ("scenario".into(), Value::str(&self.scenario)),
             ("seed".into(), Value::int(self.seed)),
@@ -171,38 +164,33 @@ pub fn expand(suite: &Suite) -> Result<Vec<TrialSpec>, String> {
                             for (wi, &workers) in sc.workers.iter().enumerate() {
                                 for &congest in &sc.congest {
                                     for faults in &sc.faults {
-                                        for &order in &sc.order {
-                                            // The sequential baseline has
-                                            // no workers, no wire, no
-                                            // fault surface, no shard
-                                            // layout: emit it once, at the
-                                            // axes' first/clean values.
-                                            if shards == 0
-                                                && (wi != 0
-                                                    || congest != CongestSpec::Unlimited
-                                                    || !faults.is_none()
-                                                    || order != OrderSpec::Identity)
-                                            {
-                                                continue;
-                                            }
-                                            for rep in 0..sc.reps {
-                                                plan.push(TrialSpec {
-                                                    id: plan.len(),
-                                                    scenario: sc.name.clone(),
-                                                    family: family.clone(),
-                                                    n,
-                                                    seed,
-                                                    algorithm: alg.clone(),
-                                                    shards,
-                                                    workers,
-                                                    congest,
-                                                    faults: faults.clone(),
-                                                    order,
-                                                    frontier: sc.frontier,
-                                                    rep,
-                                                    params: sc.params,
-                                                });
-                                            }
+                                        // The sequential baseline has no
+                                        // workers, no wire, no fault
+                                        // surface: emit it once, at the
+                                        // axes' first/clean values.
+                                        if shards == 0
+                                            && (wi != 0
+                                                || congest != CongestSpec::Unlimited
+                                                || !faults.is_none())
+                                        {
+                                            continue;
+                                        }
+                                        for rep in 0..sc.reps {
+                                            plan.push(TrialSpec {
+                                                id: plan.len(),
+                                                scenario: sc.name.clone(),
+                                                family: family.clone(),
+                                                n,
+                                                seed,
+                                                algorithm: alg.clone(),
+                                                shards,
+                                                workers,
+                                                congest,
+                                                faults: faults.clone(),
+                                                frontier: sc.frontier,
+                                                rep,
+                                                params: sc.params,
+                                            });
                                         }
                                     }
                                 }
@@ -299,33 +287,6 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert_ne!(plan[0].config_key(), plan[1].config_key());
         assert_eq!(plan[1].unlimited_key(), plan[0].config_key());
-    }
-
-    #[test]
-    fn order_is_an_axis_but_never_a_configuration() {
-        let s = suite(
-            r#"{"name": "t", "scenarios": [{
-                "name": "s", "family": "grid", "n": 16, "algorithm": "gather",
-                "shards": [0, 2], "order": ["identity", "locality"]
-            }]}"#,
-        );
-        let plan = expand(&s).unwrap();
-        // One seq baseline (identity only) + two engine trials.
-        assert_eq!(plan.len(), 3);
-        let seq: Vec<_> = plan.iter().filter(|t| t.is_sequential()).collect();
-        assert_eq!(seq.len(), 1);
-        assert_eq!(seq[0].order, OrderSpec::Identity);
-        let engine: Vec<_> = plan.iter().filter(|t| !t.is_sequential()).collect();
-        assert_eq!(engine[0].order, OrderSpec::Identity);
-        assert_eq!(engine[1].order, OrderSpec::Locality);
-        // Order never splits a configuration key: the determinism check
-        // must diff the relabeled trial against its identity twin.
-        let keys: std::collections::BTreeSet<String> =
-            plan.iter().map(TrialSpec::config_key).collect();
-        assert_eq!(keys.len(), 1);
-        // But the plan rows record it.
-        let rendered = engine[1].to_json().render();
-        assert!(rendered.contains("\"order\":\"locality\""));
     }
 
     #[test]

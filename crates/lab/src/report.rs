@@ -18,20 +18,16 @@ use crate::json::Value;
 use crate::runner::{RunOutcome, TrialRow};
 use crate::stats::summarize;
 
-/// Groups a run's rows by configuration × shards × workers × order (reps
-/// merge) and renders the merged summary document. Order is outside the
-/// configuration key — a locality trial replays its identity twin bit for
-/// bit — but the twins' *wall clocks* are exactly what the summary exists
-/// to compare, so the grouping keeps them apart.
+/// Groups a run's rows by configuration × shards × workers (reps merge)
+/// and renders the merged summary document.
 pub fn render_summary(run: &RunOutcome) -> Value {
     let mut groups: Vec<(String, Vec<&TrialRow>)> = Vec::new();
     for row in &run.rows {
         let key = format!(
-            "{}|{}|{}|{}",
+            "{}|{}|{}",
             row.spec.config_key(),
             row.spec.shards,
-            row.spec.workers.label(),
-            row.spec.order.label()
+            row.spec.workers.label()
         );
         match groups.last_mut() {
             Some((k, rows)) if *k == key => rows.push(row),
@@ -96,7 +92,6 @@ fn group_json(rows: &[&TrialRow]) -> Value {
         ("ledger_rounds".into(), Value::int(first.ledger_rounds)),
         ("messages".into(), Value::int(first.messages as u64)),
         ("n".into(), Value::int(first.spec.n as u64)),
-        ("order".into(), Value::str(first.spec.order.label())),
         ("physical_rounds".into(), Value::int(first.physical_rounds)),
         ("reps".into(), Value::int(rows.len() as u64)),
         ("round_p50_ms".into(), Value::num(median(&round_p50))),
@@ -275,29 +270,6 @@ mod tests {
         let scenarios = summary.get("scenarios").and_then(Value::as_arr).unwrap();
         assert_eq!(field(&scenarios[0], "wall_ms_p99"), 1.0);
         assert_eq!(field(&scenarios[0], "trials"), 3.0);
-    }
-
-    #[test]
-    fn locality_twins_group_apart_and_carry_the_order_label() {
-        let suite = Suite::from_json(
-            r#"{"name": "t", "scenarios": [{
-                "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
-                "shards": 2, "order": ["identity", "locality"]
-            }], "checks": [{"kind": "determinism"}]}"#,
-        )
-        .unwrap();
-        let run = run_suite(&suite, |_, _| {}).unwrap();
-        let summary = render_summary(&run);
-        let groups = summary.get("groups").and_then(Value::as_arr).unwrap();
-        assert_eq!(groups.len(), 2, "order splits wall-clock groups");
-        let orders: Vec<&str> = groups
-            .iter()
-            .map(|g| g.get("order").and_then(Value::as_str).unwrap())
-            .collect();
-        assert_eq!(orders, ["identity", "locality"]);
-        // And the determinism check sees them as one configuration.
-        let checks = evaluate(&suite, &run);
-        assert!(checks.iter().all(|c| c.passed), "twins replay bit for bit");
     }
 
     #[test]

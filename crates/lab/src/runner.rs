@@ -115,7 +115,6 @@ impl TrialRow {
             ("max_width".into(), Value::int(self.max_width as u64)),
             ("messages".into(), Value::int(self.messages as u64)),
             ("n".into(), Value::int(self.spec.n as u64)),
-            ("order".into(), Value::str(self.spec.order.label())),
             (
                 "output_hash".into(),
                 Value::str(format!("{:016x}", self.output_hash)),

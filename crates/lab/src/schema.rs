@@ -30,14 +30,16 @@
 //! ```
 //!
 //! Every scenario field that spans a *matrix axis* (`family`, `n`, `seed`,
-//! `algorithm`, `shards`, `workers`, `congest`, `faults`, `order`) accepts
-//! either a scalar or an array; the trial plan is the cross-product of all
-//! axes times `reps` (see [`crate::plan`]). `shards: 0` declares the
-//! sequential baseline row. Checks are *data about the artifact*: the runner records
-//! every trial as a JSON row and [`crate::invariants`] evaluates the
-//! declared checks over those rows — the gates are wrappers around this.
+//! `algorithm`, `shards`, `workers`, `congest`, `faults`) accepts either a
+//! scalar or an array; the trial plan is the cross-product of all axes
+//! times `reps` (see [`crate::plan`]). `shards: 0` declares the sequential
+//! baseline row. Unknown keys — in the suite, a scenario, or a fault — are
+//! errors that name the key, so a typo never silently means the default.
+//! Checks are *data about the artifact*: the runner records every trial as
+//! a JSON row and [`crate::invariants`] evaluates the declared checks over
+//! those rows — the gates are wrappers around this.
 
-use engine::{CongestMode, FaultPlan, VertexOrder};
+use engine::{CongestMode, FaultPlan};
 use rand::mix64;
 
 use crate::json::{self, Value};
@@ -76,12 +78,6 @@ pub struct Scenario {
     pub congest: Vec<CongestSpec>,
     /// Fault-plan axis (defaults to `[none]`).
     pub faults: Vec<FaultSpec>,
-    /// Vertex-order axis (defaults to `[identity]`). An axis rather than a
-    /// flag — unlike `frontier` — because order is the knob the
-    /// determinism check should diff automatically: it never enters the
-    /// configuration key, so declaring `["identity", "locality"]` makes
-    /// every relabeled trial a bit-identity twin of its identity sibling.
-    pub order: Vec<OrderSpec>,
     /// Frontier-sparse rounds for every engine trial (`true` by default).
     /// `false` pins the scenario to the historical full-range scan — the
     /// twin scenarios the bench suite uses to keep the frontier index
@@ -184,48 +180,6 @@ impl CongestSpec {
         match self {
             CongestSpec::Split(w) => Some(w),
             _ => None,
-        }
-    }
-}
-
-/// Vertex-storage order for one trial's engine sessions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderSpec {
-    /// Original vertex ids (the historical layout).
-    #[default]
-    Identity,
-    /// Seeded bandwidth-minimizing relabeling of each shard's local
-    /// storage; observables stay on original ids, so outputs are
-    /// bit-identical to [`OrderSpec::Identity`].
-    Locality,
-}
-
-impl OrderSpec {
-    /// The engine order this spec declares.
-    pub fn to_order(self) -> VertexOrder {
-        match self {
-            OrderSpec::Identity => VertexOrder::Identity,
-            OrderSpec::Locality => VertexOrder::Locality,
-        }
-    }
-
-    /// Stable label (`identity`, `locality`) for rows and grouping —
-    /// parses back via [`OrderSpec::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            OrderSpec::Identity => "identity",
-            OrderSpec::Locality => "locality",
-        }
-    }
-
-    /// Parses a label.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "identity" => Ok(OrderSpec::Identity),
-            "locality" => Ok(OrderSpec::Locality),
-            other => Err(format!(
-                "unknown order spec {other:?} (want identity | locality)"
-            )),
         }
     }
 }
@@ -420,13 +374,9 @@ pub enum BudgetMetric {
     /// `wall(split) / wall(unlimited twin)`, all split rows.
     SplitRatio,
     /// `wall(frontier on) / wall(full-scan twin)`, every `"frontier":
-    /// false` row against the frontier run of the same workload, order,
-    /// shards and workers — wherever in the suite that run is declared.
+    /// false` row against the frontier run of the same workload, shards
+    /// and workers — wherever in the suite that run is declared.
     FrontierRatio,
-    /// `wall(locality) / wall(identity twin)`, every locality row against
-    /// the identity run of the same workload, frontier, shards and workers
-    /// — wherever in the suite that run is declared.
-    OrderRatio,
 }
 
 impl BudgetMetric {
@@ -438,7 +388,6 @@ impl BudgetMetric {
             BudgetMetric::RouteFrac => "route-frac",
             BudgetMetric::SplitRatio => "split-ratio",
             BudgetMetric::FrontierRatio => "frontier-ratio",
-            BudgetMetric::OrderRatio => "order-ratio",
         }
     }
 
@@ -450,7 +399,6 @@ impl BudgetMetric {
             "route-frac" => Ok(BudgetMetric::RouteFrac),
             "split-ratio" => Ok(BudgetMetric::SplitRatio),
             "frontier-ratio" => Ok(BudgetMetric::FrontierRatio),
-            "order-ratio" => Ok(BudgetMetric::OrderRatio),
             other => Err(format!("unknown budget metric {other:?}")),
         }
     }
@@ -477,6 +425,11 @@ impl Suite {
     /// schema error.
     pub fn from_json(input: &str) -> Result<Suite, String> {
         let doc = json::parse(input)?;
+        reject_unknown_keys(
+            &doc,
+            "suite",
+            &["name", "description", "scenarios", "checks"],
+        )?;
         let name = req_str(&doc, "name")?;
         let description = opt_str(&doc, "description").unwrap_or_default();
         let scenarios = doc
@@ -531,6 +484,22 @@ fn opt_str(v: &Value, key: &str) -> Option<String> {
     v.get(key).and_then(Value::as_str).map(str::to_owned)
 }
 
+/// Rejects any key of object `v` outside `known`, naming it.
+fn reject_unknown_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), String> {
+    match v
+        .as_obj()
+        .into_iter()
+        .flatten()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(format!(
+            "unknown {what} key {key:?} (known: {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// An axis: a scalar or an array of scalars, mapped through `f`.
 fn axis<T>(
     v: &Value,
@@ -558,6 +527,25 @@ fn axis<T>(
 fn parse_scenario(v: &Value) -> Result<Scenario, String> {
     let name = req_str(v, "name")?;
     let err = |e: String| format!("scenario {name:?}: {e}");
+    reject_unknown_keys(
+        v,
+        "scenario",
+        &[
+            "name",
+            "family",
+            "n",
+            "seed",
+            "algorithm",
+            "shards",
+            "workers",
+            "congest",
+            "faults",
+            "frontier",
+            "reps",
+            "params",
+        ],
+    )
+    .map_err(err)?;
     let usize_item = |item: &Value| {
         item.as_usize()
             .ok_or("expected a non-negative integer".into())
@@ -607,10 +595,6 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
         })?
         .unwrap_or_else(|| vec![CongestSpec::Unlimited]),
         faults: axis(v, "faults", parse_fault)?.unwrap_or_else(|| vec![FaultSpec::default()]),
-        order: axis(v, "order", |item| {
-            OrderSpec::parse(item.as_str().ok_or("expected an order string")?)
-        })?
-        .unwrap_or_else(|| vec![OrderSpec::Identity]),
         frontier: match v.get("frontier") {
             None => true,
             Some(b) => b
@@ -716,15 +700,20 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
                         .collect::<Result<Vec<_>, _>>()?,
                 },
             };
-            // Reject unknown keys: a typo'd fault must not silently mean "none".
-            for (key, _) in v.as_obj().unwrap() {
-                if !matches!(
-                    key.as_str(),
-                    "lose" | "duplicate" | "reorder" | "crash" | "crash_storm" | "drop" | "delay"
-                ) {
-                    return Err(format!("unknown fault key {key:?}"));
-                }
-            }
+            // A typo'd fault must not silently mean "none".
+            reject_unknown_keys(
+                v,
+                "fault",
+                &[
+                    "lose",
+                    "duplicate",
+                    "reorder",
+                    "crash",
+                    "crash_storm",
+                    "drop",
+                    "delay",
+                ],
+            )?;
             Ok(spec)
         }
         _ => Err("a fault is \"none\" or an object".into()),
@@ -817,7 +806,6 @@ mod tests {
         assert_eq!(s.workers, vec![WorkerSpec::Auto]);
         assert_eq!(s.congest, vec![CongestSpec::Unlimited]);
         assert_eq!(s.faults, vec![FaultSpec::default()]);
-        assert_eq!(s.order, vec![OrderSpec::Identity]);
         assert_eq!(s.reps, 1);
         assert!(suite.checks.is_empty());
     }
@@ -831,7 +819,6 @@ mod tests {
                 "workers": ["auto", "shards", 4],
                 "congest": ["unlimited", "split:4", "reject:2"],
                 "faults": ["none", {"lose": {"seed": 3, "p": 0.1}}],
-                "order": ["identity", "locality"],
                 "reps": 3
             }]}"#,
         )
@@ -856,21 +843,31 @@ mod tests {
             ]
         );
         assert_eq!(s.faults[1].lose, Some((3, 0.1)));
-        assert_eq!(s.order, vec![OrderSpec::Identity, OrderSpec::Locality]);
         assert_eq!(s.reps, 3);
     }
 
     #[test]
-    fn order_specs_round_trip_and_reject_typos() {
-        for spec in [OrderSpec::Identity, OrderSpec::Locality] {
-            assert_eq!(OrderSpec::parse(spec.label()).unwrap(), spec);
+    fn unknown_scenario_and_suite_keys_are_rejected() {
+        // A retired axis, typo'd keys, and a stray suite-level key: each is
+        // an error naming the key, never a silent default.
+        for (key, value) in [
+            ("order", "\"locality\""),
+            ("shard", "8"),
+            ("frontire", "false"),
+        ] {
+            let bad = MINIMAL.replace(
+                "\"algorithm\": \"gather\"",
+                &format!("\"algorithm\": \"gather\", \"{key}\": {value}"),
+            );
+            let err = Suite::from_json(&bad).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown scenario key \"{key}\"")),
+                "{err}"
+            );
         }
-        assert!(OrderSpec::parse("local").is_err());
-        let bad = MINIMAL.replace(
-            "\"algorithm\": \"gather\"",
-            "\"algorithm\": \"gather\", \"order\": \"rcm\"",
-        );
-        assert!(Suite::from_json(&bad).unwrap_err().contains("order"));
+        let bad = MINIMAL.replace("\"name\": \"t\",", "\"name\": \"t\", \"check\": [],");
+        let err = Suite::from_json(&bad).unwrap_err();
+        assert!(err.contains("unknown suite key \"check\""), "{err}");
     }
 
     #[test]
@@ -901,7 +898,6 @@ mod tests {
             BudgetMetric::RouteFrac,
             BudgetMetric::SplitRatio,
             BudgetMetric::FrontierRatio,
-            BudgetMetric::OrderRatio,
         ] {
             assert_eq!(BudgetMetric::parse(metric.label()).unwrap(), metric);
         }

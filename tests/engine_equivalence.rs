@@ -13,7 +13,7 @@ use engine::programs::ruling::RulingMsg;
 use engine::{
     engine_cole_vishkin_3color, engine_degree_plus_one_coloring, engine_gather_balls,
     engine_h_partition, engine_randomized_list_coloring, engine_ruling_forest, EngineConfig,
-    EngineMessage, FaultPlan, VertexOrder, SPLIT_PHASE,
+    EngineMessage, FaultPlan, SPLIT_PHASE,
 };
 use graphs::{gen, VertexSet};
 use local_model::{
@@ -543,15 +543,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The locality relabeling is unobservable: over every registered graph
-    /// family, a `VertexOrder::Locality` run — with drop/delay faults and
-    /// seeded per-edge duplication and loss active — is bit-identical to
-    /// the identity-order run at shards {1, 2, 8}: colors, per-round
-    /// message fingerprints, ledger totals, and physical rounds all match.
+    /// Shard invariance under every fault kind at once: over every
+    /// registered graph family, a run with drop/delay faults and seeded
+    /// per-edge duplication and loss active is bit-identical at shards
+    /// {1, 8} to the shards-2 run (one worker group per shard): colors,
+    /// per-round message fingerprints, ledger totals, and physical rounds
+    /// all match. Delayed batches are the one traffic the routing epoch
+    /// sorts, and multi-group traffic mixes them with fresh and duplicated
+    /// messages in one inbox.
     /// Randomized list coloring is the probe because its per-node RNG
-    /// streams (`(seed, id)`) expose any id remapping instantly.
+    /// streams (`(seed, id)`) expose any delivery-order change instantly.
     #[test]
-    fn locality_relabeling_is_bit_identical_to_identity(
+    fn faulted_randomized_coloring_is_shard_invariant(
         n in 40usize..160,
         seed in 0u64..500,
     ) {
@@ -568,13 +571,13 @@ proptest! {
                     .duplicate_edges(seed ^ 0xD00D, 0.25)
                     .lose_edges(seed ^ 0x10CA1, 0.2)
             };
-            let run = |order: VertexOrder, shards: usize| {
+            let run = |shards: usize| {
                 let mut ledger = RoundLedger::new();
                 let (out, metrics) = engine_randomized_list_coloring(
                     &g, None, &lists, seed, 1000,
                     EngineConfig::default()
                         .with_shards(shards)
-                        .with_order(order)
+                        .with_workers(shards)
                         .with_faults(faults()),
                     &mut ledger,
                 );
@@ -586,35 +589,34 @@ proptest! {
                     ledger.total(),
                 )
             };
-            let identity = run(VertexOrder::Identity, 2);
-            for shards in [1usize, 2, 8] {
-                let locality = run(VertexOrder::Locality, shards);
+            let base = run(2);
+            for shards in [1usize, 8] {
                 prop_assert_eq!(
-                    &identity, &locality,
-                    "family {} shards {}: locality diverged", name, shards
+                    &base, &run(shards),
+                    "family {} shards {}: diverged from shards 2", name, shards
                 );
             }
         }
     }
 
-    /// Locality + CONGEST `Split(1)`: per-edge fragment reassembly is keyed
-    /// on original sender ids, so a relabeled gather flood must reproduce
-    /// the identity run's balls, split surplus, and fragment counts.
+    /// CONGEST `Split(1)` across shard counts: each routing group reassembles
+    /// its own fragments, so a gather flood at shards 4 must reproduce the
+    /// shards-1 run's balls, split surplus, and fragment counts.
     #[test]
-    fn locality_split_gather_matches_identity(
+    fn split_gather_is_shard_invariant(
         n in 24usize..90,
         extra in 0usize..30,
         seed in 0u64..300,
     ) {
         let g = gen::gnm(n, n + extra, seed);
         let centers: Vec<usize> = (0..n).collect();
-        let run = |order: VertexOrder| {
+        let run = |shards: usize| {
             let mut ledger = RoundLedger::new();
             let (balls, metrics) = engine_gather_balls(
                 &g, None, &centers, 3,
                 EngineConfig::default()
-                    .with_shards(4)
-                    .with_order(order)
+                    .with_shards(shards)
+                    .with_workers(shards)
                     .congest_split(1),
                 &mut ledger,
             );
@@ -626,7 +628,7 @@ proptest! {
                 ledger.total(),
             )
         };
-        prop_assert_eq!(run(VertexOrder::Identity), run(VertexOrder::Locality));
+        prop_assert_eq!(run(1), run(4));
     }
 }
 

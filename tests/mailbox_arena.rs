@@ -232,10 +232,11 @@ impl NodeProgram for Quiet {
 
 #[test]
 fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
-    // Booting a session allocates its view tables, sender ranks, mailbox
-    // spans and wake queue per live vertex (about 92 B on this input), plus
-    // per-group constants. A stored context (72 B) and a reassembly map
-    // (24 B) per vertex would take it past the bound.
+    // Booting a session allocates its view tables, mailbox spans and wake
+    // queue per live vertex (about 75 B on this input), plus per-group
+    // constants. A per-edge sender-rank table (4 B per directed edge plus
+    // 4 B per vertex, 12 B here), a stored context (72 B) or a reassembly
+    // map (24 B) per vertex would take it past the bound.
     let _turn = serial();
     let n = 100_000;
     let g = gen::cycle(n);
@@ -246,7 +247,7 @@ fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
     COUNTING.store(false, Ordering::SeqCst);
     let per_vertex = BYTES.load(Ordering::SeqCst) as f64 / n as f64;
     drop(session);
-    let bound = 128.0;
+    let bound = 84.0;
     assert!(
         per_vertex < bound,
         "session boot requested {per_vertex:.1} B per live vertex (bound {bound})"
