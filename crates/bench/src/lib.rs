@@ -1,6 +1,5 @@
-//! Shared harness utilities for the experiment tables and the determinism
-//! gate: aligned table printing and the standard workload families used
-//! across EXPERIMENTS.md.
+//! Shared harness utilities for the experiment tables: aligned table
+//! printing and the standard workload families used across EXPERIMENTS.md.
 
 use distributed_coloring::{
     list_color_sparse, ListAssignment, Outcome, SparseColoring, SparseColoringConfig,

@@ -112,8 +112,8 @@ pub struct SparseColoringConfig {
     /// session — classification, clique detection and, per extension level,
     /// the ruling forest, each forest's Cole–Vishkin pass, the class sweeps
     /// and the layered greedy — runs on a clone of it, so its CONGEST mode,
-    /// fault plan, frontier gating, vertex order, seed, round cap, worker
-    /// cap and pool reach them all. Two fields are overwritten:
+    /// fault plan, frontier gating, seed, round cap, worker cap and pool
+    /// reach them all. Two fields are overwritten:
     /// `engine_shards` sets `shards`, and each session sets its own `mask`.
     /// Without a `pool`, the run spawns one [`EnginePool`] sized by
     /// [`EngineConfig::workers_for`] and shares it across every session.

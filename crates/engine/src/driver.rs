@@ -10,7 +10,9 @@
 //! run is bit-identical to the sequential masked primitives at any shard
 //! count. Worker threads are spawned **once**, when the session boots, and
 //! park on a reusable barrier between epochs (see the `pool` module). Each
-//! round has **two worker-parallel phases**:
+//! round has **two worker-parallel phases**; before each, the driver
+//! counts the phase's work, and a phase below `DRIVER_EPOCH_WORK` runs on
+//! the driver thread alone, group by group, leaving the workers parked:
 //!
 //! 1. **Compute** — every worker group walks its dense vertex range,
 //!    calling `on_round` with the inbox routed last round and staging
@@ -25,7 +27,7 @@
 //!    ascending id order and are drained in group order, so each span
 //!    lands in the deterministic sender order as placed; only a group with
 //!    fault-delayed traffic due sorts its spans. The buffers then flip.
-//!    Routing no longer serializes on the driver thread — its wall time is
+//!    Routing runs on the workers unless it is small — its wall time is
 //!    recorded per round ([`RoundMetrics::route_wall`]), measured from the
 //!    moment the compute epoch closes so the driver-side drain, batch
 //!    scheduling, and wake bookkeeping between the epochs are charged to
@@ -65,6 +67,34 @@ pub(crate) fn wake_round(hint: Activation, round: u64) -> u64 {
         Activation::OnMessage => u64::MAX,
         Activation::WakeAt(r) => r.max(round + 1),
     }
+}
+
+/// Epoch work below which the driver runs every group's share itself, in
+/// group order, and leaves the workers parked — see [`on_driver`].
+///
+/// Calibrated on a 2-core x86-64 box at 2 shards, best of 7 runs: a
+/// pooled epoch costs ~15 µs more than the same empty epoch on the driver
+/// (31.2 µs against 1.35 µs per empty round of two epochs). A 4-regular
+/// broadcast program costs 154 ns per stepped vertex on one thread and
+/// 97 ns pooled on two, and routing costs 31.3 ns per message on one
+/// thread and 21.0 ns pooled. Pooling pays from ~260 stepped vertices
+/// (~1000 staged messages) in a compute epoch and from ~1450 messages in a
+/// routing epoch, so one constant of 1024 sits just below the routing
+/// break-even and errs towards the driver for compute epochs, where a
+/// 1024-vertex epoch loses at most ~45 µs. A colorbench sweep over 256,
+/// 1024 and 4096 (medians of three 30 s runs) gave planar6 294, 226 and
+/// 248 ms, and ruling-grid 957, 1056 and 1052 ms, inside that workload's
+/// run-to-run spread of 735–1184 ms.
+const DRIVER_EPOCH_WORK: usize = 1024;
+
+/// Whether an epoch of `work` units runs on the driver thread alone. Work
+/// is counted in vertices for a compute epoch (frontier plus due wakes, or
+/// every live vertex without gating) and in messages for a routing epoch
+/// (staged, due-delayed, and stale spans to reset). Every term is the same
+/// at any shard and worker count, so the choice is too, and outputs stay
+/// bit-identical by construction: the same per-group job runs either way.
+fn on_driver(work: usize) -> bool {
+    work < DRIVER_EPOCH_WORK
 }
 
 /// The ledger phase the extra physical rounds of
@@ -447,10 +477,10 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         // Round 0: init every node and route the initial knowledge
         // exchange. Staging runs on the driver into the pool's group-0
         // arena (bucketed by destination group, like any round); routing
-        // then runs as an ordinary worker-parallel epoch.
+        // then runs as an ordinary routing epoch, pooled unless small.
         let mut mail = Mailboxes::new(live, bounds.clone());
         let mut metrics = EngineMetrics::default();
-        let counters = {
+        let (sent, dropped, delayed, duplicated, lost, max_width, staged) = {
             let env = StageEnv {
                 faults: &config.faults,
                 view: &view,
@@ -474,9 +504,11 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 y.duplicated,
                 y.lost,
                 y.max_width,
+                y.staged(),
             )
         };
         mail.inject_due(1);
+        let init_inline = on_driver(staged + mail.route_backlog());
         let targets = mail.next_targets();
         let init_tally = match pool.route(
             targets,
@@ -487,19 +519,21 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 reorder: config.faults.reorder_seed(),
                 live: view.live(),
             },
+            init_inline,
         ) {
             Ok(tally) => tally,
             Err(payload) => std::panic::resume_unwind(payload),
         };
         metrics.record_init(
-            counters.0,
-            counters.1,
-            counters.2,
-            counters.3,
-            counters.4,
-            counters.5,
+            sent,
+            dropped,
+            delayed,
+            duplicated,
+            lost,
+            max_width,
             init_tally.fragments,
         );
+        metrics.init_driver_epochs = usize::from(init_inline);
         mail.flip();
 
         // Boot the frontier bookkeeping off the post-init program state:
@@ -704,7 +738,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
 
     /// Executes one synchronized round: compute epoch ∥ worker groups →
     /// driver bookkeeping (counters, fault-delay scheduling) → routing
-    /// epoch ∥ worker groups → buffer flip.
+    /// epoch ∥ worker groups → buffer flip. Either epoch runs on the driver
+    /// alone when its work is below [`DRIVER_EPOCH_WORK`].
     ///
     /// # Panics
     ///
@@ -757,6 +792,11 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             congest: self.config.congest.reject_budget(),
             frontier: self.config.frontier,
         };
+        let compute_inline = on_driver(if self.config.frontier {
+            self.mail.frontier() + self.due.iter().map(Vec::len).sum::<usize>()
+        } else {
+            live
+        });
         if let Err(payload) = self.pool.execute(
             &mut self.programs,
             self.mail.cur(),
@@ -764,6 +804,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             &env,
             round,
             &self.groups,
+            compute_inline,
         ) {
             self.poisoned = true;
             self.round -= 1;
@@ -781,6 +822,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let mut duplicated = 0;
         let mut lost = 0;
         let mut max_width = 0;
+        let mut staged = 0;
         let mut stepped = 0;
         let mut newly_halted = 0;
         let mut newly_unhalted = 0;
@@ -796,6 +838,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             duplicated += y.duplicated;
             lost += y.lost;
             max_width = max_width.max(y.max_width);
+            staged += y.staged();
             stepped += y.stepped;
             newly_halted += y.newly_halted;
             newly_unhalted += y.newly_unhalted;
@@ -822,6 +865,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         });
         self.halted = self.halted + newly_halted - newly_unhalted;
         self.mail.inject_due(round + 1);
+        let route_inline = on_driver(staged + self.mail.route_backlog());
 
         let targets = self.mail.next_targets();
         let route_env = RouteEnv {
@@ -830,7 +874,10 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             reorder: self.config.faults.reorder_seed(),
             live: self.view.live(),
         };
-        let tally = match self.pool.route(targets, &self.groups, &route_env) {
+        let tally = match self
+            .pool
+            .route(targets, &self.groups, &route_env, route_inline)
+        {
             Ok(tally) => tally,
             Err(payload) => {
                 // Routing is engine code, not program code — a panic here is
@@ -864,6 +911,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             } else {
                 stepped as f64 / live as f64
             },
+            driver_epochs: u8::from(compute_inline) + u8::from(route_inline),
             wall: started.elapsed(),
             route_wall,
         });

@@ -63,8 +63,9 @@
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
 //! fed a `RouteTargets` pointer bundle from
-//! `Mailboxes::next_targets`); round-0 init traffic takes the same path
-//! through the pool, so there is no separate driver-side fill.
+//! `Mailboxes::next_targets`), or group by group on the driver when the
+//! epoch is small; round-0 init traffic takes the same path, so there is
+//! no separate driver-side fill.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -538,6 +539,19 @@ impl<M: EngineMessage> Mailboxes<M> {
     /// — the old `cur` becomes the next round's scratch.
     pub(crate) fn flip(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    /// Vertices with a non-empty inbox this round: the message half of the
+    /// compute epoch's frontier.
+    pub(crate) fn frontier(&self) -> usize {
+        self.cur.active.iter().map(Vec::len).sum()
+    }
+
+    /// The routing epoch's work besides fresh traffic: the due-delayed
+    /// messages it places plus the stale spans of `next` it resets.
+    pub(crate) fn route_backlog(&self) -> usize {
+        let pending: usize = self.pending.iter().map(Vec::len).sum();
+        pending + self.next.active.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Whether any delayed batch is still pending (scheduled or already

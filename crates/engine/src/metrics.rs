@@ -60,15 +60,20 @@ pub struct RoundMetrics {
     /// node active); tails of peeling levels and ruling-forest floods decay
     /// toward 0 as the quiescent bulk is skipped.
     pub active_frac: f64,
+    /// How many of the round's two epochs (compute, routing) the driver
+    /// thread ran alone, every group in turn, because their work was too
+    /// small to pay for waking the pool. A function of the traffic and the
+    /// frontier only, so it is the same at every shard and worker count.
+    pub driver_epochs: u8,
     /// Wall-clock time of the round (compute + routing).
     pub wall: Duration,
     /// Wall-clock time of the whole routing epoch: everything between the
-    /// compute epoch's close and the buffer flip — yield collection, split
-    /// continuation scheduling, delayed-fault injection, the worker-parallel
-    /// counting passes (dest placement + sender-rank ordering), and inbox
-    /// finalization. A subset of [`wall`](RoundMetrics::wall); the lab's
-    /// `route-frac` budget judges this number, so it must not under-count
-    /// any epoch step.
+    /// compute epoch's close and the buffer flip — yield collection,
+    /// delayed-fault injection, the per-group counting sort (count, place,
+    /// and sort the spans of a group with delayed traffic due), and inbox
+    /// finalization (fragmentation, reorder). A subset of
+    /// [`wall`](RoundMetrics::wall); the lab's `route-frac` budget judges
+    /// this number, so it must not under-count any epoch step.
     pub route_wall: Duration,
 }
 
@@ -109,6 +114,10 @@ pub struct EngineMetrics {
     /// free knowledge exchange is fragmented like any other traffic, but
     /// stays free of round charges).
     pub init_fragments: usize,
+    /// Round-0 routing epochs the driver ran alone: 0 or 1 per session
+    /// (see [`RoundMetrics::driver_epochs`]), summed by
+    /// [`absorb`](EngineMetrics::absorb).
+    pub init_driver_epochs: usize,
 }
 
 impl EngineMetrics {
@@ -151,6 +160,7 @@ impl EngineMetrics {
         self.init_lost += other.init_lost;
         self.init_max_width = self.init_max_width.max(other.init_max_width);
         self.init_fragments += other.init_fragments;
+        self.init_driver_epochs += other.init_driver_epochs;
         self.rounds.extend(other.rounds);
     }
 
@@ -200,6 +210,17 @@ impl EngineMetrics {
     /// Total CONGEST frames produced by fragmentation, init included.
     pub fn total_fragments(&self) -> usize {
         self.init_fragments + self.rounds.iter().map(|r| r.fragments).sum::<usize>()
+    }
+
+    /// Epochs the driver ran alone instead of waking the pool, the init
+    /// routing included.
+    pub fn total_driver_epochs(&self) -> usize {
+        self.init_driver_epochs
+            + self
+                .rounds
+                .iter()
+                .map(|r| usize::from(r.driver_epochs))
+                .sum::<usize>()
     }
 
     /// Widest message observed anywhere in the run.
@@ -301,6 +322,7 @@ mod tests {
             live: 3,
             stepped: 3,
             active_frac: 1.0,
+            driver_epochs: 2,
             wall: Duration::from_micros(10),
             route_wall: Duration::from_micros(4),
         }
@@ -321,6 +343,7 @@ mod tests {
         assert_eq!(m.total_physical_rounds(), 2);
         assert_eq!(m.total_fragments(), 0);
         assert_eq!(m.total_route_wall(), Duration::from_micros(8));
+        assert_eq!(m.total_driver_epochs(), 4);
     }
 
     #[test]
@@ -340,12 +363,16 @@ mod tests {
     fn absorb_concatenates_sessions() {
         let mut a = EngineMetrics::default();
         a.record_init(3, 1, 0, 0, 0, 2, 0);
+        a.init_driver_epochs = 1;
         a.push(round(1, 5, 2));
         let mut b = EngineMetrics::default();
         b.record_init(4, 0, 0, 0, 0, 5, 6);
         b.push(round(1, 7, 1));
         b.push(round(2, 2, 1));
+        b.init_driver_epochs = 1;
         a.absorb(b);
+        assert_eq!(a.init_driver_epochs, 2);
+        assert_eq!(a.total_driver_epochs(), 2 + 3 * 2);
         assert_eq!(a.total_rounds(), 3);
         assert_eq!(a.total_messages(), 3 + 4 + 5 + 7 + 2);
         assert_eq!(a.init_messages, 7);

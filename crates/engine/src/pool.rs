@@ -58,11 +58,18 @@
 //!   thread itself executes worker group 0 in both epochs, so a
 //!   `workers = 1` pool spawns no threads at all and runs everything inline
 //!   with zero synchronization.
-//! * **Barrier protocol** — each epoch is one `start`/`done` rendezvous.
-//!   The driver publishes the epoch's job pointer, crosses `start`, does
-//!   its own group's share, and crosses `done`; workers park in between.
-//!   Barrier rendezvous establishes the happens-before edges that make the
-//!   job publication and arena handoffs safe.
+//! * **Barrier protocol** — each pooled epoch is one `start`/`done`
+//!   rendezvous. The driver publishes the epoch's job pointer, crosses
+//!   `start`, does its own group's share, and crosses `done`; workers park
+//!   in between. Barrier rendezvous establishes the happens-before edges
+//!   that make the job publication and arena handoffs safe.
+//! * **Small epochs on the driver** — waking the pool costs a barrier pair
+//!   whatever the epoch holds. When the driver judges an epoch's work too
+//!   small to pay for that (see `driver::on_driver`), [`WorkerPool`] runs
+//!   the same job for every group in group order on the driver thread
+//!   ([`PoolCore::run_inline`]) and the workers stay parked. Nothing else
+//!   differs: each group's share is the same call, the panic discipline
+//!   and the reentry guard are the same, and no barrier is crossed.
 //! * **Panic discipline** — every job invocation runs under
 //!   `catch_unwind`; a panic is recorded in the worker's panic slot, the
 //!   worker still reaches the `done` barrier, and the driver resumes the
@@ -212,6 +219,12 @@ impl<M> ShardYield<M> {
             newly_unhalted: 0,
             new_wakes: Vec::new(),
         }
+    }
+
+    /// Messages left in the buckets for routing: the sent ones, minus the
+    /// dropped, delayed and lost ones, plus the duplicates.
+    pub(crate) fn staged(&self) -> usize {
+        self.messages + self.duplicated - self.dropped - self.delayed - self.lost
     }
 
     /// Number of destination buckets.
@@ -803,16 +816,21 @@ unsafe impl Send for PoolCore {}
 unsafe impl Sync for PoolCore {}
 
 impl PoolCore {
-    /// Runs one epoch: publishes `job`, releases the workers, runs group 0
-    /// on the calling thread, and rejoins. Every invocation is wrapped in
-    /// `catch_unwind`; the first captured panic is returned after the
-    /// epoch fully closes, so the pool always stays reusable.
-    fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), Box<dyn Any + Send + 'static>> {
+    /// Claims the core for one epoch (the reentry guard).
+    fn enter(&self) {
         assert!(
             !self.busy.swap(true, Ordering::Acquire),
             "EnginePool is already driving an epoch: a shared pool may be \
              used by one session at a time"
         );
+    }
+
+    /// Runs one epoch: publishes `job`, releases the workers, runs group 0
+    /// on the calling thread, and rejoins. Every invocation is wrapped in
+    /// `catch_unwind`; the first captured panic is returned after the
+    /// epoch fully closes, so the pool always stays reusable.
+    fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), Box<dyn Any + Send + 'static>> {
+        self.enter();
         // SAFETY: workers are parked at `start`; lifetime erasure is sound
         // because the pointer is consumed strictly inside the start→done
         // window, during which this frame keeps `job` alive.
@@ -836,6 +854,27 @@ impl PoolCore {
             Some(p) => Err(p),
             None => Ok(()),
         }
+    }
+
+    /// Runs one epoch on the calling thread alone: `job` for every group
+    /// `0..groups` in group order, while the workers stay parked. Each
+    /// invocation is wrapped in `catch_unwind` like a pooled one, so every
+    /// group runs and the lowest group's panic is returned — the same
+    /// payload [`run`](PoolCore::run) would return for the same epoch.
+    fn run_inline(
+        &self,
+        groups: usize,
+        job: &dyn Fn(usize),
+    ) -> Result<(), Box<dyn Any + Send + 'static>> {
+        self.enter();
+        let mut payload = None;
+        for g in 0..groups {
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| job(g))) {
+                payload.get_or_insert(p);
+            }
+        }
+        self.busy.store(false, Ordering::Release);
+        payload.map_or(Ok(()), Err)
     }
 }
 
@@ -990,9 +1029,25 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         self.arenas.len()
     }
 
+    /// Runs `job` as one epoch: on the pool, or — with `inline` — for every
+    /// group in group order on the calling thread while the workers stay
+    /// parked. The same job runs either way; only its caller differs.
+    fn epoch(
+        &self,
+        inline: bool,
+        job: &(dyn Fn(usize) + Sync),
+    ) -> Result<(), Box<dyn Any + Send + 'static>> {
+        if inline {
+            self.pool.core().run_inline(self.arenas.len(), job)
+        } else {
+            self.pool.core().run(job)
+        }
+    }
+
     /// Runs one **compute epoch**: group `i` of `ranges` steps its programs
-    /// on worker `i` (group 0 on the calling thread), staging traffic into
-    /// the group's arena. Returns the first captured program panic, if any
+    /// on worker `i` (group 0 on the calling thread; every group on it with
+    /// `inline`), staging traffic into the group's arena. Returns the
+    /// lowest group's captured program panic, if any
     /// — the caller resumes it after the epoch is fully closed, so the
     /// *pool* stays droppable (workers re-park and join cleanly); the
     /// session layer is responsible for refusing further rounds, since the
@@ -1002,6 +1057,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     /// one per worker group, matching `env.bounds`; `due` is the driver's
     /// per-group scheduled-wake lists for this round (absolute dense
     /// indices, consulted only when `env.frontier` is set).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
         programs: &mut [P],
@@ -1010,6 +1066,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         env: &StageEnv<'_>,
         round: u64,
         ranges: &[Range<usize>],
+        inline: bool,
     ) -> Result<(), Box<dyn Any + Send + 'static>> {
         assert_eq!(ranges.len(), self.arenas.len(), "one range per group");
         assert_eq!(due.len(), self.arenas.len(), "one due list per group");
@@ -1023,7 +1080,8 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
             // SAFETY: `ranges` are disjoint, so group `g`'s program slice
             // aliases no other group's; arena `g` is group `g`'s own during
             // a compute epoch; the driver keeps every pointee alive for the
-            // whole epoch window.
+            // whole epoch window. An inline epoch runs the groups one after
+            // another, so their borrows do not even overlap in time.
             let progs = unsafe {
                 std::slice::from_raw_parts_mut(prog_root.get().add(range.start), range.len())
             };
@@ -1038,20 +1096,22 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
                 arena,
             );
         };
-        self.pool.core().run(&job)
+        self.epoch(inline, &job)
     }
 
     /// Runs one **routing epoch**: worker `g` rebuilds group `g`'s `next`
     /// segment from bucket `g` of every arena plus its pending-delayed
     /// list, and finalizes every span of `ranges[g]` (delayed-traffic sort
-    /// / split / reorder; group 0 on the calling thread). `targets` must
-    /// come from the session's [`Mailboxes::next_targets`]; `ranges` must
-    /// match the compute epoch's. Returns the epoch's [`RouteTally`].
+    /// / split / reorder; group 0 on the calling thread, every group on it
+    /// with `inline`). `targets` must come from the session's
+    /// [`Mailboxes::next_targets`]; `ranges` must match the compute
+    /// epoch's. Returns the epoch's [`RouteTally`].
     pub(crate) fn route(
         &mut self,
         targets: RouteTargets<P::Message>,
         ranges: &[Range<usize>],
         env: &RouteEnv<'_>,
+        inline: bool,
     ) -> Result<RouteTally, Box<dyn Any + Send + 'static>> {
         assert_eq!(ranges.len(), self.arenas.len(), "one range per group");
         let arenas = &self.arenas;
@@ -1065,7 +1125,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
             let tally = unsafe { route_range(arenas, g, targets, range.clone(), env) };
             unsafe { *tallies[g].0.get() = tally };
         };
-        self.pool.core().run(&job)?;
+        self.epoch(inline, &job)?;
         let mut total = RouteTally::default();
         for slot in &self.tallies {
             // SAFETY: past the `done` barrier every worker is parked again.
@@ -1458,6 +1518,36 @@ mod tests {
         run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
         assert_eq!(y.stepped, 2);
         assert_eq!(y.bucket_mut(0), &vec![(0, 1, W(1)), (0, 2, W(2))]);
+    }
+
+    #[test]
+    fn inline_epoch_runs_every_group_and_returns_the_lowest_panic() {
+        use std::sync::Mutex;
+        let pool = EnginePool::new(2);
+        let ran = Mutex::new(Vec::new());
+        let job = |g: usize| {
+            ran.lock().unwrap().push(g);
+            assert!(g != 1 && g != 3, "group {g} panicked");
+        };
+        let payload = pool
+            .core()
+            .run_inline(4, &job)
+            .expect_err("groups 1 and 3 panic");
+        assert_eq!(
+            *ran.lock().unwrap(),
+            vec![0, 1, 2, 3],
+            "every group, in order"
+        );
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("group 1 panicked")
+        );
+        // The epoch closed: the guard is released and the pool still runs
+        // pooled epochs.
+        ran.lock().unwrap().clear();
+        assert!(pool.core().run(&|g| ran.lock().unwrap().push(g)).is_ok());
+        ran.lock().unwrap().sort_unstable();
+        assert_eq!(*ran.lock().unwrap(), vec![0, 1]);
     }
 
     #[test]

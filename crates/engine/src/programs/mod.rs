@@ -92,23 +92,6 @@
 //!
 //! [`RoundMetrics::active_frac`](crate::RoundMetrics) reports the realized
 //! ratio per round.
-//!
-//! # Sender-rank memory cost
-//!
-//! Every program pays one fixed per-session charge for the `O(traffic)`
-//! routing epoch: the sender-rank table, built once from the live CSR so
-//! each routed message can carry its final inbox position instead of
-//! being comparison-sorted on arrival. The table is a `u32` per live
-//! adjacency entry plus a `u32` offset per live vertex (plus one) —
-//! ~`4·(m_live + n_live + 1)` bytes per session, about 8 MB at the 10⁶
-//! tier on 4-regular inputs and independent of round count or traffic
-//! volume. Building it takes one transient `u32` counter per vertex of the
-//! whole graph (`n` words, indexed by original id, zero-allocated so pages
-//! no live vertex touches cost nothing), freed before the first round.
-//! Composite pipelines (Theorem 1.3's peel loop) pay the table once per
-//! internal session on that session's *masked* CSR, so the charge shrinks
-//! with the residual graph exactly like the compacted adjacency it
-//! annotates.
 
 pub mod cole_vishkin;
 pub mod gather;

@@ -3,7 +3,9 @@
 //! panics mid-round, fault injection — and never change a single observable
 //! while doing so. Workers are forced past the hardware parallelism
 //! (`EngineConfig::workers`) so these tests exercise real pooled threads
-//! even on single-core CI runners.
+//! even on single-core CI runners. Epochs with little work run on the
+//! driver thread instead, so the pooled cases use graphs large enough to
+//! wake the pool, and `RoundMetrics::driver_epochs` shows which ran where.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -144,17 +146,19 @@ fn idle_sessions_shut_down_without_running_a_round() {
     assert_eq!(metrics.total_rounds(), 1);
 }
 
-#[test]
-fn node_program_panic_propagates_and_pool_shuts_down_cleanly() {
-    let g = gen::path(200);
+/// Runs `PanicAt` on `g` (8 shards) at each worker count: the panic at
+/// round 3 on `vertex` must propagate, poison the session and leave the
+/// pool droppable and the machine reusable. Returns the driver-epoch
+/// counts of the two rounds before the panic — the panicking round's
+/// compute epoch has the same work (every node steps every round), so they
+/// show whether the panic landed in a pooled or a driver-run epoch.
+fn panic_propagates(g: &graphs::Graph, vertex: usize) -> Vec<u8> {
+    let mut counts = Vec::new();
     for workers in [1usize, 2, 8] {
         let mut sess = EngineSession::new(
-            &g,
+            g,
             EngineConfig::default().with_shards(8).with_workers(workers),
-            |_| PanicAt {
-                round: 3,
-                vertex: 137,
-            },
+            |_| PanicAt { round: 3, vertex },
         );
         let r = sess.run_phase("warmup", Stop::Rounds(2));
         assert_eq!(r.rounds, 2, "pre-panic rounds run normally");
@@ -196,31 +200,58 @@ fn node_program_panic_propagates_and_pool_shuts_down_cleanly() {
             Some(true),
             "workers={workers}: reuse must name the poisoning"
         );
+        let round_counts: Vec<u8> = sess
+            .metrics()
+            .per_round()
+            .iter()
+            .map(|r| r.driver_epochs)
+            .collect();
+        if workers == 1 {
+            counts = round_counts;
+        } else {
+            assert_eq!(round_counts, counts, "workers={workers}");
+        }
         // The epoch closed before the unwind resumed: dropping the session
         // (joining the pool) must not hang or double-panic...
         drop(sess);
         // ...and the machine must be reusable afterwards.
-        let mut fresh = gossip_session(&g, workers);
+        let mut fresh = gossip_session(g, workers);
         let report = fresh.run_phase("recovery", Stop::Rounds(2));
         assert_eq!(report.rounds, 2, "workers={workers}");
     }
+    counts
 }
 
 #[test]
-fn fault_plans_are_worker_count_invariant_under_the_pool() {
-    // Drop/delay faults perturb the run identically whether the executor is
-    // inline or an oversubscribed pool: colorings, per-round traffic, and
-    // fault tallies all replay.
-    let g = gen::random_regular(400, 4, 9);
+fn node_program_panic_propagates_and_pool_shuts_down_cleanly() {
+    // 200 silent nodes: both epochs of every round run on the driver.
+    let counts = panic_propagates(&gen::path(200), 137);
+    assert_eq!(counts, vec![2, 2]);
+}
+
+#[test]
+fn node_program_panic_in_a_pooled_epoch_propagates() {
+    // 4000 nodes stepping every round: the compute epoch — where the panic
+    // is raised — wakes the pool; the silent routing epoch does not.
+    let counts = panic_propagates(&gen::path(4000), 3137);
+    assert_eq!(counts, vec![1, 1]);
+}
+
+/// Randomized list coloring of a random 4-regular graph on `n` vertices,
+/// under drop and delay faults, at 16 shards and each worker count: the
+/// colorings, per-round traffic, fault tallies and driver-epoch counts
+/// must replay. Returns the worker-1 run's metrics.
+fn faults_replay(n: usize) -> engine::EngineMetrics {
+    let g = gen::random_regular(n, 4, 9);
     let lists: Vec<Vec<usize>> = g
         .vertices()
         .map(|v| (0..g.degree(v) + 1).collect())
         .collect();
     let mut faults = FaultPlan::new();
     for round in 1..40u64 {
-        faults = faults.drop_outbox((7 * round as usize) % 400, round);
+        faults = faults.drop_outbox((7 * round as usize) % n, round);
         if round % 2 == 0 {
-            faults = faults.delay_outbox((13 * round as usize) % 400, round, 2);
+            faults = faults.delay_outbox((13 * round as usize) % n, round, 2);
         }
     }
     let run = |workers: usize| {
@@ -238,19 +269,108 @@ fn fault_plans_are_worker_count_invariant_under_the_pool() {
             &mut ledger,
         );
         assert!(out.complete);
-        (
+        let driver_epochs: Vec<u8> = metrics
+            .per_round()
+            .iter()
+            .map(|r| r.driver_epochs)
+            .collect();
+        let key = (
             out.colors,
             metrics.message_counts(),
             metrics.total_dropped(),
             metrics.total_delayed(),
             ledger.total(),
-        )
+            driver_epochs,
+        );
+        (key, metrics)
     };
-    let baseline = run(1);
+    let (baseline, metrics) = run(1);
     assert!(baseline.2 > 0, "drop faults must actually fire");
     assert!(baseline.3 > 0, "delay faults must actually fire");
     assert!(graphs::is_proper(&g, &baseline.0));
     for workers in [2usize, 4, 16] {
-        assert_eq!(run(workers), baseline, "workers = {workers}");
+        assert_eq!(run(workers).0, baseline, "workers = {workers}");
+    }
+    metrics
+}
+
+#[test]
+fn fault_plans_are_worker_count_invariant_under_the_pool() {
+    // Drop/delay faults perturb the run identically whether the executor is
+    // inline or an oversubscribed pool: colorings, per-round traffic, and
+    // fault tallies all replay.
+    faults_replay(400);
+}
+
+#[test]
+fn fault_plans_replay_when_faults_land_in_pooled_epochs() {
+    // 4000 vertices: the early rounds carry enough work to wake the pool
+    // in both epochs, so a drop and a delay fault fire inside them.
+    let metrics = faults_replay(4000);
+    let pooled = |r: &&engine::RoundMetrics| r.driver_epochs == 0;
+    assert!(
+        metrics
+            .per_round()
+            .iter()
+            .filter(pooled)
+            .any(|r| r.dropped > 0),
+        "a drop fault fires in a fully pooled round"
+    );
+    assert!(
+        metrics
+            .per_round()
+            .iter()
+            .filter(pooled)
+            .any(|r| r.delayed > 0),
+        "a delay fault fires in a fully pooled round"
+    );
+}
+
+#[test]
+fn driver_epoch_counts_are_shard_and_worker_invariant() {
+    // Randomized coloring's early rounds are dense and its tail is sparse,
+    // so one run has both pooled and driver-run epochs. Which is which
+    // depends only on the work, never on the executor's shape.
+    let g = gen::random_regular(3000, 4, 5);
+    let lists: Vec<Vec<usize>> = g
+        .vertices()
+        .map(|v| (0..g.degree(v) + 1).collect())
+        .collect();
+    let run = |shards: usize, workers: usize| {
+        let (out, metrics) = engine_randomized_list_coloring(
+            &g,
+            None,
+            &lists,
+            3,
+            10_000,
+            EngineConfig::default()
+                .with_shards(shards)
+                .with_workers(workers),
+            &mut RoundLedger::new(),
+        );
+        assert!(out.complete);
+        let per_round: Vec<u8> = metrics
+            .per_round()
+            .iter()
+            .map(|r| r.driver_epochs)
+            .collect();
+        (
+            metrics.total_driver_epochs(),
+            metrics.init_driver_epochs,
+            per_round,
+        )
+    };
+    let baseline = run(1, 1);
+    let epochs = 2 * baseline.2.len() + 1;
+    assert!(baseline.0 > 0, "some epochs run on the driver");
+    assert!(baseline.0 < epochs, "some epochs wake the pool");
+    for shards in [1usize, 2, 8] {
+        for workers in [1usize, 2, 4] {
+            assert_eq!(
+                run(shards, workers),
+                baseline,
+                "shards = {shards}, workers = {workers}"
+            );
+        }
     }
 }
