@@ -16,14 +16,16 @@
 //!
 //! 1. **Compute** — every worker group walks its dense vertex range,
 //!    calling `on_round` with the inbox routed last round and staging
-//!    outbound traffic in its own arena, bucketed by destination group;
-//!    faults (deliver / drop / delay / duplicate) and the strict CONGEST
-//!    width budget ([`EngineConfig::congest_width`]) apply as traffic is
-//!    staged.
-//! 2. **Route** — after the driver tallies counters and (re)schedules
-//!    fault-delayed batches, every worker counting-sorts its own bucket of
-//!    every arena into its group's contiguous inbox segment (spans per
-//!    vertex, no per-message allocation). Groups stage their senders in
+//!    outbound traffic in its own arena: each payload once into the
+//!    group's store, one 8-byte reference per destination into buckets by
+//!    destination group; faults (deliver / drop / delay / duplicate) and
+//!    the strict CONGEST width budget ([`EngineConfig::congest_width`])
+//!    apply as traffic is staged.
+//! 2. **Route** — after the driver tallies counters, swaps every group's
+//!    store into the `next` mailbox buffer and (re)schedules fault-delayed
+//!    batches, every worker counting-sorts its own bucket of every arena
+//!    into its group's contiguous reference segment (spans per vertex, no
+//!    per-message allocation). Groups stage their senders in
 //!    ascending id order and are drained in group order, so each span
 //!    lands in the deterministic sender order as placed; only a group with
 //!    fault-delayed traffic due sorts its spans. The buffers then flip.
@@ -480,12 +482,14 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         // then runs as an ordinary routing epoch, pooled unless small.
         let mut mail = Mailboxes::new(live, bounds.clone());
         let mut metrics = EngineMetrics::default();
-        let (sent, dropped, delayed, duplicated, lost, max_width, staged) = {
+        let split = config.congest.split_width().unwrap_or(usize::MAX);
+        let (sent, dropped, delayed, duplicated, lost, max_width, staged, stored) = {
             let env = StageEnv {
                 faults: &config.faults,
                 view: &view,
                 bounds: &bounds,
                 congest: config.congest.reject_budget(),
+                split,
                 frontier: config.frontier,
             };
             let y = pool.home_arena();
@@ -497,6 +501,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             for (due, batch) in y.delayed_batches.drain(..) {
                 mail.schedule(due, batch);
             }
+            let stored = y.store.len();
+            mail.adopt_store(0, &mut y.store);
             (
                 y.messages,
                 y.dropped,
@@ -505,16 +511,18 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 y.lost,
                 y.max_width,
                 y.staged(),
+                stored,
             )
         };
-        mail.inject_due(1);
+        let restored = mail.inject_due(1, split);
         let init_inline = on_driver(staged + mail.route_backlog());
-        let targets = mail.next_targets();
+        let (targets, stores) = mail.next_targets();
         let init_tally = match pool.route(
             targets,
+            stores,
             &groups,
             &RouteEnv {
-                split: config.congest.split_width().unwrap_or(usize::MAX),
+                split,
                 round: 0,
                 reorder: config.faults.reorder_seed(),
                 live: view.live(),
@@ -533,6 +541,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             max_width,
             init_tally.fragments,
         );
+        metrics.init_payloads = stored + restored;
         metrics.init_driver_epochs = usize::from(init_inline);
         mail.flip();
 
@@ -785,11 +794,13 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             }
         }
 
+        let split = self.config.congest.split_width().unwrap_or(usize::MAX);
         let env = StageEnv {
             faults: &self.config.faults,
             view: &self.view,
             bounds: &self.bounds,
             congest: self.config.congest.reject_budget(),
+            split,
             frontier: self.config.frontier,
         };
         let compute_inline = on_driver(if self.config.frontier {
@@ -823,6 +834,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let mut lost = 0;
         let mut max_width = 0;
         let mut staged = 0;
+        let mut payloads = 0;
         let mut stepped = 0;
         let mut newly_halted = 0;
         let mut newly_unhalted = 0;
@@ -845,6 +857,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             for (due, batch) in y.delayed_batches.drain(..) {
                 mail.schedule(due, batch);
             }
+            payloads += y.store.len();
+            mail.adopt_store(g, &mut y.store);
             if frontier {
                 // Register each stepped node's next wake. Group `g`'s arena
                 // holds only its own range, so the group index is the
@@ -864,19 +878,19 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             }
         });
         self.halted = self.halted + newly_halted - newly_unhalted;
-        self.mail.inject_due(round + 1);
+        payloads += self.mail.inject_due(round + 1, split);
         let route_inline = on_driver(staged + self.mail.route_backlog());
 
-        let targets = self.mail.next_targets();
+        let (targets, stores) = self.mail.next_targets();
         let route_env = RouteEnv {
-            split: self.config.congest.split_width().unwrap_or(usize::MAX),
+            split,
             round,
             reorder: self.config.faults.reorder_seed(),
             live: self.view.live(),
         };
         let tally = match self
             .pool
-            .route(targets, &self.groups, &route_env, route_inline)
+            .route(targets, stores, &self.groups, &route_env, route_inline)
         {
             Ok(tally) => tally,
             Err(payload) => {
@@ -898,6 +912,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             delayed,
             duplicated,
             lost,
+            payloads,
             max_width,
             // Charged on *delivered* widths: traffic a fault suppressed
             // never crossed the wire, so it costs no virtual rounds.
@@ -921,7 +936,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{EngineMessage, Outbox, WireCodec};
+    use crate::program::{EngineMessage, Inbox, Outbox, WireCodec};
     use graphs::gen;
 
     /// Floods the maximum id seen so far; halts once its value is stable for
@@ -940,8 +955,8 @@ mod tests {
             Outbox::Broadcast(self.value)
         }
 
-        fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: &[(usize, u64)]) -> Outbox<u64> {
-            let best = inbox.iter().map(|&(_, m)| m).max().unwrap_or(0);
+        fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
+            let best = inbox.iter().map(|(_, &m)| m).max().unwrap_or(0);
             self.changed = best > self.value;
             if self.changed {
                 self.value = best;
@@ -1143,7 +1158,7 @@ mod tests {
             fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<Words> {
                 Outbox::Silent
             }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(usize, Words)]) -> Outbox<Words> {
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, Words>) -> Outbox<Words> {
                 // Width grows with the round: fine at round 1, over at 3.
                 Outbox::Broadcast(Words(ctx.round as usize))
             }
@@ -1194,9 +1209,9 @@ mod tests {
         fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<IdList> {
             Outbox::Silent
         }
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(usize, IdList)]) -> Outbox<IdList> {
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, IdList>) -> Outbox<IdList> {
             for (src, IdList(words)) in inbox {
-                assert!(words.iter().all(|&w| w == *src as u64), "payload corrupted");
+                assert!(words.iter().all(|&w| w == src as u64), "payload corrupted");
                 self.seen += words.len();
             }
             if ctx.round <= self.rounds {
@@ -1427,7 +1442,7 @@ mod tests {
             fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<u64> {
                 Outbox::Silent
             }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(usize, u64)]) -> Outbox<u64> {
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, u64>) -> Outbox<u64> {
                 Outbox::Unicast((ctx.id + 2) % ctx.n, 1)
             }
             fn halted(&self) -> bool {
@@ -1450,7 +1465,7 @@ mod tests {
             fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<u64> {
                 Outbox::Silent
             }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(usize, u64)]) -> Outbox<u64> {
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, u64>) -> Outbox<u64> {
                 if ctx.id == 1 {
                     Outbox::Unicast(0, 1)
                 } else {

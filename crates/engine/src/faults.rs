@@ -267,23 +267,25 @@ impl FaultPlan {
     }
 }
 
-/// Applies the seeded adversarial reorder to a sender-sorted inbox: each
-/// maximal run of messages from one sender is permuted by a Fisher–Yates
-/// whose coins are a pure function of `(seed, round, receiver, sender)`.
+/// Applies the seeded adversarial reorder to a sender-sorted inbox whose
+/// entries name their sender through `sender`: each maximal run of
+/// messages from one sender is permuted by a Fisher–Yates whose coins are
+/// a pure function of `(seed, round, receiver, sender)`.
 /// Because the run's pre-permutation order (send order) and membership are
 /// shard-invariant, so is the permuted delivery order — reordering
 /// composes with the engine's replay contract like every other fault.
 pub(crate) fn reorder_inbox<T>(
-    inbox: &mut [(VertexId, T)],
+    inbox: &mut [T],
+    sender: impl Fn(&T) -> VertexId,
     seed: u64,
     round: u64,
     receiver: VertexId,
 ) {
     let mut i = 0;
     while i < inbox.len() {
-        let src = inbox[i].0;
+        let src = sender(&inbox[i]);
         let mut j = i + 1;
-        while j < inbox.len() && inbox[j].0 == src {
+        while j < inbox.len() && sender(&inbox[j]) == src {
             j += 1;
         }
         if j - i > 1 {
@@ -410,7 +412,7 @@ mod tests {
         let mut moved = None;
         for seed in 0..64u64 {
             let mut inbox = sorted.clone();
-            reorder_inbox(&mut inbox, seed, 7, 0);
+            reorder_inbox(&mut inbox, |&(s, _)| s, seed, 7, 0);
             assert_eq!(inbox[0], (1, 'a'), "singleton runs never move");
             assert_eq!(inbox[4], (5, 'e'));
             let senders: Vec<usize> = inbox.iter().map(|&(s, _)| s).collect();
@@ -422,12 +424,12 @@ mod tests {
         }
         let (seed, perturbed) = moved.expect("some seed permutes a 3-run");
         let mut replay = sorted.clone();
-        reorder_inbox(&mut replay, seed, 7, 0);
+        reorder_inbox(&mut replay, |&(s, _)| s, seed, 7, 0);
         assert_eq!(replay, perturbed, "same coordinates replay identically");
         let mut other_round = sorted.clone();
-        reorder_inbox(&mut other_round, seed, 8, 0);
+        reorder_inbox(&mut other_round, |&(s, _)| s, seed, 8, 0);
         let mut other_receiver = sorted.clone();
-        reorder_inbox(&mut other_receiver, seed, 7, 9);
+        reorder_inbox(&mut other_receiver, |&(s, _)| s, seed, 7, 9);
         // Coins are drawn per (round, receiver): at least the full triple
         // never collides into the identity for every coordinate at once.
         assert!(

@@ -23,12 +23,15 @@
 //! * [`EngineSession`] — the driver: partitions the view with a
 //!   [`ShardPlan`], executes shards on a **persistent worker pool** (threads
 //!   spawned once per session, parked on reusable barriers, staging
-//!   outbound traffic in per-worker arenas bucketed by destination group —
-//!   see the `pool` module internals), routes messages through
+//!   outbound traffic in per-worker arenas — each payload stored once, one
+//!   8-byte reference per edge, bucketed by destination group — see the
+//!   `pool` module internals), routes the references through
 //!   double-buffered **struct-of-arrays mailboxes** (one contiguous
-//!   segment per worker group plus per-vertex `(start, len)` spans,
-//!   rebuilt by counting sort — zero per-message allocation) in a second
-//!   **worker-parallel routing phase**, and records [`EngineMetrics`]
+//!   reference segment per worker group plus per-vertex `(start, len)`
+//!   spans, rebuilt by counting sort — zero per-message allocation) in a
+//!   second **worker-parallel routing phase**, hands each program its
+//!   inbox as an [`Inbox`] view of `(sender, &payload)` pairs, and records
+//!   [`EngineMetrics`]
 //!   (messages, max width,
 //!   active nodes, wall and routing time) alongside a
 //!   [`RoundLedger`](local_model::RoundLedger). [`EngineConfig::shards`]
@@ -62,7 +65,7 @@
 //! # Examples
 //!
 //! ```
-//! use engine::{EngineConfig, EngineSession, NodeCtx, NodeProgram, Outbox, Stop};
+//! use engine::{EngineConfig, EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop};
 //! use graphs::gen;
 //!
 //! // Every node learns its neighborhood's max id in one round.
@@ -76,8 +79,8 @@
 //!         self.best = ctx.id;
 //!         Outbox::Broadcast(ctx.id)
 //!     }
-//!     fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, usize)]) -> Outbox<usize> {
-//!         self.best = inbox.iter().map(|&(_, m)| m).fold(self.best, usize::max);
+//!     fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
+//!         self.best = inbox.iter().map(|(_, &m)| m).fold(self.best, usize::max);
 //!         self.done = true;
 //!         Outbox::Silent
 //!     }
@@ -112,7 +115,7 @@ pub use driver::{CongestMode, EngineConfig, EngineSession, PhaseReport, Stop, SP
 pub use faults::{FaultAction, FaultPlan};
 pub use metrics::{EngineMetrics, RoundMetrics};
 pub use pool::EnginePool;
-pub use program::{Activation, EngineMessage, NodeProgram, Outbox, WireCodec};
+pub use program::{Activation, EngineMessage, Inbox, InboxIter, NodeProgram, Outbox, WireCodec};
 pub use programs::{
     engine_classification_gather, engine_cole_vishkin_3color, engine_degree_plus_one_coloring,
     engine_detect_clique, engine_gather_balls, engine_h_partition, engine_layered_greedy,

@@ -1,29 +1,47 @@
 //! Double-buffered mailboxes: the synchronous message fabric — plus the
 //! CONGEST **reassembly layer** for split-mode runs.
 //!
-//! Inboxes are stored struct-of-arrays: one contiguous payload **segment**
-//! per routing group holds the `(sender, payload)` entries of the group's
-//! whole dense vertex range packed back to back, and a per-vertex table of
+//! Every payload is stored **once**. A worker group writes each message its
+//! nodes send as one `(sender, payload)` entry of its own payload
+//! [`Store`]: one entry per `Broadcast`, one per `Unicast` or `Multi`
+//! message. Everything downstream moves 8-byte references to those entries,
+//! never the payload: staging pushes `(destination, slot)` per edge, and
+//! routing places `(store, slot)` per delivered message.
+//!
+//! Inboxes are stored struct-of-arrays: one contiguous reference
+//! **segment** per routing group holds the references of the group's whole
+//! dense vertex range packed back to back, and a per-vertex table of
 //! `(start, len)` **spans** says where each inbox lives inside its group's
 //! segment. The routing epoch rebuilds a segment with a **counting sort**
-//! — count per receiver, prefix-sum into spans, place each message once —
-//! so a routing epoch is O(traffic) with **no per-message allocation**:
-//! segments, spans, and the counting scratch are reused round over round.
-//! The counting pass additionally emits a per-group **active list** — the
-//! ascending dense indices of exactly the non-empty spans — nearly for
-//! free: it is the compute epoch's frontier index (only listed vertices
-//! plus the driver's due wake list are stepped) and the buffer's own next
-//! span-reset list, which is what makes quiescent rounds O(frontier)
-//! rather than O(range).
+//! — count per receiver, prefix-sum into spans, place each reference once
+//! — so a routing epoch is O(traffic) with **no per-message allocation**:
+//! segments, spans, stores and the counting scratch are reused round over
+//! round. Spans and counts are `u32` — 20 bytes per vertex for the two
+//! span tables and the counts; the boot checks that the live count fits,
+//! and placement that a group's segment does. The counting pass additionally emits a per-group **active
+//! list** — the ascending dense indices of exactly the non-empty spans —
+//! nearly for free: it is the compute epoch's frontier index (only listed
+//! vertices plus the driver's due wake list are stepped) and the buffer's
+//! own next span-reset list, which is what makes quiescent rounds
+//! O(frontier) rather than O(range).
 //!
 //! Two such buffers — `cur` (read this round) and `next` (rebuilt for the
-//! coming round) — plus a schedule of fault-delayed batches. Inboxes are
-//! indexed by the session's dense live-vertex index (see
-//! [`GraphView`](crate::GraphView)); entries carry *original* sender ids,
-//! which is what programs observe and what the delivery order sorts on.
-//! The strict buffer flip is what makes the execution *synchronous*: a
-//! message sent in round `r` is visible in round `r + 1` and never
-//! earlier, no matter how threads interleave.
+//! coming round) — plus a schedule of fault-delayed batches. Each buffer
+//! also holds the stores its references point into: one per worker group
+//! plus one for re-stored delayed payloads. Between the compute and routing
+//! epochs the driver **swaps** each group's freshly written store into
+//! `next` ([`Mailboxes::adopt_store`], O(groups), nothing copied); the
+//! group gets back the store `next` held two rounds ago and clears it when
+//! it next stages. The coming compute epoch then reads every payload
+//! through the same shared `&Inboxes` as its spans, and a program sees its
+//! inbox as an [`Inbox`](crate::Inbox) view yielding `(sender, &payload)`.
+//!
+//! Inboxes are indexed by the session's dense live-vertex index (see
+//! [`GraphView`](crate::GraphView)); store entries carry *original* sender
+//! ids, which is what programs observe and what the delivery order sorts
+//! on. The strict buffer flip is what makes the execution *synchronous*: a
+//! message sent in round `r` is visible in round `r + 1` and never earlier,
+//! no matter how threads interleave.
 //!
 //! Delivery order contract: each inbox is sorted by original sender id
 //! (stable, so multiple messages from one sender keep their send order,
@@ -41,28 +59,39 @@
 //! therefore lands in every span already sorted by sender, one sender's
 //! messages in send order with its duplicates after them. Delayed batches
 //! are the one exception: they are placed ahead of the arenas, so a group
-//! with delayed traffic due stable-sorts its spans by sender, which keeps
-//! each delayed batch ahead of fresh traffic from the same sender.
+//! with delayed traffic due stable-sorts its spans by sender (read through
+//! the stores), which keeps each delayed batch ahead of fresh traffic from
+//! the same sender.
+//!
+//! A fault-delayed batch is the one place a payload is copied: the staging
+//! group clones each delayed message out of its store into an owned
+//! [`Routed`] record, since the store is recycled two rounds later. When the
+//! batch comes due, [`Mailboxes::inject_due`] moves each record's payload
+//! into the buffer's delayed store — one entry per message — and queues a
+//! reference to it ahead of the fresh traffic.
 //!
 //! # Fragmentation and reassembly
 //!
 //! Under [`CongestMode::Split`](crate::CongestMode::Split) a logical
-//! message wider than the budget never crosses an edge whole. The routing
-//! phase encodes it through its [`WireCodec`](crate::WireCodec), chops the
-//! words into `(seq, total)`-headed frames of at most the budget, and feeds
-//! them — in order, over consecutive virtual rounds — into a `Reassembly`
-//! buffer, which releases the decoded logical message to the program
-//! **only when the last frame lands**. One message's frames are encoded,
+//! message wider than the budget never crosses an edge whole. Each
+//! over-budget payload is encoded through its
+//! [`WireCodec`](crate::WireCodec), chopped into `(seq, total)`-headed
+//! frames of at most the budget, fed through a `Reassembly` buffer and
+//! decoded **once, where it is stored** ([`Store::put`]); the decoded
+//! message replaces the payload every receiver reads, and the frame count
+//! and width are kept beside it. Routing adds that frame count for each
+//! delivered reference and takes the widest delivered width, so the
+//! fragments and the physical-round charge count deliveries exactly as if
+//! every edge had carried its own copy. One message's frames are encoded,
 //! fed and decoded within a single call, so nothing is ever in flight
 //! between messages and no per-vertex or per-edge state is needed: each
-//! routing group keeps one `SplitScratch` — its encode arena and one
-//! reassembly buffer — reused for every message the group's worker splits.
-//! Faults act on *logical* messages in the staging phase, before
-//! fragmentation, so fault replay is identical across split and unlimited
-//! modes.
+//! staging group keeps one `SplitScratch` — its encode arena and one
+//! reassembly buffer — reused for every message it splits. Faults act on
+//! *logical* messages in the staging phase, so fault replay is identical
+//! across split and unlimited modes.
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
-//! fed a `RouteTargets` pointer bundle from
+//! fed a `RouteTargets` pointer bundle and the shared stores from
 //! `Mailboxes::next_targets`), or group by group on the driver when the
 //! epoch is small; round-0 init traffic takes the same path, so there is
 //! no separate driver-side fill.
@@ -74,11 +103,20 @@ use graphs::VertexId;
 
 use crate::faults::reorder_inbox;
 use crate::pool::RouteEnv;
-use crate::program::EngineMessage;
+use crate::program::{EngineMessage, Inbox};
 
-/// A routed point-to-point message: `(destination dense index, original
-/// sender id, payload)`.
+/// A fault-delayed message, cloned out of its sender's store: `(destination
+/// dense index, original sender id, payload)`.
 pub(crate) type Routed<M> = (usize, VertexId, M);
+
+/// A staged reference: `(destination dense index, slot in the staging
+/// group's store)`. The store is implicit — the arena the reference sits
+/// in, or the delayed store for a due delayed message.
+pub(crate) type Staged = (u32, u32);
+
+/// A placed reference: `(store, slot)` — store `g < groups` is worker
+/// group `g`'s, store `groups` the buffer's delayed store.
+pub(crate) type Ref = (u32, u32);
 
 /// A reusable two-level bitmap: one bit per element plus a summary bit
 /// per 64-bit word, so the set bits of a sparse domain are enumerable in
@@ -211,6 +249,98 @@ pub(crate) struct SplitScratch {
     reasm: Reassembly,
 }
 
+/// One payload store: `(sender, payload)` entries written once each —
+/// by a worker group while it stages, or by the driver when it re-stores
+/// due delayed messages — and read through [`Ref`]s by routing and by the
+/// next compute epoch. Cleared, never shrunk, so its capacity is reused.
+pub(crate) struct Store<M> {
+    items: Vec<(VertexId, M)>,
+    /// Split mode with the width scan only: per entry `(width, frames)` —
+    /// its logical width and the frames it crosses an edge in (0 when it
+    /// fits the budget). Empty otherwise.
+    wire: Vec<(usize, usize)>,
+}
+
+impl<M> Default for Store<M> {
+    fn default() -> Self {
+        Store {
+            items: Vec::new(),
+            wire: Vec::new(),
+        }
+    }
+}
+
+/// Whether split mode with budget `split` must look at each payload's
+/// width. A type whose static bound ([`EngineMessage::MAX_WIDTH`]) fits
+/// the budget never fragments, and any delivered width charges exactly one
+/// physical round, so routing reports the bound itself instead.
+pub(crate) fn scans_widths<M: EngineMessage>(split: usize) -> bool {
+    split != usize::MAX && !matches!(M::MAX_WIDTH, Some(bound) if bound <= split)
+}
+
+impl<M> Store<M> {
+    /// Entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The `(sender, payload)` entry at `slot`.
+    #[inline]
+    pub(crate) fn get(&self, slot: u32) -> &(VertexId, M) {
+        &self.items[slot as usize]
+    }
+
+    /// Drops every entry, keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.wire.clear();
+    }
+
+    /// Drops the entries from `len` on — an outbox a fault suppressed.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.items.truncate(len);
+        self.wire.truncate(len);
+    }
+}
+
+impl<M: EngineMessage> Store<M> {
+    /// Stores `(src, m)` — `m` of logical width `width` — and returns its
+    /// slot. Under a split budget that needs the width scan, an
+    /// over-budget payload is shipped through `scratch` first
+    /// ([`split_roundtrip`]) and its decoded form is what gets stored;
+    /// width and frame count go beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot does not fit in 32 bits.
+    pub(crate) fn put(
+        &mut self,
+        src: VertexId,
+        mut m: M,
+        width: usize,
+        split: usize,
+        scratch: &mut SplitScratch,
+    ) -> u32 {
+        let slot = u32::try_from(self.items.len())
+            .expect("a payload store holds at most u32::MAX entries");
+        if scans_widths::<M>(split) {
+            let mut frames = 0;
+            if width > split {
+                (m, frames) = split_roundtrip(&m, split, scratch);
+            }
+            self.wire.push((width, frames));
+        }
+        self.items.push((src, m));
+        slot
+    }
+}
+
+/// The sender of the entry `r` points at.
+#[inline]
+pub(crate) fn sender<M>(stores: &[Store<M>], r: Ref) -> VertexId {
+    stores[r.0 as usize].get(r.1).0
+}
+
 /// What one inbox's finalization observed: CONGEST frames produced, and
 /// the widest logical message actually **delivered** (0 outside split
 /// mode) — the width that decides the round's physical cost. Charging on
@@ -250,6 +380,10 @@ pub(crate) fn split_roundtrip<M: EngineMessage>(
 ) -> (M, usize) {
     debug_assert!(budget >= 1);
     let SplitScratch { encode, reasm } = split;
+    debug_assert!(
+        !reasm.in_flight(),
+        "fragments of one message must not leak into the next"
+    );
     encode.clear();
     m.encode(encode);
     let total = encode.len().div_ceil(budget).max(1) as u32;
@@ -273,73 +407,63 @@ pub(crate) fn split_roundtrip<M: EngineMessage>(
 /// phase (`pool::route_range` runs it on each span of the rebuilt
 /// segment):
 ///
-/// 1. **split mode**: every over-budget message is fragmented and
-///    reassembled through the group's [`SplitScratch`] ([`split_roundtrip`]);
+/// 1. **split mode**: tallies the frames of every delivered reference and
+///    the widest delivered payload, from the `(width, frames)` its store
+///    kept (see [`Store::put`]);
 /// 2. the optional seeded adversarial reorder of same-sender runs.
 ///
 /// The span arrives **already in delivery order** (see the module docs),
 /// so finalize sorts nothing.
 ///
 /// Message types with a static width bound within the budget
-/// ([`EngineMessage::MAX_WIDTH`]) skip the per-message width scan: no
-/// message can fragment, and any delivered width ≤ budget charges exactly
-/// one physical round, so reporting the bound itself is equivalent.
+/// ([`EngineMessage::MAX_WIDTH`]) skip the per-message scan: no message
+/// can fragment, and any delivered width ≤ budget charges exactly one
+/// physical round, so reporting the bound itself is equivalent.
 ///
-/// Returns the frames produced and the widest delivered message.
+/// Returns the frames delivered and the widest delivered message.
 pub(crate) fn finalize_inbox<M: EngineMessage>(
-    inbox: &mut [(VertexId, M)],
+    inbox: &mut [Ref],
+    stores: &[Store<M>],
     receiver: VertexId,
     env: &RouteEnv<'_>,
-    split: &mut SplitScratch,
 ) -> RouteTally {
     let mut tally = RouteTally::default();
-    if env.split != usize::MAX {
-        match M::MAX_WIDTH {
-            // Width-specialized fast path: statically within budget.
-            Some(bound) if bound <= env.split => {
-                if !inbox.is_empty() {
-                    tally.wire_width = bound;
-                }
-            }
-            _ => {
-                for (_, m) in inbox.iter_mut() {
-                    let width = m.width();
-                    tally.wire_width = tally.wire_width.max(width);
-                    if width > env.split {
-                        let (decoded, frames) = split_roundtrip(m, env.split, split);
-                        *m = decoded;
-                        tally.fragments += frames;
-                    }
-                }
-                debug_assert!(
-                    !split.reasm.in_flight(),
-                    "fragments of one round must not leak into the next"
-                );
-            }
+    if scans_widths::<M>(env.split) {
+        for &(s, slot) in inbox.iter() {
+            let (width, frames) = stores[s as usize].wire[slot as usize];
+            tally.wire_width = tally.wire_width.max(width);
+            tally.fragments += frames;
         }
+    } else if env.split != usize::MAX && !inbox.is_empty() {
+        // Width-specialized fast path: statically within budget.
+        tally.wire_width = M::MAX_WIDTH.expect("no scan means a static bound");
     }
     if inbox.len() > 1 {
         if let Some(seed) = env.reorder {
-            reorder_inbox(inbox, seed, env.round, receiver);
+            reorder_inbox(inbox, |&r| sender(stores, r), seed, env.round, receiver);
         }
     }
     tally
 }
 
-/// One side of the double buffer, struct-of-arrays: per-group payload
-/// segments plus per-vertex spans. See the module docs.
+/// One side of the double buffer, struct-of-arrays: per-group reference
+/// segments, per-vertex spans, and the payload stores the references point
+/// into. See the module docs.
 pub(crate) struct Inboxes<M> {
-    /// One contiguous payload segment per routing group: the inboxes of
+    /// One contiguous reference segment per routing group: the inboxes of
     /// the group's whole dense range, packed back to back.
-    segs: Vec<Vec<(VertexId, M)>>,
+    segs: Vec<Vec<Ref>>,
     /// Per dense vertex: `(start, len)` into its group's segment.
-    spans: Vec<(usize, usize)>,
+    spans: Vec<(u32, u32)>,
     /// Per group: the **active list** — absolute dense indices of exactly
     /// the non-empty spans of this buffer, ascending. Built by the routing
     /// epoch as a by-product of the counting sort, it is both the compute
     /// epoch's frontier index (step only these plus the due wake list) and
     /// the next routing of this buffer's O(frontier) span-reset list.
     active: Vec<Vec<usize>>,
+    /// The payload stores: one per worker group (swapped in from its arena
+    /// by [`Mailboxes::adopt_store`]), then the delayed store.
+    stores: Vec<Store<M>>,
 }
 
 impl<M> Inboxes<M> {
@@ -348,31 +472,35 @@ impl<M> Inboxes<M> {
             segs: (0..groups).map(|_| Vec::new()).collect(),
             spans: vec![(0, 0); live],
             active: (0..groups).map(|_| Vec::new()).collect(),
+            stores: (0..=groups).map(|_| Store::default()).collect(),
         }
     }
 
     /// Group `g`'s read view: its segment plus the span rows of its dense
-    /// `range` (span starts are relative to the segment) and its active
-    /// list (absolute dense indices of the non-empty spans).
+    /// `range` (span starts are relative to the segment), its active list
+    /// (absolute dense indices of the non-empty spans), and every store.
     pub(crate) fn group(&self, g: usize, range: Range<usize>) -> GroupInboxes<'_, M> {
         GroupInboxes {
             seg: &self.segs[g],
             spans: &self.spans[range.start..range.end],
             active: &self.active[g],
+            stores: &self.stores,
         }
     }
 }
 
 /// A compute-epoch read view of one group's inboxes: `inbox(i)` is the
 /// `i`-th vertex of the group's dense range. Plain shared slices, so the
-/// view is `Copy` and crosses the task slot as two pointers.
+/// view is `Copy`.
 pub(crate) struct GroupInboxes<'a, M> {
-    pub(crate) seg: &'a [(VertexId, M)],
-    pub(crate) spans: &'a [(usize, usize)],
+    pub(crate) seg: &'a [Ref],
+    pub(crate) spans: &'a [(u32, u32)],
     /// Absolute dense indices of the non-empty spans, ascending — the
     /// vertices that received traffic, i.e. the message half of the round's
     /// frontier.
     pub(crate) active: &'a [usize],
+    /// Every store the segment's references point into.
+    pub(crate) stores: &'a [Store<M>],
 }
 
 impl<M> Clone for GroupInboxes<'_, M> {
@@ -389,23 +517,25 @@ impl<'a, M> GroupInboxes<'a, M> {
     }
 
     /// The inbox of the `i`-th vertex of the range.
-    pub(crate) fn inbox(&self, i: usize) -> &'a [(VertexId, M)] {
+    pub(crate) fn inbox(&self, i: usize) -> Inbox<'a, M> {
         let (start, len) = self.spans[i];
-        &self.seg[start..start + len]
+        let start = start as usize;
+        Inbox::new(&self.seg[start..start + len as usize], self.stores)
     }
 }
 
 /// The raw-pointer bundle the routing epoch writes through — base pointers
 /// of the `next` buffer's segments and spans, the counting scratch, the
-/// per-group pending lists, and the per-group scratch. Built by
+/// per-group pending lists, and the per-group receiver bitmaps. Built by
 /// [`Mailboxes::next_targets`]; each worker touches only its own group's
 /// segment/pending slot and its own dense range of the per-vertex arrays,
 /// so the epoch-barrier discipline (see `pool`) makes the writes disjoint.
-pub(crate) struct RouteTargets<M> {
+#[derive(Clone, Copy)]
+pub(crate) struct RouteTargets {
     /// Per-group `next` segments (`add(group)` = the group's own).
-    pub(crate) segs: *mut Vec<(VertexId, M)>,
+    pub(crate) segs: *mut Vec<Ref>,
     /// Per-vertex span rows of the `next` buffer.
-    pub(crate) spans: *mut (usize, usize),
+    pub(crate) spans: *mut (u32, u32),
     /// Per-group active lists of the `next` buffer (`add(group)` = the
     /// group's own). On entry each holds the indices of the spans the
     /// buffer's *previous* routing left non-empty — exactly the spans that
@@ -413,24 +543,15 @@ pub(crate) struct RouteTargets<M> {
     pub(crate) active: *mut Vec<usize>,
     /// Per-vertex counting-sort scratch. All-zeros between epochs: each
     /// routing zeroes exactly the entries it touched.
-    pub(crate) counts: *mut usize,
-    /// Per-group due-delayed lists (`add(group)`), drained first.
-    pub(crate) pending: *mut Vec<Routed<M>>,
-    /// Per-group split scratch (`add(group)` = the group's own), reused
-    /// by every message the group's worker fragments.
-    pub(crate) split: *mut SplitScratch,
+    pub(crate) counts: *mut u32,
+    /// Per-group references to due delayed payloads (`add(group)`), placed
+    /// first.
+    pub(crate) pending: *mut Vec<Staged>,
     /// Per-group vertex bitmaps (`add(group)`) marking the dense indices
     /// that received traffic — drained ascending to rebuild the active
     /// list without sorting it.
     pub(crate) vbits: *mut TwoLevelBits,
 }
-
-impl<M> Clone for RouteTargets<M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for RouteTargets<M> {}
 
 // SAFETY: a `RouteTargets` is a bundle of raw pointers whose pointees are
 // partitioned by group/vertex index under the routing epoch's barrier
@@ -438,8 +559,13 @@ impl<M> Copy for RouteTargets<M> {}
 // the vertex entries of its own range. The bundle itself carries no state,
 // so sharing the *value* across worker threads is sound; all aliasing rules
 // live with `route_range`'s safety contract.
-unsafe impl<M: Send> Send for RouteTargets<M> {}
-unsafe impl<M: Send> Sync for RouteTargets<M> {}
+unsafe impl Send for RouteTargets {}
+unsafe impl Sync for RouteTargets {}
+
+/// The group owning dense vertex `dv` under the boundaries `bounds`.
+fn group_of(bounds: &[usize], dv: usize) -> usize {
+    bounds.partition_point(|&b| b <= dv) - 1
+}
 
 /// The engine's mailbox fabric. See module docs.
 pub(crate) struct Mailboxes<M> {
@@ -449,17 +575,15 @@ pub(crate) struct Mailboxes<M> {
     /// partition the pool's worker groups use.
     bounds: Vec<usize>,
     /// Per-vertex counting-sort scratch for the routing epoch.
-    counts: Vec<usize>,
-    /// Per-group delayed batches due the round being routed: filled by
-    /// [`inject_due`](Mailboxes::inject_due), drained **first** by the
+    counts: Vec<u32>,
+    /// Per-group references to the delayed payloads due the round being
+    /// routed, into `next`'s delayed store: filled by
+    /// [`inject_due`](Mailboxes::inject_due), placed **first** by the
     /// routing epoch so late traffic precedes fresh traffic from the same
     /// sender after the stable sender sort.
-    pending: Vec<Vec<Routed<M>>>,
-    /// Per-group split scratch (encode arena + reassembly buffer): each
-    /// routing worker reuses its own across every over-budget message it
-    /// fragments, so steady-state split routing performs zero per-message
-    /// allocation and keeps no per-vertex state.
-    split: Vec<SplitScratch>,
+    pending: Vec<Vec<Staged>>,
+    /// The driver's split scratch, for re-storing due delayed payloads.
+    split: SplitScratch,
     /// Per-group traffic-receiver bitmaps (see [`RouteTargets::vbits`]).
     vbits: Vec<TwoLevelBits>,
     delayed: BTreeMap<u64, Vec<Routed<M>>>,
@@ -469,8 +593,14 @@ impl<M: EngineMessage> Mailboxes<M> {
     /// Mailboxes for `live` vertices partitioned by `bounds` (ascending
     /// group boundaries, `len = groups + 1`, `bounds[0] = 0`, last entry
     /// `live`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` exceeds `u32::MAX`: spans, counts and references
+    /// index vertices in 32 bits.
     pub(crate) fn new(live: usize, bounds: Vec<usize>) -> Self {
         debug_assert!(bounds.len() >= 2 && bounds[0] == 0 && bounds[bounds.len() - 1] == live);
+        u32::try_from(live).expect("a session holds at most u32::MAX live vertices");
         let groups = bounds.len() - 1;
         Mailboxes {
             cur: Inboxes::new(live, groups),
@@ -478,7 +608,7 @@ impl<M: EngineMessage> Mailboxes<M> {
             bounds,
             counts: vec![0; live],
             pending: (0..groups).map(|_| Vec::new()).collect(),
-            split: (0..groups).map(|_| SplitScratch::default()).collect(),
+            split: SplitScratch::default(),
             vbits: (0..groups).map(|_| TwoLevelBits::default()).collect(),
             delayed: BTreeMap::new(),
         }
@@ -489,44 +619,65 @@ impl<M: EngineMessage> Mailboxes<M> {
         &self.cur
     }
 
-    /// The inbox dense vertex `dv` reads this round (test/inspection
-    /// convenience over [`cur`](Mailboxes::cur)).
+    /// The inbox dense vertex `dv` reads this round, copied out
+    /// (test/inspection convenience over [`cur`](Mailboxes::cur)).
     #[cfg(test)]
-    pub(crate) fn inbox(&self, dv: usize) -> &[(VertexId, M)] {
-        let g = self.group_of(dv);
-        let (start, len) = self.cur.spans[dv];
-        &self.cur.segs[g][start..start + len]
+    pub(crate) fn inbox(&self, dv: usize) -> Vec<(VertexId, M)> {
+        let g = group_of(&self.bounds, dv);
+        let range = self.bounds[g]..self.bounds[g + 1];
+        let inbox = self.cur.group(g, range.clone()).inbox(dv - range.start);
+        inbox.iter().map(|(src, m)| (src, m.clone())).collect()
     }
 
-    fn group_of(&self, dv: usize) -> usize {
-        self.bounds.partition_point(|&b| b <= dv) - 1
-    }
-
-    /// The raw-pointer bundle the routing epoch rebuilds `next` through.
-    /// The caller must not touch this `Mailboxes` until the epoch closes.
-    pub(crate) fn next_targets(&mut self) -> RouteTargets<M> {
-        RouteTargets {
-            segs: self.next.segs.as_mut_ptr(),
-            spans: self.next.spans.as_mut_ptr(),
-            active: self.next.active.as_mut_ptr(),
+    /// The raw-pointer bundle the routing epoch rebuilds `next` through,
+    /// and `next`'s stores, which routing reads shared. The caller must not
+    /// touch this `Mailboxes` until the epoch closes.
+    pub(crate) fn next_targets(&mut self) -> (RouteTargets, &[Store<M>]) {
+        let Inboxes {
+            segs,
+            spans,
+            active,
+            stores,
+        } = &mut self.next;
+        let targets = RouteTargets {
+            segs: segs.as_mut_ptr(),
+            spans: spans.as_mut_ptr(),
+            active: active.as_mut_ptr(),
             counts: self.counts.as_mut_ptr(),
             pending: self.pending.as_mut_ptr(),
-            split: self.split.as_mut_ptr(),
             vbits: self.vbits.as_mut_ptr(),
-        }
+        };
+        (targets, stores)
     }
 
-    /// Moves any batch whose delay expires at `round` into the per-group
-    /// pending lists — must happen *before* fresh traffic is routed so
-    /// late traffic precedes fresh traffic from the same sender after the
-    /// stable sender sort.
-    pub(crate) fn inject_due(&mut self, round: u64) {
-        if let Some(batch) = self.delayed.remove(&round) {
-            for r in batch {
-                let g = self.group_of(r.0);
-                self.pending[g].push(r);
-            }
+    /// Hands group `g`'s freshly written store to `next` and gives the
+    /// group back the store `next` held — two rounds stale, for the group
+    /// to clear when it next stages. A swap: no payload moves.
+    pub(crate) fn adopt_store(&mut self, g: usize, store: &mut Store<M>) {
+        std::mem::swap(&mut self.next.stores[g], store);
+    }
+
+    /// Readies `next`'s delayed store for the round being routed: clears
+    /// it, then moves the payload of every batch whose delay expires at
+    /// `round` into it (round-tripped under the split budget `split`, like
+    /// any stored payload) and queues a reference in the receiver group's
+    /// pending list. Must happen *before* fresh traffic is routed, so late
+    /// traffic precedes fresh traffic from the same sender after the stable
+    /// sender sort. Returns the number of payloads stored.
+    pub(crate) fn inject_due(&mut self, round: u64, split: usize) -> usize {
+        let groups = self.bounds.len() - 1;
+        let store = &mut self.next.stores[groups];
+        store.clear();
+        let Some(batch) = self.delayed.remove(&round) else {
+            return 0;
+        };
+        let restored = batch.len();
+        for (dv, src, m) in batch {
+            let width = m.width();
+            let slot = store.put(src, m, width, split, &mut self.split);
+            self.pending[group_of(&self.bounds, dv)].push((dv as u32, slot));
         }
+        restored
     }
 
     /// Schedules a fault-delayed batch for delivery at `round`.
@@ -561,12 +712,13 @@ impl<M: EngineMessage> Mailboxes<M> {
     }
 
     /// Serial twin of the worker-parallel routing epoch, for unit tests:
-    /// distributes `staged` traffic (plus due-delayed pending batches)
-    /// into the `next` segments group by group and finalizes every inbox.
-    /// Deliberately the **comparison-sort executable spec** — a stable
-    /// sort by destination, placement, then a stable per-inbox sort by
-    /// original sender — that the production path, which sorts only
-    /// delayed traffic, must reproduce verbatim.
+    /// stores `staged` traffic in group 0's store of `next`, distributes
+    /// it (plus due-delayed pending references) into the `next` segments
+    /// group by group, and finalizes every inbox. Deliberately the
+    /// **comparison-sort executable spec** — a stable sort by destination,
+    /// placement, then a stable per-inbox sort by original sender — that
+    /// the production path, which sorts only delayed traffic, must
+    /// reproduce verbatim.
     #[cfg(test)]
     pub(crate) fn route_serial(
         &mut self,
@@ -574,12 +726,6 @@ impl<M: EngineMessage> Mailboxes<M> {
         env: &RouteEnv<'_>,
     ) -> RouteTally {
         let groups = self.bounds.len() - 1;
-        let mut buckets: Vec<Vec<Routed<M>>> = (0..groups).map(|_| Vec::new()).collect();
-        for r in staged {
-            let g = self.group_of(r.0);
-            buckets[g].push(r);
-        }
-        let mut tally = RouteTally::default();
         let Mailboxes {
             next,
             bounds,
@@ -591,10 +737,22 @@ impl<M: EngineMessage> Mailboxes<M> {
             segs,
             spans,
             active,
+            stores,
         } = next;
-        for (g, mut fresh) in buckets.into_iter().enumerate() {
-            let mut items: Vec<Routed<M>> = std::mem::take(&mut pending[g]);
-            items.append(&mut fresh);
+        stores[0].clear();
+        let mut buckets: Vec<Vec<(usize, Ref)>> = (0..groups).map(|_| Vec::new()).collect();
+        for (dv, src, m) in staged {
+            let width = m.width();
+            let slot = stores[0].put(src, m, width, env.split, split);
+            buckets[group_of(bounds, dv)].push((dv, (0, slot)));
+        }
+        let mut tally = RouteTally::default();
+        for (g, fresh) in buckets.into_iter().enumerate() {
+            let mut items: Vec<(usize, Ref)> = std::mem::take(&mut pending[g])
+                .into_iter()
+                .map(|(dv, slot)| (dv as usize, (groups as u32, slot)))
+                .collect();
+            items.extend(fresh);
             // A stable sort by destination is the counting sort's twin:
             // per receiver, pending-then-staged order is preserved.
             items.sort_by_key(|r| r.0);
@@ -605,24 +763,18 @@ impl<M: EngineMessage> Mailboxes<M> {
             let range = bounds[g]..bounds[g + 1];
             for (dv, span) in range.clone().zip(&mut spans[range]) {
                 let start = seg.len();
-                while iter.peek().is_some_and(|r| r.0 == dv) {
-                    let (_, src, m) = iter.next().expect("peeked");
-                    seg.push((src, m));
+                while let Some((_, r)) = iter.next_if(|r| r.0 == dv) {
+                    seg.push(r);
                 }
-                *span = (start, seg.len() - start);
+                *span = (start as u32, (seg.len() - start) as u32);
                 if span.1 > 0 {
                     active[g].push(dv);
                 }
                 // The spec's delivery order: a stable comparison sort on
                 // original sender ids (placement already put pending-
                 // before-fresh within each sender).
-                seg[start..].sort_by_key(|&(src, _)| src);
-                tally.absorb(finalize_inbox(
-                    &mut seg[start..],
-                    env.live[dv],
-                    env,
-                    &mut split[g],
-                ));
+                seg[start..].sort_by_key(|&r| sender(stores, r));
+                tally.absorb(finalize_inbox(&mut seg[start..], stores, env.live[dv], env));
             }
         }
         tally
@@ -678,10 +830,12 @@ mod tests {
         mail.flip();
         assert_eq!(mail.inbox(0), &[(2, 20)]);
         assert_eq!(mail.inbox(1), &[(0, 10), (3, 30)]);
-        assert_eq!(mail.inbox(2), &[]);
+        assert!(mail.inbox(2).is_empty());
         assert_eq!(mail.inbox(3), &[(1, 40)]);
-        assert_eq!(mail.cur.segs[0], vec![(2, 20), (0, 10), (3, 30)]);
-        assert_eq!(mail.cur.segs[1], vec![(1, 40)]);
+        // The spec stores every payload in group 0's store, in staging
+        // order (slots 0..4 = 30, 20, 10, 40); segments hold references.
+        assert_eq!(mail.cur.segs[0], vec![(0, 1), (0, 2), (0, 0)]);
+        assert_eq!(mail.cur.segs[1], vec![(0, 3)]);
         assert_eq!(
             mail.cur.spans,
             vec![(0, 1), (1, 2), (0, 0), (0, 1)],
@@ -700,7 +854,7 @@ mod tests {
         mail.schedule(3, vec![(1, 0, 99)]);
         // Rounds 1 and 2: nothing due.
         for round in 1..3u64 {
-            mail.inject_due(round);
+            mail.inject_due(round, usize::MAX);
             mail.route_serial(Vec::new(), &plain_env());
             mail.flip();
             assert!(mail.inbox(1).is_empty(), "round {round}");
@@ -708,7 +862,7 @@ mod tests {
         assert!(mail.has_pending_delays());
         // Round 3: due batch plus fresh traffic from the same sender — the
         // delayed message comes first.
-        mail.inject_due(3);
+        assert_eq!(mail.inject_due(3, usize::MAX), 1, "one payload re-stored");
         mail.route_serial(vec![(1, 0, 100)], &plain_env());
         mail.flip();
         assert_eq!(mail.inbox(1), &[(0, 99), (0, 100)]);
@@ -773,38 +927,53 @@ mod tests {
             reorder: None,
             live: &[],
         };
-        let mut inbox = vec![
-            (4usize, NbrList(vec![1, 2, 3, 4, 5])), // 3 frames at width 2
-            (1, NbrList(vec![9])),                  // within budget: whole
-        ];
-        let tally = finalize_inbox(&mut inbox, 0, &env, &mut SplitScratch::default());
-        assert_eq!(tally.fragments, 3);
+        // The store round-trips the over-budget payload once, as it is
+        // stored, and keeps its width and frame count beside it.
+        let mut store = Store::default();
+        let mut scratch = SplitScratch::default();
+        let wide = store.put(4, NbrList(vec![1, 2, 3, 4, 5]), 5, 2, &mut scratch);
+        let narrow = store.put(1, NbrList(vec![9]), 1, 2, &mut scratch);
+        let stores = [store];
+        let mut inbox = vec![(0, wide), (0, narrow)];
+        let tally = finalize_inbox(&mut inbox, &stores, 0, &env);
+        assert_eq!(tally.fragments, 3, "5 words at 2 per frame");
         assert_eq!(tally.wire_width, 5, "delivered width drives the charge");
-        // Delivery order is the routing epoch's job now: finalize must
-        // leave the placed order untouched.
-        assert_eq!(inbox[0].0, 4);
-        assert_eq!(inbox[0].1 .0, vec![1, 2, 3, 4, 5]);
-        assert_eq!(inbox[1].1 .0, vec![9]);
+        // Delivery order is the routing epoch's job: finalize must leave
+        // the placed order untouched.
+        assert_eq!(inbox, vec![(0, wide), (0, narrow)]);
+        assert_eq!(stores[0].get(wide), &(4, NbrList(vec![1, 2, 3, 4, 5])));
+        // Frames are counted per delivered reference: two receivers of one
+        // stored payload (or a duplicate) pay for two crossings.
+        let mut twice = vec![(0, wide), (0, wide)];
+        assert_eq!(finalize_inbox(&mut twice, &stores, 0, &env).fragments, 6);
     }
 
     #[test]
     fn static_width_bound_skips_the_scan_identically() {
         // u64 carries MAX_WIDTH = Some(1): under any budget ≥ 1 the fast
-        // path reports width 1 for non-empty inboxes and 0 for empty ones —
-        // exactly what the scan would have found.
+        // path keeps no widths, and reports width 1 for non-empty inboxes
+        // and 0 for empty ones — exactly what the scan would have found.
         let env = RouteEnv {
             split: 4,
             round: 1,
             reorder: None,
             live: &[],
         };
-        let mut inbox: Vec<(VertexId, u64)> = vec![(2, 5), (0, 9)];
-        let tally = finalize_inbox(&mut inbox, 0, &env, &mut SplitScratch::default());
+        let mut store: Store<u64> = Store::default();
+        let mut scratch = SplitScratch::default();
+        let a = store.put(2, 5, 1, 4, &mut scratch);
+        let b = store.put(0, 9, 1, 4, &mut scratch);
+        assert!(
+            store.wire.is_empty(),
+            "no per-payload widths on the fast path"
+        );
+        let stores = [store];
+        let mut inbox = vec![(0, a), (0, b)];
+        let tally = finalize_inbox(&mut inbox, &stores, 0, &env);
         assert_eq!(tally.wire_width, 1);
         assert_eq!(tally.fragments, 0);
-        assert_eq!(inbox, vec![(2, 5), (0, 9)], "placed order is preserved");
-        let mut empty: Vec<(VertexId, u64)> = Vec::new();
-        let tally = finalize_inbox(&mut empty, 0, &env, &mut SplitScratch::default());
+        assert_eq!(inbox, vec![(0, a), (0, b)], "placed order is preserved");
+        let tally = finalize_inbox(&mut [], &stores, 0, &env);
         assert_eq!(tally.wire_width, 0, "empty inbox charges nothing");
     }
 

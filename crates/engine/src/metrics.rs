@@ -30,6 +30,13 @@ pub struct RoundMetrics {
     pub duplicated: usize,
     /// Messages discarded by seeded per-edge loss.
     pub lost: usize,
+    /// Payload store entries routed this round: one per broadcast that
+    /// reaches a live neighbor and per unicast or multi message, minus the
+    /// outboxes a drop or delay fault suppressed, plus one per delayed
+    /// message re-stored as it comes due. Fault-free broadcast-only traffic
+    /// stores one payload per broadcasting step, however many
+    /// [`messages`](RoundMetrics::messages) it fans out to.
+    pub payloads: usize,
     /// Widest message emitted this round, in abstract words
     /// ([`EngineMessage::width`](crate::EngineMessage::width)).
     pub max_width: usize,
@@ -41,8 +48,8 @@ pub struct RoundMetrics {
     /// crossed the wire and costs nothing, and a fault-delayed wide
     /// message is charged in the round its frames actually traverse.
     pub physical_rounds: u64,
-    /// CONGEST frames produced by fragmenting over-budget messages
-    /// delivered this round (0 outside split mode; a message within budget
+    /// CONGEST frames of the over-budget messages delivered this round,
+    /// counted per delivery (0 outside split mode; a message within budget
     /// is delivered whole and counts no fragment).
     pub fragments: usize,
     /// Nodes whose halt vote was still "active" when the round started.
@@ -68,10 +75,10 @@ pub struct RoundMetrics {
     /// Wall-clock time of the round (compute + routing).
     pub wall: Duration,
     /// Wall-clock time of the whole routing epoch: everything between the
-    /// compute epoch's close and the buffer flip — yield collection,
-    /// delayed-fault injection, the per-group counting sort (count, place,
-    /// and sort the spans of a group with delayed traffic due), and inbox
-    /// finalization (fragmentation, reorder). A subset of
+    /// compute epoch's close and the buffer flip — yield collection and
+    /// the store swap, delayed-fault re-storing, the per-group counting
+    /// sort (count, place, and sort the spans of a group with delayed
+    /// traffic due), and inbox finalization (split tally, reorder). A subset of
     /// [`wall`](RoundMetrics::wall); the lab's `route-frac` budget judges
     /// this number, so it must not under-count any epoch step.
     pub route_wall: Duration,
@@ -108,6 +115,8 @@ pub struct EngineMetrics {
     pub init_duplicated: usize,
     /// Round-0 messages discarded by per-edge loss.
     pub init_lost: usize,
+    /// Round-0 payload store entries (see [`RoundMetrics::payloads`]).
+    pub init_payloads: usize,
     /// Widest round-0 message.
     pub init_max_width: usize,
     /// CONGEST frames produced by splitting round-0 init traffic (the
@@ -158,6 +167,7 @@ impl EngineMetrics {
         self.init_delayed += other.init_delayed;
         self.init_duplicated += other.init_duplicated;
         self.init_lost += other.init_lost;
+        self.init_payloads += other.init_payloads;
         self.init_max_width = self.init_max_width.max(other.init_max_width);
         self.init_fragments += other.init_fragments;
         self.init_driver_epochs += other.init_driver_epochs;
@@ -197,6 +207,12 @@ impl EngineMetrics {
     /// Total messages discarded by seeded per-edge loss, init included.
     pub fn total_lost(&self) -> usize {
         self.init_lost + self.rounds.iter().map(|r| r.lost).sum::<usize>()
+    }
+
+    /// Total payload store entries, init included: one per broadcast,
+    /// however wide its fan-out (see [`RoundMetrics::payloads`]).
+    pub fn total_payloads(&self) -> usize {
+        self.init_payloads + self.rounds.iter().map(|r| r.payloads).sum::<usize>()
     }
 
     /// Total physical rounds spent on the wire — equals
@@ -315,6 +331,7 @@ mod tests {
             delayed: 0,
             duplicated: 0,
             lost: 0,
+            payloads: 1,
             max_width: width,
             physical_rounds: 1,
             fragments: 0,
@@ -344,6 +361,7 @@ mod tests {
         assert_eq!(m.total_fragments(), 0);
         assert_eq!(m.total_route_wall(), Duration::from_micros(8));
         assert_eq!(m.total_driver_epochs(), 4);
+        assert_eq!(m.total_payloads(), 2);
     }
 
     #[test]
@@ -364,14 +382,18 @@ mod tests {
         let mut a = EngineMetrics::default();
         a.record_init(3, 1, 0, 0, 0, 2, 0);
         a.init_driver_epochs = 1;
+        a.init_payloads = 3;
         a.push(round(1, 5, 2));
         let mut b = EngineMetrics::default();
         b.record_init(4, 0, 0, 0, 0, 5, 6);
         b.push(round(1, 7, 1));
         b.push(round(2, 2, 1));
         b.init_driver_epochs = 1;
+        b.init_payloads = 4;
         a.absorb(b);
         assert_eq!(a.init_driver_epochs, 2);
+        assert_eq!(a.init_payloads, 7);
+        assert_eq!(a.total_payloads(), 7 + 3);
         assert_eq!(a.total_driver_epochs(), 2 + 3 * 2);
         assert_eq!(a.total_rounds(), 3);
         assert_eq!(a.total_messages(), 3 + 4 + 5 + 7 + 2);

@@ -14,10 +14,10 @@
 //!   core can serve an `EngineSession<GatherProgram>` and an
 //!   `EngineSession<RulingProgram>` back to back — which is exactly what a
 //!   peeling pipeline does, session per level.
-//! * [`WorkerPool`] — the typed session layer: staging arenas and route
-//!   tallies for one session's message type, translated into plain
-//!   `Fn(group)` jobs for the core. All typed state lives here; the core
-//!   only ever sees `&dyn Fn(usize)`.
+//! * [`WorkerPool`] — the typed session layer: staging arenas (payload
+//!   stores and reference buckets) and route tallies for one session's
+//!   message type, translated into plain `Fn(group)` jobs for the core. All
+//!   typed state lives here; the core only ever sees `&dyn Fn(usize)`.
 //!
 //! Sessions either spawn a private core (the historical behavior) or
 //! borrow a shared [`EnginePool`] via
@@ -27,28 +27,41 @@
 //! Each round is two epochs on the same reusable barrier pair:
 //!
 //! * **Compute epoch** — every worker group walks its dense vertex range,
-//!   calling `on_round` and staging outbound traffic in its own arena. The
-//!   arena is **bucketed by destination group**: a message for a vertex
-//!   owned by group `g` lands in bucket `g`, so the routing epoch can hand
-//!   each bucket to exactly one consumer without locks or cloning.
+//!   calling `on_round` and staging outbound traffic in its own arena.
+//!   Each payload is moved once into the arena's **store**, as a
+//!   `(sender, payload)` entry — one per `Broadcast`, one per `Unicast` or
+//!   `Multi` message — and each point-to-point message becomes an 8-byte
+//!   `(destination, slot)` reference. References are **bucketed by
+//!   destination group**: one for a vertex owned by group `g` lands in
+//!   bucket `g`, so the routing epoch can hand each bucket to exactly one
+//!   consumer without locks. No payload is cloned per edge; duplication
+//!   faults push a second reference to the same slot, and split mode
+//!   round-trips an over-budget payload once, as it is stored.
 //! * **Routing epoch** — worker `g` rebuilds its group's `next` segment
 //!   with a **counting sort** over bucket `g` of *every* arena (in
 //!   ascending group order): count per receiver, prefix-sum into the span
-//!   table, and place each message exactly once into the contiguous
-//!   segment. Steady-state rounds perform no per-message allocation —
-//!   segments, spans, and the counting scratch persist across rounds.
-//!   Between the two epochs the driver does the cheap global work:
-//!   tallying fault counters, scheduling fault-delayed batches, and
-//!   injecting batches that come due.
+//!   table, and place each reference exactly once, as `(store, slot)`,
+//!   into the contiguous segment. Steady-state rounds perform no
+//!   per-message allocation — stores, buckets, segments, spans, and the
+//!   counting scratch persist across rounds. Between the two epochs the
+//!   driver does the cheap global work: tallying fault counters, swapping
+//!   every arena's store into the `next` mailbox buffer (O(groups); the
+//!   arena gets back a two-rounds-stale store it clears when it next
+//!   stages), scheduling fault-delayed batches, and re-storing the
+//!   payloads of batches that come due into the buffer's delayed store.
+//!   The next compute epoch reads every payload through the same shared
+//!   `&Inboxes` it reads the spans through, so no raw pointer reaches a
+//!   store.
 //!
-//! Determinism: for any inbox, messages are placed in (source group,
+//! Determinism: for any inbox, references are placed in (source group,
 //! staging order) order. Groups own ascending dense ranges and step their
 //! senders in ascending dense (= original id) order, so that placement
 //! order *is* the delivery order — ascending sender, one sender's messages
 //! in send order — with no sort at all. The one exception is fault-delayed
 //! traffic, which is placed ahead of the fresh traffic: a group that had
-//! delayed batches due stable-sorts its spans by sender, which keeps each
-//! delayed batch ahead of fresh traffic from the same sender. Either way
+//! delayed batches due stable-sorts its spans by sender (read through the
+//! stores), which keeps each delayed batch ahead of fresh traffic from the
+//! same sender. Either way
 //! the delivered order is a pure function of the traffic, so worker count
 //! and shard count remain pure performance knobs.
 //!
@@ -62,7 +75,7 @@
 //!   rendezvous. The driver publishes the epoch's job pointer, crosses
 //!   `start`, does its own group's share, and crosses `done`; workers park
 //!   in between. Barrier rendezvous establishes the happens-before edges
-//!   that make the job publication and arena handoffs safe.
+//!   that make the job publication, arena and store handoffs safe.
 //! * **Small epochs on the driver** — waking the pool costs a barrier pair
 //!   whatever the epoch holds. When the driver judges an epoch's work too
 //!   small to pay for that (see `driver::on_driver`), [`WorkerPool`] runs
@@ -92,7 +105,10 @@ use graphs::VertexId;
 use crate::context::NodeCtx;
 use crate::driver::wake_round;
 use crate::faults::{FaultAction, FaultPlan};
-use crate::mailbox::{finalize_inbox, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed};
+use crate::mailbox::{
+    finalize_inbox, sender, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed, SplitScratch,
+    Staged, Store,
+};
 use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
 
@@ -116,6 +132,10 @@ pub(crate) struct StageEnv<'a> {
     pub(crate) bounds: &'a [usize],
     /// Per-message width budget (`usize::MAX` = no CONGEST mode).
     pub(crate) congest: usize,
+    /// Fragmentation budget in words (`usize::MAX` = splitting off): an
+    /// over-budget payload is round-tripped through the wire once, when it
+    /// is stored.
+    pub(crate) split: usize,
     /// Frontier-sparse gating: when set, a node with an empty inbox is
     /// stepped only if its [`Activation`] hint requests the round. Cleared
     /// by [`EngineConfig::with_frontier(false)`] to force full scans.
@@ -133,11 +153,12 @@ impl StageEnv<'_> {
     }
 }
 
-/// Everything the routing epoch needs beyond the arenas: the
+/// Everything the routing epoch needs beyond the arenas and stores: the
 /// fragmentation budget, the round being routed (keys the reorder coins),
 /// the adversarial reorder rule, and the dense → original id table.
 pub(crate) struct RouteEnv<'a> {
-    /// Fragmentation budget in words (`usize::MAX` = splitting off).
+    /// Fragmentation budget in words (`usize::MAX` = splitting off); with
+    /// it on, routing tallies the frames and widths the stores kept.
     pub(crate) split: usize,
     /// The logical round whose traffic is being routed (0 = init).
     pub(crate) round: u64,
@@ -147,19 +168,28 @@ pub(crate) struct RouteEnv<'a> {
     pub(crate) live: &'a [VertexId],
 }
 
-/// One worker group's per-round contribution: a persistent staging arena
-/// (bucketed by destination group) for outbound traffic plus the round's
-/// observed counters. Reused across rounds — [`reset`](ShardYield::reset)
-/// clears without releasing capacity.
+/// One worker group's per-round contribution: its payload store, a
+/// persistent staging arena of references (bucketed by destination group)
+/// for outbound traffic, and the round's observed counters. Reused across
+/// rounds — [`reset`](ShardYield::reset) clears without releasing capacity.
 ///
 /// Buckets are `UnsafeCell`s because the routing epoch hands bucket `g` of
 /// every arena to worker `g` while other workers drain their own buckets of
 /// the same arena: access is disjoint by bucket index, synchronized by the
 /// epoch barriers.
 pub(crate) struct ShardYield<M> {
-    /// Outbound messages staged this round (surviving faults), bucketed by
-    /// destination worker group.
-    buckets: Vec<UnsafeCell<Vec<Routed<M>>>>,
+    /// Outbound references staged this round (surviving faults),
+    /// `(destination, slot in store)`, bucketed by destination worker
+    /// group.
+    buckets: Vec<UnsafeCell<Vec<Staged>>>,
+    /// Every payload the group sent this round, once each. The driver
+    /// swaps it into the mailboxes between the epochs
+    /// (`Mailboxes::adopt_store`) and hands back a stale one, cleared here
+    /// at the next [`reset`](ShardYield::reset).
+    pub(crate) store: Store<M>,
+    /// The group's split-mode scratch, for payloads it round-trips as it
+    /// stores them.
+    split: SplitScratch,
     /// Scratch: each bucket's length when the current outbox began staging.
     starts: Vec<usize>,
     /// Scratch of the loss and duplication faults: the occurrence index of
@@ -204,6 +234,8 @@ impl<M> ShardYield<M> {
     pub(crate) fn with_groups(groups: usize) -> Self {
         ShardYield {
             buckets: (0..groups).map(|_| UnsafeCell::new(Vec::new())).collect(),
+            store: Store::default(),
+            split: SplitScratch::default(),
             starts: vec![0; groups],
             occ: Vec::new(),
             seen: HashMap::new(),
@@ -234,7 +266,7 @@ impl<M> ShardYield<M> {
 
     /// Exclusive bucket access (tests build staged traffic directly).
     #[cfg(test)]
-    pub(crate) fn bucket_mut(&mut self, b: usize) -> &mut Vec<Routed<M>> {
+    pub(crate) fn bucket_mut(&mut self, b: usize) -> &mut Vec<Staged> {
         self.buckets[b].get_mut()
     }
 
@@ -246,7 +278,7 @@ impl<M> ShardYield<M> {
     /// the returned borrow (the routing epoch assigns bucket `b` of every
     /// arena to worker `b` exclusively).
     #[allow(clippy::mut_from_ref)]
-    unsafe fn bucket_shared(&self, b: usize) -> &mut Vec<Routed<M>> {
+    unsafe fn bucket_shared(&self, b: usize) -> &mut Vec<Staged> {
         unsafe { &mut *self.buckets[b].get() }
     }
 
@@ -255,6 +287,7 @@ impl<M> ShardYield<M> {
         for bucket in &mut self.buckets {
             bucket.get_mut().clear();
         }
+        self.store.clear();
         self.delayed_batches.clear();
         self.messages = 0;
         self.dropped = 0;
@@ -349,9 +382,13 @@ pub(crate) fn run_range<P: NodeProgram>(
     }
 }
 
-/// Expands one node's outbox into the arena, enforces the CONGEST budget,
-/// and applies its fault action (drop/delay by per-bucket truncate/split,
-/// duplication by per-bucket append).
+/// Expands one node's outbox into the arena — each payload into the store
+/// once, one reference per destination into the buckets — enforces the
+/// CONGEST budget, and applies its fault action: drop truncates the
+/// outbox's references and payloads, delay clones each delayed message out
+/// into an owned record and then truncates likewise, loss compacts
+/// references, and duplication appends a second reference to the same
+/// payload.
 ///
 /// # Panics
 ///
@@ -375,10 +412,11 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
     for b in 0..y.buckets.len() {
         y.starts[b] = y.buckets[b].get_mut().len();
     }
+    let stored = y.store.len();
     // Only a `Multi` outbox can name one destination twice; for the others
     // every message is its destination's first (occurrence 0).
     let repeats = matches!(outbox, Outbox::Multi(_));
-    let width = expand_into(src, outbox, neighbors, env, &mut y.buckets);
+    let width = expand_into(src, outbox, neighbors, env, y);
     let batch_len: usize = y
         .buckets
         .iter_mut()
@@ -411,13 +449,22 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
                 bucket.get_mut().truncate(y.starts[b]);
             }
+            y.store.truncate(stored);
         }
         FaultAction::Delay(by) => {
+            // The store is recycled two rounds on, so a delayed message
+            // leaves it as an owned copy — the one place a payload is
+            // cloned.
             y.delayed += batch_len;
             let mut batch = Vec::with_capacity(batch_len);
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
-                batch.append(&mut bucket.get_mut().split_off(y.starts[b]));
+                let bucket = bucket.get_mut();
+                for &(dv, slot) in &bucket[y.starts[b]..] {
+                    batch.push((dv as usize, src, y.store.get(slot).1.clone()));
+                }
+                bucket.truncate(y.starts[b]);
             }
+            y.store.truncate(stored);
             y.delayed_batches.push((round + 1 + by, batch));
         }
     }
@@ -428,8 +475,8 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
 /// `repeats` (a `Broadcast` or `Unicast` batch) every index is 0; a `Multi`
 /// batch is counted in one pass through the reusable `seen` map. O(batch)
 /// either way — the faults key their coins on these indices.
-fn occurrences<M>(
-    batch: &[Routed<M>],
+fn occurrences(
+    batch: &[Staged],
     repeats: bool,
     occ: &mut Vec<usize>,
     seen: &mut HashMap<usize, usize>,
@@ -441,7 +488,7 @@ fn occurrences<M>(
     }
     seen.clear();
     occ.extend(batch.iter().map(|r| {
-        let count = seen.entry(r.0).or_insert(0);
+        let count = seen.entry(r.0 as usize).or_insert(0);
         *count += 1;
         *count - 1
     }));
@@ -470,7 +517,7 @@ fn lose_batch<M: EngineMessage>(
         // decided.
         let mut kept = start;
         for (j, &occurrence) in y.occ.iter().enumerate() {
-            let dv = bucket[start + j].0;
+            let dv = bucket[start + j].0 as usize;
             if env
                 .faults
                 .loses(round, src, env.view.original(dv), occurrence)
@@ -485,11 +532,11 @@ fn lose_batch<M: EngineMessage>(
     }
 }
 
-/// Appends a seeded duplicate of each chosen message right after the
-/// current outbox's batch in its bucket. Keyed on `(round, src, original
-/// dst, occurrence)`, so the decision — and the delivered order, where each
-/// duplicate follows its sender's batch — is independent of the bucket
-/// partition.
+/// Appends a second reference to each chosen message right after the
+/// current outbox's batch in its bucket — the payload itself is not
+/// copied. Keyed on `(round, src, original dst, occurrence)`, so the
+/// decision — and the delivered order, where each duplicate follows its
+/// sender's batch — is independent of the bucket partition.
 fn duplicate_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
@@ -506,13 +553,12 @@ fn duplicate_batch<M: EngineMessage>(
         occurrences(&bucket[start..], repeats, &mut y.occ, &mut y.seen);
         let mut dups = 0;
         for (j, &occurrence) in y.occ.iter().enumerate() {
-            let dv = bucket[start + j].0;
+            let r = bucket[start + j];
             if env
                 .faults
-                .duplicates(round, src, env.view.original(dv), occurrence)
+                .duplicates(round, src, env.view.original(r.0 as usize), occurrence)
             {
-                let copy = bucket[start + j].clone();
-                bucket.push(copy);
+                bucket.push(r);
                 dups += 1;
             }
         }
@@ -520,9 +566,11 @@ fn duplicate_batch<M: EngineMessage>(
     }
 }
 
-/// Expands an outbox into routed point-to-point messages appended to the
-/// destination-group buckets; returns the widest message in the batch (0
-/// for an empty batch).
+/// Expands an outbox into the arena: each payload is moved into the store
+/// once — a broadcast is one entry, whatever the degree; a broadcast to no
+/// live neighbor stores nothing — and each point-to-point message becomes
+/// a `(destination, slot)` reference appended to its destination group's
+/// bucket. Returns the widest message in the batch (0 for an empty batch).
 ///
 /// # Panics
 ///
@@ -534,13 +582,20 @@ fn expand_into<M: EngineMessage>(
     outbox: Outbox<M>,
     neighbors: &[VertexId],
     env: &StageEnv<'_>,
-    buckets: &mut [UnsafeCell<Vec<Routed<M>>>],
+    y: &mut ShardYield<M>,
 ) -> usize {
     let dense = env.view.dense_table();
-    let push = |dst: VertexId, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
+    let ShardYield {
+        buckets,
+        store,
+        split,
+        ..
+    } = y;
+    let mut push = |dst: VertexId, slot: u32| {
         let dv = dense[dst];
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
-        buckets[env.group_of(dv)].get_mut().push((dv, src, m));
+        // Dense indices fit in 32 bits: the mailboxes check it at boot.
+        buckets[env.group_of(dv)].get_mut().push((dv as u32, slot));
     };
     match outbox {
         Outbox::Silent => 0,
@@ -549,8 +604,9 @@ fn expand_into<M: EngineMessage>(
                 return 0;
             }
             let width = m.width();
+            let slot = store.put(src, m, width, env.split, split);
             for &dst in neighbors {
-                push(dst, m.clone(), buckets);
+                push(dst, slot);
             }
             width
         }
@@ -559,30 +615,36 @@ fn expand_into<M: EngineMessage>(
                 panic!("node {src} unicast to non-neighbor {dst}")
             }
             let width = m.width();
-            push(dst, m, buckets);
+            push(dst, store.put(src, m, width, env.split, split));
             width
         }
         Outbox::Multi(msgs) => {
-            let mut width = 0;
+            let mut batch_width = 0;
             for (dst, m) in msgs {
                 if neighbors.binary_search(&dst).is_err() {
                     panic!("node {src} sent to non-neighbor {dst}")
                 }
-                width = width.max(m.width());
-                push(dst, m, buckets);
+                let width = m.width();
+                batch_width = batch_width.max(width);
+                push(dst, store.put(src, m, width, env.split, split));
             }
-            width
+            batch_width
         }
     }
 }
 
 /// The routing epoch's per-worker share: rebuild group `group`'s `next`
-/// segment with a counting sort over its pending-delayed list and bucket
-/// `group` of every arena (pending first, then ascending arena order —
-/// the determinism contract), then finalize each span — fragmentation /
-/// reassembly in split mode and the optional adversarial reorder (see
+/// segment with a counting sort over its pending-delayed references and
+/// bucket `group` of every arena (pending first, then ascending arena
+/// order — the determinism contract), then finalize each span — the
+/// split-mode frame tally and the optional adversarial reorder (see
 /// `mailbox::finalize_inbox`). Returns the range's [`RouteTally`] (frames
-/// produced, widest delivered message).
+/// delivered, widest delivered message).
+///
+/// Only 8-byte references move: a reference staged in arena `g` becomes
+/// `(g, slot)`, a pending one `(groups, slot)` — the delayed store — and
+/// `stores` (the `next` buffer's, already swapped in) is read for senders
+/// and split tallies only.
 ///
 /// Arenas hold ascending sender ranges and each stages its senders in
 /// ascending order, so a span placed from the arenas alone is already in
@@ -602,31 +664,37 @@ fn expand_into<M: EngineMessage>(
 /// `t.counts` is all-zeros, and every span outside the buffer's active
 /// list is `(0, 0)`.
 ///
+/// # Panics
+///
+/// Panics if the group receives more than `u32::MAX` references in one
+/// round: span starts are 32-bit.
+///
 /// # Safety
 ///
 /// The caller must guarantee, for the duration of the call: bucket `group`
 /// of every arena is accessed by this caller alone; `t.segs.add(group)`,
-/// `t.active.add(group)`, and `t.pending.add(group)` are accessed by this
-/// caller alone; the per-vertex arrays behind `t.spans` / `t.counts`
-/// hold at least `range.end` entries, with the entries in `range` accessed
-/// by this caller alone. The epoch barrier protocol provides all of it.
+/// `t.active.add(group)`, `t.pending.add(group)` and `t.vbits.add(group)`
+/// are accessed by this caller alone; the per-vertex arrays behind
+/// `t.spans` / `t.counts` hold at least `range.end` entries, with the
+/// entries in `range` accessed by this caller alone. The epoch barrier
+/// protocol provides all of it.
 unsafe fn route_range<M: EngineMessage>(
     arenas: &[ArenaSlot<M>],
+    stores: &[Store<M>],
     group: usize,
-    t: RouteTargets<M>,
+    t: RouteTargets,
     range: Range<usize>,
     env: &RouteEnv<'_>,
 ) -> RouteTally {
     let base = range.start;
     // SAFETY: `range` is this worker's exclusive slice of the per-vertex
-    // arrays; segment, active list, pending list, and split scratch
-    // `group` are ours alone.
+    // arrays; segment, active list, pending list, and bitmap `group` are
+    // ours alone.
     let counts = unsafe { std::slice::from_raw_parts_mut(t.counts.add(base), range.len()) };
     let spans = unsafe { std::slice::from_raw_parts_mut(t.spans.add(base), range.len()) };
     let active = unsafe { &mut *t.active.add(group) };
     let pending = unsafe { &mut *t.pending.add(group) };
     let seg = unsafe { &mut *t.segs.add(group) };
-    let split = unsafe { &mut *t.split.add(group) };
     let vbits = unsafe { &mut *t.vbits.add(group) };
 
     // Reset exactly the spans this buffer's previous routing left
@@ -643,18 +711,22 @@ unsafe fn route_range<M: EngineMessage>(
     // marking each receiver in the group's two-level bitmap. `counts` is
     // all-zeros on entry (each routing re-zeroes what it touched).
     vbits.ensure(range.len());
-    for &(dv, _, _) in pending.iter() {
-        debug_assert!(range.contains(&dv), "pending {group} holds only our range");
-        counts[dv - base] += 1;
-        vbits.set(dv - base);
+    let mut total = pending.len();
+    for &(dv, _) in pending.iter() {
+        let i = dv as usize - base;
+        debug_assert!(i < range.len(), "pending {group} holds only our range");
+        counts[i] += 1;
+        vbits.set(i);
     }
     for arena in arenas {
         // SAFETY: shared view of the arena; bucket `group` is ours alone.
         let bucket = unsafe { (*arena.0.get()).bucket_shared(group) };
-        for r in bucket.iter() {
-            debug_assert!(range.contains(&r.0), "bucket {group} holds only our range");
-            counts[r.0 - base] += 1;
-            vbits.set(r.0 - base);
+        total += bucket.len();
+        for &(dv, _) in bucket.iter() {
+            let i = dv as usize - base;
+            debug_assert!(i < range.len(), "bucket {group} holds only our range");
+            counts[i] += 1;
+            vbits.set(i);
         }
     }
     if !vbits.any() {
@@ -663,6 +735,9 @@ unsafe fn route_range<M: EngineMessage>(
         seg.clear();
         return RouteTally::default();
     }
+    // Span starts are 32-bit; with the total checked, no per-vertex count
+    // or prefix sum below can overflow.
+    u32::try_from(total).expect("a group receives at most u32::MAX messages per round");
     // The compute epoch walks the list in order; staging order feeds the
     // delivery contract, so the index must ascend like a full scan would.
     // Draining the bitmap enumerates the receivers ascending in
@@ -672,12 +747,12 @@ unsafe fn route_range<M: EngineMessage>(
 
     // Prefix-sum the active counts into spans; the counts become
     // placement cursors.
-    let mut total = 0usize;
+    let mut start = 0u32;
     for &dv in active.iter() {
         let c = &mut counts[dv - base];
-        spans[dv - base] = (total, *c);
-        *c = total;
-        total += spans[dv - base].1;
+        spans[dv - base] = (start, *c);
+        start += *c;
+        *c = spans[dv - base].0;
     }
 
     // Placement pass, same source order as the counting pass: pending
@@ -688,22 +763,25 @@ unsafe fn route_range<M: EngineMessage>(
     seg.reserve(total);
     let out = seg.as_mut_ptr();
     {
-        let mut place = |(dv, src, m): Routed<M>| {
-            let cursor = &mut counts[dv - base];
+        let mut place = |dv: u32, r: (u32, u32)| {
+            let cursor = &mut counts[dv as usize - base];
             // SAFETY: cursor < total ≤ capacity, and both passes see the
-            // same messages, so every slot is written exactly once.
-            unsafe { out.add(*cursor).write((src, m)) };
+            // same references, so every slot is written exactly once.
+            unsafe { out.add(*cursor as usize).write(r) };
             *cursor += 1;
         };
-        for r in pending.drain(..) {
-            place(r);
+        let delayed_store = arenas.len() as u32;
+        for &(dv, slot) in pending.iter() {
+            place(dv, (delayed_store, slot));
         }
-        for arena in arenas {
+        pending.clear();
+        for (g, arena) in arenas.iter().enumerate() {
             // SAFETY: as in the counting pass.
             let bucket = unsafe { (*arena.0.get()).bucket_shared(group) };
-            for r in bucket.drain(..) {
-                place(r);
+            for &(dv, slot) in bucket.iter() {
+                place(dv, (g as u32, slot));
             }
+            bucket.clear();
         }
     }
     // SAFETY: exactly `total` slots were initialized above.
@@ -715,16 +793,17 @@ unsafe fn route_range<M: EngineMessage>(
     for &dv in active.iter() {
         let (start, len) = spans[dv - base];
         counts[dv - base] = 0;
-        let span = &mut seg[start..start + len];
+        let span = &mut seg[start as usize..(start + len) as usize];
         if had_pending {
-            span.sort_by_key(|&(src, _)| src);
+            span.sort_by_key(|&r| sender(stores, r));
         } else {
             debug_assert!(
-                span.windows(2).all(|w| w[0].0 <= w[1].0),
+                span.windows(2)
+                    .all(|w| sender(stores, w[0]) <= sender(stores, w[1])),
                 "fresh traffic is placed in sender order"
             );
         }
-        tally.absorb(finalize_inbox(span, env.live[dv], env, split));
+        tally.absorb(finalize_inbox(span, stores, env.live[dv], env));
     }
     tally
 }
@@ -1102,13 +1181,15 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     /// Runs one **routing epoch**: worker `g` rebuilds group `g`'s `next`
     /// segment from bucket `g` of every arena plus its pending-delayed
     /// list, and finalizes every span of `ranges[g]` (delayed-traffic sort
-    /// / split / reorder; group 0 on the calling thread, every group on it
-    /// with `inline`). `targets` must come from the session's
-    /// [`Mailboxes::next_targets`]; `ranges` must match the compute
-    /// epoch's. Returns the epoch's [`RouteTally`].
+    /// / split tally / reorder; group 0 on the calling thread, every group
+    /// on it with `inline`). `targets` and `stores` must come from the
+    /// session's [`Mailboxes::next_targets`], after every arena's store
+    /// was adopted; `ranges` must match the compute epoch's. Returns the
+    /// epoch's [`RouteTally`].
     pub(crate) fn route(
         &mut self,
-        targets: RouteTargets<P::Message>,
+        targets: RouteTargets,
+        stores: &[Store<P::Message>],
         ranges: &[Range<usize>],
         env: &RouteEnv<'_>,
         inline: bool,
@@ -1122,7 +1203,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
             // slot `g`, and the span/count entries of `range` belong
             // exclusively to group `g` during a routing epoch;
             // tally slot `g` likewise.
-            let tally = unsafe { route_range(arenas, g, targets, range.clone(), env) };
+            let tally = unsafe { route_range(arenas, stores, g, targets, range.clone(), env) };
             unsafe { *tallies[g].0.get() = tally };
         };
         self.epoch(inline, &job)?;
@@ -1161,6 +1242,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Inbox;
     use graphs::Graph;
 
     #[derive(Clone, PartialEq, Debug)]
@@ -1196,8 +1278,21 @@ mod tests {
             view,
             bounds,
             congest: usize::MAX,
+            split: usize::MAX,
             frontier: true,
         }
+    }
+
+    /// Bucket `b`'s staged references resolved through the arena's store:
+    /// `(destination, sender, payload)`, as a per-edge record would read.
+    fn resolved(y: &mut ShardYield<W>, b: usize) -> Vec<(usize, VertexId, W)> {
+        let refs = y.bucket_mut(b).clone();
+        refs.iter()
+            .map(|&(dv, slot)| {
+                let (src, m) = y.store.get(slot);
+                (dv as usize, *src, m.clone())
+            })
+            .collect()
     }
 
     #[test]
@@ -1211,8 +1306,13 @@ mod tests {
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 2);
         assert_eq!(
+            resolved(&mut y, 0),
+            vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
+        );
+        assert_eq!(
             y.bucket_mut(0),
-            &vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
+            &vec![(1, 0), (3, 0), (5, 0)],
+            "one stored payload, one reference per neighbor"
         );
         stage_outbox(0, Outbox::Unicast(3, W(7)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 7);
@@ -1221,6 +1321,7 @@ mod tests {
         stage_outbox(5, Outbox::Broadcast(W(5)), &[], 1, &e, &mut y);
         assert_eq!(y.bucket_mut(0).len(), 4, "isolated broadcast is empty");
         assert_eq!(y.messages, 4);
+        assert_eq!(y.store.len(), 2, "an isolated broadcast stores nothing");
     }
 
     #[test]
@@ -1235,9 +1336,10 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(2);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.bucket_mut(0), &vec![(1, 3, W(1)), (2, 3, W(1))]);
-        assert_eq!(y.bucket_mut(1), &vec![(4, 3, W(1)), (5, 3, W(1))]);
+        assert_eq!(resolved(&mut y, 0), vec![(1, 3, W(1)), (2, 3, W(1))]);
+        assert_eq!(resolved(&mut y, 1), vec![(4, 3, W(1)), (5, 3, W(1))]);
         assert_eq!(y.messages, 4);
+        assert_eq!(y.store.len(), 1, "both buckets share one payload");
     }
 
     #[test]
@@ -1253,11 +1355,18 @@ mod tests {
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 5, &e, &mut y);
         assert_eq!(y.dropped, 2, "dropped round truncates the arena");
         assert_eq!(y.bucket_mut(0).len(), 2);
-        stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 6, &e, &mut y);
+        assert_eq!(y.store.len(), 1, "and its payload");
+        stage_outbox(0, Outbox::Broadcast(W(3)), &neighbors, 6, &e, &mut y);
         assert_eq!(y.delayed, 2);
         assert_eq!(y.bucket_mut(0).len(), 2, "delayed tail split out");
+        assert_eq!(y.store.len(), 1, "delayed payloads leave the store");
         assert_eq!(y.delayed_batches.len(), 1);
         assert_eq!(y.delayed_batches[0].0, 6 + 1 + 2);
+        assert_eq!(
+            y.delayed_batches[0].1,
+            vec![(1, 0, W(3)), (2, 0, W(3))],
+            "one owned record per delayed message"
+        );
         assert_eq!(y.messages, 6, "all three outboxes were *sent*");
     }
 
@@ -1273,9 +1382,10 @@ mod tests {
         assert_eq!(y.messages, 2, "originals only");
         assert_eq!(y.duplicated, 2, "probability 1.0 duplicates both");
         assert_eq!(
-            y.bucket_mut(0),
-            &vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
+            resolved(&mut y, 0),
+            vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
         );
+        assert_eq!(y.store.len(), 1, "duplicates reference the same payload");
     }
 
     #[test]
@@ -1306,7 +1416,7 @@ mod tests {
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.lost == 1 {
-                let kept: Vec<usize> = y.bucket_mut(0).iter().map(|r| r.0).collect();
+                let kept: Vec<u32> = y.bucket_mut(0).iter().map(|r| r.0).collect();
                 assert_eq!(kept.len(), 2);
                 assert!(kept.windows(2).all(|w| w[0] < w[1]), "order preserved");
                 found = true;
@@ -1365,8 +1475,10 @@ mod tests {
                         .chain(dups.iter().filter(mine))
                         .cloned()
                         .collect();
-                    let got: Vec<(usize, W)> =
-                        y.bucket_mut(b).iter().map(|r| (r.0, r.2.clone())).collect();
+                    let got: Vec<(usize, W)> = resolved(&mut y, b)
+                        .into_iter()
+                        .map(|(dv, _, m)| (dv, m))
+                        .collect();
                     assert_eq!(got, expect, "seed {seed}, bucket {b} of {bounds:?}");
                 }
             }
@@ -1407,23 +1519,36 @@ mod tests {
         );
     }
 
-    /// A one-group arena preloaded with staged traffic (tests build the
-    /// routing epoch's input directly).
+    /// A one-bucket arena preloaded with staged traffic, each message
+    /// stored and referenced (tests build the routing epoch's input
+    /// directly).
     fn mk(msgs: Vec<Routed<W>>) -> ArenaSlot<W> {
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
-        y.bucket_mut(0).extend(msgs);
+        for (dv, src, m) in msgs {
+            let slot = y.store.put(src, m, 1, usize::MAX, &mut y.split);
+            y.bucket_mut(0).push((dv as u32, slot));
+        }
         ArenaSlot(UnsafeCell::new(y))
+    }
+
+    /// Hands every arena's store to `mail`, as the driver does between
+    /// the epochs.
+    fn adopt_all(mail: &mut crate::mailbox::Mailboxes<W>, arenas: &mut [ArenaSlot<W>]) {
+        for (g, a) in arenas.iter_mut().enumerate() {
+            mail.adopt_store(g, &mut a.0.get_mut().store);
+        }
     }
 
     #[test]
     fn routing_epoch_counting_sort_matches_contract() {
         use crate::mailbox::Mailboxes;
-        // Three vertices in one group; traffic from two arenas staged the
-        // way the compute epoch stages it — arena 0 holds senders 0 and 1,
-        // arena 1 sender 2, each in ascending sender order. Placement alone
-        // (arena order × staging order) is then the delivery order.
-        let mut mail: Mailboxes<W> = Mailboxes::new(3, vec![0, 3]);
-        let arenas = [
+        // Three vertices in group 0 (group 1 is empty); traffic from two
+        // arenas staged the way the compute epoch stages it — arena 0
+        // holds senders 0 and 1, arena 1 sender 2, each in ascending sender
+        // order. Placement alone (arena order × staging order) is then the
+        // delivery order.
+        let mut mail: Mailboxes<W> = Mailboxes::new(3, vec![0, 3, 3]);
+        let mut arenas = [
             mk(vec![
                 (0, 0, W(1)),
                 (2, 0, W(2)),
@@ -1440,9 +1565,11 @@ mod tests {
             reorder: None,
             live: &live,
         };
+        adopt_all(&mut mail, &mut arenas);
+        let (targets, stores) = mail.next_targets();
         // SAFETY: single-threaded test — this caller is the sole accessor
         // of every bucket and every mailbox entry.
-        let tally = unsafe { route_range(&arenas, 0, mail.next_targets(), 0..3, &env) };
+        let tally = unsafe { route_range(&arenas, stores, 0, targets, 0..3, &env) };
         assert_eq!(tally.fragments, 0);
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(1)), (0, W(3)), (1, W(5)), (2, W(7))]);
@@ -1453,6 +1580,16 @@ mod tests {
             assert!(
                 unsafe { (*a.0.get()).bucket_shared(0) }.is_empty(),
                 "routing drains every bucket"
+            );
+        }
+        // The stores swapped in: no payload moved, sender order read
+        // through them.
+        assert_eq!(mail.cur().group(0, 0..3).inbox(0).len(), 4);
+        for a in &mut arenas {
+            assert_eq!(
+                a.0.get_mut().store.len(),
+                0,
+                "the arenas got empty stores back"
             );
         }
     }
@@ -1466,8 +1603,8 @@ mod tests {
         // while a lower fresh sender still sorts ahead of both.
         let mut mail: Mailboxes<W> = Mailboxes::new(2, vec![0, 2]);
         mail.schedule(5, vec![(0, 1, W(7))]);
-        mail.inject_due(5);
-        let arenas = [mk(vec![(0, 0, W(6)), (0, 1, W(8))])];
+        assert_eq!(mail.inject_due(5, usize::MAX), 1);
+        let mut arenas = [mk(vec![(0, 0, W(6)), (0, 1, W(8))])];
         let live = [0usize, 1];
         let env = RouteEnv {
             split: usize::MAX,
@@ -1475,9 +1612,11 @@ mod tests {
             reorder: None,
             live: &live,
         };
+        adopt_all(&mut mail, &mut arenas);
+        let (targets, stores) = mail.next_targets();
         // SAFETY: single-threaded test — sole accessor of every bucket and
         // mailbox entry.
-        let _ = unsafe { route_range(&arenas, 0, mail.next_targets(), 0..2, &env) };
+        let _ = unsafe { route_range(&arenas, stores, 0, targets, 0..2, &env) };
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(6)), (1, W(7)), (1, W(8))]);
     }
@@ -1494,7 +1633,7 @@ mod tests {
             fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<W> {
                 Outbox::Silent
             }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(VertexId, W)]) -> Outbox<W> {
+            fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, W>) -> Outbox<W> {
                 Outbox::Broadcast(W(ctx.id))
             }
             fn halted(&self) -> bool {
@@ -1507,17 +1646,21 @@ mod tests {
         let bounds = [0, 3];
         let e = env(&faults, &view, &bounds);
         let mut programs = [Shout, Shout, Shout];
-        let seg = [(0, W(0))];
+        let mut store = Store::default();
+        store.put(0, W(0), 0, usize::MAX, &mut SplitScratch::default());
+        let stores = [store];
+        let seg = [(0, 0)];
         let spans = [(0, 0), (0, 0), (0, 1)];
         let inboxes = GroupInboxes {
             seg: &seg,
             spans: &spans,
             active: &[2],
+            stores: &stores,
         };
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
         assert_eq!(y.stepped, 2);
-        assert_eq!(y.bucket_mut(0), &vec![(0, 1, W(1)), (0, 2, W(2))]);
+        assert_eq!(resolved(&mut y, 0), vec![(0, 1, W(1)), (0, 2, W(2))]);
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! over consecutive virtual rounds, and reassembles them at the receiver,
 //! charging the extra rounds honestly.
 
+use std::fmt;
+
 use graphs::VertexId;
 
 use crate::context::NodeCtx;
+use crate::mailbox::{Ref, Store};
 
 /// The typed wire format of a message: how it serializes into CONGEST word
 /// frames.
@@ -64,8 +67,10 @@ pub trait WireCodec: Sized {
 /// payload).
 ///
 /// Messages are `'static`: they outlive the round that produced them (they
-/// sit in mailboxes, fault-delay queues, and the worker pool's staging
-/// arenas), so they may not borrow from the graph or the session.
+/// sit in the payload stores and the fault-delay queues), so they may not
+/// borrow from the graph or the session. `Clone` is needed only to copy a
+/// fault-delayed message out of its store: a broadcast is stored once,
+/// whatever the degree, and receivers borrow it.
 pub trait EngineMessage: Clone + Send + Sync + WireCodec + 'static {
     /// Static upper bound on [`width`](EngineMessage::width), if one exists.
     ///
@@ -107,6 +112,89 @@ impl<M> Outbox<M> {
             Outbox::Unicast(..) => 1,
             Outbox::Multi(v) => v.len(),
         }
+    }
+}
+
+/// A node's inbox for one round: the messages its neighbors sent in the
+/// previous round, as `(sender, &message)` pairs in delivery order —
+/// ascending original sender id, one sender's messages in send order (see
+/// [`NodeProgram::on_round`]).
+///
+/// A view, not a container: the engine stores each payload once — one
+/// entry per broadcast, not one per edge — and an inbox is a run of
+/// references to those entries. [`iter`](Inbox::iter) (or `for (src, m) in
+/// inbox`) borrows each payload in place; a program that needs one past
+/// the round clones it itself.
+pub struct Inbox<'a, M> {
+    refs: &'a [Ref],
+    stores: &'a [Store<M>],
+}
+
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M> Copy for Inbox<'_, M> {}
+
+impl<'a, M> Inbox<'a, M> {
+    /// The inbox made of `refs` into `stores`.
+    pub(crate) fn new(refs: &'a [Ref], stores: &'a [Store<M>]) -> Self {
+        Inbox { refs, stores }
+    }
+
+    /// Number of messages delivered.
+    pub fn len(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Whether no message arrived.
+    pub fn is_empty(&self) -> bool {
+        self.refs.is_empty()
+    }
+
+    /// The `(sender, &message)` pairs, in delivery order.
+    pub fn iter(&self) -> InboxIter<'a, M> {
+        InboxIter {
+            refs: self.refs.iter(),
+            stores: self.stores,
+        }
+    }
+}
+
+impl<'a, M> IntoIterator for Inbox<'a, M> {
+    type Item = (VertexId, &'a M);
+    type IntoIter = InboxIter<'a, M>;
+
+    fn into_iter(self) -> InboxIter<'a, M> {
+        self.iter()
+    }
+}
+
+impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The iterator of an [`Inbox`]: `(sender, &message)` in delivery order.
+pub struct InboxIter<'a, M> {
+    refs: std::slice::Iter<'a, Ref>,
+    stores: &'a [Store<M>],
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = (VertexId, &'a M);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(store, slot) = self.refs.next()?;
+        let (src, m) = self.stores[store as usize].get(slot);
+        Some((*src, m))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.refs.size_hint()
     }
 }
 
@@ -153,9 +241,10 @@ pub enum Activation {
 /// inbox is non-empty or whose [`activation`](NodeProgram::activation)
 /// hint requests the round — with the default hint
 /// ([`Activation::EveryRound`]) that is **every** node, halted or not —
-/// passing the messages its neighbors sent in the previous round, sorted
-/// by sender id. A node skipped by its own hint behaves exactly as if its
-/// `on_round` had returned [`Outbox::Silent`] without touching state.
+/// passing the messages its neighbors sent in the previous round as an
+/// [`Inbox`] sorted by sender id. A node skipped by its own hint behaves
+/// exactly as if its `on_round` had returned [`Outbox::Silent`] without
+/// touching state.
 /// [`halted`](NodeProgram::halted)
 /// is a *vote*: the engine ends a [`Stop::AllHalted`](crate::Stop::AllHalted)
 /// phase once every node votes to halt; a node may keep participating after
@@ -175,12 +264,15 @@ pub trait NodeProgram: Send {
 
     /// One synchronous round: previous round's inbox in, outbox out.
     ///
-    /// `inbox` holds `(sender, message)` pairs sorted by sender id; the order
-    /// is deterministic and independent of the shard count.
+    /// `inbox` yields `(sender, &message)` pairs sorted by sender id, one
+    /// sender's messages in send order; the order is deterministic and
+    /// independent of the shard count. The payloads are borrowed from the
+    /// engine's per-round stores — one stored copy per broadcast, shared by
+    /// every receiver — and are valid for this call only.
     fn on_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[(VertexId, Self::Message)],
+        inbox: Inbox<'_, Self::Message>,
     ) -> Outbox<Self::Message>;
 
     /// The node's current halt vote.

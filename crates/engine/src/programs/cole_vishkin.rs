@@ -14,7 +14,7 @@ use local_model::{RootedForest, RoundLedger};
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{NodeProgram, Outbox};
+use crate::program::{Inbox, NodeProgram, Outbox};
 
 /// Which stage of the algorithm the node is in (switched by the host
 /// between engine phases — the "synchronizer" seam).
@@ -56,14 +56,14 @@ impl CvProgram {
     }
 
     /// The parent's latest broadcast color, if any.
-    fn parent_color(&self, id: VertexId, inbox: &[(VertexId, usize)]) -> Option<usize> {
+    fn parent_color(&self, id: VertexId, inbox: Inbox<'_, usize>) -> Option<usize> {
         if self.is_root(id) {
             return None;
         }
         inbox
             .iter()
-            .find(|&&(src, _)| src == self.parent)
-            .map(|&(_, c)| c)
+            .find(|&(src, _)| src == self.parent)
+            .map(|(_, &c)| c)
     }
 }
 
@@ -79,7 +79,7 @@ impl NodeProgram for CvProgram {
         Outbox::Broadcast(self.color)
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(VertexId, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         if !self.member() {
             return Outbox::Silent;
         }
@@ -117,8 +117,8 @@ impl NodeProgram for CvProgram {
                     let parent_color = self.parent_color(ctx.id, inbox).unwrap_or(usize::MAX);
                     let child_color = inbox
                         .iter()
-                        .find(|&&(src, _)| src != self.parent)
-                        .map_or(usize::MAX, |&(_, c)| c);
+                        .find(|&(src, _)| src != self.parent)
+                        .map_or(usize::MAX, |(_, &c)| c);
                     self.color = (0..3)
                         .find(|&c| c != parent_color && c != child_color)
                         .expect("three colors, two constraints");

@@ -28,7 +28,7 @@ use local_model::{clique_at_apex, merge_fresh, RoundLedger};
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{Activation, EngineMessage, NodeProgram, Outbox, WireCodec};
+use crate::program::{Activation, EngineMessage, Inbox, NodeProgram, Outbox, WireCodec};
 
 /// Gather traffic: the rich/poor wake-up announcement, or one round's fresh
 /// ball members.
@@ -150,7 +150,7 @@ impl GatherProgram {
 
     /// Absorbs one round of flood traffic, returning the fresh members to
     /// forward.
-    fn absorb(&mut self, inbox: &[(VertexId, GatherMsg)]) -> Vec<VertexId> {
+    fn absorb(&mut self, inbox: Inbox<'_, GatherMsg>) -> Vec<VertexId> {
         let incoming: Vec<&[VertexId]> = inbox
             .iter()
             .filter_map(|(_, m)| match m {
@@ -162,9 +162,15 @@ impl GatherProgram {
     }
 
     /// Sends `fresh` to the flood recipients, if anything is left to say.
-    fn forward(&self, fresh: Vec<VertexId>) -> Outbox<GatherMsg> {
+    /// When the recipients are exactly the live `neighbors` that is a
+    /// broadcast — the same deliveries in the same order, with the list
+    /// stored once instead of once per edge.
+    fn forward(&self, fresh: Vec<VertexId>, neighbors: &[VertexId]) -> Outbox<GatherMsg> {
         if fresh.is_empty() || self.rich_nbrs.is_empty() {
             return Outbox::Silent;
+        }
+        if self.rich_nbrs == neighbors {
+            return Outbox::Broadcast(GatherMsg::Ball(fresh));
         }
         Outbox::Multi(
             self.rich_nbrs
@@ -204,7 +210,7 @@ impl NodeProgram for GatherProgram {
     fn on_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[(VertexId, GatherMsg)],
+        inbox: Inbox<'_, GatherMsg>,
     ) -> Outbox<GatherMsg> {
         // The flood spans rounds `flood_start ..= flood_start + radius - 1`;
         // round `r` of the flood absorbs the hop-`r` traffic.
@@ -219,7 +225,7 @@ impl NodeProgram for GatherProgram {
             self.rich_nbrs = inbox
                 .iter()
                 .filter(|(_, m)| matches!(m, GatherMsg::Rich))
-                .map(|&(src, _)| src)
+                .map(|(src, _)| src)
                 .collect();
             if !self.rich {
                 self.done = true;
@@ -230,7 +236,7 @@ impl NodeProgram for GatherProgram {
                 self.done = true;
                 return Outbox::Silent;
             }
-            return self.forward(vec![ctx.id]);
+            return self.forward(vec![ctx.id], ctx.neighbors);
         }
         if !self.rich || self.done {
             return Outbox::Silent;
@@ -242,7 +248,7 @@ impl NodeProgram for GatherProgram {
             self.done = true;
             return Outbox::Silent;
         }
-        self.forward(fresh)
+        self.forward(fresh, ctx.neighbors)
     }
 
     fn halted(&self) -> bool {
@@ -432,16 +438,12 @@ impl NodeProgram for CliqueProgram {
         Outbox::Silent
     }
 
-    fn on_round(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        inbox: &[(VertexId, NbrList)],
-    ) -> Outbox<NbrList> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, NbrList>) -> Outbox<NbrList> {
         match ctx.round {
             1 => Outbox::Broadcast(NbrList(ctx.neighbors.to_vec())),
             2 => {
                 for (src, NbrList(list)) in inbox {
-                    self.heard_from.push(*src);
+                    self.heard_from.push(src);
                     self.lists.push(list.clone());
                 }
                 // A lost or faulted list degrades the neighbor to degree 0 —

@@ -13,13 +13,13 @@
 //! [`Activation::OnMessage`] after it, and each later round steps only the
 //! nodes that hear a neighbor peel.
 
-use graphs::{Graph, VertexId, VertexSet};
+use graphs::{Graph, VertexSet};
 use local_model::{HPartition, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{Activation, EngineMessage, NodeProgram, Outbox, WireCodec};
+use crate::program::{Activation, EngineMessage, Inbox, NodeProgram, Outbox, WireCodec};
 
 /// "I peeled this round" — the only thing neighbors need to hear.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,7 +68,7 @@ impl NodeProgram for HPartitionProgram {
         Outbox::Silent
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(VertexId, Peeled)]) -> Outbox<Peeled> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, Peeled>) -> Outbox<Peeled> {
         self.started = true;
         if self.layer != usize::MAX {
             return Outbox::Silent;

@@ -15,13 +15,13 @@
 //! [`layered_slots`], is shared with the sequential loop so the two
 //! substrates cannot disagree on which vertex colors when.
 
-use graphs::{Graph, VertexId, VertexSet};
+use graphs::{Graph, VertexSet};
 use local_model::RoundLedger;
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{Activation, NodeProgram, Outbox};
+use crate::program::{Activation, Inbox, NodeProgram, Outbox};
 
 /// The (depth, class) slot handled in 1-based round `round` of the layered
 /// sweep: depths count down from `max_depth`, classes count up within each
@@ -69,10 +69,10 @@ impl NodeProgram for LayeredGreedyProgram {
         Outbox::Silent
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(VertexId, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         // Strike the colors committed by scope neighbors last round — the
         // same removals the sequential `ColoringState::assign` performs.
-        for &(_, c) in inbox {
+        for (_, &c) in inbox {
             if let Ok(pos) = self.list.binary_search(&c) {
                 self.list.remove(pos);
             }

@@ -54,6 +54,19 @@
 //! the gather, clique, and ruling floods are the `Vec`-payload traffic that
 //! dominates Theorem 1.3 and the reason split mode exists.
 //!
+//! # Payloads are stored once
+//!
+//! Programs own plain payloads (`Vec`s included) and read their inbox
+//! through an [`Inbox`](crate::Inbox) view that borrows each payload in
+//! place. The engine stores each payload once per `Broadcast` and hands
+//! every receiver a reference to it, so the width of a broadcast costs
+//! memory and time once, not once per edge; a `Multi` or `Unicast`
+//! message is stored once per message. That is why the floods prefer
+//! `Broadcast` whenever the recipients are every live neighbor:
+//! [`GatherProgram`] forwards fresh ball members as a broadcast when every
+//! neighbor is rich (`Multi` only to a strict rich subset), and
+//! [`RulingProgram`] broadcasts its token lists and claims.
+//!
 //! # Worst-case frontier sizes
 //!
 //! Programs opt into frontier-sparse rounds by returning a non-default

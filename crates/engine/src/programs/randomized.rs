@@ -26,7 +26,7 @@ use rand::Rng;
 use crate::context::{node_rng, NodeCtx};
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{EngineMessage, NodeProgram, Outbox, WireCodec};
+use crate::program::{EngineMessage, Inbox, NodeProgram, Outbox, WireCodec};
 
 /// Cycle traffic: a color proposal, or a committed color.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,8 +80,8 @@ impl RandomizedProgram {
         self.color
     }
 
-    fn strike(&mut self, inbox: &[(VertexId, ColorMsg)]) {
-        for &(_, msg) in inbox {
+    fn strike(&mut self, inbox: Inbox<'_, ColorMsg>) {
+        for (_, &msg) in inbox {
             if let ColorMsg::Committed(c) = msg {
                 self.taken.push(c);
                 if let Some(pos) = self.live.iter().position(|&x| x == c) {
@@ -99,11 +99,7 @@ impl NodeProgram for RandomizedProgram {
         Outbox::Silent
     }
 
-    fn on_round(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        inbox: &[(VertexId, ColorMsg)],
-    ) -> Outbox<ColorMsg> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, ColorMsg>) -> Outbox<ColorMsg> {
         if self.color != usize::MAX {
             // Committed (and announced in the commit round): silent forever.
             return Outbox::Silent;
@@ -123,7 +119,7 @@ impl NodeProgram for RandomizedProgram {
             self.strike(inbox);
             let p = self.proposal;
             let conflict =
-                inbox.iter().any(|&(_, m)| m == ColorMsg::Proposal(p)) || self.taken.contains(&p);
+                inbox.iter().any(|(_, &m)| m == ColorMsg::Proposal(p)) || self.taken.contains(&p);
             if conflict {
                 Outbox::Silent
             } else {

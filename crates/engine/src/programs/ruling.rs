@@ -32,7 +32,7 @@ use local_model::{claim_choice, merge_fresh, ruling_beta, ruling_bits, RoundLedg
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{Activation, EngineMessage, NodeProgram, Outbox, WireCodec};
+use crate::program::{Activation, EngineMessage, Inbox, NodeProgram, Outbox, WireCodec};
 
 /// Ruling-construction traffic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -188,7 +188,7 @@ impl RulingProgram {
     fn on_rule_round(
         &mut self,
         ctx: &NodeCtx<'_>,
-        inbox: &[(VertexId, RulingMsg)],
+        inbox: Inbox<'_, RulingMsg>,
         b: usize,
         k: usize,
     ) -> Outbox<RulingMsg> {
@@ -239,13 +239,13 @@ impl RulingProgram {
         Outbox::Silent
     }
 
-    fn on_claim_round(&mut self, inbox: &[(VertexId, RulingMsg)], k: usize) -> Outbox<RulingMsg> {
+    fn on_claim_round(&mut self, inbox: Inbox<'_, RulingMsg>, k: usize) -> Outbox<RulingMsg> {
         if self.root_of != usize::MAX {
             return Outbox::Silent;
         }
         let claims: Vec<(VertexId, VertexId)> = inbox
             .iter()
-            .filter_map(|&(src, ref m)| match m {
+            .filter_map(|(src, m)| match m {
                 RulingMsg::Claim { root } => Some((*root, src)),
                 _ => None,
             })
@@ -266,7 +266,7 @@ impl RulingProgram {
     fn on_prune_round(
         &mut self,
         ctx: &NodeCtx<'_>,
-        inbox: &[(VertexId, RulingMsg)],
+        inbox: Inbox<'_, RulingMsg>,
         k: usize,
     ) -> Outbox<RulingMsg> {
         let heard_keep = inbox.iter().any(|(_, m)| matches!(m, RulingMsg::Keep));
@@ -337,7 +337,7 @@ impl NodeProgram for RulingProgram {
     fn on_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[(VertexId, RulingMsg)],
+        inbox: Inbox<'_, RulingMsg>,
     ) -> Outbox<RulingMsg> {
         let r = ctx.round as usize;
         let rule_rounds = self.alpha * self.bits;

@@ -33,7 +33,7 @@ use local_model::{Orientation, RoundLedger};
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
-use crate::program::{NodeProgram, Outbox};
+use crate::program::{Inbox, NodeProgram, Outbox};
 use crate::programs::cole_vishkin::engine_cole_vishkin_3color;
 
 /// Where a sweep-phase node is in the announce → sweep cycle (reset by the
@@ -100,8 +100,8 @@ impl SweepProgram {
         self.color
     }
 
-    fn absorb(&mut self, inbox: &[(VertexId, usize)]) {
-        for &(src, c) in inbox {
+    fn absorb(&mut self, inbox: Inbox<'_, usize>) {
+        for (src, &c) in inbox {
             if let Ok(i) = self.union_nbrs.binary_search(&src) {
                 self.nbr_colors[i] = c;
             }
@@ -116,7 +116,7 @@ impl NodeProgram for SweepProgram {
         Outbox::Silent
     }
 
-    fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: &[(VertexId, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         match self.stage {
             SweepStage::Idle => Outbox::Silent,
             SweepStage::Announce => {

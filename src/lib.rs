@@ -53,7 +53,7 @@ pub mod prelude {
     pub use engine::{
         engine_cole_vishkin_3color, engine_degree_plus_one_coloring, engine_h_partition,
         engine_randomized_list_coloring, CongestMode, EngineConfig, EngineMessage, EngineMetrics,
-        EngineSession, FaultPlan, GraphView, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
+        EngineSession, FaultPlan, GraphView, Inbox, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
     };
     pub use graphs;
     pub use local_model::{barenboim_elkin_coloring, RoundLedger};

@@ -10,8 +10,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use engine::{
-    engine_randomized_list_coloring, EngineConfig, EngineSession, FaultPlan, NodeCtx, NodeProgram,
-    Outbox, Stop,
+    engine_randomized_list_coloring, EngineConfig, EngineSession, FaultPlan, Inbox, NodeCtx,
+    NodeProgram, Outbox, Stop,
 };
 use graphs::gen;
 use local_model::RoundLedger;
@@ -30,8 +30,8 @@ impl NodeProgram for Gossip {
         Outbox::Broadcast(ctx.id)
     }
 
-    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, usize)]) -> Outbox<usize> {
-        self.best = inbox.iter().map(|&(_, m)| m).fold(self.best, usize::max);
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
+        self.best = inbox.iter().map(|(_, &m)| m).fold(self.best, usize::max);
         Outbox::Broadcast(self.best)
     }
 
@@ -53,7 +53,7 @@ impl NodeProgram for PanicAt {
         Outbox::Silent
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: &[(usize, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, usize>) -> Outbox<usize> {
         assert!(
             !(ctx.round == self.round && ctx.id == self.vertex),
             "injected node-program panic at round {} vertex {}",

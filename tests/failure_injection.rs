@@ -506,7 +506,9 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
     // guarantees send order in clean runs; FaultPlan::reorder must scramble
     // some same-sender run — deterministically, and identically at every
     // shard and worker count.
-    use engine::{EngineConfig, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec};
+    use engine::{
+        EngineConfig, EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
+    };
 
     #[derive(Clone, Debug, PartialEq)]
     struct Tagged(u64);
@@ -532,7 +534,7 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
         fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<Tagged> {
             Outbox::Silent
         }
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(usize, Tagged)]) -> Outbox<Tagged> {
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, Tagged>) -> Outbox<Tagged> {
             if ctx.round == 1 {
                 let right = *ctx.neighbors.iter().find(|&&w| w != ctx.id).unwrap();
                 let right = ctx
@@ -710,7 +712,7 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
     // `OnMessage` node skipped for the whole delay window steps again in
     // the exact round the deferred message lands — never earlier (the
     // skip is real) and never later (the delivery re-activates it).
-    use engine::{Activation, EngineSession, NodeCtx, NodeProgram, Outbox, Stop};
+    use engine::{Activation, EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop};
 
     struct Sleeper {
         arrivals: Vec<(u64, usize)>,
@@ -725,10 +727,10 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
                 Outbox::Silent
             }
         }
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(usize, u64)]) -> Outbox<u64> {
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
             self.steps.push(ctx.round);
             self.arrivals
-                .extend(inbox.iter().map(|&(src, _)| (ctx.round, src)));
+                .extend(inbox.iter().map(|(src, _)| (ctx.round, src)));
             Outbox::Silent
         }
         fn halted(&self) -> bool {
@@ -797,9 +799,9 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
                 Outbox::Silent
             }
         }
-        fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, u64)]) -> Outbox<u64> {
-            match inbox.first() {
-                Some(&(src, ping)) => Outbox::Unicast(src, ping),
+        fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
+            match inbox.iter().next() {
+                Some((src, &ping)) => Outbox::Unicast(src, ping),
                 None => Outbox::Silent,
             }
         }

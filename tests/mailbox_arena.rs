@@ -16,14 +16,17 @@
 //! (metrics rows, phase bookkeeping).
 //!
 //! The same allocator also counts requested bytes, which pins what a
-//! session keeps per live vertex when it boots.
+//! session keeps per live vertex when it boots. A message type whose
+//! `Clone` is counted pins the other half of the layout: a payload is
+//! stored once per broadcast and only ever referenced per edge.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use engine::{
-    EngineConfig, EngineMessage, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
+    EngineConfig, EngineMessage, EngineMetrics, EngineSession, FaultPlan, Inbox, NodeCtx,
+    NodeProgram, Outbox, Stop, WireCodec,
 };
 use graphs::gen;
 
@@ -89,7 +92,7 @@ impl NodeProgram for Chatter {
         Outbox::Broadcast(ctx.id)
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(usize, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         assert_eq!(inbox.len(), 2, "cycle neighbors both spoke");
         Outbox::Broadcast(ctx.id)
     }
@@ -132,10 +135,10 @@ impl NodeProgram for WideChatter {
         Outbox::Broadcast(WidePing([ctx.id as u64; 6]))
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[(usize, WidePing)]) -> Outbox<WidePing> {
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, WidePing>) -> Outbox<WidePing> {
         assert_eq!(inbox.len(), 2, "cycle neighbors both spoke");
         for (src, m) in inbox {
-            assert_eq!(m.0, [*src as u64; 6], "reassembly must round-trip");
+            assert_eq!(m.0, [src as u64; 6], "reassembly must round-trip");
         }
         Outbox::Broadcast(WidePing([ctx.id as u64; 6]))
     }
@@ -221,7 +224,7 @@ impl NodeProgram for Quiet {
         Outbox::Silent
     }
 
-    fn on_round(&mut self, _: &mut NodeCtx<'_>, _: &[(usize, usize)]) -> Outbox<usize> {
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, _: Inbox<'_, usize>) -> Outbox<usize> {
         Outbox::Silent
     }
 
@@ -232,11 +235,13 @@ impl NodeProgram for Quiet {
 
 #[test]
 fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
-    // Booting a session allocates its view tables, mailbox spans and wake
-    // queue per live vertex (about 75 B on this input), plus per-group
-    // constants. A per-edge sender-rank table (4 B per directed edge plus
-    // 4 B per vertex, 12 B here), a stored context (72 B) or a reassembly
-    // map (24 B) per vertex would take it past the bound.
+    // Booting a session allocates its view tables, mailbox spans and
+    // counting scratch (32-bit: 2 × 8 B of spans and 4 B of counts) and
+    // wake queue per live vertex (about 55 B on this input), plus
+    // per-group constants. Word-sized spans and counts (20 B more), a
+    // per-edge sender-rank table (4 B per directed edge plus 4 B per
+    // vertex, 12 B here), a stored context (72 B) or a reassembly map
+    // (24 B) per vertex would take it past the bound.
     let _turn = serial();
     let n = 100_000;
     let g = gen::cycle(n);
@@ -247,9 +252,121 @@ fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
     COUNTING.store(false, Ordering::SeqCst);
     let per_vertex = BYTES.load(Ordering::SeqCst) as f64 / n as f64;
     drop(session);
-    let bound = 84.0;
+    let bound = 60.0;
     assert!(
         per_vertex < bound,
         "session boot requested {per_vertex:.1} B per live vertex (bound {bound})"
+    );
+}
+
+/// Clones of [`Stamp`] made anywhere in the process.
+static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A one-word payload whose `Clone` is counted: the engine may copy a
+/// payload only to move a fault-delayed message out of its store.
+#[derive(Debug, PartialEq)]
+struct Stamp(usize);
+
+impl Clone for Stamp {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, Ordering::Relaxed);
+        Stamp(self.0)
+    }
+}
+
+impl WireCodec for Stamp {
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.0 as u64);
+    }
+
+    fn decode(words: &[u64]) -> Option<Self> {
+        match words {
+            [w] => Some(Stamp(*w as usize)),
+            _ => None,
+        }
+    }
+}
+
+impl EngineMessage for Stamp {
+    const MAX_WIDTH: Option<usize> = Some(1);
+}
+
+/// Broadcasts its id every round and checks each stamp it receives names
+/// its sender, reading the payloads in place.
+struct Stamper;
+
+impl NodeProgram for Stamper {
+    type Message = Stamp;
+
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<Stamp> {
+        Outbox::Broadcast(Stamp(ctx.id))
+    }
+
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, Stamp>) -> Outbox<Stamp> {
+        for (src, m) in inbox {
+            assert_eq!(m.0, src, "a stamp names its sender");
+        }
+        Outbox::Broadcast(Stamp(ctx.id))
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+}
+
+/// Runs [`Stamper`] for `rounds` rounds on `cycle(n)` under `faults`, at
+/// two shards and two workers (big enough that epochs run pooled);
+/// returns the clones made and the metrics.
+fn stamped_run(n: usize, rounds: u64, faults: FaultPlan) -> (usize, EngineMetrics) {
+    let _turn = serial();
+    let g = gen::cycle(n);
+    let config = EngineConfig::default()
+        .with_shards(2)
+        .with_workers(2)
+        .with_faults(faults);
+    CLONES.store(0, Ordering::SeqCst);
+    let mut session = EngineSession::new(&g, config, |_| Stamper);
+    session.run_phase("stamp", Stop::Rounds(rounds));
+    let clones = CLONES.load(Ordering::SeqCst);
+    let (_, metrics, _) = session.into_parts();
+    (clones, metrics)
+}
+
+#[test]
+fn broadcasts_store_one_payload_and_clone_only_delayed_messages() {
+    let n = 8192;
+    let rounds = 6;
+    // Every vertex broadcasts at init and in every round.
+    let steps = n * (rounds as usize + 1);
+
+    // Fault-free: one stored payload per broadcasting step, one reference
+    // per live edge end, and not a single clone.
+    let (clones, m) = stamped_run(n, rounds, FaultPlan::new());
+    assert_eq!(clones, 0, "fault-free broadcasts must not clone payloads");
+    assert_eq!(m.total_payloads(), steps, "one payload per broadcast");
+    assert_eq!(m.total_messages(), 2 * steps, "one message per live degree");
+    for r in m.per_round() {
+        assert_eq!((r.payloads, r.messages), (n, 2 * n), "round {}", r.round);
+    }
+
+    // Duplicating every message adds references, not payloads.
+    let (clones, m) = stamped_run(n, rounds, FaultPlan::new().duplicate_edges(3, 1.0));
+    assert_eq!(clones, 0, "a duplicate is a second reference");
+    assert_eq!(m.total_duplicated(), m.total_messages());
+    assert_eq!(m.total_payloads(), steps);
+
+    // A delayed outbox leaves its store as one owned copy per message,
+    // re-stored once each when it comes due.
+    let delayed_nodes: Vec<usize> = (0..n).step_by(97).collect();
+    let plan = delayed_nodes
+        .iter()
+        .fold(FaultPlan::new(), |plan, &v| plan.delay_outbox(v, 2, 1));
+    let (clones, m) = stamped_run(n, rounds, plan);
+    assert_eq!(m.total_delayed(), 2 * delayed_nodes.len());
+    assert_eq!(clones, m.total_delayed(), "one clone per delayed message");
+    assert_eq!(
+        m.total_payloads(),
+        steps - delayed_nodes.len() + m.total_delayed(),
+        "delayed outboxes leave their store and are re-stored per message"
     );
 }

@@ -9,7 +9,7 @@
 //! test in the same binary.
 
 use distributed_coloring::{list_color_sparse, ListAssignment, SparseColoringConfig};
-use engine::{EngineConfig, EnginePool, EngineSession, NodeCtx, NodeProgram, Outbox, Stop};
+use engine::{EngineConfig, EnginePool, EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop};
 use graphs::gen;
 
 /// Max-id gossip (`usize` messages) — one of the two session types the
@@ -26,8 +26,8 @@ impl NodeProgram for Gossip {
         Outbox::Broadcast(ctx.id)
     }
 
-    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, usize)]) -> Outbox<usize> {
-        self.best = inbox.iter().map(|&(_, m)| m).fold(self.best, usize::max);
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
+        self.best = inbox.iter().map(|(_, &m)| m).fold(self.best, usize::max);
         Outbox::Broadcast(self.best)
     }
 
@@ -50,8 +50,8 @@ impl NodeProgram for WideEcho {
         Outbox::Broadcast(ctx.id as u64)
     }
 
-    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: &[(usize, u64)]) -> Outbox<u64> {
-        self.sum += inbox.iter().map(|&(_, m)| m).sum::<u64>();
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
+        self.sum += inbox.iter().map(|(_, &m)| m).sum::<u64>();
         Outbox::Broadcast(self.sum)
     }
 
