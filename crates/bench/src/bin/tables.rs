@@ -5,6 +5,8 @@
 //! cargo run --release -p bench --bin tables -- E1 E4   # a selection
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bench::{distinct_colors, e1_workloads, log2_cubed, print_table, run_theorem13};
 use distributed_coloring::{
     analysis, brooks_list_coloring, classify, color_genus, heawood_number, nice_list_coloring,

@@ -1,6 +1,8 @@
 //! Shared harness utilities for the experiment tables: aligned table
 //! printing and the standard workload families used across EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use distributed_coloring::{
     list_color_sparse, ListAssignment, Outcome, SparseColoring, SparseColoringConfig,
 };

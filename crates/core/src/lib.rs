@@ -27,6 +27,8 @@
 //! # Ok::<(), distributed_coloring::ColoringError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ert;
 pub mod extend;
 pub mod happy;

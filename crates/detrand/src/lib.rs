@@ -20,6 +20,8 @@
 //! Everything here is deterministic across platforms and shard counts: same
 //! seed, same draw sequence, bit-identical results.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// SplitMix64 finalizer: mixes two words into one well-distributed word.

@@ -50,10 +50,11 @@ use graphs::{Graph, VertexId, VertexSet};
 use local_model::RoundLedger;
 
 use crate::context::NodeCtx;
+use crate::exec::EnginePool;
 use crate::faults::FaultPlan;
 use crate::mailbox::{Mailboxes, TwoLevelBits};
 use crate::metrics::{EngineMetrics, RoundMetrics};
-use crate::pool::{stage_outbox, EnginePool, RouteEnv, StageEnv, WorkerPool};
+use crate::pool::{stage_outbox, RouteEnv, StageEnv, WorkerPool};
 use crate::program::{Activation, NodeProgram};
 use crate::shard::ShardPlan;
 use crate::view::GraphView;
@@ -502,7 +503,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 mail.schedule(due, batch);
             }
             let stored = y.store.len();
-            mail.adopt_store(0, &mut y.store);
+            mail.adopt(0, &mut y.store, &mut y.buckets);
             (
                 y.messages,
                 y.dropped,
@@ -516,10 +517,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         };
         let restored = mail.inject_due(1, split);
         let init_inline = on_driver(staged + mail.route_backlog());
-        let (targets, stores) = mail.next_targets();
         let init_tally = match pool.route(
-            targets,
-            stores,
+            &mut mail,
             &groups,
             &RouteEnv {
                 split,
@@ -858,7 +857,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 mail.schedule(due, batch);
             }
             payloads += y.store.len();
-            mail.adopt_store(g, &mut y.store);
+            mail.adopt(g, &mut y.store, &mut y.buckets);
             if frontier {
                 // Register each stepped node's next wake. Group `g`'s arena
                 // holds only its own range, so the group index is the
@@ -881,7 +880,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         payloads += self.mail.inject_due(round + 1, split);
         let route_inline = on_driver(staged + self.mail.route_backlog());
 
-        let (targets, stores) = self.mail.next_targets();
         let route_env = RouteEnv {
             split,
             round,
@@ -890,7 +888,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         };
         let tally = match self
             .pool
-            .route(targets, stores, &self.groups, &route_env, route_inline)
+            .route(&mut self.mail, &self.groups, &route_env, route_inline)
         {
             Ok(tally) => tally,
             Err(payload) => {

@@ -22,13 +22,14 @@
 //!   the sequential masked primitives bit for bit.
 //! * [`EngineSession`] — the driver: partitions the view with a
 //!   [`ShardPlan`], executes shards on a **persistent worker pool** (threads
-//!   spawned once per session, parked on reusable barriers, staging
+//!   spawned once per session or shared across sessions through an
+//!   [`EnginePool`], parked on reusable barriers, staging
 //!   outbound traffic in per-worker arenas — each payload stored once, one
 //!   8-byte reference per edge, bucketed by destination group — see the
 //!   `pool` module internals), routes the references through
 //!   double-buffered **struct-of-arrays mailboxes** (one contiguous
-//!   reference segment per worker group plus per-vertex `(start, len)`
-//!   spans, rebuilt by counting sort — zero per-message allocation) in a
+//!   reference segment per worker group plus one `(start, len)` span per
+//!   vertex, rebuilt by counting sort — zero per-message allocation) in a
 //!   second **worker-parallel routing phase**, hands each program its
 //!   inbox as an [`Inbox`] view of `(sender, &payload)` pairs, and records
 //!   [`EngineMetrics`]
@@ -98,9 +99,18 @@
 //! assert_eq!(report.rounds, 1);
 //! assert_eq!(sess.programs()[0].best, 7); // neighbors of 0 on the cycle: 1 and 7
 //! ```
+//!
+//! Raw-pointer code is confined to one private module, `exec`, which holds
+//! the thread pool and the primitive that hands each worker group disjoint
+//! `&mut` parts of an epoch; the compiler rejects it anywhere else.
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod context;
 pub mod driver;
+#[allow(unsafe_code)]
+mod exec;
 pub mod faults;
 pub mod mailbox;
 pub mod metrics;
@@ -112,9 +122,9 @@ pub mod view;
 
 pub use context::{node_rng, NodeCtx};
 pub use driver::{CongestMode, EngineConfig, EngineSession, PhaseReport, Stop, SPLIT_PHASE};
+pub use exec::EnginePool;
 pub use faults::{FaultAction, FaultPlan};
 pub use metrics::{EngineMetrics, RoundMetrics};
-pub use pool::EnginePool;
 pub use program::{Activation, EngineMessage, Inbox, InboxIter, NodeProgram, Outbox, WireCodec};
 pub use programs::{
     engine_classification_gather, engine_cole_vishkin_3color, engine_degree_plus_one_coloring,
@@ -129,7 +139,7 @@ pub use view::GraphView;
 /// with one [`EnginePool`] threaded through every session, the delta across
 /// a peeling run stays at the pool's size instead of growing per level.
 pub fn worker_threads_spawned() -> usize {
-    pool::SPAWNED.load(std::sync::atomic::Ordering::Relaxed)
+    exec::SPAWNED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// `usize` is a first-class message: several programs exchange bare ids or

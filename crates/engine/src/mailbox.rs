@@ -3,16 +3,16 @@
 //!
 //! Every payload is stored **once**. A worker group writes each message its
 //! nodes send as one `(sender, payload)` entry of its own payload
-//! [`Store`]: one entry per `Broadcast`, one per `Unicast` or `Multi`
+//! `Store`: one entry per `Broadcast`, one per `Unicast` or `Multi`
 //! message. Everything downstream moves 8-byte references to those entries,
 //! never the payload: staging pushes `(destination, slot)` per edge, and
 //! routing places `(store, slot)` per delivered message.
 //!
-//! Inboxes are stored struct-of-arrays: one contiguous reference
-//! **segment** per routing group holds the references of the group's whole
-//! dense vertex range packed back to back, and a per-vertex table of
-//! `(start, len)` **spans** says where each inbox lives inside its group's
-//! segment. The routing epoch rebuilds a segment with a **counting sort**
+//! Inboxes are stored struct-of-arrays, per routing group: one contiguous
+//! reference **segment** holds the references of the group's whole dense
+//! vertex range packed back to back, and a table of `(start, len)`
+//! **spans**, one per vertex of the range, says where each inbox lives
+//! inside the segment. The routing epoch rebuilds a segment with a **counting sort**
 //! — count per receiver, prefix-sum into spans, place each reference once
 //! — so a routing epoch is O(traffic) with **no per-message allocation**:
 //! segments, spans, stores and the counting scratch are reused round over
@@ -28,13 +28,20 @@
 //! Two such buffers — `cur` (read this round) and `next` (rebuilt for the
 //! coming round) — plus a schedule of fault-delayed batches. Each buffer
 //! also holds the stores its references point into: one per worker group
-//! plus one for re-stored delayed payloads. Between the compute and routing
-//! epochs the driver **swaps** each group's freshly written store into
-//! `next` ([`Mailboxes::adopt_store`], O(groups), nothing copied); the
-//! group gets back the store `next` held two rounds ago and clears it when
-//! it next stages. The coming compute epoch then reads every payload
-//! through the same shared `&Inboxes` as its spans, and a program sees its
-//! inbox as an [`Inbox`](crate::Inbox) view yielding `(sender, &payload)`.
+//! plus one for re-stored delayed payloads. Each group's `next` inboxes
+//! belong to its `RouteGroup`, with everything else its routing writes.
+//!
+//! Between the compute and routing epochs the driver hands every group's
+//! staged round over by **swapping** vectors (`Mailboxes::adopt`,
+//! O(groups²) swaps, nothing copied): the group's store goes into `next`,
+//! and its bucket `b` into routing group `b`'s inbound slot. The group
+//! gets back the store `next` held two rounds ago, which it clears when it
+//! next stages. Routing group `g` then owns everything it writes and reads
+//! only `next`'s stores, shared; after the epoch the same bucket swaps in
+//! reverse return each drained bucket to its arena. The coming compute
+//! epoch reads every payload through the same shared `&Inboxes` as its
+//! spans, and a program sees its inbox as an [`Inbox`] view yielding
+//! `(sender, &payload)`.
 //!
 //! Inboxes are indexed by the session's dense live-vertex index (see
 //! [`GraphView`](crate::GraphView)); store entries carry *original* sender
@@ -65,8 +72,8 @@
 //!
 //! A fault-delayed batch is the one place a payload is copied: the staging
 //! group clones each delayed message out of its store into an owned
-//! [`Routed`] record, since the store is recycled two rounds later. When the
-//! batch comes due, [`Mailboxes::inject_due`] moves each record's payload
+//! `Routed` record, since the store is recycled two rounds later. When the
+//! batch comes due, `Mailboxes::inject_due` moves each record's payload
 //! into the buffer's delayed store — one entry per message — and queues a
 //! reference to it ahead of the fresh traffic.
 //!
@@ -77,7 +84,7 @@
 //! over-budget payload is encoded through its
 //! [`WireCodec`](crate::WireCodec), chopped into `(seq, total)`-headed
 //! frames of at most the budget, fed through a `Reassembly` buffer and
-//! decoded **once, where it is stored** ([`Store::put`]); the decoded
+//! decoded **once, where it is stored** (`Store::put`); the decoded
 //! message replaces the payload every receiver reads, and the frame count
 //! and width are kept beside it. Routing adds that frame count for each
 //! delivered reference and takes the widest delivered width, so the
@@ -91,13 +98,11 @@
 //! across split and unlimited modes.
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
-//! fed a `RouteTargets` pointer bundle and the shared stores from
-//! `Mailboxes::next_targets`), or group by group on the driver when the
-//! epoch is small; round-0 init traffic takes the same path, so there is
-//! no separate driver-side fill.
+//! over the parts `Mailboxes::route_parts` splits out), or group by
+//! group on the driver when the epoch is small; round-0 init traffic takes
+//! the same path, so there is no separate driver-side fill.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use graphs::VertexId;
 
@@ -446,44 +451,47 @@ pub(crate) fn finalize_inbox<M: EngineMessage>(
     tally
 }
 
-/// One side of the double buffer, struct-of-arrays: per-group reference
-/// segments, per-vertex spans, and the payload stores the references point
-/// into. See the module docs.
+/// One group's inboxes in one buffer: the reference segment of its whole
+/// dense range, one `(start, len)` span per vertex of the range (indexed by
+/// offset in the range, starts relative to the segment), and its **active
+/// list** — the absolute dense indices of exactly the non-empty spans,
+/// ascending. Built by the routing epoch as a by-product of the counting
+/// sort, the active list is both the compute epoch's frontier index (step
+/// only these plus the due wake list) and the next routing's O(frontier)
+/// span-reset list.
+#[derive(Default)]
+pub(crate) struct GroupInbox {
+    pub(crate) seg: Vec<Ref>,
+    pub(crate) spans: Vec<(u32, u32)>,
+    pub(crate) active: Vec<usize>,
+}
+
+impl GroupInbox {
+    fn new(len: usize) -> Self {
+        GroupInbox {
+            spans: vec![(0, 0); len],
+            ..GroupInbox::default()
+        }
+    }
+}
+
+/// The buffer read this round: every group's inboxes, and the payload
+/// stores their references point into — one per worker group, then the
+/// delayed store. See the module docs.
 pub(crate) struct Inboxes<M> {
-    /// One contiguous reference segment per routing group: the inboxes of
-    /// the group's whole dense range, packed back to back.
-    segs: Vec<Vec<Ref>>,
-    /// Per dense vertex: `(start, len)` into its group's segment.
-    spans: Vec<(u32, u32)>,
-    /// Per group: the **active list** — absolute dense indices of exactly
-    /// the non-empty spans of this buffer, ascending. Built by the routing
-    /// epoch as a by-product of the counting sort, it is both the compute
-    /// epoch's frontier index (step only these plus the due wake list) and
-    /// the next routing of this buffer's O(frontier) span-reset list.
-    active: Vec<Vec<usize>>,
-    /// The payload stores: one per worker group (swapped in from its arena
-    /// by [`Mailboxes::adopt_store`]), then the delayed store.
+    groups: Vec<GroupInbox>,
     stores: Vec<Store<M>>,
 }
 
 impl<M> Inboxes<M> {
-    fn new(live: usize, groups: usize) -> Self {
-        Inboxes {
-            segs: (0..groups).map(|_| Vec::new()).collect(),
-            spans: vec![(0, 0); live],
-            active: (0..groups).map(|_| Vec::new()).collect(),
-            stores: (0..=groups).map(|_| Store::default()).collect(),
-        }
-    }
-
-    /// Group `g`'s read view: its segment plus the span rows of its dense
-    /// `range` (span starts are relative to the segment), its active list
-    /// (absolute dense indices of the non-empty spans), and every store.
-    pub(crate) fn group(&self, g: usize, range: Range<usize>) -> GroupInboxes<'_, M> {
+    /// Group `g`'s read view: its segment, spans and active list, and
+    /// every store.
+    pub(crate) fn group(&self, g: usize) -> GroupInboxes<'_, M> {
+        let GroupInbox { seg, spans, active } = &self.groups[g];
         GroupInboxes {
-            seg: &self.segs[g],
-            spans: &self.spans[range.start..range.end],
-            active: &self.active[g],
+            seg,
+            spans,
+            active,
             stores: &self.stores,
         }
     }
@@ -524,43 +532,30 @@ impl<'a, M> GroupInboxes<'a, M> {
     }
 }
 
-/// The raw-pointer bundle the routing epoch writes through — base pointers
-/// of the `next` buffer's segments and spans, the counting scratch, the
-/// per-group pending lists, and the per-group receiver bitmaps. Built by
-/// [`Mailboxes::next_targets`]; each worker touches only its own group's
-/// segment/pending slot and its own dense range of the per-vertex arrays,
-/// so the epoch-barrier discipline (see `pool`) makes the writes disjoint.
-#[derive(Clone, Copy)]
-pub(crate) struct RouteTargets {
-    /// Per-group `next` segments (`add(group)` = the group's own).
-    pub(crate) segs: *mut Vec<Ref>,
-    /// Per-vertex span rows of the `next` buffer.
-    pub(crate) spans: *mut (u32, u32),
-    /// Per-group active lists of the `next` buffer (`add(group)` = the
-    /// group's own). On entry each holds the indices of the spans the
-    /// buffer's *previous* routing left non-empty — exactly the spans that
-    /// need resetting; on exit, the freshly non-empty ones.
-    pub(crate) active: *mut Vec<usize>,
-    /// Per-vertex counting-sort scratch. All-zeros between epochs: each
-    /// routing zeroes exactly the entries it touched.
-    pub(crate) counts: *mut u32,
-    /// Per-group references to due delayed payloads (`add(group)`), placed
-    /// first.
-    pub(crate) pending: *mut Vec<Staged>,
-    /// Per-group vertex bitmaps (`add(group)`) marking the dense indices
-    /// that received traffic — drained ascending to rebuild the active
-    /// list without sorting it.
-    pub(crate) vbits: *mut TwoLevelBits,
+/// One routing group's state: everything its share of a routing epoch
+/// writes, which the epoch hands to it as one `&mut`.
+pub(crate) struct RouteGroup {
+    /// The group's inboxes in the `next` buffer. On entry to a routing
+    /// epoch its active list holds the spans the buffer's *previous*
+    /// routing left non-empty — exactly the ones to reset; on exit, the
+    /// freshly non-empty ones. Swapped with `cur`'s at the flip.
+    pub(crate) inbox: GroupInbox,
+    /// Per source group `g`: the bucket of references arena `g` staged
+    /// for this group's range, lent by [`Mailboxes::transpose`] for the
+    /// routing epoch, which drains it. Empty vectors between rounds.
+    pub(crate) inbound: Vec<Vec<Staged>>,
+    /// References to the delayed payloads due the round being routed,
+    /// into `next`'s delayed store: filled by
+    /// [`inject_due`](Mailboxes::inject_due), placed **first** so late
+    /// traffic precedes fresh traffic from the same sender after the
+    /// stable sender sort.
+    pub(crate) pending: Vec<Staged>,
+    /// Marks the range offsets that receive traffic, drained ascending to
+    /// rebuild the active list without sorting it.
+    pub(crate) vbits: TwoLevelBits,
+    /// What the group's last routing observed.
+    pub(crate) tally: RouteTally,
 }
-
-// SAFETY: a `RouteTargets` is a bundle of raw pointers whose pointees are
-// partitioned by group/vertex index under the routing epoch's barrier
-// discipline — worker `g` touches only slot `g` of the per-group arrays and
-// the vertex entries of its own range. The bundle itself carries no state,
-// so sharing the *value* across worker threads is sound; all aliasing rules
-// live with `route_range`'s safety contract.
-unsafe impl Send for RouteTargets {}
-unsafe impl Sync for RouteTargets {}
 
 /// The group owning dense vertex `dv` under the boundaries `bounds`.
 fn group_of(bounds: &[usize], dv: usize) -> usize {
@@ -570,22 +565,19 @@ fn group_of(bounds: &[usize], dv: usize) -> usize {
 /// The engine's mailbox fabric. See module docs.
 pub(crate) struct Mailboxes<M> {
     cur: Inboxes<M>,
-    next: Inboxes<M>,
+    /// The `next` buffer's stores, laid out like `cur`'s.
+    next_stores: Vec<Store<M>>,
+    /// Per routing group: its `next` inboxes and routing state.
+    route: Vec<RouteGroup>,
+    /// Per-vertex counting-sort scratch for the routing epoch, which hands
+    /// each group its range's slice. All-zeros between epochs: each
+    /// routing re-zeroes exactly the entries it touched.
+    counts: Vec<u32>,
     /// Dense group boundaries, ascending, `len = groups + 1` — the same
     /// partition the pool's worker groups use.
     bounds: Vec<usize>,
-    /// Per-vertex counting-sort scratch for the routing epoch.
-    counts: Vec<u32>,
-    /// Per-group references to the delayed payloads due the round being
-    /// routed, into `next`'s delayed store: filled by
-    /// [`inject_due`](Mailboxes::inject_due), placed **first** by the
-    /// routing epoch so late traffic precedes fresh traffic from the same
-    /// sender after the stable sender sort.
-    pending: Vec<Vec<Staged>>,
     /// The driver's split scratch, for re-storing due delayed payloads.
     split: SplitScratch,
-    /// Per-group traffic-receiver bitmaps (see [`RouteTargets::vbits`]).
-    vbits: Vec<TwoLevelBits>,
     delayed: BTreeMap<u64, Vec<Routed<M>>>,
 }
 
@@ -602,14 +594,29 @@ impl<M: EngineMessage> Mailboxes<M> {
         debug_assert!(bounds.len() >= 2 && bounds[0] == 0 && bounds[bounds.len() - 1] == live);
         u32::try_from(live).expect("a session holds at most u32::MAX live vertices");
         let groups = bounds.len() - 1;
+        let stores = || (0..=groups).map(|_| Store::default()).collect();
         Mailboxes {
-            cur: Inboxes::new(live, groups),
-            next: Inboxes::new(live, groups),
-            bounds,
+            cur: Inboxes {
+                groups: bounds
+                    .windows(2)
+                    .map(|b| GroupInbox::new(b[1] - b[0]))
+                    .collect(),
+                stores: stores(),
+            },
+            next_stores: stores(),
+            route: bounds
+                .windows(2)
+                .map(|b| RouteGroup {
+                    inbox: GroupInbox::new(b[1] - b[0]),
+                    inbound: (0..groups).map(|_| Vec::new()).collect(),
+                    pending: Vec::new(),
+                    vbits: TwoLevelBits::default(),
+                    tally: RouteTally::default(),
+                })
+                .collect(),
             counts: vec![0; live],
-            pending: (0..groups).map(|_| Vec::new()).collect(),
+            bounds,
             split: SplitScratch::default(),
-            vbits: (0..groups).map(|_| TwoLevelBits::default()).collect(),
             delayed: BTreeMap::new(),
         }
     }
@@ -624,37 +631,36 @@ impl<M: EngineMessage> Mailboxes<M> {
     #[cfg(test)]
     pub(crate) fn inbox(&self, dv: usize) -> Vec<(VertexId, M)> {
         let g = group_of(&self.bounds, dv);
-        let range = self.bounds[g]..self.bounds[g + 1];
-        let inbox = self.cur.group(g, range.clone()).inbox(dv - range.start);
+        let inbox = self.cur.group(g).inbox(dv - self.bounds[g]);
         inbox.iter().map(|(src, m)| (src, m.clone())).collect()
     }
 
-    /// The raw-pointer bundle the routing epoch rebuilds `next` through,
-    /// and `next`'s stores, which routing reads shared. The caller must not
-    /// touch this `Mailboxes` until the epoch closes.
-    pub(crate) fn next_targets(&mut self) -> (RouteTargets, &[Store<M>]) {
-        let Inboxes {
-            segs,
-            spans,
-            active,
-            stores,
-        } = &mut self.next;
-        let targets = RouteTargets {
-            segs: segs.as_mut_ptr(),
-            spans: spans.as_mut_ptr(),
-            active: active.as_mut_ptr(),
-            counts: self.counts.as_mut_ptr(),
-            pending: self.pending.as_mut_ptr(),
-            vbits: self.vbits.as_mut_ptr(),
-        };
-        (targets, stores)
+    /// What the routing epoch works on: the counting scratch and the
+    /// routing groups, which it hands out group by group, and `next`'s
+    /// stores, which every group reads.
+    pub(crate) fn route_parts(&mut self) -> (&mut [u32], &mut [RouteGroup], &[Store<M>]) {
+        (&mut self.counts, &mut self.route, &self.next_stores)
     }
 
-    /// Hands group `g`'s freshly written store to `next` and gives the
-    /// group back the store `next` held — two rounds stale, for the group
-    /// to clear when it next stages. A swap: no payload moves.
-    pub(crate) fn adopt_store(&mut self, g: usize, store: &mut Store<M>) {
-        std::mem::swap(&mut self.next.stores[g], store);
+    /// Hands group `g`'s staged round to `next`, moving nothing but
+    /// vectors: its store is swapped in, and the group gets back the store
+    /// `next` held — two rounds stale, for the group to clear when it next
+    /// stages; and its buckets go to the routing groups
+    /// ([`transpose`](Mailboxes::transpose)).
+    pub(crate) fn adopt(&mut self, g: usize, store: &mut Store<M>, buckets: &mut [Vec<Staged>]) {
+        std::mem::swap(&mut self.next_stores[g], store);
+        self.transpose(g, buckets);
+    }
+
+    /// Swaps group `g`'s bucket `b` with routing group `b`'s inbound slot
+    /// `g`, for every `b`. Done for every group before a routing epoch,
+    /// this is the bucket transpose: routing then reads only what its own
+    /// group owns. Done again after the epoch, it hands each drained
+    /// bucket, with its capacity, back to its arena.
+    pub(crate) fn transpose(&mut self, g: usize, buckets: &mut [Vec<Staged>]) {
+        for (bucket, to) in buckets.iter_mut().zip(&mut self.route) {
+            std::mem::swap(bucket, &mut to.inbound[g]);
+        }
     }
 
     /// Readies `next`'s delayed store for the round being routed: clears
@@ -666,7 +672,7 @@ impl<M: EngineMessage> Mailboxes<M> {
     /// sender sort. Returns the number of payloads stored.
     pub(crate) fn inject_due(&mut self, round: u64, split: usize) -> usize {
         let groups = self.bounds.len() - 1;
-        let store = &mut self.next.stores[groups];
+        let store = &mut self.next_stores[groups];
         store.clear();
         let Some(batch) = self.delayed.remove(&round) else {
             return 0;
@@ -675,7 +681,9 @@ impl<M: EngineMessage> Mailboxes<M> {
         for (dv, src, m) in batch {
             let width = m.width();
             let slot = store.put(src, m, width, split, &mut self.split);
-            self.pending[group_of(&self.bounds, dv)].push((dv as u32, slot));
+            self.route[group_of(&self.bounds, dv)]
+                .pending
+                .push((dv as u32, slot));
         }
         restored
     }
@@ -685,34 +693,39 @@ impl<M: EngineMessage> Mailboxes<M> {
         self.delayed.entry(round).or_default().extend(batch);
     }
 
-    /// Ends the routing of a round: flips the buffers. The routing epoch
-    /// rebuilt every span and segment of `next`, so no clearing is needed
-    /// — the old `cur` becomes the next round's scratch.
+    /// Ends the routing of a round: flips the buffers, group by group. The
+    /// routing epoch rebuilt every span and segment of `next`, so no
+    /// clearing is needed — the old `cur` becomes the next round's scratch.
     pub(crate) fn flip(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.next);
+        for (cur, next) in self.cur.groups.iter_mut().zip(&mut self.route) {
+            std::mem::swap(cur, &mut next.inbox);
+        }
+        std::mem::swap(&mut self.cur.stores, &mut self.next_stores);
     }
 
     /// Vertices with a non-empty inbox this round: the message half of the
     /// compute epoch's frontier.
     pub(crate) fn frontier(&self) -> usize {
-        self.cur.active.iter().map(Vec::len).sum()
+        self.cur.groups.iter().map(|g| g.active.len()).sum()
     }
 
     /// The routing epoch's work besides fresh traffic: the due-delayed
     /// messages it places plus the stale spans of `next` it resets.
     pub(crate) fn route_backlog(&self) -> usize {
-        let pending: usize = self.pending.iter().map(Vec::len).sum();
-        pending + self.next.active.iter().map(Vec::len).sum::<usize>()
+        self.route
+            .iter()
+            .map(|r| r.pending.len() + r.inbox.active.len())
+            .sum()
     }
 
     /// Whether any delayed batch is still pending (scheduled or already
     /// injected for the round being routed).
     pub(crate) fn has_pending_delays(&self) -> bool {
-        !self.delayed.is_empty() || self.pending.iter().any(|p| !p.is_empty())
+        !self.delayed.is_empty() || self.route.iter().any(|r| !r.pending.is_empty())
     }
 
     /// Serial twin of the worker-parallel routing epoch, for unit tests:
-    /// stores `staged` traffic in group 0's store of `next`, distributes
+    /// stores `staged` traffic in `next`'s group-0 store, distributes
     /// it (plus due-delayed pending references) into the `next` segments
     /// group by group, and finalizes every inbox. Deliberately the
     /// **comparison-sort executable spec** — a stable sort by destination,
@@ -727,18 +740,12 @@ impl<M: EngineMessage> Mailboxes<M> {
     ) -> RouteTally {
         let groups = self.bounds.len() - 1;
         let Mailboxes {
-            next,
+            next_stores: stores,
+            route,
             bounds,
-            pending,
             split,
             ..
         } = self;
-        let Inboxes {
-            segs,
-            spans,
-            active,
-            stores,
-        } = next;
         stores[0].clear();
         let mut buckets: Vec<Vec<(usize, Ref)>> = (0..groups).map(|_| Vec::new()).collect();
         for (dv, src, m) in staged {
@@ -748,7 +755,9 @@ impl<M: EngineMessage> Mailboxes<M> {
         }
         let mut tally = RouteTally::default();
         for (g, fresh) in buckets.into_iter().enumerate() {
-            let mut items: Vec<(usize, Ref)> = std::mem::take(&mut pending[g])
+            let RouteGroup { inbox, pending, .. } = &mut route[g];
+            let GroupInbox { seg, spans, active } = inbox;
+            let mut items: Vec<(usize, Ref)> = std::mem::take(pending)
                 .into_iter()
                 .map(|(dv, slot)| (dv as usize, (groups as u32, slot)))
                 .collect();
@@ -756,19 +765,17 @@ impl<M: EngineMessage> Mailboxes<M> {
             // A stable sort by destination is the counting sort's twin:
             // per receiver, pending-then-staged order is preserved.
             items.sort_by_key(|r| r.0);
-            let seg = &mut segs[g];
             seg.clear();
-            active[g].clear();
+            active.clear();
             let mut iter = items.into_iter().peekable();
-            let range = bounds[g]..bounds[g + 1];
-            for (dv, span) in range.clone().zip(&mut spans[range]) {
+            for (dv, span) in (bounds[g]..bounds[g + 1]).zip(spans.iter_mut()) {
                 let start = seg.len();
                 while let Some((_, r)) = iter.next_if(|r| r.0 == dv) {
                     seg.push(r);
                 }
                 *span = (start as u32, (seg.len() - start) as u32);
                 if span.1 > 0 {
-                    active[g].push(dv);
+                    active.push(dv);
                 }
                 // The spec's delivery order: a stable comparison sort on
                 // original sender ids (placement already put pending-
@@ -834,17 +841,21 @@ mod tests {
         assert_eq!(mail.inbox(3), &[(1, 40)]);
         // The spec stores every payload in group 0's store, in staging
         // order (slots 0..4 = 30, 20, 10, 40); segments hold references.
-        assert_eq!(mail.cur.segs[0], vec![(0, 1), (0, 2), (0, 0)]);
-        assert_eq!(mail.cur.segs[1], vec![(0, 3)]);
+        let [g0, g1] = &mail.cur.groups[..] else {
+            panic!("two groups")
+        };
+        assert_eq!(g0.seg, vec![(0, 1), (0, 2), (0, 0)]);
+        assert_eq!(g1.seg, vec![(0, 3)]);
         assert_eq!(
-            mail.cur.spans,
-            vec![(0, 1), (1, 2), (0, 0), (0, 1)],
-            "span starts are relative to the group's segment"
+            (&g0.spans, &g1.spans),
+            (&vec![(0, 1), (1, 2)], &vec![(0, 0), (0, 1)]),
+            "spans are indexed by offset in the group's range, and their \
+             starts are relative to the group's segment"
         );
         assert_eq!(
-            mail.cur.active,
-            vec![vec![0, 1], vec![3]],
-            "active lists index exactly the non-empty spans"
+            (&g0.active, &g1.active),
+            (&vec![0, 1], &vec![3]),
+            "active lists index exactly the non-empty spans, by dense index"
         );
     }
 

@@ -1,57 +1,55 @@
-//! The persistent worker-pool executor: a **type-erased, session-shareable
-//! thread pool** ([`EnginePool`]) driving a **two-phase round protocol** —
-//! compute, then routing — with every phase worker-parallel.
+//! The session's executor: staging, routing, and the typed layer
+//! ([`WorkerPool`]) that runs both as epochs on an [`EnginePool`] — a
+//! **two-phase round protocol**, compute then routing, with every phase
+//! worker-parallel.
 //!
-//! PR 1's driver spawned fresh scoped threads every round; PR 2 replaced
-//! that with a persistent per-session pool but still routed messages on the
-//! driver thread; a later revision moved routing onto the workers too. This
-//! revision splits the executor in two layers so the *threads* can outlive
-//! any single session:
-//!
-//! * [`PoolCore`] — the type-erased substrate: OS threads, the
-//!   `start`/`done` barrier pair, a lifetime-erased job pointer, and
-//!   per-worker panic slots. It knows nothing about message types, so one
-//!   core can serve an `EngineSession<GatherProgram>` and an
-//!   `EngineSession<RulingProgram>` back to back — which is exactly what a
-//!   peeling pipeline does, session per level.
-//! * [`WorkerPool`] — the typed session layer: staging arenas (payload
-//!   stores and reference buckets) and route tallies for one session's
-//!   message type, translated into plain `Fn(group)` jobs for the core. All
-//!   typed state lives here; the core only ever sees `&dyn Fn(usize)`.
-//!
-//! Sessions either spawn a private core (the historical behavior) or
-//! borrow a shared [`EnginePool`] via
+//! The threads live in the pool (`crate::exec`), which knows nothing about
+//! message or program types, so one pool can serve an
+//! `EngineSession<GatherProgram>` and an `EngineSession<RulingProgram>`
+//! back to back — which is exactly what a peeling pipeline does, session
+//! per level. Sessions either spawn a private pool or borrow a shared
+//! [`EnginePool`] via
 //! [`EngineConfig::with_pool`](crate::EngineConfig::with_pool) — thread
 //! spawns then happen once per *pipeline*, not once per session.
 //!
-//! Each round is two epochs on the same reusable barrier pair:
+//! Each round is two epochs, and each epoch is an **ownership handoff**: it
+//! gives worker group `g` disjoint `&mut` parts
+//! ([`EnginePool::run_groups`]) — its `ranges[g]` slice of a per-vertex
+//! array and its own state — and between the epochs the driver moves state
+//! from owner to owner by swapping vectors. No group reaches into another's
+//! state.
 //!
-//! * **Compute epoch** — every worker group walks its dense vertex range,
-//!   calling `on_round` and staging outbound traffic in its own arena.
-//!   Each payload is moved once into the arena's **store**, as a
-//!   `(sender, payload)` entry — one per `Broadcast`, one per `Unicast` or
-//!   `Multi` message — and each point-to-point message becomes an 8-byte
-//!   `(destination, slot)` reference. References are **bucketed by
-//!   destination group**: one for a vertex owned by group `g` lands in
-//!   bucket `g`, so the routing epoch can hand each bucket to exactly one
-//!   consumer without locks. No payload is cloned per edge; duplication
-//!   faults push a second reference to the same slot, and split mode
-//!   round-trips an over-budget payload once, as it is stored.
-//! * **Routing epoch** — worker `g` rebuilds its group's `next` segment
-//!   with a **counting sort** over bucket `g` of *every* arena (in
-//!   ascending group order): count per receiver, prefix-sum into the span
-//!   table, and place each reference exactly once, as `(store, slot)`,
-//!   into the contiguous segment. Steady-state rounds perform no
-//!   per-message allocation — stores, buckets, segments, spans, and the
-//!   counting scratch persist across rounds. Between the two epochs the
-//!   driver does the cheap global work: tallying fault counters, swapping
-//!   every arena's store into the `next` mailbox buffer (O(groups); the
-//!   arena gets back a two-rounds-stale store it clears when it next
-//!   stages), scheduling fault-delayed batches, and re-storing the
-//!   payloads of batches that come due into the buffer's delayed store.
-//!   The next compute epoch reads every payload through the same shared
-//!   `&Inboxes` it reads the spans through, so no raw pointer reaches a
-//!   store.
+//! * **Compute epoch** — group `g` owns its slice of the programs and its
+//!   staging arena ([`ShardYield`]), and reads its inboxes shared. It walks
+//!   its dense vertex range, calling `on_round` and staging outbound
+//!   traffic in its arena. Each payload is moved once into the arena's
+//!   **store**, as a `(sender, payload)` entry — one per `Broadcast`, one
+//!   per `Unicast` or `Multi` message — and each point-to-point message
+//!   becomes an 8-byte `(destination, slot)` reference. References are
+//!   **bucketed by destination group**: one for a vertex owned by group `b`
+//!   lands in bucket `b`. No payload is cloned per edge; duplication faults
+//!   push a second reference to the same slot, and split mode round-trips
+//!   an over-budget payload once, as it is stored.
+//! * **Handoff** — the driver tallies fault counters, schedules
+//!   fault-delayed batches, and hands every arena's round to the mailboxes
+//!   (`Mailboxes::adopt`): arena `g`'s store is swapped into the `next`
+//!   buffer, and its bucket `b` into routing group `b`'s inbound slot `g` —
+//!   the **bucket transpose**, O(groups²) swaps, nothing copied. The arena
+//!   gets back a two-rounds-stale store, which it clears when it next
+//!   stages. The driver then re-stores the payloads of delayed batches
+//!   that come due into the buffer's delayed store.
+//! * **Routing epoch** — group `g` owns its slice of the counting scratch
+//!   and its `RouteGroup`: its `next` inboxes, its inbound buckets, its
+//!   pending-delayed references, its receiver bitmap and its tally; it
+//!   reads the `next` stores shared. It rebuilds its `next` segment with a
+//!   **counting sort** over its inbound buckets (in ascending source group
+//!   order): count per receiver, prefix-sum into the span table, and place
+//!   each reference exactly once, as `(store, slot)`. Once the epoch
+//!   closes, the same swaps in reverse hand the drained buckets back to
+//!   their arenas. Steady-state rounds perform no per-message allocation —
+//!   stores, buckets, segments, spans, and the counting scratch persist
+//!   across rounds. The next compute epoch reads every payload through the
+//!   same shared `&Inboxes` it reads the spans through.
 //!
 //! Determinism: for any inbox, references are placed in (source group,
 //! staging order) order. Groups own ascending dense ranges and step their
@@ -66,23 +64,24 @@
 //! and shard count remain pure performance knobs.
 //!
 //! * **Worker lifetime** — `workers - 1` OS threads are spawned when the
-//!   core boots (per session by default, once per pipeline with a shared
-//!   pool) and live until the last [`EnginePool`] handle drops. The driver
+//!   pool is created (per session by default, once per pipeline with a
+//!   shared pool) and live until the last [`EnginePool`] handle drops. The driver
 //!   thread itself executes worker group 0 in both epochs, so a
 //!   `workers = 1` pool spawns no threads at all and runs everything inline
 //!   with zero synchronization.
 //! * **Barrier protocol** — each pooled epoch is one `start`/`done`
-//!   rendezvous. The driver publishes the epoch's job pointer, crosses
-//!   `start`, does its own group's share, and crosses `done`; workers park
-//!   in between. Barrier rendezvous establishes the happens-before edges
-//!   that make the job publication, arena and store handoffs safe.
+//!   rendezvous. The driver publishes the epoch's job, crosses `start`,
+//!   does its own group's share, and crosses `done`; workers park in
+//!   between. The barriers order every handoff: the driver's swaps happen
+//!   before `start`, and each group's writes before `done`.
 //! * **Small epochs on the driver** — waking the pool costs a barrier pair
 //!   whatever the epoch holds. When the driver judges an epoch's work too
 //!   small to pay for that (see `driver::on_driver`), [`WorkerPool`] runs
 //!   the same job for every group in group order on the driver thread
-//!   ([`PoolCore::run_inline`]) and the workers stay parked. Nothing else
-//!   differs: each group's share is the same call, the panic discipline
-//!   and the reentry guard are the same, and no barrier is crossed.
+//!   (`inline` in [`EnginePool::run_groups`]) and the workers stay parked.
+//!   Nothing else differs: each group's share is the same call, the panic
+//!   discipline and the reentry guard are the same, and no barrier is
+//!   crossed.
 //! * **Panic discipline** — every job invocation runs under
 //!   `catch_unwind`; a panic is recorded in the worker's panic slot, the
 //!   worker still reaches the `done` barrier, and the driver resumes the
@@ -91,32 +90,21 @@
 //!   the flag and releases the `start` barrier once more) always joins
 //!   cleanly — even while unwinding from a propagated program panic.
 
-use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
 
 use graphs::VertexId;
 
 use crate::context::NodeCtx;
 use crate::driver::wake_round;
+use crate::exec::{EnginePool, Panic};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
-    finalize_inbox, sender, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed, SplitScratch,
-    Staged, Store,
+    finalize_inbox, sender, GroupInbox, GroupInboxes, Inboxes, Mailboxes, RouteGroup, RouteTally,
+    Routed, SplitScratch, Staged, Store,
 };
 use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
-
-/// Global count of worker threads ever spawned by any [`PoolCore`] in this
-/// process — the observable that pins "pool sharing actually shares": a
-/// peeling pipeline reusing one [`EnginePool`] must hold this flat across
-/// levels. Exposed as [`crate::worker_threads_spawned`].
-pub(crate) static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 /// Everything a step needs besides the program and its inbox: the fault
 /// plan, the session's view (contexts and id tables), the group partition,
@@ -172,19 +160,15 @@ pub(crate) struct RouteEnv<'a> {
 /// persistent staging arena of references (bucketed by destination group)
 /// for outbound traffic, and the round's observed counters. Reused across
 /// rounds — [`reset`](ShardYield::reset) clears without releasing capacity.
-///
-/// Buckets are `UnsafeCell`s because the routing epoch hands bucket `g` of
-/// every arena to worker `g` while other workers drain their own buckets of
-/// the same arena: access is disjoint by bucket index, synchronized by the
-/// epoch barriers.
 pub(crate) struct ShardYield<M> {
     /// Outbound references staged this round (surviving faults),
     /// `(destination, slot in store)`, bucketed by destination worker
-    /// group.
-    buckets: Vec<UnsafeCell<Vec<Staged>>>,
+    /// group. Bucket `b` is lent to routing group `b` for the routing epoch
+    /// (`Mailboxes::transpose`) and comes back drained.
+    pub(crate) buckets: Vec<Vec<Staged>>,
     /// Every payload the group sent this round, once each. The driver
     /// swaps it into the mailboxes between the epochs
-    /// (`Mailboxes::adopt_store`) and hands back a stale one, cleared here
+    /// (`Mailboxes::adopt`) and hands back a stale one, cleared here
     /// at the next [`reset`](ShardYield::reset).
     pub(crate) store: Store<M>,
     /// The group's split-mode scratch, for payloads it round-trips as it
@@ -233,7 +217,7 @@ impl<M> ShardYield<M> {
     /// An arena with one bucket per destination worker group.
     pub(crate) fn with_groups(groups: usize) -> Self {
         ShardYield {
-            buckets: (0..groups).map(|_| UnsafeCell::new(Vec::new())).collect(),
+            buckets: (0..groups).map(|_| Vec::new()).collect(),
             store: Store::default(),
             split: SplitScratch::default(),
             starts: vec![0; groups],
@@ -264,28 +248,10 @@ impl<M> ShardYield<M> {
         self.buckets.len()
     }
 
-    /// Exclusive bucket access (tests build staged traffic directly).
-    #[cfg(test)]
-    pub(crate) fn bucket_mut(&mut self, b: usize) -> &mut Vec<Staged> {
-        self.buckets[b].get_mut()
-    }
-
-    /// Bucket access through a shared reference, for the routing epoch.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be bucket `b`'s sole accessor for the duration of
-    /// the returned borrow (the routing epoch assigns bucket `b` of every
-    /// arena to worker `b` exclusively).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn bucket_shared(&self, b: usize) -> &mut Vec<Staged> {
-        unsafe { &mut *self.buckets[b].get() }
-    }
-
     /// Clears the arena for a new round, keeping every allocation.
     fn reset(&mut self) {
         for bucket in &mut self.buckets {
-            bucket.get_mut().clear();
+            bucket.clear();
         }
         self.store.clear();
         self.delayed_batches.clear();
@@ -410,7 +376,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
         return;
     }
     for b in 0..y.buckets.len() {
-        y.starts[b] = y.buckets[b].get_mut().len();
+        y.starts[b] = y.buckets[b].len();
     }
     let stored = y.store.len();
     // Only a `Multi` outbox can name one destination twice; for the others
@@ -421,7 +387,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
         .buckets
         .iter_mut()
         .zip(&y.starts)
-        .map(|(bucket, &s)| bucket.get_mut().len() - s)
+        .map(|(bucket, &s)| bucket.len() - s)
         .sum();
     y.messages += batch_len;
     y.max_width = y.max_width.max(width);
@@ -447,7 +413,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
         FaultAction::Drop => {
             y.dropped += batch_len;
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
-                bucket.get_mut().truncate(y.starts[b]);
+                bucket.truncate(y.starts[b]);
             }
             y.store.truncate(stored);
         }
@@ -458,7 +424,6 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
             y.delayed += batch_len;
             let mut batch = Vec::with_capacity(batch_len);
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
-                let bucket = bucket.get_mut();
                 for &(dv, slot) in &bucket[y.starts[b]..] {
                     batch.push((dv as usize, src, y.store.get(slot).1.clone()));
                 }
@@ -507,7 +472,6 @@ fn lose_batch<M: EngineMessage>(
 ) {
     for (b, bucket) in y.buckets.iter_mut().enumerate() {
         let start = y.starts[b];
-        let bucket = bucket.get_mut();
         if start == bucket.len() {
             continue;
         }
@@ -546,7 +510,6 @@ fn duplicate_batch<M: EngineMessage>(
 ) {
     for (b, bucket) in y.buckets.iter_mut().enumerate() {
         let start = y.starts[b];
-        let bucket = bucket.get_mut();
         if start == bucket.len() {
             continue;
         }
@@ -595,7 +558,7 @@ fn expand_into<M: EngineMessage>(
         let dv = dense[dst];
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
         // Dense indices fit in 32 bits: the mailboxes check it at boot.
-        buckets[env.group_of(dv)].get_mut().push((dv as u32, slot));
+        buckets[env.group_of(dv)].push((dv as u32, slot));
     };
     match outbox {
         Outbox::Silent => 0,
@@ -633,98 +596,77 @@ fn expand_into<M: EngineMessage>(
     }
 }
 
-/// The routing epoch's per-worker share: rebuild group `group`'s `next`
-/// segment with a counting sort over its pending-delayed references and
-/// bucket `group` of every arena (pending first, then ascending arena
-/// order — the determinism contract), then finalize each span — the
-/// split-mode frame tally and the optional adversarial reorder (see
-/// `mailbox::finalize_inbox`). Returns the range's [`RouteTally`] (frames
-/// delivered, widest delivered message).
+/// The routing epoch's per-group share: rebuild the group's `next` segment
+/// with a counting sort over its pending-delayed references and its
+/// inbound buckets (pending first, then ascending source group — the
+/// determinism contract), then finalize each span — the split-mode frame
+/// tally and the optional adversarial reorder (see
+/// `mailbox::finalize_inbox`). `counts` is the counting scratch of the
+/// group's dense range, which starts at `base`. Returns the range's
+/// [`RouteTally`] (frames delivered, widest delivered message).
 ///
-/// Only 8-byte references move: a reference staged in arena `g` becomes
+/// Only 8-byte references move: a reference from source group `g` becomes
 /// `(g, slot)`, a pending one `(groups, slot)` — the delayed store — and
 /// `stores` (the `next` buffer's, already swapped in) is read for senders
 /// and split tallies only.
 ///
-/// Arenas hold ascending sender ranges and each stages its senders in
-/// ascending order, so a span placed from the arenas alone is already in
-/// delivery order. Delayed traffic is placed first and breaks that; when
-/// the pending list was non-empty, every span of the group is stable-sorted
-/// by sender, which keeps delayed-before-fresh and duplicate-after-original
-/// within each sender. Without due delays the epoch compares nothing and
-/// is O(traffic + frontier).
+/// Source groups hold ascending sender ranges and each stages its senders
+/// in ascending order, so a span placed from the inbound buckets alone is
+/// already in delivery order. Delayed traffic is placed first and breaks
+/// that; when the pending list was non-empty, every span of the group is
+/// stable-sorted by sender, which keeps delayed-before-fresh and
+/// duplicate-after-original within each sender. Without due delays the
+/// epoch compares nothing and is O(traffic + frontier).
 ///
 /// The sort is **frontier-sparse**: every pass walks only the vertices
-/// that actually receive traffic this round, collected into the buffer's
+/// that actually receive traffic this round, collected into the group's
 /// active list as the counting pass runs. Stale spans (non-empty when
 /// this buffer was last routed, two flips ago) are reset off the old
 /// active list, and the counting scratch is re-zeroed entry by entry, so
 /// the whole epoch is O(frontier + messages) — a quiescent round never
 /// touches the bulk of the range. The invariants carried between epochs:
-/// `t.counts` is all-zeros, and every span outside the buffer's active
-/// list is `(0, 0)`.
+/// `counts` is all-zeros, every span outside the active list is `(0, 0)`,
+/// and every inbound bucket is empty once routed.
 ///
 /// # Panics
 ///
 /// Panics if the group receives more than `u32::MAX` references in one
 /// round: span starts are 32-bit.
-///
-/// # Safety
-///
-/// The caller must guarantee, for the duration of the call: bucket `group`
-/// of every arena is accessed by this caller alone; `t.segs.add(group)`,
-/// `t.active.add(group)`, `t.pending.add(group)` and `t.vbits.add(group)`
-/// are accessed by this caller alone; the per-vertex arrays behind
-/// `t.spans` / `t.counts` hold at least `range.end` entries, with the
-/// entries in `range` accessed by this caller alone. The epoch barrier
-/// protocol provides all of it.
-unsafe fn route_range<M: EngineMessage>(
-    arenas: &[ArenaSlot<M>],
+fn route_range<M: EngineMessage>(
+    counts: &mut [u32],
+    group: &mut RouteGroup,
     stores: &[Store<M>],
-    group: usize,
-    t: RouteTargets,
-    range: Range<usize>,
+    base: usize,
     env: &RouteEnv<'_>,
 ) -> RouteTally {
-    let base = range.start;
-    // SAFETY: `range` is this worker's exclusive slice of the per-vertex
-    // arrays; segment, active list, pending list, and bitmap `group` are
-    // ours alone.
-    let counts = unsafe { std::slice::from_raw_parts_mut(t.counts.add(base), range.len()) };
-    let spans = unsafe { std::slice::from_raw_parts_mut(t.spans.add(base), range.len()) };
-    let active = unsafe { &mut *t.active.add(group) };
-    let pending = unsafe { &mut *t.pending.add(group) };
-    let seg = unsafe { &mut *t.segs.add(group) };
-    let vbits = unsafe { &mut *t.vbits.add(group) };
+    let RouteGroup {
+        inbox: GroupInbox { seg, spans, active },
+        inbound,
+        pending,
+        vbits,
+        ..
+    } = group;
+    let len = counts.len();
+    debug_assert_eq!(spans.len(), len, "one span per vertex of the range");
 
     // Reset exactly the spans this buffer's previous routing left
     // non-empty — its active list. Every other span of the range is
     // already (0, 0), so this is the O(frontier) twin of the old
     // O(range) `spans.fill((0, 0))`.
     for &dv in active.iter() {
-        debug_assert!(range.contains(&dv), "active {group} holds only our range");
         spans[dv - base] = (0, 0);
     }
     active.clear();
 
-    // Counting pass: pending-delayed traffic plus every arena's bucket,
+    // Counting pass: pending-delayed traffic plus every inbound bucket,
     // marking each receiver in the group's two-level bitmap. `counts` is
     // all-zeros on entry (each routing re-zeroes what it touched).
-    vbits.ensure(range.len());
-    let mut total = pending.len();
-    for &(dv, _) in pending.iter() {
-        let i = dv as usize - base;
-        debug_assert!(i < range.len(), "pending {group} holds only our range");
-        counts[i] += 1;
-        vbits.set(i);
-    }
-    for arena in arenas {
-        // SAFETY: shared view of the arena; bucket `group` is ours alone.
-        let bucket = unsafe { (*arena.0.get()).bucket_shared(group) };
+    vbits.ensure(len);
+    let mut total = 0;
+    for bucket in std::iter::once(&*pending).chain(inbound.iter()) {
         total += bucket.len();
-        for &(dv, _) in bucket.iter() {
+        for &(dv, _) in bucket {
             let i = dv as usize - base;
-            debug_assert!(i < range.len(), "bucket {group} holds only our range");
             counts[i] += 1;
             vbits.set(i);
         }
@@ -757,35 +699,28 @@ unsafe fn route_range<M: EngineMessage>(
 
     // Placement pass, same source order as the counting pass: pending
     // first (so delayed batches precede fresh same-sender traffic after
-    // the stable sender sort), then the arenas in ascending order.
+    // the stable sender sort), then the inbound buckets in ascending
+    // source group order. Both passes see the same references, so every
+    // slot of the segment is written exactly once.
     let had_pending = !pending.is_empty();
     seg.clear();
-    seg.reserve(total);
-    let out = seg.as_mut_ptr();
-    {
-        let mut place = |dv: u32, r: (u32, u32)| {
-            let cursor = &mut counts[dv as usize - base];
-            // SAFETY: cursor < total ≤ capacity, and both passes see the
-            // same references, so every slot is written exactly once.
-            unsafe { out.add(*cursor as usize).write(r) };
-            *cursor += 1;
-        };
-        let delayed_store = arenas.len() as u32;
-        for &(dv, slot) in pending.iter() {
-            place(dv, (delayed_store, slot));
-        }
-        pending.clear();
-        for (g, arena) in arenas.iter().enumerate() {
-            // SAFETY: as in the counting pass.
-            let bucket = unsafe { (*arena.0.get()).bucket_shared(group) };
-            for &(dv, slot) in bucket.iter() {
-                place(dv, (g as u32, slot));
-            }
-            bucket.clear();
-        }
+    seg.resize(total, (0, 0));
+    let mut place = |dv: u32, r: (u32, u32)| {
+        let cursor = &mut counts[dv as usize - base];
+        seg[*cursor as usize] = r;
+        *cursor += 1;
+    };
+    let delayed_store = inbound.len() as u32;
+    for &(dv, slot) in pending.iter() {
+        place(dv, (delayed_store, slot));
     }
-    // SAFETY: exactly `total` slots were initialized above.
-    unsafe { seg.set_len(total) };
+    pending.clear();
+    for (g, bucket) in inbound.iter_mut().enumerate() {
+        for &(dv, slot) in bucket.iter() {
+            place(dv, (g as u32, slot));
+        }
+        bucket.clear();
+    }
 
     // Finalize only the active spans — there are no other non-empty ones
     // — and restore the all-zeros counting-scratch invariant as we go.
@@ -808,278 +743,14 @@ unsafe fn route_range<M: EngineMessage>(
     tally
 }
 
-/// One worker group's staging arena, shared so the routing epoch can hand
-/// out disjoint buckets across workers.
-pub(crate) struct ArenaSlot<M>(UnsafeCell<ShardYield<M>>);
-
-// SAFETY: arena access follows the epoch discipline — compute: arena `g`
-// exclusively by group `g`'s executor; routing: bucket `b` of every arena
-// exclusively by group `b`'s executor; between epochs: the driver alone.
-// The barriers publish every handoff. `M: Send + Sync` via `EngineMessage`.
-unsafe impl<M: EngineMessage> Send for ArenaSlot<M> {}
-unsafe impl<M: EngineMessage> Sync for ArenaSlot<M> {}
-
-/// One worker group's routing-epoch output slot, written by group `g`
-/// inside the epoch and read by the driver after `done`.
-struct TallySlot(UnsafeCell<RouteTally>);
-
-// SAFETY: slot `g` is written only by group `g`'s executor inside the
-// start→done window and read only by the driver outside it; the barriers
-// publish the handoff.
-unsafe impl Send for TallySlot {}
-unsafe impl Sync for TallySlot {}
-
-/// A raw pointer that crosses the job closure into worker threads. The
-/// aliasing discipline (disjoint per-group ranges under the epoch barriers)
-/// lives with the code that derives slices from it.
-struct SyncPtr<T>(*mut T);
-
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Unwraps the pointer. A method (whole-struct receiver) rather than
-    /// field access, so closure capture analysis moves the `Sync` wrapper
-    /// instead of reaching through to the bare (non-`Sync`) pointer field.
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only dereferenced through the epoch protocol's
-// disjoint-range discipline; the pointees are `Send` (programs).
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-/// The lifetime-erased job pointer a [`PoolCore`] epoch runs: the typed
-/// layer's closure, valid strictly for the start→done window.
-#[derive(Clone, Copy)]
-struct ErasedJob(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (it is invoked concurrently by design) and
-// the driver keeps it alive for the whole epoch window.
-unsafe impl Send for ErasedJob {}
-unsafe impl Sync for ErasedJob {}
-
-/// The type-erased pool substrate: threads, barriers, the current epoch's
-/// job, and per-worker panic slots. Knows nothing about message or program
-/// types, so one core can serve sessions of different types back to back —
-/// the whole point of pool sharing.
-struct PoolCore {
-    /// Epoch entry: driver + every worker.
-    start: Barrier,
-    /// Epoch exit: driver + every worker.
-    done: Barrier,
-    /// Raised by the owner's drop before a final `start` release.
-    shutdown: AtomicBool,
-    /// Reentry guard: a core drives one epoch at a time. Two sessions may
-    /// *own* clones of one pool, but only one may be inside `run` — the
-    /// normal sequential-pipeline case; concurrent use is a caller bug
-    /// caught loudly.
-    busy: AtomicBool,
-    /// The epoch's job, published by the driver before `start`.
-    job: UnsafeCell<Option<ErasedJob>>,
-    /// One panic slot per spawned worker (the driver's group has none).
-    panics: Vec<UnsafeCell<Option<Box<dyn Any + Send + 'static>>>>,
-}
-
-// SAFETY: `job` is written by the driver while workers are parked and read
-// by workers inside the window; `panics[i]` is written only by worker `i`
-// inside the window and read by the driver outside it. The barriers
-// publish every handoff.
-unsafe impl Send for PoolCore {}
-unsafe impl Sync for PoolCore {}
-
-impl PoolCore {
-    /// Claims the core for one epoch (the reentry guard).
-    fn enter(&self) {
-        assert!(
-            !self.busy.swap(true, Ordering::Acquire),
-            "EnginePool is already driving an epoch: a shared pool may be \
-             used by one session at a time"
-        );
-    }
-
-    /// Runs one epoch: publishes `job`, releases the workers, runs group 0
-    /// on the calling thread, and rejoins. Every invocation is wrapped in
-    /// `catch_unwind`; the first captured panic is returned after the
-    /// epoch fully closes, so the pool always stays reusable.
-    fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), Box<dyn Any + Send + 'static>> {
-        self.enter();
-        // SAFETY: workers are parked at `start`; lifetime erasure is sound
-        // because the pointer is consumed strictly inside the start→done
-        // window, during which this frame keeps `job` alive.
-        unsafe {
-            let erased: *const (dyn Fn(usize) + Sync) =
-                std::mem::transmute::<*const (dyn Fn(usize) + Sync), _>(job);
-            *self.job.get() = Some(ErasedJob(erased));
-        }
-        self.start.wait();
-        let home = catch_unwind(AssertUnwindSafe(|| job(0)));
-        self.done.wait();
-        self.busy.store(false, Ordering::Release);
-        let mut payload = home.err();
-        for slot in &self.panics {
-            // SAFETY: past `done` every worker is parked again.
-            if let Some(p) = unsafe { (*slot.get()).take() } {
-                payload.get_or_insert(p);
-            }
-        }
-        match payload {
-            Some(p) => Err(p),
-            None => Ok(()),
-        }
-    }
-
-    /// Runs one epoch on the calling thread alone: `job` for every group
-    /// `0..groups` in group order, while the workers stay parked. Each
-    /// invocation is wrapped in `catch_unwind` like a pooled one, so every
-    /// group runs and the lowest group's panic is returned — the same
-    /// payload [`run`](PoolCore::run) would return for the same epoch.
-    fn run_inline(
-        &self,
-        groups: usize,
-        job: &dyn Fn(usize),
-    ) -> Result<(), Box<dyn Any + Send + 'static>> {
-        self.enter();
-        let mut payload = None;
-        for g in 0..groups {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| job(g))) {
-                payload.get_or_insert(p);
-            }
-        }
-        self.busy.store(false, Ordering::Release);
-        payload.map_or(Ok(()), Err)
-    }
-}
-
-fn core_worker_loop(core: &PoolCore, index: usize) {
-    loop {
-        core.start.wait();
-        if core.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: inside the start→done window the job pointer is live and
-        // the driver published it before releasing `start`.
-        let job = unsafe { (*core.job.get()).expect("epoch job published") };
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(index + 1) }));
-        if let Err(p) = result {
-            // SAFETY: panic slot `index` is this worker's own.
-            unsafe { *core.panics[index].get() = Some(p) };
-        }
-        core.done.wait();
-    }
-}
-
-/// Owns the core and its threads; dropped when the last [`EnginePool`]
-/// clone goes away.
-struct PoolOwner {
-    core: Arc<PoolCore>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Drop for PoolOwner {
-    fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        // Workers are always parked at `start` between epochs (the panic
-        // discipline guarantees every epoch closes), so one release lets
-        // them observe the flag and exit.
-        self.core.start.wait();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A shareable worker-thread pool: spawn once, drive many
-/// [`EngineSession`](crate::EngineSession)s — of *different* program types
-/// — without respawning threads per session.
-///
-/// By default every session boots its own private pool; a pipeline that
-/// creates sessions in a loop (peeling levels, phase sweeps) passes one
-/// `EnginePool` through [`EngineConfig::with_pool`](crate::EngineConfig::with_pool)
-/// instead, making thread spawns a per-pipeline cost. Cloning is cheap
-/// (`Arc`); threads shut down when the last clone drops. A pool drives one
-/// session's epoch at a time — sharing is for *sequential* reuse, and
-/// concurrent use panics loudly.
-pub struct EnginePool {
-    owner: Arc<PoolOwner>,
-}
-
-impl Clone for EnginePool {
-    fn clone(&self) -> Self {
-        EnginePool {
-            owner: Arc::clone(&self.owner),
-        }
-    }
-}
-
-impl std::fmt::Debug for EnginePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnginePool")
-            .field("workers", &self.workers())
-            .finish()
-    }
-}
-
-impl EnginePool {
-    /// Spawns a pool with `workers` worker groups total: `workers - 1` OS
-    /// threads plus the driving thread itself. `workers = 1` spawns no
-    /// threads and runs everything inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "a pool needs at least the driver itself");
-        let threads = workers - 1;
-        let core = Arc::new(PoolCore {
-            start: Barrier::new(threads + 1),
-            done: Barrier::new(threads + 1),
-            shutdown: AtomicBool::new(false),
-            busy: AtomicBool::new(false),
-            job: UnsafeCell::new(None),
-            panics: (0..threads).map(|_| UnsafeCell::new(None)).collect(),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                SPAWNED.fetch_add(1, Ordering::Relaxed);
-                std::thread::Builder::new()
-                    .name(format!("engine-worker-{i}"))
-                    .spawn(move || core_worker_loop(&core, i))
-                    .expect("spawn engine worker")
-            })
-            .collect();
-        EnginePool {
-            owner: Arc::new(PoolOwner { core, handles }),
-        }
-    }
-
-    /// Number of worker groups (spawned threads + the driver).
-    pub fn workers(&self) -> usize {
-        self.owner.core.panics.len() + 1
-    }
-
-    fn core(&self) -> &PoolCore {
-        &self.owner.core
-    }
-}
-
 /// The typed session layer over an [`EnginePool`]: one session's staging
-/// arenas and route tallies, translated into plain `Fn(group)` jobs for the
-/// type-erased core. A session with `groups < pool.workers()` leaves the
-/// surplus workers idling at the barriers (they run the job as a no-op).
+/// arenas, and the two epochs of a round as [`EnginePool::run_groups`]
+/// jobs. A session with `groups < pool.workers()` leaves the surplus
+/// workers idling at the barriers.
 pub(crate) struct WorkerPool<P: NodeProgram + 'static> {
     pool: EnginePool,
     /// One staging arena per worker *group* (index 0 = the driver's own).
-    arenas: Vec<ArenaSlot<P::Message>>,
-    /// One routing-tally slot per worker group.
-    tallies: Vec<TallySlot>,
+    arenas: Vec<ShardYield<P::Message>>,
 }
 
 impl<P: NodeProgram + 'static> WorkerPool<P> {
@@ -1094,10 +765,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         WorkerPool {
             pool,
             arenas: (0..groups)
-                .map(|_| ArenaSlot(UnsafeCell::new(ShardYield::with_groups(groups))))
-                .collect(),
-            tallies: (0..groups)
-                .map(|_| TallySlot(UnsafeCell::new(RouteTally::default())))
+                .map(|_| ShardYield::with_groups(groups))
                 .collect(),
         }
     }
@@ -1108,29 +776,15 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         self.arenas.len()
     }
 
-    /// Runs `job` as one epoch: on the pool, or — with `inline` — for every
-    /// group in group order on the calling thread while the workers stay
-    /// parked. The same job runs either way; only its caller differs.
-    fn epoch(
-        &self,
-        inline: bool,
-        job: &(dyn Fn(usize) + Sync),
-    ) -> Result<(), Box<dyn Any + Send + 'static>> {
-        if inline {
-            self.pool.core().run_inline(self.arenas.len(), job)
-        } else {
-            self.pool.core().run(job)
-        }
-    }
-
-    /// Runs one **compute epoch**: group `i` of `ranges` steps its programs
-    /// on worker `i` (group 0 on the calling thread; every group on it with
-    /// `inline`), staging traffic into the group's arena. Returns the
-    /// lowest group's captured program panic, if any
-    /// — the caller resumes it after the epoch is fully closed, so the
-    /// *pool* stays droppable (workers re-park and join cleanly); the
-    /// session layer is responsible for refusing further rounds, since the
-    /// programs themselves are now partially stepped.
+    /// Runs one **compute epoch**: group `g` steps its `ranges[g]` slice of
+    /// `programs` against its inboxes in `inboxes`, staging traffic into
+    /// its own arena — on worker `g` (group 0 on the calling thread), or
+    /// every group on the calling thread with `inline`. Returns the lowest
+    /// group's captured program panic, if any — the caller resumes it after
+    /// the epoch is fully closed, so the *pool* stays droppable (workers
+    /// re-park and join cleanly); the session layer is responsible for
+    /// refusing further rounds, since the programs themselves are now
+    /// partially stepped.
     ///
     /// `ranges` must be disjoint ascending sub-ranges of the dense arrays,
     /// one per worker group, matching `env.bounds`; `due` is the driver's
@@ -1146,95 +800,64 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         round: u64,
         ranges: &[Range<usize>],
         inline: bool,
-    ) -> Result<(), Box<dyn Any + Send + 'static>> {
-        assert_eq!(ranges.len(), self.arenas.len(), "one range per group");
+    ) -> Result<(), Panic> {
         assert_eq!(due.len(), self.arenas.len(), "one due list per group");
-        // Every group derives its slice from the same root pointers, so no
-        // group's reborrow can invalidate another's.
-        let prog_root = SyncPtr(programs.as_mut_ptr());
-        let arenas = &self.arenas;
-        let job = move |g: usize| {
-            // Surplus workers of a wider shared pool have no group.
-            let Some(range) = ranges.get(g) else { return };
-            // SAFETY: `ranges` are disjoint, so group `g`'s program slice
-            // aliases no other group's; arena `g` is group `g`'s own during
-            // a compute epoch; the driver keeps every pointee alive for the
-            // whole epoch window. An inline epoch runs the groups one after
-            // another, so their borrows do not even overlap in time.
-            let progs = unsafe {
-                std::slice::from_raw_parts_mut(prog_root.get().add(range.start), range.len())
-            };
-            let arena = unsafe { &mut *arenas[g].0.get() };
-            run_range(
-                progs,
-                inboxes.group(g, range.clone()),
-                &due[g],
-                range.start,
-                round,
-                env,
-                arena,
-            );
+        let job = |g: usize, programs: &mut [P], arena: &mut ShardYield<P::Message>| {
+            let base = ranges[g].start;
+            run_range(programs, inboxes.group(g), &due[g], base, round, env, arena);
         };
-        self.epoch(inline, &job)
+        self.pool
+            .run_groups(inline, programs, ranges, &mut self.arenas, &job)
     }
 
-    /// Runs one **routing epoch**: worker `g` rebuilds group `g`'s `next`
-    /// segment from bucket `g` of every arena plus its pending-delayed
-    /// list, and finalizes every span of `ranges[g]` (delayed-traffic sort
-    /// / split tally / reorder; group 0 on the calling thread, every group
-    /// on it with `inline`). `targets` and `stores` must come from the
-    /// session's [`Mailboxes::next_targets`], after every arena's store
-    /// was adopted; `ranges` must match the compute epoch's. Returns the
-    /// epoch's [`RouteTally`].
+    /// Runs one **routing epoch**: group `g` rebuilds its `next` inboxes
+    /// from its inbound buckets plus its pending-delayed list, and
+    /// finalizes every span of `ranges[g]` (delayed-traffic sort / split
+    /// tally / reorder) — on worker `g`, or every group on the calling
+    /// thread with `inline`. Every arena's round must have been adopted
+    /// into `mail` first; `ranges` must match the compute epoch's. Then
+    /// hands the drained buckets back to the arenas. Returns the epoch's
+    /// [`RouteTally`].
     pub(crate) fn route(
         &mut self,
-        targets: RouteTargets,
-        stores: &[Store<P::Message>],
+        mail: &mut Mailboxes<P::Message>,
         ranges: &[Range<usize>],
         env: &RouteEnv<'_>,
         inline: bool,
-    ) -> Result<RouteTally, Box<dyn Any + Send + 'static>> {
-        assert_eq!(ranges.len(), self.arenas.len(), "one range per group");
-        let arenas = &self.arenas;
-        let tallies = &self.tallies;
-        let job = move |g: usize| {
-            let Some(range) = ranges.get(g) else { return };
-            // SAFETY: bucket `g` of every arena, segment/pending/scratch
-            // slot `g`, and the span/count entries of `range` belong
-            // exclusively to group `g` during a routing epoch;
-            // tally slot `g` likewise.
-            let tally = unsafe { route_range(arenas, stores, g, targets, range.clone(), env) };
-            unsafe { *tallies[g].0.get() = tally };
+    ) -> Result<RouteTally, Panic> {
+        let (counts, groups, stores) = mail.route_parts();
+        let job = |g: usize, counts: &mut [u32], group: &mut RouteGroup| {
+            group.tally = route_range(counts, group, stores, ranges[g].start, env);
         };
-        self.epoch(inline, &job)?;
+        self.pool.run_groups(inline, counts, ranges, groups, &job)?;
         let mut total = RouteTally::default();
-        for slot in &self.tallies {
-            // SAFETY: past the `done` barrier every worker is parked again.
-            total.absorb(unsafe { *slot.0.get() });
+        for group in groups.iter() {
+            total.absorb(group.tally);
+        }
+        // The same swaps in reverse give each drained bucket, with its
+        // capacity, back to its arena: one set of bucket capacity, not a
+        // second set cycling through the routing groups.
+        for (g, arena) in self.arenas.iter_mut().enumerate() {
+            mail.transpose(g, &mut arena.buckets);
         }
         Ok(total)
     }
 
     /// The driver's own staging arena (group 0), for driver-side staging
     /// outside any epoch — the round-0 init path stages here and then runs
-    /// an ordinary routing epoch. Exclusive access: workers are parked at
-    /// the `start` barrier.
+    /// an ordinary routing epoch.
     pub(crate) fn home_arena(&mut self) -> &mut ShardYield<P::Message> {
-        // SAFETY: workers are parked between epochs; `&mut self` keeps the
-        // driver side exclusive.
-        unsafe { &mut *self.arenas[0].0.get() }
+        &mut self.arenas[0]
     }
 
     /// Visits every group's arena in deterministic group order (driver's
     /// group 0 first) between epochs — the driver tallies counters,
-    /// collects fault-delayed batches, and drains wake registrations here
-    /// (the group index keys the driver's per-group wake queues).
-    /// Exclusive access: workers are parked at the `start` barrier.
+    /// collects fault-delayed batches, drains wake registrations (the group
+    /// index keys the driver's per-group wake queues) and hands the arena's
+    /// round to the mailboxes here.
     pub(crate) fn collect_yields(&mut self, mut f: impl FnMut(usize, &mut ShardYield<P::Message>)) {
-        for (g, arena) in self.arenas.iter().enumerate() {
-            // SAFETY: workers are parked; `&mut self` keeps the driver side
-            // exclusive.
-            f(g, unsafe { &mut *arena.0.get() });
+        for (g, arena) in self.arenas.iter_mut().enumerate() {
+            f(g, arena);
         }
     }
 }
@@ -1285,9 +908,9 @@ mod tests {
 
     /// Bucket `b`'s staged references resolved through the arena's store:
     /// `(destination, sender, payload)`, as a per-edge record would read.
-    fn resolved(y: &mut ShardYield<W>, b: usize) -> Vec<(usize, VertexId, W)> {
-        let refs = y.bucket_mut(b).clone();
-        refs.iter()
+    fn resolved(y: &ShardYield<W>, b: usize) -> Vec<(usize, VertexId, W)> {
+        y.buckets[b]
+            .iter()
             .map(|&(dv, slot)| {
                 let (src, m) = y.store.get(slot);
                 (dv as usize, *src, m.clone())
@@ -1306,20 +929,20 @@ mod tests {
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 2);
         assert_eq!(
-            resolved(&mut y, 0),
+            resolved(&y, 0),
             vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
         );
         assert_eq!(
-            y.bucket_mut(0),
-            &vec![(1, 0), (3, 0), (5, 0)],
+            y.buckets[0],
+            vec![(1, 0), (3, 0), (5, 0)],
             "one stored payload, one reference per neighbor"
         );
         stage_outbox(0, Outbox::Unicast(3, W(7)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 7);
-        assert_eq!(y.bucket_mut(0).len(), 4, "appends after existing traffic");
+        assert_eq!(y.buckets[0].len(), 4, "appends after existing traffic");
         stage_outbox(0, Outbox::Silent, &neighbors, 1, &e, &mut y);
         stage_outbox(5, Outbox::Broadcast(W(5)), &[], 1, &e, &mut y);
-        assert_eq!(y.bucket_mut(0).len(), 4, "isolated broadcast is empty");
+        assert_eq!(y.buckets[0].len(), 4, "isolated broadcast is empty");
         assert_eq!(y.messages, 4);
         assert_eq!(y.store.len(), 2, "an isolated broadcast stores nothing");
     }
@@ -1336,8 +959,8 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(2);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(resolved(&mut y, 0), vec![(1, 3, W(1)), (2, 3, W(1))]);
-        assert_eq!(resolved(&mut y, 1), vec![(4, 3, W(1)), (5, 3, W(1))]);
+        assert_eq!(resolved(&y, 0), vec![(1, 3, W(1)), (2, 3, W(1))]);
+        assert_eq!(resolved(&y, 1), vec![(4, 3, W(1)), (5, 3, W(1))]);
         assert_eq!(y.messages, 4);
         assert_eq!(y.store.len(), 1, "both buckets share one payload");
     }
@@ -1351,14 +974,14 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
-        assert_eq!((y.messages, y.bucket_mut(0).len()), (2, 2), "delivered");
+        assert_eq!((y.messages, y.buckets[0].len()), (2, 2), "delivered");
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 5, &e, &mut y);
         assert_eq!(y.dropped, 2, "dropped round truncates the arena");
-        assert_eq!(y.bucket_mut(0).len(), 2);
+        assert_eq!(y.buckets[0].len(), 2);
         assert_eq!(y.store.len(), 1, "and its payload");
         stage_outbox(0, Outbox::Broadcast(W(3)), &neighbors, 6, &e, &mut y);
         assert_eq!(y.delayed, 2);
-        assert_eq!(y.bucket_mut(0).len(), 2, "delayed tail split out");
+        assert_eq!(y.buckets[0].len(), 2, "delayed tail split out");
         assert_eq!(y.store.len(), 1, "delayed payloads leave the store");
         assert_eq!(y.delayed_batches.len(), 1);
         assert_eq!(y.delayed_batches[0].0, 6 + 1 + 2);
@@ -1382,7 +1005,7 @@ mod tests {
         assert_eq!(y.messages, 2, "originals only");
         assert_eq!(y.duplicated, 2, "probability 1.0 duplicates both");
         assert_eq!(
-            resolved(&mut y, 0),
+            resolved(&y, 0),
             vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
         );
         assert_eq!(y.store.len(), 1, "duplicates reference the same payload");
@@ -1399,7 +1022,7 @@ mod tests {
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "loss does not change the sent count");
         assert_eq!(y.lost, 2, "probability 1.0 loses both");
-        assert!(y.bucket_mut(0).is_empty());
+        assert!(y.buckets[0].is_empty());
     }
 
     #[test]
@@ -1416,7 +1039,7 @@ mod tests {
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.lost == 1 {
-                let kept: Vec<u32> = y.bucket_mut(0).iter().map(|r| r.0).collect();
+                let kept: Vec<u32> = y.buckets[0].iter().map(|r| r.0).collect();
                 assert_eq!(kept.len(), 2);
                 assert!(kept.windows(2).all(|w| w[0] < w[1]), "order preserved");
                 found = true;
@@ -1475,7 +1098,7 @@ mod tests {
                         .chain(dups.iter().filter(mine))
                         .cloned()
                         .collect();
-                    let got: Vec<(usize, W)> = resolved(&mut y, b)
+                    let got: Vec<(usize, W)> = resolved(&y, b)
                         .into_iter()
                         .map(|(dv, _, m)| (dv, m))
                         .collect();
@@ -1508,56 +1131,85 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &[1, 2, 3, 4], 1, &e, &mut y);
-        let cap = y.bucket_mut(0).capacity();
+        let cap = y.buckets[0].capacity();
         assert!(cap >= 4);
         y.reset();
-        assert_eq!(y.bucket_mut(0).len(), 0);
+        assert_eq!(y.buckets[0].len(), 0);
         assert_eq!(
-            y.bucket_mut(0).capacity(),
+            y.buckets[0].capacity(),
             cap,
             "reset must not release the arena"
         );
     }
 
-    /// A one-bucket arena preloaded with staged traffic, each message
-    /// stored and referenced (tests build the routing epoch's input
-    /// directly).
-    fn mk(msgs: Vec<Routed<W>>) -> ArenaSlot<W> {
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
-        for (dv, src, m) in msgs {
-            let slot = y.store.put(src, m, 1, usize::MAX, &mut y.split);
-            y.bucket_mut(0).push((dv as u32, slot));
+    /// A silent program exchanging `W`s: the routing tests drive a real
+    /// `WorkerPool<Quiet>` and fill its arenas directly.
+    struct Quiet;
+    impl NodeProgram for Quiet {
+        type Message = W;
+        fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<W> {
+            Outbox::Silent
         }
-        ArenaSlot(UnsafeCell::new(y))
+        fn on_round(&mut self, _: &mut NodeCtx<'_>, _: Inbox<'_, W>) -> Outbox<W> {
+            Outbox::Silent
+        }
+        fn halted(&self) -> bool {
+            false
+        }
     }
 
-    /// Hands every arena's store to `mail`, as the driver does between
-    /// the epochs.
-    fn adopt_all(mail: &mut crate::mailbox::Mailboxes<W>, arenas: &mut [ArenaSlot<W>]) {
-        for (g, a) in arenas.iter_mut().enumerate() {
-            mail.adopt_store(g, &mut a.0.get_mut().store);
+    /// Stages `traffic[g]` into arena `g` the way the compute epoch stages
+    /// it: the arena is reset, each message stored once and referenced from
+    /// its destination group's bucket.
+    fn stage(pool: &mut WorkerPool<Quiet>, bounds: &[usize], traffic: &[Vec<Routed<W>>]) {
+        for (y, msgs) in pool.arenas.iter_mut().zip(traffic) {
+            y.reset();
+            for (dv, src, m) in msgs.iter().cloned() {
+                let slot = y.store.put(src, m, 1, usize::MAX, &mut y.split);
+                let b = bounds.partition_point(|&b| b <= dv) - 1;
+                y.buckets[b].push((dv as u32, slot));
+            }
         }
+    }
+
+    /// The driver's side of a round after the compute epoch: hands every
+    /// arena's round to `mail` (store swap and bucket transpose), then
+    /// runs the routing epoch — pooled, or on the calling thread with
+    /// `inline`.
+    fn hand_over_and_route(
+        pool: &mut WorkerPool<Quiet>,
+        mail: &mut Mailboxes<W>,
+        bounds: &[usize],
+        env: &RouteEnv<'_>,
+        inline: bool,
+    ) -> RouteTally {
+        pool.collect_yields(|g, y| mail.adopt(g, &mut y.store, &mut y.buckets));
+        let ranges: Vec<Range<usize>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
+        pool.route(mail, &ranges, env, inline)
+            .expect("routing does not panic")
     }
 
     #[test]
     fn routing_epoch_counting_sort_matches_contract() {
-        use crate::mailbox::Mailboxes;
         // Three vertices in group 0 (group 1 is empty); traffic from two
         // arenas staged the way the compute epoch stages it — arena 0
         // holds senders 0 and 1, arena 1 sender 2, each in ascending sender
         // order. Placement alone (arena order × staging order) is then the
         // delivery order.
-        let mut mail: Mailboxes<W> = Mailboxes::new(3, vec![0, 3, 3]);
-        let mut arenas = [
-            mk(vec![
+        let bounds = [0, 3, 3];
+        let mut mail: Mailboxes<W> = Mailboxes::new(3, bounds.to_vec());
+        let mut pool = WorkerPool::new(EnginePool::new(2), 2);
+        let traffic = [
+            vec![
                 (0, 0, W(1)),
                 (2, 0, W(2)),
                 (0, 0, W(3)),
                 (1, 1, W(4)),
                 (0, 1, W(5)),
-            ]),
-            mk(vec![(1, 2, W(6)), (0, 2, W(7))]),
+            ],
+            vec![(1, 2, W(6)), (0, 2, W(7))],
         ];
+        stage(&mut pool, &bounds, &traffic);
         let live = [0usize, 1, 2];
         let env = RouteEnv {
             split: usize::MAX,
@@ -1565,46 +1217,42 @@ mod tests {
             reorder: None,
             live: &live,
         };
-        adopt_all(&mut mail, &mut arenas);
-        let (targets, stores) = mail.next_targets();
-        // SAFETY: single-threaded test — this caller is the sole accessor
-        // of every bucket and every mailbox entry.
-        let tally = unsafe { route_range(&arenas, stores, 0, targets, 0..3, &env) };
+        let tally = hand_over_and_route(&mut pool, &mut mail, &bounds, &env, false);
         assert_eq!(tally.fragments, 0);
+        for y in &pool.arenas {
+            assert!(
+                y.buckets.iter().all(Vec::is_empty),
+                "routing drains every bucket and hands it back"
+            );
+        }
+        assert!(
+            pool.arenas[0].buckets[0].capacity() >= 5,
+            "with its capacity, to the arena it came from"
+        );
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(1)), (0, W(3)), (1, W(5)), (2, W(7))]);
         assert_eq!(mail.inbox(1), &[(1, W(4)), (2, W(6))]);
         assert_eq!(mail.inbox(2), &[(0, W(2))]);
-        for a in &arenas {
-            // SAFETY: as above.
-            assert!(
-                unsafe { (*a.0.get()).bucket_shared(0) }.is_empty(),
-                "routing drains every bucket"
-            );
-        }
         // The stores swapped in: no payload moved, sender order read
         // through them.
-        assert_eq!(mail.cur().group(0, 0..3).inbox(0).len(), 4);
-        for a in &mut arenas {
-            assert_eq!(
-                a.0.get_mut().store.len(),
-                0,
-                "the arenas got empty stores back"
-            );
+        assert_eq!(mail.cur().group(0).inbox(0).len(), 4);
+        for y in &pool.arenas {
+            assert_eq!(y.store.len(), 0, "the arenas got empty stores back");
         }
     }
 
     #[test]
-    fn delayed_batch_precedes_fresh_same_sender_under_rank_routing() {
-        use crate::mailbox::Mailboxes;
+    fn delayed_batch_precedes_fresh_same_sender() {
         // Delayed traffic is placed ahead of fresh traffic, so its group
         // sorts by sender. A delay-fault batch from sender 1 due this round
         // must land *ahead of* fresh round traffic from the same sender 1,
         // while a lower fresh sender still sorts ahead of both.
-        let mut mail: Mailboxes<W> = Mailboxes::new(2, vec![0, 2]);
+        let bounds = [0, 2];
+        let mut mail: Mailboxes<W> = Mailboxes::new(2, bounds.to_vec());
         mail.schedule(5, vec![(0, 1, W(7))]);
         assert_eq!(mail.inject_due(5, usize::MAX), 1);
-        let mut arenas = [mk(vec![(0, 0, W(6)), (0, 1, W(8))])];
+        let mut pool = WorkerPool::new(EnginePool::new(1), 1);
+        stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
         let live = [0usize, 1];
         let env = RouteEnv {
             split: usize::MAX,
@@ -1612,13 +1260,68 @@ mod tests {
             reorder: None,
             live: &live,
         };
-        adopt_all(&mut mail, &mut arenas);
-        let (targets, stores) = mail.next_targets();
-        // SAFETY: single-threaded test — sole accessor of every bucket and
-        // mailbox entry.
-        let _ = unsafe { route_range(&arenas, stores, 0, targets, 0..2, &env) };
+        hand_over_and_route(&mut pool, &mut mail, &bounds, &env, true);
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(6)), (1, W(7)), (1, W(8))]);
+    }
+
+    #[test]
+    fn routing_epoch_matches_the_serial_spec_on_three_groups() {
+        // Three groups of unequal size on a three-worker pool, four rounds
+        // of traffic with delayed batches coming due and the adversarial
+        // reorder on: the pooled handoff and counting sort must deliver
+        // exactly what the comparison-sort spec delivers, round by round.
+        let bounds = [0, 3, 4, 8];
+        let live: Vec<usize> = (0..8).collect();
+        let group_of = |v: usize| bounds.partition_point(|&b| b <= v) - 1;
+        let mut mail: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
+        let mut spec: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
+        let mut pool = WorkerPool::new(EnginePool::new(3), 3);
+        for m in [&mut mail, &mut spec] {
+            m.schedule(2, vec![(5, 6, W(900)), (0, 1, W(901)), (5, 2, W(902))]);
+            m.schedule(3, vec![(3, 7, W(903))]);
+        }
+        for round in 1..=4u64 {
+            // Senders step in ascending order, so each arena holds its own
+            // group's senders ascending; a sender may message one receiver
+            // twice.
+            let mut traffic: Vec<Vec<Routed<W>>> = vec![Vec::new(); 3];
+            let mut flat = Vec::new();
+            for src in 0..8usize {
+                for k in 0..(src * 7 + round as usize * 3) % 4 {
+                    let dst = (src * 5 + k * 3 + round as usize) % 8;
+                    let msg = (dst, src, W(100 * round as usize + 10 * src + k));
+                    traffic[group_of(src)].push(msg.clone());
+                    flat.push(msg);
+                }
+            }
+            let env = RouteEnv {
+                split: usize::MAX,
+                round,
+                reorder: Some(17),
+                live: &live,
+            };
+            assert_eq!(
+                mail.inject_due(round, usize::MAX),
+                spec.inject_due(round, usize::MAX)
+            );
+            stage(&mut pool, &bounds, &traffic);
+            hand_over_and_route(&mut pool, &mut mail, &bounds, &env, false);
+            spec.route_serial(flat, &env);
+            mail.flip();
+            spec.flip();
+            for dv in 0..8 {
+                assert_eq!(mail.inbox(dv), spec.inbox(dv), "round {round}, vertex {dv}");
+            }
+            for g in 0..3 {
+                assert_eq!(
+                    mail.cur().group(g).active,
+                    spec.cur().group(g).active,
+                    "round {round}, group {g}"
+                );
+            }
+        }
+        assert!(!mail.has_pending_delays());
     }
 
     #[test]
@@ -1660,7 +1363,7 @@ mod tests {
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
         assert_eq!(y.stepped, 2);
-        assert_eq!(resolved(&mut y, 0), vec![(0, 1, W(1)), (0, 2, W(2))]);
+        assert_eq!(resolved(&y, 0), vec![(0, 1, W(1)), (0, 2, W(2))]);
     }
 
     #[test]
@@ -1668,13 +1371,17 @@ mod tests {
         use std::sync::Mutex;
         let pool = EnginePool::new(2);
         let ran = Mutex::new(Vec::new());
-        let job = |g: usize| {
+        let mut items = [usize::MAX; 7];
+        let ranges = [0..2, 2..2, 2..5, 5..7];
+        let job = |g: usize, items: &mut [usize], state: &mut usize| {
             ran.lock().unwrap().push(g);
+            items.fill(g);
+            *state = g;
             assert!(g != 1 && g != 3, "group {g} panicked");
         };
+        let mut states = [usize::MAX; 4];
         let payload = pool
-            .core()
-            .run_inline(4, &job)
+            .run_groups(true, &mut items, &ranges, &mut states, &job)
             .expect_err("groups 1 and 3 panic");
         assert_eq!(
             *ran.lock().unwrap(),
@@ -1685,12 +1392,18 @@ mod tests {
             payload.downcast_ref::<String>().map(String::as_str),
             Some("group 1 panicked")
         );
+        assert_eq!(items, [0, 0, 2, 2, 2, 3, 3], "each group got its range");
+        assert_eq!(states, [0, 1, 2, 3], "and its own state");
         // The epoch closed: the guard is released and the pool still runs
         // pooled epochs.
         ran.lock().unwrap().clear();
-        assert!(pool.core().run(&|g| ran.lock().unwrap().push(g)).is_ok());
+        let mut states = [usize::MAX; 2];
+        assert!(pool
+            .run_groups(false, &mut items, &ranges[..2], &mut states, &job)
+            .is_err());
         ran.lock().unwrap().sort_unstable();
         assert_eq!(*ran.lock().unwrap(), vec![0, 1]);
+        assert_eq!(states, [0, 1]);
     }
 
     #[test]

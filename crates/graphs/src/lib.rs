@@ -37,6 +37,8 @@
 //! assert!(is_gallai_tree(&t, None));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blocks;
 pub mod degeneracy;
 pub mod density;

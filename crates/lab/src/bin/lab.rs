@@ -13,6 +13,8 @@
 //! verdicts, and exits non-zero when a declared invariant fails — which is
 //! exactly how CI consumes it.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use lab::json::Value;

@@ -20,6 +20,8 @@
 //!                                        └──evaluate──▶ checks.json (pass/fail)
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod invariants;
 pub mod json;

@@ -33,6 +33,8 @@
 //! println!("{ledger}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod barenboim_elkin;
 pub mod cole_vishkin;
 pub mod forests;

@@ -28,6 +28,8 @@
 //! assert!(balls_match(&hard, 2 * 7 + 3, &easy, 2 * 6 + 3, 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fisk;
 pub mod h_graph;
 pub mod locality;

@@ -18,6 +18,8 @@
 //! deterministically (seeded per test by case index), and a failing case
 //! reports its case number and sampled arguments, which is enough to replay.
 
+#![forbid(unsafe_code)]
+
 pub use detrand;
 
 /// Runner configuration: how many sampled cases each property runs.

@@ -37,6 +37,8 @@
 //! # Ok::<(), distributed_coloring::ColoringError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use distributed_coloring;
 pub use engine;
 pub use graphs;

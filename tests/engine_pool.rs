@@ -10,8 +10,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use engine::{
-    engine_randomized_list_coloring, EngineConfig, EngineSession, FaultPlan, Inbox, NodeCtx,
-    NodeProgram, Outbox, Stop,
+    engine_randomized_list_coloring, EngineConfig, EnginePool, EngineSession, FaultPlan, Inbox,
+    NodeCtx, NodeProgram, Outbox, Stop,
 };
 use graphs::gen;
 use local_model::RoundLedger;
@@ -68,12 +68,22 @@ impl NodeProgram for PanicAt {
     }
 }
 
-fn gossip_session(g: &graphs::Graph, workers: usize) -> EngineSession<'_, Gossip> {
-    EngineSession::new(
-        g,
-        EngineConfig::default().with_shards(8).with_workers(workers),
-        |_| Gossip { best: 0 },
-    )
+/// `Gossip` at 8 shards and `workers` worker groups, on `pool` if given,
+/// else on a private pool.
+fn gossip_session<'g>(
+    g: &'g graphs::Graph,
+    workers: usize,
+    pool: Option<&EnginePool>,
+) -> EngineSession<'g, Gossip> {
+    EngineSession::new(g, config(workers, pool), |_| Gossip { best: 0 })
+}
+
+fn config(workers: usize, pool: Option<&EnginePool>) -> EngineConfig {
+    let config = EngineConfig::default().with_shards(8).with_workers(workers);
+    match pool {
+        Some(pool) => config.with_pool(pool),
+        None => config,
+    }
 }
 
 #[test]
@@ -82,8 +92,8 @@ fn session_reuse_across_many_phases_on_one_pool() {
     // parked-and-ready across the whole session lifetime, and the staged
     // arenas must not leak traffic between phases.
     let g = gen::random_tree(300, 42);
-    let mut pooled = gossip_session(&g, 4);
-    let mut inline = gossip_session(&g, 1);
+    let mut pooled = gossip_session(&g, 4, None);
+    let mut inline = gossip_session(&g, 1, None);
     assert_eq!(pooled.workers(), 4);
     assert_eq!(inline.workers(), 1);
     for phase in ["wave-1", "wave-2", "wave-3", "wave-4"] {
@@ -113,7 +123,7 @@ fn sequential_sessions_reuse_fresh_pools_cleanly() {
     let g = gen::grid(12, 12);
     let mut fingerprints = Vec::new();
     for _ in 0..3 {
-        let mut sess = gossip_session(&g, 3);
+        let mut sess = gossip_session(&g, 3, None);
         sess.run_phase("wave", Stop::Rounds(8));
         let (programs, metrics, _) = sess.into_parts();
         fingerprints.push((
@@ -146,20 +156,25 @@ fn idle_sessions_shut_down_without_running_a_round() {
     assert_eq!(metrics.total_rounds(), 1);
 }
 
-/// Runs `PanicAt` on `g` (8 shards) at each worker count: the panic at
-/// round 3 on `vertex` must propagate, poison the session and leave the
-/// pool droppable and the machine reusable. Returns the driver-epoch
-/// counts of the two rounds before the panic — the panicking round's
-/// compute epoch has the same work (every node steps every round), so they
-/// show whether the panic landed in a pooled or a driver-run epoch.
+/// Runs `PanicAt` on `g` (8 shards) at each worker count, on a private
+/// pool and on a shared [`EnginePool`] borrowed through `with_pool`: the
+/// panic at round 3 on `vertex` must propagate, poison the session and
+/// leave the pool droppable and the machine reusable — a shared pool must
+/// then run a recovery session exactly as a private pool does. Returns the
+/// driver-epoch counts of the two rounds before the panic — the panicking
+/// round's compute epoch has the same work (every node steps every round),
+/// so they show whether the panic landed in a pooled or a driver-run epoch.
 fn panic_propagates(g: &graphs::Graph, vertex: usize) -> Vec<u8> {
     let mut counts = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let mut sess = EngineSession::new(
-            g,
-            EngineConfig::default().with_shards(8).with_workers(workers),
-            |_| PanicAt { round: 3, vertex },
-        );
+    for (workers, shared) in [1usize, 2, 8]
+        .into_iter()
+        .flat_map(|w| [(w, false), (w, true)])
+    {
+        let pool = shared.then(|| EnginePool::new(workers));
+        let mut sess = EngineSession::new(g, config(workers, pool.as_ref()), |_| PanicAt {
+            round: 3,
+            vertex,
+        });
         let r = sess.run_phase("warmup", Stop::Rounds(2));
         assert_eq!(r.rounds, 2, "pre-panic rounds run normally");
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -206,18 +221,31 @@ fn panic_propagates(g: &graphs::Graph, vertex: usize) -> Vec<u8> {
             .iter()
             .map(|r| r.driver_epochs)
             .collect();
-        if workers == 1 {
+        if counts.is_empty() {
             counts = round_counts;
         } else {
-            assert_eq!(round_counts, counts, "workers={workers}");
+            assert_eq!(round_counts, counts, "workers={workers} shared={shared}");
         }
         // The epoch closed before the unwind resumed: dropping the session
-        // (joining the pool) must not hang or double-panic...
+        // (joining a private pool) must not hang or double-panic...
         drop(sess);
         // ...and the machine must be reusable afterwards.
-        let mut fresh = gossip_session(g, workers);
+        let mut fresh = gossip_session(g, workers, pool.as_ref());
         let report = fresh.run_phase("recovery", Stop::Rounds(2));
         assert_eq!(report.rounds, 2, "workers={workers}");
+        if shared {
+            let mut private = gossip_session(g, workers, None);
+            private.run_phase("recovery", Stop::Rounds(2));
+            let best = |s: &EngineSession<'_, Gossip>| -> Vec<usize> {
+                s.programs().iter().map(|p| p.best).collect()
+            };
+            assert_eq!(best(&fresh), best(&private), "workers={workers}");
+            assert_eq!(
+                fresh.metrics().message_counts(),
+                private.metrics().message_counts(),
+                "workers={workers}: the shared pool survives the panic intact"
+            );
+        }
     }
     counts
 }
