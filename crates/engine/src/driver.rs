@@ -524,7 +524,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 split,
                 round: 0,
                 reorder: config.faults.reorder_seed(),
-                live: view.live(),
+                view: &view,
             },
             init_inline,
         ) {
@@ -692,8 +692,9 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     }
 
     /// The live programs, in ascending original-id (dense) order. Use
-    /// [`view`](EngineSession::view) to map positions back to original ids
-    /// (identity for unmasked sessions).
+    /// [`view`](EngineSession::view) to map positions back to original ids;
+    /// for unmasked sessions the position *is* the original id, and the
+    /// view stores no table for it.
     pub fn programs(&self) -> &[P] {
         &self.programs
     }
@@ -884,7 +885,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             split,
             round,
             reorder: self.config.faults.reorder_seed(),
-            live: self.view.live(),
+            view: &self.view,
         };
         let tally = match self
             .pool
@@ -1075,7 +1076,7 @@ mod tests {
                 EngineConfig::default().with_mask(&mask).with_shards(shards),
             );
             assert_eq!(sess.programs().len(), 7, "one program per live vertex");
-            assert_eq!(sess.view().live(), &[0, 1, 2, 3, 7, 8, 9]);
+            assert!(sess.view().live().eq([0, 1, 2, 3, 7, 8, 9]));
             let report = sess.run_phase("flood", Stop::AllHalted);
             assert!(report.converged);
             let values = sess

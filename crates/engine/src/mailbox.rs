@@ -781,7 +781,8 @@ impl<M: EngineMessage> Mailboxes<M> {
                 // original sender ids (placement already put pending-
                 // before-fresh within each sender).
                 seg[start..].sort_by_key(|&r| sender(stores, r));
-                tally.absorb(finalize_inbox(&mut seg[start..], stores, env.live[dv], env));
+                let receiver = env.view.original(dv);
+                tally.absorb(finalize_inbox(&mut seg[start..], stores, receiver, env));
             }
         }
         tally
@@ -792,14 +793,24 @@ impl<M: EngineMessage> Mailboxes<M> {
 mod tests {
     use super::*;
 
-    static LIVE: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    use crate::view::GraphView;
+    use graphs::Graph;
+    use std::sync::OnceLock;
 
-    fn plain_env<'a>() -> RouteEnv<'a> {
+    /// A whole view of eight isolated vertices: receiver ids are the dense
+    /// indices.
+    fn view8() -> &'static GraphView<'static> {
+        static GRAPH: OnceLock<Graph> = OnceLock::new();
+        static VIEW: OnceLock<GraphView<'static>> = OnceLock::new();
+        VIEW.get_or_init(|| GraphView::whole(GRAPH.get_or_init(|| Graph::empty(8))))
+    }
+
+    fn plain_env() -> RouteEnv<'static> {
         RouteEnv {
             split: usize::MAX,
             round: 1,
             reorder: None,
-            live: &LIVE,
+            view: view8(),
         }
     }
 
@@ -936,7 +947,7 @@ mod tests {
             split: 2,
             round: 1,
             reorder: None,
-            live: &[],
+            view: view8(),
         };
         // The store round-trips the over-budget payload once, as it is
         // stored, and keeps its width and frame count beside it.
@@ -968,7 +979,7 @@ mod tests {
             split: 4,
             round: 1,
             reorder: None,
-            live: &[],
+            view: view8(),
         };
         let mut store: Store<u64> = Store::default();
         let mut scratch = SplitScratch::default();

@@ -107,9 +107,9 @@ use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
 
 /// Everything a step needs besides the program and its inbox: the fault
-/// plan, the session's view (contexts and id tables), the group partition,
-/// and the CONGEST budget. Built by the driver once per epoch; borrowed by
-/// every worker group.
+/// plan, the session's view (contexts and the original → dense id map),
+/// the group partition, and the CONGEST budget. Built by the driver once
+/// per epoch; borrowed by every worker group.
 pub(crate) struct StageEnv<'a> {
     /// Outbox fault schedule + duplication rule.
     pub(crate) faults: &'a FaultPlan,
@@ -143,7 +143,8 @@ impl StageEnv<'_> {
 
 /// Everything the routing epoch needs beyond the arenas and stores: the
 /// fragmentation budget, the round being routed (keys the reorder coins),
-/// the adversarial reorder rule, and the dense → original id table.
+/// the adversarial reorder rule, and the session's view (the dense →
+/// original id map).
 pub(crate) struct RouteEnv<'a> {
     /// Fragmentation budget in words (`usize::MAX` = splitting off); with
     /// it on, routing tallies the frames and widths the stores kept.
@@ -152,8 +153,9 @@ pub(crate) struct RouteEnv<'a> {
     pub(crate) round: u64,
     /// Seeded adversarial same-sender-run reorder, if installed.
     pub(crate) reorder: Option<u64>,
-    /// Dense index → original id (receiver keying for reorder coins).
-    pub(crate) live: &'a [VertexId],
+    /// The session's view: maps each receiver's dense index to its
+    /// original id, which keys the reorder coins.
+    pub(crate) view: &'a GraphView<'a>,
 }
 
 /// One worker group's per-round contribution: its payload store, a
@@ -547,7 +549,6 @@ fn expand_into<M: EngineMessage>(
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) -> usize {
-    let dense = env.view.dense_table();
     let ShardYield {
         buckets,
         store,
@@ -555,7 +556,7 @@ fn expand_into<M: EngineMessage>(
         ..
     } = y;
     let mut push = |dst: VertexId, slot: u32| {
-        let dv = dense[dst];
+        let dv = env.view.dense_index(dst);
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
         // Dense indices fit in 32 bits: the mailboxes check it at boot.
         buckets[env.group_of(dv)].push((dv as u32, slot));
@@ -738,7 +739,7 @@ fn route_range<M: EngineMessage>(
                 "fresh traffic is placed in sender order"
             );
         }
-        tally.absorb(finalize_inbox(span, stores, env.live[dv], env));
+        tally.absorb(finalize_inbox(span, stores, env.view.original(dv), env));
     }
     tally
 }
@@ -884,10 +885,10 @@ mod tests {
         }
     }
 
-    /// An edgeless `n`-vertex graph — its whole view is the identity id
-    /// table (staging takes neighbor lists as arguments), so expected
+    /// An edgeless `n`-vertex graph — its whole view maps ids as the
+    /// identity (staging takes neighbor lists as arguments), so expected
     /// tuples read directly — plus one group.
-    fn identity_tables(n: usize) -> (Graph, Vec<usize>) {
+    fn identity_graph(n: usize) -> (Graph, Vec<usize>) {
         (Graph::from_edges(n, []), vec![0, n])
     }
 
@@ -922,7 +923,7 @@ mod tests {
     fn expand_into_appends_and_reports_width() {
         let neighbors = [1usize, 3, 5];
         let faults = FaultPlan::new();
-        let (g, bounds) = identity_tables(6);
+        let (g, bounds) = identity_graph(6);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
@@ -953,7 +954,7 @@ mod tests {
         // messages to {4, 5} in bucket 1.
         let neighbors = [1usize, 2, 4, 5];
         let faults = FaultPlan::new();
-        let (g, _) = identity_tables(6);
+        let (g, _) = identity_graph(6);
         let view = GraphView::whole(&g);
         let bounds = vec![0, 3, 6];
         let e = env(&faults, &view, &bounds);
@@ -969,7 +970,7 @@ mod tests {
     fn stage_outbox_applies_faults_in_place() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().drop_outbox(0, 5).delay_outbox(0, 6, 2);
-        let (g, bounds) = identity_tables(3);
+        let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
@@ -997,7 +998,7 @@ mod tests {
     fn duplication_appends_after_the_batch_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().duplicate_edges(3, 1.0);
-        let (g, bounds) = identity_tables(3);
+        let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
@@ -1015,7 +1016,7 @@ mod tests {
     fn loss_removes_in_place_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().lose_edges(3, 1.0);
-        let (g, bounds) = identity_tables(3);
+        let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
@@ -1030,7 +1031,7 @@ mod tests {
         // Find a (seed, round) where exactly one of the two messages is
         // lost, and check the survivor stays, in place.
         let neighbors = [1usize, 2, 3];
-        let (g, bounds) = identity_tables(4);
+        let (g, bounds) = identity_graph(4);
         let view = GraphView::whole(&g);
         let mut found = false;
         for seed in 0..64u64 {
@@ -1063,7 +1064,7 @@ mod tests {
             .collect();
         let prefix_occurrence =
             |msgs: &[(usize, W)], i: usize| msgs[..i].iter().filter(|m| m.0 == msgs[i].0).count();
-        let (g, _) = identity_tables(4);
+        let (g, _) = identity_graph(4);
         let view = GraphView::whole(&g);
         let mut repeats_decided = false;
         for seed in 0..32u64 {
@@ -1113,7 +1114,7 @@ mod tests {
     #[should_panic(expected = "CONGEST violation")]
     fn congest_budget_rejects_wide_messages() {
         let faults = FaultPlan::new();
-        let (g, bounds) = identity_tables(3);
+        let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let mut e = env(&faults, &view, &bounds);
         e.congest = 4;
@@ -1126,7 +1127,7 @@ mod tests {
     #[test]
     fn arena_reset_keeps_capacity() {
         let faults = FaultPlan::new();
-        let (g, bounds) = identity_tables(5);
+        let (g, bounds) = identity_graph(5);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
@@ -1210,12 +1211,13 @@ mod tests {
             vec![(1, 2, W(6)), (0, 2, W(7))],
         ];
         stage(&mut pool, &bounds, &traffic);
-        let live = [0usize, 1, 2];
+        let g = Graph::empty(3);
+        let view = GraphView::whole(&g);
         let env = RouteEnv {
             split: usize::MAX,
             round: 2,
             reorder: None,
-            live: &live,
+            view: &view,
         };
         let tally = hand_over_and_route(&mut pool, &mut mail, &bounds, &env, false);
         assert_eq!(tally.fragments, 0);
@@ -1253,12 +1255,13 @@ mod tests {
         assert_eq!(mail.inject_due(5, usize::MAX), 1);
         let mut pool = WorkerPool::new(EnginePool::new(1), 1);
         stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
-        let live = [0usize, 1];
+        let g = Graph::empty(2);
+        let view = GraphView::whole(&g);
         let env = RouteEnv {
             split: usize::MAX,
             round: 5,
             reorder: None,
-            live: &live,
+            view: &view,
         };
         hand_over_and_route(&mut pool, &mut mail, &bounds, &env, true);
         mail.flip();
@@ -1272,7 +1275,8 @@ mod tests {
         // reorder on: the pooled handoff and counting sort must deliver
         // exactly what the comparison-sort spec delivers, round by round.
         let bounds = [0, 3, 4, 8];
-        let live: Vec<usize> = (0..8).collect();
+        let g = Graph::empty(8);
+        let view = GraphView::whole(&g);
         let group_of = |v: usize| bounds.partition_point(|&b| b <= v) - 1;
         let mut mail: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
         let mut spec: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
@@ -1299,7 +1303,7 @@ mod tests {
                 split: usize::MAX,
                 round,
                 reorder: Some(17),
-                live: &live,
+                view: &view,
             };
             assert_eq!(
                 mail.inject_due(round, usize::MAX),
@@ -1409,7 +1413,7 @@ mod tests {
     #[test]
     fn group_of_respects_bounds() {
         let faults = FaultPlan::new();
-        let (g, _) = identity_tables(10);
+        let (g, _) = identity_graph(10);
         let view = GraphView::whole(&g);
         let bounds = vec![0, 4, 7, 10];
         let e = env(&faults, &view, &bounds);

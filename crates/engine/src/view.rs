@@ -18,6 +18,21 @@
 //! dead vertex and a unicast to one is a LOCAL-model violation (panics like
 //! any other non-neighbor send).
 //!
+//! # Identity views
+//!
+//! A whole-graph view stores nothing per vertex: every vertex is live, the
+//! dense index *is* the original id, and adjacency is the graph's own CSR.
+//! Each id query branches once on whether the view is masked and answers
+//! the identity without a table read — which matters because staging maps
+//! every destination of every message to its dense index. Only masked
+//! views build the dense ↔ original tables and a compacted CSR of their
+//! live rows.
+//!
+//! Masked views still read `dense[dst]` once per staged message. A CSR of
+//! dense neighbor ids would avoid it at 4–8 B per live edge; no `colorbench`
+//! workload runs a masked session large enough for that table to fall out
+//! of cache, so they keep the lookup.
+//!
 //! # Dense order
 //!
 //! Dense indices ascend in original id (mask members are enumerated in
@@ -33,30 +48,31 @@ use graphs::{Graph, VertexId, VertexSet};
 /// index. See the module docs.
 pub struct GraphView<'g> {
     graph: &'g Graph,
-    mask: Option<VertexSet>,
+    /// The mask and its tables; `None` for a whole-graph (identity) view.
+    masked: Option<Masked>,
+}
+
+/// What a masked view stores beyond the graph: the mask, the id tables,
+/// and a compacted CSR over the live vertices.
+struct Masked {
+    set: VertexSet,
     /// Dense index → original id, ascending.
     live: Vec<VertexId>,
     /// Original id → dense index (`usize::MAX` for masked-out vertices).
     dense: Vec<usize>,
-    /// Masked case: a compacted CSR over the live vertices — row `dv`'s
-    /// filtered neighbors (original ids, sorted) live at
-    /// `packed[offsets[dv]..offsets[dv + 1]]`. Both vecs stay empty for
-    /// whole-graph views, which borrow the graph's own CSR.
+    /// Row `dv`'s filtered neighbors (original ids, sorted) live at
+    /// `packed[offsets[dv]..offsets[dv + 1]]`.
     offsets: Vec<usize>,
     packed: Vec<VertexId>,
 }
 
 impl<'g> GraphView<'g> {
-    /// A view of the whole graph: every vertex live, adjacency borrowed.
+    /// A view of the whole graph: every vertex live, dense index = original
+    /// id, adjacency borrowed. Allocates nothing per vertex.
     pub fn whole(graph: &'g Graph) -> Self {
-        let n = graph.n();
         GraphView {
             graph,
-            mask: None,
-            live: (0..n).collect(),
-            dense: (0..n).collect(),
-            offsets: Vec::new(),
-            packed: Vec::new(),
+            masked: None,
         }
     }
 
@@ -96,11 +112,13 @@ impl<'g> GraphView<'g> {
         }
         GraphView {
             graph,
-            mask: Some(mask.clone()),
-            live,
-            dense,
-            offsets,
-            packed,
+            masked: Some(Masked {
+                set: mask.clone(),
+                live,
+                dense,
+                offsets,
+                packed,
+            }),
         }
     }
 
@@ -120,12 +138,12 @@ impl<'g> GraphView<'g> {
 
     /// The mask, if this view is restricted.
     pub fn mask(&self) -> Option<&VertexSet> {
-        self.mask.as_ref()
+        self.masked.as_ref().map(|m| &m.set)
     }
 
     /// Whether this view restricts the graph.
     pub fn is_masked(&self) -> bool {
-        self.mask.is_some()
+        self.masked.is_some()
     }
 
     /// Original vertex count of the underlying graph.
@@ -135,43 +153,79 @@ impl<'g> GraphView<'g> {
 
     /// Number of live vertices.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        match &self.masked {
+            None => self.graph.n(),
+            Some(m) => m.live.len(),
+        }
     }
 
-    /// Dense index → original id table (ascending).
-    pub fn live(&self) -> &[VertexId] {
-        &self.live
+    /// The live vertices' original ids, in dense (ascending) order.
+    pub fn live(&self) -> impl ExactSizeIterator<Item = VertexId> + '_ {
+        (0..self.live_count()).map(|dv| self.original(dv))
     }
 
     /// The original id of dense index `dv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dv` is not below [`live_count`](GraphView::live_count).
     pub fn original(&self, dv: usize) -> VertexId {
-        self.live[dv]
+        match &self.masked {
+            None => {
+                assert!(dv < self.graph.n(), "dense index {dv} out of range");
+                dv
+            }
+            Some(m) => m.live[dv],
+        }
     }
 
     /// The dense index of original vertex `v`, if live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a vertex of the graph.
     pub fn dense_of(&self, v: VertexId) -> Option<usize> {
-        let dv = self.dense[v];
-        (dv != usize::MAX).then_some(dv)
+        match &self.masked {
+            None => {
+                assert!(v < self.graph.n(), "vertex {v} out of range");
+                Some(v)
+            }
+            Some(m) => {
+                let dv = m.dense[v];
+                (dv != usize::MAX).then_some(dv)
+            }
+        }
     }
 
-    /// Original id → dense index table (`usize::MAX` outside the mask).
-    pub(crate) fn dense_table(&self) -> &[usize] {
-        &self.dense
+    /// The dense index of original vertex `v`, which the caller knows is
+    /// live (`usize::MAX` if a masked view has it masked out): the lookup
+    /// staging does for every destination of every message.
+    pub(crate) fn dense_index(&self, v: VertexId) -> usize {
+        match &self.masked {
+            None => {
+                debug_assert!(v < self.graph.n(), "vertex {v} out of range");
+                v
+            }
+            Some(m) => m.dense[v],
+        }
     }
 
     /// Whether original vertex `v` is live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a vertex of the graph.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.dense[v] != usize::MAX
+        self.dense_of(v).is_some()
     }
 
     /// Live neighbors (original ids, sorted ascending) of dense index `dv`.
     /// Whole views answer straight from the graph's CSR; masked views from
     /// the compacted live-vertex CSR.
     pub fn neighbors(&self, dv: usize) -> &[VertexId] {
-        if self.offsets.is_empty() {
-            self.graph.neighbors(self.live[dv])
-        } else {
-            &self.packed[self.offsets[dv]..self.offsets[dv + 1]]
+        match &self.masked {
+            None => self.graph.neighbors(dv),
+            Some(m) => &m.packed[m.offsets[dv]..m.offsets[dv + 1]],
         }
     }
 
@@ -179,12 +233,22 @@ impl<'g> GraphView<'g> {
     /// filling masked-out positions with `fill`. The adapter idiom for
     /// returning per-vertex outputs with the sequential shape.
     pub fn scatter<T: Clone>(&self, fill: T, values: impl IntoIterator<Item = T>) -> Vec<T> {
-        let mut out = vec![fill; self.n()];
-        let mut count = 0;
-        for (dv, value) in values.into_iter().enumerate() {
-            out[self.live[dv]] = value;
-            count += 1;
-        }
+        let (out, count) = match &self.masked {
+            None => {
+                let out: Vec<T> = values.into_iter().collect();
+                let count = out.len();
+                (out, count)
+            }
+            Some(m) => {
+                let mut out = vec![fill; self.n()];
+                let mut count = 0;
+                for (dv, value) in values.into_iter().enumerate() {
+                    out[m.live[dv]] = value;
+                    count += 1;
+                }
+                (out, count)
+            }
+        };
         assert_eq!(count, self.live_count(), "one value per live vertex");
         out
     }
@@ -201,6 +265,7 @@ mod tests {
         let view = GraphView::whole(&g);
         assert_eq!(view.live_count(), 6);
         assert!(!view.is_masked());
+        assert!(view.live().eq(0..6));
         for v in 0..6 {
             assert_eq!(view.original(v), v);
             assert_eq!(view.dense_of(v), Some(v));
@@ -214,7 +279,7 @@ mod tests {
         let g = gen::cycle(6);
         let mask = VertexSet::from_iter_with_universe(6, [0, 2, 3, 5]);
         let view = GraphView::masked(&g, &mask);
-        assert_eq!(view.live(), &[0, 2, 3, 5]);
+        assert_eq!(view.live().collect::<Vec<_>>(), [0, 2, 3, 5]);
         assert_eq!(view.dense_of(2), Some(1));
         assert_eq!(view.dense_of(1), None);
         assert!(view.contains(5));

@@ -36,19 +36,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Whole-graph views answer straight from the graph's CSR: identity on
-    /// every row of every registry family.
+    /// every row of every registry family. They store no id tables, so the
+    /// identity id contract is pinned here for every vertex: dense index =
+    /// original id both ways, every vertex live, and `scatter` hands the
+    /// dense values back in place.
     #[test]
     fn whole_view_rows_are_identical(n in 8usize..160, seed in 0u64..500) {
         for name in gen::family_names() {
             let g = gen::build_family(name, n, seed).unwrap();
             let view = GraphView::whole(&g);
             prop_assert_eq!(view.live_count(), g.n());
+            prop_assert!(view.live().eq(0..g.n()), "{}: live ids", name);
             for dv in 0..g.n() {
                 prop_assert_eq!(
                     view.neighbors(dv), g.neighbors(dv),
                     "{}: whole-view row {} diverges", name, dv
                 );
+                prop_assert_eq!(view.original(dv), dv);
+                prop_assert_eq!(view.dense_of(dv), Some(dv));
+                prop_assert!(view.contains(dv));
             }
+            let values: Vec<u64> = (0..g.n()).map(|v| mix64(seed, v as u64)).collect();
+            prop_assert_eq!(view.scatter(u64::MAX, values.iter().copied()), values);
         }
     }
 
@@ -65,7 +74,7 @@ proptest! {
             let mask = random_mask(g.n(), seed ^ 0xc5, keep_of_4);
             let view = GraphView::masked(&g, &mask);
             prop_assert_eq!(view.live_count(), mask.iter().count());
-            for (dv, &v) in view.live().iter().enumerate() {
+            for (dv, v) in view.live().enumerate() {
                 let expect = filtered(&g, v, &mask);
                 prop_assert_eq!(
                     view.neighbors(dv), &expect[..],

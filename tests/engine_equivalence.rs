@@ -13,7 +13,7 @@ use engine::programs::ruling::RulingMsg;
 use engine::{
     engine_cole_vishkin_3color, engine_degree_plus_one_coloring, engine_gather_balls,
     engine_h_partition, engine_randomized_list_coloring, engine_ruling_forest, EngineConfig,
-    EngineMessage, FaultPlan, SPLIT_PHASE,
+    EngineMessage, EngineMetrics, FaultPlan, SPLIT_PHASE,
 };
 use graphs::{gen, VertexSet};
 use local_model::{
@@ -213,6 +213,60 @@ fn degree_plus_one_equivalence_masked_and_whole() {
                 eng_ledger.total() - eng_ledger.phase_total("forest-decomposition")
             );
         }
+    }
+}
+
+/// Every round's traffic and frontier: `(messages, payloads, stepped)`.
+/// Also checks that some epoch of the session ran on the worker pool.
+fn round_profile(metrics: &EngineMetrics) -> Vec<(usize, usize, usize)> {
+    let epochs = 2 * (metrics.total_rounds() as usize + 1);
+    assert!(metrics.total_driver_epochs() < epochs, "no pooled epoch");
+    metrics
+        .per_round()
+        .iter()
+        .map(|r| (r.messages, r.payloads, r.stepped))
+        .collect()
+}
+
+#[test]
+fn identity_view_matches_a_full_mask() {
+    // A whole-graph session computes dense ↔ original ids as the identity;
+    // a mask that keeps every vertex runs the same session through the
+    // masked view's id tables and compacted rows. The two must agree on
+    // outputs, ledger totals, and every round's messages, payloads and
+    // stepped vertices. The graphs are large enough that some epochs run
+    // on the worker pool.
+    let g = gen::forest_union(6000, 3, 9);
+    let full = VertexSet::from_iter_with_universe(g.n(), 0..g.n());
+    for shards in [1usize, 2, 4, 8] {
+        let config = EngineConfig::default().with_shards(shards);
+        let run = |mask: Option<&VertexSet>| {
+            let mut ledger = RoundLedger::new();
+            let (hp, metrics) = engine_h_partition(&g, mask, 3, 0.5, config.clone(), &mut ledger);
+            (hp.layer, hp.layers, ledger.total(), round_profile(&metrics))
+        };
+        assert_eq!(run(None), run(Some(&full)), "h-partition, shards {shards}");
+    }
+
+    let g = gen::grid(70, 70);
+    let full = VertexSet::from_iter_with_universe(g.n(), 0..g.n());
+    let subset: Vec<usize> = (0..g.n())
+        .filter(|&v| mix64(5, v as u64).is_multiple_of(2))
+        .collect();
+    for shards in [1usize, 2, 4, 8] {
+        let config = EngineConfig::default().with_shards(shards);
+        let run = |mask: Option<&VertexSet>| {
+            let mut ledger = RoundLedger::new();
+            let (rf, metrics) =
+                engine_ruling_forest(&g, mask, &subset, 4, config.clone(), &mut ledger);
+            let forest = (rf.roots, rf.parent, rf.root_of, rf.depth);
+            (forest, ledger.total(), round_profile(&metrics))
+        };
+        assert_eq!(
+            run(None),
+            run(Some(&full)),
+            "ruling forest, shards {shards}"
+        );
     }
 }
 

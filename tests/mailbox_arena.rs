@@ -28,7 +28,7 @@ use engine::{
     EngineConfig, EngineMessage, EngineMetrics, EngineSession, FaultPlan, Inbox, NodeCtx,
     NodeProgram, Outbox, Stop, WireCodec,
 };
-use graphs::gen;
+use graphs::{gen, VertexSet};
 
 /// Counts allocations and requested bytes while the gate is up. The
 /// steady-state tests read the count (growth doublings are amortized, a
@@ -233,29 +233,61 @@ impl NodeProgram for Quiet {
     }
 }
 
-#[test]
-fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
-    // Booting a session allocates its view tables, mailbox spans and
-    // counting scratch (32-bit: 2 × 8 B of spans and 4 B of counts) and
-    // wake queue per live vertex (about 55 B on this input), plus
-    // per-group constants. Word-sized spans and counts (20 B more), a
-    // per-edge sender-rank table (4 B per directed edge plus 4 B per
-    // vertex, 12 B here), a stored context (72 B) or a reassembly map
-    // (24 B) per vertex would take it past the bound.
+/// Bytes requested per vertex while booting a [`Quiet`] session on
+/// `cycle(n)` (every vertex live) under `config`.
+fn boot_bytes_per_vertex(n: usize, config: EngineConfig) -> f64 {
     let _turn = serial();
-    let n = 100_000;
     let g = gen::cycle(n);
-    let config = EngineConfig::default().with_shards(1).with_workers(1);
     BYTES.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     let session = EngineSession::new(&g, config, |_| Quiet);
     COUNTING.store(false, Ordering::SeqCst);
     let per_vertex = BYTES.load(Ordering::SeqCst) as f64 / n as f64;
     drop(session);
-    let bound = 60.0;
+    per_vertex
+}
+
+#[test]
+fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
+    // Booting a whole-graph session allocates its mailbox spans and
+    // counting scratch (32-bit: 2 × 8 B of spans and 4 B of counts) and
+    // wake queue per live vertex (about 39 B on this input), plus
+    // per-group constants; its view is the identity and stores no id
+    // tables. Word-sized spans and counts (20 B more), the two id tables
+    // (16 B), a per-edge sender-rank table (4 B per directed edge plus
+    // 4 B per vertex, 12 B here), a stored context (72 B) or a
+    // reassembly map (24 B) per vertex would take it past the bound.
+    let n = 100_000;
+    let config = EngineConfig::default().with_shards(1).with_workers(1);
+    let per_vertex = boot_bytes_per_vertex(n, config);
+    let bound = 45.0;
     assert!(
         per_vertex < bound,
         "session boot requested {per_vertex:.1} B per live vertex (bound {bound})"
+    );
+}
+
+#[test]
+fn masked_session_boot_keeps_its_id_tables_and_compacted_rows() {
+    // A mask that keeps every vertex boots the same session state as the
+    // whole view (about 39 B per live vertex) plus what a masked view
+    // stores: the two id tables (8 B each), the compacted CSR (8 B of
+    // offsets and 16 B of packed neighbors on a cycle) and its copy of the
+    // mask (1 bit). The dense → original table and the packed rows grow
+    // by doubling, to 131072 and 262144 entries here (7.5 B more), so the
+    // total is about 86 B. A third 8-byte table or a second copy of the offsets would
+    // take it past the bound.
+    let n = 100_000;
+    let full = VertexSet::from_iter_with_universe(n, 0..n);
+    let config = EngineConfig::default()
+        .with_shards(1)
+        .with_workers(1)
+        .with_mask(&full);
+    let per_vertex = boot_bytes_per_vertex(n, config);
+    let bound = 92.0;
+    assert!(
+        per_vertex < bound,
+        "masked session boot requested {per_vertex:.1} B per live vertex (bound {bound})"
     );
 }
 
