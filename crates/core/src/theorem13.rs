@@ -635,6 +635,44 @@ mod tests {
     }
 
     #[test]
+    fn cole_vishkin_sessions_step_only_forest_members() {
+        // Each per-level forest spans only part of the residual graph, and
+        // its Cole–Vishkin session steps only that forest's members. The
+        // node-steps of every "cole-vishkin" and "shift-down" round are
+        // shard-invariant and stay at the member-only count (53,919); when
+        // each session stepped all 2000 vertices they summed to 258,000.
+        const STEPPED_BOUND: usize = 53_919;
+        let g = gen::apollonian(2000, 3);
+        let lists = ListAssignment::random(g.n(), 6, 12, 3);
+        let mut counts = Vec::new();
+        for shards in [1usize, 2] {
+            let config = SparseColoringConfig {
+                engine_shards: Some(shards),
+                ..Default::default()
+            };
+            let outcome = list_color_sparse(&g, &lists, 6, config).unwrap();
+            let m = &outcome
+                .coloring()
+                .expect("colorable workload")
+                .engine_metrics;
+            let stepped: usize = m
+                .per_round()
+                .iter()
+                .filter(|r| matches!(&*r.phase, "cole-vishkin" | "shift-down"))
+                .map(|r| r.stepped)
+                .sum();
+            counts.push(stepped);
+        }
+        assert_eq!(counts[0], counts[1], "shard-invariant node-steps");
+        assert!(counts[0] > 0, "the Cole–Vishkin passes ran on the engine");
+        assert!(
+            counts[0] <= STEPPED_BOUND,
+            "Cole–Vishkin node-steps {} exceed {STEPPED_BOUND}",
+            counts[0]
+        );
+    }
+
+    #[test]
     fn split_mode_pipeline_is_bit_identical_to_unlimited() {
         // The acceptance contract: under CongestMode::Split the full
         // pipeline's colors and peel statistics match the unlimited-width

@@ -1,14 +1,15 @@
 //! Cole–Vishkin forest 3-coloring as a message-passing node program.
 //!
-//! The same algorithm as [`local_model::cole_vishkin_3color`], but executed:
-//! every node broadcasts its color each round and recomputes from its
-//! parent's broadcast. The host drives the standard phase structure — the
-//! `O(log* n)` bit-shrink loop until six colors remain (all-halted vote),
-//! then three fixed two-round shift-down phases eliminating colors 5, 4, 3 —
-//! and the run is equivalence-tested to produce the *same colors and the
-//! same ledger totals* as the sequential twin.
+//! The same algorithm as [`local_model::cole_vishkin_3color`], but executed
+//! over the forest's members only: every member broadcasts its color each
+//! round and recomputes from its parent's broadcast. The host drives the
+//! standard phase structure — the `O(log* n)` bit-shrink loop until six
+//! colors remain (all-halted vote), then three fixed two-round shift-down
+//! phases eliminating colors 5, 4, 3 — and the run is equivalence-tested to
+//! produce the *same colors and the same ledger totals* as the sequential
+//! twin.
 
-use graphs::{Graph, VertexId};
+use graphs::{Graph, VertexId, VertexSet};
 use local_model::{RootedForest, RoundLedger};
 
 use crate::context::NodeCtx;
@@ -27,25 +28,22 @@ enum Stage {
     Shift { target: usize, step: u8 },
 }
 
-/// Per-node Cole–Vishkin state.
+/// Per-node Cole–Vishkin state. Only forest members run one: the session
+/// is masked to the members.
 #[derive(Clone, Debug)]
 pub struct CvProgram {
-    /// Parent id; `== id` for roots, `usize::MAX` for non-members.
+    /// Parent id; `== id` for roots.
     parent: usize,
     color: usize,
     stage: Stage,
 }
 
 impl CvProgram {
-    fn member(&self) -> bool {
-        self.parent != usize::MAX
-    }
-
     fn is_root(&self, id: VertexId) -> bool {
         self.parent == id
     }
 
-    /// The node's current color (`usize::MAX` for non-members).
+    /// The node's current color.
     pub fn color(&self) -> usize {
         self.color
     }
@@ -71,18 +69,12 @@ impl NodeProgram for CvProgram {
     type Message = usize;
 
     fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<usize> {
-        if !self.member() {
-            return Outbox::Silent;
-        }
         // Initial color: the unique id, published as free initial knowledge.
         self.color = ctx.id;
         Outbox::Broadcast(self.color)
     }
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
-        if !self.member() {
-            return Outbox::Silent;
-        }
         match self.stage {
             Stage::Shrink => {
                 let my = self.color;
@@ -132,14 +124,26 @@ impl NodeProgram for CvProgram {
     fn halted(&self) -> bool {
         // During the shrink phase this is the convergence vote; shift-down
         // phases run on fixed round counts and ignore it.
-        !self.member() || self.color < 6
+        self.color < 6
     }
+}
+
+/// The session mask for `forest`: its members, or `None` when every vertex
+/// is one, so a spanning forest runs on an identity view with no id tables.
+fn member_mask(forest: &RootedForest) -> Option<VertexSet> {
+    let members = VertexSet::from_iter_with_universe(forest.n(), forest.members());
+    (members.len() < forest.n()).then_some(members)
 }
 
 /// Runs engine Cole–Vishkin over `forest`: same output contract as
 /// [`local_model::cole_vishkin_3color`] (colors in `{0,1,2}` for members,
 /// `usize::MAX` outside), same ledger phases (`"cole-vishkin"`,
 /// `"shift-down"`), plus the observed [`EngineMetrics`].
+///
+/// The session runs over the forest's members only: `config.mask` is
+/// overridden by the member set, or cleared when the forest spans every
+/// vertex. Non-members take no part in the LOCAL algorithm, so they get no
+/// program and cost no step.
 ///
 /// # Panics
 ///
@@ -163,10 +167,11 @@ impl NodeProgram for CvProgram {
 /// ```
 pub fn engine_cole_vishkin_3color(
     forest: &RootedForest,
-    config: EngineConfig,
+    mut config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
     let n = forest.n();
+    config.mask = member_mask(forest);
     let g = Graph::from_edges(
         n,
         forest.members().filter_map(|v| {
@@ -251,8 +256,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn handles_non_members_and_multi_trees() {
+    /// Two stars over 6 of 8 vertices; 6 and 7 are non-members.
+    fn two_stars() -> RootedForest {
         let mut parent = vec![usize::MAX; 8];
         parent[0] = 0;
         parent[1] = 0;
@@ -260,12 +265,59 @@ mod tests {
         parent[3] = 3;
         parent[4] = 3;
         parent[5] = 3;
-        let f = RootedForest::new(parent);
-        let mut ledger = RoundLedger::new();
-        let (colors, _) = engine_cole_vishkin_3color(&f, EngineConfig::default(), &mut ledger);
-        let mut seq_ledger = RoundLedger::new();
-        let seq = local_model::cole_vishkin_3color(&f, &mut seq_ledger);
-        assert_eq!(colors, seq);
-        assert_eq!(colors[6], usize::MAX);
+        RootedForest::new(parent)
+    }
+
+    /// BFS from the corner of a 10×10 grid over its six leftmost columns:
+    /// 60 of 100 vertices.
+    fn partial_grid_forest() -> RootedForest {
+        let g = gen::grid(10, 10);
+        let left = VertexSet::from_iter_with_universe(100, (0..100).filter(|v| v % 10 < 6));
+        RootedForest::new(graphs::bfs_parents(&g, 0, Some(&left)))
+    }
+
+    #[test]
+    fn member_mask_is_none_exactly_for_spanning_forests() {
+        let spanning = forest_from_bfs(&gen::grid(6, 6), 0);
+        assert_eq!(member_mask(&spanning), None);
+        for f in [two_stars(), partial_grid_forest()] {
+            let mask = member_mask(&f).expect("a partial forest is masked");
+            assert_eq!(mask.universe(), f.n());
+            assert_eq!(
+                mask.iter().collect::<Vec<_>>(),
+                f.members().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn handles_non_members_and_multi_trees() {
+        // Non-members get no program: every round steps exactly the
+        // members, and a caller mask is overridden by the member set.
+        for f in [two_stars(), partial_grid_forest()] {
+            let members = f.members().count();
+            assert!(members < f.n());
+            let mut seq_ledger = RoundLedger::new();
+            let seq = local_model::cole_vishkin_3color(&f, &mut seq_ledger);
+            for shards in [1usize, 2, 4, 8] {
+                let config = EngineConfig::default()
+                    .with_shards(shards)
+                    .with_mask(&VertexSet::full(f.n()));
+                let mut ledger = RoundLedger::new();
+                let (colors, metrics) = engine_cole_vishkin_3color(&f, config, &mut ledger);
+                assert_eq!(colors, seq, "shards={shards}");
+                assert!(f.members().all(|v| colors[v] < 3));
+                assert!((0..f.n()).all(|v| f.contains(v) || colors[v] == usize::MAX));
+                assert_eq!(ledger.total(), seq_ledger.total());
+                for phase in ["cole-vishkin", "shift-down"] {
+                    assert_eq!(ledger.phase_total(phase), seq_ledger.phase_total(phase));
+                }
+                assert!(!metrics.per_round().is_empty());
+                for r in metrics.per_round() {
+                    assert_eq!(r.live, members, "round {} shards={shards}", r.round);
+                    assert_eq!(r.stepped, r.live, "round {} shards={shards}", r.round);
+                }
+            }
+        }
     }
 }

@@ -88,8 +88,11 @@
 //! * [`HPartitionProgram`]: `EveryRound` until its first step, then
 //!   `OnMessage` — round 1 steps all `n` nodes, every later round only the
 //!   unpeeled nodes that hear a neighbor peel.
-//! * `EveryRound` programs ([`CvProgram`], [`RandomizedProgram`],
-//!   [`SweepProgram`]): the frontier is `n` by declaration; they broadcast
+//! * [`CvProgram`]: `EveryRound` over a session masked to the forest's
+//!   members, so the frontier is the member count by declaration — `n`
+//!   only for a spanning forest; every member broadcasts every round.
+//! * `EveryRound` programs [`RandomizedProgram`] and [`SweepProgram`]: the
+//!   frontier is the session's live set by declaration; they broadcast
 //!   every round, so there is nothing to skip.
 //!
 //! Wake-queue contract for `WakeAt` programs: the engine re-reads the

@@ -8,7 +8,7 @@
 //!
 //! * each forest's Cole–Vishkin pass is the existing
 //!   [`engine_cole_vishkin_3color`] port (own session over the forest
-//!   edges, on the caller's config);
+//!   edges, masked to the forest's members, on the caller's config);
 //! * each class sweep runs on a **single masked [`EngineSession`] over the
 //!   host graph** (the first masked consumer of the engine's
 //!   [`GraphView`](crate::GraphView)): one announce round in which every
@@ -164,8 +164,8 @@ impl NodeProgram for SweepProgram {
 /// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
 /// frontier, order, seed and round cap, and the returned metrics hold the
 /// rounds of both. The sweep runs over `mask`, overriding any
-/// `config.mask`; the Cole–Vishkin sessions run unmasked over their forest
-/// graphs, where non-members are isolated and inert.
+/// `config.mask`; each Cole–Vishkin session runs over its forest's members
+/// (see [`engine_cole_vishkin_3color`]).
 ///
 /// # Panics
 ///
@@ -224,15 +224,11 @@ fn forest_merge_with_members(
 
     let mut sweep_config = config.clone();
     sweep_config.mask = mask.cloned();
-    let cv_config = EngineConfig {
-        mask: None,
-        ..config
-    };
     let mut sess = EngineSession::new(g, sweep_config, |_| SweepProgram::idle());
     let mut metrics = EngineMetrics::default();
 
     for (fi, forest) in forests.iter().enumerate() {
-        let (f3, cv_metrics) = engine_cole_vishkin_3color(forest, cv_config.clone(), ledger);
+        let (f3, cv_metrics) = engine_cole_vishkin_3color(forest, config.clone(), ledger);
         metrics.absorb(cv_metrics);
         for &v in members {
             let p = forest.parent(v);
