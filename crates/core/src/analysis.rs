@@ -200,6 +200,33 @@ mod tests {
         assert!(happy_fraction_bound(4, true) < happy_fraction_bound(3, true));
     }
 
+    /// A chain of `blocks` K4s, each glued to the next at a cut vertex.
+    /// At d = 3 the cut vertices (degree 6) are poor and every other vertex
+    /// is sad: its rich component is a triangle or an edge of one K4.
+    fn k4_chain(blocks: usize) -> Graph {
+        let mut b = GraphBuilder::new(1);
+        let mut anchor = 0usize;
+        for _ in 0..blocks {
+            let fresh: Vec<usize> = (0..3).map(|_| b.add_vertex()).collect();
+            let mut all = fresh.clone();
+            all.push(anchor);
+            for i in 0..4 {
+                for j in i + 1..4 {
+                    b.add_edge(all[i], all[j]);
+                }
+            }
+            anchor = fresh[2];
+        }
+        b.build()
+    }
+
+    /// The classification of all of `g` at `d` with full-component balls.
+    fn classify_whole(g: &Graph, d: usize) -> Classification {
+        let alive = VertexSet::full(g.n());
+        let mut ledger = RoundLedger::new();
+        classify(g, &alive, d, g.n(), &mut ledger)
+    }
+
     #[test]
     fn lemma31_on_sparse_workloads() {
         for (g, d) in [
@@ -207,10 +234,11 @@ mod tests {
             (gen::grid(10, 10), 4),
             (gen::triangular(8, 8), 6),
             (gen::random_regular(60, 3, 7), 3),
+            // Poor-dominated: the star's center and the grid's interior
+            // exceed d, so the 1/(3d)³ bound applies.
+            (gen::star(40).disjoint_union(&gen::grid(12, 12)), 3),
         ] {
-            let alive = VertexSet::full(g.n());
-            let mut ledger = RoundLedger::new();
-            let c = classify(&g, &alive, d, g.n(), &mut ledger);
+            let c = classify_whole(&g, d);
             let report = Lemma31Report::from_classification(&c, d, g.n());
             assert!(
                 report.holds(),
@@ -220,6 +248,9 @@ mod tests {
             );
             assert_eq!(report.happy + report.sad, report.rich);
         }
+        let g = gen::star(40).disjoint_union(&gen::grid(12, 12));
+        let report = Lemma31Report::from_classification(&classify_whole(&g, 3), 3, g.n());
+        assert_eq!((report.poor, report.happy), (101, 84));
     }
 
     #[test]
@@ -266,37 +297,37 @@ mod tests {
 
     #[test]
     fn aux_graph_girth_bound_on_sad_heavy_instances() {
-        // d-regular random graphs with d = 3: sad vertices are those in
-        // Gallai-ball components; build H over the sad set and check the
-        // paper's girth claim (≥ 5) — with full-component local blocks the
-        // claim holds for the clique-hub construction.
-        for seed in 0..5u64 {
-            let g = gen::random_regular(40, 3, seed);
-            let alive = VertexSet::full(g.n());
-            let mut ledger = RoundLedger::new();
-            let c = classify(&g, &alive, 3, g.n(), &mut ledger);
-            if c.sad.is_empty() {
-                continue;
-            }
+        // Build H over the sad set and check the paper's girth claim (≥ 5).
+        // Triangles cannot survive: any triangle in G[S] is a clique block,
+        // replaced by a hub star. Every block of a K4 chain's G[S] is a
+        // clique (two end triangles and single edges), so its H is a forest.
+        for blocks in [5usize, 60] {
+            let g = k4_chain(blocks);
+            let c = classify_whole(&g, 3);
+            assert!(!c.sad.is_empty(), "k4_chain({blocks}): no sad vertex");
             let aux = auxiliary_graph(&g, &c.sad);
-            let girth = graphs::girth(&aux.graph, None);
-            // Triangles cannot survive: any triangle in G[S] is a clique
-            // block → replaced by a hub star. C4s would need non-Gallai
-            // balls (happy) — sad sets avoid them.
-            assert!(girth.is_none_or(|x| x >= 5), "seed {seed}: girth {girth:?}");
+            assert_eq!(graphs::girth(&aux.graph, None), None, "k4_chain({blocks})");
         }
+        // A wheel with a 5-cycle rim: the hub (degree 5) is poor and the rim
+        // is sad, an odd-cycle block that stays in H as a 5-cycle.
+        let wheel = Graph::from_edges(6, (0..5).flat_map(|i| [(i, (i + 1) % 5), (i, 5)]));
+        let c = classify_whole(&wheel, 3);
+        assert_eq!(c.sad.len(), 5);
+        let aux = auxiliary_graph(&wheel, &c.sad);
+        assert_eq!(graphs::girth(&aux.graph, None), Some(5));
     }
 
     #[test]
     fn proposition44_low_degree_bound() {
         // For sad sets arising in real classifications, G[S] must contain
         // ≥ |S|/12 vertices of degree ≤ d−1 (in G[S] the paper actually
-        // counts degree in G; we check the stronger in-S variant loosely).
-        let g = gen::random_regular(60, 3, 11);
-        let alive = VertexSet::full(g.n());
-        let mut ledger = RoundLedger::new();
-        let c = classify(&g, &alive, 3, g.n(), &mut ledger);
-        if !c.sad.is_empty() {
+        // counts degree in G; we check the stronger in-S variant).
+        // A K4 chain has 3·blocks + 1 vertices, of which the blocks − 1 cut
+        // vertices are poor and the other 2·blocks + 2 are sad.
+        for blocks in [5usize, 60] {
+            let g = k4_chain(blocks);
+            let c = classify_whole(&g, 3);
+            assert_eq!(c.sad.len(), 2 * blocks + 2, "k4_chain({blocks})");
             let low = low_degree_in_sad_subgraph(&g, &c.sad, 3);
             assert!(
                 low * 12 >= c.sad.len(),
@@ -304,6 +335,16 @@ mod tests {
                 c.sad.len()
             );
         }
+
+        // Negative control at d = 2, outside the d ≥ 3 hypothesis: disjoint
+        // odd cycles are all sad and have no vertex of degree ≤ 1 in G[S].
+        // This is why Theorem 1.3 needs d ≥ 3.
+        let odd_cycles = [7usize, 9, 11, 13]
+            .into_iter()
+            .fold(gen::cycle(5), |g, len| g.disjoint_union(&gen::cycle(len)));
+        let c = classify_whole(&odd_cycles, 2);
+        assert_eq!(c.sad.len(), 45);
+        assert_eq!(low_degree_in_sad_subgraph(&odd_cycles, &c.sad, 2), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`planar`] — planar-by-construction triangulations and derivatives.
 //! * [`gallai`] — random Gallai trees and minimal non-Gallai perturbations.
 //! * [`registry`] — the named family registry (`name → generator(n, seed)`)
-//!   shared by every experiment harness (bench bins, the scenario lab).
+//!   the scenario lab draws its workloads from.
 
 pub mod classic;
 pub mod gallai;

@@ -1,9 +1,8 @@
 //! A small, dependency-free JSON value type with a full recursive-descent
 //! parser and a stable writer.
 //!
-//! The build environment is offline (no serde), and the bench crate's
-//! hand-rolled line parser only reads the one shape it writes. Suite files
-//! are authored by hand, so the lab needs a *real* parser: arbitrary
+//! The build environment is offline (no serde). Suite files are authored
+//! by hand, so the lab needs a *real* parser: arbitrary
 //! nesting, both pretty and compact whitespace, escapes, scientific
 //! floats. Objects preserve insertion order (`Vec` of pairs), so rendering
 //! is deterministic and diffs stay readable.

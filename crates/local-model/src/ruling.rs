@@ -367,29 +367,36 @@ mod tests {
 
     #[test]
     fn ruling_forest_structure() {
-        let g = gen::grid(12, 12);
-        let subset: Vec<usize> = (0..g.n()).step_by(3).collect();
-        let mut ledger = RoundLedger::new();
-        let rf = ruling_forest(&g, None, &subset, 6, &mut ledger);
-        check_spacing(&g, None, &rf.roots, 6);
-        // Every subset vertex is in a tree; depth consistency.
-        for &u in &subset {
-            assert_ne!(rf.root_of[u], usize::MAX, "subset vertex {u} uncovered");
-            // Walk to root.
-            let mut v = u;
-            let mut steps = 0;
-            while rf.parent[v] != v {
-                let p = rf.parent[v];
-                assert_eq!(rf.depth[p] + 1, rf.depth[v], "depth mismatch at {v}");
-                assert_eq!(rf.root_of[p], rf.root_of[v]);
-                v = p;
-                steps += 1;
-                assert!(steps <= rf.max_depth() + 1);
+        for (g, alpha) in [
+            (gen::grid(12, 12), 6usize),
+            (gen::forest_union(600, 2, 3), 4),
+            (gen::forest_union(600, 2, 3), 16),
+            (gen::random_regular(600, 3, 4), 4),
+            (gen::random_regular(600, 3, 4), 16),
+        ] {
+            let subset: Vec<usize> = (0..g.n()).step_by(3).collect();
+            let mut ledger = RoundLedger::new();
+            let rf = ruling_forest(&g, None, &subset, alpha, &mut ledger);
+            check_spacing(&g, None, &rf.roots, alpha);
+            // Every subset vertex is in a tree; depth consistency.
+            for &u in &subset {
+                assert_ne!(rf.root_of[u], usize::MAX, "subset vertex {u} uncovered");
+                // Walk to root.
+                let mut v = u;
+                let mut steps = 0;
+                while rf.parent[v] != v {
+                    let p = rf.parent[v];
+                    assert_eq!(rf.depth[p] + 1, rf.depth[v], "depth mismatch at {v}");
+                    assert_eq!(rf.root_of[p], rf.root_of[v]);
+                    v = p;
+                    steps += 1;
+                    assert!(steps <= rf.max_depth() + 1);
+                }
+                assert_eq!(v, rf.root_of[u]);
             }
-            assert_eq!(v, rf.root_of[u]);
+            let bits = (g.n() as f64).log2().ceil() as usize;
+            assert!(rf.max_depth() <= alpha * bits);
         }
-        let bits = (g.n() as f64).log2().ceil() as usize;
-        assert!(rf.max_depth() <= 6 * bits);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * Klein-bottle grids themselves live in [`graphs::gen::klein_grid`]
 //!   (4-chromatic for odd×odd — Theorem 2.6's engine against the
 //!   2-chromatic planar grid).
-//! * [`locality`] — ball-isomorphism radii and report tables.
+//! * [`locality`] — ball-isomorphism radii and per-pair match reports.
 //!
 //! # Examples
 //!

@@ -6,7 +6,8 @@
 //! fewer than `χ(H)` colors: the adversary runs the algorithm on `H`,
 //! where each vertex sees the same labelled neighborhood. The functions
 //! here *measure* that correspondence on concrete graph pairs, which is
-//! how the experiment tables certify Theorems 1.5, 2.5 and 2.6.
+//! how this crate's tests and `examples/locality_lower_bound.rs` certify
+//! Theorems 1.5, 2.5 and 2.6.
 
 use graphs::{are_rooted_isomorphic, ball, Graph, InducedSubgraph, VertexId};
 
