@@ -220,6 +220,35 @@ mod tests {
         b.build()
     }
 
+    /// `triangles` (even) disjoint triangles hung on `3·triangles / 2`
+    /// hubs: hub `j` is adjacent to two triangle vertices of consecutive
+    /// triangles and to the degree-2 spacers `j` and `j − 1`, where spacer
+    /// `j` joins hub `j` to hub `j + 1` (cyclically). Every hub has degree
+    /// 4 and every triangle vertex degree 3.
+    fn hung_triangles(triangles: usize) -> Graph {
+        assert!(triangles >= 2 && triangles.is_multiple_of(2));
+        let hubs = 3 * triangles / 2;
+        let hub = |j: usize| 3 * triangles + j;
+        let spacer = |j: usize| 3 * triangles + hubs + j;
+        let mut b = GraphBuilder::new(3 * triangles + 2 * hubs);
+        for t in 0..triangles {
+            b.add_edge(3 * t, 3 * t + 1);
+            b.add_edge(3 * t + 1, 3 * t + 2);
+            b.add_edge(3 * t, 3 * t + 2);
+        }
+        // Triangle vertices in the order (corner, triangle): positions 2j
+        // and 2j + 1 share a corner and sit on consecutive triangles.
+        for j in 0..hubs {
+            for pos in [2 * j, 2 * j + 1] {
+                let (corner, t) = (pos / triangles, pos % triangles);
+                b.add_edge(hub(j), 3 * t + corner);
+            }
+            b.add_edge(hub(j), spacer(j));
+            b.add_edge(spacer(j), hub((j + 1) % hubs));
+        }
+        b.build()
+    }
+
     /// The classification of all of `g` at `d` with full-component balls.
     fn classify_whole(g: &Graph, d: usize) -> Classification {
         let alive = VertexSet::full(g.n());
@@ -334,6 +363,25 @@ mod tests {
                 "Prop 4.4: {low} low-degree among {} sad",
                 c.sad.len()
             );
+        }
+
+        // Inside the hypothesis mad ≤ d = 3 with no K4: triangles hung on
+        // degree-4 hubs. Each hub holds vertices of two different
+        // triangles and two degree-2 spacers, which link the hubs in a
+        // ring. Hubs are poor, a spacer is happy (degree 2 ≤ d − 1), and
+        // every triangle vertex is sad: its rich component is its
+        // triangle, a clique with no vertex of degree below 3. The whole
+        // graph has average degree exactly 3 (9t edges on 6t vertices).
+        for triangles in [4usize, 40] {
+            let g = hung_triangles(triangles);
+            assert_eq!(graphs::mad(&g), (18 * triangles, 6 * triangles));
+            let mut ledger = RoundLedger::new();
+            assert!(local_model::detect_clique(&g, None, 3, &mut ledger).is_none());
+            let c = classify_whole(&g, 3);
+            assert_eq!(c.sad.len(), 3 * triangles, "hung_triangles({triangles})");
+            let low = low_degree_in_sad_subgraph(&g, &c.sad, 3);
+            assert_eq!(low, c.sad.len(), "each sad vertex has 2 sad neighbors");
+            assert!(low * 12 >= c.sad.len());
         }
 
         // Negative control at d = 2, outside the d ≥ 3 hypothesis: disjoint

@@ -50,7 +50,6 @@ pub mod analysis;
 pub mod brooks;
 pub mod corollaries;
 
-pub use analysis::{auxiliary_graph, happy_fraction_bound, AuxiliaryGraph, Lemma31Report};
 pub use brooks::{brooks_list_coloring, nice_list_coloring, BrooksError};
 pub use corollaries::{
     color_by_arboricity, color_genus, color_planar, color_planar_girth6,

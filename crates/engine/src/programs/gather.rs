@@ -151,14 +151,13 @@ impl GatherProgram {
     /// Absorbs one round of flood traffic, returning the fresh members to
     /// forward.
     fn absorb(&mut self, inbox: Inbox<'_, GatherMsg>) -> Vec<VertexId> {
-        let incoming: Vec<&[VertexId]> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                GatherMsg::Ball(members) => Some(members.as_slice()),
-                GatherMsg::Rich => None,
-            })
-            .collect();
-        merge_fresh(&mut self.known, &incoming)
+        let incoming = inbox.iter().filter_map(|(_, m)| match m {
+            GatherMsg::Ball(members) => Some(members.as_slice()),
+            GatherMsg::Rich => None,
+        });
+        let mut fresh = Vec::new();
+        merge_fresh(&mut self.known, incoming, &mut fresh);
+        fresh
     }
 
     /// Sends `fresh` to the flood recipients, if anything is left to say.

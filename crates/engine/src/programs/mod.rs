@@ -48,7 +48,7 @@
 //! | [`RandomizedProgram`] | `ColorMsg` | **1** |
 //! | [`GatherProgram`] | `GatherMsg::Ball` | **\|B^r(v)\|** — the fresh ball members forwarded in one hop, up to the whole radius-`r` ball (Θ(d^r) on degree-`d` rich subgraphs) |
 //! | [`CliqueProgram`] | `NbrList` | **deg(v)** — the full live adjacency list (≤ d in Theorem 1.3's rich scope) |
-//! | [`RulingProgram`] | `RulingMsg::Tokens` | **fresh prefixes per level round** — up to the surviving ruler count of one bit level's group (claim/keep rounds are width 1) |
+//! | [`RulingProgram`] | `RulingMsg::Tokens` | **fresh prefixes per level round** — up to the surviving ruler count of one bit level's group (claim/keep rounds are width 1); held in a [`TokenList`](ruling::TokenList), inline up to four prefixes, so the width is unchanged by where the list lives |
 //!
 //! The constant-width programs are CONGEST-safe at one word as they stand;
 //! the gather, clique, and ruling floods are the `Vec`-payload traffic that

@@ -43,7 +43,7 @@ pub enum RulingMsg {
         /// The bit level these tokens belong to.
         bit: usize,
         /// The fresh prefixes (sorted).
-        prefixes: Vec<usize>,
+        prefixes: TokenList,
     },
     /// "I belong to this root's tree" — the claiming BFS frontier.
     Claim {
@@ -52,6 +52,122 @@ pub enum RulingMsg {
     },
     /// "You are on a kept chain" — the pruning walk, sent parent-ward.
     Keep,
+}
+
+/// How many prefixes a [`TokenList`] stores without a heap allocation.
+const INLINE_TOKENS: usize = 4;
+
+/// The prefix list of one [`RulingMsg::Tokens`]: up to four prefixes live
+/// inline, a longer list spills to a `Vec`. Most token messages carry one
+/// or two prefixes (on a random half of a 200 × 200 grid at α = 6, 98.7%
+/// of them carry at most four), so a typical message owns no heap memory.
+///
+/// A list only grows, and it spills exactly when its fifth prefix
+/// arrives, so the representation is canonical: inline exactly when it
+/// holds at most four prefixes. Equality compares the prefixes.
+#[derive(Clone)]
+pub struct TokenList(Tokens);
+
+#[derive(Clone)]
+enum Tokens {
+    Inline {
+        len: u8,
+        items: [usize; INLINE_TOKENS],
+    },
+    Spilled(Vec<usize>),
+}
+
+impl TokenList {
+    /// The empty list (inline).
+    pub const fn new() -> Self {
+        TokenList(Tokens::Inline {
+            len: 0,
+            items: [0; INLINE_TOKENS],
+        })
+    }
+
+    /// Appends one prefix, spilling to the heap on the fifth.
+    pub fn push(&mut self, prefix: usize) {
+        match &mut self.0 {
+            Tokens::Inline { len, items } if (*len as usize) < INLINE_TOKENS => {
+                items[*len as usize] = prefix;
+                *len += 1;
+            }
+            Tokens::Inline { items, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_TOKENS);
+                spilled.extend_from_slice(items);
+                spilled.push(prefix);
+                self.0 = Tokens::Spilled(spilled);
+            }
+            Tokens::Spilled(list) => list.push(prefix),
+        }
+    }
+
+    /// Whether the prefixes live on the heap (exactly when there are more
+    /// than four).
+    pub fn spilled(&self) -> bool {
+        matches!(self.0, Tokens::Spilled(_))
+    }
+}
+
+impl Default for TokenList {
+    fn default() -> Self {
+        TokenList::new()
+    }
+}
+
+impl std::ops::Deref for TokenList {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            Tokens::Inline { len, items } => &items[..*len as usize],
+            Tokens::Spilled(list) => list,
+        }
+    }
+}
+
+impl AsRef<[usize]> for TokenList {
+    fn as_ref(&self) -> &[usize] {
+        self
+    }
+}
+
+impl Extend<usize> for TokenList {
+    fn extend<I: IntoIterator<Item = usize>>(&mut self, iter: I) {
+        let mut iter = iter.into_iter();
+        while !self.spilled() {
+            match iter.next() {
+                Some(prefix) => self.push(prefix),
+                None => return,
+            }
+        }
+        if let Tokens::Spilled(list) = &mut self.0 {
+            list.extend(iter);
+        }
+    }
+}
+
+impl FromIterator<usize> for TokenList {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut list = TokenList::new();
+        list.extend(iter);
+        list
+    }
+}
+
+impl PartialEq for TokenList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for TokenList {}
+
+impl std::fmt::Debug for TokenList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Wire layout of [`RulingMsg`]: every word carries a 2-bit tag in its top
@@ -108,7 +224,7 @@ impl WireCodec for RulingMsg {
                             && ((w >> BIT_SHIFT) & BIT_MASK) as usize == bit)
                             .then_some((w & PREFIX_MASK) as usize)
                     })
-                    .collect::<Option<Vec<_>>>()?;
+                    .collect::<Option<TokenList>>()?;
                 Some(RulingMsg::Tokens { bit, prefixes })
             }
             TAG_CLAIM if words.len() == 1 => Some(RulingMsg::Claim {
@@ -118,7 +234,7 @@ impl WireCodec for RulingMsg {
             TAG_EMPTY_TOKENS if words.len() == 1 && first & PREFIX_MASK == 0 => {
                 Some(RulingMsg::Tokens {
                     bit: ((first >> BIT_SHIFT) & BIT_MASK) as usize,
-                    prefixes: Vec::new(),
+                    prefixes: TokenList::new(),
                 })
             }
             _ => None,
@@ -140,7 +256,6 @@ impl EngineMessage for RulingMsg {
 pub struct RulingProgram {
     alpha: usize,
     bits: usize,
-    beta: usize,
     in_subset: bool,
     /// Still a ruler candidate (subset vertices start true; bit levels may
     /// drop them).
@@ -159,11 +274,10 @@ pub struct RulingProgram {
 }
 
 impl RulingProgram {
-    fn new(alpha: usize, bits: usize, beta: usize, in_subset: bool) -> Self {
+    fn new(alpha: usize, bits: usize, in_subset: bool) -> Self {
         RulingProgram {
             alpha,
             bits,
-            beta,
             in_subset,
             ruler: in_subset,
             seen: Vec::new(),
@@ -173,6 +287,12 @@ impl RulingProgram {
             keep: false,
             wake: 1,
         }
+    }
+
+    /// The claim and prune budget `β = α · bits` ([`ruling_beta`]),
+    /// computed rather than stored per node.
+    fn beta(&self) -> usize {
+        self.alpha * self.bits
     }
 
     /// Whether this node survived as a ruling-set member (a tree root).
@@ -195,14 +315,14 @@ impl RulingProgram {
         if k == 1 {
             self.seen.clear();
         }
-        let incoming: Vec<&[usize]> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                RulingMsg::Tokens { bit, prefixes } if *bit == b => Some(prefixes.as_slice()),
-                _ => None,
-            })
-            .collect();
-        let mut fresh = merge_fresh(&mut self.seen, &incoming);
+        let incoming = inbox.iter().filter_map(|(_, m)| match m {
+            RulingMsg::Tokens { bit, prefixes } if *bit == b => Some(&prefixes[..]),
+            _ => None,
+        });
+        // The fresh prefixes are built straight into the message's inline
+        // list: a step allocates nothing unless it forwards five or more.
+        let mut fresh = TokenList::new();
+        merge_fresh(&mut self.seen, incoming, &mut fresh);
         let prefix = ctx.id >> (b + 1);
         if self.ruler && (ctx.id >> b) & 1 == 1 && self.seen.binary_search(&prefix).is_ok() {
             // A kept ruler of this node's own group is within distance
@@ -212,8 +332,10 @@ impl RulingProgram {
         if k == 1 && self.ruler && (ctx.id >> b) & 1 == 0 {
             // Source injection: announce the group prefix (only useful when
             // a propagation round exists to deliver it).
-            merge_fresh(&mut self.seen, &[&[prefix]]);
-            fresh = vec![prefix];
+            if let Err(at) = self.seen.binary_search(&prefix) {
+                self.seen.insert(at, prefix);
+            }
+            fresh = std::iter::once(prefix).collect();
         }
         let last_level_round = b + 1 == self.bits && k == self.alpha;
         if last_level_round {
@@ -243,18 +365,15 @@ impl RulingProgram {
         if self.root_of != usize::MAX {
             return Outbox::Silent;
         }
-        let claims: Vec<(VertexId, VertexId)> = inbox
-            .iter()
-            .filter_map(|(src, m)| match m {
-                RulingMsg::Claim { root } => Some((*root, src)),
-                _ => None,
-            })
-            .collect();
-        if let Some((root, parent)) = claim_choice(&claims) {
+        let claims = inbox.iter().filter_map(|(src, m)| match m {
+            RulingMsg::Claim { root } => Some((*root, src)),
+            _ => None,
+        });
+        if let Some((root, parent)) = claim_choice(claims) {
             self.root_of = root;
             self.parent = parent;
             self.dist = k;
-            if k < self.beta {
+            if k < self.beta() {
                 // Claims forwarded in the final round could never be
                 // processed — the sequential BFS stops at distance β too.
                 return Outbox::Broadcast(RulingMsg::Claim { root });
@@ -318,7 +437,7 @@ impl RulingProgram {
         if self.ruler && r < rule_rounds {
             wake = wake.min(rule_rounds as u64);
         }
-        let prune_start = rule_rounds + self.beta + 1;
+        let prune_start = rule_rounds + self.beta() + 1;
         if (self.ruler || self.in_subset) && r < prune_start {
             wake = wake.min(prune_start as u64);
         }
@@ -345,10 +464,10 @@ impl NodeProgram for RulingProgram {
             let b = (r - 1) / self.alpha;
             let k = (r - 1) % self.alpha + 1;
             self.on_rule_round(ctx, inbox, b, k)
-        } else if r <= rule_rounds + self.beta {
+        } else if r <= rule_rounds + self.beta() {
             self.on_claim_round(inbox, r - rule_rounds)
-        } else if r <= rule_rounds + 2 * self.beta {
-            self.on_prune_round(ctx, inbox, r - rule_rounds - self.beta)
+        } else if r <= rule_rounds + 2 * self.beta() {
+            self.on_prune_round(ctx, inbox, r - rule_rounds - self.beta())
         } else {
             Outbox::Silent
         };
@@ -406,7 +525,7 @@ pub fn engine_ruling_forest(
     config.mask = mask.cloned();
     let faults_free = config.faults.is_empty();
     let mut sess = EngineSession::new(g, config, |ctx| {
-        RulingProgram::new(alpha, bits, beta, subset_set.contains(ctx.id))
+        RulingProgram::new(alpha, bits, subset_set.contains(ctx.id))
     });
     let mut executed = 0;
     for _ in 0..bits {
@@ -536,31 +655,41 @@ mod tests {
     #[test]
     fn ruling_codec_round_trips() {
         use crate::program::WireCodec;
-        for msg in [
-            RulingMsg::Tokens {
-                bit: 0,
-                prefixes: Vec::new(),
-            },
+        let mut msgs = vec![
             RulingMsg::Tokens {
                 bit: 13,
-                prefixes: vec![0, 5, 1 << 20],
+                prefixes: [0, 5, 1 << 20].into_iter().collect(),
             },
             RulingMsg::Claim { root: 9217 },
             RulingMsg::Keep,
-        ] {
+        ];
+        // Token lists on both sides of the inline/spill boundary.
+        for len in [0usize, 1, 4, 5, 48] {
+            msgs.push(RulingMsg::Tokens {
+                bit: len % 7,
+                prefixes: (0..len).map(|i| 3 * i + 1).collect(),
+            });
+        }
+        for msg in msgs {
             let words = msg.encode_to_vec();
             assert_eq!(words.len(), crate::EngineMessage::width(&msg), "{msg:?}");
-            assert_eq!(RulingMsg::decode(&words), Some(msg));
+            let decoded = RulingMsg::decode(&words);
+            if let Some(RulingMsg::Tokens { prefixes, .. }) = &decoded {
+                // Decoding yields the canonical form, the one a list built
+                // by pushes has: inline exactly when it fits.
+                assert_eq!(prefixes.spilled(), prefixes.len() > INLINE_TOKENS);
+            }
+            assert_eq!(decoded, Some(msg));
         }
         // Mixed-level token frames are malformed, not silently merged.
         let a = RulingMsg::Tokens {
             bit: 1,
-            prefixes: vec![4],
+            prefixes: [4].into_iter().collect(),
         }
         .encode_to_vec();
         let b = RulingMsg::Tokens {
             bit: 2,
-            prefixes: vec![4],
+            prefixes: [4].into_iter().collect(),
         }
         .encode_to_vec();
         assert_eq!(RulingMsg::decode(&[a[0], b[0]]), None);

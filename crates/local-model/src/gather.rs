@@ -15,43 +15,79 @@
 use crate::ledger::RoundLedger;
 use graphs::{Graph, VertexId, VertexSet};
 
-/// One flooding round for one node: merge the batches announced by its
-/// neighbors last round into `known` (kept sorted), returning the fresh
-/// elements — sorted, deduplicated — that the node announces next round.
+/// Staged runs up to this length are scanned for duplicates on arrival
+/// (see [`merge_fresh`]).
+const SHORT_RUN: usize = 8;
+
+/// One flooding round for one node: merges the batches announced by its
+/// neighbors last round into `known` (kept sorted) and appends the fresh
+/// elements — sorted, deduplicated — that the node announces next round to
+/// `fresh`.
 ///
 /// This is the shared step of every set-flooding protocol in the stack
 /// (radius-`r` ball gathers, the ruling construction's prefix tokens):
 /// iterating it `r` times from `known = {v}` yields exactly `B^r(v)`.
-pub fn merge_fresh<T: Ord + Copy>(known: &mut Vec<T>, incoming: &[&[T]]) -> Vec<T> {
-    let mut fresh: Vec<T> = incoming
-        .iter()
-        .flat_map(|batch| batch.iter().copied())
-        .filter(|x| known.binary_search(x).is_err())
-        .collect();
-    fresh.sort_unstable();
-    fresh.dedup();
-    if !fresh.is_empty() {
-        // Backward two-pointer merge of the two sorted, disjoint runs —
-        // linear, in place, no re-sort (this step runs once per vertex per
-        // flood round, so it is the whole protocol's hot path).
-        let old_len = known.len();
-        known.extend(fresh.iter().copied());
-        let mut a = old_len;
-        let mut b = fresh.len();
-        for w in (0..known.len()).rev() {
-            if b == 0 {
-                break;
-            }
-            if a > 0 && known[a - 1] > fresh[b - 1] {
-                known[w] = known[a - 1];
-                a -= 1;
-            } else {
-                known[w] = fresh[b - 1];
-                b -= 1;
+///
+/// It allocates nothing beyond growing `known` and `fresh`: the candidates
+/// are staged in the tail of `known`, sorted and deduplicated there, copied
+/// to `fresh`, and then merged into the sorted head in place, reading the
+/// fresh run back from `fresh`.
+pub fn merge_fresh<'a, T, O>(
+    known: &mut Vec<T>,
+    incoming: impl IntoIterator<Item = &'a [T]>,
+    fresh: &mut O,
+) where
+    T: Ord + Copy + 'a,
+    O: Extend<T> + AsRef<[T]>,
+{
+    let old_len = known.len();
+    for batch in incoming {
+        for &x in batch {
+            // A short staged run is checked for the candidate too, so the
+            // duplicates a node hears from several neighbors do not grow
+            // `known` past what the merge keeps; past `SHORT_RUN` staged
+            // elements the sort below deduplicates alone.
+            let staged = &known[old_len..];
+            if known[..old_len].binary_search(&x).is_err()
+                && (staged.len() > SHORT_RUN || !staged.contains(&x))
+            {
+                known.push(x);
             }
         }
     }
-    fresh
+    if known.len() == old_len {
+        return;
+    }
+    known[old_len..].sort_unstable();
+    let mut end = old_len + 1;
+    for r in old_len + 1..known.len() {
+        if known[r] != known[end - 1] {
+            known[end] = known[r];
+            end += 1;
+        }
+    }
+    known.truncate(end);
+    let start = fresh.as_ref().len();
+    fresh.extend(known[old_len..].iter().copied());
+    let run = &fresh.as_ref()[start..];
+    // Backward two-pointer merge of the two sorted, disjoint runs — linear,
+    // in place, no re-sort (this step runs once per vertex per flood round,
+    // so it is the whole protocol's hot path). The staged copy in the tail
+    // is overwritten; the fresh run is read from `fresh`.
+    let mut a = old_len;
+    let mut b = run.len();
+    for w in (0..known.len()).rev() {
+        if b == 0 {
+            break;
+        }
+        if a > 0 && known[a - 1] > run[b - 1] {
+            known[w] = known[a - 1];
+            a -= 1;
+        } else {
+            known[w] = run[b - 1];
+            b -= 1;
+        }
+    }
 }
 
 /// Gathers `B^r_mask(v)` for every vertex in `centers`, charging `r` LOCAL
@@ -76,19 +112,21 @@ pub fn gather_balls(
     let mut known: Vec<Vec<VertexId>> = (0..n)
         .map(|v| if in_mask(v) { vec![v] } else { Vec::new() })
         .collect();
+    // Two announce buffers, swapped every round: a vertex's list keeps its
+    // capacity from one round to the next.
     let mut announce = known.clone();
+    let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     for _ in 0..radius {
-        let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         for v in (0..n).filter(|&v| in_mask(v)) {
-            let incoming: Vec<&[VertexId]> = g
+            next[v].clear();
+            let incoming = g
                 .neighbors(v)
                 .iter()
                 .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice())
-                .collect();
-            next[v] = merge_fresh(&mut known[v], &incoming);
+                .map(|&w| announce[w].as_slice());
+            merge_fresh(&mut known[v], incoming, &mut next[v]);
         }
-        announce = next;
+        std::mem::swap(&mut announce, &mut next);
     }
     centers
         .iter()
@@ -252,13 +290,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_fresh_keeps_known_sorted_and_returns_only_new() {
+    fn merge_fresh_appends_only_new_elements_and_keeps_known_sorted() {
         let mut known = vec![2usize, 5, 9];
-        let fresh = merge_fresh(&mut known, &[&[1, 5, 7], &[7, 9, 11]]);
+        let mut fresh = Vec::new();
+        // Duplicates across batches (7), an empty batch, and elements
+        // already known (5, 9) each reach `fresh` at most once, sorted.
+        let batches: [&[usize]; 3] = [&[1, 5, 7, 7], &[], &[11, 9, 7, 1]];
+        merge_fresh(&mut known, batches, &mut fresh);
         assert_eq!(fresh, vec![1, 7, 11]);
         assert_eq!(known, vec![1, 2, 5, 7, 9, 11]);
-        let none = merge_fresh(&mut known, &[&[2, 11]]);
-        assert!(none.is_empty());
+
+        // `fresh` is appended to, not overwritten.
+        merge_fresh(&mut known, [&[12usize, 0][..]], &mut fresh);
+        assert_eq!(fresh, vec![1, 7, 11, 0, 12]);
+        assert_eq!(known, vec![0, 1, 2, 5, 7, 9, 11, 12]);
+
+        // Nothing new: `fresh` and `known` are left as they were.
+        fresh.clear();
+        merge_fresh(&mut known, [&[2usize, 11][..], &[]], &mut fresh);
+        assert!(fresh.is_empty());
+        assert_eq!(known, vec![0, 1, 2, 5, 7, 9, 11, 12]);
+        merge_fresh(&mut known, std::iter::empty(), &mut fresh);
+        assert!(fresh.is_empty());
+        assert_eq!(known.len(), 8);
+
+        // From an empty `known`, the fresh run is the whole merged set.
+        let mut known: Vec<usize> = Vec::new();
+        merge_fresh(&mut known, [&[4usize, 3][..], &[3, 8]], &mut fresh);
+        assert_eq!(fresh, vec![3, 4, 8]);
+        assert_eq!(known, fresh);
     }
 
     #[test]

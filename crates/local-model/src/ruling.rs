@@ -42,8 +42,10 @@ pub fn ruling_beta(n: usize, alpha: usize) -> usize {
 /// `(root, claiming neighbor)` pairs heard this round, the smallest pair
 /// wins. Shared by the sequential claiming simulation and the engine's
 /// `RulingProgram`, so ties break identically on both substrates.
-pub fn claim_choice(claims: &[(VertexId, VertexId)]) -> Option<(VertexId, VertexId)> {
-    claims.iter().copied().min()
+pub fn claim_choice(
+    claims: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> Option<(VertexId, VertexId)> {
+    claims.into_iter().min()
 }
 
 /// Computes an `(alpha, alpha·⌈log₂ n⌉)`-ruling set of `subset` in
@@ -62,16 +64,32 @@ pub fn ruling_set(
     ledger: &mut RoundLedger,
 ) -> Vec<VertexId> {
     assert!(alpha >= 1, "alpha must be at least 1");
-    let bits = ruling_bits(g.n());
-    let mut ruler = vec![false; g.n()];
+    let n = g.n();
+    let bits = ruling_bits(n);
+    let mut ruler = vec![false; n];
     for &v in subset {
         ruler[v] = true;
     }
+    let mut bufs = LevelBuffers {
+        seen: vec![Vec::new(); n],
+        announce: vec![Vec::new(); n],
+        next: vec![Vec::new(); n],
+    };
     for b in 0..bits {
-        rule_level(g, mask, &mut ruler, b, alpha);
+        rule_level(g, mask, &mut ruler, b, alpha, &mut bufs);
     }
     ledger.charge("ruling-set", (alpha as u64) * (bits as u64));
     (0..g.n()).filter(|&v| ruler[v]).collect()
+}
+
+/// Per-vertex token lists of the level simulation, allocated once per
+/// [`ruling_set`] and cleared per level, so every vertex's lists keep
+/// their capacity across rounds and levels: the tokens seen this level,
+/// and two announce buffers swapped every round.
+struct LevelBuffers {
+    seen: Vec<Vec<usize>>,
+    announce: Vec<Vec<usize>>,
+    next: Vec<Vec<usize>>,
 }
 
 /// One bit level of the ruling construction, simulated round by round: the
@@ -80,13 +98,27 @@ pub fn ruling_set(
 /// per round, [`merge_fresh`] per vertex per round); rulers whose bit `b`
 /// is 1 drop out on receiving a token of their own prefix — they were
 /// within distance < α of a kept ruler of their group.
-fn rule_level(g: &Graph, mask: Option<&VertexSet>, ruler: &mut [bool], b: usize, alpha: usize) {
+fn rule_level(
+    g: &Graph,
+    mask: Option<&VertexSet>,
+    ruler: &mut [bool],
+    b: usize,
+    alpha: usize,
+    bufs: &mut LevelBuffers,
+) {
     let n = g.n();
     let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    let mut seen: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let LevelBuffers {
+        seen,
+        announce,
+        next,
+    } = bufs;
+    for v in 0..n {
+        seen[v].clear();
+        announce[v].clear();
+    }
     // Level-local round 1: sources announce their prefix (arriving with
     // round 2's inboxes — distance 1).
-    let mut announce: Vec<Vec<usize>> = vec![Vec::new(); n];
     for v in 0..n {
         if ruler[v] && (v >> b) & 1 == 0 {
             let p = v >> (b + 1);
@@ -96,23 +128,22 @@ fn rule_level(g: &Graph, mask: Option<&VertexSet>, ruler: &mut [bool], b: usize,
             }
         }
     }
-    for k in 2..=alpha {
-        let mut next: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Level rounds 2 ..= α: each vertex merges what its neighbors
+    // announced in the round before.
+    for _ in 2..=alpha {
         for v in (0..n).filter(|&v| in_mask(v)) {
-            let incoming: Vec<&[usize]> = g
+            next[v].clear();
+            let incoming = g
                 .neighbors(v)
                 .iter()
                 .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice())
-                .collect();
-            let fresh = merge_fresh(&mut seen[v], &incoming);
-            // A token arriving in level round k has traveled k − 1 hops;
-            // forward only while the next hop stays within distance α − 1.
-            if k < alpha {
-                next[v] = fresh;
-            }
+                .map(|&w| announce[w].as_slice());
+            merge_fresh(&mut seen[v], incoming, &mut next[v]);
         }
-        announce = next;
+        // A token arriving in level round k has traveled k − 1 hops, so
+        // what is fresh in round α is never forwarded: the level ends,
+        // and the next one clears the buffers before it reads them.
+        std::mem::swap(announce, next);
     }
     for v in 0..n {
         if ruler[v] && (v >> b) & 1 == 1 && seen[v].binary_search(&(v >> (b + 1))).is_ok() {
@@ -242,7 +273,7 @@ pub fn ruling_forest(
         }
         let mut next: Vec<VertexId> = Vec::new();
         for w in touched {
-            if let Some((root, p)) = claim_choice(&claims[w]) {
+            if let Some((root, p)) = claim_choice(claims[w].iter().copied()) {
                 dist[w] = d;
                 root_of[w] = root;
                 parent[w] = p;

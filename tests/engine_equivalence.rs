@@ -13,7 +13,7 @@ use engine::programs::ruling::RulingMsg;
 use engine::{
     engine_cole_vishkin_3color, engine_degree_plus_one_coloring, engine_gather_balls,
     engine_h_partition, engine_randomized_list_coloring, engine_ruling_forest, EngineConfig,
-    EngineMessage, EngineMetrics, FaultPlan, SPLIT_PHASE,
+    EngineMessage, EngineMetrics, FaultPlan, WireCodec, SPLIT_PHASE,
 };
 use graphs::{gen, VertexSet};
 use local_model::{
@@ -299,8 +299,24 @@ proptest! {
         assert_codec(&NbrList(ids.clone()));
         assert_codec(&RulingMsg::Tokens {
             bit: (word(len) % 60) as usize,
-            prefixes: ids.clone(),
+            prefixes: ids.iter().copied().collect(),
         });
+        // Token lists at the inline/spill boundary, every case.
+        for boundary in [0usize, 4, 5, 48] {
+            let tokens = RulingMsg::Tokens {
+                bit: (word(boundary) % 60) as usize,
+                prefixes: (0..boundary).map(|i| (word(100 + i) % 1_000_000) as usize).collect(),
+            };
+            assert_codec(&tokens);
+            // Decoding returns the canonical form: inline exactly when the
+            // list fits, as a list built by pushes is.
+            match RulingMsg::decode(&tokens.encode_to_vec()) {
+                Some(RulingMsg::Tokens { prefixes, .. }) => {
+                    assert_eq!(prefixes.spilled(), boundary > 4, "len {boundary}");
+                }
+                other => panic!("len {boundary}: decoded {other:?}"),
+            }
+        }
         assert_codec(&RulingMsg::Claim { root: (word(1) % 1_000_000) as usize });
         assert_codec(&RulingMsg::Keep);
         assert_codec(&Peeled);
