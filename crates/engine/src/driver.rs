@@ -18,9 +18,8 @@
 //!    calling `on_round` with the inbox routed last round and staging
 //!    outbound traffic in its own arena: each payload once into the
 //!    group's store, one 8-byte reference per destination into buckets by
-//!    destination group; faults (deliver / drop / delay / duplicate) and
-//!    the strict CONGEST width budget ([`EngineConfig::congest_width`])
-//!    apply as traffic is staged.
+//!    destination group; faults (deliver / drop / delay / duplicate)
+//!    apply, and each message's width is recorded, as traffic is staged.
 //! 2. **Route** — after the driver tallies counters, swaps every group's
 //!    store into the `next` mailbox buffer and (re)schedules fault-delayed
 //!    batches, every worker counting-sorts its own bucket of every arena
@@ -109,13 +108,11 @@ pub const SPLIT_PHASE: &str = "congest-split";
 /// How the engine treats message widths against a CONGEST bandwidth budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CongestMode {
-    /// No budget: widths are recorded, never enforced.
+    /// No budget: widths are recorded, never enforced. A run is
+    /// CONGEST-safe at width `w` exactly when
+    /// [`EngineMetrics::max_width`] ≤ `w` (the init round included).
     #[default]
     Unlimited,
-    /// Strict certification: any message wider than the budget aborts the
-    /// run with a diagnostic panic, so a phase that completes is certified
-    /// CONGEST-safe at that width.
-    Reject(usize),
     /// Automatic fragmentation: over-budget messages are encoded through
     /// their [`WireCodec`](crate::WireCodec), chopped into frames of at
     /// most the budget's words, delivered over consecutive **virtual
@@ -129,21 +126,11 @@ pub enum CongestMode {
 }
 
 impl CongestMode {
-    /// The stage-side rejection budget: `usize::MAX` unless this is
-    /// [`CongestMode::Reject`] (split mode lets wide messages through to
-    /// the fragmentation layer).
-    pub(crate) fn reject_budget(self) -> usize {
-        match self {
-            CongestMode::Reject(w) => w,
-            CongestMode::Unlimited | CongestMode::Split(_) => usize::MAX,
-        }
-    }
-
     /// The routing-side fragmentation budget, if splitting is on.
     pub(crate) fn split_width(self) -> Option<usize> {
         match self {
             CongestMode::Split(w) => Some(w),
-            CongestMode::Unlimited | CongestMode::Reject(_) => None,
+            CongestMode::Unlimited => None,
         }
     }
 
@@ -152,7 +139,7 @@ impl CongestMode {
     pub(crate) fn physical_rounds(self, max_width: usize) -> u64 {
         match self {
             CongestMode::Split(w) => (max_width.div_ceil(w) as u64).max(1),
-            CongestMode::Unlimited | CongestMode::Reject(_) => 1,
+            CongestMode::Unlimited => 1,
         }
     }
 }
@@ -179,14 +166,14 @@ pub struct EngineConfig {
     /// subgraph on these vertices (see [`GraphView`]). `None` runs the
     /// whole graph.
     pub mask: Option<VertexSet>,
-    /// CONGEST bandwidth treatment: record only, reject over-budget
-    /// messages, or split them across virtual rounds. See [`CongestMode`].
+    /// CONGEST bandwidth treatment: record widths only, or split
+    /// over-budget messages across virtual rounds. See [`CongestMode`].
     pub congest: CongestMode,
     /// Frontier-sparse rounds (default `true`): skip the `on_round` step of
-    /// nodes with an empty inbox whose [`Activation`]
-    /// hint does not request the round. Purely a performance knob when
-    /// programs keep the activation contract — results are bit-identical;
-    /// `false` forces the historical full scan (used by equivalence tests).
+    /// nodes with an empty inbox whose [`Activation`] hint does not request
+    /// the round. Results are bit-identical when programs keep the
+    /// activation contract; `false` forces the full scan, which exists only
+    /// as the oracle of the frontier equivalence tests.
     pub frontier: bool,
     /// Shared worker pool: `Some` makes the session borrow these threads
     /// instead of spawning its own — see [`EnginePool`]. When set, the pool
@@ -257,20 +244,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables strict CONGEST mode ([`CongestMode::Reject`]): any message
-    /// wider than `words` aborts the session with a diagnostic panic, so
-    /// phases that complete are certified to fit the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is zero.
-    #[must_use]
-    pub fn congest_width(mut self, words: usize) -> Self {
-        assert!(words >= 1, "a CONGEST budget must allow at least one word");
-        self.congest = CongestMode::Reject(words);
-        self
-    }
-
     /// Enables automatic message splitting ([`CongestMode::Split`]): wider
     /// messages are fragmented into ≤ `words`-word frames delivered over
     /// consecutive virtual rounds and reassembled at the receiver, with the
@@ -295,8 +268,8 @@ impl EngineConfig {
 
     /// Enables or disables frontier-sparse rounds (default on). With
     /// `false` every node steps every round regardless of traffic or its
-    /// [`Activation`] hint — the engine's historical
-    /// behavior, kept as the reference side of equivalence tests.
+    /// [`Activation`] hint. The full scan exists only as the reference side
+    /// of the frontier equivalence tests; no benchmark or suite runs it.
     #[must_use]
     pub fn with_frontier(mut self, frontier: bool) -> Self {
         self.frontier = frontier;
@@ -489,7 +462,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 faults: &config.faults,
                 view: &view,
                 bounds: &bounds,
-                congest: config.congest.reject_budget(),
                 split,
                 frontier: config.frontier,
             };
@@ -799,7 +771,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             faults: &self.config.faults,
             view: &self.view,
             bounds: &self.bounds,
-            congest: self.config.congest.reject_budget(),
             split,
             frontier: self.config.frontier,
         };
@@ -1126,16 +1097,20 @@ mod tests {
     }
 
     #[test]
-    fn congest_mode_accepts_runs_within_budget() {
+    fn flood_width_certifies_congest_safety() {
         let g = gen::path(12);
-        let mut sess = new_flood(&g, EngineConfig::default().congest_width(1));
+        let mut sess = new_flood(&g, EngineConfig::default());
         let report = sess.run_phase("flood", Stop::AllHalted);
-        assert!(report.converged, "1-word flood is CONGEST-safe at 1 word");
-        assert_eq!(sess.metrics().max_width(), 1);
+        assert!(report.converged);
+        assert_eq!(
+            sess.metrics().max_width(),
+            1,
+            "a 1-word flood is CONGEST-safe at 1 word, init round included"
+        );
     }
 
     #[test]
-    fn congest_mode_rejects_wide_messages_and_poisons() {
+    fn wide_messages_record_their_width_per_round() {
         struct Wide;
         #[derive(Clone)]
         struct Words(usize);
@@ -1158,7 +1133,7 @@ mod tests {
                 Outbox::Silent
             }
             fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, Words>) -> Outbox<Words> {
-                // Width grows with the round: fine at round 1, over at 3.
+                // Width grows with the round: r words in round r.
                 Outbox::Broadcast(Words(ctx.round as usize))
             }
             fn halted(&self) -> bool {
@@ -1166,17 +1141,19 @@ mod tests {
             }
         }
         let g = gen::path(6);
-        let mut sess = EngineSession::new(&g, EngineConfig::default().congest_width(2), |_| Wide);
+        let mut sess = EngineSession::new(&g, EngineConfig::default(), |_| Wide);
         sess.run_phase("ok", Stop::Rounds(2));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sess.run_phase("too-wide", Stop::Rounds(1));
-        }));
-        let payload = caught.expect_err("3-word message must violate the budget");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("panic message is a String");
-        assert!(msg.contains("CONGEST violation"), "{msg}");
-        assert!(sess.poisoned());
+        sess.run_phase("wider", Stop::Rounds(1));
+        let widths: Vec<usize> = sess
+            .metrics()
+            .per_round()
+            .iter()
+            .map(|r| r.max_width)
+            .collect();
+        assert_eq!(widths, [1, 2, 3]);
+        // Safe at 3 words, not at 2: the width is recorded, never enforced.
+        assert_eq!(sess.metrics().max_width(), 3);
+        assert!(!sess.poisoned());
     }
 
     /// Broadcasts a growing list every round — width r at round r — so a

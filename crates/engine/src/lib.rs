@@ -52,9 +52,10 @@
 //! * CONGEST accounting — every message carries a typed wire format
 //!   ([`WireCodec`]: encode to / decode from word frames), and
 //!   [`CongestMode`] decides what the recorded
-//!   [`EngineMessage::width`]s mean: [`CongestMode::Reject`]
-//!   ([`EngineConfig::congest_width`]) aborts on any over-budget message,
-//!   certifying completed phases CONGEST-safe; [`CongestMode::Split`]
+//!   [`EngineMessage::width`]s mean: under [`CongestMode::Unlimited`] they
+//!   are only recorded, and a run is CONGEST-safe at width `w` exactly when
+//!   [`EngineMetrics::max_width`] ≤ `w` (the init round included);
+//!   [`CongestMode::Split`]
 //!   ([`EngineConfig::congest_split`]) fragments wide messages into
 //!   budget-sized `(seq, total)` frames delivered over consecutive virtual
 //!   rounds and reassembled at the receiver, with the extra physical rounds

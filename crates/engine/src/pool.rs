@@ -108,7 +108,7 @@ use crate::view::GraphView;
 
 /// Everything a step needs besides the program and its inbox: the fault
 /// plan, the session's view (contexts and the original → dense id map),
-/// the group partition, and the CONGEST budget. Built by the driver once
+/// the group partition, and the split budget. Built by the driver once
 /// per epoch; borrowed by every worker group.
 pub(crate) struct StageEnv<'a> {
     /// Outbox fault schedule + duplication rule.
@@ -118,8 +118,6 @@ pub(crate) struct StageEnv<'a> {
     pub(crate) view: &'a GraphView<'a>,
     /// Dense group boundaries, ascending, `len = groups + 1`.
     pub(crate) bounds: &'a [usize],
-    /// Per-message width budget (`usize::MAX` = no CONGEST mode).
-    pub(crate) congest: usize,
     /// Fragmentation budget in words (`usize::MAX` = splitting off): an
     /// over-budget payload is round-tripped through the wire once, when it
     /// is stored.
@@ -351,17 +349,11 @@ pub(crate) fn run_range<P: NodeProgram>(
 }
 
 /// Expands one node's outbox into the arena — each payload into the store
-/// once, one reference per destination into the buckets — enforces the
-/// CONGEST budget, and applies its fault action: drop truncates the
-/// outbox's references and payloads, delay clones each delayed message out
-/// into an owned record and then truncates likewise, loss compacts
-/// references, and duplication appends a second reference to the same
-/// payload.
-///
-/// # Panics
-///
-/// Panics if a message is wider than `env.congest` — the strict CONGEST
-/// mode's certification failure.
+/// once, one reference per destination into the buckets — records its
+/// width, and applies its fault action: drop truncates the outbox's
+/// references and payloads, delay clones each delayed message out into an
+/// owned record and then truncates likewise, loss compacts references, and
+/// duplication appends a second reference to the same payload.
 pub(crate) fn stage_outbox<M: EngineMessage>(
     src: VertexId,
     outbox: Outbox<M>,
@@ -393,12 +385,6 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
         .sum();
     y.messages += batch_len;
     y.max_width = y.max_width.max(width);
-    assert!(
-        width <= env.congest,
-        "CONGEST violation: node {src} emitted a {width}-word message in \
-         round {round}, budget {} words",
-        env.congest
-    );
     match env.faults.action(round, src) {
         FaultAction::Deliver => {
             // Loss first, duplication on the survivors: a lost message is
@@ -901,7 +887,6 @@ mod tests {
             faults,
             view,
             bounds,
-            congest: usize::MAX,
             split: usize::MAX,
             frontier: true,
         }
@@ -1108,20 +1093,6 @@ mod tests {
             }
         }
         assert!(repeats_decided, "some seed both loses and duplicates");
-    }
-
-    #[test]
-    #[should_panic(expected = "CONGEST violation")]
-    fn congest_budget_rejects_wide_messages() {
-        let faults = FaultPlan::new();
-        let (g, bounds) = identity_graph(3);
-        let view = GraphView::whole(&g);
-        let mut e = env(&faults, &view, &bounds);
-        e.congest = 4;
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
-        stage_outbox(0, Outbox::Broadcast(W(4)), &[1], 1, &e, &mut y);
-        assert_eq!(y.messages, 1, "width == budget passes");
-        stage_outbox(0, Outbox::Broadcast(W(5)), &[1], 2, &e, &mut y);
     }
 
     #[test]

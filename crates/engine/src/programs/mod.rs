@@ -35,9 +35,9 @@
 //! Every message type carries a [`WireCodec`](crate::WireCodec) whose
 //! encoding is exactly [`width`](crate::EngineMessage::width) words
 //! (property-tested in `tests/engine_equivalence.rs`), so these bounds are
-//! the wire budgets that decide whether a program runs unmodified under
-//! [`CongestMode::Reject`](crate::CongestMode::Reject) or needs
-//! [`CongestMode::Split`](crate::CongestMode::Split):
+//! the wire budgets that decide whether a program is CONGEST-safe as it
+//! stands (its run's [`EngineMetrics::max_width`](crate::EngineMetrics::max_width)
+//! fits the budget) or needs [`CongestMode::Split`](crate::CongestMode::Split):
 //!
 //! | Program | Message | Worst-case logical width |
 //! |---|---|---|
@@ -73,8 +73,8 @@
 //! [`Activation`](crate::Activation) hint; the driver then skips `on_round`
 //! for hinted nodes with an empty inbox. The gain is bounded by how fast a
 //! program's frontier actually shrinks, and the worst case is always the
-//! full live set — gating degrades to the historical full scan (`O(n)`
-//! stepped nodes per round), never below it:
+//! full live set — gating degrades to a full scan (`O(n)` stepped nodes
+//! per round), never below it:
 //!
 //! * [`GatherProgram`] / [`CliqueProgram`]: every round floods every live
 //!   node until the radius is exhausted, so the frontier stays at `n` for

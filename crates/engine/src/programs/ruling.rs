@@ -733,6 +733,35 @@ mod tests {
     }
 
     #[test]
+    fn ruling_rounds_step_only_their_frontier() {
+        // A ruling node is stepped only when it hears a message or its
+        // `WakeAt` slot comes due, so the summed node-steps of one run are
+        // a deterministic count of the frontier's work: 163,434 on this
+        // input at any shard count. Stepping every live node every round
+        // (an `EveryRound` activation, or the full scan) costs 884,736.
+        const STEPPED_BOUND: usize = 180_000;
+        let g = gen::grid(64, 64);
+        let subset: Vec<usize> = g
+            .vertices()
+            .filter(|&v| rand::mix64(7, v as u64) & 1 == 0)
+            .collect();
+        let mut counts = Vec::new();
+        for shards in [1usize, 4] {
+            let mut ledger = RoundLedger::new();
+            let config = EngineConfig::default().with_shards(shards);
+            let (forest, metrics) = engine_ruling_forest(&g, None, &subset, 6, config, &mut ledger);
+            assert!(!forest.roots.is_empty());
+            counts.push(metrics.per_round().iter().map(|r| r.stepped).sum::<usize>());
+        }
+        assert_eq!(counts[0], counts[1], "shard-invariant node-steps");
+        assert!(
+            counts[0] <= STEPPED_BOUND,
+            "ruling node-steps {} exceed {STEPPED_BOUND}",
+            counts[0]
+        );
+    }
+
+    #[test]
     fn singleton_and_empty_subsets() {
         let g = gen::cycle(10);
         assert_forests_match(&g, None, &[7], 3, "singleton");

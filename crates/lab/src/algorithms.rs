@@ -77,9 +77,9 @@ pub struct TrialOutput {
 ///
 /// # Panics
 ///
-/// Propagates algorithm panics (rejected over-width messages, exhausted
-/// preconditions under faults) — the runner catches them and records the
-/// trial as errored.
+/// Propagates algorithm panics (exhausted preconditions under faults, an
+/// algorithm name plan expansion would reject) — the runner catches them
+/// and records the trial as errored.
 pub fn run(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     match spec.algorithm.as_str() {
         "randomized" => run_randomized(spec, g),
@@ -141,7 +141,6 @@ fn engine_config(spec: &TrialSpec, n: usize) -> EngineConfig {
         .with_shards(spec.shards)
         .with_workers(spec.workers.resolve(spec.shards))
         .with_congest(spec.congest.to_mode())
-        .with_frontier(spec.frontier)
         .with_faults(spec.faults.plan(n))
 }
 
@@ -417,8 +416,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
     // The pipeline manages its own residual masks; `mask_mod` does not
     // apply. Sequential trials run the simulation; engine trials put every
     // phase on masked sessions cloned from the trial's engine config, so its
-    // workers, congest mode, fault plan and frontier reach each
-    // internal session.
+    // workers, congest mode and fault plan reach each internal session.
     let d = spec.params.d;
     let lists = ListAssignment::uniform(g.n(), d);
     let config = SparseColoringConfig {
@@ -500,7 +498,6 @@ mod tests {
             workers: WorkerSpec::MatchShards,
             congest: CongestSpec::Unlimited,
             faults: FaultSpec::default(),
-            frontier: true,
             rep: 0,
             params: Params::default(),
         }

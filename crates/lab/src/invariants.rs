@@ -253,18 +253,17 @@ struct Best<'a> {
     route: f64,
 }
 
-/// Best-of-timed-reps wall/route per configuration × shards × workers ×
-/// frontier — every perf knob apart, so a budget never takes the min over
-/// two worker settings or a full-scan twin and its frontier sibling.
+/// Best-of-timed-reps wall/route per configuration × shards × workers —
+/// every perf knob apart, so a budget never takes the min over two worker
+/// settings.
 fn best_walls(run: &RunOutcome) -> Vec<Best<'_>> {
     let mut groups: BTreeMap<String, Vec<&TrialRow>> = BTreeMap::new();
     for row in run.rows.iter().filter(|r| r.error.is_none()) {
         let key = format!(
-            "{}|{}|{}|{}",
+            "{}|{}|{}",
             row.spec.config_key(),
             row.spec.shards,
-            row.spec.workers.label(),
-            row.spec.frontier
+            row.spec.workers.label()
         );
         groups.entry(key).or_default().push(row);
     }
@@ -309,12 +308,7 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
     };
     // The same perf knobs as `row` at `shards`, under configuration key `key`.
     let engine_wall = |row: &TrialSpec, key: &str, shards: usize| {
-        wall_where(&|s| {
-            s.config_key() == key
-                && s.shards == shards
-                && s.workers == row.workers
-                && s.frontier == row.frontier
-        })
+        wall_where(&|s| s.config_key() == key && s.shards == shards && s.workers == row.workers)
     };
     let mut violations = Vec::new();
     let mut applied = false;
@@ -373,23 +367,6 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
                 };
                 Some(("split vs unlimited", split / open.max(f64::EPSILON)))
             }
-            BudgetMetric::FrontierRatio => {
-                if spec.shards == 0 || spec.frontier {
-                    continue;
-                }
-                // The frontier twin — same workload, shards and workers —
-                // wherever in the suite it is declared.
-                let on = wall_where(&|s| {
-                    s.workload_key() == spec.workload_key()
-                        && s.shards == spec.shards
-                        && s.workers == spec.workers
-                        && s.frontier
-                });
-                let (Some(on), Some(full)) = (on, own()) else {
-                    continue;
-                };
-                Some(("frontier vs full scan", on / full.max(f64::EPSILON)))
-            }
         };
         if let Some((what, ratio)) = ratio {
             applied = true;
@@ -414,7 +391,8 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_suite;
+    use crate::plan::expand;
+    use crate::runner::{run_suite, run_trial};
     use crate::schema::WorkerSpec;
 
     fn run(body: &str) -> (Suite, RunOutcome) {
@@ -455,10 +433,29 @@ mod tests {
 
     #[test]
     fn dying_configuration_fails_valid_outputs_but_not_determinism() {
-        let (suite, out) = run(r#"{"name": "t", "scenarios": [{
+        let suite = Suite::from_json(
+            r#"{"name": "t", "scenarios": [{
                 "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
-                "shards": [1, 2], "congest": "reject:1"
-            }], "checks": [{"kind": "determinism"}, {"kind": "valid-outputs"}]}"#);
+                "shards": [1, 2]
+            }], "checks": [{"kind": "determinism"}, {"kind": "valid-outputs"}]}"#,
+        )
+        .unwrap();
+        // An algorithm name plan expansion rejects: every replay panics.
+        let plan: Vec<TrialSpec> = expand(&suite)
+            .unwrap()
+            .into_iter()
+            .map(|mut spec| {
+                spec.algorithm = "no-such-algorithm".into();
+                spec
+            })
+            .collect();
+        let g = graphs::gen::build_family("grid", 36, 0).unwrap();
+        let rows = plan.iter().map(|spec| run_trial(spec, &g)).collect();
+        let out = RunOutcome {
+            suite: suite.name.clone(),
+            plan,
+            rows,
+        };
         let outcomes = evaluate(&suite, &out);
         assert!(
             outcomes[0].passed,
@@ -520,47 +517,6 @@ mod tests {
         );
         let outcome = &evaluate(&suite, &out)[0];
         assert!(outcome.passed, "{:?}", outcome.violations);
-    }
-
-    const TWINS: &str = r#"{"name": "t", "scenarios": [
-            {"name": "base", "family": "grid", "n": [16, 36], "algorithm": "ruling",
-             "shards": [1, 2]},
-            {"name": "base-full-scan", "family": "grid", "n": 36, "algorithm": "ruling",
-             "shards": 2, "frontier": false}
-        ], "checks": [
-            {"kind": "budget", "metric": "frontier-ratio", "max": 0.91}
-        ]}"#;
-
-    #[test]
-    fn twin_budgets_pair_rows_across_scenarios() {
-        let wall =
-            |frontier_on: f64| move |s: &TrialSpec| if s.frontier { frontier_on } else { 10.0 };
-        let (suite, out) = run_with_walls(TWINS, wall(5.0));
-        for o in evaluate(&suite, &out) {
-            assert!(o.passed, "{}: {:?}", o.check, o.violations);
-        }
-        // Frontier on at 9.5 of the full scan's 10 is not a 1.1x win.
-        let (suite, out) = run_with_walls(TWINS, wall(9.5));
-        let outcomes = evaluate(&suite, &out);
-        assert!(outcomes[0].violations[0].contains("frontier vs full scan ratio 0.95"));
-    }
-
-    #[test]
-    fn twin_budgets_without_twins_fail() {
-        // Without the base scenario the full-scan twin has no frontier
-        // sibling: nothing pairs.
-        let base = TWINS.find("{\"name\": \"base\"").unwrap();
-        let twins = TWINS.find("{\"name\": \"base-full-scan\"").unwrap();
-        let lonely = format!("{}{}", &TWINS[..base], &TWINS[twins..]);
-        let (suite, out) = run(&lonely);
-        for o in evaluate(&suite, &out) {
-            assert!(!o.passed, "{} certified nothing but passed", o.check);
-            assert!(
-                o.violations[0].contains("applies to no row"),
-                "{:?}",
-                o.violations
-            );
-        }
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub struct TrialSpec {
     pub congest: CongestSpec,
     /// Declared fault plan.
     pub faults: FaultSpec,
-    /// Frontier-sparse rounds (scenario-level flag; `false` forces the
-    /// full-range scan). Purely a perf knob, like shards and workers: it
-    /// never enters [`TrialSpec::config_key`], because a frontier trial
-    /// and its full-scan twin must produce bit-identical outputs.
-    pub frontier: bool,
     /// Repetition index, `0..reps`.
     pub rep: usize,
     /// Algorithm parameters.
@@ -86,23 +81,6 @@ impl TrialSpec {
         )
     }
 
-    /// The *workload key*: the configuration key without the scenario name,
-    /// plus the algorithm parameters. Twin scenarios — a full-scan rerun
-    /// declared next to its base scenario — share it, which is how the
-    /// frontier budget pairs rows across scenarios.
-    pub(crate) fn workload_key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{:?}",
-            self.family,
-            self.n,
-            self.seed,
-            self.algorithm,
-            self.congest.label(),
-            self.faults.label(),
-            self.params
-        )
-    }
-
     /// The key of this trial's unlimited-congest twin: same configuration,
     /// width cap removed. Split-reconciliation pairs rows through this.
     pub fn unlimited_key(&self) -> String {
@@ -125,7 +103,6 @@ impl TrialSpec {
             ("congest".into(), Value::str(self.congest.label())),
             ("family".into(), Value::str(&self.family)),
             ("faults".into(), Value::str(self.faults.label())),
-            ("frontier".into(), Value::Bool(self.frontier)),
             ("id".into(), Value::int(self.id as u64)),
             ("n".into(), Value::int(self.n as u64)),
             ("rep".into(), Value::int(self.rep as u64)),
@@ -187,7 +164,6 @@ pub fn expand(suite: &Suite) -> Result<Vec<TrialSpec>, String> {
                                                 workers,
                                                 congest,
                                                 faults: faults.clone(),
-                                                frontier: sc.frontier,
                                                 rep,
                                                 params: sc.params,
                                             });

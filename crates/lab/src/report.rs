@@ -88,7 +88,6 @@ fn group_json(rows: &[&TrialRow]) -> Value {
         ("family".into(), Value::str(&first.spec.family)),
         ("faults".into(), Value::str(first.spec.faults.label())),
         ("fragments".into(), Value::int(first.fragments as u64)),
-        ("frontier".into(), Value::Bool(first.spec.frontier)),
         ("ledger_rounds".into(), Value::int(first.ledger_rounds)),
         ("messages".into(), Value::int(first.messages as u64)),
         ("n".into(), Value::int(first.spec.n as u64)),

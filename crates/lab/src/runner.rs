@@ -5,7 +5,7 @@
 //! wall and routing time, logical/physical round counts, message and
 //! fragment totals, fault casualties, per-round wall percentiles, output
 //! and traffic fingerprints, and the validity verdict. A panicking trial
-//! (rejected over-width message, violated precondition under chaos) is
+//! (a violated precondition under chaos, an unknown algorithm) is
 //! caught and recorded as an errored row rather than killing the run: in a
 //! chaos suite, "this configuration dies" is a measurement.
 
@@ -56,7 +56,8 @@ pub struct TrialRow {
     pub duplicated: usize,
     /// Messages rescheduled by delay faults.
     pub delayed: usize,
-    /// Widest message observed, in words.
+    /// Widest message observed, in words, the init round included: the
+    /// run is CONGEST-safe at any width at least this.
     pub max_width: usize,
     /// Per-round wall percentiles, milliseconds (0 when no rounds).
     pub round_p50_ms: f64,
@@ -105,7 +106,6 @@ impl TrialRow {
             ("family".into(), Value::str(&self.spec.family)),
             ("faults".into(), Value::str(self.spec.faults.label())),
             ("fragments".into(), Value::int(self.fragments as u64)),
-            ("frontier".into(), Value::Bool(self.spec.frontier)),
             ("graph_m".into(), Value::int(self.graph_m as u64)),
             ("graph_n".into(), Value::int(self.graph_n as u64)),
             ("id".into(), Value::int(self.spec.id as u64)),
@@ -246,7 +246,7 @@ pub fn run_trial(spec: &TrialSpec, g: &Graph) -> TrialRow {
                 row.dropped = m.total_dropped();
                 row.duplicated = m.total_duplicated();
                 row.delayed = m.total_delayed();
-                row.max_width = m.per_round().iter().map(|r| r.max_width).max().unwrap_or(0);
+                row.max_width = m.max_width();
                 let walls: Vec<f64> = m
                     .per_round()
                     .iter()
@@ -341,19 +341,23 @@ mod tests {
 
     #[test]
     fn a_dying_trial_is_recorded_not_fatal() {
-        // Reject(1) on a radius-3 gather: hop-2 forwards exceed one word,
-        // so the engine aborts — the row must record the panic.
+        // Plan expansion rejects this name, so only a hand-built spec
+        // reaches `algorithms::run` with it, which panics — the row must
+        // record the panic.
         let suite = Suite::from_json(
             r#"{"name": "t", "scenarios": [{
                 "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
-                "shards": 1, "congest": "reject:1"
+                "shards": 1
             }]}"#,
         )
         .unwrap();
-        let run = run_suite(&suite, |_, _| {}).unwrap();
-        assert_eq!(run.rows.len(), 1);
-        assert!(!run.rows[0].valid);
-        assert!(run.rows[0].error.is_some());
+        let mut spec = expand(&suite).unwrap().remove(0);
+        spec.algorithm = "no-such-algorithm".into();
+        let g = graphs::gen::build_family(&spec.family, spec.n, spec.seed).unwrap();
+        let row = run_trial(&spec, &g);
+        assert!(!row.valid);
+        let error = row.error.expect("the panic is recorded");
+        assert!(error.contains("unknown algorithm"), "{error}");
     }
 
     #[test]

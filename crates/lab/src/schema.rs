@@ -78,12 +78,6 @@ pub struct Scenario {
     pub congest: Vec<CongestSpec>,
     /// Fault-plan axis (defaults to `[none]`).
     pub faults: Vec<FaultSpec>,
-    /// Frontier-sparse rounds for every engine trial (`true` by default).
-    /// `false` pins the scenario to the historical full-range scan — the
-    /// twin scenarios the bench suite uses to keep the frontier index
-    /// honest. A single flag rather than an axis: a full-scan twin wants
-    /// its own name and budget, not a silent doubling of every scenario.
-    pub frontier: bool,
     /// Repetitions per configuration (wall-clock sampling; outputs replay
     /// bit-identically across reps by the determinism contract).
     pub reps: usize,
@@ -125,10 +119,8 @@ impl WorkerSpec {
 /// CONGEST treatment for one trial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CongestSpec {
-    /// No bandwidth budget.
+    /// No bandwidth budget; widths are recorded (`max_width` per row).
     Unlimited,
-    /// Abort on any message wider than the budget.
-    Reject(usize),
     /// Fragment over-budget messages, charging physical rounds.
     Split(usize),
 }
@@ -138,17 +130,15 @@ impl CongestSpec {
     pub fn to_mode(self) -> CongestMode {
         match self {
             CongestSpec::Unlimited => CongestMode::Unlimited,
-            CongestSpec::Reject(w) => CongestMode::Reject(w),
             CongestSpec::Split(w) => CongestMode::Split(w),
         }
     }
 
-    /// Stable label (`unlimited`, `reject:4`, `split:4`) for rows and
+    /// Stable label (`unlimited`, `split:4`) for rows and
     /// grouping — parses back via [`CongestSpec::parse`].
     pub fn label(self) -> String {
         match self {
             CongestSpec::Unlimited => "unlimited".into(),
-            CongestSpec::Reject(w) => format!("reject:{w}"),
             CongestSpec::Split(w) => format!("split:{w}"),
         }
     }
@@ -158,20 +148,16 @@ impl CongestSpec {
         if s == "unlimited" {
             return Ok(CongestSpec::Unlimited);
         }
-        let parse_width = |w: &str, what: &str| {
-            w.parse::<usize>()
+        if let Some(w) = s.strip_prefix("split:") {
+            return w
+                .parse::<usize>()
                 .ok()
                 .filter(|&w| w >= 1)
-                .ok_or_else(|| format!("bad {what} width in congest spec {s:?}"))
-        };
-        if let Some(w) = s.strip_prefix("reject:") {
-            return Ok(CongestSpec::Reject(parse_width(w, "reject")?));
-        }
-        if let Some(w) = s.strip_prefix("split:") {
-            return Ok(CongestSpec::Split(parse_width(w, "split")?));
+                .map(CongestSpec::Split)
+                .ok_or_else(|| format!("bad split width in congest spec {s:?}"));
         }
         Err(format!(
-            "unknown congest spec {s:?} (want unlimited | reject:w | split:w)"
+            "unknown congest spec {s:?} (want unlimited | split:w)"
         ))
     }
 
@@ -373,10 +359,6 @@ pub enum BudgetMetric {
     RouteFrac,
     /// `wall(split) / wall(unlimited twin)`, all split rows.
     SplitRatio,
-    /// `wall(frontier on) / wall(full-scan twin)`, every `"frontier":
-    /// false` row against the frontier run of the same workload, shards
-    /// and workers — wherever in the suite that run is declared.
-    FrontierRatio,
 }
 
 impl BudgetMetric {
@@ -387,7 +369,6 @@ impl BudgetMetric {
             BudgetMetric::ShardRatio => "shard-ratio",
             BudgetMetric::RouteFrac => "route-frac",
             BudgetMetric::SplitRatio => "split-ratio",
-            BudgetMetric::FrontierRatio => "frontier-ratio",
         }
     }
 
@@ -398,7 +379,6 @@ impl BudgetMetric {
             "shard-ratio" => Ok(BudgetMetric::ShardRatio),
             "route-frac" => Ok(BudgetMetric::RouteFrac),
             "split-ratio" => Ok(BudgetMetric::SplitRatio),
-            "frontier-ratio" => Ok(BudgetMetric::FrontierRatio),
             other => Err(format!("unknown budget metric {other:?}")),
         }
     }
@@ -540,7 +520,6 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
             "workers",
             "congest",
             "faults",
-            "frontier",
             "reps",
             "params",
         ],
@@ -595,12 +574,6 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
         })?
         .unwrap_or_else(|| vec![CongestSpec::Unlimited]),
         faults: axis(v, "faults", parse_fault)?.unwrap_or_else(|| vec![FaultSpec::default()]),
-        frontier: match v.get("frontier") {
-            None => true,
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| err("\"frontier\" must be a boolean".into()))?,
-        },
         reps: match v.get("reps") {
             None => 1,
             Some(r) => r
@@ -817,7 +790,7 @@ mod tests {
                 "name": "s", "family": ["grid", "random-4-regular"], "n": [64, 100],
                 "seed": 7, "algorithm": "randomized", "shards": [0, 1, 8],
                 "workers": ["auto", "shards", 4],
-                "congest": ["unlimited", "split:4", "reject:2"],
+                "congest": ["unlimited", "split:4"],
                 "faults": ["none", {"lose": {"seed": 3, "p": 0.1}}],
                 "reps": 3
             }]}"#,
@@ -836,11 +809,7 @@ mod tests {
         );
         assert_eq!(
             s.congest,
-            vec![
-                CongestSpec::Unlimited,
-                CongestSpec::Split(4),
-                CongestSpec::Reject(2)
-            ]
+            vec![CongestSpec::Unlimited, CongestSpec::Split(4)]
         );
         assert_eq!(s.faults[1].lose, Some((3, 0.1)));
         assert_eq!(s.reps, 3);
@@ -848,12 +817,13 @@ mod tests {
 
     #[test]
     fn unknown_scenario_and_suite_keys_are_rejected() {
-        // A retired axis, typo'd keys, and a stray suite-level key: each is
+        // Retired keys, typo'd keys, and a stray suite-level key: each is
         // an error naming the key, never a silent default.
         for (key, value) in [
             ("order", "\"locality\""),
             ("shard", "8"),
             ("frontire", "false"),
+            ("frontier", "false"),
         ] {
             let bad = MINIMAL.replace(
                 "\"algorithm\": \"gather\"",
@@ -897,7 +867,6 @@ mod tests {
             BudgetMetric::ShardRatio,
             BudgetMetric::RouteFrac,
             BudgetMetric::SplitRatio,
-            BudgetMetric::FrontierRatio,
         ] {
             assert_eq!(BudgetMetric::parse(metric.label()).unwrap(), metric);
         }
@@ -923,6 +892,12 @@ mod tests {
         assert!(Suite::from_json(bad_check)
             .unwrap_err()
             .contains("unknown check kind"));
+        let retired_budget = r#"{"name": "t", "scenarios": [{
+            "name": "s", "family": "grid", "n": 64, "algorithm": "gather"
+        }], "checks": [{"kind": "budget", "metric": "frontier-ratio", "max": 0.91}]}"#;
+        assert!(Suite::from_json(retired_budget)
+            .unwrap_err()
+            .contains("unknown budget metric"));
     }
 
     #[test]
@@ -958,14 +933,11 @@ mod tests {
 
     #[test]
     fn congest_specs_round_trip() {
-        for spec in [
-            CongestSpec::Unlimited,
-            CongestSpec::Reject(2),
-            CongestSpec::Split(8),
-        ] {
+        for spec in [CongestSpec::Unlimited, CongestSpec::Split(8)] {
             assert_eq!(CongestSpec::parse(&spec.label()).unwrap(), spec);
         }
         assert!(CongestSpec::parse("split:0").is_err());
+        assert!(CongestSpec::parse("reject:2").is_err());
         assert!(CongestSpec::parse("congested").is_err());
     }
 }
