@@ -673,6 +673,29 @@ mod tests {
     }
 
     #[test]
+    fn engine_mode_boots_a_pinned_number_of_sessions() {
+        // Every engine session records one init exchange, so the aggregate's
+        // init entries count the sessions one run boots. The count is a
+        // pure function of the input and shard-invariant.
+        const SESSIONS: usize = 36;
+        let g = gen::apollonian(2000, 3);
+        let lists = ListAssignment::random(g.n(), 6, 12, 3);
+        for shards in [1usize, 2] {
+            let config = SparseColoringConfig {
+                engine_shards: Some(shards),
+                ..Default::default()
+            };
+            let outcome = list_color_sparse(&g, &lists, 6, config).unwrap();
+            let m = &outcome
+                .coloring()
+                .expect("colorable workload")
+                .engine_metrics;
+            assert_eq!(m.inits().len(), SESSIONS, "shards={shards}");
+            assert!(m.inits().iter().all(|r| r.round == 0));
+        }
+    }
+
+    #[test]
     fn split_mode_pipeline_is_bit_identical_to_unlimited() {
         // The acceptance contract: under CongestMode::Split the full
         // pipeline's colors and peel statistics match the unlimited-width

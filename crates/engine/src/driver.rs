@@ -34,6 +34,13 @@
 //!    scheduling, and wake bookkeeping between the epochs are charged to
 //!    the routing epoch too.
 //!
+//! Round 0 is the LOCAL model's free knowledge exchange and runs through
+//! the same two epochs: [`EngineSession::new`] steps every live node's
+//! [`init`](NodeProgram::init) (no frontier), routes the result into round
+//! 1's inboxes, and then registers each node's first wake off its
+//! post-init [`Activation`] hint. It is charged no ledger round and is
+//! recorded as the session's [`EngineMetrics::inits`] entry.
+//!
 //! Determinism: program state is touched only by its owning worker group,
 //! inboxes are delivered in ascending original-sender order, programs that
 //! draw randomness seed their own stream with `node_rng(seed, original
@@ -49,11 +56,11 @@ use graphs::{Graph, VertexId, VertexSet};
 use local_model::RoundLedger;
 
 use crate::context::NodeCtx;
-use crate::exec::EnginePool;
+use crate::exec::{EnginePool, Panic};
 use crate::faults::FaultPlan;
 use crate::mailbox::{Mailboxes, TwoLevelBits};
 use crate::metrics::{EngineMetrics, RoundMetrics};
-use crate::pool::{stage_outbox, RouteEnv, StageEnv, WorkerPool};
+use crate::pool::{Counts, RouteEnv, StageEnv, WorkerPool};
 use crate::program::{Activation, NodeProgram};
 use crate::shard::ShardPlan;
 use crate::view::GraphView;
@@ -91,10 +98,11 @@ const DRIVER_EPOCH_WORK: usize = 1024;
 
 /// Whether an epoch of `work` units runs on the driver thread alone. Work
 /// is counted in vertices for a compute epoch (frontier plus due wakes, or
-/// every live vertex without gating) and in messages for a routing epoch
-/// (staged, due-delayed, and stale spans to reset). Every term is the same
-/// at any shard and worker count, so the choice is too, and outputs stay
-/// bit-identical by construction: the same per-group job runs either way.
+/// every live vertex without gating and in round 0) and in messages for a
+/// routing epoch (staged, due-delayed, and stale spans to reset). Every
+/// term is the same at any shard and worker count, so the choice is too,
+/// and outputs stay bit-identical by construction: the same per-group job
+/// runs either way.
 fn on_driver(work: usize) -> bool {
     work < DRIVER_EPOCH_WORK
 }
@@ -411,16 +419,19 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
 impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// Boots a network over `graph` (restricted to `config.mask` if set):
     /// builds one program per live vertex (`factory` is called in ascending
-    /// original-id order), spawns the session's persistent worker pool,
-    /// runs every program's `init`, and routes the initial outboxes into
-    /// round 1's inboxes.
+    /// original-id order), spawns the session's persistent worker pool (or
+    /// borrows the shared one), and runs round 0 — every program's `init`,
+    /// through the same compute and routing epochs as any later round —
+    /// which routes the initial outboxes into round 1's inboxes.
     ///
-    /// `init` traffic is charged zero rounds (see [`NodeProgram::init`]);
-    /// fault rules for round 0 apply to it.
+    /// Round 0 is charged zero rounds (see [`NodeProgram::init`]); fault
+    /// rules for round 0 apply to it, and it is recorded, timed like any
+    /// round, as the session's [`EngineMetrics::inits`] entry.
     ///
     /// # Panics
     ///
-    /// Panics if `config.mask` has a universe other than `graph.n()`.
+    /// Panics if `config.mask` has a universe other than `graph.n()`, and
+    /// resumes a panic raised by a program's `init` once its epoch closes.
     pub fn new(
         graph: &'g Graph,
         config: EngineConfig,
@@ -438,7 +449,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             .unwrap_or_else(|| config.resolve_workers(plan.shards()));
         let groups = plan.group_ranges(pool_workers);
         let bounds: Vec<usize> = groups.iter().map(|r| r.start).chain([live]).collect();
-        let mut pool = WorkerPool::new(
+        let pool = WorkerPool::new(
             config
                 .pool
                 .clone()
@@ -446,98 +457,16 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             groups.len(),
         );
         // Dense order is ascending original id: the factory's contract.
-        let mut programs: Vec<P> = (0..live)
+        let programs: Vec<P> = (0..live)
             .map(|dv| factory(&NodeCtx::at(&view, dv, 0)))
             .collect();
-
-        // Round 0: init every node and route the initial knowledge
-        // exchange. Staging runs on the driver into the pool's group-0
-        // arena (bucketed by destination group, like any round); routing
-        // then runs as an ordinary routing epoch, pooled unless small.
-        let mut mail = Mailboxes::new(live, bounds.clone());
-        let mut metrics = EngineMetrics::default();
-        let split = config.congest.split_width().unwrap_or(usize::MAX);
-        let (sent, dropped, delayed, duplicated, lost, max_width, staged, stored) = {
-            let env = StageEnv {
-                faults: &config.faults,
-                view: &view,
-                bounds: &bounds,
-                split,
-                frontier: config.frontier,
-            };
-            let y = pool.home_arena();
-            for (dv, p) in programs.iter_mut().enumerate() {
-                let mut ctx = NodeCtx::at(&view, dv, 0);
-                let outbox = p.init(&mut ctx);
-                stage_outbox(ctx.id, outbox, ctx.neighbors, 0, &env, y);
-            }
-            for (due, batch) in y.delayed_batches.drain(..) {
-                mail.schedule(due, batch);
-            }
-            let stored = y.store.len();
-            mail.adopt(0, &mut y.store, &mut y.buckets);
-            (
-                y.messages,
-                y.dropped,
-                y.delayed,
-                y.duplicated,
-                y.lost,
-                y.max_width,
-                y.staged(),
-                stored,
-            )
-        };
-        let restored = mail.inject_due(1, split);
-        let init_inline = on_driver(staged + mail.route_backlog());
-        let init_tally = match pool.route(
-            &mut mail,
-            &groups,
-            &RouteEnv {
-                split,
-                round: 0,
-                reorder: config.faults.reorder_seed(),
-                view: &view,
-            },
-            init_inline,
-        ) {
-            Ok(tally) => tally,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        metrics.record_init(
-            sent,
-            dropped,
-            delayed,
-            duplicated,
-            lost,
-            max_width,
-            init_tally.fragments,
-        );
-        metrics.init_payloads = stored + restored;
-        metrics.init_driver_epochs = usize::from(init_inline);
-        mail.flip();
-
-        // Boot the frontier bookkeeping off the post-init program state:
-        // the running halt count, and one wake registration per node (round
-        // base 1 — the first round that can fire).
-        let halted = programs.iter().filter(|p| NodeProgram::halted(*p)).count();
-        let mut next_wake = vec![u64::MAX; live];
-        let mut wakes: Vec<BTreeMap<u64, Vec<usize>>> =
-            (0..groups.len()).map(|_| BTreeMap::new()).collect();
-        if config.frontier {
-            for (g, range) in groups.iter().enumerate() {
-                for dv in range.clone() {
-                    let wake = wake_round(programs[dv].activation(), 0);
-                    if wake != u64::MAX {
-                        next_wake[dv] = wake;
-                        wakes[g].entry(wake).or_default().push(dv);
-                    }
-                }
-            }
-        }
-        let due = (0..groups.len()).map(|_| Vec::new()).collect();
-        let due_bits = (0..groups.len()).map(|_| TwoLevelBits::default()).collect();
-
-        EngineSession {
+        let mut session = EngineSession {
+            mail: Mailboxes::new(live, bounds.clone()),
+            halted: programs.iter().filter(|p| p.halted()).count(),
+            next_wake: vec![u64::MAX; live],
+            wakes: (0..groups.len()).map(|_| BTreeMap::new()).collect(),
+            due: (0..groups.len()).map(|_| Vec::new()).collect(),
+            due_bits: (0..groups.len()).map(|_| TwoLevelBits::default()).collect(),
             view,
             config,
             plan,
@@ -545,18 +474,19 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             bounds,
             pool,
             programs,
-            mail,
-            metrics,
+            metrics: EngineMetrics::default(),
             ledger: RoundLedger::new(),
             round: 0,
-            halted,
-            next_wake,
-            wakes,
-            due,
-            due_bits,
             spare: Vec::new(),
             poisoned: false,
+        };
+        // Round 0 runs every `init` through the ordinary round path, then
+        // the frontier bookkeeping boots off the post-init program state.
+        if let Err(payload) = session.run_round(0, &Arc::from("init")) {
+            std::panic::resume_unwind(payload);
         }
+        session.rescan();
+        session
     }
 
     /// Runs rounds under `phase` until `stop` is satisfied, then charges the
@@ -628,10 +558,15 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         for (dv, p) in self.programs.iter_mut().enumerate() {
             f(self.view.original(dv), p);
         }
-        // The hook may have rewritten any program's state: recount the halt
-        // votes and re-register every activation hint. Queue entries the
-        // rescan supersedes are invalidated at fire time by the `next_wake`
-        // match, so nothing needs removing here.
+        self.rescan();
+    }
+
+    /// Recounts the halt votes and re-registers every node's activation
+    /// hint against the current round — after the init exchange and after
+    /// the host hook, either of which may have rewritten any program's
+    /// state. Queue entries the rescan supersedes are invalidated at fire
+    /// time by the `next_wake` match, so nothing needs removing here.
+    fn rescan(&mut self) {
         self.halted = self.programs.iter().filter(|p| p.halted()).count();
         if self.config.frontier {
             let round = self.round;
@@ -717,10 +652,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         (self.programs, self.metrics, self.ledger)
     }
 
-    /// Executes one synchronized round: compute epoch ∥ worker groups →
-    /// driver bookkeeping (counters, fault-delay scheduling) → routing
-    /// epoch ∥ worker groups → buffer flip. Either epoch runs on the driver
-    /// alone when its work is below [`DRIVER_EPOCH_WORK`].
+    /// Executes the next round under `phase`.
     ///
     /// # Panics
     ///
@@ -734,8 +666,22 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// on a poisoned session.
     fn step_round(&mut self, phase: &Arc<str>) {
         debug_assert!(!self.poisoned, "run_phase must refuse poisoned sessions");
-        self.round += 1;
-        let round = self.round;
+        let round = self.round + 1;
+        if let Err(payload) = self.run_round(round, phase) {
+            self.poisoned = true;
+            std::panic::resume_unwind(payload);
+        }
+        self.round = round;
+    }
+
+    /// Runs one synchronized round — round 0 is the init exchange: compute
+    /// epoch ∥ worker groups → driver bookkeeping (counters, fault-delay
+    /// scheduling) → routing epoch ∥ worker groups → buffer flip, then
+    /// records the round's metrics. Either epoch runs on the driver alone
+    /// when its work is below [`DRIVER_EPOCH_WORK`]. Returns the panic
+    /// payload of a node program (or of routing) once its epoch has closed,
+    /// before anything is recorded.
+    fn run_round(&mut self, round: u64, phase: &Arc<str>) -> Result<(), Panic> {
         let started = Instant::now();
         // The round-start activity census, O(1) off the running halt count.
         let live = self.programs.len();
@@ -774,12 +720,13 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             split,
             frontier: self.config.frontier,
         };
-        let compute_inline = on_driver(if self.config.frontier {
+        // Round 0 steps every live node, like a round without gating.
+        let compute_inline = on_driver(if self.config.frontier && round > 0 {
             self.mail.frontier() + self.due.iter().map(Vec::len).sum::<usize>()
         } else {
             live
         });
-        if let Err(payload) = self.pool.execute(
+        self.pool.execute(
             &mut self.programs,
             self.mail.cur(),
             &self.due,
@@ -787,44 +734,22 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             round,
             &self.groups,
             compute_inline,
-        ) {
-            self.poisoned = true;
-            self.round -= 1;
-            std::panic::resume_unwind(payload);
-        }
+        )?;
 
         // The routing epoch starts when the compute epoch closes: the
         // driver-side arena drain, delay scheduling, and wake bookkeeping
         // below all feed the rebuild of `next`, so `route_wall` charges
-        // them too — `--max-route-frac` judges the whole epoch.
+        // them too — the lab's `route-frac` budget judges the whole epoch.
         let route_started = Instant::now();
-        let mut messages = 0;
-        let mut dropped = 0;
-        let mut delayed = 0;
-        let mut duplicated = 0;
-        let mut lost = 0;
-        let mut max_width = 0;
-        let mut staged = 0;
+        let mut counts = Counts::default();
         let mut payloads = 0;
-        let mut stepped = 0;
-        let mut newly_halted = 0;
-        let mut newly_unhalted = 0;
         let mail = &mut self.mail;
         let next_wake = &mut self.next_wake;
         let wakes = &mut self.wakes;
         let spare = &mut self.spare;
         let frontier = self.config.frontier;
         self.pool.collect_yields(|g, y| {
-            messages += y.messages;
-            dropped += y.dropped;
-            delayed += y.delayed;
-            duplicated += y.duplicated;
-            lost += y.lost;
-            max_width = max_width.max(y.max_width);
-            staged += y.staged();
-            stepped += y.stepped;
-            newly_halted += y.newly_halted;
-            newly_unhalted += y.newly_unhalted;
+            counts.add(&y.counts);
             for (due, batch) in y.delayed_batches.drain(..) {
                 mail.schedule(due, batch);
             }
@@ -848,9 +773,9 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 }
             }
         });
-        self.halted = self.halted + newly_halted - newly_unhalted;
+        self.halted = self.halted + counts.newly_halted - counts.newly_unhalted;
         payloads += self.mail.inject_due(round + 1, split);
-        let route_inline = on_driver(staged + self.mail.route_backlog());
+        let route_inline = on_driver(counts.staged() + self.mail.route_backlog());
 
         let route_env = RouteEnv {
             split,
@@ -858,48 +783,41 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             reorder: self.config.faults.reorder_seed(),
             view: &self.view,
         };
-        let tally = match self
+        // Routing is engine code, not program code — a panic here is a bug,
+        // but the epoch still closed, so the caller can propagate it alike.
+        let tally = self
             .pool
-            .route(&mut self.mail, &self.groups, &route_env, route_inline)
-        {
-            Ok(tally) => tally,
-            Err(payload) => {
-                // Routing is engine code, not program code — a panic here is
-                // a bug, but the epoch still closed, so poison and propagate.
-                self.poisoned = true;
-                self.round -= 1;
-                std::panic::resume_unwind(payload);
-            }
-        };
+            .route(&mut self.mail, &self.groups, &route_env, route_inline)?;
         self.mail.flip();
         let route_wall = route_started.elapsed();
 
         self.metrics.push(RoundMetrics {
             round,
             phase: Arc::clone(phase),
-            messages,
-            dropped,
-            delayed,
-            duplicated,
-            lost,
+            messages: counts.messages,
+            dropped: counts.dropped,
+            delayed: counts.delayed,
+            duplicated: counts.duplicated,
+            lost: counts.lost,
             payloads,
-            max_width,
+            max_width: counts.max_width,
             // Charged on *delivered* widths: traffic a fault suppressed
             // never crossed the wire, so it costs no virtual rounds.
             physical_rounds: self.config.congest.physical_rounds(tally.wire_width),
             fragments: tally.fragments,
             active_nodes,
             live,
-            stepped,
+            stepped: counts.stepped,
             active_frac: if live == 0 {
                 1.0
             } else {
-                stepped as f64 / live as f64
+                counts.stepped as f64 / live as f64
             },
             driver_epochs: u8::from(compute_inline) + u8::from(route_inline),
             wall: started.elapsed(),
             route_wall,
         });
+        Ok(())
     }
 }
 

@@ -13,7 +13,8 @@ use std::time::Duration;
 /// Everything the engine observed about one executed round.
 #[derive(Clone, Debug)]
 pub struct RoundMetrics {
-    /// Global 1-based round index (monotone across phases).
+    /// Global round index, monotone across phases: 0 for a session's init
+    /// exchange, 1-based for executed rounds.
     pub round: u64,
     /// The phase this round was charged to. Shared, not owned: the driver
     /// interns the label once per phase so per-round accounting allocates
@@ -98,80 +99,51 @@ impl RoundMetrics {
 
 /// Per-round metrics for a whole engine session, with aggregate views.
 ///
-/// The free round-0 knowledge exchange emitted by
-/// [`init`](crate::NodeProgram::init) is accounted in the `init_*` fields —
-/// it is traffic (and faults apply to it) but not a round, so it appears in
-/// the totals yet not in [`per_round`](EngineMetrics::per_round).
+/// The free knowledge exchange emitted by
+/// [`init`](crate::NodeProgram::init) runs as round 0 through the same
+/// epochs as every other round, and is recorded as one [`RoundMetrics`]
+/// per session (round 0, phase `"init"`) in [`inits`](EngineMetrics::inits).
+/// It is traffic (faults apply to it) but not a charged round: the traffic
+/// totals include it, while the totals indexed by round
+/// ([`per_round`](EngineMetrics::per_round), walls, physical rounds,
+/// frontier density, [`message_counts`](EngineMetrics::message_counts))
+/// cover executed rounds only.
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
     rounds: Vec<RoundMetrics>,
-    /// Messages emitted by `init` (round 0).
-    pub init_messages: usize,
-    /// Round-0 messages discarded by drop faults.
-    pub init_dropped: usize,
-    /// Round-0 messages rescheduled by delay faults.
-    pub init_delayed: usize,
-    /// Round-0 extra deliveries created by per-edge duplication.
-    pub init_duplicated: usize,
-    /// Round-0 messages discarded by per-edge loss.
-    pub init_lost: usize,
-    /// Round-0 payload store entries (see [`RoundMetrics::payloads`]).
-    pub init_payloads: usize,
-    /// Widest round-0 message.
-    pub init_max_width: usize,
-    /// CONGEST frames produced by splitting round-0 init traffic (the
-    /// free knowledge exchange is fragmented like any other traffic, but
-    /// stays free of round charges).
-    pub init_fragments: usize,
-    /// Round-0 routing epochs the driver ran alone: 0 or 1 per session
-    /// (see [`RoundMetrics::driver_epochs`]), summed by
-    /// [`absorb`](EngineMetrics::absorb).
-    pub init_driver_epochs: usize,
+    inits: Vec<RoundMetrics>,
 }
 
 impl EngineMetrics {
-    /// Records one executed round.
+    /// Records one round: round 0 is a session's init exchange, every
+    /// other round an executed one.
     pub(crate) fn push(&mut self, m: RoundMetrics) {
-        self.rounds.push(m);
-    }
-
-    /// Records the round-0 init traffic.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_init(
-        &mut self,
-        messages: usize,
-        dropped: usize,
-        delayed: usize,
-        duplicated: usize,
-        lost: usize,
-        max_width: usize,
-        fragments: usize,
-    ) {
-        self.init_messages = messages;
-        self.init_dropped = dropped;
-        self.init_delayed = delayed;
-        self.init_duplicated = duplicated;
-        self.init_lost = lost;
-        self.init_max_width = max_width;
-        self.init_fragments = fragments;
+        if m.round == 0 {
+            self.inits.push(m);
+        } else {
+            self.rounds.push(m);
+        }
     }
 
     /// Folds another session's metrics into this accumulator — the
     /// composite-pipeline aggregation (`SparseColoring::engine_metrics`):
-    /// init counters add up, per-round records concatenate in absorption
+    /// init entries and per-round records both concatenate in absorption
     /// order. Round indices restart per absorbed session; the totals are
     /// what composite reports consume.
     pub fn absorb(&mut self, other: EngineMetrics) {
-        self.init_messages += other.init_messages;
-        self.init_dropped += other.init_dropped;
-        self.init_delayed += other.init_delayed;
-        self.init_duplicated += other.init_duplicated;
-        self.init_lost += other.init_lost;
-        self.init_payloads += other.init_payloads;
-        self.init_max_width = self.init_max_width.max(other.init_max_width);
-        self.init_fragments += other.init_fragments;
-        self.init_driver_epochs += other.init_driver_epochs;
+        self.inits.extend(other.inits);
         self.rounds.extend(other.rounds);
+    }
+
+    /// The init exchanges, one per session, in absorption order.
+    pub fn inits(&self) -> &[RoundMetrics] {
+        &self.inits
+    }
+
+    /// Sums `f` over the init exchanges and the executed rounds — the
+    /// traffic totals.
+    fn traffic(&self, f: impl Fn(&RoundMetrics) -> usize) -> usize {
+        self.inits.iter().chain(&self.rounds).map(f).sum()
     }
 
     /// All executed rounds, in order.
@@ -186,33 +158,33 @@ impl EngineMetrics {
 
     /// Total messages sent, init traffic included.
     pub fn total_messages(&self) -> usize {
-        self.init_messages + self.rounds.iter().map(|r| r.messages).sum::<usize>()
+        self.traffic(|r| r.messages)
     }
 
     /// Total messages lost to injected drop faults, init traffic included.
     pub fn total_dropped(&self) -> usize {
-        self.init_dropped + self.rounds.iter().map(|r| r.dropped).sum::<usize>()
+        self.traffic(|r| r.dropped)
     }
 
     /// Total messages rescheduled by injected delay faults, init included.
     pub fn total_delayed(&self) -> usize {
-        self.init_delayed + self.rounds.iter().map(|r| r.delayed).sum::<usize>()
+        self.traffic(|r| r.delayed)
     }
 
     /// Total extra deliveries created by per-edge duplication, init included.
     pub fn total_duplicated(&self) -> usize {
-        self.init_duplicated + self.rounds.iter().map(|r| r.duplicated).sum::<usize>()
+        self.traffic(|r| r.duplicated)
     }
 
     /// Total messages discarded by seeded per-edge loss, init included.
     pub fn total_lost(&self) -> usize {
-        self.init_lost + self.rounds.iter().map(|r| r.lost).sum::<usize>()
+        self.traffic(|r| r.lost)
     }
 
     /// Total payload store entries, init included: one per broadcast,
     /// however wide its fan-out (see [`RoundMetrics::payloads`]).
     pub fn total_payloads(&self) -> usize {
-        self.init_payloads + self.rounds.iter().map(|r| r.payloads).sum::<usize>()
+        self.traffic(|r| r.payloads)
     }
 
     /// Total physical rounds spent on the wire — equals
@@ -225,28 +197,23 @@ impl EngineMetrics {
 
     /// Total CONGEST frames produced by fragmentation, init included.
     pub fn total_fragments(&self) -> usize {
-        self.init_fragments + self.rounds.iter().map(|r| r.fragments).sum::<usize>()
+        self.traffic(|r| r.fragments)
     }
 
     /// Epochs the driver ran alone instead of waking the pool, the init
-    /// routing included.
+    /// exchanges' included.
     pub fn total_driver_epochs(&self) -> usize {
-        self.init_driver_epochs
-            + self
-                .rounds
-                .iter()
-                .map(|r| usize::from(r.driver_epochs))
-                .sum::<usize>()
+        self.traffic(|r| usize::from(r.driver_epochs))
     }
 
     /// Widest message observed anywhere in the run.
     pub fn max_width(&self) -> usize {
-        self.rounds
+        self.inits
             .iter()
+            .chain(&self.rounds)
             .map(|r| r.max_width)
             .max()
             .unwrap_or(0)
-            .max(self.init_max_width)
     }
 
     /// Total wall-clock time across rounds.
@@ -380,28 +347,29 @@ mod tests {
     #[test]
     fn absorb_concatenates_sessions() {
         let mut a = EngineMetrics::default();
-        a.record_init(3, 1, 0, 0, 0, 2, 0);
-        a.init_driver_epochs = 1;
-        a.init_payloads = 3;
+        let mut init = round(0, 3, 2);
+        init.dropped = 1;
+        a.push(init);
         a.push(round(1, 5, 2));
         let mut b = EngineMetrics::default();
-        b.record_init(4, 0, 0, 0, 0, 5, 6);
+        let mut init = round(0, 4, 5);
+        init.fragments = 6;
+        b.push(init);
         b.push(round(1, 7, 1));
         b.push(round(2, 2, 1));
-        b.init_driver_epochs = 1;
-        b.init_payloads = 4;
         a.absorb(b);
-        assert_eq!(a.init_driver_epochs, 2);
-        assert_eq!(a.init_payloads, 7);
-        assert_eq!(a.total_payloads(), 7 + 3);
-        assert_eq!(a.total_driver_epochs(), 2 + 3 * 2);
-        assert_eq!(a.total_rounds(), 3);
+        let inits: Vec<usize> = a.inits().iter().map(|r| r.messages).collect();
+        assert_eq!(inits, vec![3, 4], "one init entry per session, in order");
+        assert_eq!(a.total_rounds(), 3, "init entries are not rounds");
+        assert_eq!(a.message_counts(), vec![5, 7, 2]);
         assert_eq!(a.total_messages(), 3 + 4 + 5 + 7 + 2);
-        assert_eq!(a.init_messages, 7);
-        assert_eq!(a.init_max_width, 5);
+        assert_eq!(a.total_payloads(), 5);
+        assert_eq!(a.total_driver_epochs(), 5 * 2);
+        assert_eq!(a.max_width(), 5, "an init entry's width counts");
         assert_eq!(a.total_fragments(), 6);
         assert_eq!(a.total_dropped(), 1);
-        assert_eq!(a.message_counts(), vec![5, 7, 2]);
+        assert_eq!(a.total_physical_rounds(), 3, "over executed rounds only");
+        assert_eq!(a.total_wall(), Duration::from_micros(30));
     }
 
     #[test]

@@ -183,6 +183,20 @@ pub(crate) struct ShardYield<M> {
     seen: HashMap<usize, usize>,
     /// Fault-delayed batches: `(due round, one node's outbox)`.
     pub(crate) delayed_batches: Vec<(u64, Vec<Routed<M>>)>,
+    /// The round's observed counters.
+    pub(crate) counts: Counts,
+    /// Wake registrations of the stepped nodes, `(dense index, due
+    /// round)` with `u64::MAX` = never — each node's post-step
+    /// [`Activation`] hint resolved against the current round. Drained by
+    /// the driver into its per-group wake queues between epochs. Filled
+    /// only when `env.frontier` is set.
+    pub(crate) new_wakes: Vec<(usize, u64)>,
+}
+
+/// One worker group's observed counters for a round; the driver sums the
+/// groups' with [`add`](Counts::add).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Counts {
     /// Messages emitted (before faults).
     pub(crate) messages: usize,
     /// Messages discarded by drop faults.
@@ -195,8 +209,8 @@ pub(crate) struct ShardYield<M> {
     pub(crate) lost: usize,
     /// Widest message emitted.
     pub(crate) max_width: usize,
-    /// Nodes actually stepped (`on_round` called) this round — the
-    /// frontier. Equals the range length when gating is off.
+    /// Nodes actually stepped this round — the frontier. Equals the range
+    /// length when gating is off, and in round 0.
     pub(crate) stepped: usize,
     /// Stepped nodes whose halt vote flipped to "halted" this round. An
     /// unstepped node's vote cannot change (its state is untouched), so
@@ -205,12 +219,27 @@ pub(crate) struct ShardYield<M> {
     pub(crate) newly_halted: usize,
     /// Stepped nodes whose halt vote flipped back to "active" this round.
     pub(crate) newly_unhalted: usize,
-    /// Wake registrations of the stepped nodes, `(dense index, due
-    /// round)` with `u64::MAX` = never — each node's post-step
-    /// [`Activation`] hint resolved against the current round. Drained by
-    /// the driver into its per-group wake queues between epochs. Filled
-    /// only when `env.frontier` is set.
-    pub(crate) new_wakes: Vec<(usize, u64)>,
+}
+
+impl Counts {
+    /// Folds another group's counters into these.
+    pub(crate) fn add(&mut self, other: &Counts) {
+        self.messages += other.messages;
+        self.dropped += other.dropped;
+        self.delayed += other.delayed;
+        self.duplicated += other.duplicated;
+        self.lost += other.lost;
+        self.max_width = self.max_width.max(other.max_width);
+        self.stepped += other.stepped;
+        self.newly_halted += other.newly_halted;
+        self.newly_unhalted += other.newly_unhalted;
+    }
+
+    /// Messages left in the buckets for routing: the sent ones, minus the
+    /// dropped, delayed and lost ones, plus the duplicates.
+    pub(crate) fn staged(&self) -> usize {
+        self.messages + self.duplicated - self.dropped - self.delayed - self.lost
+    }
 }
 
 impl<M> ShardYield<M> {
@@ -224,23 +253,9 @@ impl<M> ShardYield<M> {
             occ: Vec::new(),
             seen: HashMap::new(),
             delayed_batches: Vec::new(),
-            messages: 0,
-            dropped: 0,
-            delayed: 0,
-            duplicated: 0,
-            lost: 0,
-            max_width: 0,
-            stepped: 0,
-            newly_halted: 0,
-            newly_unhalted: 0,
+            counts: Counts::default(),
             new_wakes: Vec::new(),
         }
-    }
-
-    /// Messages left in the buckets for routing: the sent ones, minus the
-    /// dropped, delayed and lost ones, plus the duplicates.
-    pub(crate) fn staged(&self) -> usize {
-        self.messages + self.duplicated - self.dropped - self.delayed - self.lost
     }
 
     /// Number of destination buckets.
@@ -255,15 +270,7 @@ impl<M> ShardYield<M> {
         }
         self.store.clear();
         self.delayed_batches.clear();
-        self.messages = 0;
-        self.dropped = 0;
-        self.delayed = 0;
-        self.duplicated = 0;
-        self.lost = 0;
-        self.max_width = 0;
-        self.stepped = 0;
-        self.newly_halted = 0;
-        self.newly_unhalted = 0;
+        self.counts = Counts::default();
         self.new_wakes.clear();
     }
 }
@@ -287,7 +294,11 @@ impl<M> ShardYield<M> {
 /// so gated runs replay bit-identically at any shard count; with the flag
 /// off, every node of the range is stepped — the historical full scan.
 ///
-/// Either path reports halt-vote *deltas* of the stepped nodes (an
+/// Round 0 is the init exchange: every node of the range calls `init`
+/// instead of `on_round`, with no frontier and no wake registration (the
+/// driver's boot rescan registers every node's first wake).
+///
+/// Every path reports halt-vote *deltas* of the stepped nodes (an
 /// unstepped node's vote cannot change, so the driver's running halt
 /// count stays exact without an O(range) census); the frontier path also
 /// records each stepped node's next wake request in `y.new_wakes`.
@@ -307,18 +318,22 @@ pub(crate) fn run_range<P: NodeProgram>(
     let mut step = |i: usize, y: &mut ShardYield<P::Message>| {
         let p = &mut programs[i];
         let was_halted = p.halted();
-        y.stepped += 1;
+        y.counts.stepped += 1;
         let mut ctx = NodeCtx::at(env.view, base + i, round);
-        let outbox = p.on_round(&mut ctx, inboxes.inbox(i));
+        let outbox = if round == 0 {
+            p.init(&mut ctx)
+        } else {
+            p.on_round(&mut ctx, inboxes.inbox(i))
+        };
         stage_outbox(ctx.id, outbox, ctx.neighbors, round, env, y);
         match (was_halted, p.halted()) {
-            (false, true) => y.newly_halted += 1,
-            (true, false) => y.newly_unhalted += 1,
+            (false, true) => y.counts.newly_halted += 1,
+            (true, false) => y.counts.newly_unhalted += 1,
             _ => {}
         }
         p.activation()
     };
-    if env.frontier {
+    if env.frontier && round > 0 {
         let len = inboxes.len();
         let mut step_and_wake = |i: usize, y: &mut ShardYield<P::Message>| {
             let wake = wake_round(step(i, y), round);
@@ -354,7 +369,7 @@ pub(crate) fn run_range<P: NodeProgram>(
 /// references and payloads, delay clones each delayed message out into an
 /// owned record and then truncates likewise, loss compacts references, and
 /// duplication appends a second reference to the same payload.
-pub(crate) fn stage_outbox<M: EngineMessage>(
+fn stage_outbox<M: EngineMessage>(
     src: VertexId,
     outbox: Outbox<M>,
     neighbors: &[VertexId],
@@ -383,8 +398,8 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
         .zip(&y.starts)
         .map(|(bucket, &s)| bucket.len() - s)
         .sum();
-    y.messages += batch_len;
-    y.max_width = y.max_width.max(width);
+    y.counts.messages += batch_len;
+    y.counts.max_width = y.counts.max_width.max(width);
     match env.faults.action(round, src) {
         FaultAction::Deliver => {
             // Loss first, duplication on the survivors: a lost message is
@@ -399,7 +414,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
             }
         }
         FaultAction::Drop => {
-            y.dropped += batch_len;
+            y.counts.dropped += batch_len;
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
                 bucket.truncate(y.starts[b]);
             }
@@ -409,7 +424,7 @@ pub(crate) fn stage_outbox<M: EngineMessage>(
             // The store is recycled two rounds on, so a delayed message
             // leaves it as an owned copy — the one place a payload is
             // cloned.
-            y.delayed += batch_len;
+            y.counts.delayed += batch_len;
             let mut batch = Vec::with_capacity(batch_len);
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
                 for &(dv, slot) in &bucket[y.starts[b]..] {
@@ -474,7 +489,7 @@ fn lose_batch<M: EngineMessage>(
                 .faults
                 .loses(round, src, env.view.original(dv), occurrence)
             {
-                y.lost += 1;
+                y.counts.lost += 1;
             } else {
                 bucket.swap(kept, start + j);
                 kept += 1;
@@ -513,7 +528,7 @@ fn duplicate_batch<M: EngineMessage>(
                 dups += 1;
             }
         }
-        y.duplicated += dups;
+        y.counts.duplicated += dups;
     }
 }
 
@@ -830,13 +845,6 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         Ok(total)
     }
 
-    /// The driver's own staging arena (group 0), for driver-side staging
-    /// outside any epoch — the round-0 init path stages here and then runs
-    /// an ordinary routing epoch.
-    pub(crate) fn home_arena(&mut self) -> &mut ShardYield<P::Message> {
-        &mut self.arenas[0]
-    }
-
     /// Visits every group's arena in deterministic group order (driver's
     /// group 0 first) between epochs — the driver tallies counters,
     /// collects fault-delayed batches, drains wake registrations (the group
@@ -913,7 +921,7 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.max_width, 2);
+        assert_eq!(y.counts.max_width, 2);
         assert_eq!(
             resolved(&y, 0),
             vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
@@ -924,12 +932,12 @@ mod tests {
             "one stored payload, one reference per neighbor"
         );
         stage_outbox(0, Outbox::Unicast(3, W(7)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.max_width, 7);
+        assert_eq!(y.counts.max_width, 7);
         assert_eq!(y.buckets[0].len(), 4, "appends after existing traffic");
         stage_outbox(0, Outbox::Silent, &neighbors, 1, &e, &mut y);
         stage_outbox(5, Outbox::Broadcast(W(5)), &[], 1, &e, &mut y);
         assert_eq!(y.buckets[0].len(), 4, "isolated broadcast is empty");
-        assert_eq!(y.messages, 4);
+        assert_eq!(y.counts.messages, 4);
         assert_eq!(y.store.len(), 2, "an isolated broadcast stores nothing");
     }
 
@@ -947,7 +955,7 @@ mod tests {
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(resolved(&y, 0), vec![(1, 3, W(1)), (2, 3, W(1))]);
         assert_eq!(resolved(&y, 1), vec![(4, 3, W(1)), (5, 3, W(1))]);
-        assert_eq!(y.messages, 4);
+        assert_eq!(y.counts.messages, 4);
         assert_eq!(y.store.len(), 1, "both buckets share one payload");
     }
 
@@ -960,13 +968,13 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
-        assert_eq!((y.messages, y.buckets[0].len()), (2, 2), "delivered");
+        assert_eq!((y.counts.messages, y.buckets[0].len()), (2, 2), "delivered");
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 5, &e, &mut y);
-        assert_eq!(y.dropped, 2, "dropped round truncates the arena");
+        assert_eq!(y.counts.dropped, 2, "dropped round truncates the arena");
         assert_eq!(y.buckets[0].len(), 2);
         assert_eq!(y.store.len(), 1, "and its payload");
         stage_outbox(0, Outbox::Broadcast(W(3)), &neighbors, 6, &e, &mut y);
-        assert_eq!(y.delayed, 2);
+        assert_eq!(y.counts.delayed, 2);
         assert_eq!(y.buckets[0].len(), 2, "delayed tail split out");
         assert_eq!(y.store.len(), 1, "delayed payloads leave the store");
         assert_eq!(y.delayed_batches.len(), 1);
@@ -976,7 +984,7 @@ mod tests {
             vec![(1, 0, W(3)), (2, 0, W(3))],
             "one owned record per delayed message"
         );
-        assert_eq!(y.messages, 6, "all three outboxes were *sent*");
+        assert_eq!(y.counts.messages, 6, "all three outboxes were *sent*");
     }
 
     #[test]
@@ -988,8 +996,8 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.messages, 2, "originals only");
-        assert_eq!(y.duplicated, 2, "probability 1.0 duplicates both");
+        assert_eq!(y.counts.messages, 2, "originals only");
+        assert_eq!(y.counts.duplicated, 2, "probability 1.0 duplicates both");
         assert_eq!(
             resolved(&y, 0),
             vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
@@ -1006,8 +1014,8 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.messages, 2, "loss does not change the sent count");
-        assert_eq!(y.lost, 2, "probability 1.0 loses both");
+        assert_eq!(y.counts.messages, 2, "loss does not change the sent count");
+        assert_eq!(y.counts.lost, 2, "probability 1.0 loses both");
         assert!(y.buckets[0].is_empty());
     }
 
@@ -1024,7 +1032,7 @@ mod tests {
             let e = env(&faults, &view, &bounds);
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-            if y.lost == 1 {
+            if y.counts.lost == 1 {
                 let kept: Vec<u32> = y.buckets[0].iter().map(|r| r.0).collect();
                 assert_eq!(kept.len(), 2);
                 assert!(kept.windows(2).all(|w| w[0] < w[1]), "order preserved");
@@ -1074,8 +1082,8 @@ mod tests {
                 let e = env(&faults, &view, &bounds);
                 let mut y: ShardYield<W> = ShardYield::with_groups(bounds.len() - 1);
                 stage_outbox(0, Outbox::Multi(batch.clone()), &neighbors, 1, &e, &mut y);
-                assert_eq!(y.lost, batch.len() - survivors.len(), "seed {seed}");
-                assert_eq!(y.duplicated, dups.len(), "seed {seed}");
+                assert_eq!(y.counts.lost, batch.len() - survivors.len(), "seed {seed}");
+                assert_eq!(y.counts.duplicated, dups.len(), "seed {seed}");
                 for b in 0..bounds.len() - 1 {
                     let mine = |m: &&(usize, W)| e.group_of(m.0) == b;
                     let expect: Vec<(usize, W)> = survivors
@@ -1337,7 +1345,7 @@ mod tests {
         };
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
-        assert_eq!(y.stepped, 2);
+        assert_eq!(y.counts.stepped, 2);
         assert_eq!(resolved(&y, 0), vec![(0, 1, W(1)), (0, 2, W(2))]);
     }
 

@@ -478,24 +478,24 @@ mod tests {
 
     #[test]
     fn budgets_keep_worker_twins_apart() {
-        // One worker scales badly (1 → 2 ms), a worker per shard well
-        // (10 → 1 ms). A min over both worker specs would see 1 ms at both
-        // shard counts and pass; judged per worker spec, the single-worker
-        // pair blows the budget.
+        // The hardware-sized pool scales badly (1 → 2 ms), a worker per
+        // shard well (10 → 1 ms). A min over both worker specs would see
+        // 1 ms at both shard counts and pass; judged per worker spec, the
+        // auto pair blows the budget.
         let (suite, out) = run_with_walls(
             r#"{"name": "t", "scenarios": [{
                 "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
-                "shards": [1, 2], "workers": [1, "shards"]
+                "shards": [1, 2], "workers": ["auto", "shards"]
             }], "checks": [{"kind": "budget", "metric": "shard-ratio", "max": 1.5}]}"#,
             |s| match (s.workers, s.shards) {
-                (WorkerSpec::Fixed(_), 1) => 1.0,
-                (WorkerSpec::Fixed(_), _) => 2.0,
+                (WorkerSpec::Auto, 1) => 1.0,
+                (WorkerSpec::Auto, _) => 2.0,
                 (_, 1) => 10.0,
                 _ => 1.0,
             },
         );
         let outcome = &evaluate(&suite, &out)[0];
-        assert!(!outcome.passed, "the single-worker pair scales 2x");
+        assert!(!outcome.passed, "the auto pair scales 2x");
         assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
         assert!(outcome.violations[0].contains("ratio 2.00"));
     }

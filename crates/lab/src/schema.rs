@@ -90,8 +90,6 @@ pub struct Scenario {
 pub enum WorkerSpec {
     /// Hardware-sized pool (`EngineConfig::workers = 0`).
     Auto,
-    /// Exactly this many workers.
-    Fixed(usize),
     /// One worker group per shard — the determinism gate's forcing mode.
     MatchShards,
 }
@@ -101,7 +99,6 @@ impl WorkerSpec {
     pub fn resolve(self, shards: usize) -> usize {
         match self {
             WorkerSpec::Auto => 0,
-            WorkerSpec::Fixed(w) => w,
             WorkerSpec::MatchShards => shards,
         }
     }
@@ -110,7 +107,6 @@ impl WorkerSpec {
     pub fn label(self) -> String {
         match self {
             WorkerSpec::Auto => "auto".into(),
-            WorkerSpec::Fixed(w) => format!("{w}"),
             WorkerSpec::MatchShards => "shards".into(),
         }
     }
@@ -557,16 +553,7 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
         workers: axis(v, "workers", |item| match item {
             Value::Str(s) if s == "auto" => Ok(WorkerSpec::Auto),
             Value::Str(s) if s == "shards" => Ok(WorkerSpec::MatchShards),
-            other => other
-                .as_usize()
-                .map(|w| {
-                    if w == 0 {
-                        WorkerSpec::Auto
-                    } else {
-                        WorkerSpec::Fixed(w)
-                    }
-                })
-                .ok_or("expected an integer, \"auto\", or \"shards\"".into()),
+            _ => Err("expected \"auto\" or \"shards\"".into()),
         })?
         .unwrap_or_else(|| vec![WorkerSpec::Auto]),
         congest: axis(v, "congest", |item| {
@@ -789,7 +776,7 @@ mod tests {
             r#"{"name": "t", "scenarios": [{
                 "name": "s", "family": ["grid", "random-4-regular"], "n": [64, 100],
                 "seed": 7, "algorithm": "randomized", "shards": [0, 1, 8],
-                "workers": ["auto", "shards", 4],
+                "workers": ["auto", "shards"],
                 "congest": ["unlimited", "split:4"],
                 "faults": ["none", {"lose": {"seed": 3, "p": 0.1}}],
                 "reps": 3
@@ -799,14 +786,7 @@ mod tests {
         let s = &suite.scenarios[0];
         assert_eq!(s.family.len(), 2);
         assert_eq!(s.shards, vec![0, 1, 8]);
-        assert_eq!(
-            s.workers,
-            vec![
-                WorkerSpec::Auto,
-                WorkerSpec::MatchShards,
-                WorkerSpec::Fixed(4)
-            ]
-        );
+        assert_eq!(s.workers, vec![WorkerSpec::Auto, WorkerSpec::MatchShards]);
         assert_eq!(
             s.congest,
             vec![CongestSpec::Unlimited, CongestSpec::Split(4)]
@@ -898,6 +878,11 @@ mod tests {
         assert!(Suite::from_json(retired_budget)
             .unwrap_err()
             .contains("unknown budget metric"));
+        let integer_workers = MINIMAL.replace(r#""n": 64"#, r#""n": 64, "workers": 4"#);
+        assert_ne!(integer_workers, MINIMAL);
+        assert!(Suite::from_json(&integer_workers)
+            .unwrap_err()
+            .contains(r#"expected "auto" or "shards""#));
     }
 
     #[test]

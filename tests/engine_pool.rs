@@ -40,20 +40,15 @@ impl NodeProgram for Gossip {
     }
 }
 
-/// Panics (on one vertex) at a chosen round — the clean-shutdown workload.
+/// Panics (on one vertex) at a chosen round, round 0 being `init` — the
+/// clean-shutdown workload.
 struct PanicAt {
     round: u64,
     vertex: usize,
 }
 
-impl NodeProgram for PanicAt {
-    type Message = usize;
-
-    fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<usize> {
-        Outbox::Silent
-    }
-
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, usize>) -> Outbox<usize> {
+impl PanicAt {
+    fn step(&self, ctx: &NodeCtx<'_>) -> Outbox<usize> {
         assert!(
             !(ctx.round == self.round && ctx.id == self.vertex),
             "injected node-program panic at round {} vertex {}",
@@ -61,6 +56,18 @@ impl NodeProgram for PanicAt {
             self.vertex
         );
         Outbox::Silent
+    }
+}
+
+impl NodeProgram for PanicAt {
+    type Message = usize;
+
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<usize> {
+        self.step(ctx)
+    }
+
+    fn on_round(&mut self, ctx: &mut NodeCtx<'_>, _: Inbox<'_, usize>) -> Outbox<usize> {
+        self.step(ctx)
     }
 
     fn halted(&self) -> bool {
@@ -230,24 +237,35 @@ fn panic_propagates(g: &graphs::Graph, vertex: usize) -> Vec<u8> {
         // (joining a private pool) must not hang or double-panic...
         drop(sess);
         // ...and the machine must be reusable afterwards.
-        let mut fresh = gossip_session(g, workers, pool.as_ref());
-        let report = fresh.run_phase("recovery", Stop::Rounds(2));
-        assert_eq!(report.rounds, 2, "workers={workers}");
-        if shared {
-            let mut private = gossip_session(g, workers, None);
-            private.run_phase("recovery", Stop::Rounds(2));
-            let best = |s: &EngineSession<'_, Gossip>| -> Vec<usize> {
-                s.programs().iter().map(|p| p.best).collect()
-            };
-            assert_eq!(best(&fresh), best(&private), "workers={workers}");
-            assert_eq!(
-                fresh.metrics().message_counts(),
-                private.metrics().message_counts(),
-                "workers={workers}: the shared pool survives the panic intact"
-            );
-        }
+        assert_recovers(g, workers, pool.as_ref());
     }
     counts
+}
+
+/// A fresh `Gossip` session on `pool` (or a private one) after a panic runs
+/// normally; on a shared pool it must match a private pool's run exactly.
+fn assert_recovers(g: &graphs::Graph, workers: usize, pool: Option<&EnginePool>) {
+    let mut fresh = gossip_session(g, workers, pool);
+    let report = fresh.run_phase("recovery", Stop::Rounds(2));
+    assert_eq!(report.rounds, 2, "workers={workers}");
+    if pool.is_some() {
+        let mut private = gossip_session(g, workers, None);
+        private.run_phase("recovery", Stop::Rounds(2));
+        let best = |s: &EngineSession<'_, Gossip>| -> Vec<usize> {
+            s.programs().iter().map(|p| p.best).collect()
+        };
+        assert_eq!(best(&fresh), best(&private), "workers={workers}");
+        assert_eq!(
+            fresh.metrics().message_counts(),
+            private.metrics().message_counts(),
+            "workers={workers}: the shared pool survives the panic intact"
+        );
+        assert_eq!(
+            fresh.metrics().total_messages(),
+            private.metrics().total_messages(),
+            "workers={workers}: init traffic included"
+        );
+    }
 }
 
 #[test]
@@ -263,6 +281,108 @@ fn node_program_panic_in_a_pooled_epoch_propagates() {
     // is raised — wakes the pool; the silent routing epoch does not.
     let counts = panic_propagates(&gen::path(4000), 3137);
     assert_eq!(counts, vec![1, 1]);
+}
+
+#[test]
+fn init_panic_propagates_out_of_new() {
+    // 4000 nodes: the init compute epoch wakes the pool at workers ≥ 2,
+    // and vertex 3999 sits in the last worker group at every worker count.
+    let g = gen::path(4000);
+    for (workers, shared) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|w| [(w, false), (w, true)])
+    {
+        let pool = shared.then(|| EnginePool::new(workers));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            EngineSession::new(&g, config(workers, pool.as_ref()), |_| PanicAt {
+                round: 0,
+                vertex: 3999,
+            })
+        }));
+        let Err(payload) = caught else {
+            panic!("workers={workers} shared={shared}: init must panic");
+        };
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("panic payload is the assert message");
+        assert!(
+            msg.contains("injected node-program panic at round 0 vertex 3999"),
+            "workers={workers} shared={shared}: {msg}"
+        );
+        assert_recovers(&g, workers, pool.as_ref());
+    }
+}
+
+#[test]
+fn round_zero_faults_replay_in_pooled_init_epochs() {
+    // Every node broadcasts at init, and a round-0 drop, a round-0 delay,
+    // per-edge duplication and per-edge loss all hit that exchange. With
+    // 3000 live vertices both init epochs have work to wake the pool, so at
+    // workers ≥ 2 the faults are applied inside pooled epochs.
+    let g = gen::random_regular(3000, 4, 5);
+    let faults = FaultPlan::new()
+        .drop_outbox(2999, 0)
+        .drop_outbox(17, 0)
+        .delay_outbox(1500, 0, 2)
+        .delay_outbox(2400, 0, 1)
+        .duplicate_edges(3, 0.1)
+        .lose_edges(4, 0.1);
+    let run = |shards: usize, workers: usize| {
+        let config = EngineConfig::default()
+            .with_shards(shards)
+            .with_workers(workers)
+            .with_faults(faults.clone());
+        let mut sess = EngineSession::new(&g, config, |_| Gossip { best: 0 });
+        sess.run_phase("gossip", Stop::Rounds(6));
+        let (programs, m, _) = sess.into_parts();
+        let [init] = m.inits() else {
+            panic!("one init entry per session");
+        };
+        assert_eq!((init.round, init.stepped, init.live), (0, 3000, 3000));
+        assert_eq!(&*init.phase, "init");
+        let init_counts = (
+            init.messages,
+            init.dropped,
+            init.delayed,
+            init.duplicated,
+            init.lost,
+            init.payloads,
+            init.max_width,
+            init.driver_epochs,
+        );
+        let totals = [
+            m.total_messages(),
+            m.total_dropped(),
+            m.total_delayed(),
+            m.total_duplicated(),
+            m.total_lost(),
+            m.total_payloads(),
+            m.total_fragments(),
+            m.total_driver_epochs(),
+            m.max_width(),
+        ];
+        let best: Vec<usize> = programs.iter().map(|p| p.best).collect();
+        (best, m.message_counts(), totals, init_counts)
+    };
+    let baseline = run(1, 1);
+    let init = baseline.3;
+    assert_eq!(init.0, 4 * 3000, "every node broadcast at init");
+    assert_eq!(init.1, 8, "two dropped broadcasts of degree 4");
+    assert_eq!(init.2, 8, "two delayed broadcasts of degree 4");
+    assert!(
+        init.3 > 0 && init.4 > 0,
+        "duplication and loss fire at init"
+    );
+    assert_eq!(init.7, 0, "both init epochs wake the pool");
+    for shards in [1usize, 2, 8] {
+        for workers in [1usize, 2, 4] {
+            assert_eq!(
+                run(shards, workers),
+                baseline,
+                "shards = {shards}, workers = {workers}"
+            );
+        }
+    }
 }
 
 /// Randomized list coloring of a random 4-regular graph on `n` vertices,
@@ -384,12 +504,12 @@ fn driver_epoch_counts_are_shard_and_worker_invariant() {
             .collect();
         (
             metrics.total_driver_epochs(),
-            metrics.init_driver_epochs,
+            metrics.inits()[0].driver_epochs,
             per_round,
         )
     };
     let baseline = run(1, 1);
-    let epochs = 2 * baseline.2.len() + 1;
+    let epochs = 2 * (baseline.2.len() + 1);
     assert!(baseline.0 > 0, "some epochs run on the driver");
     assert!(baseline.0 < epochs, "some epochs wake the pool");
     for shards in [1usize, 2, 8] {
