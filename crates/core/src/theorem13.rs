@@ -112,7 +112,7 @@ pub struct SparseColoringConfig {
     /// session — classification, clique detection and, per extension level,
     /// the ruling forest, each forest's Cole–Vishkin pass, the class sweeps
     /// and the layered greedy — runs on a clone of it, so its CONGEST mode,
-    /// fault plan, frontier gating, seed, round cap, worker cap and pool
+    /// fault plan, frontier gating, round cap, worker cap and pool
     /// reach them all. Two fields are overwritten:
     /// `engine_shards` sets `shards`, and each session sets its own `mask`.
     /// Without a `pool`, the run spawns one [`EnginePool`] sized by
@@ -676,8 +676,13 @@ mod tests {
     fn engine_mode_boots_a_pinned_number_of_sessions() {
         // Every engine session records one init exchange, so the aggregate's
         // init entries count the sessions one run boots. The count is a
-        // pure function of the input and shard-invariant.
+        // pure function of the input and shard-invariant, and so are the
+        // node-steps and driver-run epochs summed over the executed rounds:
+        // a change to frontier gating or to the driver-epoch rule moves
+        // them.
         const SESSIONS: usize = 36;
+        const NODE_STEPS: usize = 163_793;
+        const DRIVER_EPOCHS: usize = 2_519;
         let g = gen::apollonian(2000, 3);
         let lists = ListAssignment::random(g.n(), 6, 12, 3);
         for shards in [1usize, 2] {
@@ -692,6 +697,9 @@ mod tests {
                 .engine_metrics;
             assert_eq!(m.inits().len(), SESSIONS, "shards={shards}");
             assert!(m.inits().iter().all(|r| r.round == 0));
+            let steps: usize = m.per_round().iter().map(|r| r.stepped).sum();
+            assert_eq!(steps, NODE_STEPS, "shards={shards}");
+            assert_eq!(m.total_driver_epochs(), DRIVER_EPOCHS, "shards={shards}");
         }
     }
 

@@ -20,6 +20,8 @@
 //!    group's store, one 8-byte reference per destination into buckets by
 //!    destination group; faults (deliver / drop / delay / duplicate)
 //!    apply, and each message's width is recorded, as traffic is staged.
+//!    Each group also owns its wake queue (the `wake` module): it pops the
+//!    round's due wakes and registers each stepped node's next one.
 //! 2. **Route** — after the driver tallies counters, swaps every group's
 //!    store into the `next` mailbox buffer and (re)schedules fault-delayed
 //!    batches, every worker counting-sorts its own bucket of every arena
@@ -30,16 +32,15 @@
 //!    fault-delayed traffic due sorts its spans. The buffers then flip.
 //!    Routing runs on the workers unless it is small — its wall time is
 //!    recorded per round ([`RoundMetrics::route_wall`]), measured from the
-//!    moment the compute epoch closes so the driver-side drain, batch
-//!    scheduling, and wake bookkeeping between the epochs are charged to
-//!    the routing epoch too.
+//!    moment the compute epoch closes so the driver-side drain and batch
+//!    scheduling between the epochs are charged to the routing epoch too.
 //!
 //! Round 0 is the LOCAL model's free knowledge exchange and runs through
 //! the same two epochs: [`EngineSession::new`] steps every live node's
-//! [`init`](NodeProgram::init) (no frontier), routes the result into round
-//! 1's inboxes, and then registers each node's first wake off its
-//! post-init [`Activation`] hint. It is charged no ledger round and is
-//! recorded as the session's [`EngineMetrics::inits`] entry.
+//! [`init`](NodeProgram::init) (no frontier), registers each node's first
+//! wake off its post-init hint, and routes the result into round 1's
+//! inboxes. It is charged no ledger round and is recorded as the
+//! session's [`EngineMetrics::inits`] entry.
 //!
 //! Determinism: program state is touched only by its owning worker group,
 //! inboxes are delivered in ascending original-sender order, programs that
@@ -48,7 +49,6 @@
 //! colorings, round counts, and per-round message counts are bit-identical
 //! across shard counts, worker counts, and thread schedules, masked or not.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,25 +58,12 @@ use local_model::RoundLedger;
 use crate::context::NodeCtx;
 use crate::exec::{EnginePool, Panic};
 use crate::faults::FaultPlan;
-use crate::mailbox::{Mailboxes, TwoLevelBits};
+use crate::mailbox::Mailboxes;
 use crate::metrics::{EngineMetrics, RoundMetrics};
 use crate::pool::{Counts, RouteEnv, StageEnv, WorkerPool};
-use crate::program::{Activation, NodeProgram};
+use crate::program::NodeProgram;
 use crate::shard::ShardPlan;
 use crate::view::GraphView;
-
-/// Resolves an [`Activation`] hint read after `round` into the wake-queue
-/// key: the first round at which the node must be stepped even without
-/// traffic (`u64::MAX` = never). `EveryRound` wants the very next round; a
-/// `WakeAt` in the past collapses to it too — the node was already stepped
-/// on time, so only future rounds matter.
-pub(crate) fn wake_round(hint: Activation, round: u64) -> u64 {
-    match hint {
-        Activation::EveryRound => round + 1,
-        Activation::OnMessage => u64::MAX,
-        Activation::WakeAt(r) => r.max(round + 1),
-    }
-}
 
 /// Epoch work below which the driver runs every group's share itself, in
 /// group order, and leaves the workers parked — see [`on_driver`].
@@ -97,9 +84,10 @@ pub(crate) fn wake_round(hint: Activation, round: u64) -> u64 {
 const DRIVER_EPOCH_WORK: usize = 1024;
 
 /// Whether an epoch of `work` units runs on the driver thread alone. Work
-/// is counted in vertices for a compute epoch (frontier plus due wakes, or
-/// every live vertex without gating and in round 0) and in messages for a
-/// routing epoch (staged, due-delayed, and stale spans to reset). Every
+/// is counted in vertices for a compute epoch (the inbox frontier plus the
+/// wakes standing for the round in the groups' queues, or every live
+/// vertex without gating and in round 0) and in messages for a routing
+/// epoch (staged, due-delayed, and stale spans to reset). Every
 /// term is the same at any shard and worker count, so the choice is too,
 /// and outputs stay bit-identical by construction: the same per-group job
 /// runs either way.
@@ -163,9 +151,6 @@ pub struct EngineConfig {
     /// available CPU. Purely a performance knob — results are bit-identical
     /// for any value.
     pub workers: usize,
-    /// Global seed: by convention, seeds the per-node streams
-    /// ([`node_rng`](crate::node_rng)) of programs that draw randomness.
-    pub seed: u64,
     /// Hard cap on total **logical** rounds across all phases of a session.
     pub max_rounds: u64,
     /// Outbox fault schedule (empty by default).
@@ -178,10 +163,10 @@ pub struct EngineConfig {
     /// over-budget messages across virtual rounds. See [`CongestMode`].
     pub congest: CongestMode,
     /// Frontier-sparse rounds (default `true`): skip the `on_round` step of
-    /// nodes with an empty inbox whose [`Activation`] hint does not request
-    /// the round. Results are bit-identical when programs keep the
-    /// activation contract; `false` forces the full scan, which exists only
-    /// as the oracle of the frontier equivalence tests.
+    /// nodes with an empty inbox whose [`Activation`](crate::Activation)
+    /// hint does not request the round. Results are bit-identical when
+    /// programs keep the activation contract; `false` forces the full scan,
+    /// which exists only as the oracle of the frontier equivalence tests.
     pub frontier: bool,
     /// Shared worker pool: `Some` makes the session borrow these threads
     /// instead of spawning its own — see [`EnginePool`]. When set, the pool
@@ -194,7 +179,6 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 1,
             workers: 0,
-            seed: 0,
             max_rounds: 100_000,
             faults: FaultPlan::new(),
             mask: None,
@@ -219,13 +203,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the global seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -276,8 +253,9 @@ impl EngineConfig {
 
     /// Enables or disables frontier-sparse rounds (default on). With
     /// `false` every node steps every round regardless of traffic or its
-    /// [`Activation`] hint. The full scan exists only as the reference side
-    /// of the frontier equivalence tests; no benchmark or suite runs it.
+    /// [`Activation`](crate::Activation) hint. The full scan exists only as
+    /// the reference side of the frontier equivalence tests; no benchmark
+    /// or suite runs it.
     #[must_use]
     pub fn with_frontier(mut self, frontier: bool) -> Self {
         self.frontier = frontier;
@@ -369,11 +347,9 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     view: GraphView<'g>,
     config: EngineConfig,
     plan: ShardPlan,
-    /// One contiguous dense vertex range per worker group, ascending,
-    /// aligned to shard boundaries.
-    groups: Vec<std::ops::Range<usize>>,
-    /// `groups` as flat boundaries (`len = groups + 1`), for the staging
-    /// path's destination-group lookup.
+    /// The worker groups' dense ranges (ascending, aligned to shard
+    /// boundaries) as flat boundaries (`len = groups + 1`), for the
+    /// staging path's destination-group lookup.
     bounds: Vec<usize>,
     pool: WorkerPool<P>,
     programs: Vec<P>,
@@ -386,29 +362,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     /// cannot change), so the [`Stop::AllHalted`] check and the
     /// `active_nodes` metric are O(1) instead of an O(n) census.
     halted: usize,
-    /// Per dense vertex: the wake-queue round this node's latest
-    /// registration targets (`u64::MAX` = none). The dedup/invalidation
-    /// key: a queue entry fires only while it still matches, and is
-    /// consumed (set to `MAX`) when it does.
-    next_wake: Vec<u64>,
-    /// Per worker group: scheduled wakes, bucketed by due round. Fed by the
-    /// workers' post-step [`Activation`] hints (via `ShardYield::new_wakes`)
-    /// and the boot/`for_each_program` rescans; drained into `due` at the
-    /// round's start. Empty when `config.frontier` is off.
-    wakes: Vec<BTreeMap<u64, Vec<usize>>>,
-    /// Per worker group: this round's validated due list (absolute dense
-    /// indices), handed to the compute epoch alongside the inbox active
-    /// lists. Ascending, like the active lists, so the compute epoch can
-    /// step its frontier in dense order.
-    due: Vec<Vec<usize>>,
-    /// Per worker group: the bitmap `due` is drained through (indexed
-    /// relative to the group's range start). Wake buckets fill in
-    /// registration order; draining the bitmap hands out the due list
-    /// ascending without a comparison sort.
-    due_bits: Vec<TwoLevelBits>,
-    /// Recycled wake-bucket vectors, so steady-state queue churn (one
-    /// bucket per round for `EveryRound` programs) allocates nothing.
-    spare: Vec<Vec<usize>>,
     /// Set when a node-program panic unwound out of a round: program state
     /// is partially stepped and the round was rolled back, so continuing
     /// would silently break the replay contract. Further stepping refuses
@@ -454,7 +407,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 .pool
                 .clone()
                 .unwrap_or_else(|| EnginePool::new(groups.len())),
-            groups.len(),
+            groups,
         );
         // Dense order is ascending original id: the factory's contract.
         let programs: Vec<P> = (0..live)
@@ -463,29 +416,21 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let mut session = EngineSession {
             mail: Mailboxes::new(live, bounds.clone()),
             halted: programs.iter().filter(|p| p.halted()).count(),
-            next_wake: vec![u64::MAX; live],
-            wakes: (0..groups.len()).map(|_| BTreeMap::new()).collect(),
-            due: (0..groups.len()).map(|_| Vec::new()).collect(),
-            due_bits: (0..groups.len()).map(|_| TwoLevelBits::default()).collect(),
             view,
             config,
             plan,
-            groups,
             bounds,
             pool,
             programs,
             metrics: EngineMetrics::default(),
             ledger: RoundLedger::new(),
             round: 0,
-            spare: Vec::new(),
             poisoned: false,
         };
-        // Round 0 runs every `init` through the ordinary round path, then
-        // the frontier bookkeeping boots off the post-init program state.
+        // Round 0 runs every `init` through the ordinary round path.
         if let Err(payload) = session.run_round(0, &Arc::from("init")) {
             std::panic::resume_unwind(payload);
         }
-        session.rescan();
         session
     }
 
@@ -553,38 +498,16 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// Host-side hook between phases: mutate every live program, in
     /// ascending **original** vertex order (the id passed to `f`). This is
     /// the "synchronizer" seam multi-phase algorithms use to switch modes
-    /// without spending communication rounds.
+    /// without spending communication rounds. Since `f` may rewrite any
+    /// program's state, the halt votes are recounted and every node's
+    /// activation hint is registered afresh.
     pub fn for_each_program(&mut self, mut f: impl FnMut(VertexId, &mut P)) {
         for (dv, p) in self.programs.iter_mut().enumerate() {
             f(self.view.original(dv), p);
         }
-        self.rescan();
-    }
-
-    /// Recounts the halt votes and re-registers every node's activation
-    /// hint against the current round — after the init exchange and after
-    /// the host hook, either of which may have rewritten any program's
-    /// state. Queue entries the rescan supersedes are invalidated at fire
-    /// time by the `next_wake` match, so nothing needs removing here.
-    fn rescan(&mut self) {
         self.halted = self.programs.iter().filter(|p| p.halted()).count();
         if self.config.frontier {
-            let round = self.round;
-            for (g, range) in self.groups.iter().enumerate() {
-                for dv in range.clone() {
-                    let wake = wake_round(self.programs[dv].activation(), round);
-                    if self.next_wake[dv] == wake {
-                        continue;
-                    }
-                    self.next_wake[dv] = wake;
-                    if wake != u64::MAX {
-                        self.wakes[g]
-                            .entry(wake)
-                            .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                            .push(dv);
-                    }
-                }
-            }
+            self.pool.rescan(&self.programs, self.round);
         }
     }
 
@@ -687,31 +610,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let live = self.programs.len();
         let active_nodes = live - self.halted;
 
-        // Assemble this round's due wake lists: pop the round's bucket per
-        // group and keep only entries whose registration still stands —
-        // superseded ones are invalidated here, at fire time, and a firing
-        // entry is consumed (its node re-registers after its step). The
-        // survivors pass through the group's bitmap, so each list ascends.
-        if self.config.frontier {
-            for (g, due) in self.due.iter_mut().enumerate() {
-                due.clear();
-                if let Some(mut bucket) = self.wakes[g].remove(&round) {
-                    let range = &self.groups[g];
-                    let bits = &mut self.due_bits[g];
-                    bits.ensure(range.len());
-                    for &dv in &bucket {
-                        if self.next_wake[dv] == round {
-                            self.next_wake[dv] = u64::MAX;
-                            bits.set(dv - range.start);
-                        }
-                    }
-                    bits.drain(|i| due.push(range.start + i));
-                    bucket.clear();
-                    self.spare.push(bucket);
-                }
-            }
-        }
-
         let split = self.config.congest.split_width().unwrap_or(usize::MAX);
         let env = StageEnv {
             faults: &self.config.faults,
@@ -722,32 +620,26 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         };
         // Round 0 steps every live node, like a round without gating.
         let compute_inline = on_driver(if self.config.frontier && round > 0 {
-            self.mail.frontier() + self.due.iter().map(Vec::len).sum::<usize>()
+            self.mail.frontier() + self.pool.due_count(round)
         } else {
             live
         });
         self.pool.execute(
             &mut self.programs,
             self.mail.cur(),
-            &self.due,
             &env,
             round,
-            &self.groups,
             compute_inline,
         )?;
 
         // The routing epoch starts when the compute epoch closes: the
-        // driver-side arena drain, delay scheduling, and wake bookkeeping
-        // below all feed the rebuild of `next`, so `route_wall` charges
-        // them too — the lab's `route-frac` budget judges the whole epoch.
+        // driver-side arena drain and delay scheduling below feed the
+        // rebuild of `next`, so `route_wall` charges them too — the lab's
+        // `route-frac` budget judges the whole epoch.
         let route_started = Instant::now();
         let mut counts = Counts::default();
         let mut payloads = 0;
         let mail = &mut self.mail;
-        let next_wake = &mut self.next_wake;
-        let wakes = &mut self.wakes;
-        let spare = &mut self.spare;
-        let frontier = self.config.frontier;
         self.pool.collect_yields(|g, y| {
             counts.add(&y.counts);
             for (due, batch) in y.delayed_batches.drain(..) {
@@ -755,23 +647,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             }
             payloads += y.store.len();
             mail.adopt(g, &mut y.store, &mut y.buckets);
-            if frontier {
-                // Register each stepped node's next wake. Group `g`'s arena
-                // holds only its own range, so the group index is the
-                // bucket-queue key — no per-node group lookup.
-                for (dv, wake) in y.new_wakes.drain(..) {
-                    if next_wake[dv] == wake {
-                        continue;
-                    }
-                    next_wake[dv] = wake;
-                    if wake != u64::MAX {
-                        wakes[g]
-                            .entry(wake)
-                            .or_insert_with(|| spare.pop().unwrap_or_default())
-                            .push(dv);
-                    }
-                }
-            }
         });
         self.halted = self.halted + counts.newly_halted - counts.newly_unhalted;
         payloads += self.mail.inject_due(round + 1, split);
@@ -785,9 +660,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         };
         // Routing is engine code, not program code — a panic here is a bug,
         // but the epoch still closed, so the caller can propagate it alike.
-        let tally = self
-            .pool
-            .route(&mut self.mail, &self.groups, &route_env, route_inline)?;
+        let tally = self.pool.route(&mut self.mail, &route_env, route_inline)?;
         self.mail.flip();
         let route_wall = route_started.elapsed();
 

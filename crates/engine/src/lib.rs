@@ -120,6 +120,7 @@ pub mod program;
 pub mod programs;
 pub mod shard;
 pub mod view;
+mod wake;
 
 pub use context::{node_rng, NodeCtx};
 pub use driver::{CongestMode, EngineConfig, EngineSession, PhaseReport, Stop, SPLIT_PHASE};

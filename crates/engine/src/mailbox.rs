@@ -126,7 +126,8 @@ pub(crate) type Ref = (u32, u32);
 /// A reusable two-level bitmap: one bit per element plus a summary bit
 /// per 64-bit word, so the set bits of a sparse domain are enumerable in
 /// ascending order in O(set + domain/4096) — how the routing epoch builds
-/// its active lists and the driver its due lists without sorting them.
+/// its active lists and each group's wake queue its due lists without
+/// sorting them.
 /// Grown on demand and cleared by its own drain, it allocates nothing at
 /// steady state.
 #[derive(Default)]

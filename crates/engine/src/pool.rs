@@ -20,16 +20,18 @@
 //! state.
 //!
 //! * **Compute epoch** — group `g` owns its slice of the programs and its
-//!   staging arena ([`ShardYield`]), and reads its inboxes shared. It walks
-//!   its dense vertex range, calling `on_round` and staging outbound
-//!   traffic in its arena. Each payload is moved once into the arena's
-//!   **store**, as a `(sender, payload)` entry — one per `Broadcast`, one
-//!   per `Unicast` or `Multi` message — and each point-to-point message
-//!   becomes an 8-byte `(destination, slot)` reference. References are
-//!   **bucketed by destination group**: one for a vertex owned by group `b`
-//!   lands in bucket `b`. No payload is cloned per edge; duplication faults
-//!   push a second reference to the same slot, and split mode round-trips
-//!   an over-budget payload once, as it is stored.
+//!   state ([`ShardYield`]: staging arena and wake queue), and reads its
+//!   inboxes shared. It pops the round's due wakes, steps its frontier
+//!   (calling `on_round` and registering each stepped node's next wake),
+//!   and stages outbound traffic in its arena. Each payload is moved once
+//!   into the arena's **store**, as a `(sender, payload)` entry — one per
+//!   `Broadcast`, one per `Unicast` or `Multi` message — and each
+//!   point-to-point message becomes an 8-byte `(destination, slot)`
+//!   reference. References are **bucketed by destination group**: one for
+//!   a vertex owned by group `b` lands in bucket `b`. No payload is cloned
+//!   per edge; duplication faults push a second reference to the same
+//!   slot, and split mode round-trips an over-budget payload once, as it is
+//!   stored.
 //! * **Handoff** — the driver tallies fault counters, schedules
 //!   fault-delayed batches, and hands every arena's round to the mailboxes
 //!   (`Mailboxes::adopt`): arena `g`'s store is swapped into the `next`
@@ -96,7 +98,6 @@ use std::ops::Range;
 use graphs::VertexId;
 
 use crate::context::NodeCtx;
-use crate::driver::wake_round;
 use crate::exec::{EnginePool, Panic};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
@@ -105,6 +106,7 @@ use crate::mailbox::{
 };
 use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
+use crate::wake::{wake_round, WakeQueue};
 
 /// Everything a step needs besides the program and its inbox: the fault
 /// plan, the session's view (contexts and the original → dense id map),
@@ -156,10 +158,11 @@ pub(crate) struct RouteEnv<'a> {
     pub(crate) view: &'a GraphView<'a>,
 }
 
-/// One worker group's per-round contribution: its payload store, a
-/// persistent staging arena of references (bucketed by destination group)
-/// for outbound traffic, and the round's observed counters. Reused across
-/// rounds — [`reset`](ShardYield::reset) clears without releasing capacity.
+/// One worker group's state: its payload store, a persistent staging
+/// arena of references (bucketed by destination group) for outbound
+/// traffic, the round's observed counters, and the wake queue of its dense
+/// range. Reused across rounds — [`reset`](ShardYield::reset) clears the
+/// round's part without releasing capacity.
 pub(crate) struct ShardYield<M> {
     /// Outbound references staged this round (surviving faults),
     /// `(destination, slot in store)`, bucketed by destination worker
@@ -185,12 +188,12 @@ pub(crate) struct ShardYield<M> {
     pub(crate) delayed_batches: Vec<(u64, Vec<Routed<M>>)>,
     /// The round's observed counters.
     pub(crate) counts: Counts,
-    /// Wake registrations of the stepped nodes, `(dense index, due
-    /// round)` with `u64::MAX` = never — each node's post-step
-    /// [`Activation`] hint resolved against the current round. Drained by
-    /// the driver into its per-group wake queues between epochs. Filled
-    /// only when `env.frontier` is set.
-    pub(crate) new_wakes: Vec<(usize, u64)>,
+    /// The group's scheduled wakes: each stepped node's post-step
+    /// [`Activation`](crate::Activation) hint, registered as it is
+    /// stepped. Used only when `env.frontier` is set.
+    wakes: WakeQueue,
+    /// Scratch: the round's due list, popped from `wakes`.
+    due: Vec<usize>,
 }
 
 /// One worker group's observed counters for a round; the driver sums the
@@ -243,8 +246,9 @@ impl Counts {
 }
 
 impl<M> ShardYield<M> {
-    /// An arena with one bucket per destination worker group.
-    pub(crate) fn with_groups(groups: usize) -> Self {
+    /// The state of the group owning dense range `range`, with one bucket
+    /// per destination worker group.
+    pub(crate) fn new(groups: usize, range: Range<usize>) -> Self {
         ShardYield {
             buckets: (0..groups).map(|_| Vec::new()).collect(),
             store: Store::default(),
@@ -254,7 +258,8 @@ impl<M> ShardYield<M> {
             seen: HashMap::new(),
             delayed_batches: Vec::new(),
             counts: Counts::default(),
-            new_wakes: Vec::new(),
+            wakes: WakeQueue::new(range),
+            due: Vec::new(),
         }
     }
 
@@ -271,7 +276,6 @@ impl<M> ShardYield<M> {
         self.store.clear();
         self.delayed_batches.clear();
         self.counts = Counts::default();
-        self.new_wakes.clear();
     }
 }
 
@@ -285,27 +289,27 @@ impl<M> ShardYield<M> {
 ///
 /// With `env.frontier` set this is **frontier-indexed**: instead of
 /// scanning the whole range, only the vertices of the inbox active list
-/// (built for free by last round's routing epoch) merged with the
-/// driver's `due` wake list (both ascending) are stepped, so quiescent-bulk
-/// rounds cost O(frontier) rather than O(range). A node in neither list
-/// behaves exactly as if its `on_round` had returned `Silent` without
-/// touching state — the [`Activation`](crate::Activation) contract. Both lists are pure
-/// functions of shard-invariant state (the routed traffic and the hints),
-/// so gated runs replay bit-identically at any shard count; with the flag
-/// off, every node of the range is stepped — the historical full scan.
+/// (built for free by last round's routing epoch) merged with the round's
+/// due list, popped from the group's own wake queue (both ascending), are
+/// stepped, so quiescent-bulk rounds cost O(frontier) rather than
+/// O(range). A node in neither list behaves exactly as if its `on_round`
+/// had returned `Silent` without touching state — the
+/// [`Activation`](crate::Activation) contract. Each stepped node's
+/// post-step hint is registered in the queue as it is stepped. Both lists
+/// are pure functions of shard-invariant state (the routed traffic and the
+/// hints), so gated runs replay bit-identically at any shard count; with
+/// the flag off, every node of the range is stepped — the historical full
+/// scan — and no wake is registered.
 ///
 /// Round 0 is the init exchange: every node of the range calls `init`
-/// instead of `on_round`, with no frontier and no wake registration (the
-/// driver's boot rescan registers every node's first wake).
+/// instead of `on_round`, with no frontier, and registers its first wake.
 ///
 /// Every path reports halt-vote *deltas* of the stepped nodes (an
 /// unstepped node's vote cannot change, so the driver's running halt
-/// count stays exact without an O(range) census); the frontier path also
-/// records each stepped node's next wake request in `y.new_wakes`.
+/// count stays exact without an O(range) census).
 pub(crate) fn run_range<P: NodeProgram>(
     programs: &mut [P],
     inboxes: GroupInboxes<'_, P::Message>,
-    due: &[usize],
     base: usize,
     round: u64,
     env: &StageEnv<'_>,
@@ -313,8 +317,6 @@ pub(crate) fn run_range<P: NodeProgram>(
 ) {
     y.reset();
     debug_assert_eq!(inboxes.len(), programs.len());
-    // Steps local vertex `i`; returns its post-step activation hint for
-    // the frontier path's wake registration.
     let mut step = |i: usize, y: &mut ShardYield<P::Message>| {
         let p = &mut programs[i];
         let was_halted = p.halted();
@@ -331,31 +333,31 @@ pub(crate) fn run_range<P: NodeProgram>(
             (true, false) => y.counts.newly_unhalted += 1,
             _ => {}
         }
-        p.activation()
+        if env.frontier {
+            y.wakes
+                .register(base + i, wake_round(p.activation(), round));
+        }
     };
     if env.frontier && round > 0 {
         let len = inboxes.len();
-        let mut step_and_wake = |i: usize, y: &mut ShardYield<P::Message>| {
-            let wake = wake_round(step(i, y), round);
-            y.new_wakes.push((base + i, wake));
-        };
-        debug_assert!(due.windows(2).all(|w| w[0] < w[1]), "due ascends");
-        debug_assert!(due.iter().all(|&dv| dv >= base && dv - base < len));
+        let mut due = std::mem::take(&mut y.due);
+        y.wakes.pop(round, &mut due);
         // Merge the two ascending lists. A due node with traffic is also on
         // the active list (active holds exactly the non-empty inboxes) and
         // is stepped once, from there.
-        let mut due = due.iter().copied().peekable();
+        let mut pending = due.iter().copied().peekable();
         for &dv in inboxes.active {
             debug_assert!(dv >= base && dv - base < len);
-            while let Some(d) = due.next_if(|&d| d < dv) {
-                step_and_wake(d - base, y);
+            while let Some(d) = pending.next_if(|&d| d < dv) {
+                step(d - base, y);
             }
-            due.next_if_eq(&dv);
-            step_and_wake(dv - base, y);
+            pending.next_if_eq(&dv);
+            step(dv - base, y);
         }
-        for d in due {
-            step_and_wake(d - base, y);
+        for d in pending {
+            step(d - base, y);
         }
+        y.due = due;
     } else {
         for i in 0..inboxes.len() {
             step(i, y);
@@ -745,30 +747,35 @@ fn route_range<M: EngineMessage>(
     tally
 }
 
-/// The typed session layer over an [`EnginePool`]: one session's staging
-/// arenas, and the two epochs of a round as [`EnginePool::run_groups`]
-/// jobs. A session with `groups < pool.workers()` leaves the surplus
-/// workers idling at the barriers.
+/// The typed session layer over an [`EnginePool`]: one session's
+/// per-group state, and the two epochs of a round as
+/// [`EnginePool::run_groups`] jobs. A session with
+/// `groups < pool.workers()` leaves the surplus workers idling at the
+/// barriers.
 pub(crate) struct WorkerPool<P: NodeProgram + 'static> {
     pool: EnginePool,
-    /// One staging arena per worker *group* (index 0 = the driver's own).
+    /// One contiguous dense vertex range per worker group, ascending.
+    ranges: Vec<Range<usize>>,
+    /// One state per worker *group* (index 0 = the driver's own).
     arenas: Vec<ShardYield<P::Message>>,
 }
 
 impl<P: NodeProgram + 'static> WorkerPool<P> {
-    /// Wraps `pool` for a session partitioned into `groups` worker groups
-    /// (`groups <= pool.workers()`), with one arena per group (bucketed
-    /// likewise).
-    pub(crate) fn new(pool: EnginePool, groups: usize) -> Self {
+    /// Wraps `pool` for a session partitioned into one worker group per
+    /// dense range of `ranges` (at most `pool.workers()` of them), each
+    /// with its own state (bucketed by group likewise).
+    pub(crate) fn new(pool: EnginePool, ranges: Vec<Range<usize>>) -> Self {
         assert!(
-            groups >= 1 && groups <= pool.workers(),
+            !ranges.is_empty() && ranges.len() <= pool.workers(),
             "worker groups must fit the pool"
         );
         WorkerPool {
             pool,
-            arenas: (0..groups)
-                .map(|_| ShardYield::with_groups(groups))
+            arenas: ranges
+                .iter()
+                .map(|range| ShardYield::new(ranges.len(), range.clone()))
                 .collect(),
+            ranges,
         }
     }
 
@@ -778,7 +785,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         self.arenas.len()
     }
 
-    /// Runs one **compute epoch**: group `g` steps its `ranges[g]` slice of
+    /// Runs one **compute epoch**: group `g` steps its range's slice of
     /// `programs` against its inboxes in `inboxes`, staging traffic into
     /// its own arena — on worker `g` (group 0 on the calling thread), or
     /// every group on the calling thread with `inline`. Returns the lowest
@@ -787,26 +794,18 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     /// re-park and join cleanly); the session layer is responsible for
     /// refusing further rounds, since the programs themselves are now
     /// partially stepped.
-    ///
-    /// `ranges` must be disjoint ascending sub-ranges of the dense arrays,
-    /// one per worker group, matching `env.bounds`; `due` is the driver's
-    /// per-group scheduled-wake lists for this round (absolute dense
-    /// indices, consulted only when `env.frontier` is set).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
         programs: &mut [P],
         inboxes: &Inboxes<P::Message>,
-        due: &[Vec<usize>],
         env: &StageEnv<'_>,
         round: u64,
-        ranges: &[Range<usize>],
         inline: bool,
     ) -> Result<(), Panic> {
-        assert_eq!(due.len(), self.arenas.len(), "one due list per group");
+        let ranges = &self.ranges;
         let job = |g: usize, programs: &mut [P], arena: &mut ShardYield<P::Message>| {
             let base = ranges[g].start;
-            run_range(programs, inboxes.group(g), &due[g], base, round, env, arena);
+            run_range(programs, inboxes.group(g), base, round, env, arena);
         };
         self.pool
             .run_groups(inline, programs, ranges, &mut self.arenas, &job)
@@ -814,20 +813,19 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 
     /// Runs one **routing epoch**: group `g` rebuilds its `next` inboxes
     /// from its inbound buckets plus its pending-delayed list, and
-    /// finalizes every span of `ranges[g]` (delayed-traffic sort / split
+    /// finalizes every span of its range (delayed-traffic sort / split
     /// tally / reorder) — on worker `g`, or every group on the calling
     /// thread with `inline`. Every arena's round must have been adopted
-    /// into `mail` first; `ranges` must match the compute epoch's. Then
-    /// hands the drained buckets back to the arenas. Returns the epoch's
-    /// [`RouteTally`].
+    /// into `mail` first. Then hands the drained buckets back to the
+    /// arenas. Returns the epoch's [`RouteTally`].
     pub(crate) fn route(
         &mut self,
         mail: &mut Mailboxes<P::Message>,
-        ranges: &[Range<usize>],
         env: &RouteEnv<'_>,
         inline: bool,
     ) -> Result<RouteTally, Panic> {
         let (counts, groups, stores) = mail.route_parts();
+        let ranges = &self.ranges;
         let job = |g: usize, counts: &mut [u32], group: &mut RouteGroup| {
             group.tally = route_range(counts, group, stores, ranges[g].start, env);
         };
@@ -845,11 +843,27 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         Ok(total)
     }
 
+    /// Wakes standing for `round`, summed over the groups' queues.
+    pub(crate) fn due_count(&self, round: u64) -> usize {
+        self.arenas.iter().map(|y| y.wakes.due_count(round)).sum()
+    }
+
+    /// Registers every node's current activation hint, read after `round`,
+    /// in its group's queue — for when the host rewrote program state
+    /// between rounds.
+    pub(crate) fn rescan(&mut self, programs: &[P], round: u64) {
+        for (range, y) in self.ranges.iter().zip(&mut self.arenas) {
+            for dv in range.clone() {
+                y.wakes
+                    .register(dv, wake_round(programs[dv].activation(), round));
+            }
+        }
+    }
+
     /// Visits every group's arena in deterministic group order (driver's
     /// group 0 first) between epochs — the driver tallies counters,
-    /// collects fault-delayed batches, drains wake registrations (the group
-    /// index keys the driver's per-group wake queues) and hands the arena's
-    /// round to the mailboxes here.
+    /// collects fault-delayed batches and hands the arena's round to the
+    /// mailboxes here.
     pub(crate) fn collect_yields(&mut self, mut f: impl FnMut(usize, &mut ShardYield<P::Message>)) {
         for (g, arena) in self.arenas.iter_mut().enumerate() {
             f(g, arena);
@@ -919,7 +933,7 @@ mod tests {
         let (g, bounds) = identity_graph(6);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.counts.max_width, 2);
         assert_eq!(
@@ -951,7 +965,7 @@ mod tests {
         let view = GraphView::whole(&g);
         let bounds = vec![0, 3, 6];
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(2);
+        let mut y: ShardYield<W> = ShardYield::new(2, 0..0);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(resolved(&y, 0), vec![(1, 3, W(1)), (2, 3, W(1))]);
         assert_eq!(resolved(&y, 1), vec![(4, 3, W(1)), (5, 3, W(1))]);
@@ -966,7 +980,7 @@ mod tests {
         let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
         assert_eq!((y.counts.messages, y.buckets[0].len()), (2, 2), "delivered");
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 5, &e, &mut y);
@@ -994,7 +1008,7 @@ mod tests {
         let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.counts.messages, 2, "originals only");
         assert_eq!(y.counts.duplicated, 2, "probability 1.0 duplicates both");
@@ -1012,7 +1026,7 @@ mod tests {
         let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.counts.messages, 2, "loss does not change the sent count");
         assert_eq!(y.counts.lost, 2, "probability 1.0 loses both");
@@ -1030,7 +1044,7 @@ mod tests {
         for seed in 0..64u64 {
             let faults = FaultPlan::new().lose_edges(seed, 0.5);
             let e = env(&faults, &view, &bounds);
-            let mut y: ShardYield<W> = ShardYield::with_groups(1);
+            let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.counts.lost == 1 {
                 let kept: Vec<u32> = y.buckets[0].iter().map(|r| r.0).collect();
@@ -1080,7 +1094,7 @@ mod tests {
             // each bucket holds its survivors, then its duplicates.
             for bounds in [vec![0, 4], vec![0, 2, 4]] {
                 let e = env(&faults, &view, &bounds);
-                let mut y: ShardYield<W> = ShardYield::with_groups(bounds.len() - 1);
+                let mut y: ShardYield<W> = ShardYield::new(bounds.len() - 1, 0..0);
                 stage_outbox(0, Outbox::Multi(batch.clone()), &neighbors, 1, &e, &mut y);
                 assert_eq!(y.counts.lost, batch.len() - survivors.len(), "seed {seed}");
                 assert_eq!(y.counts.duplicated, dups.len(), "seed {seed}");
@@ -1109,7 +1123,7 @@ mod tests {
         let (g, bounds) = identity_graph(5);
         let view = GraphView::whole(&g);
         let e = env(&faults, &view, &bounds);
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
         stage_outbox(0, Outbox::Broadcast(W(1)), &[1, 2, 3, 4], 1, &e, &mut y);
         let cap = y.buckets[0].capacity();
         assert!(cap >= 4);
@@ -1152,6 +1166,11 @@ mod tests {
         }
     }
 
+    /// The group ranges between consecutive `bounds`.
+    fn ranges(bounds: &[usize]) -> Vec<Range<usize>> {
+        bounds.windows(2).map(|b| b[0]..b[1]).collect()
+    }
+
     /// The driver's side of a round after the compute epoch: hands every
     /// arena's round to `mail` (store swap and bucket transpose), then
     /// runs the routing epoch — pooled, or on the calling thread with
@@ -1159,13 +1178,11 @@ mod tests {
     fn hand_over_and_route(
         pool: &mut WorkerPool<Quiet>,
         mail: &mut Mailboxes<W>,
-        bounds: &[usize],
         env: &RouteEnv<'_>,
         inline: bool,
     ) -> RouteTally {
         pool.collect_yields(|g, y| mail.adopt(g, &mut y.store, &mut y.buckets));
-        let ranges: Vec<Range<usize>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
-        pool.route(mail, &ranges, env, inline)
+        pool.route(mail, env, inline)
             .expect("routing does not panic")
     }
 
@@ -1178,7 +1195,7 @@ mod tests {
         // delivery order.
         let bounds = [0, 3, 3];
         let mut mail: Mailboxes<W> = Mailboxes::new(3, bounds.to_vec());
-        let mut pool = WorkerPool::new(EnginePool::new(2), 2);
+        let mut pool = WorkerPool::new(EnginePool::new(2), ranges(&bounds));
         let traffic = [
             vec![
                 (0, 0, W(1)),
@@ -1198,7 +1215,7 @@ mod tests {
             reorder: None,
             view: &view,
         };
-        let tally = hand_over_and_route(&mut pool, &mut mail, &bounds, &env, false);
+        let tally = hand_over_and_route(&mut pool, &mut mail, &env, false);
         assert_eq!(tally.fragments, 0);
         for y in &pool.arenas {
             assert!(
@@ -1232,7 +1249,7 @@ mod tests {
         let mut mail: Mailboxes<W> = Mailboxes::new(2, bounds.to_vec());
         mail.schedule(5, vec![(0, 1, W(7))]);
         assert_eq!(mail.inject_due(5, usize::MAX), 1);
-        let mut pool = WorkerPool::new(EnginePool::new(1), 1);
+        let mut pool = WorkerPool::new(EnginePool::new(1), ranges(&bounds));
         stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
         let g = Graph::empty(2);
         let view = GraphView::whole(&g);
@@ -1242,7 +1259,7 @@ mod tests {
             reorder: None,
             view: &view,
         };
-        hand_over_and_route(&mut pool, &mut mail, &bounds, &env, true);
+        hand_over_and_route(&mut pool, &mut mail, &env, true);
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(6)), (1, W(7)), (1, W(8))]);
     }
@@ -1259,7 +1276,7 @@ mod tests {
         let group_of = |v: usize| bounds.partition_point(|&b| b <= v) - 1;
         let mut mail: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
         let mut spec: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
-        let mut pool = WorkerPool::new(EnginePool::new(3), 3);
+        let mut pool = WorkerPool::new(EnginePool::new(3), ranges(&bounds));
         for m in [&mut mail, &mut spec] {
             m.schedule(2, vec![(5, 6, W(900)), (0, 1, W(901)), (5, 2, W(902))]);
             m.schedule(3, vec![(3, 7, W(903))]);
@@ -1289,7 +1306,7 @@ mod tests {
                 spec.inject_due(round, usize::MAX)
             );
             stage(&mut pool, &bounds, &traffic);
-            hand_over_and_route(&mut pool, &mut mail, &bounds, &env, false);
+            hand_over_and_route(&mut pool, &mut mail, &env, false);
             spec.route_serial(flat, &env);
             mail.flip();
             spec.flip();
@@ -1310,7 +1327,8 @@ mod tests {
     #[test]
     fn frontier_steps_due_and_active_senders_in_ascending_order() {
         // Star 0–1, 0–2. Sender 2 has mail (active list), sender 1 is only
-        // due by a wake hint; both broadcast to receiver 0. Staging must
+        // due by a wake registered in the group's queue; both broadcast to
+        // receiver 0. Staging must
         // walk the merged frontier ascending, so the bucket — and with it
         // receiver 0's inbox — lists sender 1 before sender 2.
         struct Shout;
@@ -1343,10 +1361,13 @@ mod tests {
             active: &[2],
             stores: &stores,
         };
-        let mut y: ShardYield<W> = ShardYield::with_groups(1);
-        run_range(&mut programs, inboxes, &[1], 0, 1, &e, &mut y);
+        let mut y: ShardYield<W> = ShardYield::new(1, 0..3);
+        y.wakes.register(1, 1);
+        run_range(&mut programs, inboxes, 0, 1, &e, &mut y);
         assert_eq!(y.counts.stepped, 2);
         assert_eq!(resolved(&y, 0), vec![(0, 1, W(1)), (0, 2, W(2))]);
+        assert_eq!(y.wakes.due_count(1), 0, "the due wake was consumed");
+        assert_eq!(y.wakes.due_count(2), 2, "both stepped nodes re-registered");
     }
 
     #[test]

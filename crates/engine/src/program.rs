@@ -280,8 +280,11 @@ pub trait NodeProgram: Send {
 
     /// The node's standing wake-up request for rounds in which **no
     /// message arrives** (a non-empty inbox always steps the node). Read
-    /// once per round, before the step; must be a pure function of program
-    /// state, so it is shard-invariant like everything else.
+    /// after every step of the node (`init` included) and at every
+    /// [`for_each_program`](crate::EngineSession::for_each_program)
+    /// rescan, and only the latest reading stands (see
+    /// [`Activation::WakeAt`]); must be a pure function of program state,
+    /// so it is shard-invariant like everything else.
     ///
     /// Overriding this is the frontier-sparse contract: whenever the hint
     /// lets the engine skip a round, that round's `on_round` **would have

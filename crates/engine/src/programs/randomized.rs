@@ -187,8 +187,7 @@ pub fn engine_randomized_list_coloring(
         }
     }
     // The node RNG stream is the sequential contract: per_vertex_rng(seed, v),
-    // seeded in the factory below; the session seed follows it.
-    config.seed = seed;
+    // seeded in the factory below.
     config.mask = mask.cloned();
     config.max_rounds = config.max_rounds.min(2 * max_cycles);
     let mut sess = EngineSession::new(g, config, |ctx| RandomizedProgram {

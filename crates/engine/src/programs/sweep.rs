@@ -162,7 +162,7 @@ impl NodeProgram for SweepProgram {
 ///
 /// Every session runs on `config`: the masked sweep session and each
 /// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
-/// frontier, order, seed and round cap, and the returned metrics hold the
+/// frontier gating and round cap, and the returned metrics hold the
 /// rounds of both. The sweep runs over `mask`, overriding any
 /// `config.mask`; each Cole–Vishkin session runs over its forest's members
 /// (see [`engine_cole_vishkin_3color`]).

@@ -134,18 +134,6 @@ impl ShardPlan {
         debug_assert_eq!(s, shards);
         out
     }
-
-    /// Splits a slice into per-shard sub-slices (mutably), in shard order.
-    pub fn split_mut<'a, T>(&self, mut slice: &'a mut [T]) -> Vec<&'a mut [T]> {
-        assert_eq!(slice.len(), self.n(), "slice length must match plan");
-        let mut out = Vec::with_capacity(self.shards());
-        for s in 0..self.shards() {
-            let (head, tail) = slice.split_at_mut(self.range(s).len());
-            out.push(head);
-            slice = tail;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -274,16 +262,5 @@ mod tests {
         // 8 shards of 10 vertices over 3 groups: 3/3/2 shards.
         let sizes: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
         assert_eq!(sizes, vec![30, 30, 20]);
-    }
-
-    #[test]
-    fn split_mut_matches_ranges() {
-        let plan = ShardPlan::contiguous(7, 3);
-        let mut data: Vec<usize> = (0..7).collect();
-        let parts = plan.split_mut(&mut data);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], &[0, 1, 2]);
-        assert_eq!(parts[1], &[3, 4]);
-        assert_eq!(parts[2], &[5, 6]);
     }
 }
