@@ -21,9 +21,9 @@ use crate::ert::{color_component, ErtError};
 use crate::happy::Classification;
 use crate::lists::ListAssignment;
 use crate::state::ColoringState;
-use engine::{layered_slots, EngineConfig, EngineMetrics};
+use engine::{EngineConfig, EngineMetrics};
 use graphs::{ball, Graph, VertexId, VertexSet};
-use local_model::{degree_plus_one_coloring, ruling_forest, RoundLedger};
+use local_model::{degree_plus_one_coloring, layered_greedy, ruling_forest, RoundLedger};
 use std::fmt;
 
 /// Failure of the Lemma 3.2 extension.
@@ -79,7 +79,8 @@ fn reduced_list(
 /// `alive`, possibly recoloring some sad vertices. See module docs.
 ///
 /// `engine` selects the substrate for this level's communication phases:
-/// `None` runs the sequential simulations; `Some((template, sink))` runs
+/// `None` runs the sequential simulations (step 4's is
+/// [`local_model::layered_greedy`]); `Some((template, sink))` runs
 /// the ruling-forest construction (step 1, [`engine::engine_ruling_forest`]),
 /// the `(d+1)`-coloring (step 3,
 /// [`engine::engine_degree_plus_one_coloring`]), and the layered greedy
@@ -158,8 +159,8 @@ pub fn extend_to_happy_set(
     let class_count = members.iter().map(|&v| classes[v] + 1).max().unwrap_or(1);
 
     // 4. Layered greedy, leaves to roots, roots skipped — one (depth,
-    // class) slot per round, on the selected substrate. Both paths walk
-    // the shared [`layered_slots`] schedule.
+    // class) slot per round: the sequential twin or a masked engine
+    // session, bit-identical in colors and ledger charges.
     let reduced: Vec<Vec<usize>> = (0..n)
         .map(|v| {
             if scope.contains(v) {
@@ -169,27 +170,16 @@ pub fn extend_to_happy_set(
             }
         })
         .collect();
-    let max_depth = rf.max_depth();
     let tree_colors = match engine {
-        None => {
-            let mut st = ColoringState::new(g, scope.clone(), reduced);
-            for (depth, class) in layered_slots(max_depth, class_count) {
-                for &v in &members {
-                    if rf.depth[v] == depth && classes[v] == class {
-                        let c = *st
-                            .live_list(v)
-                            .first()
-                            .expect("Observation 5.1: parent uncolored ⇒ free color");
-                        st.assign(v, c);
-                    }
-                }
-            }
-            ledger.charge(
-                "layered-coloring",
-                (max_depth as u64) * (class_count as u64),
-            );
-            st.into_colors()
-        }
+        None => layered_greedy(
+            g,
+            &scope,
+            &reduced,
+            &rf.depth,
+            &classes,
+            class_count,
+            ledger,
+        ),
         Some((template, sink)) => {
             let (colors, metrics) = engine::engine_layered_greedy(
                 g,

@@ -347,10 +347,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     view: GraphView<'g>,
     config: EngineConfig,
     plan: ShardPlan,
-    /// The worker groups' dense ranges (ascending, aligned to shard
-    /// boundaries) as flat boundaries (`len = groups + 1`), for the
-    /// staging path's destination-group lookup.
-    bounds: Vec<usize>,
     pool: WorkerPool<P>,
     programs: Vec<P>,
     mail: Mailboxes<P::Message>,
@@ -400,6 +396,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             .as_ref()
             .map(|p| p.workers().min(plan.shards()).max(1))
             .unwrap_or_else(|| config.resolve_workers(plan.shards()));
+        // The group partition as flat boundaries, kept by the mailboxes.
         let groups = plan.group_ranges(pool_workers);
         let bounds: Vec<usize> = groups.iter().map(|r| r.start).chain([live]).collect();
         let pool = WorkerPool::new(
@@ -407,19 +404,18 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 .pool
                 .clone()
                 .unwrap_or_else(|| EnginePool::new(groups.len())),
-            groups,
+            &bounds,
         );
         // Dense order is ascending original id: the factory's contract.
         let programs: Vec<P> = (0..live)
             .map(|dv| factory(&NodeCtx::at(&view, dv, 0)))
             .collect();
         let mut session = EngineSession {
-            mail: Mailboxes::new(live, bounds.clone()),
+            mail: Mailboxes::new(live, bounds),
             halted: programs.iter().filter(|p| p.halted()).count(),
             view,
             config,
             plan,
-            bounds,
             pool,
             programs,
             metrics: EngineMetrics::default(),
@@ -507,7 +503,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         }
         self.halted = self.programs.iter().filter(|p| p.halted()).count();
         if self.config.frontier {
-            self.pool.rescan(&self.programs, self.round);
+            self.pool
+                .rescan(&self.programs, self.mail.bounds(), self.round);
         }
     }
 
@@ -614,7 +611,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let env = StageEnv {
             faults: &self.config.faults,
             view: &self.view,
-            bounds: &self.bounds,
+            bounds: self.mail.bounds(),
             split,
             frontier: self.config.frontier,
         };

@@ -4,7 +4,8 @@
 //! It holds the type-erased thread pool ([`EnginePool`] over a
 //! [`PoolCore`]) and a single primitive, [`EnginePool::run_groups`], which
 //! runs one epoch and hands worker group `g` two disjoint `&mut` parts:
-//! its `ranges[g]` slice of a per-vertex array and its own state. Every
+//! its `bounds[g]..bounds[g + 1]` slice of a per-vertex array and its own
+//! state. Every
 //! other module of the engine is safe code over those borrows. What needs
 //! the escape hatch, and why it is sound:
 //!
@@ -16,7 +17,7 @@
 //! * **Disjoint per-group parts.** [`EnginePool::run_groups`] derives
 //!   group `g`'s item slice and state from the base pointers of the two
 //!   slices it borrows `&mut` for the whole epoch. It checks that the
-//!   ranges ascend without overlapping and lie within the items, and the
+//!   bounds ascend and lie within the items, and the
 //!   core runs each group index at most once per epoch, so no two groups
 //!   alias.
 //!
@@ -27,7 +28,6 @@
 //! closes and shutdown always joins.
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -259,7 +259,8 @@ impl EnginePool {
     }
 
     /// Runs one epoch over `states.len()` worker groups: group `g` calls
-    /// `job(g, &mut items[ranges[g]], &mut states[g])` — on worker thread
+    /// `job(g, &mut items[bounds[g]..bounds[g + 1]], &mut states[g])` — on
+    /// worker thread
     /// `g` (group 0 on the calling thread), or, with `inline`, every group
     /// in group order on the calling thread while the workers stay parked.
     /// Surplus workers of a wider pool run nothing. Allocates nothing.
@@ -270,45 +271,48 @@ impl EnginePool {
     ///
     /// # Panics
     ///
-    /// Panics before running anything if `ranges` and `states` differ in
-    /// length, if the ranges are not ascending, disjoint and within
+    /// Panics before running anything if `bounds` does not hold one more
+    /// entry than `states`, if the bounds are not ascending and within
     /// `items`, if a pooled epoch has more groups than the pool has
     /// workers, or if the pool is already driving an epoch.
     pub(crate) fn run_groups<T: Send, S: Send>(
         &self,
         inline: bool,
         items: &mut [T],
-        ranges: &[Range<usize>],
+        bounds: &[usize],
         states: &mut [S],
         job: &(dyn Fn(usize, &mut [T], &mut S) + Sync),
     ) -> Result<(), Panic> {
-        assert_eq!(ranges.len(), states.len(), "one range per group");
+        assert_eq!(bounds.len(), states.len() + 1, "one range per group");
         assert!(
             inline || states.len() <= self.workers(),
             "worker groups must fit the pool"
         );
-        let mut end = 0;
-        for r in ranges {
-            assert!(end <= r.start && r.start <= r.end, "ranges ascend apart");
-            end = r.end;
-        }
-        assert!(end <= items.len(), "ranges lie within the items");
+        assert!(bounds.windows(2).all(|b| b[0] <= b[1]), "bounds ascend");
+        assert!(
+            bounds[states.len()] <= items.len(),
+            "ranges lie within the items"
+        );
         let bases = Bases {
             items: items.as_mut_ptr(),
             states: states.as_mut_ptr(),
         };
+        let groups = states.len();
         let group = |g: usize| {
-            let Some(r) = ranges.get(g) else { return };
+            if g >= groups {
+                return;
+            }
+            let (start, end) = (bounds[g], bounds[g + 1]);
             let (items, states) = bases.get();
             // SAFETY: `items` and `states` are borrowed `&mut` for this
             // whole call and the epoch closes before it returns. The
-            // checks above put `ranges[g]` inside `items` and apart from
-            // every other group's range, and `g < states.len()`. The core
-            // invokes each group index at most once per epoch, so no other
-            // invocation derives these parts.
+            // checks above put `start..end` inside `items` and, as the
+            // bounds ascend, apart from every other group's range, and
+            // `g < states.len()`. The core invokes each group index at most
+            // once per epoch, so no other invocation derives these parts.
             let (items, state) = unsafe {
                 (
-                    std::slice::from_raw_parts_mut(items.add(r.start), r.len()),
+                    std::slice::from_raw_parts_mut(items.add(start), end - start),
                     &mut *states.add(g),
                 )
             };
@@ -316,7 +320,7 @@ impl EnginePool {
         };
         let core = &self.owner.core;
         if inline {
-            core.run_inline(ranges.len(), &group)
+            core.run_inline(groups, &group)
         } else {
             core.run(&group)
         }

@@ -131,7 +131,7 @@ pub use program::{Activation, EngineMessage, Inbox, InboxIter, NodeProgram, Outb
 pub use programs::{
     engine_classification_gather, engine_cole_vishkin_3color, engine_degree_plus_one_coloring,
     engine_detect_clique, engine_gather_balls, engine_h_partition, engine_layered_greedy,
-    engine_randomized_list_coloring, engine_ruling_forest, layered_slot, layered_slots,
+    engine_randomized_list_coloring, engine_ruling_forest,
 };
 pub use shard::ShardPlan;
 pub use view::GraphView;

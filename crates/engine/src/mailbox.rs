@@ -558,8 +558,17 @@ pub(crate) struct RouteGroup {
     pub(crate) tally: RouteTally,
 }
 
+/// What the routing epoch borrows from the [`Mailboxes`]: the group
+/// partition, the counting scratch, the routing groups and `next`'s stores.
+pub(crate) type RouteParts<'a, M> = (
+    &'a [usize],
+    &'a mut [u32],
+    &'a mut [RouteGroup],
+    &'a [Store<M>],
+);
+
 /// The group owning dense vertex `dv` under the boundaries `bounds`.
-fn group_of(bounds: &[usize], dv: usize) -> usize {
+pub(crate) fn group_of(bounds: &[usize], dv: usize) -> usize {
     bounds.partition_point(|&b| b <= dv) - 1
 }
 
@@ -574,8 +583,9 @@ pub(crate) struct Mailboxes<M> {
     /// each group its range's slice. All-zeros between epochs: each
     /// routing re-zeroes exactly the entries it touched.
     counts: Vec<u32>,
-    /// Dense group boundaries, ascending, `len = groups + 1` — the same
-    /// partition the pool's worker groups use.
+    /// Dense group boundaries, ascending, `len = groups + 1`: the
+    /// session's one copy of its worker-group partition, which the pool's
+    /// epochs read through [`bounds`](Mailboxes::bounds).
     bounds: Vec<usize>,
     /// The driver's split scratch, for re-storing due delayed payloads.
     split: SplitScratch,
@@ -622,6 +632,12 @@ impl<M: EngineMessage> Mailboxes<M> {
         }
     }
 
+    /// The worker-group partition: dense boundaries, ascending, `len =
+    /// groups + 1`; group `g` owns `bounds[g]..bounds[g + 1]`.
+    pub(crate) fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
     /// The buffer read this round.
     pub(crate) fn cur(&self) -> &Inboxes<M> {
         &self.cur
@@ -636,11 +652,16 @@ impl<M: EngineMessage> Mailboxes<M> {
         inbox.iter().map(|(src, m)| (src, m.clone())).collect()
     }
 
-    /// What the routing epoch works on: the counting scratch and the
-    /// routing groups, which it hands out group by group, and `next`'s
-    /// stores, which every group reads.
-    pub(crate) fn route_parts(&mut self) -> (&mut [u32], &mut [RouteGroup], &[Store<M>]) {
-        (&mut self.counts, &mut self.route, &self.next_stores)
+    /// What the routing epoch works on: the group partition, the counting
+    /// scratch and the routing groups, which it hands out group by group,
+    /// and `next`'s stores, which every group reads.
+    pub(crate) fn route_parts(&mut self) -> RouteParts<'_, M> {
+        (
+            &self.bounds,
+            &mut self.counts,
+            &mut self.route,
+            &self.next_stores,
+        )
     }
 
     /// Hands group `g`'s staged round to `next`, moving nothing but

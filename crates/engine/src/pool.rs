@@ -101,8 +101,8 @@ use crate::context::NodeCtx;
 use crate::exec::{EnginePool, Panic};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
-    finalize_inbox, sender, GroupInbox, GroupInboxes, Inboxes, Mailboxes, RouteGroup, RouteTally,
-    Routed, SplitScratch, Staged, Store,
+    finalize_inbox, group_of, sender, GroupInbox, GroupInboxes, Inboxes, Mailboxes, RouteGroup,
+    RouteTally, Routed, SplitScratch, Staged, Store,
 };
 use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
@@ -118,7 +118,8 @@ pub(crate) struct StageEnv<'a> {
     /// The session's view: each step's [`NodeCtx`] is built from it, and
     /// staging maps original ids to dense indices through it.
     pub(crate) view: &'a GraphView<'a>,
-    /// Dense group boundaries, ascending, `len = groups + 1`.
+    /// Dense group boundaries, ascending, `len = groups + 1` — the
+    /// mailboxes' partition ([`Mailboxes::bounds`]).
     pub(crate) bounds: &'a [usize],
     /// Fragmentation budget in words (`usize::MAX` = splitting off): an
     /// over-budget payload is round-tripped through the wire once, when it
@@ -133,7 +134,7 @@ pub(crate) struct StageEnv<'a> {
 impl StageEnv<'_> {
     /// The worker group owning dense vertex `dv`.
     fn group_of(&self, dv: usize) -> usize {
-        self.bounds.partition_point(|&b| b <= dv) - 1
+        group_of(self.bounds, dv)
     }
 
     fn groups(&self) -> usize {
@@ -752,30 +753,31 @@ fn route_range<M: EngineMessage>(
 /// [`EnginePool::run_groups`] jobs. A session with
 /// `groups < pool.workers()` leaves the surplus workers idling at the
 /// barriers.
+///
+/// The group partition itself lives in the [`Mailboxes`] (its `bounds`);
+/// every epoch reads it from there.
 pub(crate) struct WorkerPool<P: NodeProgram + 'static> {
     pool: EnginePool,
-    /// One contiguous dense vertex range per worker group, ascending.
-    ranges: Vec<Range<usize>>,
     /// One state per worker *group* (index 0 = the driver's own).
     arenas: Vec<ShardYield<P::Message>>,
 }
 
 impl<P: NodeProgram + 'static> WorkerPool<P> {
     /// Wraps `pool` for a session partitioned into one worker group per
-    /// dense range of `ranges` (at most `pool.workers()` of them), each
-    /// with its own state (bucketed by group likewise).
-    pub(crate) fn new(pool: EnginePool, ranges: Vec<Range<usize>>) -> Self {
+    /// dense range between consecutive `bounds` (at most `pool.workers()`
+    /// of them), each with its own state (bucketed by group likewise).
+    pub(crate) fn new(pool: EnginePool, bounds: &[usize]) -> Self {
+        let groups = bounds.len() - 1;
         assert!(
-            !ranges.is_empty() && ranges.len() <= pool.workers(),
+            groups >= 1 && groups <= pool.workers(),
             "worker groups must fit the pool"
         );
         WorkerPool {
             pool,
-            arenas: ranges
-                .iter()
-                .map(|range| ShardYield::new(ranges.len(), range.clone()))
+            arenas: bounds
+                .windows(2)
+                .map(|b| ShardYield::new(groups, b[0]..b[1]))
                 .collect(),
-            ranges,
         }
     }
 
@@ -802,13 +804,11 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         round: u64,
         inline: bool,
     ) -> Result<(), Panic> {
-        let ranges = &self.ranges;
         let job = |g: usize, programs: &mut [P], arena: &mut ShardYield<P::Message>| {
-            let base = ranges[g].start;
-            run_range(programs, inboxes.group(g), base, round, env, arena);
+            run_range(programs, inboxes.group(g), env.bounds[g], round, env, arena);
         };
         self.pool
-            .run_groups(inline, programs, ranges, &mut self.arenas, &job)
+            .run_groups(inline, programs, env.bounds, &mut self.arenas, &job)
     }
 
     /// Runs one **routing epoch**: group `g` rebuilds its `next` inboxes
@@ -824,12 +824,11 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         env: &RouteEnv<'_>,
         inline: bool,
     ) -> Result<RouteTally, Panic> {
-        let (counts, groups, stores) = mail.route_parts();
-        let ranges = &self.ranges;
+        let (bounds, counts, groups, stores) = mail.route_parts();
         let job = |g: usize, counts: &mut [u32], group: &mut RouteGroup| {
-            group.tally = route_range(counts, group, stores, ranges[g].start, env);
+            group.tally = route_range(counts, group, stores, bounds[g], env);
         };
-        self.pool.run_groups(inline, counts, ranges, groups, &job)?;
+        self.pool.run_groups(inline, counts, bounds, groups, &job)?;
         let mut total = RouteTally::default();
         for group in groups.iter() {
             total.absorb(group.tally);
@@ -849,13 +848,12 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     }
 
     /// Registers every node's current activation hint, read after `round`,
-    /// in its group's queue — for when the host rewrote program state
-    /// between rounds.
-    pub(crate) fn rescan(&mut self, programs: &[P], round: u64) {
-        for (range, y) in self.ranges.iter().zip(&mut self.arenas) {
-            for dv in range.clone() {
-                y.wakes
-                    .register(dv, wake_round(programs[dv].activation(), round));
+    /// in its group's queue (groups split at `bounds`) — for when the host
+    /// rewrote program state between rounds.
+    pub(crate) fn rescan(&mut self, programs: &[P], bounds: &[usize], round: u64) {
+        for (b, y) in bounds.windows(2).zip(&mut self.arenas) {
+            for (dv, p) in (b[0]..b[1]).zip(&programs[b[0]..b[1]]) {
+                y.wakes.register(dv, wake_round(p.activation(), round));
             }
         }
     }
@@ -1160,15 +1158,9 @@ mod tests {
             y.reset();
             for (dv, src, m) in msgs.iter().cloned() {
                 let slot = y.store.put(src, m, 1, usize::MAX, &mut y.split);
-                let b = bounds.partition_point(|&b| b <= dv) - 1;
-                y.buckets[b].push((dv as u32, slot));
+                y.buckets[group_of(bounds, dv)].push((dv as u32, slot));
             }
         }
-    }
-
-    /// The group ranges between consecutive `bounds`.
-    fn ranges(bounds: &[usize]) -> Vec<Range<usize>> {
-        bounds.windows(2).map(|b| b[0]..b[1]).collect()
     }
 
     /// The driver's side of a round after the compute epoch: hands every
@@ -1195,7 +1187,7 @@ mod tests {
         // delivery order.
         let bounds = [0, 3, 3];
         let mut mail: Mailboxes<W> = Mailboxes::new(3, bounds.to_vec());
-        let mut pool = WorkerPool::new(EnginePool::new(2), ranges(&bounds));
+        let mut pool = WorkerPool::new(EnginePool::new(2), &bounds);
         let traffic = [
             vec![
                 (0, 0, W(1)),
@@ -1249,7 +1241,7 @@ mod tests {
         let mut mail: Mailboxes<W> = Mailboxes::new(2, bounds.to_vec());
         mail.schedule(5, vec![(0, 1, W(7))]);
         assert_eq!(mail.inject_due(5, usize::MAX), 1);
-        let mut pool = WorkerPool::new(EnginePool::new(1), ranges(&bounds));
+        let mut pool = WorkerPool::new(EnginePool::new(1), &bounds);
         stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
         let g = Graph::empty(2);
         let view = GraphView::whole(&g);
@@ -1273,10 +1265,9 @@ mod tests {
         let bounds = [0, 3, 4, 8];
         let g = Graph::empty(8);
         let view = GraphView::whole(&g);
-        let group_of = |v: usize| bounds.partition_point(|&b| b <= v) - 1;
         let mut mail: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
         let mut spec: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
-        let mut pool = WorkerPool::new(EnginePool::new(3), ranges(&bounds));
+        let mut pool = WorkerPool::new(EnginePool::new(3), &bounds);
         for m in [&mut mail, &mut spec] {
             m.schedule(2, vec![(5, 6, W(900)), (0, 1, W(901)), (5, 2, W(902))]);
             m.schedule(3, vec![(3, 7, W(903))]);
@@ -1291,7 +1282,7 @@ mod tests {
                 for k in 0..(src * 7 + round as usize * 3) % 4 {
                     let dst = (src * 5 + k * 3 + round as usize) % 8;
                     let msg = (dst, src, W(100 * round as usize + 10 * src + k));
-                    traffic[group_of(src)].push(msg.clone());
+                    traffic[group_of(&bounds, src)].push(msg.clone());
                     flat.push(msg);
                 }
             }
@@ -1376,7 +1367,7 @@ mod tests {
         let pool = EnginePool::new(2);
         let ran = Mutex::new(Vec::new());
         let mut items = [usize::MAX; 7];
-        let ranges = [0..2, 2..2, 2..5, 5..7];
+        let bounds = [0, 2, 2, 5, 7];
         let job = |g: usize, items: &mut [usize], state: &mut usize| {
             ran.lock().unwrap().push(g);
             items.fill(g);
@@ -1385,7 +1376,7 @@ mod tests {
         };
         let mut states = [usize::MAX; 4];
         let payload = pool
-            .run_groups(true, &mut items, &ranges, &mut states, &job)
+            .run_groups(true, &mut items, &bounds, &mut states, &job)
             .expect_err("groups 1 and 3 panic");
         assert_eq!(
             *ran.lock().unwrap(),
@@ -1403,7 +1394,7 @@ mod tests {
         ran.lock().unwrap().clear();
         let mut states = [usize::MAX; 2];
         assert!(pool
-            .run_groups(false, &mut items, &ranges[..2], &mut states, &job)
+            .run_groups(false, &mut items, &bounds[..3], &mut states, &job)
             .is_err());
         ran.lock().unwrap().sort_unstable();
         assert_eq!(*ran.lock().unwrap(), vec![0, 1]);

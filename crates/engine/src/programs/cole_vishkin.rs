@@ -2,15 +2,16 @@
 //!
 //! The same algorithm as [`local_model::cole_vishkin_3color`], but executed
 //! over the forest's members only: every member broadcasts its color each
-//! round and recomputes from its parent's broadcast. The host drives the
-//! standard phase structure — the `O(log* n)` bit-shrink loop until six
-//! colors remain (all-halted vote), then three fixed two-round shift-down
-//! phases eliminating colors 5, 4, 3 — and the run is equivalence-tested to
-//! produce the *same colors and the same ledger totals* as the sequential
-//! twin.
+//! round and recomputes it from its parent's broadcast with the shared
+//! rules [`cv_shrink`], [`cv_shift_down`] and [`cv_recolor`]. The host
+//! drives the standard phase structure — the `O(log* n)` bit-shrink loop
+//! until six colors remain (all-halted vote), then three fixed two-round
+//! shift-down phases eliminating colors 5, 4, 3 — and the run is
+//! equivalence-tested to produce the *same colors and the same ledger
+//! totals* as the sequential twin.
 
 use graphs::{Graph, VertexId, VertexSet};
-use local_model::{RootedForest, RoundLedger};
+use local_model::{cv_recolor, cv_shift_down, cv_shrink, RootedForest, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
@@ -76,49 +77,24 @@ impl NodeProgram for CvProgram {
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         match self.stage {
-            Stage::Shrink => {
-                let my = self.color;
-                // Roots compare against a fixed differing value, exactly as
-                // the sequential implementation does.
-                let other = match self.parent_color(ctx.id, inbox) {
-                    Some(c) => c,
-                    None => usize::from(my == 0),
-                };
-                debug_assert_ne!(my, other, "proper coloring invariant");
-                let diff = my ^ other;
-                let i = diff.trailing_zeros() as usize;
-                self.color = 2 * i + ((my >> i) & 1);
-                Outbox::Broadcast(self.color)
-            }
+            Stage::Shrink => self.color = cv_shrink(self.color, self.parent_color(ctx.id, inbox)),
             Stage::Shift { target, step: 0 } => {
-                // Shift down: adopt the parent's color; roots pick the
-                // smallest of the six colors differing from their own.
-                self.color = match self.parent_color(ctx.id, inbox) {
-                    Some(c) => c,
-                    None => (0..6)
-                        .find(|&c| c != self.color)
-                        .expect("six colors available"),
-                };
+                self.color = cv_shift_down(self.color, self.parent_color(ctx.id, inbox));
                 self.stage = Stage::Shift { target, step: 1 };
-                Outbox::Broadcast(self.color)
             }
             Stage::Shift { target, step: _ } => {
-                // Recolor the `target` class: after a shift every child of a
-                // node carries one color, so two constraints remain.
                 if self.color == target {
-                    let parent_color = self.parent_color(ctx.id, inbox).unwrap_or(usize::MAX);
-                    let child_color = inbox
+                    // Every child carries one color after the shift.
+                    let child = inbox
                         .iter()
                         .find(|&(src, _)| src != self.parent)
-                        .map_or(usize::MAX, |(_, &c)| c);
-                    self.color = (0..3)
-                        .find(|&c| c != parent_color && c != child_color)
-                        .expect("three colors, two constraints");
+                        .map(|(_, &c)| c);
+                    self.color = cv_recolor(self.parent_color(ctx.id, inbox), child);
                 }
                 self.stage = Stage::Shrink; // inert until the host intervenes
-                Outbox::Broadcast(self.color)
             }
         }
+        Outbox::Broadcast(self.color)
     }
 
     fn halted(&self) -> bool {

@@ -1,8 +1,9 @@
 //! The Barenboim–Elkin H-partition phase as a message-passing node program.
 //!
 //! Layer-by-layer peeling, executed: a node whose residual degree is at most
-//! `⌊(2+ε)a⌋` assigns itself the current layer and tells its neighbors,
-//! which decrement their residual degree when the peel messages arrive next
+//! [`peel_threshold`]`(a, ε) = ⌊(2+ε)a⌋` (shared with the sequential twin)
+//! assigns itself the current layer and tells its neighbors, which
+//! decrement their residual degree when the peel messages arrive next
 //! round. The layer index *is* the round index — one LOCAL round per layer,
 //! exactly what [`local_model::h_partition`] charges.
 //!
@@ -14,7 +15,7 @@
 //! nodes that hear a neighbor peel.
 
 use graphs::{Graph, VertexSet};
-use local_model::{HPartition, RoundLedger};
+use local_model::{peel_threshold, HPartition, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
@@ -130,9 +131,7 @@ pub fn engine_h_partition(
     mut config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (HPartition, EngineMetrics) {
-    assert!(a >= 1, "arboricity parameter must be positive");
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    let threshold = ((2.0 + epsilon) * a as f64).floor() as usize;
+    let threshold = peel_threshold(a, epsilon);
     // Fault-free, every round peels at least one vertex or the partition has
     // stalled, so n rounds always suffice; don't let a huge default cap spin
     // on a stall. Delay faults insert quiet waiting rounds, so a faulted run

@@ -3,43 +3,27 @@
 //! execution, reusing the masked-session machinery the class sweep
 //! ([`super::sweep::SweepProgram`]) established.
 //!
-//! The sequential extension (step 4 of `distributed_coloring::extend`)
-//! walks slots `(max_depth, 0), (max_depth, 1), …, (1, class_count − 1)`
-//! and greedily assigns each slot's vertices the first free color of their
-//! reduced list. A slot is an independent set of the tree scope (same
-//! class ⇒ non-adjacent in `G[T]`), so one engine round per slot suffices:
+//! The sequential twin [`local_model::layered_greedy`] (step 4 of
+//! `distributed_coloring::extend`) walks slots `(max_depth, 0),
+//! (max_depth, 1), …, (1, class_count − 1)` and greedily assigns each
+//! slot's vertices the first free color of their reduced list. A slot is
+//! an independent set of the tree scope (same class ⇒ non-adjacent in
+//! `G[T]`), so one engine round per slot suffices:
 //! the slot's vertices pick their color and broadcast it; every later slot
 //! hears the announcement a round before it decides — exactly the
 //! `max_depth · class_count` rounds the sequential twin charges to
-//! `"layered-coloring"`. The slot schedule itself, [`layered_slot`] /
-//! [`layered_slots`], is shared with the sequential loop so the two
-//! substrates cannot disagree on which vertex colors when.
+//! `"layered-coloring"`. The slot schedule ([`layered_slot`]), the list
+//! form ([`layered_list`]) and the pick ([`layered_pick`]) are shared with
+//! the sequential twin, so the two substrates cannot disagree on which
+//! vertex colors when, or with what.
 
 use graphs::{Graph, VertexSet};
-use local_model::RoundLedger;
+use local_model::{layered_list, layered_pick, layered_slot, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
 use crate::metrics::EngineMetrics;
 use crate::program::{Activation, Inbox, NodeProgram, Outbox};
-
-/// The (depth, class) slot handled in 1-based round `round` of the layered
-/// sweep: depths count down from `max_depth`, classes count up within each
-/// depth.
-pub fn layered_slot(round: usize, max_depth: usize, class_count: usize) -> (usize, usize) {
-    debug_assert!(round >= 1 && round <= max_depth * class_count);
-    (
-        max_depth - (round - 1) / class_count,
-        (round - 1) % class_count,
-    )
-}
-
-/// The full slot schedule, in execution order — the sequential layered
-/// greedy iterates exactly this (one simulated round per slot), the engine
-/// program evaluates [`layered_slot`] per executed round.
-pub fn layered_slots(max_depth: usize, class_count: usize) -> impl Iterator<Item = (usize, usize)> {
-    (1..=max_depth * class_count).map(move |r| layered_slot(r, max_depth, class_count))
-}
 
 /// Per-node state of the layered greedy: the host-reduced color list, the
 /// node's forest depth and `(d+1)`-class, and the slot geometry.
@@ -71,7 +55,7 @@ impl NodeProgram for LayeredGreedyProgram {
 
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, usize>) -> Outbox<usize> {
         // Strike the colors committed by scope neighbors last round — the
-        // same removals the sequential `ColoringState::assign` performs.
+        // same removals the sequential twin performs.
         for (_, &c) in inbox {
             if let Ok(pos) = self.list.binary_search(&c) {
                 self.list.remove(pos);
@@ -83,12 +67,8 @@ impl NodeProgram for LayeredGreedyProgram {
         }
         let (depth, class) = layered_slot(round, self.max_depth, self.class_count);
         if self.depth == depth && self.class == class {
-            let c = *self
-                .list
-                .first()
-                .expect("Observation 5.1: parent uncolored ⇒ free color");
-            self.color = c;
-            return Outbox::Broadcast(c);
+            self.color = layered_pick(&self.list);
+            return Outbox::Broadcast(self.color);
         }
         Outbox::Silent
     }
@@ -112,7 +92,7 @@ impl NodeProgram for LayeredGreedyProgram {
     }
 }
 
-/// Engine twin of the sequential layered greedy: colors the forest scope
+/// Engine twin of [`local_model::layered_greedy`]: colors the forest scope
 /// leaves-to-roots on a masked session over `g[scope]`, charging
 /// `"layered-coloring"` exactly `max_depth · class_count` rounds. `lists`
 /// are the host-reduced lists (original indexing; only scope entries are
@@ -140,19 +120,13 @@ pub fn engine_layered_greedy(
     assert_eq!(lists.len(), g.n());
     let max_depth = scope.iter().map(|v| depth[v]).max().unwrap_or(0);
     config.mask = Some(scope.clone());
-    let mut sess = EngineSession::new(g, config, |ctx| {
-        // The same normalization `ColoringState::new` applies.
-        let mut list = lists[ctx.id].clone();
-        list.sort_unstable();
-        list.dedup();
-        LayeredGreedyProgram {
-            list,
-            depth: depth[ctx.id],
-            class: classes[ctx.id],
-            max_depth,
-            class_count,
-            color: usize::MAX,
-        }
+    let mut sess = EngineSession::new(g, config, |ctx| LayeredGreedyProgram {
+        list: layered_list(&lists[ctx.id]),
+        depth: depth[ctx.id],
+        class: classes[ctx.id],
+        max_depth,
+        class_count,
+        color: usize::MAX,
     });
     let rounds = (max_depth * class_count) as u64;
     let report = sess.run_phase("layered-coloring", Stop::Rounds(rounds));
@@ -173,6 +147,7 @@ pub fn engine_layered_greedy(
 mod tests {
     use super::*;
     use graphs::gen;
+    use local_model::layered_slots;
 
     #[test]
     fn slot_schedule_counts_depths_down_and_classes_up() {
@@ -184,7 +159,7 @@ mod tests {
 
     /// A hand-built forest on a path: 0 (root) ← 1 ← 2 ← 3, colored
     /// leaves-to-roots with 2-entry lists. The engine must assign exactly
-    /// what the slot-by-slot greedy computes.
+    /// what the sequential twin computes.
     #[test]
     fn colors_a_path_forest_like_the_sequential_greedy() {
         let g = gen::path(4);
@@ -194,9 +169,19 @@ mod tests {
         // Proper 2-coloring of the path as the (d+1)-classes.
         let classes = vec![0usize, 1, 0, 1];
         let class_count = 2;
-        let mut ledger = RoundLedger::new();
+        let mut seq_ledger = RoundLedger::new();
+        let expect = local_model::layered_greedy(
+            &g,
+            &scope,
+            &lists,
+            &depth,
+            &classes,
+            class_count,
+            &mut seq_ledger,
+        );
+        assert_eq!(expect, vec![usize::MAX, 0, 1, 0]);
         for shards in [1usize, 2] {
-            let mut run_ledger = RoundLedger::new();
+            let mut ledger = RoundLedger::new();
             let (colors, metrics) = engine_layered_greedy(
                 &g,
                 &scope,
@@ -205,30 +190,12 @@ mod tests {
                 &classes,
                 class_count,
                 EngineConfig::default().with_shards(shards),
-                &mut run_ledger,
+                &mut ledger,
             );
-            // Slot order: (3,0)? depth-3 vertex 3 has class 1 → slot (3,1).
-            // 3 takes 0; 2 (slot (2,0)) hears nothing by its slot? It does:
-            // 3's broadcast lands before slot (2,0) runs... simulate the
-            // shared schedule directly to assert:
-            let mut expect = [usize::MAX; 4];
-            let mut live: Vec<Vec<usize>> = lists.clone();
-            for (d, c) in layered_slots(3, class_count) {
-                for v in 0..4 {
-                    if depth[v] == d && classes[v] == c {
-                        let chosen = live[v][0];
-                        expect[v] = chosen;
-                        for &w in g.neighbors(v) {
-                            live[w].retain(|&x| x != chosen);
-                        }
-                    }
-                }
-            }
-            assert_eq!(&colors[1..], &expect[1..], "shards={shards}");
-            assert_eq!(colors[0], usize::MAX, "roots stay uncolored");
+            assert_eq!(colors, expect, "shards={shards}");
             assert_eq!(metrics.total_rounds(), 6);
-            assert_eq!(run_ledger.phase_total("layered-coloring"), 6);
-            ledger.absorb(run_ledger);
+            assert_eq!(ledger.phase_total("layered-coloring"), 6);
+            assert_eq!(ledger.total(), seq_ledger.total());
         }
     }
 

@@ -1,10 +1,28 @@
 //! Ports of the repository's LOCAL algorithms onto the engine.
 //!
-//! Each port is a genuine message-passing re-implementation — per-node
-//! state, explicit messages, no global reads — paired with an adapter
-//! function whose signature mirrors the sequential original and whose
-//! output (coloring/partition **and** ledger totals) is equivalence-tested
-//! against it:
+//! Each port is a message-passing driver — per-node state, explicit
+//! messages, no global reads — around the per-vertex rules of its
+//! sequential original. The rules live in `local_model`, each a function
+//! of a node's own state and the values it received, and both drivers
+//! call them:
+//!
+//! * Cole–Vishkin: [`local_model::cv_shrink`],
+//!   [`local_model::cv_shift_down`], [`local_model::cv_recolor`];
+//! * every greedy sweep: [`local_model::smallest_free`];
+//! * the H-partition: [`local_model::peel_threshold`];
+//! * the randomized coloring: [`local_model::assert_deg_plus_one_lists`],
+//!   [`local_model::strike`], [`local_model::draw_proposal`],
+//!   [`local_model::commits`];
+//! * the layered greedy: [`local_model::layered_slot`],
+//!   [`local_model::layered_list`], [`local_model::layered_pick`];
+//! * the floods: [`local_model::merge_fresh`],
+//!   [`local_model::clique_at_apex`], [`local_model::claim_choice`].
+//!
+//! The merge-reduce host loop, [`local_model::forest_merge`], is shared
+//! whole. What a port adds is delivery: routing, masks and inbox order.
+//! Each port is paired with an adapter function whose signature mirrors
+//! the sequential original and whose output (coloring/partition **and**
+//! ledger totals) is equivalence-tested against it:
 //!
 //! * [`engine_cole_vishkin_3color`] ↔ [`local_model::cole_vishkin_3color`]
 //! * [`engine_h_partition`] ↔ [`local_model::h_partition`]
@@ -19,9 +37,8 @@
 //! * [`engine_detect_clique`] ↔ [`local_model::detect_clique`] (§3's
 //!   two-round handshake as two engine rounds)
 //! * [`engine_ruling_forest`] ↔ [`local_model::ruling_forest`]
-//! * [`engine_layered_greedy`] ↔ the sequential layered greedy of
-//!   Lemma 3.2 (`distributed_coloring::extend`), sharing its slot schedule
-//!   via [`layered_slots`]
+//! * [`engine_layered_greedy`] ↔ [`local_model::layered_greedy`], the
+//!   layered greedy of Lemma 3.2 (`distributed_coloring::extend` step 4)
 //!
 //! Together the last four retire the last sequential phases inside an
 //! engine-mode Theorem 1.3 run: with `engine_shards` set, classification,
@@ -123,7 +140,7 @@ pub use gather::{
     GatherProgram,
 };
 pub use h_partition::{engine_h_partition, HPartitionProgram};
-pub use layered::{engine_layered_greedy, layered_slot, layered_slots, LayeredGreedyProgram};
+pub use layered::{engine_layered_greedy, LayeredGreedyProgram};
 pub use randomized::{engine_randomized_list_coloring, RandomizedProgram};
 pub use ruling::{engine_ruling_forest, RulingProgram};
 pub use sweep::{engine_coloring_by_forest_merge, engine_degree_plus_one_coloring, SweepProgram};

@@ -12,16 +12,20 @@
 //!   commits unless some neighbor proposed — or is known to own — the same
 //!   color; on commit it broadcasts `Committed` and halts.
 //!
+//! Both steps apply the sequential twin's rules — [`strike`],
+//! [`draw_proposal`], [`commits`] — to what the inbox brought.
+//!
 //! Because each node draws from [`local_model::per_vertex_rng`]`(seed, id)`
 //! — the program owns exactly that stream, seeded in its factory with
 //! [`node_rng`] — and inboxes are sorted by sender, the engine run commits
 //! the same vertices with the same colors in the same cycles as the
 //! sequential implementation, at any shard count.
 
-use graphs::{Graph, VertexId, VertexSet};
-use local_model::{RandomizedColoring, RoundLedger};
+use graphs::{Graph, VertexSet};
+use local_model::{
+    assert_deg_plus_one_lists, commits, draw_proposal, strike, RandomizedColoring, RoundLedger,
+};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::context::{node_rng, NodeCtx};
 use crate::driver::{EngineConfig, EngineSession, Stop};
@@ -84,9 +88,7 @@ impl RandomizedProgram {
         for (_, &msg) in inbox {
             if let ColorMsg::Committed(c) = msg {
                 self.taken.push(c);
-                if let Some(pos) = self.live.iter().position(|&x| x == c) {
-                    self.live.remove(pos);
-                }
+                strike(&mut self.live, c);
             }
         }
     }
@@ -108,7 +110,7 @@ impl NodeProgram for RandomizedProgram {
             // Propose: strike last cycle's commitments first, exactly the
             // knowledge the sequential implementation draws with.
             self.strike(inbox);
-            self.proposal = self.live[self.rng.gen_range(0..self.live.len())];
+            self.proposal = draw_proposal(&self.live, &mut self.rng);
             Outbox::Broadcast(ColorMsg::Proposal(self.proposal))
         } else {
             // Resolve: ties kill both, owned colors kill the proposer.
@@ -117,14 +119,15 @@ impl NodeProgram for RandomizedProgram {
             // must not be lost — dropping it could let this node commit a
             // neighbor's color.
             self.strike(inbox);
-            let p = self.proposal;
-            let conflict =
-                inbox.iter().any(|(_, &m)| m == ColorMsg::Proposal(p)) || self.taken.contains(&p);
-            if conflict {
-                Outbox::Silent
+            let proposals = inbox.iter().filter_map(|(_, &m)| match m {
+                ColorMsg::Proposal(c) => Some(c),
+                ColorMsg::Committed(_) => None,
+            });
+            if commits(self.proposal, proposals.chain(self.taken.iter().copied())) {
+                self.color = self.proposal;
+                Outbox::Broadcast(ColorMsg::Committed(self.color))
             } else {
-                self.color = p;
-                Outbox::Broadcast(ColorMsg::Committed(p))
+                Outbox::Silent
             }
         }
     }
@@ -174,18 +177,7 @@ pub fn engine_randomized_list_coloring(
     mut config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (RandomizedColoring, EngineMetrics) {
-    let n = g.n();
-    assert_eq!(lists.len(), n);
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    for (v, list) in lists.iter().enumerate() {
-        if in_mask(v) {
-            let deg = g.neighbors(v).iter().filter(|&&w| in_mask(w)).count();
-            assert!(
-                list.len() > deg,
-                "vertex {v}: randomized coloring needs deg+1 lists"
-            );
-        }
-    }
+    assert_deg_plus_one_lists(g, mask, lists);
     // The node RNG stream is the sequential contract: per_vertex_rng(seed, v),
     // seeded in the factory below.
     config.mask = mask.cloned();

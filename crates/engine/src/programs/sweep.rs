@@ -1,10 +1,11 @@
 //! The merge-reduce `(Δ+1)`-coloring — Lemma 3.2's "(d+1)-coloring computed
 //! deterministically \[17\]" step — as a **masked** engine execution.
 //!
-//! [`local_model::coloring_by_forest_merge`] decomposes the (masked) graph
-//! into rooted forests, 3-colors each with Cole–Vishkin, and repeatedly
-//! sweeps product-color classes down into `0..target`. The communication
-//! in that scheme lives in two places, and both run on the engine here:
+//! [`local_model::forest_merge`] decomposes the (masked) graph into rooted
+//! forests, 3-colors each with Cole–Vishkin, and repeatedly sweeps
+//! product-color classes down into `0..target`. Both drivers run that one
+//! host loop; the communication in it lives in two places
+//! ([`MergeRounds`]), and both run on the engine here:
 //!
 //! * each forest's Cole–Vishkin pass is the existing
 //!   [`engine_cole_vishkin_3color`] port (own session over the forest
@@ -13,9 +14,10 @@
 //!   host graph** (the first masked consumer of the engine's
 //!   [`GraphView`](crate::GraphView)): one announce round in which every
 //!   live vertex broadcasts its product color, then one round per swept
-//!   class in which exactly that class recolors greedily and announces the
-//!   change. That is exactly the `current_colors − target + 1` rounds the
-//!   sequential twin charges to `"class-sweep"`.
+//!   class in which exactly that class recolors greedily
+//!   ([`smallest_free`]) and announces the change. That is exactly the
+//!   `current_colors − target + 1` rounds the sequential twin charges to
+//!   `"class-sweep"`.
 //!
 //! Because a product-color class is an independent set of the union graph
 //! and the greedy choice reads only union-neighbor colors — all announced
@@ -28,7 +30,7 @@
 //! mask (see `distributed_coloring::extend`).
 
 use graphs::{Graph, VertexId, VertexSet};
-use local_model::{Orientation, RoundLedger};
+use local_model::{forest_merge, smallest_free, MergeRounds, RootedForest, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
@@ -140,8 +142,7 @@ impl NodeProgram for SweepProgram {
                     self.nbr_colors.iter().all(|&c| c != usize::MAX),
                     "every union neighbor announced before the first sweep"
                 );
-                let fresh = (0..self.target)
-                    .find(|c| !self.nbr_colors.contains(c))
+                let fresh = smallest_free(self.target, &self.nbr_colors)
                     .expect("target exceeds union degree, a free color exists");
                 self.color = fresh;
                 Outbox::Broadcast(fresh)
@@ -154,11 +155,78 @@ impl NodeProgram for SweepProgram {
     }
 }
 
+/// [`MergeRounds`] on the engine: each forest's Cole–Vishkin pass is its
+/// own session, and every class sweep runs on one masked sweep session.
+struct EngineRounds<'g> {
+    config: EngineConfig,
+    sweep: EngineSession<'g, SweepProgram>,
+    /// The Cole–Vishkin sessions' metrics, in run order.
+    metrics: EngineMetrics,
+}
+
+impl MergeRounds for EngineRounds<'_> {
+    fn three_color(&mut self, forest: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
+        let (f3, metrics) = engine_cole_vishkin_3color(forest, self.config.clone(), ledger);
+        self.metrics.absorb(metrics);
+        f3
+    }
+
+    /// Charges the sweep session's own ledger, which
+    /// [`forest_merge_on_engine`] absorbs once the merge is done.
+    fn sweep(
+        &mut self,
+        _members: &[VertexId],
+        union_adj: &[Vec<VertexId>],
+        color: &mut [usize],
+        current_colors: usize,
+        target: usize,
+        _ledger: &mut RoundLedger,
+    ) {
+        self.sweep.for_each_program(|v, p| {
+            let mut nbrs = union_adj[v].clone();
+            nbrs.sort_unstable();
+            p.load(color[v], nbrs, current_colors, target);
+        });
+        let rounds = (current_colors - target + 1) as u64;
+        let report = self.sweep.run_phase("class-sweep", Stop::Rounds(rounds));
+        assert_eq!(
+            report.rounds, rounds,
+            "max_rounds interrupted a class sweep"
+        );
+        self.sweep.for_each_program(|v, p| color[v] = p.color());
+    }
+}
+
+/// Runs [`forest_merge`] with [`EngineRounds`] on `config`, the sweep
+/// session masked to `mask`.
+fn forest_merge_on_engine(
+    g: &Graph,
+    mask: Option<&VertexSet>,
+    priority: &[usize],
+    target: Option<usize>,
+    config: EngineConfig,
+    ledger: &mut RoundLedger,
+) -> (Vec<usize>, EngineMetrics) {
+    let mut sweep_config = config.clone();
+    sweep_config.mask = mask.cloned();
+    let mut rounds = EngineRounds {
+        sweep: EngineSession::new(g, sweep_config, |_| SweepProgram::idle()),
+        config,
+        metrics: EngineMetrics::default(),
+    };
+    let color = forest_merge(g, mask, priority, target, &mut rounds, ledger);
+    let (_, sweep_metrics, sweep_ledger) = rounds.sweep.into_parts();
+    ledger.absorb(sweep_ledger);
+    let mut metrics = rounds.metrics;
+    metrics.absorb(sweep_metrics);
+    (color, metrics)
+}
+
 /// Engine twin of [`local_model::coloring_by_forest_merge`]: same colors
 /// (bit for bit, masked or not, at any shard count) and same ledger phase
 /// totals (`"forest-decomposition"`, `"cole-vishkin"`, `"shift-down"`,
 /// `"class-sweep"`), plus the observed [`EngineMetrics`] of every session
-/// it runs.
+/// it runs. Both run the one host loop [`forest_merge`].
 ///
 /// Every session runs on `config`: the masked sweep session and each
 /// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
@@ -179,109 +247,7 @@ pub fn engine_coloring_by_forest_merge(
     config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
-    let (members, max_deg) = masked_members_and_max_deg(g, mask);
-    forest_merge_with_members(g, mask, priority, target, &members, max_deg, config, ledger)
-}
-
-/// One pass over the masked adjacency: the member list and the masked
-/// maximum degree (shared by both public entry points, and by Theorem
-/// 1.3's per-level calls, so the scan runs once per invocation).
-fn masked_members_and_max_deg(g: &Graph, mask: Option<&VertexSet>) -> (Vec<VertexId>, usize) {
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    let members: Vec<VertexId> = (0..g.n()).filter(|&v| in_mask(v)).collect();
-    let max_deg = members
-        .iter()
-        .map(|&v| g.neighbors(v).iter().filter(|&&w| in_mask(w)).count())
-        .max()
-        .unwrap_or(0);
-    (members, max_deg)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn forest_merge_with_members(
-    g: &Graph,
-    mask: Option<&VertexSet>,
-    priority: &[usize],
-    target: usize,
-    members: &[VertexId],
-    max_deg: usize,
-    config: EngineConfig,
-    ledger: &mut RoundLedger,
-) -> (Vec<usize>, EngineMetrics) {
-    let n = g.n();
-    assert_eq!(priority.len(), n);
-    assert!(
-        target > max_deg,
-        "target ({target}) must exceed the masked maximum degree ({max_deg})"
-    );
-
-    let orientation = Orientation::by_priority(g, mask, priority);
-    let forests = orientation.forest_decomposition(mask, ledger);
-
-    let mut color = vec![usize::MAX; n];
-    let mut union_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut current_colors = 1usize;
-
-    let mut sweep_config = config.clone();
-    sweep_config.mask = mask.cloned();
-    let mut sess = EngineSession::new(g, sweep_config, |_| SweepProgram::idle());
-    let mut metrics = EngineMetrics::default();
-
-    for (fi, forest) in forests.iter().enumerate() {
-        let (f3, cv_metrics) = engine_cole_vishkin_3color(forest, config.clone(), ledger);
-        metrics.absorb(cv_metrics);
-        for &v in members {
-            let p = forest.parent(v);
-            if p != usize::MAX && p != v {
-                union_adj[v].push(p);
-                union_adj[p].push(v);
-            }
-        }
-        if fi == 0 {
-            for &v in members {
-                color[v] = f3[v];
-            }
-            current_colors = 3;
-        } else {
-            // Product coloring: 3 * old + forest color; proper on the union.
-            for &v in members {
-                color[v] = 3 * color[v] + f3[v];
-            }
-            current_colors *= 3;
-        }
-        if current_colors > target {
-            sess.for_each_program(|v, p| {
-                let mut nbrs = union_adj[v].clone();
-                nbrs.sort_unstable();
-                p.load(color[v], nbrs, current_colors, target);
-            });
-            let rounds = (current_colors - target + 1) as u64;
-            let report = sess.run_phase("class-sweep", Stop::Rounds(rounds));
-            assert_eq!(
-                report.rounds, rounds,
-                "max_rounds interrupted a class sweep"
-            );
-            sess.for_each_program(|v, p| color[v] = p.color());
-        }
-        current_colors = current_colors.min(target).max(
-            color
-                .iter()
-                .filter(|&&c| c != usize::MAX)
-                .max()
-                .map_or(0, |&c| c + 1),
-        );
-    }
-    if !members.is_empty() && forests.is_empty() {
-        // Edgeless subgraph: everyone takes color 0.
-        for &v in members {
-            color[v] = 0;
-        }
-    }
-    debug_assert!(members.iter().all(|&v| color[v] < target));
-    let (_, sweep_metrics, sweep_ledger) = sess.into_parts();
-    ledger.absorb(sweep_ledger);
-    metrics.absorb(sweep_metrics);
-    (color, metrics)
+    forest_merge_on_engine(g, mask, priority, Some(target), config, ledger)
 }
 
 /// Engine twin of [`local_model::degree_plus_one_coloring`]: the classic
@@ -311,17 +277,7 @@ pub fn engine_degree_plus_one_coloring(
     config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
-    let (members, max_deg) = masked_members_and_max_deg(g, mask);
-    forest_merge_with_members(
-        g,
-        mask,
-        &vec![0; g.n()],
-        max_deg + 1,
-        &members,
-        max_deg,
-        config,
-        ledger,
-    )
+    forest_merge_on_engine(g, mask, &vec![0; g.n()], None, config, ledger)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! (§1.3, §1.5); experiment E2 reproduces the comparison.
 
 use crate::ledger::RoundLedger;
+use crate::reduce::smallest_free;
 use graphs::{Graph, VertexId, VertexSet};
 
 /// The H-partition of Barenboim–Elkin: layer `i` holds the vertices whose
@@ -26,17 +27,31 @@ pub struct HPartition {
     pub threshold: usize,
 }
 
-/// Computes the H-partition with threshold `⌊(2+ε)·a⌋`.
+/// The peel threshold `⌊(2+ε)·a⌋`: a vertex whose residual degree is at
+/// most this joins the current layer. Shared with the engine port
+/// (`engine::engine_h_partition`).
+///
+/// # Panics
+///
+/// Panics if `a == 0` or `epsilon <= 0`.
+pub fn peel_threshold(a: usize, epsilon: f64) -> usize {
+    assert!(a >= 1, "arboricity parameter must be positive");
+    assert!(epsilon > 0.0, "epsilon must be positive");
+    ((2.0 + epsilon) * a as f64).floor() as usize
+}
+
+/// Computes the H-partition with threshold [`peel_threshold`]`(a, ε)`.
 ///
 /// One LOCAL round per layer (each vertex needs only its residual degree),
 /// charged as `"h-partition"`.
 ///
 /// # Panics
 ///
-/// Panics if the partition stalls, i.e. some residual subgraph has minimum
-/// degree above the threshold — which certifies `arboricity > a` via
-/// Nash-Williams (every subgraph of an arboricity-`a` graph has average
-/// degree < 2a, hence a vertex of degree ≤ (2+ε)a).
+/// Panics if `a == 0` or `epsilon <= 0`, or if the partition stalls, i.e.
+/// some residual subgraph has minimum degree above the threshold — which
+/// certifies `arboricity > a` via Nash-Williams (every subgraph of an
+/// arboricity-`a` graph has average degree < 2a, hence a vertex of degree
+/// ≤ (2+ε)a).
 pub fn h_partition(
     g: &Graph,
     mask: Option<&VertexSet>,
@@ -44,9 +59,7 @@ pub fn h_partition(
     epsilon: f64,
     ledger: &mut RoundLedger,
 ) -> HPartition {
-    assert!(a >= 1, "arboricity parameter must be positive");
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    let threshold = ((2.0 + epsilon) * a as f64).floor() as usize;
+    let threshold = peel_threshold(a, epsilon);
     let n = g.n();
     let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
     let mut layer = vec![usize::MAX; n];
@@ -170,8 +183,7 @@ pub fn barenboim_elkin_coloring(
                     .filter(|&&w| in_mask(w))
                     .map(|&w| color[w])
                     .collect();
-                color[v] = (0..palette)
-                    .find(|c| !used.contains(c))
+                color[v] = smallest_free(palette, &used)
                     .expect("≤ threshold colored neighbors by H-partition");
             }
         }
@@ -221,6 +233,27 @@ mod tests {
         let g = gen::complete(10);
         let mut ledger = RoundLedger::new();
         h_partition(&g, None, 1, 0.1, &mut ledger);
+    }
+
+    /// [`peel_threshold`]: `⌊(2+ε)·a⌋`, and the argument checks.
+    #[test]
+    fn peel_threshold_floors_the_bound() {
+        assert_eq!(peel_threshold(1, 1.0), 3);
+        assert_eq!(peel_threshold(3, 0.5), 7);
+        assert_eq!(peel_threshold(4, 0.25), 9);
+        assert_eq!(peel_threshold(2, 0.1), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "arboricity parameter must be positive")]
+    fn peel_threshold_rejects_zero_arboricity() {
+        peel_threshold(0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive")]
+    fn peel_threshold_rejects_nonpositive_epsilon() {
+        peel_threshold(2, 0.0);
     }
 
     #[test]

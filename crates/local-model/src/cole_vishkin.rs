@@ -9,9 +9,12 @@
 //!
 //! Each simulated round only reads the parent's state from the previous
 //! round, so this is a faithful LOCAL execution; rounds are charged to the
-//! ledger as they run.
+//! ledger as they run. The per-vertex rules — [`cv_shrink`],
+//! [`cv_shift_down`], [`cv_recolor`] — are shared with the engine port
+//! (`engine::CvProgram`), which applies them to the colors it hears.
 
 use crate::ledger::RoundLedger;
+use crate::reduce::smallest_free;
 use graphs::VertexId;
 
 /// A rooted forest over vertices `0..n`, described by parent pointers.
@@ -89,8 +92,41 @@ impl RootedForest {
     }
 }
 
+/// One shrink step: a member of color `my` whose parent has color `parent`
+/// (`None` at a root, which compares against a fixed differing value) takes
+/// `2·i + bit`, where `i` is the lowest bit position at which the two colors
+/// differ and `bit` is `my`'s bit there. Parent and child stay distinct:
+/// either their positions differ, or the bits at the shared position do.
+#[inline]
+pub fn cv_shrink(my: usize, parent: Option<usize>) -> usize {
+    let other = parent.unwrap_or(usize::from(my == 0));
+    debug_assert_ne!(my, other, "proper coloring invariant");
+    let i = (my ^ other).trailing_zeros() as usize;
+    2 * i + ((my >> i) & 1)
+}
+
+/// The shift-down step: a non-root adopts its parent's color, a root
+/// (`parent == None`) the smallest of the six colors other than its own
+/// `my`. Afterwards all children of a vertex share one color.
+#[inline]
+pub fn cv_shift_down(my: usize, parent: Option<usize>) -> usize {
+    parent.unwrap_or_else(|| smallest_free(6, &[my]).expect("six colors available"))
+}
+
+/// The recolor step after a shift-down: a member of the eliminated class
+/// takes the smallest color of `{0, 1, 2}` that is neither its parent's nor
+/// its children's (one shared color after the shift; `None` when absent).
+#[inline]
+pub fn cv_recolor(parent: Option<usize>, child: Option<usize>) -> usize {
+    let constraints = [parent.unwrap_or(usize::MAX), child.unwrap_or(usize::MAX)];
+    smallest_free(3, &constraints).expect("three colors, two constraints")
+}
+
 /// 3-colors a rooted forest in `O(log* n)` LOCAL rounds (charged to
 /// `ledger` under `"cole-vishkin"` and `"shift-down"`).
+///
+/// Every round applies [`cv_shrink`], [`cv_shift_down`] or [`cv_recolor`]
+/// to each member, reading only the previous round's colors.
 ///
 /// Returns `color[v] ∈ {0,1,2}` for members, `usize::MAX` for non-members.
 ///
@@ -109,6 +145,7 @@ impl RootedForest {
 /// ```
 pub fn cole_vishkin_3color(forest: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
     let n = forest.n();
+    let up = |v: VertexId| Some(forest.parent(v)).filter(|&p| p != v);
     // Initial colors: unique ids.
     let mut color: Vec<usize> = (0..n).collect();
     for (v, c) in color.iter_mut().enumerate() {
@@ -121,60 +158,27 @@ pub fn cole_vishkin_3color(forest: &RootedForest, ledger: &mut RoundLedger) -> V
     while forest.members().any(|v| color[v] >= 6) {
         let prev = color.clone();
         for v in forest.members() {
-            let p = forest.parent(v);
-            let my = prev[v];
-            let other = if p == v {
-                // Root: compare against a fixed different value.
-                if my == 0 {
-                    1
-                } else {
-                    0
-                }
-            } else {
-                prev[p]
-            };
-            debug_assert_ne!(my, other, "proper coloring invariant");
-            let diff = my ^ other;
-            let i = diff.trailing_zeros() as usize;
-            color[v] = 2 * i + ((my >> i) & 1);
+            color[v] = cv_shrink(prev[v], up(v).map(|p| prev[p]));
         }
         cv_rounds += 1;
         debug_assert!(cv_rounds <= 64 + 4, "CV must converge in log* rounds");
     }
     ledger.charge("cole-vishkin", cv_rounds);
 
-    // Shift-down + eliminate colors 5, 4, 3 (two rounds each).
+    // Eliminate colors 5, 4, 3, two rounds each: shift down, then recolor
+    // the target class, whose members are pairwise non-adjacent.
     let children = forest.children();
     for target in (3..6).rev() {
-        // Round 1: shift down. Every non-root adopts its parent's color;
-        // each root picks a color in 0..6 different from its own current
-        // color and from its children's *new* colors (which equal the root's
-        // old color — so any other value works; pick the smallest).
         let prev = color.clone();
         for v in forest.members() {
-            let p = forest.parent(v);
-            if p == v {
-                color[v] = (0..6)
-                    .find(|&c| c != prev[v])
-                    .expect("six colors available");
-            } else {
-                color[v] = prev[p];
-            }
+            color[v] = cv_shift_down(prev[v], up(v).map(|p| prev[p]));
         }
-        // Round 2: all vertices colored `target` simultaneously recolor into
-        // {0,1,2}: after shift-down all children of a vertex share one
-        // color, so only two constraints exist (parent, children).
         let prev = color.clone();
         for v in forest.members() {
-            if prev[v] != target {
-                continue;
+            if prev[v] == target {
+                let child = children[v].first().map(|&c| prev[c]);
+                color[v] = cv_recolor(up(v).map(|p| prev[p]), child);
             }
-            let p = forest.parent(v);
-            let parent_color = if p == v { usize::MAX } else { prev[p] };
-            let child_color = children[v].first().map_or(usize::MAX, |&c| prev[c]);
-            color[v] = (0..3)
-                .find(|&c| c != parent_color && c != child_color)
-                .expect("three colors, two constraints");
         }
         ledger.charge("shift-down", 2);
     }
@@ -257,6 +261,51 @@ mod tests {
         let mut ledger = RoundLedger::new();
         let col = cole_vishkin_3color(&f, &mut ledger);
         assert!(col[0] < 3);
+    }
+
+    /// [`cv_shrink`]: a child and its parent stay distinct after one step,
+    /// over every triple of distinct-adjacent 6-bit colors and at roots,
+    /// and a 6-bit color shrinks below 12.
+    #[test]
+    fn shrink_keeps_parent_and_child_distinct() {
+        for my in 0..64usize {
+            for child in (0..64).filter(|&c| c != my) {
+                let below = cv_shrink(child, Some(my));
+                assert_ne!(below, cv_shrink(my, None), "root {my}, child {child}");
+                for parent in (0..64).filter(|&p| p != my) {
+                    let mine = cv_shrink(my, Some(parent));
+                    assert!(mine < 12, "shrink({my}, {parent}) = {mine}");
+                    assert_ne!(below, mine, "{child} -> {my} -> {parent}");
+                }
+            }
+        }
+    }
+
+    /// [`cv_shift_down`]: a non-root takes its parent's color, a root a
+    /// different color of `0..6`.
+    #[test]
+    fn shift_down_adopts_the_parent_and_moves_roots() {
+        for my in 0..6 {
+            let root = cv_shift_down(my, None);
+            assert!(root < 6 && root != my, "root {my} -> {root}");
+            for parent in 0..6 {
+                assert_eq!(cv_shift_down(my, Some(parent)), parent);
+            }
+        }
+    }
+
+    /// [`cv_recolor`]: lands in `0..3` and avoids both constraints.
+    #[test]
+    fn recolor_lands_in_three_colors_avoiding_both_constraints() {
+        let options = || (0..6).map(Some).chain([None]);
+        for parent in options() {
+            for child in options() {
+                let c = cv_recolor(parent, child);
+                assert!(c < 3, "recolor({parent:?}, {child:?}) = {c}");
+                assert_ne!(Some(c), parent);
+                assert_ne!(Some(c), child);
+            }
+        }
     }
 
     #[test]

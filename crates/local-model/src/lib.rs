@@ -19,6 +19,15 @@
 //!   \[3\], the scaffolding of Lemma 3.2.
 //! * [`gather_balls`] / [`detect_clique`] — ball collection and the paper's
 //!   two-round clique detection, with honest round charging.
+//! * [`layered_greedy`] — Lemma 3.2's leaves-to-roots coloring of a ruling
+//!   forest, one (depth, class) slot per round.
+//!
+//! Each algorithm's per-vertex rule is a public function of a vertex's own
+//! state and the values it received — [`cv_shrink`], [`smallest_free`],
+//! [`draw_proposal`], [`claim_choice`], [`merge_fresh`], [`layered_pick`]
+//! and the rest. The simulations here and the `engine` crate's node
+//! programs both call them, so the two drivers differ only in how values
+//! reach a vertex.
 //!
 //! # Examples
 //!
@@ -45,12 +54,20 @@ pub mod randomized;
 pub mod reduce;
 pub mod ruling;
 
-pub use barenboim_elkin::{barenboim_elkin_coloring, h_partition, HPartition};
-pub use cole_vishkin::{cole_vishkin_3color, RootedForest};
+pub use barenboim_elkin::{barenboim_elkin_coloring, h_partition, peel_threshold, HPartition};
+pub use cole_vishkin::{cole_vishkin_3color, cv_recolor, cv_shift_down, cv_shrink, RootedForest};
 pub use forests::Orientation;
 pub use gather::{clique_at_apex, detect_clique, gather_balls, merge_fresh};
 pub use goldberg_plotkin_shannon::{bounded_peeling_coloring, degree_peeling, gps_seven_coloring};
 pub use ledger::RoundLedger;
-pub use randomized::{per_vertex_rng, randomized_list_coloring, RandomizedColoring};
-pub use reduce::{coloring_by_forest_merge, degree_plus_one_coloring};
-pub use ruling::{claim_choice, ruling_beta, ruling_bits, ruling_forest, ruling_set, RulingForest};
+pub use randomized::{
+    assert_deg_plus_one_lists, commits, draw_proposal, per_vertex_rng, randomized_list_coloring,
+    strike, RandomizedColoring,
+};
+pub use reduce::{
+    coloring_by_forest_merge, degree_plus_one_coloring, forest_merge, smallest_free, MergeRounds,
+};
+pub use ruling::{
+    claim_choice, layered_greedy, layered_list, layered_pick, layered_slot, layered_slots,
+    ruling_beta, ruling_bits, ruling_forest, ruling_set, RulingForest,
+};

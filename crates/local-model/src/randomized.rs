@@ -10,13 +10,16 @@
 //! ≥ 1/4ish, so all vertices finish in `O(log n)` cycles w.h.p. — the
 //! contrast experiment for the paper's *deterministic* complexity focus.
 //!
-//! Two contracts matter for the engine port
+//! Three contracts matter for the engine port
 //! (`engine::engine_randomized_list_coloring`):
 //!
 //! * **Per-vertex randomness.** Every vertex draws from its own stream,
 //!   [`per_vertex_rng`]`(seed, v)` — a pure function of `(seed, v)`. The
 //!   engine seeds node RNGs identically, which is what makes the sequential
 //!   and message-passing executions produce bit-identical colorings.
+//! * **One rule set.** Both executions apply [`strike`], [`draw_proposal`]
+//!   and [`commits`] to what a vertex knows, after
+//!   [`assert_deg_plus_one_lists`] checked the lists.
 //! * **Two LOCAL rounds per cycle.** In a strict message-passing execution a
 //!   cycle costs a *propose* round (random color to all neighbors) and a
 //!   *resolve* round (commit decision + committed color to all neighbors):
@@ -48,6 +51,50 @@ pub struct RandomizedColoring {
     pub complete: bool,
 }
 
+/// Asserts the `(deg+1)`-list regime of §6: `lists` covers every vertex of
+/// `g`, and every masked vertex's list is longer than its masked degree.
+///
+/// # Panics
+///
+/// Panics if some masked list is smaller than `deg(v) + 1`.
+pub fn assert_deg_plus_one_lists(g: &Graph, mask: Option<&VertexSet>, lists: &[Vec<usize>]) {
+    assert_eq!(lists.len(), g.n());
+    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
+    for (v, list) in lists.iter().enumerate() {
+        if in_mask(v) {
+            let deg = g.neighbors(v).iter().filter(|&&w| in_mask(w)).count();
+            assert!(
+                list.len() > deg,
+                "vertex {v}: randomized coloring needs deg+1 lists"
+            );
+        }
+    }
+}
+
+/// The strike: a neighbor committed `c`, so it leaves the live list (its
+/// first occurrence; absent colors are ignored).
+#[inline]
+pub fn strike(live: &mut Vec<usize>, c: usize) {
+    if let Some(pos) = live.iter().position(|&x| x == c) {
+        live.remove(pos);
+    }
+}
+
+/// The proposal: a uniform draw from the live list on the vertex's own
+/// stream ([`per_vertex_rng`]).
+#[inline]
+pub fn draw_proposal(live: &[usize], rng: &mut StdRng) -> usize {
+    live[rng.gen_range(0..live.len())]
+}
+
+/// The commit test: `proposal` stands unless one of `rivals` — the colors
+/// neighbors proposed this cycle or already own — equals it. Ties kill
+/// both proposers.
+#[inline]
+pub fn commits(proposal: usize, mut rivals: impl Iterator<Item = usize>) -> bool {
+    rivals.all(|c| c != proposal)
+}
+
 /// Runs the randomized list-coloring. Requires `|lists[v]| ≥ deg(v) + 1`
 /// for every masked vertex (the `(deg+1)`-list-coloring regime of §6).
 ///
@@ -62,18 +109,9 @@ pub fn randomized_list_coloring(
     max_rounds: u64,
     ledger: &mut RoundLedger,
 ) -> RandomizedColoring {
+    assert_deg_plus_one_lists(g, mask, lists);
     let n = g.n();
-    assert_eq!(lists.len(), n);
     let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    for (v, list) in lists.iter().enumerate() {
-        if in_mask(v) {
-            let deg = g.neighbors(v).iter().filter(|&&w| in_mask(w)).count();
-            assert!(
-                list.len() > deg,
-                "vertex {v}: randomized coloring needs deg+1 lists"
-            );
-        }
-    }
     let mut rngs: Vec<StdRng> = (0..n).map(|v| per_vertex_rng(seed, v)).collect();
     let mut live: Vec<Vec<usize>> = lists.to_vec();
     let mut colors = vec![usize::MAX; n];
@@ -81,20 +119,18 @@ pub fn randomized_list_coloring(
     let mut rounds = 0u64;
     while !uncolored.is_empty() && rounds < max_rounds {
         rounds += 1;
-        // Propose.
         let mut proposal = vec![usize::MAX; n];
         for &v in &uncolored {
-            proposal[v] = live[v][rngs[v].gen_range(0..live[v].len())];
+            proposal[v] = draw_proposal(&live[v], &mut rngs[v]);
         }
-        // Commit where no conflict (symmetric rule: ties kill both).
         let mut committed: Vec<VertexId> = Vec::new();
         for &v in &uncolored {
-            let p = proposal[v];
-            let conflict = g
+            let rivals = g
                 .neighbors(v)
                 .iter()
-                .any(|&w| in_mask(w) && (proposal[w] == p || colors[w] == p));
-            if !conflict {
+                .filter(|&&w| in_mask(w))
+                .flat_map(|&w| [proposal[w], colors[w]]);
+            if commits(proposal[v], rivals) {
                 committed.push(v);
             }
         }
@@ -102,9 +138,7 @@ pub fn randomized_list_coloring(
             colors[v] = proposal[v];
             for &w in g.neighbors(v) {
                 if in_mask(w) && colors[w] == usize::MAX {
-                    if let Some(pos) = live[w].iter().position(|&c| c == colors[v]) {
-                        live[w].remove(pos);
-                    }
+                    strike(&mut live[w], colors[v]);
                 }
             }
         }
@@ -185,6 +219,49 @@ mod tests {
         let lists = vec![vec![0, 1]; 6];
         let mut ledger = RoundLedger::new();
         randomized_list_coloring(&g, None, &lists, 1, 10, &mut ledger);
+    }
+
+    /// [`assert_deg_plus_one_lists`] counts masked neighbors only: lists
+    /// too short for the whole cycle pass once the mask cuts it into paths.
+    #[test]
+    fn list_precondition_counts_masked_degree() {
+        let g = gen::cycle(6);
+        let lists = vec![vec![0, 1]; 6];
+        let mask = VertexSet::from_iter_with_universe(6, [0, 1, 3, 4]);
+        assert_deg_plus_one_lists(&g, Some(&mask), &lists);
+    }
+
+    /// [`strike`]: removes the first occurrence, keeps the order of the
+    /// rest, and ignores colors not on the list.
+    #[test]
+    fn strike_removes_the_color_once() {
+        let mut live = vec![4, 2, 7, 2];
+        strike(&mut live, 2);
+        assert_eq!(live, vec![4, 7, 2]);
+        strike(&mut live, 9);
+        assert_eq!(live, vec![4, 7, 2]);
+        strike(&mut live, 4);
+        assert_eq!(live, vec![7, 2]);
+    }
+
+    /// [`draw_proposal`]: every draw is on the live list, and every entry
+    /// gets drawn.
+    #[test]
+    fn proposals_cover_the_live_list() {
+        let live = [3, 8, 5, 1];
+        let mut rng = per_vertex_rng(11, 4);
+        let draws: Vec<usize> = (0..200).map(|_| draw_proposal(&live, &mut rng)).collect();
+        assert!(draws.iter().all(|c| live.contains(c)));
+        assert!(live.iter().all(|c| draws.contains(c)), "{draws:?}");
+    }
+
+    /// [`commits`]: a proposal loses exactly to an equal rival.
+    #[test]
+    fn commit_test_loses_exactly_to_an_equal_rival() {
+        assert!(commits(3, [].into_iter()));
+        assert!(commits(3, [1, 2, usize::MAX].into_iter()));
+        assert!(!commits(3, [1, 3].into_iter()));
+        assert!(!commits(3, [3].into_iter()));
     }
 
     #[test]

@@ -6,52 +6,174 @@
 //! (proper on the enlarged union) and sweep the product classes from the
 //! top, recoloring each class greedily into `0..target`. Classes are
 //! independent sets of the union, so each sweep step is one LOCAL round.
+//!
+//! [`forest_merge`] is the host loop of that scheme, and [`MergeRounds`] its
+//! communication: this crate simulates the rounds, the engine crate runs
+//! them as sessions (`engine::engine_coloring_by_forest_merge`). Both sweeps
+//! pick colors with [`smallest_free`].
 
 use crate::cole_vishkin::{cole_vishkin_3color, RootedForest};
+use crate::forests::Orientation;
 use crate::ledger::RoundLedger;
 use graphs::{Graph, VertexId, VertexSet};
 
-/// Reduces a proper coloring of `g[mask]` to use colors `0..target`.
-///
-/// `union_edges(v)` must yield, for each vertex, its neighbors in the
-/// subgraph on which `coloring` is currently proper (and on which the
-/// result must stay proper). `target` must exceed the maximum degree of
-/// that subgraph.
-///
-/// One LOCAL round per color class in `current_colors..target`, plus one
-/// announce round — after a local product recoloring each vertex must tell
-/// its union-neighbors the new color before the top class can sweep
-/// (charged as `"class-sweep"`; the engine port executes exactly these
-/// rounds, see `engine::engine_degree_plus_one_coloring`).
-fn sweep_reduce(
-    members: &[VertexId],
-    neighbors_of: impl Fn(VertexId) -> Vec<VertexId>,
-    coloring: &mut [usize],
-    current_colors: usize,
-    target: usize,
-    ledger: &mut RoundLedger,
-) {
-    if current_colors <= target {
-        return;
+/// The smallest color of `0..k` missing from `used` — the greedy choice of
+/// every sweep in this crate and in its engine ports. `None` when all `k`
+/// colors are used.
+#[inline]
+pub fn smallest_free(k: usize, used: &[usize]) -> Option<usize> {
+    (0..k).find(|c| !used.contains(c))
+}
+
+/// The communication of one [`forest_merge`]: how a forest gets 3-colored
+/// and how one merge's class sweep runs.
+pub trait MergeRounds {
+    /// 3-colors `forest`: colors in `0..3` for members, `usize::MAX`
+    /// elsewhere, with its rounds charged as [`cole_vishkin_3color`] does.
+    fn three_color(&mut self, forest: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize>;
+
+    /// Recolors the classes `current_colors − 1` down to `target` of the
+    /// proper coloring `color` of the union graph `union_adj` into
+    /// `0..target`, each vertex taking the [`smallest_free`] color among its
+    /// union neighbors'. It takes one round per class plus one announce
+    /// round, charged as `"class-sweep"`. `members` lists the masked
+    /// vertices; `current_colors > target`.
+    fn sweep(
+        &mut self,
+        members: &[VertexId],
+        union_adj: &[Vec<VertexId>],
+        color: &mut [usize],
+        current_colors: usize,
+        target: usize,
+        ledger: &mut RoundLedger,
+    );
+}
+
+/// [`MergeRounds`] as a sequential LOCAL simulation.
+struct Simulated;
+
+impl MergeRounds for Simulated {
+    fn three_color(&mut self, forest: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
+        cole_vishkin_3color(forest, ledger)
     }
-    for class in (target..current_colors).rev() {
-        for &v in members {
-            if coloring[v] != class {
-                continue;
+
+    fn sweep(
+        &mut self,
+        members: &[VertexId],
+        union_adj: &[Vec<VertexId>],
+        color: &mut [usize],
+        current_colors: usize,
+        target: usize,
+        ledger: &mut RoundLedger,
+    ) {
+        let mut used = Vec::new();
+        for class in (target..current_colors).rev() {
+            for &v in members {
+                if color[v] != class {
+                    continue;
+                }
+                used.clear();
+                used.extend(union_adj[v].iter().map(|&w| color[w]));
+                color[v] = smallest_free(target, &used)
+                    .expect("target exceeds degree, a free color exists");
             }
-            let used: Vec<usize> = neighbors_of(v).iter().map(|&w| coloring[w]).collect();
-            let fresh = (0..target)
-                .find(|c| !used.contains(c))
-                .expect("target exceeds degree, a free color exists");
-            coloring[v] = fresh;
+        }
+        ledger.charge("class-sweep", (current_colors - target + 1) as u64);
+    }
+}
+
+/// The merge-reduce host loop over `g[mask]`: decomposes the masked graph
+/// into rooted forests via the acyclic `priority` orientation, 3-colors
+/// each forest, grows the union adjacency, forms the product colors and
+/// sweeps them back into `0..target` whenever they exceed it. `target`
+/// defaults to the masked maximum degree plus one. `rounds` runs the
+/// communication.
+///
+/// # Panics
+///
+/// Panics if `target` does not exceed the masked maximum degree — a free
+/// color could run out.
+///
+/// Returns `color[v] ∈ 0..target` for masked vertices, `usize::MAX`
+/// elsewhere.
+pub fn forest_merge(
+    g: &Graph,
+    mask: Option<&VertexSet>,
+    priority: &[usize],
+    target: Option<usize>,
+    rounds: &mut impl MergeRounds,
+    ledger: &mut RoundLedger,
+) -> Vec<usize> {
+    let n = g.n();
+    assert_eq!(priority.len(), n);
+    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
+    let members: Vec<VertexId> = (0..n).filter(|&v| in_mask(v)).collect();
+    let max_deg = members
+        .iter()
+        .map(|&v| g.neighbors(v).iter().filter(|&&w| in_mask(w)).count())
+        .max()
+        .unwrap_or(0);
+    let target = target.unwrap_or(max_deg + 1);
+    assert!(
+        target > max_deg,
+        "target ({target}) must exceed the masked maximum degree ({max_deg})"
+    );
+
+    let orientation = Orientation::by_priority(g, mask, priority);
+    let forests = orientation.forest_decomposition(mask, ledger);
+
+    let mut color = vec![usize::MAX; n];
+    // Union adjacency grows as forests merge.
+    let mut union_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    // Every forest spans the masked vertices, so the first one colors all.
+    let mut current_colors = 1usize;
+    for (fi, forest) in forests.iter().enumerate() {
+        let f3 = rounds.three_color(forest, ledger);
+        for &v in &members {
+            let p = forest.parent(v);
+            if p != v {
+                union_adj[v].push(p);
+                union_adj[p].push(v);
+            }
+        }
+        if fi == 0 {
+            for &v in &members {
+                color[v] = f3[v];
+            }
+            current_colors = 3;
+        } else {
+            // Product coloring: 3 * old + forest color; proper on the union.
+            for &v in &members {
+                color[v] = 3 * color[v] + f3[v];
+            }
+            current_colors *= 3;
+        }
+        if current_colors > target {
+            rounds.sweep(
+                &members,
+                &union_adj,
+                &mut color,
+                current_colors,
+                target,
+                ledger,
+            );
+        }
+        let used = members.iter().map(|&v| color[v] + 1).max().unwrap_or(0);
+        current_colors = current_colors.min(target).max(used);
+    }
+    if forests.is_empty() {
+        // Edgeless subgraph: everyone takes color 0.
+        for &v in &members {
+            color[v] = 0;
         }
     }
-    ledger.charge("class-sweep", (current_colors - target + 1) as u64);
+    debug_assert!(members.iter().all(|&v| color[v] < target));
+    color
 }
 
 /// Computes a proper `target`-coloring of `g[mask]` by decomposing into
 /// rooted forests (via the given acyclic `priority`), 3-coloring each with
-/// Cole–Vishkin, and merge-reducing.
+/// Cole–Vishkin, and merge-reducing — [`forest_merge`], simulated.
 ///
 /// # Panics
 ///
@@ -85,78 +207,7 @@ pub fn coloring_by_forest_merge(
     target: usize,
     ledger: &mut RoundLedger,
 ) -> Vec<usize> {
-    let n = g.n();
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    let members: Vec<VertexId> = (0..n).filter(|&v| in_mask(v)).collect();
-    let max_deg = members
-        .iter()
-        .map(|&v| g.neighbors(v).iter().filter(|&&w| in_mask(w)).count())
-        .max()
-        .unwrap_or(0);
-    assert!(
-        target > max_deg,
-        "target ({target}) must exceed the masked maximum degree ({max_deg})"
-    );
-
-    let orientation = crate::forests::Orientation::by_priority(g, mask, priority);
-    let forests: Vec<RootedForest> = orientation.forest_decomposition(mask, ledger);
-
-    let mut color = vec![usize::MAX; n];
-    // Union adjacency grows as forests merge.
-    let mut union_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-
-    let mut current_colors = 1usize; // all-uncolored start: treat as 1 dummy color
-    for (fi, forest) in forests.iter().enumerate() {
-        let f3 = cole_vishkin_3color(forest, ledger);
-        // Extend the union with this forest's edges.
-        for &v in &members {
-            let p = forest.parent(v);
-            if p != usize::MAX && p != v {
-                union_adj[v].push(p);
-                union_adj[p].push(v);
-            }
-        }
-        if fi == 0 {
-            for &v in &members {
-                color[v] = f3[v];
-            }
-            current_colors = 3;
-        } else {
-            // Product coloring: 3 * old + forest color; proper on the union.
-            for &v in &members {
-                color[v] = 3 * color[v] + f3[v];
-            }
-            current_colors *= 3;
-        }
-        // Reduce back to `target` (skip when already small).
-        let adj = &union_adj;
-        sweep_reduce(
-            &members,
-            |v| adj[v].clone(),
-            &mut color,
-            current_colors,
-            target,
-            ledger,
-        );
-        current_colors = current_colors.min(target).max(
-            color
-                .iter()
-                .filter(|&&c| c != usize::MAX)
-                .max()
-                .map_or(0, |&c| c + 1),
-        );
-    }
-    if members.is_empty() {
-        return color;
-    }
-    if forests.is_empty() {
-        // Edgeless subgraph: everyone takes color 0.
-        for &v in &members {
-            color[v] = 0;
-        }
-    }
-    debug_assert!(members.iter().all(|&v| color[v] < target));
-    color
+    forest_merge(g, mask, priority, Some(target), &mut Simulated, ledger)
 }
 
 /// The classic `(Δ+1)`-coloring of `g[mask]` in `O(Δ² + log* n)` rounds
@@ -166,13 +217,7 @@ pub fn degree_plus_one_coloring(
     mask: Option<&VertexSet>,
     ledger: &mut RoundLedger,
 ) -> Vec<usize> {
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    let max_deg = (0..g.n())
-        .filter(|&v| in_mask(v))
-        .map(|v| g.neighbors(v).iter().filter(|&&w| in_mask(w)).count())
-        .max()
-        .unwrap_or(0);
-    coloring_by_forest_merge(g, mask, &vec![0; g.n()], max_deg + 1, ledger)
+    forest_merge(g, mask, &vec![0; g.n()], None, &mut Simulated, ledger)
 }
 
 #[cfg(test)]
@@ -247,6 +292,75 @@ mod tests {
         let g = gen::cycle(9);
         let mut ledger = RoundLedger::new();
         coloring_by_forest_merge(&g, None, &[0; 9], 2, &mut ledger);
+    }
+
+    /// [`forest_merge`]: every sweep starts from a product coloring that is
+    /// proper on the union so far and below `current_colors`, and leaves a
+    /// proper coloring below `target`.
+    #[test]
+    fn every_sweep_starts_from_a_proper_product_coloring() {
+        struct Checked(usize);
+        fn assert_proper(members: &[VertexId], adj: &[Vec<VertexId>], color: &[usize], k: usize) {
+            for &v in members {
+                assert!(color[v] < k, "vertex {v}: color {} ≥ {k}", color[v]);
+                assert!(adj[v].iter().all(|&w| color[w] != color[v]), "vertex {v}");
+            }
+        }
+        impl MergeRounds for Checked {
+            fn three_color(&mut self, f: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
+                Simulated.three_color(f, ledger)
+            }
+
+            fn sweep(
+                &mut self,
+                members: &[VertexId],
+                adj: &[Vec<VertexId>],
+                color: &mut [usize],
+                current_colors: usize,
+                target: usize,
+                ledger: &mut RoundLedger,
+            ) {
+                assert_proper(members, adj, color, current_colors);
+                Simulated.sweep(members, adj, color, current_colors, target, ledger);
+                assert_proper(members, adj, color, target);
+                self.0 += 1;
+            }
+        }
+        for (n, d, seed) in [(40, 4, 2), (60, 6, 3), (80, 8, 4)] {
+            let g = gen::random_regular(n, d, seed);
+            let mut checked = Checked(0);
+            let col = forest_merge(
+                &g,
+                None,
+                &vec![0; n],
+                None,
+                &mut checked,
+                &mut RoundLedger::new(),
+            );
+            assert_proper_masked(&g, None, &col, d + 1);
+            assert!(checked.0 > 0, "n={n}: some merge swept");
+        }
+    }
+
+    /// [`smallest_free`]: never returns a used color, returns the smallest
+    /// unused one, and `None` exactly when all `k` are used — over every
+    /// subset of `0..6`, with a duplicate and an out-of-range color.
+    #[test]
+    fn smallest_free_never_returns_a_used_color() {
+        for k in 0..7usize {
+            for subset in 0..64u32 {
+                let mut used: Vec<usize> = (0..6).filter(|&c| subset >> c & 1 == 1).collect();
+                used.extend(used.first().copied());
+                used.push(usize::MAX);
+                match smallest_free(k, &used) {
+                    Some(c) => {
+                        assert!(c < k && !used.contains(&c), "k={k} used={used:?}: {c}");
+                        assert!((0..c).all(|d| used.contains(&d)), "{c} is not the smallest");
+                    }
+                    None => assert!((0..k).all(|d| used.contains(&d)), "k={k} used={used:?}"),
+                }
+            }
+        }
     }
 
     #[test]

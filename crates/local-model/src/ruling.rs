@@ -18,6 +18,11 @@
 //! (`engine::programs::ruling::RulingProgram`) executes the same steps as a
 //! `NodeProgram`, so sequential and message-passing runs produce
 //! bit-identical rulers, forests, and round charges by construction.
+//!
+//! The forest's consumer, Lemma 3.2's [`layered_greedy`], follows the same
+//! pattern: its slot schedule ([`layered_slots`]), list form
+//! ([`layered_list`]) and pick ([`layered_pick`]) are shared with
+//! `engine::LayeredGreedyProgram`.
 
 use crate::gather::merge_fresh;
 use crate::ledger::RoundLedger;
@@ -46,6 +51,44 @@ pub fn claim_choice(
     claims: impl IntoIterator<Item = (VertexId, VertexId)>,
 ) -> Option<(VertexId, VertexId)> {
     claims.into_iter().min()
+}
+
+/// The (depth, class) slot handled in 1-based round `round` of the layered
+/// greedy ([`layered_greedy`]): depths count down from `max_depth`, classes
+/// count up within each depth.
+#[inline]
+pub fn layered_slot(round: usize, max_depth: usize, class_count: usize) -> (usize, usize) {
+    debug_assert!(round >= 1 && round <= max_depth * class_count);
+    (
+        max_depth - (round - 1) / class_count,
+        (round - 1) % class_count,
+    )
+}
+
+/// The layered greedy's full slot schedule, in execution order:
+/// [`layered_slot`] of every round. Depth-0 roots get no slot.
+pub fn layered_slots(max_depth: usize, class_count: usize) -> impl Iterator<Item = (usize, usize)> {
+    (1..=max_depth * class_count).map(move |r| layered_slot(r, max_depth, class_count))
+}
+
+/// A tree vertex's list as the layered greedy keeps it: sorted, without
+/// duplicates.
+pub fn layered_list(list: &[usize]) -> Vec<usize> {
+    let mut list = list.to_vec();
+    list.sort_unstable();
+    list.dedup();
+    list
+}
+
+/// The slot pick: the smallest color left in a vertex's live list (its
+/// [`layered_list`] minus the colors its scope neighbors committed). The
+/// parent is still uncolored at the vertex's slot, so a color is left
+/// (Observation 5.1).
+#[inline]
+pub fn layered_pick(live: &[usize]) -> usize {
+    *live
+        .first()
+        .expect("Observation 5.1: parent uncolored ⇒ free color")
 }
 
 /// Computes an `(alpha, alpha·⌈log₂ n⌉)`-ruling set of `subset` in
@@ -320,6 +363,61 @@ pub fn ruling_forest(
     }
 }
 
+/// Lemma 3.2's layered greedy (step 4 of `distributed_coloring::extend`):
+/// colors the ruling-forest `scope` leaves-to-roots, one [`layered_slots`]
+/// slot per round. In its slot a vertex takes its [`layered_pick`] and its
+/// uncolored scope neighbors strike that color. A slot is one class of a
+/// proper coloring of `g[scope]`, so its vertices pick independently.
+///
+/// `lists` are the host-reduced lists (only scope entries are read),
+/// `depth` and `classes` the forest depth and class of each vertex. Charges
+/// `"layered-coloring"` `max_depth · class_count` rounds. Returns the
+/// committed colors, `usize::MAX` outside the scope and at depth-0 roots.
+/// The engine twin is `engine::engine_layered_greedy`.
+///
+/// # Panics
+///
+/// Panics if a slot vertex has no color left (see [`layered_pick`]).
+pub fn layered_greedy(
+    g: &Graph,
+    scope: &VertexSet,
+    lists: &[Vec<usize>],
+    depth: &[usize],
+    classes: &[usize],
+    class_count: usize,
+    ledger: &mut RoundLedger,
+) -> Vec<usize> {
+    let n = g.n();
+    assert_eq!(lists.len(), n);
+    let mut live: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for v in scope.iter() {
+        live[v] = layered_list(&lists[v]);
+    }
+    let max_depth = scope.iter().map(|v| depth[v]).max().unwrap_or(0);
+    let mut color = vec![usize::MAX; n];
+    for (d, class) in layered_slots(max_depth, class_count) {
+        for v in scope.iter() {
+            if depth[v] != d || classes[v] != class {
+                continue;
+            }
+            let c = layered_pick(&live[v]);
+            color[v] = c;
+            for &w in g.neighbors(v) {
+                if scope.contains(w) && color[w] == usize::MAX {
+                    if let Ok(pos) = live[w].binary_search(&c) {
+                        live[w].remove(pos);
+                    }
+                }
+            }
+        }
+    }
+    ledger.charge(
+        "layered-coloring",
+        (max_depth as u64) * (class_count as u64),
+    );
+    color
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,6 +557,80 @@ mod tests {
             assert_ne!(rf.root_of[u], usize::MAX);
             // Tree stays on u's side.
             assert_eq!(rf.root_of[u] < 15, u < 15);
+        }
+    }
+
+    /// [`layered_list`]: sorted, duplicates dropped.
+    #[test]
+    fn layered_list_sorts_and_deduplicates() {
+        assert_eq!(layered_list(&[5, 1, 5, 3, 1]), vec![1, 3, 5]);
+        assert_eq!(layered_list(&[]), Vec::<usize>::new());
+    }
+
+    /// [`layered_pick`]: the smallest live color.
+    #[test]
+    fn layered_pick_takes_the_smallest_live_color() {
+        assert_eq!(layered_pick(&[2, 4, 9]), 2);
+        assert_eq!(layered_pick(&[7]), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "Observation 5.1")]
+    fn layered_pick_refuses_an_empty_list() {
+        layered_pick(&[]);
+    }
+
+    /// [`layered_greedy`] on ruling forests of random planar graphs with
+    /// `(deg+1)` lists: every non-root tree vertex takes a color of its
+    /// list, adjacent ones differ, roots and non-members stay uncolored,
+    /// and the charge is one round per slot.
+    #[test]
+    fn layered_greedy_colors_ruling_forests_properly() {
+        for seed in 0..4u64 {
+            let g = gen::apollonian(300, seed);
+            let subset: Vec<usize> = (0..g.n()).step_by(3).collect();
+            let mut ledger = RoundLedger::new();
+            let rf = ruling_forest(&g, None, &subset, 4, &mut ledger);
+            let scope = VertexSet::from_iter_with_universe(g.n(), rf.members());
+            let classes = crate::degree_plus_one_coloring(&g, Some(&scope), &mut ledger);
+            let class_count = scope.iter().map(|v| classes[v] + 1).max().unwrap_or(1);
+            let lists: Vec<Vec<usize>> = g
+                .vertices()
+                .map(|v| {
+                    let deg = g
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&w| scope.contains(w))
+                        .count();
+                    (v % 4..v % 4 + deg + 1).rev().collect()
+                })
+                .collect();
+            let mut ledger = RoundLedger::new();
+            let color = layered_greedy(
+                &g,
+                &scope,
+                &lists,
+                &rf.depth,
+                &classes,
+                class_count,
+                &mut ledger,
+            );
+            for v in g.vertices() {
+                if scope.contains(v) && rf.depth[v] >= 1 {
+                    assert!(lists[v].contains(&color[v]), "seed {seed}: vertex {v}");
+                } else {
+                    assert_eq!(color[v], usize::MAX, "seed {seed}: vertex {v}");
+                }
+            }
+            for (u, v) in g.edges() {
+                if color[u] != usize::MAX {
+                    assert_ne!(color[u], color[v], "seed {seed}: edge ({u},{v})");
+                }
+            }
+            assert_eq!(
+                ledger.phase_total("layered-coloring"),
+                (rf.max_depth() * class_count) as u64
+            );
         }
     }
 

@@ -12,12 +12,13 @@ use engine::programs::randomized::ColorMsg;
 use engine::programs::ruling::RulingMsg;
 use engine::{
     engine_cole_vishkin_3color, engine_degree_plus_one_coloring, engine_gather_balls,
-    engine_h_partition, engine_randomized_list_coloring, engine_ruling_forest, EngineConfig,
-    EngineMessage, EngineMetrics, FaultPlan, WireCodec, SPLIT_PHASE,
+    engine_h_partition, engine_layered_greedy, engine_randomized_list_coloring,
+    engine_ruling_forest, EngineConfig, EngineMessage, EngineMetrics, FaultPlan, WireCodec,
+    SPLIT_PHASE,
 };
 use graphs::{gen, VertexSet};
 use local_model::{
-    cole_vishkin_3color, degree_plus_one_coloring, gather_balls, h_partition,
+    cole_vishkin_3color, degree_plus_one_coloring, gather_balls, h_partition, layered_greedy,
     randomized_list_coloring, ruling_forest, RootedForest, RoundLedger,
 };
 use proptest::prelude::*;
@@ -443,6 +444,52 @@ proptest! {
             prop_assert_eq!(&rf.parent, &seq.parent, "shards = {}", shards);
             prop_assert_eq!(&rf.root_of, &seq.root_of, "shards = {}", shards);
             prop_assert_eq!(&rf.depth, &seq.depth, "shards = {}", shards);
+            prop_assert_eq!(ledger.total(), seq_ledger.total());
+        }
+    }
+
+    /// LayeredGreedyProgram: on ruling forests of random planar graphs,
+    /// with `(deg+1)` lists and the forest's `(d+1)`-classes, the engine
+    /// sweep commits the same colors as the sequential [`layered_greedy`]
+    /// at shards {1, 2, 8}, with equal charges.
+    #[test]
+    fn layered_greedy_matches_sequential_on_ruling_forests(
+        n in 20usize..200,
+        alpha in 2usize..7,
+        stride in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let g = gen::apollonian(n, seed);
+        let subset: Vec<usize> = (0..g.n()).step_by(stride).collect();
+        let mut ledger = RoundLedger::new();
+        let rf = ruling_forest(&g, None, &subset, alpha, &mut ledger);
+        let scope = VertexSet::from_iter_with_universe(g.n(), rf.members());
+        let classes = degree_plus_one_coloring(&g, Some(&scope), &mut ledger);
+        let class_count = scope.iter().map(|v| classes[v] + 1).max().unwrap_or(1);
+        let lists: Vec<Vec<usize>> = g
+            .vertices()
+            .map(|v| {
+                let deg = g.neighbors(v).iter().filter(|&&w| scope.contains(w)).count();
+                let shift = (mix64(seed, v as u64) % 5) as usize;
+                (shift..shift + deg + 1).rev().collect()
+            })
+            .collect();
+        let mut seq_ledger = RoundLedger::new();
+        let seq = layered_greedy(
+            &g, &scope, &lists, &rf.depth, &classes, class_count, &mut seq_ledger,
+        );
+        for shards in [1usize, 2, 8] {
+            let mut ledger = RoundLedger::new();
+            let (colors, _) = engine_layered_greedy(
+                &g, &scope, &lists, &rf.depth, &classes, class_count,
+                EngineConfig::default().with_shards(shards),
+                &mut ledger,
+            );
+            prop_assert_eq!(&colors, &seq, "shards = {}", shards);
+            prop_assert_eq!(
+                ledger.phase_total("layered-coloring"),
+                seq_ledger.phase_total("layered-coloring")
+            );
             prop_assert_eq!(ledger.total(), seq_ledger.total());
         }
     }

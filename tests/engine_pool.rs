@@ -10,8 +10,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use engine::{
-    engine_randomized_list_coloring, EngineConfig, EnginePool, EngineSession, FaultPlan, Inbox,
-    NodeCtx, NodeProgram, Outbox, Stop,
+    engine_randomized_list_coloring, Activation, EngineConfig, EnginePool, EngineSession,
+    FaultPlan, Inbox, NodeCtx, NodeProgram, Outbox, Stop,
 };
 use graphs::gen;
 use local_model::RoundLedger;
@@ -520,5 +520,62 @@ fn driver_epoch_counts_are_shard_and_worker_invariant() {
                 "shards = {shards}, workers = {workers}"
             );
         }
+    }
+}
+
+/// Registers a `WakeAt(STALE_WAKE)` alarm after `init`, then supersedes it
+/// with `OnMessage` when round 1's traffic steps it: every alarm is stale
+/// before its round comes.
+struct StaleAlarm {
+    heard: bool,
+}
+
+const STALE_WAKE: u64 = 10;
+
+impl NodeProgram for StaleAlarm {
+    type Message = usize;
+
+    fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<usize> {
+        Outbox::Broadcast(ctx.id)
+    }
+
+    fn on_round(&mut self, _: &mut NodeCtx<'_>, _: Inbox<'_, usize>) -> Outbox<usize> {
+        self.heard = true;
+        Outbox::Silent
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+
+    fn activation(&self) -> Activation {
+        if self.heard {
+            Activation::OnMessage
+        } else {
+            Activation::WakeAt(STALE_WAKE)
+        }
+    }
+}
+
+#[test]
+fn superseded_wakes_do_not_wake_the_pool() {
+    // 3000 alarms for round 10, all superseded in round 1: round 10 has no
+    // work, so both its epochs run on the driver. A wake queue that counted
+    // the stale entries would pool its compute epoch (3000 ≥ 1024 units).
+    // Pinned: init pools both epochs, round 1 pools its compute epoch
+    // (every node hears two neighbors), round 2 its routing epoch (it
+    // resets round 1's 3000 spent inboxes), and every other epoch of
+    // rounds 1–12 runs on the driver: 1 + 1 + 2·10 = 22.
+    let g = gen::cycle(3000);
+    for shards in [1usize, 4] {
+        let config = EngineConfig::default().with_shards(shards);
+        let mut sess = EngineSession::new(&g, config, |_| StaleAlarm { heard: false });
+        sess.run_phase("alarms", Stop::Rounds(12));
+        let metrics = sess.metrics();
+        assert_eq!(metrics.per_round()[0].stepped, 3000, "shards = {shards}");
+        let alarm_round = &metrics.per_round()[STALE_WAKE as usize - 1];
+        assert_eq!(alarm_round.stepped, 0, "shards = {shards}");
+        assert_eq!(alarm_round.driver_epochs, 2, "shards = {shards}");
+        assert_eq!(metrics.total_driver_epochs(), 22, "shards = {shards}");
     }
 }
