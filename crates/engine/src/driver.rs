@@ -1057,6 +1057,59 @@ mod tests {
     }
 
     #[test]
+    fn split_accounting_under_faults_counts_exact_deliveries() {
+        // Chunky on a 10-cycle under Split(2): round r broadcasts width r
+        // for r ≤ 4, so rounds 3 and 4 deliver over-budget messages of 2
+        // frames each. Loss removes deliveries and duplication adds them,
+        // frame for frame; a delayed wide outbox is charged in the round
+        // it is delivered, not the round it was sent.
+        let g = gen::cycle(10);
+        let run = |faults: FaultPlan, shards: usize| {
+            let mut sess = EngineSession::new(
+                &g,
+                EngineConfig::default()
+                    .with_shards(shards)
+                    .congest_split(2)
+                    .with_faults(faults),
+                |_| Chunky { rounds: 4, seen: 0 },
+            );
+            sess.run_phase("chunky", Stop::Rounds(6));
+            let m = sess.metrics();
+            let per_round: Vec<u64> = m.per_round().iter().map(|r| r.physical_rounds).collect();
+            (m.total_fragments(), m.total_physical_rounds(), per_round)
+        };
+        // (plan, total fragments, per-round physical rounds). Fault-free,
+        // rounds 3 and 4 each fragment 20 deliveries into 40 frames.
+        let cases = [
+            // 30% of the deliveries are lost: 30 of the 40 wide ones arrive.
+            (FaultPlan::new().lose_edges(5, 0.3), 60, [1, 1, 2, 2, 1, 1]),
+            // 8 wide deliveries are duplicated, and the copies pay too.
+            (
+                FaultPlan::new().duplicate_edges(5, 0.3),
+                96,
+                [1, 1, 2, 2, 1, 1],
+            ),
+            // Node 3's width-4 round-4 outbox arrives a round late: its 4
+            // frames move to round 5, whose traffic is otherwise silent.
+            (
+                FaultPlan::new().delay_outbox(3, 4, 1),
+                80,
+                [1, 1, 2, 2, 2, 1],
+            ),
+        ];
+        for (faults, fragments, physical) in cases {
+            for shards in [1usize, 2] {
+                let total: u64 = physical.iter().sum();
+                assert_eq!(
+                    run(faults.clone(), shards),
+                    (fragments, total, physical.to_vec()),
+                    "{faults:?}, shards={shards}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn split_report_exposes_physical_rounds() {
         let g = gen::path(6);
         let mut sess = EngineSession::new(&g, EngineConfig::default().congest_split(1), |_| {

@@ -326,19 +326,24 @@ mod tests {
                 self.0 += 1;
             }
         }
-        for (n, d, seed) in [(40, 4, 2), (60, 6, 3), (80, 8, 4)] {
-            let g = gen::random_regular(n, d, seed);
+        let regular = [(40, 4, 2), (60, 6, 3), (80, 8, 4)]
+            .map(|(n, d, seed)| (gen::random_regular(n, d, seed), vec![0; n]));
+        // A triangulation oriented by reversed id: here union edges join
+        // vertices whose old colors differ while their forest colors make
+        // a narrower product (such as `2·old + f`) collide.
+        let planar = (gen::apollonian(40, 0), (0..40).rev().collect());
+        for (g, priority) in regular.into_iter().chain([planar]) {
             let mut checked = Checked(0);
             let col = forest_merge(
                 &g,
                 None,
-                &vec![0; n],
+                &priority,
                 None,
                 &mut checked,
                 &mut RoundLedger::new(),
             );
-            assert_proper_masked(&g, None, &col, d + 1);
-            assert!(checked.0 > 0, "n={n}: some merge swept");
+            assert_proper_masked(&g, None, &col, g.max_degree() + 1);
+            assert!(checked.0 > 0, "n={}: some merge swept", g.n());
         }
     }
 

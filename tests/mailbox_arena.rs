@@ -122,7 +122,9 @@ impl WireCodec for WidePing {
 }
 
 impl EngineMessage for WidePing {
-    const MAX_WIDTH: Option<usize> = Some(6);
+    fn width(&self) -> usize {
+        6
+    }
 }
 
 /// Broadcasts a six-word stamp every round: with a Split(4) budget every
@@ -152,12 +154,12 @@ impl NodeProgram for WideChatter {
 
 /// Runs `rounds` warm-up rounds (capacity growth happens here, uncounted),
 /// then `rounds` steady-state rounds under the allocation counter; returns
-/// the steady-state count.
+/// the steady-state count and the session's metrics.
 fn steady_state_allocs<P: NodeProgram + 'static>(
     n: usize,
     rounds: u64,
     mk: impl Fn() -> P + Copy,
-) -> usize {
+) -> (usize, EngineMetrics) {
     let _turn = serial();
     let g = gen::cycle(n);
     // Split(4) keeps the CONGEST accounting on in both rows. For `Chatter`
@@ -171,7 +173,7 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
     COUNTING.store(true, Ordering::SeqCst);
     session.run_phase("steady", Stop::Rounds(rounds));
     COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    (ALLOCS.load(Ordering::SeqCst), session.into_parts().1)
 }
 
 #[test]
@@ -179,8 +181,8 @@ fn steady_state_rounds_allocate_independently_of_message_count() {
     let rounds = 12;
     let small_n = 64;
     let large_n = 8192;
-    let small = steady_state_allocs(small_n, rounds, || Chatter);
-    let large = steady_state_allocs(large_n, rounds, || Chatter);
+    let (small, _) = steady_state_allocs(small_n, rounds, || Chatter);
+    let (large, _) = steady_state_allocs(large_n, rounds, || Chatter);
     // The large run moves (large_n - small_n) * 2 * rounds ≈ 195k more
     // messages than the small one. Per-message (or even per-vertex)
     // allocation anywhere on the deliver path would blow this bound by
@@ -199,8 +201,12 @@ fn split_fragmentation_rounds_allocate_independently_of_message_count() {
     let rounds = 12;
     let small_n = 64;
     let large_n = 8192;
-    let small = steady_state_allocs(small_n, rounds, || WideChatter);
-    let large = steady_state_allocs(large_n, rounds, || WideChatter);
+    let (small, _) = steady_state_allocs(small_n, rounds, || WideChatter);
+    let (large, metrics) = steady_state_allocs(large_n, rounds, || WideChatter);
+    // The run really fragments: six words at a budget of four cross every
+    // edge in two frames, init round included.
+    assert_eq!(metrics.total_fragments(), 2 * metrics.total_messages());
+    assert!(metrics.per_round().iter().all(|r| r.physical_rounds == 2));
     // Every one of the large run's ~195k extra deliveries encodes, chops,
     // and reassembles a six-word message under the Split(4) budget. The
     // per-group encode arena and reassembly buffer warmed up before
