@@ -109,21 +109,22 @@ pub enum CongestMode {
     /// [`EngineMetrics::max_width`] ≤ `w` (the init round included).
     #[default]
     Unlimited,
-    /// Automatic fragmentation: over-budget messages are encoded through
-    /// their [`WireCodec`](crate::WireCodec), chopped into frames of at
-    /// most the budget's words, delivered over consecutive **virtual
-    /// rounds**, and reassembled at the receiver. One logical round costs
-    /// `ceil(w / budget)` physical rounds, where `w` is the widest message
-    /// *delivered* that round (fault-suppressed traffic never crosses the
-    /// wire and costs nothing); the surplus is charged to the
+    /// Automatic fragmentation at a budget of at least one word: a message
+    /// of `w` words over the budget crosses each edge in `ceil(w / budget)`
+    /// frames over consecutive **virtual rounds**. Each such message is
+    /// round-tripped through its [`WireCodec`](crate::WireCodec) once, as
+    /// it is stored, and receivers read the decoded copy. One logical round
+    /// costs `ceil(w / budget)` physical rounds, where `w` is the widest
+    /// message *delivered* that round (fault-suppressed traffic never
+    /// crosses the wire and costs nothing); the surplus is charged to the
     /// [`SPLIT_PHASE`] ledger phase and reported via
     /// [`RoundMetrics::physical_rounds`] / [`RoundMetrics::fragments`].
     Split(usize),
 }
 
 impl CongestMode {
-    /// The routing-side fragmentation budget, if splitting is on.
-    pub(crate) fn split_width(self) -> Option<usize> {
+    /// The fragmentation budget in words, if splitting is on.
+    pub fn split_width(self) -> Option<usize> {
         match self {
             CongestMode::Split(w) => Some(w),
             CongestMode::Unlimited => None,
@@ -230,24 +231,13 @@ impl EngineConfig {
     }
 
     /// Enables automatic message splitting ([`CongestMode::Split`]): wider
-    /// messages are fragmented into ≤ `words`-word frames delivered over
-    /// consecutive virtual rounds and reassembled at the receiver, with the
-    /// extra physical rounds charged to the [`SPLIT_PHASE`] ledger phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is zero.
+    /// messages cross each edge in ≤ `words`-word frames over consecutive
+    /// virtual rounds, with the extra physical rounds charged to the
+    /// [`SPLIT_PHASE`] ledger phase. A budget of zero words is refused
+    /// when the session boots ([`EngineSession::new`]).
     #[must_use]
     pub fn congest_split(mut self, words: usize) -> Self {
-        assert!(words >= 1, "a CONGEST budget must allow at least one word");
         self.congest = CongestMode::Split(words);
-        self
-    }
-
-    /// Sets the CONGEST mode directly.
-    #[must_use]
-    pub fn with_congest(mut self, mode: CongestMode) -> Self {
-        self.congest = mode;
         self
     }
 
@@ -379,13 +369,19 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.mask` has a universe other than `graph.n()`, and
-    /// resumes a panic raised by a program's `init` once its epoch closes.
+    /// Panics if `config.mask` has a universe other than `graph.n()` or
+    /// `config.congest` is `Split(0)`, and resumes a panic raised by a
+    /// program's `init` once its epoch closes.
     pub fn new(
         graph: &'g Graph,
         config: EngineConfig,
         mut factory: impl FnMut(&NodeCtx<'_>) -> P,
     ) -> Self {
+        assert_ne!(
+            config.congest,
+            CongestMode::Split(0),
+            "a CONGEST budget must allow at least one word"
+        );
         let view = GraphView::new(graph, config.mask.as_ref());
         let live = view.live_count();
         let plan = ShardPlan::for_view(&view, config.resolve_shards(live));
@@ -634,6 +630,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         // rebuild of `next`, so `route_wall` charges them too — the lab's
         // `route-frac` budget judges the whole epoch.
         let route_started = Instant::now();
+        // The groups' counters, plus the charges of the delayed messages
+        // that come due.
         let mut counts = Counts::default();
         let mut payloads = 0;
         let mail = &mut self.mail;
@@ -646,18 +644,17 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             mail.adopt(g, &mut y.store, &mut y.buckets);
         });
         self.halted = self.halted + counts.newly_halted - counts.newly_unhalted;
-        payloads += self.mail.inject_due(round + 1, split);
+        payloads += self.mail.inject_due(round + 1, split, &mut counts);
         let route_inline = on_driver(counts.staged() + self.mail.route_backlog());
 
         let route_env = RouteEnv {
-            split,
             round,
             reorder: self.config.faults.reorder_seed(),
             view: &self.view,
         };
         // Routing is engine code, not program code — a panic here is a bug,
         // but the epoch still closed, so the caller can propagate it alike.
-        let tally = self.pool.route(&mut self.mail, &route_env, route_inline)?;
+        self.pool.route(&mut self.mail, &route_env, route_inline)?;
         self.mail.flip();
         let route_wall = route_started.elapsed();
 
@@ -673,8 +670,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             max_width: counts.max_width,
             // Charged on *delivered* widths: traffic a fault suppressed
             // never crossed the wire, so it costs no virtual rounds.
-            physical_rounds: self.config.congest.physical_rounds(tally.wire_width),
-            fragments: tally.fragments,
+            physical_rounds: self.config.congest.physical_rounds(counts.wire_width),
+            fragments: counts.fragments,
             active_nodes,
             live,
             stepped: counts.stepped,
@@ -1107,6 +1104,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn zero_word_budget_is_refused_at_boot() {
+        let g = gen::path(4);
+        let config = EngineConfig {
+            congest: CongestMode::Split(0),
+            ..EngineConfig::default()
+        };
+        new_flood(&g, config);
     }
 
     #[test]

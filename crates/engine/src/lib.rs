@@ -56,11 +56,10 @@
 //!   are only recorded, and a run is CONGEST-safe at width `w` exactly when
 //!   [`EngineMetrics::max_width`] ≤ `w` (the init round included);
 //!   [`CongestMode::Split`]
-//!   ([`EngineConfig::congest_split`]) fragments wide messages into
-//!   budget-sized `(seq, total)` frames delivered over consecutive virtual
-//!   rounds and reassembled at the receiver, with the extra physical rounds
-//!   charged to the [`SPLIT_PHASE`] ledger phase and counted in
-//!   [`EngineMetrics`] (`physical_rounds`, `fragments`).
+//!   ([`EngineConfig::congest_split`]) sends each wide message over every
+//!   edge in budget-sized frames over consecutive virtual rounds, with the
+//!   extra physical rounds charged to the [`SPLIT_PHASE`] ledger phase and
+//!   counted in [`EngineMetrics`] (`physical_rounds`, `fragments`).
 //! * [`programs`] — ports of the repository's algorithms onto the engine,
 //!   each equivalence-tested against its sequential twin.
 //!
@@ -159,9 +158,7 @@ impl WireCodec for usize {
     }
 }
 
-impl EngineMessage for usize {
-    const MAX_WIDTH: Option<usize> = Some(1);
-}
+impl EngineMessage for usize {}
 
 /// `u64` is likewise a first-class one-word message.
 impl WireCodec for u64 {
@@ -177,6 +174,4 @@ impl WireCodec for u64 {
     }
 }
 
-impl EngineMessage for u64 {
-    const MAX_WIDTH: Option<usize> = Some(1);
-}
+impl EngineMessage for u64 {}

@@ -1,5 +1,4 @@
-//! Double-buffered mailboxes: the synchronous message fabric — plus the
-//! CONGEST **reassembly layer** for split-mode runs.
+//! Double-buffered mailboxes: the synchronous message fabric.
 //!
 //! Every payload is stored **once**. A worker group writes each message its
 //! nodes send as one `(sender, payload)` entry of its own payload
@@ -77,25 +76,22 @@
 //! into the buffer's delayed store — one entry per message — and queues a
 //! reference to it ahead of the fresh traffic.
 //!
-//! # Fragmentation and reassembly
+//! # CONGEST accounting
 //!
-//! Under [`CongestMode::Split`](crate::CongestMode::Split) a logical
-//! message wider than the budget never crosses an edge whole. Each
-//! over-budget payload is encoded through its
-//! [`WireCodec`](crate::WireCodec), chopped into `(seq, total)`-headed
-//! frames of at most the budget, fed through a `Reassembly` buffer and
-//! decoded **once, where it is stored** (`Store::put`); the decoded
-//! message replaces the payload every receiver reads, and the frame count
-//! and width are kept beside it. Routing adds that frame count for each
-//! delivered reference and takes the widest delivered width, so the
-//! fragments and the physical-round charge count deliveries exactly as if
-//! every edge had carried its own copy. One message's frames are encoded,
-//! fed and decoded within a single call, so nothing is ever in flight
-//! between messages and no per-vertex or per-edge state is needed: each
-//! staging group keeps one `SplitScratch` — its encode arena and one
-//! reassembly buffer — reused for every message it splits. Faults act on
-//! *logical* messages in the staging phase, so fault replay is identical
-//! across split and unlimited modes.
+//! Under [`CongestMode::Split`](crate::CongestMode::Split) with budget `b`
+//! a message of `w > b` words crosses an edge in `w.div_ceil(b)` frames.
+//! The engine charges that where the message is stored, since its width
+//! is in hand there: each over-budget payload is encoded through its
+//! [`WireCodec`](crate::WireCodec) into the storing group's reused word
+//! buffer and decoded back (`split_roundtrip`), and the decoded copy is
+//! what every receiver reads, so a codec defect shows up as a wrong
+//! output. Once an outbox's faults are applied, each surviving reference
+//! charges its frames to the staging group's counters, and a fault-delayed
+//! message is charged when `Mailboxes::inject_due` re-stores it. Frames
+//! are therefore counted per delivery, as if every edge carried its own
+//! copy, and traffic a fault suppressed costs nothing. Faults act on
+//! *logical* messages, so fault replay is identical across split and
+//! unlimited modes, and routing knows nothing of the budget.
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
 //! over the parts `Mailboxes::route_parts` splits out), or group by
@@ -107,7 +103,7 @@ use std::collections::BTreeMap;
 use graphs::VertexId;
 
 use crate::faults::reorder_inbox;
-use crate::pool::RouteEnv;
+use crate::pool::{Counts, RouteEnv};
 use crate::program::{EngineMessage, Inbox};
 
 /// A fault-delayed message, cloned out of its sender's store: `(destination
@@ -187,101 +183,18 @@ impl TwoLevelBits {
     }
 }
 
-/// A fragment buffer: accumulates the `(seq, total)` frames of a single
-/// logical message and reports completion. The words vector is retained
-/// across messages, so steady-state reassembly allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Reassembly {
-    total: u32,
-    next_seq: u32,
-    words: Vec<u64>,
-}
-
-impl Reassembly {
-    /// Feeds one frame; returns `true` when the message is complete (the
-    /// accumulated words are then readable via [`Reassembly::words`] until
-    /// [`Reassembly::reset`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a protocol violation — a frame out of sequence, a `total`
-    /// that changes mid-message, or a frame after completion. The engine
-    /// feeds each message's frames in order, so a violation is a runtime
-    /// bug, never a valid execution.
-    pub(crate) fn push(&mut self, seq: u32, total: u32, frame: &[u64]) -> bool {
-        if seq == 0 {
-            assert_eq!(
-                self.next_seq, 0,
-                "new message started before the previous one completed"
-            );
-            assert!(total >= 1, "a fragmented message has at least one frame");
-            self.total = total;
-            self.words.clear();
-        }
-        assert_eq!(seq, self.next_seq, "fragment out of sequence");
-        assert_eq!(
-            total, self.total,
-            "fragment header total changed mid-message"
-        );
-        self.words.extend_from_slice(frame);
-        self.next_seq += 1;
-        self.next_seq == self.total
-    }
-
-    /// The reassembled words of a completed message.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Readies the buffer for the next message, keeping capacity.
-    pub(crate) fn reset(&mut self) {
-        self.total = 0;
-        self.next_seq = 0;
-        self.words.clear();
-    }
-
-    /// Whether a message is mid-reassembly.
-    pub(crate) fn in_flight(&self) -> bool {
-        self.next_seq != 0 && self.next_seq < self.total
-    }
-}
-
-/// One routing group's split-mode scratch: the encode arena and the
-/// reassembly buffer every over-budget message the group's worker ships
-/// passes through, one message at a time (see [`split_roundtrip`]).
-#[derive(Debug, Default)]
-pub(crate) struct SplitScratch {
-    encode: Vec<u64>,
-    reasm: Reassembly,
-}
-
 /// One payload store: `(sender, payload)` entries written once each —
 /// by a worker group while it stages, or by the driver when it re-stores
 /// due delayed messages — and read through [`Ref`]s by routing and by the
 /// next compute epoch. Cleared, never shrunk, so its capacity is reused.
 pub(crate) struct Store<M> {
     items: Vec<(VertexId, M)>,
-    /// Split mode with the width scan only: per entry `(width, frames)` —
-    /// its logical width and the frames it crosses an edge in (0 when it
-    /// fits the budget). Empty otherwise.
-    wire: Vec<(usize, usize)>,
 }
 
 impl<M> Default for Store<M> {
     fn default() -> Self {
-        Store {
-            items: Vec::new(),
-            wire: Vec::new(),
-        }
+        Store { items: Vec::new() }
     }
-}
-
-/// Whether split mode with budget `split` must look at each payload's
-/// width. A type whose static bound ([`EngineMessage::MAX_WIDTH`]) fits
-/// the budget never fragments, and any delivered width charges exactly one
-/// physical round, so routing reports the bound itself instead.
-pub(crate) fn scans_widths<M: EngineMessage>(split: usize) -> bool {
-    split != usize::MAX && !matches!(M::MAX_WIDTH, Some(bound) if bound <= split)
 }
 
 impl<M> Store<M> {
@@ -299,43 +212,21 @@ impl<M> Store<M> {
     /// Drops every entry, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.items.clear();
-        self.wire.clear();
     }
 
     /// Drops the entries from `len` on — an outbox a fault suppressed.
     pub(crate) fn truncate(&mut self, len: usize) {
         self.items.truncate(len);
-        self.wire.truncate(len);
     }
-}
 
-impl<M: EngineMessage> Store<M> {
-    /// Stores `(src, m)` — `m` of logical width `width` — and returns its
-    /// slot. Under a split budget that needs the width scan, an
-    /// over-budget payload is shipped through `scratch` first
-    /// ([`split_roundtrip`]) and its decoded form is what gets stored;
-    /// width and frame count go beside it.
+    /// Stores `(src, m)` and returns its slot.
     ///
     /// # Panics
     ///
     /// Panics if the slot does not fit in 32 bits.
-    pub(crate) fn put(
-        &mut self,
-        src: VertexId,
-        mut m: M,
-        width: usize,
-        split: usize,
-        scratch: &mut SplitScratch,
-    ) -> u32 {
+    pub(crate) fn put(&mut self, src: VertexId, m: M) -> u32 {
         let slot = u32::try_from(self.items.len())
             .expect("a payload store holds at most u32::MAX entries");
-        if scans_widths::<M>(split) {
-            let mut frames = 0;
-            if width > split {
-                (m, frames) = split_roundtrip(&m, split, scratch);
-            }
-            self.wire.push((width, frames));
-        }
         self.items.push((src, m));
         slot
     }
@@ -347,109 +238,45 @@ pub(crate) fn sender<M>(stores: &[Store<M>], r: Ref) -> VertexId {
     stores[r.0 as usize].get(r.1).0
 }
 
-/// What one inbox's finalization observed: CONGEST frames produced, and
-/// the widest logical message actually **delivered** (0 outside split
-/// mode) — the width that decides the round's physical cost. Charging on
-/// delivered widths keeps fault-suppressed traffic free: a dropped,
-/// crashed, or lost wide message never crossed the wire, so it costs no
-/// virtual rounds.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RouteTally {
-    /// Frames produced by fragmenting over-budget messages.
-    pub(crate) fragments: usize,
-    /// Widest delivered logical message, in words.
-    pub(crate) wire_width: usize,
-}
-
-impl RouteTally {
-    /// Merges another range's tally into this one.
-    pub(crate) fn absorb(&mut self, other: RouteTally) {
-        self.fragments += other.fragments;
-        self.wire_width = self.wire_width.max(other.wire_width);
-    }
-}
-
-/// Ships one over-budget logical message through the wire: encode (into
-/// the group's reusable arena), chop into ≤ `budget`-word `(seq, total)`
-/// frames, feed every frame through the group's reassembly buffer, decode
-/// on completion. Returns the decoded message — what the program will
-/// actually observe, so a codec defect is a visible output divergence,
-/// never a silent one — and the frame count.
+/// Ships one over-budget message of `width` words across the wire:
+/// encodes it into `words`, the caller's reused buffer, and decodes it
+/// back. The decoded copy is what receivers read, so a codec defect is a
+/// visible output divergence, never a silent one. The frames it crosses in
+/// are an accounting matter (see [`Counts::deliver`]): cutting the words
+/// into them and gluing them back together would hand `decode` the same
+/// words.
 ///
 /// # Panics
 ///
-/// Panics if the codec violates its contract (encode/decode mismatch).
-pub(crate) fn split_roundtrip<M: EngineMessage>(
-    m: &M,
-    budget: usize,
-    split: &mut SplitScratch,
-) -> (M, usize) {
-    debug_assert!(budget >= 1);
-    let SplitScratch { encode, reasm } = split;
-    debug_assert!(
-        !reasm.in_flight(),
-        "fragments of one message must not leak into the next"
+/// Panics if the encoding is not exactly `width` words — the width honesty
+/// the charge relies on — or does not decode.
+pub(crate) fn split_roundtrip<M: EngineMessage>(m: &M, width: usize, words: &mut Vec<u64>) -> M {
+    words.clear();
+    m.encode(words);
+    assert_eq!(
+        words.len(),
+        width,
+        "a message's encoding must have exactly width() words"
     );
-    encode.clear();
-    m.encode(encode);
-    let total = encode.len().div_ceil(budget).max(1) as u32;
-    let mut complete = false;
-    if encode.is_empty() {
-        // A zero-word encoding still crosses as one (empty) frame.
-        complete = reasm.push(0, 1, &[]);
-    } else {
-        for (seq, frame) in encode.chunks(budget).enumerate() {
-            assert!(!complete, "message released before its last frame");
-            complete = reasm.push(seq as u32, total, frame);
-        }
-    }
-    assert!(complete, "last frame must complete the message");
-    let decoded = M::decode(reasm.words()).expect("wire codec must round-trip its own encoding");
-    reasm.reset();
-    (decoded, total as usize)
+    M::decode(words).expect("wire codec must round-trip its own encoding")
 }
 
 /// Finalizes one freshly routed inbox — the per-inbox half of the routing
 /// phase (`pool::route_range` runs it on each span of the rebuilt
-/// segment):
-///
-/// 1. **split mode**: tallies the frames of every delivered reference and
-///    the widest delivered payload, from the `(width, frames)` its store
-///    kept (see [`Store::put`]);
-/// 2. the optional seeded adversarial reorder of same-sender runs.
-///
+/// segment): the optional seeded adversarial reorder of same-sender runs.
 /// The span arrives **already in delivery order** (see the module docs),
 /// so finalize sorts nothing.
-///
-/// Message types with a static width bound within the budget
-/// ([`EngineMessage::MAX_WIDTH`]) skip the per-message scan: no message
-/// can fragment, and any delivered width ≤ budget charges exactly one
-/// physical round, so reporting the bound itself is equivalent.
-///
-/// Returns the frames delivered and the widest delivered message.
-pub(crate) fn finalize_inbox<M: EngineMessage>(
+pub(crate) fn finalize_inbox<M>(
     inbox: &mut [Ref],
     stores: &[Store<M>],
     receiver: VertexId,
     env: &RouteEnv<'_>,
-) -> RouteTally {
-    let mut tally = RouteTally::default();
-    if scans_widths::<M>(env.split) {
-        for &(s, slot) in inbox.iter() {
-            let (width, frames) = stores[s as usize].wire[slot as usize];
-            tally.wire_width = tally.wire_width.max(width);
-            tally.fragments += frames;
-        }
-    } else if env.split != usize::MAX && !inbox.is_empty() {
-        // Width-specialized fast path: statically within budget.
-        tally.wire_width = M::MAX_WIDTH.expect("no scan means a static bound");
-    }
+) {
     if inbox.len() > 1 {
         if let Some(seed) = env.reorder {
             reorder_inbox(inbox, |&r| sender(stores, r), seed, env.round, receiver);
         }
     }
-    tally
 }
 
 /// One group's inboxes in one buffer: the reference segment of its whole
@@ -554,8 +381,6 @@ pub(crate) struct RouteGroup {
     /// Marks the range offsets that receive traffic, drained ascending to
     /// rebuild the active list without sorting it.
     pub(crate) vbits: TwoLevelBits,
-    /// What the group's last routing observed.
-    pub(crate) tally: RouteTally,
 }
 
 /// What the routing epoch borrows from the [`Mailboxes`]: the group
@@ -587,8 +412,9 @@ pub(crate) struct Mailboxes<M> {
     /// session's one copy of its worker-group partition, which the pool's
     /// epochs read through [`bounds`](Mailboxes::bounds).
     bounds: Vec<usize>,
-    /// The driver's split scratch, for re-storing due delayed payloads.
-    split: SplitScratch,
+    /// The driver's word buffer, for round-tripping the over-budget
+    /// delayed payloads it re-stores.
+    words: Vec<u64>,
     delayed: BTreeMap<u64, Vec<Routed<M>>>,
 }
 
@@ -622,12 +448,11 @@ impl<M: EngineMessage> Mailboxes<M> {
                     inbound: (0..groups).map(|_| Vec::new()).collect(),
                     pending: Vec::new(),
                     vbits: TwoLevelBits::default(),
-                    tally: RouteTally::default(),
                 })
                 .collect(),
             counts: vec![0; live],
             bounds,
-            split: SplitScratch::default(),
+            words: Vec::new(),
             delayed: BTreeMap::new(),
         }
     }
@@ -687,12 +512,14 @@ impl<M: EngineMessage> Mailboxes<M> {
 
     /// Readies `next`'s delayed store for the round being routed: clears
     /// it, then moves the payload of every batch whose delay expires at
-    /// `round` into it (round-tripped under the split budget `split`, like
-    /// any stored payload) and queues a reference in the receiver group's
-    /// pending list. Must happen *before* fresh traffic is routed, so late
-    /// traffic precedes fresh traffic from the same sender after the stable
-    /// sender sort. Returns the number of payloads stored.
-    pub(crate) fn inject_due(&mut self, round: u64, split: usize) -> usize {
+    /// `round` into it and queues a reference in the receiver group's
+    /// pending list. Each is one delivery, so under the split budget
+    /// `split` it is round-tripped and charged to `counts` like any stored
+    /// payload that survived its faults. Must happen *before* fresh traffic
+    /// is routed, so late traffic precedes fresh traffic from the same
+    /// sender after the stable sender sort. Returns the number of payloads
+    /// stored.
+    pub(crate) fn inject_due(&mut self, round: u64, split: usize, counts: &mut Counts) -> usize {
         let groups = self.bounds.len() - 1;
         let store = &mut self.next_stores[groups];
         store.clear();
@@ -700,9 +527,15 @@ impl<M: EngineMessage> Mailboxes<M> {
             return 0;
         };
         let restored = batch.len();
-        for (dv, src, m) in batch {
-            let width = m.width();
-            let slot = store.put(src, m, width, split, &mut self.split);
+        for (dv, src, mut m) in batch {
+            if split != usize::MAX {
+                let width = m.width();
+                if width > split {
+                    m = split_roundtrip(&m, width, &mut self.words);
+                }
+                counts.deliver(width, split);
+            }
+            let slot = store.put(src, m);
             self.route[group_of(&self.bounds, dv)]
                 .pending
                 .push((dv as u32, slot));
@@ -755,27 +588,20 @@ impl<M: EngineMessage> Mailboxes<M> {
     /// the production path, which sorts only delayed traffic, must
     /// reproduce verbatim.
     #[cfg(test)]
-    pub(crate) fn route_serial(
-        &mut self,
-        staged: Vec<Routed<M>>,
-        env: &RouteEnv<'_>,
-    ) -> RouteTally {
+    pub(crate) fn route_serial(&mut self, staged: Vec<Routed<M>>, env: &RouteEnv<'_>) {
         let groups = self.bounds.len() - 1;
         let Mailboxes {
             next_stores: stores,
             route,
             bounds,
-            split,
             ..
         } = self;
         stores[0].clear();
         let mut buckets: Vec<Vec<(usize, Ref)>> = (0..groups).map(|_| Vec::new()).collect();
         for (dv, src, m) in staged {
-            let width = m.width();
-            let slot = stores[0].put(src, m, width, env.split, split);
+            let slot = stores[0].put(src, m);
             buckets[group_of(bounds, dv)].push((dv, (0, slot)));
         }
-        let mut tally = RouteTally::default();
         for (g, fresh) in buckets.into_iter().enumerate() {
             let RouteGroup { inbox, pending, .. } = &mut route[g];
             let GroupInbox { seg, spans, active } = inbox;
@@ -804,10 +630,9 @@ impl<M: EngineMessage> Mailboxes<M> {
                 // before-fresh within each sender).
                 seg[start..].sort_by_key(|&r| sender(stores, r));
                 let receiver = env.view.original(dv);
-                tally.absorb(finalize_inbox(&mut seg[start..], stores, receiver, env));
+                finalize_inbox(&mut seg[start..], stores, receiver, env);
             }
         }
-        tally
     }
 }
 
@@ -829,7 +654,6 @@ mod tests {
 
     fn plain_env() -> RouteEnv<'static> {
         RouteEnv {
-            split: usize::MAX,
             round: 1,
             reorder: None,
             view: view8(),
@@ -898,7 +722,7 @@ mod tests {
         mail.schedule(3, vec![(1, 0, 99)]);
         // Rounds 1 and 2: nothing due.
         for round in 1..3u64 {
-            mail.inject_due(round, usize::MAX);
+            mail.inject_due(round, usize::MAX, &mut Counts::default());
             mail.route_serial(Vec::new(), &plain_env());
             mail.flip();
             assert!(mail.inbox(1).is_empty(), "round {round}");
@@ -906,7 +730,11 @@ mod tests {
         assert!(mail.has_pending_delays());
         // Round 3: due batch plus fresh traffic from the same sender — the
         // delayed message comes first.
-        assert_eq!(mail.inject_due(3, usize::MAX), 1, "one payload re-stored");
+        assert_eq!(
+            mail.inject_due(3, usize::MAX, &mut Counts::default()),
+            1,
+            "one payload re-stored"
+        );
         mail.route_serial(vec![(1, 0, 100)], &plain_env());
         mail.flip();
         assert_eq!(mail.inbox(1), &[(0, 99), (0, 100)]);
@@ -914,111 +742,43 @@ mod tests {
     }
 
     #[test]
-    fn reassembly_releases_only_on_completion() {
-        let mut r = Reassembly::default();
-        assert!(!r.push(0, 3, &[1, 2]));
-        assert!(r.in_flight());
-        assert!(!r.push(1, 3, &[3, 4]));
-        assert!(r.push(2, 3, &[5]));
-        assert!(!r.in_flight());
-        assert_eq!(r.words(), &[1, 2, 3, 4, 5]);
-        r.reset();
-        assert!(r.push(0, 1, &[9]), "single-frame messages complete at once");
-        assert_eq!(r.words(), &[9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of sequence")]
-    fn reassembly_rejects_gaps() {
-        let mut r = Reassembly::default();
-        r.push(0, 3, &[1]);
-        r.push(2, 3, &[3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the previous one completed")]
-    fn reassembly_rejects_interleaved_messages() {
-        let mut r = Reassembly::default();
-        r.push(0, 3, &[1]);
-        r.push(0, 2, &[7]);
-    }
-
-    #[test]
-    fn split_roundtrip_counts_frames_and_round_trips() {
-        // u32 is not an EngineMessage; use u64's codec via the blanket
-        // impls in lib.rs on a wide Vec-like payload: the gather message.
+    fn split_roundtrip_stores_the_decoded_copy_and_reuses_its_buffer() {
         use crate::programs::gather::NbrList;
-        let mut split = SplitScratch::default();
+        let mut words = Vec::new();
         let msg = NbrList(vec![3, 5, 8, 13, 21]);
-        let (decoded, frames) = split_roundtrip(&msg, 2, &mut split);
-        assert_eq!(decoded.0, msg.0);
-        assert_eq!(frames, 3, "5 words at 2 per frame");
-        // The buffer and encode arena are reusable for the next message,
-        // whichever edge it crosses.
-        let (decoded, frames) = split_roundtrip(&NbrList(vec![1]), 2, &mut split);
-        assert_eq!(decoded.0, vec![1]);
-        assert_eq!(frames, 1);
-        assert!(!split.reasm.in_flight());
-        assert!(split.encode.capacity() >= 5, "arena capacity is retained");
+        assert_eq!(split_roundtrip(&msg, 5, &mut words).0, msg.0);
+        assert_eq!(split_roundtrip(&NbrList(vec![1]), 1, &mut words).0, vec![1]);
+        assert!(words.capacity() >= 5, "the buffer's capacity is retained");
     }
 
     #[test]
-    fn finalize_inbox_splits_and_counts_without_reordering() {
+    #[should_panic(expected = "exactly width() words")]
+    fn split_roundtrip_rejects_a_dishonest_width() {
         use crate::programs::gather::NbrList;
-        let env = RouteEnv {
-            split: 2,
-            round: 1,
-            reorder: None,
-            view: view8(),
-        };
-        // The store round-trips the over-budget payload once, as it is
-        // stored, and keeps its width and frame count beside it.
-        let mut store = Store::default();
-        let mut scratch = SplitScratch::default();
-        let wide = store.put(4, NbrList(vec![1, 2, 3, 4, 5]), 5, 2, &mut scratch);
-        let narrow = store.put(1, NbrList(vec![9]), 1, 2, &mut scratch);
-        let stores = [store];
-        let mut inbox = vec![(0, wide), (0, narrow)];
-        let tally = finalize_inbox(&mut inbox, &stores, 0, &env);
-        assert_eq!(tally.fragments, 3, "5 words at 2 per frame");
-        assert_eq!(tally.wire_width, 5, "delivered width drives the charge");
-        // Delivery order is the routing epoch's job: finalize must leave
-        // the placed order untouched.
-        assert_eq!(inbox, vec![(0, wide), (0, narrow)]);
-        assert_eq!(stores[0].get(wide), &(4, NbrList(vec![1, 2, 3, 4, 5])));
-        // Frames are counted per delivered reference: two receivers of one
-        // stored payload (or a duplicate) pay for two crossings.
-        let mut twice = vec![(0, wide), (0, wide)];
-        assert_eq!(finalize_inbox(&mut twice, &stores, 0, &env).fragments, 6);
+        split_roundtrip(&NbrList(vec![1, 2, 3]), 2, &mut Vec::new());
     }
 
     #[test]
-    fn static_width_bound_skips_the_scan_identically() {
-        // u64 carries MAX_WIDTH = Some(1): under any budget ≥ 1 the fast
-        // path keeps no widths, and reports width 1 for non-empty inboxes
-        // and 0 for empty ones — exactly what the scan would have found.
-        let env = RouteEnv {
-            split: 4,
-            round: 1,
-            reorder: None,
-            view: view8(),
-        };
-        let mut store: Store<u64> = Store::default();
-        let mut scratch = SplitScratch::default();
-        let a = store.put(2, 5, 1, 4, &mut scratch);
-        let b = store.put(0, 9, 1, 4, &mut scratch);
-        assert!(
-            store.wire.is_empty(),
-            "no per-payload widths on the fast path"
+    fn due_delayed_messages_are_charged_per_delivery() {
+        use crate::programs::gather::NbrList;
+        // Three due messages under a budget of 2: the 5-word one crosses in
+        // 3 frames, the 2-word one fits, and the widest sets the width.
+        let mut mail: Mailboxes<NbrList> = Mailboxes::new(2, vec![0, 2]);
+        mail.schedule(
+            4,
+            vec![
+                (1, 0, NbrList(vec![1, 2, 3, 4, 5])),
+                (0, 1, NbrList(vec![7, 8])),
+                (1, 0, NbrList(vec![1, 2, 3, 4, 5])),
+            ],
         );
-        let stores = [store];
-        let mut inbox = vec![(0, a), (0, b)];
-        let tally = finalize_inbox(&mut inbox, &stores, 0, &env);
-        assert_eq!(tally.wire_width, 1);
-        assert_eq!(tally.fragments, 0);
-        assert_eq!(inbox, vec![(0, a), (0, b)], "placed order is preserved");
-        let tally = finalize_inbox(&mut [], &stores, 0, &env);
-        assert_eq!(tally.wire_width, 0, "empty inbox charges nothing");
+        let mut counts = Counts::default();
+        assert_eq!(mail.inject_due(4, 2, &mut counts), 3);
+        assert_eq!((counts.fragments, counts.wire_width), (6, 5));
+        let mut unlimited = Counts::default();
+        mail.schedule(5, vec![(1, 0, NbrList(vec![1, 2, 3, 4, 5]))]);
+        mail.inject_due(5, usize::MAX, &mut unlimited);
+        assert_eq!((unlimited.fragments, unlimited.wire_width), (0, 0));
     }
 
     #[test]

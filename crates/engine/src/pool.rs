@@ -30,20 +30,21 @@
 //!   reference. References are **bucketed by destination group**: one for
 //!   a vertex owned by group `b` lands in bucket `b`. No payload is cloned
 //!   per edge; duplication faults push a second reference to the same
-//!   slot, and split mode round-trips an over-budget payload once, as it is
-//!   stored.
-//! * **Handoff** — the driver tallies fault counters, schedules
+//!   slot. Split mode round-trips an over-budget payload once, as it is
+//!   stored, and charges its frames per reference that survives the
+//!   outbox's faults (see the `mailbox` module's *CONGEST accounting*).
+//! * **Handoff** — the driver tallies the groups' counters, schedules
 //!   fault-delayed batches, and hands every arena's round to the mailboxes
 //!   (`Mailboxes::adopt`): arena `g`'s store is swapped into the `next`
 //!   buffer, and its bucket `b` into routing group `b`'s inbound slot `g` —
 //!   the **bucket transpose**, O(groups²) swaps, nothing copied. The arena
 //!   gets back a two-rounds-stale store, which it clears when it next
 //!   stages. The driver then re-stores the payloads of delayed batches
-//!   that come due into the buffer's delayed store.
+//!   that come due into the buffer's delayed store, charging their frames.
 //! * **Routing epoch** — group `g` owns its slice of the counting scratch
 //!   and its `RouteGroup`: its `next` inboxes, its inbound buckets, its
-//!   pending-delayed references, its receiver bitmap and its tally; it
-//!   reads the `next` stores shared. It rebuilds its `next` segment with a
+//!   pending-delayed references and its receiver bitmap; it reads the
+//!   `next` stores shared. It rebuilds its `next` segment with a
 //!   **counting sort** over its inbound buckets (in ascending source group
 //!   order): count per receiver, prefix-sum into the span table, and place
 //!   each reference exactly once, as `(store, slot)`. Once the epoch
@@ -101,8 +102,8 @@ use crate::context::NodeCtx;
 use crate::exec::{EnginePool, Panic};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
-    finalize_inbox, group_of, sender, GroupInbox, GroupInboxes, Inboxes, Mailboxes, RouteGroup,
-    RouteTally, Routed, SplitScratch, Staged, Store,
+    finalize_inbox, group_of, sender, split_roundtrip, GroupInbox, GroupInboxes, Inboxes,
+    Mailboxes, RouteGroup, Routed, Staged, Store,
 };
 use crate::program::{EngineMessage, NodeProgram, Outbox};
 use crate::view::GraphView;
@@ -123,7 +124,8 @@ pub(crate) struct StageEnv<'a> {
     pub(crate) bounds: &'a [usize],
     /// Fragmentation budget in words (`usize::MAX` = splitting off): an
     /// over-budget payload is round-tripped through the wire once, when it
-    /// is stored.
+    /// is stored, and every delivery that survives its outbox's faults is
+    /// charged to the group's [`Counts`].
     pub(crate) split: usize,
     /// Frontier-sparse gating: when set, a node with an empty inbox is
     /// stepped only if its [`Activation`] hint requests the round. Cleared
@@ -143,13 +145,9 @@ impl StageEnv<'_> {
 }
 
 /// Everything the routing epoch needs beyond the arenas and stores: the
-/// fragmentation budget, the round being routed (keys the reorder coins),
-/// the adversarial reorder rule, and the session's view (the dense →
-/// original id map).
+/// round being routed (keys the reorder coins), the adversarial reorder
+/// rule, and the session's view (the dense → original id map).
 pub(crate) struct RouteEnv<'a> {
-    /// Fragmentation budget in words (`usize::MAX` = splitting off); with
-    /// it on, routing tallies the frames and widths the stores kept.
-    pub(crate) split: usize,
     /// The logical round whose traffic is being routed (0 = init).
     pub(crate) round: u64,
     /// Seeded adversarial same-sender-run reorder, if installed.
@@ -175,9 +173,9 @@ pub(crate) struct ShardYield<M> {
     /// (`Mailboxes::adopt`) and hands back a stale one, cleared here
     /// at the next [`reset`](ShardYield::reset).
     pub(crate) store: Store<M>,
-    /// The group's split-mode scratch, for payloads it round-trips as it
-    /// stores them.
-    split: SplitScratch,
+    /// The word buffer of the over-budget payloads the group round-trips
+    /// as it stores them.
+    words: Vec<u64>,
     /// Scratch: each bucket's length when the current outbox began staging.
     starts: Vec<usize>,
     /// Scratch of the loss and duplication faults: the occurrence index of
@@ -213,6 +211,14 @@ pub(crate) struct Counts {
     pub(crate) lost: usize,
     /// Widest message emitted.
     pub(crate) max_width: usize,
+    /// Split mode: CONGEST frames of the over-budget messages delivered,
+    /// per delivery (see [`deliver`](Counts::deliver)).
+    pub(crate) fragments: usize,
+    /// Split mode: widest message delivered — the width that decides the
+    /// round's physical cost. Charging on delivered widths keeps
+    /// fault-suppressed traffic free: a dropped, crashed or lost wide
+    /// message never crossed the wire.
+    pub(crate) wire_width: usize,
     /// Nodes actually stepped this round — the frontier. Equals the range
     /// length when gating is off, and in round 0.
     pub(crate) stepped: usize,
@@ -234,6 +240,8 @@ impl Counts {
         self.duplicated += other.duplicated;
         self.lost += other.lost;
         self.max_width = self.max_width.max(other.max_width);
+        self.fragments += other.fragments;
+        self.wire_width = self.wire_width.max(other.wire_width);
         self.stepped += other.stepped;
         self.newly_halted += other.newly_halted;
         self.newly_unhalted += other.newly_unhalted;
@@ -244,6 +252,16 @@ impl Counts {
     pub(crate) fn staged(&self) -> usize {
         self.messages + self.duplicated - self.dropped - self.delayed - self.lost
     }
+
+    /// Charges one delivery of a `width`-word message under the split
+    /// budget `split`: a message over the budget crosses its edge in
+    /// `width.div_ceil(split)` frames, one within it whole.
+    pub(crate) fn deliver(&mut self, width: usize, split: usize) {
+        self.wire_width = self.wire_width.max(width);
+        if width > split {
+            self.fragments += width.div_ceil(split);
+        }
+    }
 }
 
 impl<M> ShardYield<M> {
@@ -253,7 +271,7 @@ impl<M> ShardYield<M> {
         ShardYield {
             buckets: (0..groups).map(|_| Vec::new()).collect(),
             store: Store::default(),
-            split: SplitScratch::default(),
+            words: Vec::new(),
             starts: vec![0; groups],
             occ: Vec::new(),
             seen: HashMap::new(),
@@ -371,7 +389,8 @@ pub(crate) fn run_range<P: NodeProgram>(
 /// width, and applies its fault action: drop truncates the outbox's
 /// references and payloads, delay clones each delayed message out into an
 /// owned record and then truncates likewise, loss compacts references, and
-/// duplication appends a second reference to the same payload.
+/// duplication appends a second reference to the same payload. In split
+/// mode, each reference left standing is then charged as a delivery.
 fn stage_outbox<M: EngineMessage>(
     src: VertexId,
     outbox: Outbox<M>,
@@ -437,6 +456,13 @@ fn stage_outbox<M: EngineMessage>(
             }
             y.store.truncate(stored);
             y.delayed_batches.push((round + 1 + by, batch));
+        }
+    }
+    if env.split != usize::MAX {
+        for (bucket, &start) in y.buckets.iter().zip(&y.starts) {
+            for &(_, slot) in &bucket[start..] {
+                y.counts.deliver(y.store.get(slot).1.width(), env.split);
+            }
         }
     }
 }
@@ -537,9 +563,11 @@ fn duplicate_batch<M: EngineMessage>(
 
 /// Expands an outbox into the arena: each payload is moved into the store
 /// once — a broadcast is one entry, whatever the degree; a broadcast to no
-/// live neighbor stores nothing — and each point-to-point message becomes
-/// a `(destination, slot)` reference appended to its destination group's
-/// bucket. Returns the widest message in the batch (0 for an empty batch).
+/// live neighbor stores nothing; an over-budget one is round-tripped
+/// through the wire first ([`split_roundtrip`]) — and each point-to-point
+/// message becomes a `(destination, slot)` reference appended to its
+/// destination group's bucket. Returns the widest message in the batch (0
+/// for an empty batch).
 ///
 /// # Panics
 ///
@@ -556,7 +584,7 @@ fn expand_into<M: EngineMessage>(
     let ShardYield {
         buckets,
         store,
-        split,
+        words,
         ..
     } = y;
     let mut push = |dst: VertexId, slot: u32| {
@@ -565,6 +593,13 @@ fn expand_into<M: EngineMessage>(
         // Dense indices fit in 32 bits: the mailboxes check it at boot.
         buckets[env.group_of(dv)].push((dv as u32, slot));
     };
+    let mut put = |m: M, width: usize| {
+        if width > env.split {
+            store.put(src, split_roundtrip(&m, width, words))
+        } else {
+            store.put(src, m)
+        }
+    };
     match outbox {
         Outbox::Silent => 0,
         Outbox::Broadcast(m) => {
@@ -572,7 +607,7 @@ fn expand_into<M: EngineMessage>(
                 return 0;
             }
             let width = m.width();
-            let slot = store.put(src, m, width, env.split, split);
+            let slot = put(m, width);
             for &dst in neighbors {
                 push(dst, slot);
             }
@@ -583,7 +618,7 @@ fn expand_into<M: EngineMessage>(
                 panic!("node {src} unicast to non-neighbor {dst}")
             }
             let width = m.width();
-            push(dst, store.put(src, m, width, env.split, split));
+            push(dst, put(m, width));
             width
         }
         Outbox::Multi(msgs) => {
@@ -594,7 +629,7 @@ fn expand_into<M: EngineMessage>(
                 }
                 let width = m.width();
                 batch_width = batch_width.max(width);
-                push(dst, store.put(src, m, width, env.split, split));
+                push(dst, put(m, width));
             }
             batch_width
         }
@@ -604,16 +639,14 @@ fn expand_into<M: EngineMessage>(
 /// The routing epoch's per-group share: rebuild the group's `next` segment
 /// with a counting sort over its pending-delayed references and its
 /// inbound buckets (pending first, then ascending source group — the
-/// determinism contract), then finalize each span — the split-mode frame
-/// tally and the optional adversarial reorder (see
-/// `mailbox::finalize_inbox`). `counts` is the counting scratch of the
-/// group's dense range, which starts at `base`. Returns the range's
-/// [`RouteTally`] (frames delivered, widest delivered message).
+/// determinism contract), then finalize each span — the optional
+/// adversarial reorder (see `mailbox::finalize_inbox`). `counts` is the
+/// counting scratch of the group's dense range, which starts at `base`.
 ///
 /// Only 8-byte references move: a reference from source group `g` becomes
 /// `(g, slot)`, a pending one `(groups, slot)` — the delayed store — and
 /// `stores` (the `next` buffer's, already swapped in) is read for senders
-/// and split tallies only.
+/// only.
 ///
 /// Source groups hold ascending sender ranges and each stages its senders
 /// in ascending order, so a span placed from the inbound buckets alone is
@@ -643,13 +676,12 @@ fn route_range<M: EngineMessage>(
     stores: &[Store<M>],
     base: usize,
     env: &RouteEnv<'_>,
-) -> RouteTally {
+) {
     let RouteGroup {
         inbox: GroupInbox { seg, spans, active },
         inbound,
         pending,
         vbits,
-        ..
     } = group;
     let len = counts.len();
     debug_assert_eq!(spans.len(), len, "one span per vertex of the range");
@@ -680,7 +712,7 @@ fn route_range<M: EngineMessage>(
         // A quiet group: nothing to place, and the stale spans are already
         // reset — the whole epoch cost O(previous frontier).
         seg.clear();
-        return RouteTally::default();
+        return;
     }
     // Span starts are 32-bit; with the total checked, no per-vertex count
     // or prefix sum below can overflow.
@@ -729,7 +761,6 @@ fn route_range<M: EngineMessage>(
 
     // Finalize only the active spans — there are no other non-empty ones
     // — and restore the all-zeros counting-scratch invariant as we go.
-    let mut tally = RouteTally::default();
     for &dv in active.iter() {
         let (start, len) = spans[dv - base];
         counts[dv - base] = 0;
@@ -743,9 +774,8 @@ fn route_range<M: EngineMessage>(
                 "fresh traffic is placed in sender order"
             );
         }
-        tally.absorb(finalize_inbox(span, stores, env.view.original(dv), env));
+        finalize_inbox(span, stores, env.view.original(dv), env);
     }
-    tally
 }
 
 /// The typed session layer over an [`EnginePool`]: one session's
@@ -813,33 +843,28 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 
     /// Runs one **routing epoch**: group `g` rebuilds its `next` inboxes
     /// from its inbound buckets plus its pending-delayed list, and
-    /// finalizes every span of its range (delayed-traffic sort / split
-    /// tally / reorder) — on worker `g`, or every group on the calling
-    /// thread with `inline`. Every arena's round must have been adopted
-    /// into `mail` first. Then hands the drained buckets back to the
-    /// arenas. Returns the epoch's [`RouteTally`].
+    /// finalizes every span of its range (delayed-traffic sort / reorder)
+    /// — on worker `g`, or every group on the calling thread with
+    /// `inline`. Every arena's round must have been adopted into `mail`
+    /// first. Then hands the drained buckets back to the arenas.
     pub(crate) fn route(
         &mut self,
         mail: &mut Mailboxes<P::Message>,
         env: &RouteEnv<'_>,
         inline: bool,
-    ) -> Result<RouteTally, Panic> {
+    ) -> Result<(), Panic> {
         let (bounds, counts, groups, stores) = mail.route_parts();
         let job = |g: usize, counts: &mut [u32], group: &mut RouteGroup| {
-            group.tally = route_range(counts, group, stores, bounds[g], env);
+            route_range(counts, group, stores, bounds[g], env);
         };
         self.pool.run_groups(inline, counts, bounds, groups, &job)?;
-        let mut total = RouteTally::default();
-        for group in groups.iter() {
-            total.absorb(group.tally);
-        }
         // The same swaps in reverse give each drained bucket, with its
         // capacity, back to its arena: one set of bucket capacity, not a
         // second set cycling through the routing groups.
         for (g, arena) in self.arenas.iter_mut().enumerate() {
             mail.transpose(g, &mut arena.buckets);
         }
-        Ok(total)
+        Ok(())
     }
 
     /// Wakes standing for `round`, summed over the groups' queues.
@@ -1032,6 +1057,37 @@ mod tests {
     }
 
     #[test]
+    fn split_staging_charges_frames_per_surviving_reference() {
+        // Budget 2: a 5-word payload crosses each edge in 3 frames, a
+        // 2-word one whole. Every reference the faults leave standing pays,
+        // duplicates included; suppressed ones pay nothing.
+        let neighbors = [1usize, 2, 3];
+        let (g, bounds) = identity_graph(4);
+        let view = GraphView::whole(&g);
+        let charge = |faults: FaultPlan, outbox: Outbox<W>| {
+            let e = StageEnv {
+                split: 2,
+                ..env(&faults, &view, &bounds)
+            };
+            let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
+            stage_outbox(0, outbox, &neighbors, 1, &e, &mut y);
+            (y.counts.fragments, y.counts.wire_width)
+        };
+        let wide = || Outbox::Broadcast(W(5));
+        assert_eq!(charge(FaultPlan::new(), wide()), (9, 5));
+        let dup = FaultPlan::new().duplicate_edges(3, 1.0);
+        assert_eq!(charge(dup, wide()), (18, 5), "a duplicate is a delivery");
+        let lose = FaultPlan::new().lose_edges(3, 1.0);
+        assert_eq!(charge(lose, wide()), (0, 0), "lost traffic is free");
+        let drop = FaultPlan::new().drop_outbox(0, 1);
+        assert_eq!(charge(drop, wide()), (0, 0), "dropped traffic is free");
+        let delay = FaultPlan::new().delay_outbox(0, 1, 1);
+        assert_eq!(charge(delay, wide()), (0, 0), "charged when it comes due");
+        let multi = Outbox::Multi(vec![(1, W(5)), (2, W(2)), (3, W(5))]);
+        assert_eq!(charge(FaultPlan::new(), multi), (6, 5), "per message");
+    }
+
+    #[test]
     fn partial_loss_keeps_survivors_in_emission_order() {
         // Find a (seed, round) where exactly one of the two messages is
         // lost, and check the survivor stays, in place.
@@ -1157,7 +1213,7 @@ mod tests {
         for (y, msgs) in pool.arenas.iter_mut().zip(traffic) {
             y.reset();
             for (dv, src, m) in msgs.iter().cloned() {
-                let slot = y.store.put(src, m, 1, usize::MAX, &mut y.split);
+                let slot = y.store.put(src, m);
                 y.buckets[group_of(bounds, dv)].push((dv as u32, slot));
             }
         }
@@ -1172,7 +1228,7 @@ mod tests {
         mail: &mut Mailboxes<W>,
         env: &RouteEnv<'_>,
         inline: bool,
-    ) -> RouteTally {
+    ) {
         pool.collect_yields(|g, y| mail.adopt(g, &mut y.store, &mut y.buckets));
         pool.route(mail, env, inline)
             .expect("routing does not panic")
@@ -1202,13 +1258,11 @@ mod tests {
         let g = Graph::empty(3);
         let view = GraphView::whole(&g);
         let env = RouteEnv {
-            split: usize::MAX,
             round: 2,
             reorder: None,
             view: &view,
         };
-        let tally = hand_over_and_route(&mut pool, &mut mail, &env, false);
-        assert_eq!(tally.fragments, 0);
+        hand_over_and_route(&mut pool, &mut mail, &env, false);
         for y in &pool.arenas {
             assert!(
                 y.buckets.iter().all(Vec::is_empty),
@@ -1240,13 +1294,12 @@ mod tests {
         let bounds = [0, 2];
         let mut mail: Mailboxes<W> = Mailboxes::new(2, bounds.to_vec());
         mail.schedule(5, vec![(0, 1, W(7))]);
-        assert_eq!(mail.inject_due(5, usize::MAX), 1);
+        assert_eq!(mail.inject_due(5, usize::MAX, &mut Counts::default()), 1);
         let mut pool = WorkerPool::new(EnginePool::new(1), &bounds);
         stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
         let g = Graph::empty(2);
         let view = GraphView::whole(&g);
         let env = RouteEnv {
-            split: usize::MAX,
             round: 5,
             reorder: None,
             view: &view,
@@ -1287,14 +1340,13 @@ mod tests {
                 }
             }
             let env = RouteEnv {
-                split: usize::MAX,
                 round,
                 reorder: Some(17),
                 view: &view,
             };
             assert_eq!(
-                mail.inject_due(round, usize::MAX),
-                spec.inject_due(round, usize::MAX)
+                mail.inject_due(round, usize::MAX, &mut Counts::default()),
+                spec.inject_due(round, usize::MAX, &mut Counts::default())
             );
             stage(&mut pool, &bounds, &traffic);
             hand_over_and_route(&mut pool, &mut mail, &env, false);
@@ -1342,7 +1394,7 @@ mod tests {
         let e = env(&faults, &view, &bounds);
         let mut programs = [Shout, Shout, Shout];
         let mut store = Store::default();
-        store.put(0, W(0), 0, usize::MAX, &mut SplitScratch::default());
+        store.put(0, W(0));
         let stores = [store];
         let seg = [(0, 0)];
         let spans = [(0, 0), (0, 0), (0, 1)];

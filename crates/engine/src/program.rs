@@ -11,10 +11,9 @@
 //! Messages additionally carry a **wire format** ([`WireCodec`]): every
 //! payload encodes to, and decodes from, a sequence of abstract machine
 //! words. The codec is what turns the LOCAL-model runtime into a CONGEST
-//! one — under [`CongestMode::Split`](crate::CongestMode::Split) the engine
-//! fragments over-budget encodings into budget-sized frames, delivers them
-//! over consecutive virtual rounds, and reassembles them at the receiver,
-//! charging the extra rounds honestly.
+//! one — under [`CongestMode::Split`](crate::CongestMode::Split) an
+//! over-budget message crosses each edge in budget-sized frames over
+//! consecutive virtual rounds, and the engine charges those extra rounds.
 
 use std::fmt;
 
@@ -28,24 +27,24 @@ use crate::mailbox::{Ref, Store};
 ///
 /// The engine uses the codec whenever a message must actually cross a
 /// bandwidth-limited edge — [`CongestMode::Split`](crate::CongestMode::Split)
-/// encodes every over-budget message, chops the words into `(seq, total)`
-/// fragments of at most the budget, and decodes at the receiver once the
-/// last fragment lands. The contract every implementation must keep:
+/// encodes every over-budget message once, as it is stored, and stores the
+/// decoded copy that receivers read. The contract every implementation
+/// must keep:
 ///
 /// * **Round trip** — `decode(encode(m)) == Some(m)` for every message the
 ///   program can emit.
 /// * **Width honesty** — the encoding has exactly
 ///   [`EngineMessage::width`] words, so the recorded width *is* the wire
 ///   cost (property-tested in `tests/engine_equivalence.rs` for every
-///   program message type).
+///   program message type, and asserted on every message split mode
+///   round-trips).
 pub trait WireCodec: Sized {
     /// Appends the message's word frames to `out`.
     fn encode(&self, out: &mut Vec<u64>);
 
     /// Rebuilds a message from the exact word sequence
     /// [`encode`](WireCodec::encode) produced. `None` marks a malformed
-    /// frame sequence — a codec bug or corrupted reassembly, never a valid
-    /// run.
+    /// word sequence — a codec bug, never a valid run.
     fn decode(words: &[u64]) -> Option<Self>;
 
     /// Convenience: the encoding as a fresh vector.
@@ -72,17 +71,6 @@ pub trait WireCodec: Sized {
 /// fault-delayed message out of its store: a broadcast is stored once,
 /// whatever the degree, and receivers borrow it.
 pub trait EngineMessage: Clone + Send + Sync + WireCodec + 'static {
-    /// Static upper bound on [`width`](EngineMessage::width), if one exists.
-    ///
-    /// `Some(w)` promises `m.width() <= w` for **every** value of the type.
-    /// Constant-size message types (one machine word) declare `Some(1)`,
-    /// which lets the routing epoch skip the per-message width scan under
-    /// [`CongestMode::Split`](crate::CongestMode::Split) whenever the bound
-    /// already fits the budget — no message can fragment, so the split
-    /// outcome is known without touching a single payload. Variable-width
-    /// types keep the default `None` and take the scan.
-    const MAX_WIDTH: Option<usize> = None;
-
     /// Abstract message size in words.
     fn width(&self) -> usize {
         1

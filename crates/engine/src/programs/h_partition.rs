@@ -40,9 +40,7 @@ impl WireCodec for Peeled {
     }
 }
 
-impl EngineMessage for Peeled {
-    const MAX_WIDTH: Option<usize> = Some(1);
-}
+impl EngineMessage for Peeled {}
 
 /// Per-node H-partition state.
 #[derive(Clone, Debug)]

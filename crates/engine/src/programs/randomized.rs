@@ -62,9 +62,7 @@ impl WireCodec for ColorMsg {
     }
 }
 
-impl EngineMessage for ColorMsg {
-    const MAX_WIDTH: Option<usize> = Some(1);
-}
+impl EngineMessage for ColorMsg {}
 
 /// Per-node randomized list-coloring state.
 #[derive(Clone, Debug)]

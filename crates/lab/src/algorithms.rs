@@ -137,11 +137,13 @@ fn mask_of(spec: &TrialSpec, n: usize) -> Option<VertexSet> {
 
 /// The engine config a non-sequential trial declares.
 fn engine_config(spec: &TrialSpec, n: usize) -> EngineConfig {
-    EngineConfig::default()
-        .with_shards(spec.shards)
-        .with_workers(spec.workers.resolve(spec.shards))
-        .with_congest(spec.congest.to_mode())
-        .with_faults(spec.faults.plan(n))
+    EngineConfig {
+        congest: spec.congest,
+        ..EngineConfig::default()
+            .with_shards(spec.shards)
+            .with_workers(spec.workers.resolve(spec.shards))
+            .with_faults(spec.faults.plan(n))
+    }
 }
 
 fn in_mask(mask: Option<&VertexSet>, v: usize) -> bool {
@@ -484,7 +486,8 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{CongestSpec, FaultSpec, Params, WorkerSpec};
+    use crate::schema::{FaultSpec, Params, WorkerSpec};
+    use engine::CongestMode;
 
     fn spec(algorithm: &str, shards: usize) -> TrialSpec {
         TrialSpec {
@@ -496,7 +499,7 @@ mod tests {
             algorithm: algorithm.into(),
             shards,
             workers: WorkerSpec::MatchShards,
-            congest: CongestSpec::Unlimited,
+            congest: CongestMode::Unlimited,
             faults: FaultSpec::default(),
             rep: 0,
             params: Params::default(),
@@ -554,7 +557,7 @@ mod tests {
         let g = graphs::gen::grid(6, 6);
         let unlimited = run(&spec("gather", 1), &g);
         let mut split_spec = spec("gather", 1);
-        split_spec.congest = CongestSpec::Split(2);
+        split_spec.congest = CongestMode::Split(2);
         let split = run(&split_spec, &g);
         assert_eq!(split.output_hash, unlimited.output_hash);
         assert!(split.split_surplus > 0, "radius-3 floods exceed 2 words");

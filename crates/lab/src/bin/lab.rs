@@ -77,7 +77,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             row.spec.seed,
             row.spec.shards,
             row.spec.workers.label(),
-            row.spec.congest.label(),
+            lab::congest_label(row.spec.congest),
             row.spec.faults.label(),
             row.spec.rep,
         );

@@ -8,11 +8,13 @@
 
 use std::collections::BTreeMap;
 
+use engine::CongestMode;
+
 use crate::json::Value;
 use crate::plan::TrialSpec;
 use crate::report::timed_reps;
 use crate::runner::{RunOutcome, TrialRow};
-use crate::schema::{BudgetMetric, Check, CongestSpec, Suite};
+use crate::schema::{congest_label, BudgetMetric, Check, Suite};
 
 /// The verdict of one declared check.
 #[derive(Clone, Debug)]
@@ -238,7 +240,7 @@ fn check_valid(run: &RunOutcome) -> Vec<String> {
                 r.spec.n,
                 r.spec.seed,
                 r.spec.shards,
-                r.spec.congest.label(),
+                congest_label(r.spec.congest),
                 r.spec.faults.label()
             )
         })
@@ -322,7 +324,7 @@ fn check_budget(run: &RunOutcome, metric: BudgetMetric, max: f64) -> Vec<String>
             BudgetMetric::EngineRatio => {
                 // Judged once per configuration, from its shards=1 row.
                 if spec.shards != 1
-                    || spec.congest != CongestSpec::Unlimited
+                    || spec.congest != CongestMode::Unlimited
                     || !spec.faults.is_none()
                 {
                     continue;

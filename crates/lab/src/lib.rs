@@ -36,6 +36,7 @@ pub use plan::{expand, TrialSpec};
 pub use report::{render_summary, write_run};
 pub use runner::{run_suite, RunOutcome, TrialRow};
 pub use schema::{
-    BudgetMetric, Check, CongestSpec, FaultSpec, Params, Scenario, Suite, WorkerSpec,
+    congest_label, parse_congest, BudgetMetric, Check, FaultSpec, Params, Scenario, Suite,
+    WorkerSpec,
 };
 pub use stats::{percentile, summarize, Percentiles};

@@ -10,11 +10,12 @@
 //! Trial ids are consecutive positions in this expansion, so the same
 //! suite always yields the same plan, row for row.
 
+use engine::CongestMode;
 use rand::mix64;
 
 use crate::algorithms;
 use crate::json::Value;
-use crate::schema::{CongestSpec, FaultSpec, Params, Suite, WorkerSpec};
+use crate::schema::{congest_label, FaultSpec, Params, Suite, WorkerSpec};
 
 /// Domain separator for [`TrialSpec::protocol_seed`].
 const PROTOCOL_DOMAIN: u64 = 0x6c61_622d_7072_6f74; // "lab-prot"
@@ -42,7 +43,7 @@ pub struct TrialSpec {
     /// Worker-pool spec (resolved against `shards` at run time).
     pub workers: WorkerSpec,
     /// CONGEST mode.
-    pub congest: CongestSpec,
+    pub congest: CongestMode,
     /// Declared fault plan.
     pub faults: FaultSpec,
     /// Repetition index, `0..reps`.
@@ -76,7 +77,7 @@ impl TrialSpec {
             self.n,
             self.seed,
             self.algorithm,
-            self.congest.label(),
+            congest_label(self.congest),
             self.faults.label()
         )
     }
@@ -91,7 +92,7 @@ impl TrialSpec {
             self.n,
             self.seed,
             self.algorithm,
-            CongestSpec::Unlimited.label(),
+            congest_label(CongestMode::Unlimited),
             self.faults.label()
         )
     }
@@ -100,7 +101,7 @@ impl TrialSpec {
     pub fn to_json(&self) -> Value {
         Value::Obj(vec![
             ("algorithm".into(), Value::str(&self.algorithm)),
-            ("congest".into(), Value::str(self.congest.label())),
+            ("congest".into(), Value::str(congest_label(self.congest))),
             ("family".into(), Value::str(&self.family)),
             ("faults".into(), Value::str(self.faults.label())),
             ("id".into(), Value::int(self.id as u64)),
@@ -147,7 +148,7 @@ pub fn expand(suite: &Suite) -> Result<Vec<TrialSpec>, String> {
                                         // axes' first/clean values.
                                         if shards == 0
                                             && (wi != 0
-                                                || congest != CongestSpec::Unlimited
+                                                || congest != CongestMode::Unlimited
                                                 || !faults.is_none())
                                         {
                                             continue;
@@ -225,7 +226,7 @@ mod tests {
         let plan = expand(&s).unwrap();
         let seq: Vec<_> = plan.iter().filter(|t| t.is_sequential()).collect();
         assert_eq!(seq.len(), 1, "one baseline per configuration");
-        assert_eq!(seq[0].congest, CongestSpec::Unlimited);
+        assert_eq!(seq[0].congest, CongestMode::Unlimited);
         assert!(seq[0].faults.is_none());
         let engine = plan.iter().filter(|t| !t.is_sequential()).count();
         assert_eq!(engine, 2 * 2 * 2, "engine rows keep the full product");

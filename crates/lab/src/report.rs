@@ -16,6 +16,7 @@ use std::path::Path;
 use crate::invariants::CheckOutcome;
 use crate::json::Value;
 use crate::runner::{RunOutcome, TrialRow};
+use crate::schema::congest_label;
 use crate::stats::summarize;
 
 /// Groups a run's rows by configuration × shards × workers (reps merge)
@@ -84,7 +85,10 @@ fn group_json(rows: &[&TrialRow]) -> Value {
     let median = |v: &[f64]| summarize(v).map_or(0.0, |p| p.p50);
     Value::Obj(vec![
         ("algorithm".into(), Value::str(&first.spec.algorithm)),
-        ("congest".into(), Value::str(first.spec.congest.label())),
+        (
+            "congest".into(),
+            Value::str(congest_label(first.spec.congest)),
+        ),
         ("family".into(), Value::str(&first.spec.family)),
         ("faults".into(), Value::str(first.spec.faults.label())),
         ("fragments".into(), Value::int(first.fragments as u64)),

@@ -18,7 +18,7 @@ use graphs::Graph;
 use crate::algorithms;
 use crate::json::Value;
 use crate::plan::{expand, TrialSpec};
-use crate::schema::Suite;
+use crate::schema::{congest_label, Suite};
 use crate::stats::summarize;
 
 /// One executed trial, flattened for the `trials.jsonl` artifact.
@@ -97,7 +97,10 @@ impl TrialRow {
                     None => Value::Null,
                 },
             ),
-            ("congest".into(), Value::str(self.spec.congest.label())),
+            (
+                "congest".into(),
+                Value::str(congest_label(self.spec.congest)),
+            ),
             ("delayed".into(), Value::int(self.delayed as u64)),
             ("dropped".into(), Value::int(self.dropped as u64)),
             ("duplicated".into(), Value::int(self.duplicated as u64)),

@@ -75,7 +75,7 @@ pub struct Scenario {
     /// Worker-pool axis (defaults to `[auto]`).
     pub workers: Vec<WorkerSpec>,
     /// CONGEST-mode axis (defaults to `[unlimited]`).
-    pub congest: Vec<CongestSpec>,
+    pub congest: Vec<CongestMode>,
     /// Fault-plan axis (defaults to `[none]`).
     pub faults: Vec<FaultSpec>,
     /// Repetitions per configuration (wall-clock sampling; outputs replay
@@ -112,58 +112,31 @@ impl WorkerSpec {
     }
 }
 
-/// CONGEST treatment for one trial.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CongestSpec {
-    /// No bandwidth budget; widths are recorded (`max_width` per row).
-    Unlimited,
-    /// Fragment over-budget messages, charging physical rounds.
-    Split(usize),
+/// Stable label of a CONGEST mode (`unlimited`, `split:4`) for rows and
+/// grouping — parses back via [`parse_congest`].
+pub fn congest_label(mode: CongestMode) -> String {
+    match mode {
+        CongestMode::Unlimited => "unlimited".into(),
+        CongestMode::Split(w) => format!("split:{w}"),
+    }
 }
 
-impl CongestSpec {
-    /// The engine mode this spec declares.
-    pub fn to_mode(self) -> CongestMode {
-        match self {
-            CongestSpec::Unlimited => CongestMode::Unlimited,
-            CongestSpec::Split(w) => CongestMode::Split(w),
-        }
+/// Parses a [`congest_label`]; a split budget must be at least one word.
+pub fn parse_congest(s: &str) -> Result<CongestMode, String> {
+    if s == "unlimited" {
+        return Ok(CongestMode::Unlimited);
     }
-
-    /// Stable label (`unlimited`, `split:4`) for rows and
-    /// grouping — parses back via [`CongestSpec::parse`].
-    pub fn label(self) -> String {
-        match self {
-            CongestSpec::Unlimited => "unlimited".into(),
-            CongestSpec::Split(w) => format!("split:{w}"),
-        }
+    if let Some(w) = s.strip_prefix("split:") {
+        return w
+            .parse::<usize>()
+            .ok()
+            .filter(|&w| w >= 1)
+            .map(CongestMode::Split)
+            .ok_or_else(|| format!("bad split width in congest spec {s:?}"));
     }
-
-    /// Parses a label.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        if s == "unlimited" {
-            return Ok(CongestSpec::Unlimited);
-        }
-        if let Some(w) = s.strip_prefix("split:") {
-            return w
-                .parse::<usize>()
-                .ok()
-                .filter(|&w| w >= 1)
-                .map(CongestSpec::Split)
-                .ok_or_else(|| format!("bad split width in congest spec {s:?}"));
-        }
-        Err(format!(
-            "unknown congest spec {s:?} (want unlimited | split:w)"
-        ))
-    }
-
-    /// The split width, if this is a split mode.
-    pub fn split_width(self) -> Option<usize> {
-        match self {
-            CongestSpec::Split(w) => Some(w),
-            _ => None,
-        }
-    }
+    Err(format!(
+        "unknown congest spec {s:?} (want unlimited | split:w)"
+    ))
 }
 
 /// A declarative fault plan: everything [`FaultPlan`] supports, as data,
@@ -557,9 +530,9 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
         })?
         .unwrap_or_else(|| vec![WorkerSpec::Auto]),
         congest: axis(v, "congest", |item| {
-            CongestSpec::parse(item.as_str().ok_or("expected a congest string")?)
+            parse_congest(item.as_str().ok_or("expected a congest string")?)
         })?
-        .unwrap_or_else(|| vec![CongestSpec::Unlimited]),
+        .unwrap_or_else(|| vec![CongestMode::Unlimited]),
         faults: axis(v, "faults", parse_fault)?.unwrap_or_else(|| vec![FaultSpec::default()]),
         reps: match v.get("reps") {
             None => 1,
@@ -764,7 +737,7 @@ mod tests {
         assert_eq!(s.seed, vec![0]);
         assert_eq!(s.shards, vec![1]);
         assert_eq!(s.workers, vec![WorkerSpec::Auto]);
-        assert_eq!(s.congest, vec![CongestSpec::Unlimited]);
+        assert_eq!(s.congest, vec![CongestMode::Unlimited]);
         assert_eq!(s.faults, vec![FaultSpec::default()]);
         assert_eq!(s.reps, 1);
         assert!(suite.checks.is_empty());
@@ -789,7 +762,7 @@ mod tests {
         assert_eq!(s.workers, vec![WorkerSpec::Auto, WorkerSpec::MatchShards]);
         assert_eq!(
             s.congest,
-            vec![CongestSpec::Unlimited, CongestSpec::Split(4)]
+            vec![CongestMode::Unlimited, CongestMode::Split(4)]
         );
         assert_eq!(s.faults[1].lose, Some((3, 0.1)));
         assert_eq!(s.reps, 3);
@@ -918,11 +891,12 @@ mod tests {
 
     #[test]
     fn congest_specs_round_trip() {
-        for spec in [CongestSpec::Unlimited, CongestSpec::Split(8)] {
-            assert_eq!(CongestSpec::parse(&spec.label()).unwrap(), spec);
+        for mode in [CongestMode::Unlimited, CongestMode::Split(8)] {
+            assert_eq!(parse_congest(&congest_label(mode)).unwrap(), mode);
         }
-        assert!(CongestSpec::parse("split:0").is_err());
-        assert!(CongestSpec::parse("reject:2").is_err());
-        assert!(CongestSpec::parse("congested").is_err());
+        assert_eq!(congest_label(CongestMode::Split(4)), "split:4");
+        assert!(parse_congest("split:0").is_err());
+        assert!(parse_congest("reject:2").is_err());
+        assert!(parse_congest("congested").is_err());
     }
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example lab_quickstart
 //! ```
 
-use lab::{evaluate, expand, render_summary, run_suite, Suite};
+use lab::{congest_label, evaluate, expand, render_summary, run_suite, Suite};
 
 const SUITE: &str = r#"{
   "name": "quickstart",
@@ -70,7 +70,7 @@ fn main() {
             spec.algorithm,
             spec.n,
             spec.shards,
-            spec.congest.label(),
+            congest_label(spec.congest),
             spec.faults.label(),
         );
     }

@@ -76,7 +76,10 @@ fn split_width_ladder_reconciles_ledgers() {
     let run = |congest: CongestMode| {
         let config = SparseColoringConfig {
             engine_shards: Some(2),
-            engine: EngineConfig::default().with_congest(congest),
+            engine: EngineConfig {
+                congest,
+                ..EngineConfig::default()
+            },
             ..Default::default()
         };
         list_color_sparse(&g, &lists, d, config)

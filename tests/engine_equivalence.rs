@@ -332,10 +332,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `Split(1)` — every multi-word message crosses the wire as one-word
-    /// fragments and is reassembled — must reproduce the unlimited-width
-    /// gather and ruling runs exactly on random sparse graphs, with the
-    /// split surplus isolated under the SPLIT_PHASE ledger entry and the
-    /// observed fragment/physical-round accounting consistent.
+    /// fragments, round-tripped through its codec — must reproduce the
+    /// unlimited-width gather and ruling runs exactly on random sparse
+    /// graphs, with the split surplus isolated under the SPLIT_PHASE ledger
+    /// entry and the observed fragment/physical-round accounting
+    /// consistent.
     #[test]
     fn split_one_matches_unlimited_on_gather_and_ruling(
         n in 20usize..100,
@@ -716,9 +717,10 @@ proptest! {
         }
     }
 
-    /// CONGEST `Split(1)` across shard counts: each routing group reassembles
-    /// its own fragments, so a gather flood at shards 4 must reproduce the
-    /// shards-1 run's balls, split surplus, and fragment counts.
+    /// CONGEST `Split(1)` across shard counts: each worker group charges
+    /// the fragments of its own senders, so a gather flood at shards 4 must
+    /// reproduce the shards-1 run's balls, split surplus, and fragment
+    /// counts.
     #[test]
     fn split_gather_is_shard_invariant(
         n in 24usize..90,

@@ -4,10 +4,10 @@
 //! n = 10⁶ cannot afford a heap allocation per delivered message. Inboxes
 //! are `(start, len)` spans into one contiguous per-group segment rebuilt
 //! by counting sort; staging arenas and segments keep their capacity across
-//! rounds; the `MAX_WIDTH` fast path skips the split-mode width scan for
-//! one-word messages. The observable consequence: once capacities have
-//! warmed up, the number of heap *allocations* per round is independent of
-//! how many messages move.
+//! rounds, and so does the word buffer split mode encodes each over-budget
+//! payload into once, as it is stored. The observable consequence: once
+//! capacities have warmed up, the number of heap *allocations* per round is
+//! independent of how many messages move.
 //!
 //! This test installs a counting `#[global_allocator]` and compares the
 //! allocation count of identical steady-state phases at two sizes two
@@ -83,8 +83,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Every node broadcasts its id every round: 2 messages per vertex per
-/// round on a cycle, all on the one-word (`usize`, `MAX_WIDTH = Some(1)`)
-/// fast path.
+/// round on a cycle, all one word wide.
 struct Chatter;
 
 impl NodeProgram for Chatter {
@@ -105,9 +104,9 @@ impl NodeProgram for Chatter {
 }
 
 /// A six-word fixed-size payload: wider than the Split(4) budget, so every
-/// delivery runs the real fragmentation path — encode into the routing
-/// worker's arena, chop into `(seq, total)` frames, reassemble per edge —
-/// while the decode lands on the stack, never the heap.
+/// broadcast is encoded into its group's word buffer and decoded back as it
+/// is stored, and every delivery is charged two frames, while the decode
+/// lands on the stack, never the heap.
 #[derive(Clone, Copy, PartialEq, Debug)]
 struct WidePing([u64; 6]);
 
@@ -128,8 +127,8 @@ impl EngineMessage for WidePing {
 }
 
 /// Broadcasts a six-word stamp every round: with a Split(4) budget every
-/// delivery fragments into two frames, exercising the per-group encode
-/// arena and reassembly buffer each round.
+/// delivery fragments into two frames, exercising the per-group word
+/// buffer each round.
 struct WideChatter;
 
 impl NodeProgram for WideChatter {
@@ -142,7 +141,7 @@ impl NodeProgram for WideChatter {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, WidePing>) -> Outbox<WidePing> {
         assert_eq!(inbox.len(), 2, "cycle neighbors both spoke");
         for (src, m) in inbox {
-            assert_eq!(m.0, [src as u64; 6], "reassembly must round-trip");
+            assert_eq!(m.0, [src as u64; 6], "the codec must round-trip");
         }
         Outbox::Broadcast(WidePing([ctx.id as u64; 6]))
     }
@@ -162,10 +161,9 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
 ) -> (usize, EngineMetrics) {
     let _turn = serial();
     let g = gen::cycle(n);
-    // Split(4) keeps the CONGEST accounting on in both rows. For `Chatter`
-    // (usize, `MAX_WIDTH = Some(1)`) the static bound fits the budget, so
-    // the width scan is skipped entirely; for `WideChatter` (six words)
-    // every delivery takes the full fragmentation path.
+    // Split(4) keeps the CONGEST accounting on in both rows. `Chatter`'s
+    // one-word messages fit the budget; `WideChatter`'s six-word ones are
+    // round-tripped through the codec and fragment on every delivery.
     let config = EngineConfig::default().with_shards(1).congest_split(4);
     let mut session = EngineSession::new(&g, config, |_| mk());
     session.run_phase("warmup", Stop::Rounds(rounds));
@@ -207,11 +205,10 @@ fn split_fragmentation_rounds_allocate_independently_of_message_count() {
     // edge in two frames, init round included.
     assert_eq!(metrics.total_fragments(), 2 * metrics.total_messages());
     assert!(metrics.per_round().iter().all(|r| r.physical_rounds == 2));
-    // Every one of the large run's ~195k extra deliveries encodes, chops,
-    // and reassembles a six-word message under the Split(4) budget. The
-    // per-group encode arena and reassembly buffer warmed up before
-    // counting started, so the steady-state allocation count must stay
-    // flat in n.
+    // The large run round-trips ~98k more six-word broadcasts through the
+    // codec and charges ~195k more fragmented deliveries under the Split(4)
+    // budget. The per-group word buffer warmed up before counting started,
+    // so the steady-state allocation count must stay flat in n.
     let slack = 64;
     assert!(
         large <= small + slack,
@@ -327,9 +324,7 @@ impl WireCodec for Stamp {
     }
 }
 
-impl EngineMessage for Stamp {
-    const MAX_WIDTH: Option<usize> = Some(1);
-}
+impl EngineMessage for Stamp {}
 
 /// Broadcasts its id every round and checks each stamp it receives names
 /// its sender, reading the payloads in place.
