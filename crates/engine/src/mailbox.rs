@@ -80,18 +80,19 @@
 //!
 //! Under [`CongestMode::Split`](crate::CongestMode::Split) with budget `b`
 //! a message of `w > b` words crosses an edge in `w.div_ceil(b)` frames.
-//! The engine charges that where the message is stored, since its width
-//! is in hand there: each over-budget payload is encoded through its
-//! [`WireCodec`](crate::WireCodec) into the storing group's reused word
-//! buffer and decoded back (`split_roundtrip`), and the decoded copy is
-//! what every receiver reads, so a codec defect shows up as a wrong
-//! output. Once an outbox's faults are applied, each surviving reference
-//! charges its frames to the staging group's counters, and a fault-delayed
-//! message is charged when `Mailboxes::inject_due` re-stores it. Frames
-//! are therefore counted per delivery, as if every edge carried its own
-//! copy, and traffic a fault suppressed costs nothing. Faults act on
-//! *logical* messages, so fault replay is identical across split and
-//! unlimited modes, and routing knows nothing of the budget.
+//! The engine charges that where the message is stored, once the outbox's
+//! faults are applied: each over-budget payload left in the store is
+//! encoded through its [`WireCodec`](crate::WireCodec) into the storing
+//! group's reused word buffer and decoded back (`split_roundtrip`), and
+//! the decoded copy is what every receiver reads, so a codec defect shows
+//! up as a wrong output; then each surviving reference charges its frames
+//! to the staging group's counters. A fault-delayed message is
+//! round-tripped and charged when `Mailboxes::inject_due` re-stores it.
+//! Frames are therefore counted per delivery, as if every edge carried
+//! its own copy, and traffic a fault suppressed costs nothing, not even
+//! its encoding. Faults act on *logical* messages, so fault replay is
+//! identical across split and unlimited modes, and routing knows nothing
+//! of the budget.
 //!
 //! The per-group rebuild itself runs on the workers (`pool::route_range`,
 //! over the parts `Mailboxes::route_parts` splits out), or group by
@@ -229,6 +230,20 @@ impl<M> Store<M> {
             .expect("a payload store holds at most u32::MAX entries");
         self.items.push((src, m));
         slot
+    }
+}
+
+impl<M: EngineMessage> Store<M> {
+    /// Replaces each payload from slot `from` on that is wider than the
+    /// split budget `split` by its copy round-tripped through the wire
+    /// ([`split_roundtrip`], in the reused buffer `words`).
+    pub(crate) fn split_from(&mut self, from: usize, split: usize, words: &mut Vec<u64>) {
+        for (_, m) in &mut self.items[from..] {
+            let width = m.width();
+            if width > split {
+                *m = split_roundtrip(m, width, words);
+            }
+        }
     }
 }
 
@@ -756,29 +771,6 @@ mod tests {
     fn split_roundtrip_rejects_a_dishonest_width() {
         use crate::programs::gather::NbrList;
         split_roundtrip(&NbrList(vec![1, 2, 3]), 2, &mut Vec::new());
-    }
-
-    #[test]
-    fn due_delayed_messages_are_charged_per_delivery() {
-        use crate::programs::gather::NbrList;
-        // Three due messages under a budget of 2: the 5-word one crosses in
-        // 3 frames, the 2-word one fits, and the widest sets the width.
-        let mut mail: Mailboxes<NbrList> = Mailboxes::new(2, vec![0, 2]);
-        mail.schedule(
-            4,
-            vec![
-                (1, 0, NbrList(vec![1, 2, 3, 4, 5])),
-                (0, 1, NbrList(vec![7, 8])),
-                (1, 0, NbrList(vec![1, 2, 3, 4, 5])),
-            ],
-        );
-        let mut counts = Counts::default();
-        assert_eq!(mail.inject_due(4, 2, &mut counts), 3);
-        assert_eq!((counts.fragments, counts.wire_width), (6, 5));
-        let mut unlimited = Counts::default();
-        mail.schedule(5, vec![(1, 0, NbrList(vec![1, 2, 3, 4, 5]))]);
-        mail.inject_due(5, usize::MAX, &mut unlimited);
-        assert_eq!((unlimited.fragments, unlimited.wire_width), (0, 0));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct RoundMetrics {
     /// compute epoch's close and the buffer flip — yield collection and
     /// the store swap, delayed-fault re-storing, the per-group counting
     /// sort (count, place, and sort the spans of a group with delayed
-    /// traffic due), and inbox finalization (split tally, reorder). A subset of
+    /// traffic due), and inbox finalization (the reorder). A subset of
     /// [`wall`](RoundMetrics::wall); the lab's `route-frac` budget judges
     /// this number, so it must not under-count any epoch step.
     pub route_wall: Duration,

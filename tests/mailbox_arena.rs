@@ -180,7 +180,11 @@ fn steady_state_rounds_allocate_independently_of_message_count() {
     let small_n = 64;
     let large_n = 8192;
     let (small, _) = steady_state_allocs(small_n, rounds, || Chatter);
-    let (large, _) = steady_state_allocs(large_n, rounds, || Chatter);
+    let (large, metrics) = steady_state_allocs(large_n, rounds, || Chatter);
+    // One-word messages fit the Split(4) budget: nothing fragments, and
+    // every round costs one physical round.
+    assert_eq!(metrics.total_fragments(), 0);
+    assert_eq!(metrics.total_physical_rounds(), metrics.total_rounds());
     // The large run moves (large_n - small_n) * 2 * rounds ≈ 195k more
     // messages than the small one. Per-message (or even per-vertex)
     // allocation anywhere on the deliver path would blow this bound by
