@@ -113,8 +113,9 @@ pub struct SparseColoringConfig {
     /// the ruling forest, each forest's Cole–Vishkin pass, the class sweeps
     /// and the layered greedy — runs on a clone of it, so its CONGEST mode,
     /// fault plan, frontier gating, round cap, worker cap and pool
-    /// reach them all. Two fields are overwritten:
-    /// `engine_shards` sets `shards`, and each session sets its own `mask`.
+    /// reach them all. One field is overwritten: `engine_shards` sets
+    /// `shards`. Each session passes its own vertex set to
+    /// [`engine::EngineSession::new`].
     /// Without a `pool`, the run spawns one [`EnginePool`] sized by
     /// [`EngineConfig::workers_for`] and shares it across every session.
     ///

@@ -2,13 +2,16 @@
 //! persistent worker pool, over a (possibly masked) [`GraphView`].
 //!
 //! One [`EngineSession`] runs one network of [`NodeProgram`]s — one program
-//! per **live** vertex of its view. With [`EngineConfig::with_mask`] the
-//! session restricts itself to an induced subgraph: masked-out vertices get
-//! no program, no mailbox, no RNG stream, and no ledger charge, and edges
-//! with a dead endpoint do not exist. Determinism stays keyed on *original*
-//! vertex ids (contexts, inboxes, RNG streams, fault plans), so a masked
-//! run is bit-identical to the sequential masked primitives at any shard
-//! count. Worker threads are spawned **once**, when the session boots, and
+//! per **live** vertex of its view. The session's vertex set is an input of
+//! [`EngineSession::new`], like the `mask` of every sequential primitive:
+//! given one, the session restricts itself to the induced subgraph —
+//! masked-out vertices get no program, no mailbox, no RNG stream, and no
+//! ledger charge, and edges with a dead endpoint do not exist. Determinism
+//! stays keyed on *original* vertex ids (contexts, inboxes, RNG streams,
+//! fault plans), so a masked run is bit-identical to the sequential masked
+//! primitives at any shard count. The session cuts its live vertices once
+//! into [`EngineConfig::workers_for`] contiguous, edge-mass-balanced worker
+//! groups. Worker threads are spawned **once**, when the session boots, and
 //! park on a reusable barrier between epochs (see the `pool` module). Each
 //! round has **two worker-parallel phases**; before each, the driver
 //! counts the phase's work, and a phase below `DRIVER_EPOCH_WORK` runs on
@@ -62,7 +65,7 @@ use crate::mailbox::Mailboxes;
 use crate::metrics::{EngineMetrics, RoundMetrics};
 use crate::pool::{Counts, RouteEnv, StageEnv, WorkerPool};
 use crate::program::NodeProgram;
-use crate::shard::ShardPlan;
+use crate::shard::group_bounds;
 use crate::view::GraphView;
 
 /// Epoch work below which the driver runs every group's share itself, in
@@ -145,10 +148,11 @@ impl CongestMode {
 /// rerunning reproduces a run exactly.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Logical shard count; 0 means one shard per available CPU.
+    /// Worker-group count a session asks for; 0 means one per available
+    /// CPU. See [`workers_for`](EngineConfig::workers_for).
     pub shards: usize,
-    /// Worker-thread cap: the session spawns `min(workers, shards)` worker
-    /// groups (one of which is the driver thread itself); 0 means one per
+    /// Worker-thread cap: the session runs at most `workers` worker groups
+    /// (one of which is the driver thread itself); 0 means one per
     /// available CPU. Purely a performance knob — results are bit-identical
     /// for any value.
     pub workers: usize,
@@ -156,10 +160,6 @@ pub struct EngineConfig {
     pub max_rounds: u64,
     /// Outbox fault schedule (empty by default).
     pub faults: FaultPlan,
-    /// Active-set mask: `Some` restricts the session to the induced
-    /// subgraph on these vertices (see [`GraphView`]). `None` runs the
-    /// whole graph.
-    pub mask: Option<VertexSet>,
     /// CONGEST bandwidth treatment: record widths only, or split
     /// over-budget messages across virtual rounds. See [`CongestMode`].
     pub congest: CongestMode,
@@ -182,7 +182,6 @@ impl Default for EngineConfig {
             workers: 0,
             max_rounds: 100_000,
             faults: FaultPlan::new(),
-            mask: None,
             congest: CongestMode::Unlimited,
             frontier: true,
             pool: None,
@@ -191,7 +190,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Sets the logical shard count (0 = one per available CPU).
+    /// Sets the worker-group count (0 = one per available CPU).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -218,15 +217,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Restricts the session to the induced subgraph on `mask` (cloned into
-    /// the config — configs stay plain, cloneable data). The mask's
-    /// universe must match the graph the session later runs over.
-    #[must_use]
-    pub fn with_mask(mut self, mask: &VertexSet) -> Self {
-        self.mask = Some(mask.clone());
         self
     }
 
@@ -264,37 +254,29 @@ impl EngineConfig {
         self
     }
 
-    /// Worker groups a private-pool session over `n` live vertices runs
-    /// with — the size a caller-owned [`EnginePool`] needs to serve every
-    /// session of a pipeline at full width.
+    /// Worker groups a session over `n` live vertices runs with: `shards`,
+    /// capped by the shared pool's size when one is set and by `workers`
+    /// otherwise, and by `n`, so no group is empty. Explicit caps are
+    /// honored (so tests can force real threads on small machines); the
+    /// automatic default never oversubscribes the hardware. Without a pool
+    /// this is also the size a caller-owned [`EnginePool`] needs to serve
+    /// every session of a pipeline at full width.
     pub fn workers_for(&self, n: usize) -> usize {
-        self.resolve_workers(self.resolve_shards(n))
-    }
-
-    fn resolve_shards(&self, n: usize) -> usize {
-        let requested = if self.shards == 0 {
-            available_cpus()
-        } else {
-            self.shards
+        let cap = match &self.pool {
+            Some(pool) => pool.workers(),
+            None => or_cpus(self.workers),
         };
-        requested.clamp(1, n.max(1))
-    }
-
-    /// Worker groups for a resolved shard count: explicit caps are honored
-    /// (so tests can force real threads on small machines); the automatic
-    /// default never oversubscribes the hardware.
-    fn resolve_workers(&self, shards: usize) -> usize {
-        let cap = if self.workers == 0 {
-            available_cpus()
-        } else {
-            self.workers
-        };
-        cap.clamp(1, shards)
+        or_cpus(self.shards).min(cap).clamp(1, n.max(1))
     }
 }
 
-fn available_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+/// `knob`, or one per available CPU when it is 0.
+fn or_cpus(knob: usize) -> usize {
+    if knob == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        knob
+    }
 }
 
 /// When a phase ends.
@@ -336,7 +318,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     /// The active set. Every step builds its node's [`NodeCtx`] from it.
     view: GraphView<'g>,
     config: EngineConfig,
-    plan: ShardPlan,
     pool: WorkerPool<P>,
     programs: Vec<P>,
     mail: Mailboxes<P::Message>,
@@ -356,12 +337,14 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
 }
 
 impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
-    /// Boots a network over `graph` (restricted to `config.mask` if set):
-    /// builds one program per live vertex (`factory` is called in ascending
-    /// original-id order), spawns the session's persistent worker pool (or
-    /// borrows the shared one), and runs round 0 — every program's `init`,
-    /// through the same compute and routing epochs as any later round —
-    /// which routes the initial outboxes into round 1's inboxes.
+    /// Boots a network over `graph`, restricted to the induced subgraph on
+    /// `mask` if one is given: builds one program per live vertex
+    /// (`factory` is called in ascending original-id order), cuts the live
+    /// vertices into worker groups, spawns the session's persistent worker
+    /// pool (or borrows the shared one), and runs round 0 — every
+    /// program's `init`, through the same compute and routing epochs as any
+    /// later round — which routes the initial outboxes into round 1's
+    /// inboxes.
     ///
     /// Round 0 is charged zero rounds (see [`NodeProgram::init`]); fault
     /// rules for round 0 apply to it, and it is recorded, timed like any
@@ -369,11 +352,12 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.mask` has a universe other than `graph.n()` or
+    /// Panics if `mask` has a universe other than `graph.n()` or
     /// `config.congest` is `Split(0)`, and resumes a panic raised by a
     /// program's `init` once its epoch closes.
     pub fn new(
         graph: &'g Graph,
+        mask: Option<&VertexSet>,
         config: EngineConfig,
         mut factory: impl FnMut(&NodeCtx<'_>) -> P,
     ) -> Self {
@@ -382,24 +366,15 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             CongestMode::Split(0),
             "a CONGEST budget must allow at least one word"
         );
-        let view = GraphView::new(graph, config.mask.as_ref());
+        let view = GraphView::new(graph, mask);
         let live = view.live_count();
-        let plan = ShardPlan::for_view(&view, config.resolve_shards(live));
-        // A shared pool fixes the worker-group budget (its thread count);
-        // otherwise the session sizes — and below spawns — its own.
-        let pool_workers = config
-            .pool
-            .as_ref()
-            .map(|p| p.workers().min(plan.shards()).max(1))
-            .unwrap_or_else(|| config.resolve_workers(plan.shards()));
         // The group partition as flat boundaries, kept by the mailboxes.
-        let groups = plan.group_ranges(pool_workers);
-        let bounds: Vec<usize> = groups.iter().map(|r| r.start).chain([live]).collect();
+        let bounds = group_bounds(&view, config.workers_for(live));
         let pool = WorkerPool::new(
             config
                 .pool
                 .clone()
-                .unwrap_or_else(|| EnginePool::new(groups.len())),
+                .unwrap_or_else(|| EnginePool::new(bounds.len() - 1)),
             &bounds,
         );
         // Dense order is ascending original id: the factory's contract.
@@ -411,7 +386,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             halted: programs.iter().filter(|p| p.halted()).count(),
             view,
             config,
-            plan,
             pool,
             programs,
             metrics: EngineMetrics::default(),
@@ -492,7 +466,9 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// the "synchronizer" seam multi-phase algorithms use to switch modes
     /// without spending communication rounds. Since `f` may rewrite any
     /// program's state, the halt votes are recounted and every node's
-    /// activation hint is registered afresh.
+    /// activation hint is registered afresh; to only read results, zip
+    /// [`view`](EngineSession::view)`().live()` with
+    /// [`programs`](EngineSession::programs) instead.
     pub fn for_each_program(&mut self, mut f: impl FnMut(VertexId, &mut P)) {
         for (dv, p) in self.programs.iter_mut().enumerate() {
             f(self.view.original(dv), p);
@@ -537,14 +513,9 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         self.round
     }
 
-    /// Number of logical shards this session runs with.
-    pub fn shards(&self) -> usize {
-        self.plan.shards()
-    }
-
-    /// Number of worker groups executing those shards (spawned threads + the
-    /// driver thread itself). At most [`shards`](EngineSession::shards);
-    /// capped by the hardware unless [`EngineConfig::workers`] forces more.
+    /// Number of worker groups this session runs with (spawned threads +
+    /// the driver thread itself): [`EngineConfig::workers_for`] its live
+    /// vertex count.
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
@@ -727,14 +698,30 @@ mod tests {
     }
 
     fn new_flood(g: &graphs::Graph, config: EngineConfig) -> EngineSession<'_, MaxFlood> {
-        EngineSession::new(g, config, |_| MaxFlood {
+        new_masked_flood(g, None, config)
+    }
+
+    fn new_masked_flood<'g>(
+        g: &'g graphs::Graph,
+        mask: Option<&VertexSet>,
+        config: EngineConfig,
+    ) -> EngineSession<'g, MaxFlood> {
+        EngineSession::new(g, mask, config, |_| MaxFlood {
             value: 0,
             changed: true,
         })
     }
 
     fn flood(g: &graphs::Graph, config: EngineConfig) -> (Vec<u64>, u64, Vec<usize>) {
-        let mut sess = new_flood(g, config);
+        masked_flood(g, None, config)
+    }
+
+    fn masked_flood(
+        g: &graphs::Graph,
+        mask: Option<&VertexSet>,
+        config: EngineConfig,
+    ) -> (Vec<u64>, u64, Vec<usize>) {
+        let mut sess = new_masked_flood(g, mask, config);
         let report = sess.run_phase("flood", Stop::AllHalted);
         assert!(report.converged);
         let counts = sess.metrics().message_counts();
@@ -780,10 +767,27 @@ mod tests {
     fn workers_capped_by_shards_and_forceable_past_cpus() {
         let g = gen::path(40);
         let sess = new_flood(&g, EngineConfig::default().with_shards(4).with_workers(64));
-        assert_eq!(sess.shards(), 4);
         assert_eq!(sess.workers(), 4, "explicit cap clamps to shards only");
         let inline = new_flood(&g, EngineConfig::default().with_workers(1));
         assert_eq!(inline.workers(), 1);
+    }
+
+    #[test]
+    fn group_partition_is_pinned() {
+        // The worker-group cut is a performance choice, but colorbench's
+        // inputs keep theirs across refactors: a 4-shard plan on 2 workers
+        // splits the grid at its middle row and the Apollonian graph at a
+        // fixed edge-mass point, private pool or shared.
+        let bounds =
+            |g: &graphs::Graph, config: EngineConfig| new_flood(g, config).mail.bounds().to_vec();
+        let config = || EngineConfig::default().with_shards(4).with_workers(2);
+        let grid = gen::grid(200, 200);
+        assert_eq!(bounds(&grid, config()), [0, 20000, 40000]);
+        let apollonian = gen::apollonian(20_000, 1);
+        assert_eq!(bounds(&apollonian, config()), [0, 5766, 20000]);
+        let pool = EnginePool::new(2);
+        let shared = EngineConfig::default().with_shards(4).with_pool(&pool);
+        assert_eq!(bounds(&apollonian, shared), [0, 5766, 20000]);
     }
 
     #[test]
@@ -827,10 +831,8 @@ mod tests {
         let g = gen::path(10);
         let mask = VertexSet::from_iter_with_universe(10, [0, 1, 2, 3, 7, 8, 9]);
         for shards in [1usize, 2, 4] {
-            let mut sess = new_flood(
-                &g,
-                EngineConfig::default().with_mask(&mask).with_shards(shards),
-            );
+            let mut sess =
+                new_masked_flood(&g, Some(&mask), EngineConfig::default().with_shards(shards));
             assert_eq!(sess.programs().len(), 7, "one program per live vertex");
             assert!(sess.view().live().eq([0, 1, 2, 3, 7, 8, 9]));
             let report = sess.run_phase("flood", Stop::AllHalted);
@@ -850,12 +852,9 @@ mod tests {
     fn masked_runs_are_shard_invariant() {
         let g = gen::random_tree(150, 5);
         let mask = VertexSet::from_iter_with_universe(150, (0..150).filter(|v| v % 3 != 0));
-        let base = flood(&g, EngineConfig::default().with_mask(&mask).with_shards(1));
+        let base = masked_flood(&g, Some(&mask), EngineConfig::default().with_shards(1));
         for shards in [2usize, 5, 8] {
-            let run = flood(
-                &g,
-                EngineConfig::default().with_mask(&mask).with_shards(shards),
-            );
+            let run = masked_flood(&g, Some(&mask), EngineConfig::default().with_shards(shards));
             assert_eq!(run, base, "shards = {shards}");
         }
     }
@@ -864,7 +863,7 @@ mod tests {
     fn empty_mask_session_is_inert() {
         let g = gen::path(5);
         let mask = VertexSet::new(5);
-        let mut sess = new_flood(&g, EngineConfig::default().with_mask(&mask));
+        let mut sess = new_masked_flood(&g, Some(&mask), EngineConfig::default());
         assert_eq!(sess.programs().len(), 0);
         let report = sess.run_phase("flood", Stop::AllHalted);
         assert!(report.converged);
@@ -875,7 +874,7 @@ mod tests {
     fn for_each_program_reports_original_ids() {
         let g = gen::path(6);
         let mask = VertexSet::from_iter_with_universe(6, [1, 4, 5]);
-        let mut sess = new_flood(&g, EngineConfig::default().with_mask(&mask));
+        let mut sess = new_masked_flood(&g, Some(&mask), EngineConfig::default());
         let mut seen = Vec::new();
         sess.for_each_program(|v, _| seen.push(v));
         assert_eq!(seen, vec![1, 4, 5]);
@@ -926,7 +925,7 @@ mod tests {
             }
         }
         let g = gen::path(6);
-        let mut sess = EngineSession::new(&g, EngineConfig::default(), |_| Wide);
+        let mut sess = EngineSession::new(&g, None, EngineConfig::default(), |_| Wide);
         sess.run_phase("ok", Stop::Rounds(2));
         sess.run_phase("wider", Stop::Rounds(1));
         let widths: Vec<usize> = sess
@@ -990,7 +989,7 @@ mod tests {
     fn split_mode_charges_physical_rounds_and_replays_unlimited_outputs() {
         let g = gen::cycle(10);
         let run = |config: EngineConfig| {
-            let mut sess = EngineSession::new(&g, config, |_| Chunky { rounds: 4, seen: 0 });
+            let mut sess = EngineSession::new(&g, None, config, |_| Chunky { rounds: 4, seen: 0 });
             sess.run_phase("chunky", Stop::Rounds(5));
             let ledger_total = sess.ledger().total();
             let split_total = sess.ledger().phase_total(SPLIT_PHASE);
@@ -1035,6 +1034,7 @@ mod tests {
         }
         let mut sess = EngineSession::new(
             &g,
+            None,
             EngineConfig::default().congest_split(1).with_faults(faults),
             |_| Chunky { rounds: 3, seen: 0 },
         );
@@ -1064,6 +1064,7 @@ mod tests {
         let run = |faults: FaultPlan, shards: usize| {
             let mut sess = EngineSession::new(
                 &g,
+                None,
                 EngineConfig::default()
                     .with_shards(shards)
                     .congest_split(2)
@@ -1120,9 +1121,10 @@ mod tests {
     #[test]
     fn split_report_exposes_physical_rounds() {
         let g = gen::path(6);
-        let mut sess = EngineSession::new(&g, EngineConfig::default().congest_split(1), |_| {
-            Chunky { rounds: 3, seen: 0 }
-        });
+        let mut sess =
+            EngineSession::new(&g, None, EngineConfig::default().congest_split(1), |_| {
+                Chunky { rounds: 3, seen: 0 }
+            });
         let report = sess.run_phase("chunky", Stop::Rounds(4));
         assert_eq!(report.rounds, 4);
         // Widths 1, 2, 3 then silence: 1 + 2 + 3 + 1 physical rounds.
@@ -1275,7 +1277,7 @@ mod tests {
             }
         }
         let g = gen::path(5);
-        let mut sess = EngineSession::new(&g, EngineConfig::default(), |_| Chatty);
+        let mut sess = EngineSession::new(&g, None, EngineConfig::default(), |_| Chatty);
         sess.run_phase("x", Stop::Rounds(1));
     }
 
@@ -1303,8 +1305,7 @@ mod tests {
         }
         let g = gen::path(4);
         let mask = VertexSet::from_iter_with_universe(4, [1, 2, 3]);
-        let mut sess =
-            EngineSession::new(&g, EngineConfig::default().with_mask(&mask), |_| CallDead);
+        let mut sess = EngineSession::new(&g, Some(&mask), EngineConfig::default(), |_| CallDead);
         sess.run_phase("x", Stop::Rounds(1));
     }
 

@@ -15,15 +15,16 @@
 //!   (inbox → outbox + state transition) / [`halted`](NodeProgram::halted)
 //!   vote.
 //! * [`GraphView`] — the active-set abstraction: a graph plus an optional
-//!   [`VertexSet`](graphs::VertexSet) mask ([`EngineConfig::with_mask`]).
-//!   Masked sessions run the induced subgraph only — dead vertices get no
-//!   program, mailbox, RNG stream, or ledger charge — while every
+//!   [`VertexSet`](graphs::VertexSet) mask, the `mask` argument of
+//!   [`EngineSession::new`]. Masked sessions run the induced subgraph
+//!   only — dead vertices get no program, mailbox, RNG stream, or ledger
+//!   charge — while every
 //!   observable stays keyed on original vertex ids, so masked runs match
 //!   the sequential masked primitives bit for bit.
-//! * [`EngineSession`] — the driver: partitions the view with a
-//!   [`ShardPlan`], executes shards on a **persistent worker pool** (threads
-//!   spawned once per session or shared across sessions through an
-//!   [`EnginePool`], parked on reusable barriers, staging
+//! * [`EngineSession`] — the driver: cuts the view once into contiguous,
+//!   edge-mass-balanced worker groups, executes them on a **persistent
+//!   worker pool** (threads spawned once per session or shared across
+//!   sessions through an [`EnginePool`], parked on reusable barriers, staging
 //!   outbound traffic in per-worker arenas — each payload stored once, one
 //!   8-byte reference per edge, bucketed by destination group — see the
 //!   `pool` module internals), routes the references through
@@ -91,7 +92,7 @@
 //! }
 //!
 //! let g = gen::cycle(8);
-//! let mut sess = EngineSession::new(&g, EngineConfig::default().with_shards(2), |_| {
+//! let mut sess = EngineSession::new(&g, None, EngineConfig::default().with_shards(2), |_| {
 //!     MaxOfNeighbors { best: 0, done: false }
 //! });
 //! let report = sess.run_phase("max", Stop::AllHalted);
@@ -117,7 +118,7 @@ pub mod metrics;
 pub(crate) mod pool;
 pub mod program;
 pub mod programs;
-pub mod shard;
+mod shard;
 pub mod view;
 mod wake;
 
@@ -132,7 +133,6 @@ pub use programs::{
     engine_detect_clique, engine_gather_balls, engine_h_partition, engine_layered_greedy,
     engine_randomized_list_coloring, engine_ruling_forest,
 };
-pub use shard::ShardPlan;
 pub use view::GraphView;
 
 /// Total worker threads spawned by engine pools since process start — the

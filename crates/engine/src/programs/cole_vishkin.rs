@@ -116,10 +116,9 @@ fn member_mask(forest: &RootedForest) -> Option<VertexSet> {
 /// `usize::MAX` outside), same ledger phases (`"cole-vishkin"`,
 /// `"shift-down"`), plus the observed [`EngineMetrics`].
 ///
-/// The session runs over the forest's members only: `config.mask` is
-/// overridden by the member set, or cleared when the forest spans every
-/// vertex. Non-members take no part in the LOCAL algorithm, so they get no
-/// program and cost no step.
+/// The session runs over the forest's members only, unmasked when the
+/// forest spans every vertex. Non-members take no part in the LOCAL
+/// algorithm, so they get no program and cost no step.
 ///
 /// # Panics
 ///
@@ -143,11 +142,11 @@ fn member_mask(forest: &RootedForest) -> Option<VertexSet> {
 /// ```
 pub fn engine_cole_vishkin_3color(
     forest: &RootedForest,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
     let n = forest.n();
-    config.mask = member_mask(forest);
+    let members = member_mask(forest);
     let g = Graph::from_edges(
         n,
         forest.members().filter_map(|v| {
@@ -155,7 +154,7 @@ pub fn engine_cole_vishkin_3color(
             (p != v).then_some((v, p))
         }),
     );
-    let mut sess = EngineSession::new(&g, config, |ctx| CvProgram {
+    let mut sess = EngineSession::new(&g, members.as_ref(), config, |ctx| CvProgram {
         parent: forest.parent(ctx.id),
         color: usize::MAX,
         stage: Stage::Shrink,
@@ -269,16 +268,14 @@ mod tests {
     #[test]
     fn handles_non_members_and_multi_trees() {
         // Non-members get no program: every round steps exactly the
-        // members, and a caller mask is overridden by the member set.
+        // members.
         for f in [two_stars(), partial_grid_forest()] {
             let members = f.members().count();
             assert!(members < f.n());
             let mut seq_ledger = RoundLedger::new();
             let seq = local_model::cole_vishkin_3color(&f, &mut seq_ledger);
             for shards in [1usize, 2, 4, 8] {
-                let config = EngineConfig::default()
-                    .with_shards(shards)
-                    .with_mask(&VertexSet::full(f.n()));
+                let config = EngineConfig::default().with_shards(shards);
                 let mut ledger = RoundLedger::new();
                 let (colors, metrics) = engine_cole_vishkin_3color(&f, config, &mut ledger);
                 assert_eq!(colors, seq, "shards={shards}");

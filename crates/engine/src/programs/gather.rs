@@ -292,11 +292,10 @@ pub fn engine_gather_balls(
     mask: Option<&VertexSet>,
     centers: &[VertexId],
     radius: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<Vec<VertexId>>, EngineMetrics) {
-    config.mask = mask.cloned();
-    let mut sess = EngineSession::new(g, config, |_| GatherProgram::direct(radius));
+    let mut sess = EngineSession::new(g, mask, config, |_| GatherProgram::direct(radius));
     let report = sess.run_phase("ball-gather", Stop::Rounds(radius as u64));
     assert_eq!(
         report.rounds, radius as u64,
@@ -326,11 +325,12 @@ pub fn engine_classification_gather(
     alive: &VertexSet,
     d: usize,
     radius: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (VertexSet, Vec<Vec<VertexId>>, EngineMetrics) {
-    config.mask = Some(alive.clone());
-    let mut sess = EngineSession::new(g, config, |_| GatherProgram::rich_first(radius, d));
+    let mut sess = EngineSession::new(g, Some(alive), config, |_| {
+        GatherProgram::rich_first(radius, d)
+    });
     let rich_report = sess.run_phase("rich-poor", Stop::Rounds(1));
     let flood_report = sess.run_phase("ball-gather", Stop::Rounds(radius as u64));
     assert_eq!(
@@ -340,12 +340,12 @@ pub fn engine_classification_gather(
     );
     let mut rich = VertexSet::new(g.n());
     let mut balls: Vec<Vec<VertexId>> = vec![Vec::new(); g.n()];
-    sess.for_each_program(|v, p| {
+    for (v, p) in sess.view().live().zip(sess.programs()) {
         if p.is_rich() {
             rich.insert(v);
             balls[v] = p.ball().to_vec();
         }
-    });
+    }
     let (_, metrics, run_ledger) = sess.into_parts();
     ledger.absorb(run_ledger);
     (rich, balls, metrics)
@@ -473,22 +473,16 @@ pub fn engine_detect_clique(
     g: &Graph,
     mask: Option<&VertexSet>,
     d: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Option<Vec<VertexId>>, EngineMetrics) {
-    config.mask = mask.cloned();
-    let mut sess = EngineSession::new(g, config, |_| CliqueProgram::new(d));
+    let mut sess = EngineSession::new(g, mask, config, |_| CliqueProgram::new(d));
     let report = sess.run_phase("clique-detection", Stop::Rounds(2));
     assert_eq!(
         report.rounds, 2,
         "max_rounds interrupted the clique handshake"
     );
-    let mut found = None;
-    sess.for_each_program(|_, p| {
-        if found.is_none() {
-            found = p.found().cloned();
-        }
-    });
+    let found = sess.programs().iter().find_map(|p| p.found().cloned());
     let (_, metrics, run_ledger) = sess.into_parts();
     ledger.absorb(run_ledger);
     (found, metrics)

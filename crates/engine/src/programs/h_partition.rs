@@ -101,8 +101,7 @@ impl NodeProgram for HPartitionProgram {
 /// Runs the engine H-partition over `g[mask]`: same output contract and
 /// `"h-partition"` ledger charge as [`local_model::h_partition`], plus the
 /// observed [`EngineMetrics`]. Masked-out vertices run no program and keep
-/// layer `usize::MAX`; residual degrees count masked neighbors only. Any
-/// `config.mask` is overridden by `mask`.
+/// layer `usize::MAX`; residual degrees count masked neighbors only.
 ///
 /// # Panics
 ///
@@ -137,8 +136,7 @@ pub fn engine_h_partition(
     if config.faults.is_empty() {
         config.max_rounds = config.max_rounds.min(g.n() as u64 + 1);
     }
-    config.mask = mask.cloned();
-    let mut sess = EngineSession::new(g, config, |_| HPartitionProgram {
+    let mut sess = EngineSession::new(g, mask, config, |_| HPartitionProgram {
         threshold,
         resid: 0,
         layer: usize::MAX,

@@ -114,13 +114,12 @@ pub fn engine_layered_greedy(
     depth: &[usize],
     classes: &[usize],
     class_count: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
     assert_eq!(lists.len(), g.n());
     let max_depth = scope.iter().map(|v| depth[v]).max().unwrap_or(0);
-    config.mask = Some(scope.clone());
-    let mut sess = EngineSession::new(g, config, |ctx| LayeredGreedyProgram {
+    let mut sess = EngineSession::new(g, Some(scope), config, |ctx| LayeredGreedyProgram {
         list: layered_list(&lists[ctx.id]),
         depth: depth[ctx.id],
         class: classes[ctx.id],

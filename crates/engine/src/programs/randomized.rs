@@ -141,7 +141,7 @@ impl NodeProgram for RandomizedProgram {
 /// colors for equal `seed`, masked or not — plus the observed
 /// [`EngineMetrics`]. `max_cycles` caps propose/resolve cycles, like the
 /// sequential `max_rounds`. Masked-out vertices run no program and keep
-/// `usize::MAX`. Any `config.mask` is overridden by `mask`.
+/// `usize::MAX`.
 ///
 /// # Panics
 ///
@@ -178,9 +178,8 @@ pub fn engine_randomized_list_coloring(
     assert_deg_plus_one_lists(g, mask, lists);
     // The node RNG stream is the sequential contract: per_vertex_rng(seed, v),
     // seeded in the factory below.
-    config.mask = mask.cloned();
     config.max_rounds = config.max_rounds.min(2 * max_cycles);
-    let mut sess = EngineSession::new(g, config, |ctx| RandomizedProgram {
+    let mut sess = EngineSession::new(g, mask, config, |ctx| RandomizedProgram {
         live: lists[ctx.id].clone(),
         color: usize::MAX,
         proposal: usize::MAX,

@@ -508,7 +508,7 @@ pub fn engine_ruling_forest(
     mask: Option<&VertexSet>,
     subset: &[VertexId],
     alpha: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (RulingForest, EngineMetrics) {
     assert!(alpha >= 1, "alpha must be at least 1");
@@ -522,9 +522,8 @@ pub fn engine_ruling_forest(
     let bits = ruling_bits(n);
     let beta = ruling_beta(n, alpha);
     let subset_set = VertexSet::from_iter_with_universe(n, subset.iter().copied());
-    config.mask = mask.cloned();
     let faults_free = config.faults.is_empty();
-    let mut sess = EngineSession::new(g, config, |ctx| {
+    let mut sess = EngineSession::new(g, mask, config, |ctx| {
         RulingProgram::new(alpha, bits, subset_set.contains(ctx.id))
     });
     let mut executed = 0;
@@ -549,7 +548,7 @@ pub fn engine_ruling_forest(
     let mut parent = vec![usize::MAX; n];
     let mut root_of = vec![usize::MAX; n];
     let mut depth = vec![usize::MAX; n];
-    sess.for_each_program(|v, p| {
+    for (v, p) in sess.view().live().zip(sess.programs()) {
         if p.is_root() {
             roots.push(v);
         }
@@ -558,7 +557,7 @@ pub fn engine_ruling_forest(
             root_of[v] = root;
             depth[v] = d;
         }
-    });
+    }
     if faults_free {
         for &u in subset {
             debug_assert_ne!(

@@ -193,7 +193,9 @@ impl MergeRounds for EngineRounds<'_> {
             report.rounds, rounds,
             "max_rounds interrupted a class sweep"
         );
-        self.sweep.for_each_program(|v, p| color[v] = p.color());
+        for (v, p) in self.sweep.view().live().zip(self.sweep.programs()) {
+            color[v] = p.color();
+        }
     }
 }
 
@@ -207,10 +209,8 @@ fn forest_merge_on_engine(
     config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
-    let mut sweep_config = config.clone();
-    sweep_config.mask = mask.cloned();
     let mut rounds = EngineRounds {
-        sweep: EngineSession::new(g, sweep_config, |_| SweepProgram::idle()),
+        sweep: EngineSession::new(g, mask, config.clone(), |_| SweepProgram::idle()),
         config,
         metrics: EngineMetrics::default(),
     };
@@ -231,9 +231,8 @@ fn forest_merge_on_engine(
 /// Every session runs on `config`: the masked sweep session and each
 /// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
 /// frontier gating and round cap, and the returned metrics hold the
-/// rounds of both. The sweep runs over `mask`, overriding any
-/// `config.mask`; each Cole–Vishkin session runs over its forest's members
-/// (see [`engine_cole_vishkin_3color`]).
+/// rounds of both. The sweep runs over `mask`; each Cole–Vishkin session
+/// runs over its forest's members (see [`engine_cole_vishkin_3color`]).
 ///
 /// # Panics
 ///

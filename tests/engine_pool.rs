@@ -82,7 +82,7 @@ fn gossip_session<'g>(
     workers: usize,
     pool: Option<&EnginePool>,
 ) -> EngineSession<'g, Gossip> {
-    EngineSession::new(g, config(workers, pool), |_| Gossip { best: 0 })
+    EngineSession::new(g, None, config(workers, pool), |_| Gossip { best: 0 })
 }
 
 fn config(workers: usize, pool: Option<&EnginePool>) -> EngineConfig {
@@ -148,12 +148,14 @@ fn idle_sessions_shut_down_without_running_a_round() {
     let g = gen::path(64);
     let sess = EngineSession::new(
         &g,
+        None,
         EngineConfig::default().with_shards(8).with_workers(8),
         |_| Gossip { best: 0 },
     );
     drop(sess);
     let mut sess = EngineSession::new(
         &g,
+        None,
         EngineConfig::default().with_shards(8).with_workers(8),
         |_| Gossip { best: 0 },
     );
@@ -178,7 +180,7 @@ fn panic_propagates(g: &graphs::Graph, vertex: usize) -> Vec<u8> {
         .flat_map(|w| [(w, false), (w, true)])
     {
         let pool = shared.then(|| EnginePool::new(workers));
-        let mut sess = EngineSession::new(g, config(workers, pool.as_ref()), |_| PanicAt {
+        let mut sess = EngineSession::new(g, None, config(workers, pool.as_ref()), |_| PanicAt {
             round: 3,
             vertex,
         });
@@ -294,7 +296,7 @@ fn init_panic_propagates_out_of_new() {
     {
         let pool = shared.then(|| EnginePool::new(workers));
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            EngineSession::new(&g, config(workers, pool.as_ref()), |_| PanicAt {
+            EngineSession::new(&g, None, config(workers, pool.as_ref()), |_| PanicAt {
                 round: 0,
                 vertex: 3999,
             })
@@ -332,7 +334,7 @@ fn round_zero_faults_replay_in_pooled_init_epochs() {
             .with_shards(shards)
             .with_workers(workers)
             .with_faults(faults.clone());
-        let mut sess = EngineSession::new(&g, config, |_| Gossip { best: 0 });
+        let mut sess = EngineSession::new(&g, None, config, |_| Gossip { best: 0 });
         sess.run_phase("gossip", Stop::Rounds(6));
         let (programs, m, _) = sess.into_parts();
         let [init] = m.inits() else {
@@ -569,7 +571,7 @@ fn superseded_wakes_do_not_wake_the_pool() {
     let g = gen::cycle(3000);
     for shards in [1usize, 4] {
         let config = EngineConfig::default().with_shards(shards);
-        let mut sess = EngineSession::new(&g, config, |_| StaleAlarm { heard: false });
+        let mut sess = EngineSession::new(&g, None, config, |_| StaleAlarm { heard: false });
         sess.run_phase("alarms", Stop::Rounds(12));
         let metrics = sess.metrics();
         assert_eq!(metrics.per_round()[0].stepped, 3000, "shards = {shards}");

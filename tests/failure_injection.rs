@@ -563,7 +563,7 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
             .with_shards(shards)
             .with_workers(shards)
             .with_faults(faults);
-        let mut sess = EngineSession::new(&g, config, |_| Burst {
+        let mut sess = EngineSession::new(&g, None, config, |_| Burst {
             received: Vec::new(),
             done: false,
         });
@@ -747,7 +747,7 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
             .with_shards(shards)
             .with_frontier(frontier)
             .with_faults(FaultPlan::new().delay_outbox(0, 0, 3));
-        let mut sess = EngineSession::new(&g, config, |_| Sleeper {
+        let mut sess = EngineSession::new(&g, None, config, |_| Sleeper {
             arrivals: Vec::new(),
             steps: Vec::new(),
         });
@@ -819,7 +819,7 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
         let config = EngineConfig::default()
             .with_shards(1)
             .with_frontier(frontier);
-        let mut sess = EngineSession::new(&path, config, |_| Echo);
+        let mut sess = EngineSession::new(&path, None, config, |_| Echo);
         sess.run_phase("echo", Stop::Rounds(rounds));
         sess.into_parts().1
     };

@@ -165,7 +165,7 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
     // one-word messages fit the budget; `WideChatter`'s six-word ones are
     // round-tripped through the codec and fragment on every delivery.
     let config = EngineConfig::default().with_shards(1).congest_split(4);
-    let mut session = EngineSession::new(&g, config, |_| mk());
+    let mut session = EngineSession::new(&g, None, config, |_| mk());
     session.run_phase("warmup", Stop::Rounds(rounds));
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
@@ -243,13 +243,13 @@ impl NodeProgram for Quiet {
 }
 
 /// Bytes requested per vertex while booting a [`Quiet`] session on
-/// `cycle(n)` (every vertex live) under `config`.
-fn boot_bytes_per_vertex(n: usize, config: EngineConfig) -> f64 {
+/// `cycle(n)` (every vertex live) over `mask` under `config`.
+fn boot_bytes_per_vertex(n: usize, mask: Option<&VertexSet>, config: EngineConfig) -> f64 {
     let _turn = serial();
     let g = gen::cycle(n);
     BYTES.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    let session = EngineSession::new(&g, config, |_| Quiet);
+    let session = EngineSession::new(&g, mask, config, |_| Quiet);
     COUNTING.store(false, Ordering::SeqCst);
     let per_vertex = BYTES.load(Ordering::SeqCst) as f64 / n as f64;
     drop(session);
@@ -268,7 +268,7 @@ fn session_boot_keeps_no_per_vertex_contexts_or_reassembly_maps() {
     // reassembly map (24 B) per vertex would take it past the bound.
     let n = 100_000;
     let config = EngineConfig::default().with_shards(1).with_workers(1);
-    let per_vertex = boot_bytes_per_vertex(n, config);
+    let per_vertex = boot_bytes_per_vertex(n, None, config);
     let bound = 45.0;
     assert!(
         per_vertex < bound,
@@ -288,11 +288,8 @@ fn masked_session_boot_keeps_its_id_tables_and_compacted_rows() {
     // take it past the bound.
     let n = 100_000;
     let full = VertexSet::from_iter_with_universe(n, 0..n);
-    let config = EngineConfig::default()
-        .with_shards(1)
-        .with_workers(1)
-        .with_mask(&full);
-    let per_vertex = boot_bytes_per_vertex(n, config);
+    let config = EngineConfig::default().with_shards(1).with_workers(1);
+    let per_vertex = boot_bytes_per_vertex(n, Some(&full), config);
     let bound = 92.0;
     assert!(
         per_vertex < bound,
@@ -364,7 +361,7 @@ fn stamped_run(n: usize, rounds: u64, faults: FaultPlan) -> (usize, EngineMetric
         .with_workers(2)
         .with_faults(faults);
     CLONES.store(0, Ordering::SeqCst);
-    let mut session = EngineSession::new(&g, config, |_| Stamper);
+    let mut session = EngineSession::new(&g, None, config, |_| Stamper);
     session.run_phase("stamp", Stop::Rounds(rounds));
     let clones = CLONES.load(Ordering::SeqCst);
     let (_, metrics, _) = session.into_parts();

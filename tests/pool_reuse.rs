@@ -61,7 +61,7 @@ impl NodeProgram for WideEcho {
 }
 
 fn gossip_run(g: &graphs::Graph, config: EngineConfig) -> (Vec<usize>, u64) {
-    let mut sess = EngineSession::new(g, config, |_| Gossip { best: 0 });
+    let mut sess = EngineSession::new(g, None, config, |_| Gossip { best: 0 });
     sess.run_phase("gossip", Stop::Rounds(6));
     let bests = sess.programs().iter().map(|p| p.best).collect();
     let (_, metrics, _) = sess.into_parts();
@@ -69,7 +69,7 @@ fn gossip_run(g: &graphs::Graph, config: EngineConfig) -> (Vec<usize>, u64) {
 }
 
 fn echo_run(g: &graphs::Graph, config: EngineConfig) -> (Vec<u64>, u64) {
-    let mut sess = EngineSession::new(g, config, |_| WideEcho { sum: 0 });
+    let mut sess = EngineSession::new(g, None, config, |_| WideEcho { sum: 0 });
     sess.run_phase("echo", Stop::Rounds(5));
     let sums = sess.programs().iter().map(|p| p.sum).collect();
     let (_, metrics, _) = sess.into_parts();
