@@ -23,20 +23,22 @@
 //!    group's store, one 8-byte reference per destination into buckets by
 //!    destination group; faults (deliver / drop / delay / duplicate)
 //!    apply, and each message's width is recorded, as traffic is staged.
+//!    Before it steps anyone, a group stages again the fault-delayed
+//!    messages it holds that are due next round.
 //!    Each group also owns its wake queue (the `wake` module): it pops the
 //!    round's due wakes and registers each stepped node's next one.
-//! 2. **Route** — after the driver tallies counters, swaps every group's
-//!    store into the `next` mailbox buffer and (re)schedules fault-delayed
-//!    batches, every worker counting-sorts its own bucket of every arena
-//!    into its group's contiguous reference segment (spans per vertex, no
-//!    per-message allocation). Groups stage their senders in
-//!    ascending id order and are drained in group order, so each span
-//!    lands in the deterministic sender order as placed; only a group with
-//!    fault-delayed traffic due sorts its spans. The buffers then flip.
-//!    Routing runs on the workers unless it is small — its wall time is
-//!    recorded per round ([`RoundMetrics::route_wall`]), measured from the
-//!    moment the compute epoch closes so the driver-side drain and batch
-//!    scheduling between the epochs are charged to the routing epoch too.
+//! 2. **Route** — after the driver sums the groups' counters and swaps
+//!    every group's store into the `next` mailbox buffer, every worker
+//!    counting-sorts its own bucket of every arena, read in place, into
+//!    its group's contiguous reference segment (spans per vertex, no
+//!    per-message allocation). Groups stage their senders in ascending id
+//!    order and are read in group order, so each span lands in the
+//!    deterministic sender order as placed; only a round in which some
+//!    group re-staged fault-delayed traffic sorts the spans. The buffers
+//!    then flip. Routing runs on the workers unless it is small — its wall
+//!    time is recorded per round ([`RoundMetrics::route_wall`]), measured
+//!    from the moment the compute epoch closes so the driver's sums and
+//!    swaps between the epochs are charged to the routing epoch too.
 //!
 //! Round 0 is the LOCAL model's free knowledge exchange and runs through
 //! the same two epochs: [`EngineSession::new`] steps every live node's
@@ -89,8 +91,9 @@ const DRIVER_EPOCH_WORK: usize = 1024;
 /// Whether an epoch of `work` units runs on the driver thread alone. Work
 /// is counted in vertices for a compute epoch (the inbox frontier plus the
 /// wakes standing for the round in the groups' queues, or every live
-/// vertex without gating and in round 0) and in messages for a routing
-/// epoch (staged, due-delayed, and stale spans to reset). Every
+/// vertex without gating and in round 0) and in references for a routing
+/// epoch (those staged in the arenas' buckets, re-staged delayed ones
+/// included, plus the stale spans to reset). Every
 /// term is the same at any shard and worker count, so the choice is too,
 /// and outputs stay bit-identical by construction: the same per-group job
 /// runs either way.
@@ -134,11 +137,11 @@ impl CongestMode {
         }
     }
 
-    /// Physical rounds one logical round with widest message `max_width`
-    /// costs under this mode (always ≥ 1).
-    pub(crate) fn physical_rounds(self, max_width: usize) -> u64 {
+    /// Physical rounds one logical round whose widest delivered message is
+    /// `wire_width` words costs under this mode (always ≥ 1).
+    pub(crate) fn physical_rounds(self, wire_width: usize) -> u64 {
         match self {
-            CongestMode::Split(w) => (max_width.div_ceil(w) as u64).max(1),
+            CongestMode::Split(w) => (wire_width.div_ceil(w) as u64).max(1),
             CongestMode::Unlimited => 1,
         }
     }
@@ -298,9 +301,10 @@ pub struct PhaseReport {
     pub rounds: u64,
     /// Physical rounds spent on the wire: equals
     /// [`rounds`](PhaseReport::rounds) outside [`CongestMode::Split`];
-    /// under splitting each logical round costs `ceil(max_width / budget)`
-    /// virtual rounds, and the surplus is charged to the [`SPLIT_PHASE`]
-    /// ledger phase.
+    /// under splitting each logical round costs `ceil(w / budget)` virtual
+    /// rounds, where `w` is the widest message delivered that round (see
+    /// [`RoundMetrics::physical_rounds`]), and the surplus is charged to the
+    /// [`SPLIT_PHASE`] ledger phase.
     pub physical_rounds: u64,
     /// Messages sent in this phase.
     pub messages: usize,
@@ -520,11 +524,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         self.pool.workers()
     }
 
-    /// True while fault-delayed batches are still undelivered.
-    pub fn has_pending_delays(&self) -> bool {
-        self.mail.has_pending_delays()
-    }
-
     /// True once a node-program panic unwound out of a round: program state
     /// is partially stepped, further `run_phase` calls panic immediately,
     /// and only inspection / [`into_parts`](EngineSession::into_parts)
@@ -562,8 +561,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     }
 
     /// Runs one synchronized round — round 0 is the init exchange: compute
-    /// epoch ∥ worker groups → driver bookkeeping (counters, fault-delay
-    /// scheduling) → routing epoch ∥ worker groups → buffer flip, then
+    /// epoch ∥ worker groups → driver bookkeeping (counter sums, store
+    /// swaps) → routing epoch ∥ worker groups → buffer flip, then
     /// records the round's metrics. Either epoch runs on the driver alone
     /// when its work is below [`DRIVER_EPOCH_WORK`]. Returns the panic
     /// payload of a node program (or of routing) once its epoch has closed,
@@ -597,30 +596,26 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         )?;
 
         // The routing epoch starts when the compute epoch closes: the
-        // driver-side arena drain and delay scheduling below feed the
-        // rebuild of `next`, so `route_wall` charges them too — the lab's
-        // `route-frac` budget judges the whole epoch.
+        // store swaps below feed the rebuild of `next`, so `route_wall`
+        // charges them too — the lab's `route-frac` budget judges the whole
+        // epoch.
         let route_started = Instant::now();
-        // The groups' counters, plus the charges of the delayed messages
-        // that come due.
         let mut counts = Counts::default();
-        let mut payloads = 0;
+        let (mut payloads, mut staged) = (0, 0);
         let mail = &mut self.mail;
         self.pool.collect_yields(|g, y| {
             counts.add(&y.counts);
-            for (due, batch) in y.delayed_batches.drain(..) {
-                mail.schedule(due, batch);
-            }
             payloads += y.store.len();
-            mail.adopt(g, &mut y.store, &mut y.buckets);
+            staged += y.references();
+            mail.adopt(g, &mut y.store);
         });
         self.halted = self.halted + counts.newly_halted - counts.newly_unhalted;
-        payloads += self.mail.inject_due(round + 1, split, &mut counts);
-        let route_inline = on_driver(counts.staged() + self.mail.route_backlog());
+        let route_inline = on_driver(staged + self.mail.stale_spans());
 
         let route_env = RouteEnv {
             round,
             reorder: self.config.faults.reorder_seed(),
+            restaged: counts.restaged > 0,
             view: &self.view,
         };
         // Routing is engine code, not program code — a panic here is a bug,

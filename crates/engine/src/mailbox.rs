@@ -25,21 +25,20 @@
 //! O(frontier) rather than O(range).
 //!
 //! Two such buffers — `cur` (read this round) and `next` (rebuilt for the
-//! coming round) — plus a schedule of fault-delayed batches. Each buffer
-//! also holds the stores its references point into: one per worker group
-//! plus one for re-stored delayed payloads. Each group's `next` inboxes
-//! belong to its `RouteGroup`, with everything else its routing writes.
+//! coming round). Each buffer also holds the stores its references point
+//! into, one per worker group. Each group's `next` inboxes belong to its
+//! `RouteGroup`, with everything else its routing writes.
 //!
 //! Between the compute and routing epochs the driver hands every group's
-//! staged round over by **swapping** vectors (`Mailboxes::adopt`,
-//! O(groups²) swaps, nothing copied): the group's store goes into `next`,
-//! and its bucket `b` into routing group `b`'s inbound slot. The group
-//! gets back the store `next` held two rounds ago, which it clears when it
-//! next stages. Routing group `g` then owns everything it writes and reads
-//! only `next`'s stores, shared; after the epoch the same bucket swaps in
-//! reverse return each drained bucket to its arena. The coming compute
-//! epoch reads every payload through the same shared `&Inboxes` as its
-//! spans, and a program sees its inbox as an [`Inbox`] view yielding
+//! payloads over by **swapping** one vector per group (`Mailboxes::adopt`,
+//! nothing copied): the group's store goes into `next`, and the group gets
+//! back the store `next` held two rounds ago, which it clears when it next
+//! stages. The references stay where they were staged: routing group `g`
+//! reads bucket `g` of every arena in place, shared with the other routing
+//! groups, and each arena clears its own buckets when it next stages.
+//! Routing group `g` writes only what it owns. The coming compute epoch
+//! reads every payload through the same shared `&Inboxes` as its spans, and
+//! a program sees its inbox as an [`Inbox`] view yielding
 //! `(sender, &payload)`.
 //!
 //! Inboxes are indexed by the session's dense live-vertex index (see
@@ -53,28 +52,30 @@
 //! (stable, so multiple messages from one sender keep their send order,
 //! duplicated deliveries immediately follow their original, and delayed
 //! batches due the same round precede fresh traffic from the same sender
-//! because they are placed first). The order is therefore a pure function
-//! of the traffic, independent of shard count and thread schedule. An
+//! because their sender's group stages them first). The order is therefore
+//! a pure function of the traffic, independent of shard count and thread
+//! schedule. An
 //! installed [`FaultPlan::reorder`](crate::FaultPlan::reorder) rule then
 //! adversarially permutes each same-sender run — seeded, shard-invariant.
 //!
 //! The contract is *implemented* by staging order, not by sorting. Dense
 //! order is ascending original id, worker groups own ascending contiguous
 //! dense ranges, each group steps (and so stages) its senders in ascending
-//! order, and routing places the arenas in group order. Fresh traffic
-//! therefore lands in every span already sorted by sender, one sender's
-//! messages in send order with its duplicates after them. Delayed batches
-//! are the one exception: they are placed ahead of the arenas, so a group
-//! with delayed traffic due stable-sorts its spans by sender (read through
-//! the stores), which keeps each delayed batch ahead of fresh traffic from
-//! the same sender.
+//! order, and routing places the arenas' buckets in group order. Fresh
+//! traffic therefore lands in every span already sorted by sender, one
+//! sender's messages in send order with its duplicates after them. Delayed
+//! batches are the one exception: their sender's group re-stages them at
+//! the head of its buckets, ahead of its fresh traffic, so in a round where
+//! any group re-staged, routing stable-sorts every span by sender (read
+//! through the stores), which keeps each delayed batch ahead of fresh
+//! traffic from the same sender.
 //!
 //! A fault-delayed batch is the one place a payload is copied: the staging
 //! group clones each delayed message out of its store into an owned
-//! `Routed` record, since the store is recycled two rounds later. When the
-//! batch comes due, `Mailboxes::inject_due` moves each record's payload
-//! into the buffer's delayed store — one entry per message — and queues a
-//! reference to it ahead of the fresh traffic.
+//! `Routed` record, since the store is recycled two rounds later, and keeps
+//! the records by due round. In the compute epoch before they are due, the
+//! group moves each record's payload back into its store — one entry per
+//! message — and its reference into its buckets, before it steps any node.
 //!
 //! # CONGEST accounting
 //!
@@ -86,10 +87,10 @@
 //! group's reused word buffer and decoded back (`split_roundtrip`), and
 //! the decoded copy is what every receiver reads, so a codec defect shows
 //! up as a wrong output; then each surviving reference charges its frames
-//! to the staging group's counters. A fault-delayed message is
-//! round-tripped and charged when `Mailboxes::inject_due` re-stores it.
-//! Frames are therefore counted per delivery, as if every edge carried
-//! its own copy, and traffic a fault suppressed costs nothing, not even
+//! to the staging group's counters. A fault-delayed message is stored
+//! again when its group re-stages it, and is round-tripped and charged
+//! then, like any stored payload. Frames are therefore counted per
+//! delivery, as if every edge carried its own copy, and traffic a fault suppressed costs nothing, not even
 //! its encoding. Faults act on *logical* messages, so fault replay is
 //! identical across split and unlimited modes, and routing knows nothing
 //! of the budget.
@@ -99,12 +100,10 @@
 //! group on the driver when the epoch is small; round-0 init traffic takes
 //! the same path, so there is no separate driver-side fill.
 
-use std::collections::BTreeMap;
-
 use graphs::VertexId;
 
 use crate::faults::reorder_inbox;
-use crate::pool::{Counts, RouteEnv};
+use crate::pool::RouteEnv;
 use crate::program::{EngineMessage, Inbox};
 
 /// A fault-delayed message, cloned out of its sender's store: `(destination
@@ -113,11 +112,10 @@ pub(crate) type Routed<M> = (usize, VertexId, M);
 
 /// A staged reference: `(destination dense index, slot in the staging
 /// group's store)`. The store is implicit — the arena the reference sits
-/// in, or the delayed store for a due delayed message.
+/// in.
 pub(crate) type Staged = (u32, u32);
 
-/// A placed reference: `(store, slot)` — store `g < groups` is worker
-/// group `g`'s, store `groups` the buffer's delayed store.
+/// A placed reference: `(store, slot)` — store `g` is worker group `g`'s.
 pub(crate) type Ref = (u32, u32);
 
 /// A reusable two-level bitmap: one bit per element plus a summary bit
@@ -184,10 +182,10 @@ impl TwoLevelBits {
     }
 }
 
-/// One payload store: `(sender, payload)` entries written once each —
-/// by a worker group while it stages, or by the driver when it re-stores
-/// due delayed messages — and read through [`Ref`]s by routing and by the
-/// next compute epoch. Cleared, never shrunk, so its capacity is reused.
+/// One payload store: `(sender, payload)` entries written once each by a
+/// worker group while it stages (or re-stages a due delayed message), and
+/// read through [`Ref`]s by routing and by the next compute epoch.
+/// Cleared, never shrunk, so its capacity is reused.
 pub(crate) struct Store<M> {
     items: Vec<(VertexId, M)>,
 }
@@ -319,8 +317,8 @@ impl GroupInbox {
 }
 
 /// The buffer read this round: every group's inboxes, and the payload
-/// stores their references point into — one per worker group, then the
-/// delayed store. See the module docs.
+/// stores their references point into — one per worker group. See the
+/// module docs.
 pub(crate) struct Inboxes<M> {
     groups: Vec<GroupInbox>,
     stores: Vec<Store<M>>,
@@ -383,16 +381,6 @@ pub(crate) struct RouteGroup {
     /// routing left non-empty — exactly the ones to reset; on exit, the
     /// freshly non-empty ones. Swapped with `cur`'s at the flip.
     pub(crate) inbox: GroupInbox,
-    /// Per source group `g`: the bucket of references arena `g` staged
-    /// for this group's range, lent by [`Mailboxes::transpose`] for the
-    /// routing epoch, which drains it. Empty vectors between rounds.
-    pub(crate) inbound: Vec<Vec<Staged>>,
-    /// References to the delayed payloads due the round being routed,
-    /// into `next`'s delayed store: filled by
-    /// [`inject_due`](Mailboxes::inject_due), placed **first** so late
-    /// traffic precedes fresh traffic from the same sender after the
-    /// stable sender sort.
-    pub(crate) pending: Vec<Staged>,
     /// Marks the range offsets that receive traffic, drained ascending to
     /// rebuild the active list without sorting it.
     pub(crate) vbits: TwoLevelBits,
@@ -427,10 +415,6 @@ pub(crate) struct Mailboxes<M> {
     /// session's one copy of its worker-group partition, which the pool's
     /// epochs read through [`bounds`](Mailboxes::bounds).
     bounds: Vec<usize>,
-    /// The driver's word buffer, for round-tripping the over-budget
-    /// delayed payloads it re-stores.
-    words: Vec<u64>,
-    delayed: BTreeMap<u64, Vec<Routed<M>>>,
 }
 
 impl<M: EngineMessage> Mailboxes<M> {
@@ -446,7 +430,7 @@ impl<M: EngineMessage> Mailboxes<M> {
         debug_assert!(bounds.len() >= 2 && bounds[0] == 0 && bounds[bounds.len() - 1] == live);
         u32::try_from(live).expect("a session holds at most u32::MAX live vertices");
         let groups = bounds.len() - 1;
-        let stores = || (0..=groups).map(|_| Store::default()).collect();
+        let stores = || (0..groups).map(|_| Store::default()).collect();
         Mailboxes {
             cur: Inboxes {
                 groups: bounds
@@ -460,15 +444,11 @@ impl<M: EngineMessage> Mailboxes<M> {
                 .windows(2)
                 .map(|b| RouteGroup {
                     inbox: GroupInbox::new(b[1] - b[0]),
-                    inbound: (0..groups).map(|_| Vec::new()).collect(),
-                    pending: Vec::new(),
                     vbits: TwoLevelBits::default(),
                 })
                 .collect(),
             counts: vec![0; live],
             bounds,
-            words: Vec::new(),
-            delayed: BTreeMap::new(),
         }
     }
 
@@ -504,63 +484,11 @@ impl<M: EngineMessage> Mailboxes<M> {
         )
     }
 
-    /// Hands group `g`'s staged round to `next`, moving nothing but
-    /// vectors: its store is swapped in, and the group gets back the store
-    /// `next` held — two rounds stale, for the group to clear when it next
-    /// stages; and its buckets go to the routing groups
-    /// ([`transpose`](Mailboxes::transpose)).
-    pub(crate) fn adopt(&mut self, g: usize, store: &mut Store<M>, buckets: &mut [Vec<Staged>]) {
+    /// Hands group `g`'s payloads to `next` by swapping `store` in; the
+    /// group gets back the store `next` held — two rounds stale, for the
+    /// group to clear when it next stages.
+    pub(crate) fn adopt(&mut self, g: usize, store: &mut Store<M>) {
         std::mem::swap(&mut self.next_stores[g], store);
-        self.transpose(g, buckets);
-    }
-
-    /// Swaps group `g`'s bucket `b` with routing group `b`'s inbound slot
-    /// `g`, for every `b`. Done for every group before a routing epoch,
-    /// this is the bucket transpose: routing then reads only what its own
-    /// group owns. Done again after the epoch, it hands each drained
-    /// bucket, with its capacity, back to its arena.
-    pub(crate) fn transpose(&mut self, g: usize, buckets: &mut [Vec<Staged>]) {
-        for (bucket, to) in buckets.iter_mut().zip(&mut self.route) {
-            std::mem::swap(bucket, &mut to.inbound[g]);
-        }
-    }
-
-    /// Readies `next`'s delayed store for the round being routed: clears
-    /// it, then moves the payload of every batch whose delay expires at
-    /// `round` into it and queues a reference in the receiver group's
-    /// pending list. Each is one delivery, so under the split budget
-    /// `split` it is round-tripped and charged to `counts` like any stored
-    /// payload that survived its faults. Must happen *before* fresh traffic
-    /// is routed, so late traffic precedes fresh traffic from the same
-    /// sender after the stable sender sort. Returns the number of payloads
-    /// stored.
-    pub(crate) fn inject_due(&mut self, round: u64, split: usize, counts: &mut Counts) -> usize {
-        let groups = self.bounds.len() - 1;
-        let store = &mut self.next_stores[groups];
-        store.clear();
-        let Some(batch) = self.delayed.remove(&round) else {
-            return 0;
-        };
-        let restored = batch.len();
-        for (dv, src, mut m) in batch {
-            if split != usize::MAX {
-                let width = m.width();
-                if width > split {
-                    m = split_roundtrip(&m, width, &mut self.words);
-                }
-                counts.deliver(width, split);
-            }
-            let slot = store.put(src, m);
-            self.route[group_of(&self.bounds, dv)]
-                .pending
-                .push((dv as u32, slot));
-        }
-        restored
-    }
-
-    /// Schedules a fault-delayed batch for delivery at `round`.
-    pub(crate) fn schedule(&mut self, round: u64, batch: Vec<Routed<M>>) {
-        self.delayed.entry(round).or_default().extend(batch);
     }
 
     /// Ends the routing of a round: flips the buffers, group by group. The
@@ -579,31 +507,27 @@ impl<M: EngineMessage> Mailboxes<M> {
         self.cur.groups.iter().map(|g| g.active.len()).sum()
     }
 
-    /// The routing epoch's work besides fresh traffic: the due-delayed
-    /// messages it places plus the stale spans of `next` it resets.
-    pub(crate) fn route_backlog(&self) -> usize {
-        self.route
-            .iter()
-            .map(|r| r.pending.len() + r.inbox.active.len())
-            .sum()
-    }
-
-    /// Whether any delayed batch is still pending (scheduled or already
-    /// injected for the round being routed).
-    pub(crate) fn has_pending_delays(&self) -> bool {
-        !self.delayed.is_empty() || self.route.iter().any(|r| !r.pending.is_empty())
+    /// The routing epoch's work besides the staged references: the stale
+    /// spans of `next` it resets.
+    pub(crate) fn stale_spans(&self) -> usize {
+        self.route.iter().map(|r| r.inbox.active.len()).sum()
     }
 
     /// Serial twin of the worker-parallel routing epoch, for unit tests:
-    /// stores `staged` traffic in `next`'s group-0 store, distributes
-    /// it (plus due-delayed pending references) into the `next` segments
+    /// stores the `due` delayed records and then the `staged` traffic in
+    /// `next`'s group-0 store, distributes them into the `next` segments
     /// group by group, and finalizes every inbox. Deliberately the
     /// **comparison-sort executable spec** — a stable sort by destination,
     /// placement, then a stable per-inbox sort by original sender — that
-    /// the production path, which sorts only delayed traffic, must
-    /// reproduce verbatim.
+    /// the production path, which sorts only in rounds with re-staged
+    /// traffic, must reproduce verbatim.
     #[cfg(test)]
-    pub(crate) fn route_serial(&mut self, staged: Vec<Routed<M>>, env: &RouteEnv<'_>) {
+    pub(crate) fn route_serial(
+        &mut self,
+        due: Vec<Routed<M>>,
+        staged: Vec<Routed<M>>,
+        env: &RouteEnv<'_>,
+    ) {
         let groups = self.bounds.len() - 1;
         let Mailboxes {
             next_stores: stores,
@@ -613,20 +537,14 @@ impl<M: EngineMessage> Mailboxes<M> {
         } = self;
         stores[0].clear();
         let mut buckets: Vec<Vec<(usize, Ref)>> = (0..groups).map(|_| Vec::new()).collect();
-        for (dv, src, m) in staged {
+        for (dv, src, m) in due.into_iter().chain(staged) {
             let slot = stores[0].put(src, m);
             buckets[group_of(bounds, dv)].push((dv, (0, slot)));
         }
-        for (g, fresh) in buckets.into_iter().enumerate() {
-            let RouteGroup { inbox, pending, .. } = &mut route[g];
-            let GroupInbox { seg, spans, active } = inbox;
-            let mut items: Vec<(usize, Ref)> = std::mem::take(pending)
-                .into_iter()
-                .map(|(dv, slot)| (dv as usize, (groups as u32, slot)))
-                .collect();
-            items.extend(fresh);
+        for (g, mut items) in buckets.into_iter().enumerate() {
+            let GroupInbox { seg, spans, active } = &mut route[g].inbox;
             // A stable sort by destination is the counting sort's twin:
-            // per receiver, pending-then-staged order is preserved.
+            // per receiver, due-then-staged order is preserved.
             items.sort_by_key(|r| r.0);
             seg.clear();
             active.clear();
@@ -641,8 +559,8 @@ impl<M: EngineMessage> Mailboxes<M> {
                     active.push(dv);
                 }
                 // The spec's delivery order: a stable comparison sort on
-                // original sender ids (placement already put pending-
-                // before-fresh within each sender).
+                // original sender ids (placement already put due-before-
+                // fresh within each sender).
                 seg[start..].sort_by_key(|&r| sender(stores, r));
                 let receiver = env.view.original(dv);
                 finalize_inbox(&mut seg[start..], stores, receiver, env);
@@ -671,6 +589,7 @@ mod tests {
         RouteEnv {
             round: 1,
             reorder: None,
+            restaged: false,
             view: view8(),
         }
     }
@@ -678,11 +597,11 @@ mod tests {
     #[test]
     fn messages_visible_only_after_flip() {
         let mut mail: Mailboxes<u64> = Mailboxes::new(3, vec![0, 3]);
-        mail.route_serial(vec![(2, 0, 7)], &plain_env());
+        mail.route_serial(Vec::new(), vec![(2, 0, 7)], &plain_env());
         assert!(mail.inbox(2).is_empty(), "sent this round, not visible yet");
         mail.flip();
         assert_eq!(mail.inbox(2), &[(0, 7)]);
-        mail.route_serial(Vec::new(), &plain_env());
+        mail.route_serial(Vec::new(), Vec::new(), &plain_env());
         mail.flip();
         assert!(mail.inbox(2).is_empty(), "consumed after next flip");
     }
@@ -692,7 +611,11 @@ mod tests {
         let mut mail: Mailboxes<u64> = Mailboxes::new(4, vec![0, 4]);
         // Sender 2 then sender 0, sender 2 again: sorted to 0, 2, 2 with
         // sender 2's messages in send order.
-        mail.route_serial(vec![(3, 2, 10), (3, 0, 20), (3, 2, 11)], &plain_env());
+        mail.route_serial(
+            Vec::new(),
+            vec![(3, 2, 10), (3, 0, 20), (3, 2, 11)],
+            &plain_env(),
+        );
         mail.flip();
         assert_eq!(mail.inbox(3), &[(0, 20), (2, 10), (2, 11)]);
     }
@@ -703,6 +626,7 @@ mod tests {
         // of vertices 0 and 1 back to back; group 1's those of 2 and 3.
         let mut mail: Mailboxes<u64> = Mailboxes::new(4, vec![0, 2, 4]);
         mail.route_serial(
+            Vec::new(),
             vec![(1, 3, 30), (0, 2, 20), (1, 0, 10), (3, 1, 40)],
             &plain_env(),
         );
@@ -729,31 +653,6 @@ mod tests {
             (&vec![0, 1], &vec![3]),
             "active lists index exactly the non-empty spans, by dense index"
         );
-    }
-
-    #[test]
-    fn delayed_batches_arrive_on_time_and_first() {
-        let mut mail: Mailboxes<u64> = Mailboxes::new(2, vec![0, 2]);
-        mail.schedule(3, vec![(1, 0, 99)]);
-        // Rounds 1 and 2: nothing due.
-        for round in 1..3u64 {
-            mail.inject_due(round, usize::MAX, &mut Counts::default());
-            mail.route_serial(Vec::new(), &plain_env());
-            mail.flip();
-            assert!(mail.inbox(1).is_empty(), "round {round}");
-        }
-        assert!(mail.has_pending_delays());
-        // Round 3: due batch plus fresh traffic from the same sender — the
-        // delayed message comes first.
-        assert_eq!(
-            mail.inject_due(3, usize::MAX, &mut Counts::default()),
-            1,
-            "one payload re-stored"
-        );
-        mail.route_serial(vec![(1, 0, 100)], &plain_env());
-        mail.flip();
-        assert_eq!(mail.inbox(1), &[(0, 99), (0, 100)]);
-        assert!(!mail.has_pending_delays());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct RoundMetrics {
     /// Payload store entries routed this round: one per broadcast that
     /// reaches a live neighbor and per unicast or multi message, minus the
     /// outboxes a drop or delay fault suppressed, plus one per delayed
-    /// message re-stored as it comes due. Fault-free broadcast-only traffic
+    /// message re-staged as it comes due. Fault-free broadcast-only traffic
     /// stores one payload per broadcasting step, however many
     /// [`messages`](RoundMetrics::messages) it fans out to.
     pub payloads: usize,
@@ -76,10 +76,11 @@ pub struct RoundMetrics {
     /// Wall-clock time of the round (compute + routing).
     pub wall: Duration,
     /// Wall-clock time of the whole routing epoch: everything between the
-    /// compute epoch's close and the buffer flip — yield collection and
-    /// the store swap, delayed-fault re-storing, the per-group counting
-    /// sort (count, place, and sort the spans of a group with delayed
-    /// traffic due), and inbox finalization (the reorder). A subset of
+    /// compute epoch's close and the buffer flip — the counter sums and
+    /// store swaps, the per-group counting sort (count, place, and, in a
+    /// round with re-staged delayed traffic, sort the spans), and inbox
+    /// finalization (the reorder). Delayed traffic is re-staged in the
+    /// compute epoch, so it is not charged here. A subset of
     /// [`wall`](RoundMetrics::wall); the lab's `route-frac` budget judges
     /// this number, so it must not under-count any epoch step.
     pub route_wall: Duration,
@@ -190,7 +191,9 @@ impl EngineMetrics {
     /// Total physical rounds spent on the wire — equals
     /// [`total_rounds`](EngineMetrics::total_rounds) outside
     /// [`CongestMode::Split`](crate::CongestMode::Split); under splitting,
-    /// each logical round contributes `ceil(max_width / budget)`.
+    /// each logical round contributes `ceil(w / budget)`, where `w` is the
+    /// widest message delivered that round (see
+    /// [`RoundMetrics::physical_rounds`]).
     pub fn total_physical_rounds(&self) -> u64 {
         self.rounds.iter().map(|r| r.physical_rounds).sum()
     }

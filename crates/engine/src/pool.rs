@@ -20,8 +20,9 @@
 //! state.
 //!
 //! * **Compute epoch** — group `g` owns its slice of the programs and its
-//!   state ([`ShardYield`]: staging arena and wake queue), and reads its
-//!   inboxes shared. It pops the round's due wakes, steps its frontier
+//!   state ([`ShardYield`]: staging arena, delayed records and wake queue),
+//!   and reads its inboxes shared. It re-stages the delayed records that
+//!   come due (below), pops the round's due wakes, steps its frontier
 //!   (calling `on_round` and registering each stepped node's next wake),
 //!   and stages outbound traffic in its arena. Each payload is moved once
 //!   into the arena's **store**, as a `(sender, payload)` entry — one per
@@ -33,23 +34,24 @@
 //!   slot. Once the outbox's faults are applied, split mode round-trips
 //!   each over-budget payload left in the store and charges its frames per
 //!   surviving reference (see the `mailbox` module's *CONGEST accounting*).
-//! * **Handoff** — the driver tallies the groups' counters, schedules
-//!   fault-delayed batches, and hands every arena's round to the mailboxes
-//!   (`Mailboxes::adopt`): arena `g`'s store is swapped into the `next`
-//!   buffer, and its bucket `b` into routing group `b`'s inbound slot `g` —
-//!   the **bucket transpose**, O(groups²) swaps, nothing copied. The arena
-//!   gets back a two-rounds-stale store, which it clears when it next
-//!   stages. The driver then re-stores the payloads of delayed batches
-//!   that come due into the buffer's delayed store, charging their frames.
+//!   A delayed outbox leaves the arena as owned records, which the group
+//!   keeps by due round; in the compute epoch before they are due, before
+//!   it steps any node, it stages them again into its store and buckets,
+//!   where they take the path of any staged payload, split charge included.
+//! * **Handoff** — the driver sums the groups' counters and swaps every
+//!   arena's store into the `next` buffer (`Mailboxes::adopt`), one swap
+//!   per group, nothing copied. The arena gets back a two-rounds-stale
+//!   store, which it clears when it next stages. Its buckets stay where
+//!   they are.
 //! * **Routing epoch** — group `g` owns its slice of the counting scratch
-//!   and its `RouteGroup`: its `next` inboxes, its inbound buckets, its
-//!   pending-delayed references and its receiver bitmap; it reads the
-//!   `next` stores shared. It rebuilds its `next` segment with a
-//!   **counting sort** over its inbound buckets (in ascending source group
-//!   order): count per receiver, prefix-sum into the span table, and place
-//!   each reference exactly once, as `(store, slot)`. Once the epoch
-//!   closes, the same swaps in reverse hand the drained buckets back to
-//!   their arenas. Steady-state rounds perform no per-message allocation —
+//!   and its `RouteGroup`: its `next` inboxes and its receiver bitmap; it
+//!   reads the arenas and the `next` stores shared. It rebuilds its `next`
+//!   segment with a **counting sort** over bucket `g` of every arena (in
+//!   ascending source group order): count per receiver, prefix-sum into
+//!   the span table, and place each reference exactly once, as
+//!   `(store, slot)`. Each arena clears its own buckets when it next
+//!   stages, so there is one set of bucket capacity, kept by the arenas.
+//!   Steady-state rounds perform no per-message allocation —
 //!   stores, buckets, segments, spans, and the counting scratch persist
 //!   across rounds. The next compute epoch reads every payload through the
 //!   same shared `&Inboxes` it reads the spans through.
@@ -59,10 +61,10 @@
 //! senders in ascending dense (= original id) order, so that placement
 //! order *is* the delivery order — ascending sender, one sender's messages
 //! in send order — with no sort at all. The one exception is fault-delayed
-//! traffic, which is placed ahead of the fresh traffic: a group that had
-//! delayed batches due stable-sorts its spans by sender (read through the
-//! stores), which keeps each delayed batch ahead of fresh traffic from the
-//! same sender. Either way
+//! traffic, which its sender's group re-stages ahead of its fresh traffic:
+//! in a round where any group re-staged, routing stable-sorts every span by
+//! sender (read through the stores), which keeps each delayed batch ahead
+//! of fresh traffic from the same sender. Either way
 //! the delivered order is a pure function of the traffic, so worker count
 //! and shard count remain pure performance knobs.
 //!
@@ -93,7 +95,7 @@
 //!   the flag and releases the `start` barrier once more) always joins
 //!   cleanly — even while unwinding from a propagated program panic.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use graphs::VertexId;
@@ -146,12 +148,17 @@ impl StageEnv<'_> {
 
 /// Everything the routing epoch needs beyond the arenas and stores: the
 /// round being routed (keys the reorder coins), the adversarial reorder
-/// rule, and the session's view (the dense → original id map).
+/// rule, whether any group re-staged delayed traffic, and the session's
+/// view (the dense → original id map).
 pub(crate) struct RouteEnv<'a> {
     /// The logical round whose traffic is being routed (0 = init).
     pub(crate) round: u64,
     /// Seeded adversarial same-sender-run reorder, if installed.
     pub(crate) reorder: Option<u64>,
+    /// Whether some group re-staged delayed records this round: they head
+    /// their buckets, ahead of fresh traffic, so every span is stable-sorted
+    /// by sender.
+    pub(crate) restaged: bool,
     /// The session's view: maps each receiver's dense index to its
     /// original id, which keys the reorder coins.
     pub(crate) view: &'a GraphView<'a>,
@@ -159,9 +166,10 @@ pub(crate) struct RouteEnv<'a> {
 
 /// One worker group's state: its payload store, a persistent staging
 /// arena of references (bucketed by destination group) for outbound
-/// traffic, the round's observed counters, and the wake queue of its dense
-/// range. Reused across rounds — [`reset`](ShardYield::reset) clears the
-/// round's part without releasing capacity.
+/// traffic, its fault-delayed records, the round's observed counters, and
+/// the wake queue of its dense range. Reused across rounds —
+/// [`reset`](ShardYield::reset) clears the round's part without releasing
+/// capacity.
 ///
 /// Each group writes its own state on every step, and the session keeps
 /// the groups' states side by side in one vector, so the state is aligned
@@ -172,8 +180,9 @@ pub(crate) struct RouteEnv<'a> {
 pub(crate) struct ShardYield<M> {
     /// Outbound references staged this round (surviving faults),
     /// `(destination, slot in store)`, bucketed by destination worker
-    /// group. Bucket `b` is lent to routing group `b` for the routing epoch
-    /// (`Mailboxes::transpose`) and comes back drained.
+    /// group: re-staged delayed records first, then fresh traffic. Routing
+    /// group `b` reads bucket `b` in place; the next
+    /// [`reset`](ShardYield::reset) clears it.
     pub(crate) buckets: Vec<Vec<Staged>>,
     /// Every payload the group sent this round, once each. The driver
     /// swaps it into the mailboxes between the epochs
@@ -190,8 +199,9 @@ pub(crate) struct ShardYield<M> {
     /// counts a `Multi` batch is indexed with (see `occurrences`).
     occ: Vec<usize>,
     seen: HashMap<usize, usize>,
-    /// Fault-delayed batches: `(due round, one node's outbox)`.
-    pub(crate) delayed_batches: Vec<(u64, Vec<Routed<M>>)>,
+    /// Fault-delayed messages by the round their receivers read them in,
+    /// each batch in staging order. Kept across rounds until re-staged.
+    pub(crate) delayed: BTreeMap<u64, Vec<Routed<M>>>,
     /// The round's observed counters.
     pub(crate) counts: Counts,
     /// The group's scheduled wakes: each stepped node's post-step
@@ -212,6 +222,8 @@ pub(crate) struct Counts {
     pub(crate) dropped: usize,
     /// Messages rescheduled by delay faults.
     pub(crate) delayed: usize,
+    /// Delayed messages re-staged this round, ahead of fresh traffic.
+    pub(crate) restaged: usize,
     /// Extra deliveries created by per-edge duplication.
     pub(crate) duplicated: usize,
     /// Messages discarded by seeded per-edge loss.
@@ -244,6 +256,7 @@ impl Counts {
         self.messages += other.messages;
         self.dropped += other.dropped;
         self.delayed += other.delayed;
+        self.restaged += other.restaged;
         self.duplicated += other.duplicated;
         self.lost += other.lost;
         self.max_width = self.max_width.max(other.max_width);
@@ -252,12 +265,6 @@ impl Counts {
         self.stepped += other.stepped;
         self.newly_halted += other.newly_halted;
         self.newly_unhalted += other.newly_unhalted;
-    }
-
-    /// Messages left in the buckets for routing: the sent ones, minus the
-    /// dropped, delayed and lost ones, plus the duplicates.
-    pub(crate) fn staged(&self) -> usize {
-        self.messages + self.duplicated - self.dropped - self.delayed - self.lost
     }
 
     /// Charges one delivery of a `width`-word message under the split
@@ -282,7 +289,7 @@ impl<M> ShardYield<M> {
             starts: vec![0; groups],
             occ: Vec::new(),
             seen: HashMap::new(),
-            delayed_batches: Vec::new(),
+            delayed: BTreeMap::new(),
             counts: Counts::default(),
             wakes: WakeQueue::new(range),
             due: Vec::new(),
@@ -300,8 +307,12 @@ impl<M> ShardYield<M> {
             bucket.clear();
         }
         self.store.clear();
-        self.delayed_batches.clear();
         self.counts = Counts::default();
+    }
+
+    /// References staged this round, over every bucket.
+    pub(crate) fn references(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum()
     }
 }
 
@@ -330,6 +341,9 @@ impl<M> ShardYield<M> {
 /// Round 0 is the init exchange: every node of the range calls `init`
 /// instead of `on_round`, with no frontier, and registers its first wake.
 ///
+/// Before any node steps, the group re-stages its delayed records that
+/// receivers read next round ([`restage`]).
+///
 /// Every path reports halt-vote *deltas* of the stepped nodes (an
 /// unstepped node's vote cannot change, so the driver's running halt
 /// count stays exact without an O(range) census).
@@ -342,6 +356,7 @@ pub(crate) fn run_range<P: NodeProgram>(
     y: &mut ShardYield<P::Message>,
 ) {
     y.reset();
+    restage(round, env, y);
     debug_assert_eq!(inboxes.len(), programs.len());
     let mut step = |i: usize, y: &mut ShardYield<P::Message>| {
         let p = &mut programs[i];
@@ -391,15 +406,38 @@ pub(crate) fn run_range<P: NodeProgram>(
     }
 }
 
+/// Stages the group's delayed records that receivers read in round
+/// `round + 1` into its freshly reset arena: each payload into the store,
+/// one entry per message, and its reference into its destination group's
+/// bucket, ahead of the round's fresh traffic. Like any outbox that
+/// survived its faults, each is then round-tripped and charged in split
+/// mode ([`charge_split`]).
+fn restage<M: EngineMessage>(round: u64, env: &StageEnv<'_>, y: &mut ShardYield<M>) {
+    let Some(records) = y.delayed.remove(&(round + 1)) else {
+        return;
+    };
+    debug_assert!(
+        y.store.len() == 0 && y.references() == 0,
+        "the arena is reset"
+    );
+    y.counts.restaged += records.len();
+    for (dv, src, m) in records {
+        let slot = y.store.put(src, m);
+        y.buckets[env.group_of(dv)].push((dv as u32, slot));
+    }
+    if env.split != usize::MAX {
+        y.starts.fill(0);
+        charge_split(0, env, y);
+    }
+}
+
 /// Expands one node's outbox into the arena — each payload into the store
 /// once, one reference per destination into the buckets — records its
 /// width, and applies its fault action: drop truncates the outbox's
 /// references and payloads, delay clones each delayed message out into an
 /// owned record and then truncates likewise, loss compacts references, and
 /// duplication appends a second reference to the same payload. In split
-/// mode, each over-budget payload still stored is then round-tripped
-/// through the wire, and each reference left standing is charged as a
-/// delivery.
+/// mode, [`charge_split`] then charges what is left.
 fn stage_outbox<M: EngineMessage>(
     src: VertexId,
     outbox: Outbox<M>,
@@ -456,7 +494,7 @@ fn stage_outbox<M: EngineMessage>(
             // leaves it as an owned copy — the one place a payload is
             // cloned.
             y.counts.delayed += batch_len;
-            let mut batch = Vec::with_capacity(batch_len);
+            let batch = y.delayed.entry(round + 1 + by).or_default();
             for (b, bucket) in y.buckets.iter_mut().enumerate() {
                 for &(dv, slot) in &bucket[y.starts[b]..] {
                     batch.push((dv as usize, src, y.store.get(slot).1.clone()));
@@ -464,15 +502,23 @@ fn stage_outbox<M: EngineMessage>(
                 bucket.truncate(y.starts[b]);
             }
             y.store.truncate(stored);
-            y.delayed_batches.push((round + 1 + by, batch));
         }
     }
+    // Checked here, not in the callee: unlimited mode must not pay a call
+    // per outbox.
     if env.split != usize::MAX {
-        y.store.split_from(stored, env.split, &mut y.words);
-        for (bucket, &start) in y.buckets.iter().zip(&y.starts) {
-            for &(_, slot) in &bucket[start..] {
-                y.counts.deliver(y.store.get(slot).1.width(), env.split);
-            }
+        charge_split(stored, env, y);
+    }
+}
+
+/// Split mode: round-trips through the wire each over-budget payload
+/// stored from slot `stored` on, and charges each reference staged since
+/// `y.starts` as a delivery.
+fn charge_split<M: EngineMessage>(stored: usize, env: &StageEnv<'_>, y: &mut ShardYield<M>) {
+    y.store.split_from(stored, env.split, &mut y.words);
+    for (bucket, &start) in y.buckets.iter().zip(&y.starts) {
+        for &(_, slot) in &bucket[start..] {
+            y.counts.deliver(y.store.get(slot).1.width(), env.split);
         }
     }
 }
@@ -632,25 +678,24 @@ fn expand_into<M: EngineMessage>(
     }
 }
 
-/// The routing epoch's per-group share: rebuild the group's `next` segment
-/// with a counting sort over its pending-delayed references and its
-/// inbound buckets (pending first, then ascending source group — the
-/// determinism contract), then finalize each span — the optional
-/// adversarial reorder (see `mailbox::finalize_inbox`). `counts` is the
-/// counting scratch of the group's dense range, which starts at `base`.
+/// The routing epoch's per-group share: rebuild group `g`'s `next` segment
+/// with a counting sort over bucket `g` of every arena (in ascending source
+/// group order — the determinism contract), then finalize each span — the
+/// optional adversarial reorder (see `mailbox::finalize_inbox`). `counts`
+/// is the counting scratch of the group's dense range, which starts at
+/// `base`.
 ///
-/// Only 8-byte references move: a reference from source group `g` becomes
-/// `(g, slot)`, a pending one `(groups, slot)` — the delayed store — and
-/// `stores` (the `next` buffer's, already swapped in) is read for senders
-/// only.
+/// Only 8-byte references move: a reference from source group `h` becomes
+/// `(h, slot)`, and `stores` (the `next` buffer's, already swapped in) is
+/// read for senders only. The arenas are read in place, never written.
 ///
 /// Source groups hold ascending sender ranges and each stages its senders
-/// in ascending order, so a span placed from the inbound buckets alone is
-/// already in delivery order. Delayed traffic is placed first and breaks
-/// that; when the pending list was non-empty, every span of the group is
-/// stable-sorted by sender, which keeps delayed-before-fresh and
-/// duplicate-after-original within each sender. Without due delays the
-/// epoch compares nothing and is O(traffic + frontier).
+/// in ascending order, so a span placed from fresh traffic alone is
+/// already in delivery order. Re-staged delayed records head their
+/// buckets and break that; in a round where any group re-staged
+/// (`env.restaged`), every span is stable-sorted by sender, which keeps
+/// delayed-before-fresh and duplicate-after-original within each sender.
+/// Otherwise the epoch compares nothing and is O(traffic + frontier).
 ///
 /// The sort is **frontier-sparse**: every pass walks only the vertices
 /// that actually receive traffic this round, collected into the group's
@@ -659,8 +704,8 @@ fn expand_into<M: EngineMessage>(
 /// active list, and the counting scratch is re-zeroed entry by entry, so
 /// the whole epoch is O(frontier + messages) — a quiescent round never
 /// touches the bulk of the range. The invariants carried between epochs:
-/// `counts` is all-zeros, every span outside the active list is `(0, 0)`,
-/// and every inbound bucket is empty once routed.
+/// `counts` is all-zeros, and every span outside the active list is
+/// `(0, 0)`.
 ///
 /// # Panics
 ///
@@ -669,14 +714,14 @@ fn expand_into<M: EngineMessage>(
 fn route_range<M: EngineMessage>(
     counts: &mut [u32],
     group: &mut RouteGroup,
+    g: usize,
+    arenas: &[ShardYield<M>],
     stores: &[Store<M>],
     base: usize,
     env: &RouteEnv<'_>,
 ) {
     let RouteGroup {
         inbox: GroupInbox { seg, spans, active },
-        inbound,
-        pending,
         vbits,
     } = group;
     let len = counts.len();
@@ -691,12 +736,13 @@ fn route_range<M: EngineMessage>(
     }
     active.clear();
 
-    // Counting pass: pending-delayed traffic plus every inbound bucket,
-    // marking each receiver in the group's two-level bitmap. `counts` is
-    // all-zeros on entry (each routing re-zeroes what it touched).
+    // Counting pass over every arena's bucket for this group, marking each
+    // receiver in the group's two-level bitmap. `counts` is all-zeros on
+    // entry (each routing re-zeroes what it touched).
     vbits.ensure(len);
     let mut total = 0;
-    for bucket in std::iter::once(&*pending).chain(inbound.iter()) {
+    for y in arenas {
+        let bucket = &y.buckets[g];
         total += bucket.len();
         for &(dv, _) in bucket {
             let i = dv as usize - base;
@@ -730,29 +776,17 @@ fn route_range<M: EngineMessage>(
         *c = spans[dv - base].0;
     }
 
-    // Placement pass, same source order as the counting pass: pending
-    // first (so delayed batches precede fresh same-sender traffic after
-    // the stable sender sort), then the inbound buckets in ascending
-    // source group order. Both passes see the same references, so every
-    // slot of the segment is written exactly once.
-    let had_pending = !pending.is_empty();
+    // Placement pass, same source order as the counting pass: ascending
+    // source group, each bucket in staging order. Both passes see the same
+    // references, so every slot of the segment is written exactly once.
     seg.clear();
     seg.resize(total, (0, 0));
-    let mut place = |dv: u32, r: (u32, u32)| {
-        let cursor = &mut counts[dv as usize - base];
-        seg[*cursor as usize] = r;
-        *cursor += 1;
-    };
-    let delayed_store = inbound.len() as u32;
-    for &(dv, slot) in pending.iter() {
-        place(dv, (delayed_store, slot));
-    }
-    pending.clear();
-    for (g, bucket) in inbound.iter_mut().enumerate() {
-        for &(dv, slot) in bucket.iter() {
-            place(dv, (g as u32, slot));
+    for (h, y) in arenas.iter().enumerate() {
+        for &(dv, slot) in &y.buckets[g] {
+            let cursor = &mut counts[dv as usize - base];
+            seg[*cursor as usize] = (h as u32, slot);
+            *cursor += 1;
         }
-        bucket.clear();
     }
 
     // Finalize only the active spans — there are no other non-empty ones
@@ -761,7 +795,7 @@ fn route_range<M: EngineMessage>(
         let (start, len) = spans[dv - base];
         counts[dv - base] = 0;
         let span = &mut seg[start as usize..(start + len) as usize];
-        if had_pending {
+        if env.restaged {
             span.sort_by_key(|&r| sender(stores, r));
         } else {
             debug_assert!(
@@ -838,29 +872,22 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     }
 
     /// Runs one **routing epoch**: group `g` rebuilds its `next` inboxes
-    /// from its inbound buckets plus its pending-delayed list, and
-    /// finalizes every span of its range (delayed-traffic sort / reorder)
-    /// — on worker `g`, or every group on the calling thread with
-    /// `inline`. Every arena's round must have been adopted into `mail`
-    /// first. Then hands the drained buckets back to the arenas.
+    /// from bucket `g` of every arena, read in place, and finalizes every
+    /// span of its range (re-staged-traffic sort / reorder) — on worker
+    /// `g`, or every group on the calling thread with `inline`. Every
+    /// arena's store must have been adopted into `mail` first.
     pub(crate) fn route(
-        &mut self,
+        &self,
         mail: &mut Mailboxes<P::Message>,
         env: &RouteEnv<'_>,
         inline: bool,
     ) -> Result<(), Panic> {
         let (bounds, counts, groups, stores) = mail.route_parts();
+        let arenas = &self.arenas[..];
         let job = |g: usize, counts: &mut [u32], group: &mut RouteGroup| {
-            route_range(counts, group, stores, bounds[g], env);
+            route_range(counts, group, g, arenas, stores, bounds[g], env);
         };
-        self.pool.run_groups(inline, counts, bounds, groups, &job)?;
-        // The same swaps in reverse give each drained bucket, with its
-        // capacity, back to its arena: one set of bucket capacity, not a
-        // second set cycling through the routing groups.
-        for (g, arena) in self.arenas.iter_mut().enumerate() {
-            mail.transpose(g, &mut arena.buckets);
-        }
-        Ok(())
+        self.pool.run_groups(inline, counts, bounds, groups, &job)
     }
 
     /// Wakes standing for `round`, summed over the groups' queues.
@@ -880,9 +907,8 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
     }
 
     /// Visits every group's arena in deterministic group order (driver's
-    /// group 0 first) between epochs — the driver tallies counters,
-    /// collects fault-delayed batches and hands the arena's round to the
-    /// mailboxes here.
+    /// group 0 first) between epochs — the driver sums counters and swaps
+    /// the arena's store into the mailboxes here.
     pub(crate) fn collect_yields(&mut self, mut f: impl FnMut(usize, &mut ShardYield<P::Message>)) {
         for (g, arena) in self.arenas.iter_mut().enumerate() {
             f(g, arena);
@@ -1010,12 +1036,10 @@ mod tests {
         assert_eq!(y.counts.delayed, 2);
         assert_eq!(y.buckets[0].len(), 2, "delayed tail split out");
         assert_eq!(y.store.len(), 1, "delayed payloads leave the store");
-        assert_eq!(y.delayed_batches.len(), 1);
-        assert_eq!(y.delayed_batches[0].0, 6 + 1 + 2);
         assert_eq!(
-            y.delayed_batches[0].1,
-            vec![(1, 0, W(3)), (2, 0, W(3))],
-            "one owned record per delayed message"
+            y.delayed,
+            BTreeMap::from([(6 + 1 + 2, vec![(1, 0, W(3)), (2, 0, W(3))])]),
+            "one owned record per delayed message, kept by due round"
         );
         assert_eq!(y.counts.messages, 6, "all three outboxes were *sent*");
     }
@@ -1120,7 +1144,7 @@ mod tests {
         assert_eq!(stored, [&Marked(5, true), &Marked(2, false)]);
         let y = stage(FaultPlan::new().delay_outbox(0, 1, 1));
         assert_eq!(
-            y.delayed_batches[0].1,
+            y.delayed[&3],
             vec![(1, 0, Marked(5, false)), (2, 0, Marked(2, false))],
             "a delayed payload crosses when it comes due"
         );
@@ -1245,30 +1269,36 @@ mod tests {
         }
     }
 
-    /// Stages `traffic[g]` into arena `g` the way the compute epoch stages
-    /// it: the arena is reset, each message stored once and referenced from
-    /// its destination group's bucket.
-    fn stage(pool: &mut WorkerPool<Quiet>, bounds: &[usize], traffic: &[Vec<Routed<W>>]) {
+    /// Stages round `round`'s `traffic[g]` into arena `g` the way the
+    /// compute epoch stages it: the arena is reset, its delayed records due
+    /// next round are re-staged, and each fresh message is stored once and
+    /// referenced from its destination group's bucket.
+    fn stage(
+        pool: &mut WorkerPool<Quiet>,
+        env: &StageEnv<'_>,
+        round: u64,
+        traffic: &[Vec<Routed<W>>],
+    ) {
         for (y, msgs) in pool.arenas.iter_mut().zip(traffic) {
             y.reset();
+            restage(round, env, y);
             for (dv, src, m) in msgs.iter().cloned() {
                 let slot = y.store.put(src, m);
-                y.buckets[group_of(bounds, dv)].push((dv as u32, slot));
+                y.buckets[env.group_of(dv)].push((dv as u32, slot));
             }
         }
     }
 
-    /// The driver's side of a round after the compute epoch: hands every
-    /// arena's round to `mail` (store swap and bucket transpose), then
-    /// runs the routing epoch — pooled, or on the calling thread with
-    /// `inline`.
+    /// The driver's side of a round after the compute epoch: swaps every
+    /// arena's store into `mail`, then runs the routing epoch — pooled, or
+    /// on the calling thread with `inline`.
     fn hand_over_and_route(
         pool: &mut WorkerPool<Quiet>,
         mail: &mut Mailboxes<W>,
         env: &RouteEnv<'_>,
         inline: bool,
     ) {
-        pool.collect_yields(|g, y| mail.adopt(g, &mut y.store, &mut y.buckets));
+        pool.collect_yields(|g, y| mail.adopt(g, &mut y.store));
         pool.route(mail, env, inline)
             .expect("routing does not panic")
     }
@@ -1293,24 +1323,24 @@ mod tests {
             ],
             vec![(1, 2, W(6)), (0, 2, W(7))],
         ];
-        stage(&mut pool, &bounds, &traffic);
         let g = Graph::empty(3);
         let view = GraphView::whole(&g);
+        let faults = FaultPlan::new();
+        stage(&mut pool, &env(&faults, &view, &bounds), 2, &traffic);
         let env = RouteEnv {
             round: 2,
             reorder: None,
+            restaged: false,
             view: &view,
         };
         hand_over_and_route(&mut pool, &mut mail, &env, false);
-        for y in &pool.arenas {
-            assert!(
-                y.buckets.iter().all(Vec::is_empty),
-                "routing drains every bucket and hands it back"
-            );
-        }
-        assert!(
-            pool.arenas[0].buckets[0].capacity() >= 5,
-            "with its capacity, to the arena it came from"
+        assert_eq!(
+            pool.arenas
+                .iter()
+                .map(ShardYield::references)
+                .collect::<Vec<_>>(),
+            [5, 2],
+            "routing reads the buckets in place"
         );
         mail.flip();
         assert_eq!(mail.inbox(0), &[(0, W(1)), (0, W(3)), (1, W(5)), (2, W(7))]);
@@ -1319,50 +1349,40 @@ mod tests {
         // The stores swapped in: no payload moved, sender order read
         // through them.
         assert_eq!(mail.cur().group(0).inbox(0).len(), 4);
-        for y in &pool.arenas {
+        for y in &mut pool.arenas {
             assert_eq!(y.store.len(), 0, "the arenas got empty stores back");
+            let capacity = y.buckets[0].capacity();
+            y.reset();
+            assert_eq!(y.references(), 0, "each arena clears its own buckets");
+            assert_eq!(y.buckets[0].capacity(), capacity, "and keeps them");
         }
-    }
-
-    #[test]
-    fn delayed_batch_precedes_fresh_same_sender() {
-        // Delayed traffic is placed ahead of fresh traffic, so its group
-        // sorts by sender. A delay-fault batch from sender 1 due this round
-        // must land *ahead of* fresh round traffic from the same sender 1,
-        // while a lower fresh sender still sorts ahead of both.
-        let bounds = [0, 2];
-        let mut mail: Mailboxes<W> = Mailboxes::new(2, bounds.to_vec());
-        mail.schedule(5, vec![(0, 1, W(7))]);
-        assert_eq!(mail.inject_due(5, usize::MAX, &mut Counts::default()), 1);
-        let mut pool = WorkerPool::new(EnginePool::new(1), &bounds);
-        stage(&mut pool, &bounds, &[vec![(0, 0, W(6)), (0, 1, W(8))]]);
-        let g = Graph::empty(2);
-        let view = GraphView::whole(&g);
-        let env = RouteEnv {
-            round: 5,
-            reorder: None,
-            view: &view,
-        };
-        hand_over_and_route(&mut pool, &mut mail, &env, true);
-        mail.flip();
-        assert_eq!(mail.inbox(0), &[(0, W(6)), (1, W(7)), (1, W(8))]);
     }
 
     #[test]
     fn routing_epoch_matches_the_serial_spec_on_three_groups() {
         // Three groups of unequal size on a three-worker pool, four rounds
-        // of traffic with delayed batches coming due and the adversarial
-        // reorder on: the pooled handoff and counting sort must deliver
-        // exactly what the comparison-sort spec delivers, round by round.
+        // of traffic with delayed records re-staged by their senders'
+        // groups and the adversarial reorder on: the pooled handoff and
+        // counting sort must deliver exactly what the comparison-sort spec
+        // delivers, round by round. Records due at round 2 are re-staged in
+        // round 1, ahead of fresh traffic from the same and lower senders.
         let bounds = [0, 3, 4, 8];
         let g = Graph::empty(8);
         let view = GraphView::whole(&g);
+        let faults = FaultPlan::new();
+        let stage_env = env(&faults, &view, &bounds);
         let mut mail: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
         let mut spec: Mailboxes<W> = Mailboxes::new(8, bounds.to_vec());
         let mut pool = WorkerPool::new(EnginePool::new(3), &bounds);
-        for m in [&mut mail, &mut spec] {
-            m.schedule(2, vec![(5, 6, W(900)), (0, 1, W(901)), (5, 2, W(902))]);
-            m.schedule(3, vec![(3, 7, W(903))]);
+        let delayed = [
+            (2, vec![(5, 6, W(900)), (0, 1, W(901)), (5, 2, W(902))]),
+            (3, vec![(3, 7, W(903))]),
+        ];
+        for (due, records) in &delayed {
+            for record in records {
+                let y = &mut pool.arenas[group_of(&bounds, record.1)];
+                y.delayed.entry(*due).or_default().push(record.clone());
+            }
         }
         for round in 1..=4u64 {
             // Senders step in ascending order, so each arena holds its own
@@ -1378,18 +1398,22 @@ mod tests {
                     flat.push(msg);
                 }
             }
+            let due: Vec<Routed<W>> = delayed
+                .iter()
+                .filter(|(at, _)| *at == round + 1)
+                .flat_map(|(_, records)| records.clone())
+                .collect();
+            stage(&mut pool, &stage_env, round, &traffic);
+            let restaged: usize = pool.arenas.iter().map(|y| y.counts.restaged).sum();
+            assert_eq!(restaged, due.len(), "round {round}");
             let env = RouteEnv {
                 round,
                 reorder: Some(17),
+                restaged: restaged > 0,
                 view: &view,
             };
-            assert_eq!(
-                mail.inject_due(round, usize::MAX, &mut Counts::default()),
-                spec.inject_due(round, usize::MAX, &mut Counts::default())
-            );
-            stage(&mut pool, &bounds, &traffic);
             hand_over_and_route(&mut pool, &mut mail, &env, false);
-            spec.route_serial(flat, &env);
+            spec.route_serial(due, flat, &env);
             mail.flip();
             spec.flip();
             for dv in 0..8 {
@@ -1403,7 +1427,7 @@ mod tests {
                 );
             }
         }
-        assert!(!mail.has_pending_delays());
+        assert!(pool.arenas.iter().all(|y| y.delayed.is_empty()));
     }
 
     #[test]

@@ -835,6 +835,72 @@ fn engine_delayed_delivery_reactivates_frontier_skipped_target() {
 }
 
 #[test]
+fn engine_delayed_batch_reads_before_its_senders_fresh_traffic() {
+    // Every node broadcasts its round number each round and logs what it
+    // reads. Node 29 delays its round-2 broadcast by one round, so at round
+    // 4 its receivers read its late message and its fresh one together: in
+    // sender order, the late one first. Node 0 hears 1, 28 and 29 (a cycle
+    // plus the chord 0–28); at 2 and 3 shards it sits in the first worker
+    // group and 28 and 29 in the last, so the late batch crosses a group
+    // cut and shares its group's traffic with a lower fresh sender.
+    use engine::{EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop};
+
+    struct Recorder {
+        log: Vec<(u64, usize, u64)>,
+    }
+    impl NodeProgram for Recorder {
+        type Message = u64;
+        fn init(&mut self, _: &mut NodeCtx<'_>) -> Outbox<u64> {
+            Outbox::Broadcast(0)
+        }
+        fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
+            self.log
+                .extend(inbox.iter().map(|(src, &sent)| (ctx.round, src, sent)));
+            Outbox::Broadcast(ctx.round)
+        }
+        fn halted(&self) -> bool {
+            false
+        }
+    }
+
+    let n = 30;
+    let g = graphs::Graph::from_edges(n, (0..n).map(|v| (v, (v + 1) % n)).chain([(0, 28)]));
+    let run = |shards: usize| {
+        let config = EngineConfig::default()
+            .with_shards(shards)
+            .with_workers(shards)
+            .with_faults(FaultPlan::new().delay_outbox(29, 2, 1));
+        let mut sess = EngineSession::new(&g, None, config, |_| Recorder { log: Vec::new() });
+        sess.run_phase("record", Stop::Rounds(5));
+        let (programs, metrics, _) = sess.into_parts();
+        assert_eq!(metrics.total_delayed(), 2, "node 29's two deliveries");
+        programs.into_iter().map(|p| p.log).collect::<Vec<_>>()
+    };
+    let logs = run(1);
+    let at = |v: usize, round: u64| -> Vec<(usize, u64)> {
+        logs[v]
+            .iter()
+            .filter(|e| e.0 == round)
+            .map(|e| (e.1, e.2))
+            .collect()
+    };
+    assert_eq!(
+        at(0, 3),
+        [(1, 2), (28, 2)],
+        "node 29's round-2 send is late"
+    );
+    assert_eq!(
+        at(0, 4),
+        [(1, 3), (28, 3), (29, 2), (29, 3)],
+        "a lower sender first, then 29's late message, then its fresh one"
+    );
+    assert_eq!(at(28, 4), [(0, 3), (27, 3), (29, 2), (29, 3)]);
+    for shards in [2, 3] {
+        assert_eq!(run(shards), logs, "shards = {shards}");
+    }
+}
+
+#[test]
 fn zero_and_tiny_graphs() {
     // n = 0.
     let g0 = graphs::Graph::empty(0);
