@@ -6,15 +6,16 @@
 //! (paper §6). The paper observes that Theorem 1.3's machinery runs
 //! verbatim with `d` replaced by each vertex's own list size — every vertex
 //! is rich — giving `O(Δ² log³ n)` rounds. Our implementation reuses the
-//! generic extension (which is already per-vertex) and only swaps the
-//! happiness criterion: a ball is helpful if it contains a vertex with
-//! `|L(v)| > deg(v)` (a *surplus*) or is not a Gallai tree.
+//! generic extension (which is already per-vertex) and Theorem 1.3's
+//! verdict loop with `|L(v)|` as each vertex's threshold: a ball is helpful
+//! if it contains a vertex with `|L(v)| > deg(v)` (a *surplus*) or is not a
+//! Gallai tree.
 
 use crate::extend::{extend_to_happy_set, UNCOLORED};
-use crate::happy::Classification;
+use crate::happy::{split_by_verdict, Classification};
 use crate::lists::ListAssignment;
 use crate::theorem13::ColoringError;
-use graphs::{ball, components, is_gallai_tree, Graph, VertexId, VertexSet};
+use graphs::{ball, components, Graph, VertexId, VertexSet};
 use local_model::RoundLedger;
 use std::fmt;
 
@@ -69,7 +70,9 @@ impl From<ColoringError> for BrooksError {
 }
 
 /// Nice-list happiness: every alive vertex is rich; a ball is helpful when
-/// it holds a surplus vertex (`|L(v)| > alive_degree(v)`) or is non-Gallai.
+/// it holds a surplus vertex (`|L(v)| > alive_degree(v)`) or is non-Gallai
+/// — Theorem 1.3's verdict loop with each vertex's list size as its
+/// threshold.
 fn classify_nice(
     g: &Graph,
     alive: &VertexSet,
@@ -77,62 +80,18 @@ fn classify_nice(
     radius: usize,
     ledger: &mut RoundLedger,
 ) -> Classification {
-    let n = g.n();
-    let alive_degree = |v: VertexId| {
-        g.neighbors(v)
-            .iter()
-            .filter(|&&w| alive.contains(w))
-            .count()
-    };
-    let helpful = |members: &[VertexId]| {
-        if members
-            .iter()
-            .any(|&w| lists.list(w).len() > alive_degree(w))
-        {
-            return true;
-        }
-        let set = VertexSet::from_iter_with_universe(n, members.iter().copied());
-        !is_gallai_tree(g, Some(&set))
-    };
-    let rich = alive.clone();
-    let (comp_id, comp_count) = components(g, Some(&rich));
-    let mut comp_rep = vec![usize::MAX; comp_count];
-    let mut comp_size = vec![0usize; comp_count];
-    for v in rich.iter() {
-        comp_rep[comp_id[v]] = v;
-        comp_size[comp_id[v]] += 1;
-    }
-    let mut comp_verdict: Vec<Option<bool>> = vec![None; comp_count];
-    for cid in 0..comp_count {
-        if 2 * graphs::eccentricity(g, comp_rep[cid], Some(&rich)) <= radius {
-            let members = graphs::component_of(g, comp_rep[cid], Some(&rich));
-            comp_verdict[cid] = Some(helpful(&members));
-        }
-    }
-    let mut happy = VertexSet::new(n);
-    let mut sad = VertexSet::new(n);
-    for v in rich.iter() {
-        let verdict = match comp_verdict[comp_id[v]] {
-            Some(x) => x,
-            None => {
-                let b = ball(g, v, radius, Some(&rich));
-                if b.len() == comp_size[comp_id[v]] {
-                    *comp_verdict[comp_id[v]].get_or_insert_with(|| helpful(&b))
-                } else {
-                    helpful(&b)
-                }
-            }
-        };
-        if verdict {
-            happy.insert(v);
-        } else {
-            sad.insert(v);
-        }
-    }
+    let (happy, sad) = split_by_verdict(
+        g,
+        alive,
+        |w| lists.list(w).len(),
+        alive,
+        Some(radius),
+        |v| ball(g, v, radius, Some(alive)),
+    );
     ledger.charge("ball-gather", radius as u64);
     Classification {
-        rich,
-        poor: VertexSet::new(n),
+        rich: alive.clone(),
+        poor: VertexSet::new(g.n()),
         happy,
         sad,
         radius,

@@ -46,12 +46,17 @@ fn alive_degree(g: &Graph, alive: &VertexSet, v: VertexId) -> usize {
 }
 
 /// Whether the vertex set `members` (connected, inside the rich subgraph)
-/// certifies happiness: it contains a vertex of residual degree ≤ d−1, or
-/// it is not a Gallai tree.
-fn ball_is_helpful(g: &Graph, alive: &VertexSet, d: usize, members: &[VertexId]) -> bool {
+/// certifies happiness: it contains a vertex `w` of residual degree below
+/// `threshold(w)`, or it is not a Gallai tree.
+fn ball_is_helpful(
+    g: &Graph,
+    alive: &VertexSet,
+    threshold: &impl Fn(VertexId) -> usize,
+    members: &[VertexId],
+) -> bool {
     if members
         .iter()
-        .any(|&w| alive_degree(g, alive, w) <= d.saturating_sub(1))
+        .any(|&w| alive_degree(g, alive, w) < threshold(w))
     {
         return true;
     }
@@ -60,21 +65,41 @@ fn ball_is_helpful(g: &Graph, alive: &VertexSet, d: usize, members: &[VertexId])
 }
 
 /// Splits the rich set into happy and sad by per-vertex verdicts — the
-/// single decision loop both classification substrates run. `ball_of(v)`
-/// supplies `B^r_rich(v)`; the full-component memoization lives here: when
-/// a ball covers its whole rich component (and whenever `comp_verdict` was
-/// pre-seeded), the verdict is shared by every vertex of that component.
-#[allow(clippy::too_many_arguments)]
-fn split_by_verdict(
+/// single decision loop of Theorem 1.3's classification (both substrates)
+/// and of Theorem 6.1's. A ball is helpful when it holds a vertex `w` of
+/// residual degree below `threshold(w)` — `d` for Theorem 1.3 (a vertex of
+/// degree ≤ d−1), `|L(w)|` for Theorem 6.1 (a surplus vertex) — or is not
+/// a Gallai tree. `ball_of(v)` supplies `B^r_rich(v)`.
+///
+/// Verdicts are memoized per rich component: when a ball covers its whole
+/// component, the verdict is shared by every vertex of that component.
+/// With `seed_radius = Some(r)`, a component one of whose vertices has
+/// eccentricity ≤ r/2 is settled up front — every radius-`r` ball covers
+/// it (triangle inequality), so one BFS decides the whole component.
+pub(crate) fn split_by_verdict(
     g: &Graph,
     alive: &VertexSet,
-    d: usize,
+    threshold: impl Fn(VertexId) -> usize,
     rich: &VertexSet,
-    comp_id: &[usize],
-    comp_size: &[usize],
-    comp_verdict: &mut [Option<bool>],
+    seed_radius: Option<usize>,
     mut ball_of: impl FnMut(VertexId) -> Vec<VertexId>,
 ) -> (VertexSet, VertexSet) {
+    let (comp_id, comp_count) = components(g, Some(rich));
+    let mut comp_size = vec![0usize; comp_count];
+    let mut comp_rep = vec![usize::MAX; comp_count];
+    for v in rich.iter() {
+        comp_size[comp_id[v]] += 1;
+        comp_rep[comp_id[v]] = v;
+    }
+    let mut comp_verdict: Vec<Option<bool>> = vec![None; comp_count];
+    if let Some(radius) = seed_radius {
+        for (verdict, &rep) in comp_verdict.iter_mut().zip(&comp_rep) {
+            if 2 * graphs::eccentricity(g, rep, Some(rich)) <= radius {
+                let members = graphs::component_of(g, rep, Some(rich));
+                *verdict = Some(ball_is_helpful(g, alive, &threshold, &members));
+            }
+        }
+    }
     let mut happy = VertexSet::new(g.n());
     let mut sad = VertexSet::new(g.n());
     for v in rich.iter() {
@@ -83,11 +108,11 @@ fn split_by_verdict(
             Some(verdict) => verdict,
             None => {
                 let b = ball_of(v);
+                let verdict = ball_is_helpful(g, alive, &threshold, &b);
                 if b.len() == comp_size[cid] {
-                    *comp_verdict[cid].get_or_insert_with(|| ball_is_helpful(g, alive, d, &b))
-                } else {
-                    ball_is_helpful(g, alive, d, &b)
+                    comp_verdict[cid] = Some(verdict);
                 }
+                verdict
             }
         };
         if verdict {
@@ -97,6 +122,12 @@ fn split_by_verdict(
         }
     }
     (happy, sad)
+}
+
+/// Theorem 1.3's threshold: a ball is helpful through a vertex of residual
+/// degree ≤ d−1 (saturating, so at d = 0 an isolated vertex still counts).
+fn degree_threshold(d: usize) -> impl Fn(VertexId) -> usize {
+    move |_| d.max(1)
 }
 
 /// Classifies the residual graph `g[alive]` with threshold `d` and ball
@@ -138,37 +169,11 @@ pub fn classify(
     }
     ledger.charge("rich-poor", 1);
 
-    // Happiness: evaluate balls inside G[rich]. Memoize whole components —
-    // when a vertex's ball covers its entire rich component (common with
-    // the paper's large radius), the verdict is shared by every vertex of
-    // the component. Shortcut: if some component vertex has eccentricity
-    // ≤ radius/2, every radius-ball covers the component (triangle
-    // inequality), so one BFS settles the whole component.
-    let (comp_id, comp_count) = components(g, Some(&rich));
-    let mut comp_size = vec![0usize; comp_count];
-    let mut comp_rep = vec![usize::MAX; comp_count];
-    for v in rich.iter() {
-        comp_size[comp_id[v]] += 1;
-        comp_rep[comp_id[v]] = v;
-    }
-    let mut comp_verdict: Vec<Option<bool>> = vec![None; comp_count];
-    for cid in 0..comp_count {
-        let rep = comp_rep[cid];
-        if 2 * graphs::eccentricity(g, rep, Some(&rich)) <= radius {
-            let members = graphs::component_of(g, rep, Some(&rich));
-            comp_verdict[cid] = Some(ball_is_helpful(g, alive, d, &members));
-        }
-    }
-    let (happy, sad) = split_by_verdict(
-        g,
-        alive,
-        d,
-        &rich,
-        &comp_id,
-        &comp_size,
-        &mut comp_verdict,
-        |v| ball(g, v, radius, Some(&rich)),
-    );
+    // Happiness: evaluate balls inside G[rich], settling whole components
+    // up front where the radius allows.
+    let (happy, sad) = split_by_verdict(g, alive, degree_threshold(d), &rich, Some(radius), |v| {
+        ball(g, v, radius, Some(&rich))
+    });
     ledger.charge("ball-gather", radius as u64);
     Classification {
         rich,
@@ -207,22 +212,9 @@ pub fn classify_engine(
 
     // The same decision loop (and full-component memoization) the
     // sequential path runs, fed with the engine-gathered balls.
-    let (comp_id, comp_count) = components(g, Some(&rich));
-    let mut comp_size = vec![0usize; comp_count];
-    for v in rich.iter() {
-        comp_size[comp_id[v]] += 1;
-    }
-    let mut comp_verdict: Vec<Option<bool>> = vec![None; comp_count];
-    let (happy, sad) = split_by_verdict(
-        g,
-        alive,
-        d,
-        &rich,
-        &comp_id,
-        &comp_size,
-        &mut comp_verdict,
-        |v| std::mem::take(&mut balls[v]),
-    );
+    let (happy, sad) = split_by_verdict(g, alive, degree_threshold(d), &rich, None, |v| {
+        std::mem::take(&mut balls[v])
+    });
     (
         Classification {
             rich,

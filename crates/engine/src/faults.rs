@@ -9,11 +9,12 @@
 //! the run identically at any shard count.
 //!
 //! Duplication and **per-edge loss** are keyed on `(seed, round, sender,
-//! receiver, occurrence)` only — pure functions of the traffic, never of
-//! the shard layout — so a perturbed run replays bit-identically across
-//! shard and worker counts, exactly like the outbox-level faults. Loss and
-//! duplication use domain-separated hashes, so installing both draws
-//! independent decisions per message.
+//! receiver)` only — pure functions of the traffic, never of the shard
+//! layout — so a perturbed run replays bit-identically across shard and
+//! worker counts, exactly like the outbox-level faults. The key names one
+//! message: an outbox sends each neighbor at most one message a round
+//! ([`Outbox`](crate::Outbox)). Loss and duplication use domain-separated
+//! hashes, so installing both draws independent decisions per message.
 
 use std::collections::BTreeMap;
 
@@ -62,6 +63,13 @@ const LOSS_DOMAIN: u64 = 0x6c6f_7373_2d65_6467; // "loss-edg"
 /// and duplication under a shared seed.
 const REORDER_DOMAIN: u64 = 0x7265_6f72_6465_7221; // "reorder!"
 
+/// The last word the loss and duplication coins hash. It once counted the
+/// earlier messages of an outbox to the same receiver, which is always 0
+/// now that an outbox sends each neighbor at most one message; it stays in
+/// the hash so every coin — and every recorded chaos outcome pinned on the
+/// coins — keeps its value.
+const RETIRED_OCCURRENCE: u64 = 0;
+
 /// Seeded per-edge loss: each delivered message is independently discarded
 /// with the given probability, decided by hashing the message's
 /// coordinates under `seed`.
@@ -108,8 +116,7 @@ impl FaultPlan {
 
     /// Duplicates each delivered message independently with `probability`,
     /// seeded by `seed`. The decision for a message is a pure function of
-    /// `(seed, round, sender, receiver, occurrence)` — replayable at any
-    /// shard count. Duplicates ride in the same round as their original
+    /// `(seed, round, sender, receiver)` — replayable at any shard count. Duplicates ride in the same round as their original
     /// (immediately after it in the receiver's inbox); dropped and delayed
     /// outboxes are not duplicated.
     ///
@@ -133,8 +140,7 @@ impl FaultPlan {
     /// seeded by `seed` — the per-edge counterpart of a drop fault, and the
     /// symmetric twin of [`duplicate_edges`](FaultPlan::duplicate_edges).
     /// The decision for a message is a pure function of `(seed, round,
-    /// sender, receiver, occurrence)` — replayable at any shard or worker
-    /// count. Losses apply to a delivered outbox before duplication (a lost
+    /// sender, receiver)` — replayable at any shard or worker count. Losses apply to a delivered outbox before duplication (a lost
     /// message is never duplicated); dropped and delayed outboxes are
     /// already gone as a whole.
     ///
@@ -156,9 +162,9 @@ impl FaultPlan {
 
     /// Adversarially permutes each inbox's delivery order with a seeded
     /// rule, applied together with the deterministic sender sort — so
-    /// protocols that silently *rely* on arrival order (send order within
-    /// one sender's burst: `Multi` repeats, duplicated deliveries, delayed
-    /// batches racing fresh traffic) are flushed out. The permutation is a
+    /// protocols that silently *rely* on arrival order within one sender's
+    /// run (a duplicated delivery after its original, a delayed batch
+    /// ahead of fresh traffic) are flushed out. The permutation is a
     /// pure function of `(seed, round, receiver, sender)` over the
     /// canonical sorted order, so a reordered run still replays
     /// bit-identically at any shard or worker count.
@@ -204,23 +210,13 @@ impl FaultPlan {
         self.duplication.is_some()
     }
 
-    /// Whether the `occurrence`-th message from `src` to `dst` in `round`
-    /// is duplicated.
-    pub(crate) fn duplicates(
-        &self,
-        round: u64,
-        src: VertexId,
-        dst: VertexId,
-        occurrence: usize,
-    ) -> bool {
+    /// Whether the message from `src` to `dst` in `round` is duplicated.
+    pub(crate) fn duplicates(&self, round: u64, src: VertexId, dst: VertexId) -> bool {
         let Some(dup) = self.duplication else {
             return false;
         };
-        let h = mix64(
-            mix64(mix64(mix64(dup.seed, round), src as u64), dst as u64),
-            occurrence as u64,
-        );
-        h <= dup.threshold
+        let h = mix64(mix64(mix64(dup.seed, round), src as u64), dst as u64);
+        mix64(h, RETIRED_OCCURRENCE) <= dup.threshold
     }
 
     /// Whether any loss rule is installed (cheap pre-check so the staging
@@ -229,26 +225,16 @@ impl FaultPlan {
         self.loss.is_some()
     }
 
-    /// Whether the `occurrence`-th message from `src` to `dst` in `round`
-    /// is lost.
-    pub(crate) fn loses(
-        &self,
-        round: u64,
-        src: VertexId,
-        dst: VertexId,
-        occurrence: usize,
-    ) -> bool {
+    /// Whether the message from `src` to `dst` in `round` is lost.
+    pub(crate) fn loses(&self, round: u64, src: VertexId, dst: VertexId) -> bool {
         let Some(loss) = self.loss else {
             return false;
         };
         let h = mix64(
-            mix64(
-                mix64(mix64(mix64(loss.seed, LOSS_DOMAIN), round), src as u64),
-                dst as u64,
-            ),
-            occurrence as u64,
+            mix64(mix64(mix64(loss.seed, LOSS_DOMAIN), round), src as u64),
+            dst as u64,
         );
-        h <= loss.threshold
+        mix64(h, RETIRED_OCCURRENCE) <= loss.threshold
     }
 
     /// Whether the plan injects any fault at all.
@@ -271,8 +257,8 @@ impl FaultPlan {
 /// entries name their sender through `sender`: each maximal run of
 /// messages from one sender is permuted by a Fisher–Yates whose coins are
 /// a pure function of `(seed, round, receiver, sender)`.
-/// Because the run's pre-permutation order (send order) and membership are
-/// shard-invariant, so is the permuted delivery order — reordering
+/// Because the run's pre-permutation order (staging order) and membership
+/// are shard-invariant, so is the permuted delivery order — reordering
 /// composes with the engine's replay contract like every other fault.
 pub(crate) fn reorder_inbox<T>(
     inbox: &mut [T],
@@ -337,7 +323,7 @@ mod tests {
         assert_eq!(a.len(), 0, "duplication is not a scheduled outbox fault");
         let draw = |p: &FaultPlan| {
             (0..200u64)
-                .map(|r| p.duplicates(r, 3, 5, 0))
+                .map(|r| p.duplicates(r, 3, 5))
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(&a), draw(&b), "same seed must replay");
@@ -350,9 +336,46 @@ mod tests {
     }
 
     #[test]
+    fn coins_are_pinned_on_literal_coordinates() {
+        // Recorded chaos outcomes hang on these coins. Bit `r` of each mask
+        // is the coin at p = 0.5 for round `r` of the literal
+        // `(seed, sender, receiver)`, one plan holding both rules.
+        let pinned = [
+            (
+                5u64,
+                0usize,
+                1usize,
+                0xe35a_9d37_6237_641du64,
+                0x7440_b1c7_8617_1a67u64,
+            ),
+            (41, 3, 2, 0x7794_d0e8_f4e3_83c6, 0x7d92_12d8_6f43_5409),
+            (43, 17, 18, 0x48d7_dfe4_93e6_20ba, 0x3882_db46_3979_51f3),
+            (101, 40, 7, 0xeef2_13f2_c968_2605, 0x1aab_cde5_0edd_f851),
+        ];
+        for (seed, src, dst, lost, duplicated) in pinned {
+            let plan = FaultPlan::new()
+                .lose_edges(seed, 0.5)
+                .duplicate_edges(seed, 0.5);
+            let mask = |coin: &dyn Fn(u64) -> bool| {
+                (0..64u64).fold(0u64, |m, r| m | u64::from(coin(r)) << r)
+            };
+            assert_eq!(
+                mask(&|r| plan.loses(r, src, dst)),
+                lost,
+                "loss, seed {seed}"
+            );
+            assert_eq!(
+                mask(&|r| plan.duplicates(r, src, dst)),
+                duplicated,
+                "duplication, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn probability_one_duplicates_everything() {
         let plan = FaultPlan::new().duplicate_edges(1, 1.0);
-        assert!((0..50u64).all(|r| plan.duplicates(r, 0, 1, 0)));
+        assert!((0..50u64).all(|r| plan.duplicates(r, 0, 1)));
     }
 
     #[test]
@@ -366,7 +389,7 @@ mod tests {
         let a = FaultPlan::new().lose_edges(7, 0.5);
         let b = FaultPlan::new().lose_edges(7, 0.5);
         assert!(!a.is_empty());
-        let draw = |p: &FaultPlan| (0..200u64).map(|r| p.loses(r, 3, 5, 0)).collect::<Vec<_>>();
+        let draw = |p: &FaultPlan| (0..200u64).map(|r| p.loses(r, 3, 5)).collect::<Vec<_>>();
         assert_eq!(draw(&a), draw(&b), "same seed must replay");
         let hits = draw(&a).iter().filter(|&&l| l).count();
         assert!(
@@ -376,8 +399,8 @@ mod tests {
         // Domain separation: under one seed, loss and duplication coins
         // must not be the same sequence.
         let both = FaultPlan::new().lose_edges(7, 0.5).duplicate_edges(7, 0.5);
-        let losses: Vec<bool> = (0..200u64).map(|r| both.loses(r, 3, 5, 0)).collect();
-        let dups: Vec<bool> = (0..200u64).map(|r| both.duplicates(r, 3, 5, 0)).collect();
+        let losses: Vec<bool> = (0..200u64).map(|r| both.loses(r, 3, 5)).collect();
+        let dups: Vec<bool> = (0..200u64).map(|r| both.duplicates(r, 3, 5)).collect();
         assert_ne!(
             losses, dups,
             "loss must be domain-separated from duplication"

@@ -1,11 +1,11 @@
 //! Double-buffered mailboxes: the synchronous message fabric.
 //!
-//! Every payload is stored **once**. A worker group writes each message its
-//! nodes send as one `(sender, payload)` entry of its own payload
-//! `Store`: one entry per `Broadcast`, one per `Unicast` or `Multi`
-//! message. Everything downstream moves 8-byte references to those entries,
-//! never the payload: staging pushes `(destination, slot)` per edge, and
-//! routing places `(store, slot)` per delivered message.
+//! Every payload is stored **once**: a worker group writes an outbox's one
+//! payload ([`Outbox`](crate::Outbox)) as one `(sender, payload)` entry of
+//! its own payload `Store`, whatever the number of receivers. Everything
+//! downstream moves 8-byte references to those entries, never the payload:
+//! staging pushes `(destination, slot)` per edge, and routing places
+//! `(store, slot)` per delivered message.
 //!
 //! Inboxes are stored struct-of-arrays, per routing group: one contiguous
 //! reference **segment** holds the references of the group's whole dense
@@ -48,22 +48,22 @@
 //! message sent in round `r` is visible in round `r + 1` and never earlier,
 //! no matter how threads interleave.
 //!
-//! Delivery order contract: each inbox is sorted by original sender id
-//! (stable, so multiple messages from one sender keep their send order,
-//! duplicated deliveries immediately follow their original, and delayed
-//! batches due the same round precede fresh traffic from the same sender
-//! because their sender's group stages them first). The order is therefore
-//! a pure function of the traffic, independent of shard count and thread
-//! schedule. An
-//! installed [`FaultPlan::reorder`](crate::FaultPlan::reorder) rule then
+//! Delivery order contract: each inbox is sorted by original sender id.
+//! An outbox sends a receiver one message, so one sender makes a run of
+//! several only under faults, and the sort is stable within it: duplicated
+//! deliveries immediately follow their original, and delayed batches due
+//! the same round precede fresh traffic from the same sender because their
+//! sender's group stages them first. The order is therefore a pure
+//! function of the traffic, independent of shard count and thread schedule.
+//! An installed [`FaultPlan::reorder`](crate::FaultPlan::reorder) rule then
 //! adversarially permutes each same-sender run — seeded, shard-invariant.
 //!
 //! The contract is *implemented* by staging order, not by sorting. Dense
 //! order is ascending original id, worker groups own ascending contiguous
 //! dense ranges, each group steps (and so stages) its senders in ascending
 //! order, and routing places the arenas' buckets in group order. Fresh
-//! traffic therefore lands in every span already sorted by sender, one
-//! sender's messages in send order with its duplicates after them. Delayed
+//! traffic therefore lands in every span already sorted by sender, each
+//! duplicate right after its original. Delayed
 //! batches are the one exception: their sender's group re-stages them at
 //! the head of its buckets, ahead of its fresh traffic, so in a round where
 //! any group re-staged, routing stable-sorts every span by sender (read
@@ -609,8 +609,8 @@ mod tests {
     #[test]
     fn inboxes_sorted_by_sender_stably() {
         let mut mail: Mailboxes<u64> = Mailboxes::new(4, vec![0, 4]);
-        // Sender 2 then sender 0, sender 2 again: sorted to 0, 2, 2 with
-        // sender 2's messages in send order.
+        // Sender 2 then sender 0, sender 2 again (a duplicate): sorted to
+        // 0, 2, 2 with sender 2's run in staging order.
         mail.route_serial(
             Vec::new(),
             vec![(3, 2, 10), (3, 0, 20), (3, 2, 11)],

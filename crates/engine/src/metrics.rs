@@ -31,11 +31,10 @@ pub struct RoundMetrics {
     pub duplicated: usize,
     /// Messages discarded by seeded per-edge loss.
     pub lost: usize,
-    /// Payload store entries routed this round: one per broadcast that
-    /// reaches a live neighbor and per unicast or multi message, minus the
-    /// outboxes a drop or delay fault suppressed, plus one per delayed
-    /// message re-staged as it comes due. Fault-free broadcast-only traffic
-    /// stores one payload per broadcasting step, however many
+    /// Payload store entries routed this round: one per outbox that
+    /// reaches a live neighbor, minus the outboxes a drop or delay fault
+    /// suppressed, plus one per delayed message re-staged as it comes due.
+    /// Fault-free traffic stores one payload per sending step, however many
     /// [`messages`](RoundMetrics::messages) it fans out to.
     pub payloads: usize,
     /// Widest message emitted this round, in abstract words
@@ -182,8 +181,8 @@ impl EngineMetrics {
         self.traffic(|r| r.lost)
     }
 
-    /// Total payload store entries, init included: one per broadcast,
-    /// however wide its fan-out (see [`RoundMetrics::payloads`]).
+    /// Total payload store entries, init included: one per outbox, however
+    /// wide its fan-out (see [`RoundMetrics::payloads`]).
     pub fn total_payloads(&self) -> usize {
         self.traffic(|r| r.payloads)
     }

@@ -24,14 +24,13 @@
 //!   and reads its inboxes shared. It re-stages the delayed records that
 //!   come due (below), pops the round's due wakes, steps its frontier
 //!   (calling `on_round` and registering each stepped node's next wake),
-//!   and stages outbound traffic in its arena. Each payload is moved once
-//!   into the arena's **store**, as a `(sender, payload)` entry — one per
-//!   `Broadcast`, one per `Unicast` or `Multi` message — and each
-//!   point-to-point message becomes an 8-byte `(destination, slot)`
-//!   reference. References are **bucketed by destination group**: one for
-//!   a vertex owned by group `b` lands in bucket `b`. No payload is cloned
-//!   per edge; duplication faults push a second reference to the same
-//!   slot. Once the outbox's faults are applied, split mode round-trips
+//!   and stages outbound traffic in its arena. Each outbox's one payload is
+//!   moved once into the arena's **store**, as a `(sender, payload)` entry,
+//!   and each point-to-point message becomes an 8-byte `(destination,
+//!   slot)` reference. References are **bucketed by destination group**:
+//!   one for a vertex owned by group `b` lands in bucket `b`. No payload is
+//!   cloned per edge; duplication faults push a second reference to the
+//!   same slot. Once the outbox's faults are applied, split mode round-trips
 //!   each over-budget payload left in the store and charges its frames per
 //!   surviving reference (see the `mailbox` module's *CONGEST accounting*).
 //!   A delayed outbox leaves the arena as owned records, which the group
@@ -59,14 +58,14 @@
 //! Determinism: for any inbox, references are placed in (source group,
 //! staging order) order. Groups own ascending dense ranges and step their
 //! senders in ascending dense (= original id) order, so that placement
-//! order *is* the delivery order — ascending sender, one sender's messages
-//! in send order — with no sort at all. The one exception is fault-delayed
-//! traffic, which its sender's group re-stages ahead of its fresh traffic:
-//! in a round where any group re-staged, routing stable-sorts every span by
-//! sender (read through the stores), which keeps each delayed batch ahead
-//! of fresh traffic from the same sender. Either way
-//! the delivered order is a pure function of the traffic, so worker count
-//! and shard count remain pure performance knobs.
+//! order *is* the delivery order — ascending sender, each duplicate right
+//! after its original — with no sort at all. The one exception is
+//! fault-delayed traffic, which its sender's group re-stages ahead of its
+//! fresh traffic: in a round where any group re-staged, routing
+//! stable-sorts every span by sender (read through the stores), which keeps
+//! each delayed batch ahead of fresh traffic from the same sender. Either
+//! way the delivered order is a pure function of the traffic, so worker
+//! count and shard count remain pure performance knobs.
 //!
 //! * **Worker lifetime** — `workers - 1` OS threads are spawned when the
 //!   pool is created (per session by default, once per pipeline with a
@@ -95,7 +94,7 @@
 //!   the flag and releases the `start` barrier once more) always joins
 //!   cleanly — even while unwinding from a propagated program panic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use graphs::VertexId;
@@ -194,11 +193,6 @@ pub(crate) struct ShardYield<M> {
     words: Vec<u64>,
     /// Scratch: each bucket's length when the current outbox began staging.
     starts: Vec<usize>,
-    /// Scratch of the loss and duplication faults: the occurrence index of
-    /// each message of the batch being decided, and the per-destination
-    /// counts a `Multi` batch is indexed with (see `occurrences`).
-    occ: Vec<usize>,
-    seen: HashMap<usize, usize>,
     /// Fault-delayed messages by the round their receivers read them in,
     /// each batch in staging order. Kept across rounds until re-staged.
     pub(crate) delayed: BTreeMap<u64, Vec<Routed<M>>>,
@@ -287,8 +281,6 @@ impl<M> ShardYield<M> {
             store: Store::default(),
             words: Vec::new(),
             starts: vec![0; groups],
-            occ: Vec::new(),
-            seen: HashMap::new(),
             delayed: BTreeMap::new(),
             counts: Counts::default(),
             wakes: WakeQueue::new(range),
@@ -457,9 +449,6 @@ fn stage_outbox<M: EngineMessage>(
         y.starts[b] = y.buckets[b].len();
     }
     let stored = y.store.len();
-    // Only a `Multi` outbox can name one destination twice; for the others
-    // every message is its destination's first (occurrence 0).
-    let repeats = matches!(outbox, Outbox::Multi(_));
     let width = expand_into(src, outbox, neighbors, env, y);
     let batch_len: usize = y
         .buckets
@@ -476,10 +465,10 @@ fn stage_outbox<M: EngineMessage>(
             // traffic coordinates, so the combined perturbation replays at
             // any shard layout.
             if env.faults.loses_messages() {
-                lose_batch(src, round, repeats, env, y);
+                lose_batch(src, round, env, y);
             }
             if env.faults.duplicates_messages() {
-                duplicate_batch(src, round, repeats, env, y);
+                duplicate_batch(src, round, env, y);
             }
         }
         FaultAction::Drop => {
@@ -523,60 +512,27 @@ fn charge_split<M: EngineMessage>(stored: usize, env: &StageEnv<'_>, y: &mut Sha
     }
 }
 
-/// Fills `occ` with the occurrence index of each message of `batch`: how
-/// many earlier messages of the batch go to the same destination. Without
-/// `repeats` (a `Broadcast` or `Unicast` batch) every index is 0; a `Multi`
-/// batch is counted in one pass through the reusable `seen` map. O(batch)
-/// either way — the faults key their coins on these indices.
-fn occurrences(
-    batch: &[Staged],
-    repeats: bool,
-    occ: &mut Vec<usize>,
-    seen: &mut HashMap<usize, usize>,
-) {
-    occ.clear();
-    if !repeats {
-        occ.resize(batch.len(), 0);
-        return;
-    }
-    seen.clear();
-    occ.extend(batch.iter().map(|r| {
-        let count = seen.entry(r.0 as usize).or_insert(0);
-        *count += 1;
-        *count - 1
-    }));
-}
-
 /// Removes each seeded-lost message of the current outbox's batch from its
-/// bucket. Occurrence indices are taken over the batch as staged — per
-/// destination, in emission order — so the decision is independent of the
-/// bucket partition, exactly like duplication.
+/// bucket. Keyed on `(round, src, original dst)` — the outbox sends `dst`
+/// one message — so the decision is independent of the bucket partition,
+/// exactly like duplication.
 fn lose_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
-    repeats: bool,
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) {
-    for (b, bucket) in y.buckets.iter_mut().enumerate() {
-        let start = y.starts[b];
-        if start == bucket.len() {
-            continue;
-        }
-        occurrences(&bucket[start..], repeats, &mut y.occ, &mut y.seen);
+    for (bucket, &start) in y.buckets.iter_mut().zip(&y.starts) {
         // Compact the survivors in place. The write cursor never passes
         // the read position, so message `j` is still unmoved when it is
         // decided.
         let mut kept = start;
-        for (j, &occurrence) in y.occ.iter().enumerate() {
-            let dv = bucket[start + j].0 as usize;
-            if env
-                .faults
-                .loses(round, src, env.view.original(dv), occurrence)
-            {
+        for j in start..bucket.len() {
+            let dst = env.view.original(bucket[j].0 as usize);
+            if env.faults.loses(round, src, dst) {
                 y.counts.lost += 1;
             } else {
-                bucket.swap(kept, start + j);
+                bucket.swap(kept, j);
                 kept += 1;
             }
         }
@@ -586,48 +542,42 @@ fn lose_batch<M: EngineMessage>(
 
 /// Appends a second reference to each chosen message right after the
 /// current outbox's batch in its bucket — the payload itself is not
-/// copied. Keyed on `(round, src, original dst, occurrence)`, so the
-/// decision — and the delivered order, where each duplicate follows its
-/// sender's batch — is independent of the bucket partition.
+/// copied. Keyed on `(round, src, original dst)`, so the decision — and
+/// the delivered order, where each duplicate follows its sender's batch —
+/// is independent of the bucket partition.
 fn duplicate_batch<M: EngineMessage>(
     src: VertexId,
     round: u64,
-    repeats: bool,
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) {
-    for (b, bucket) in y.buckets.iter_mut().enumerate() {
-        let start = y.starts[b];
-        if start == bucket.len() {
-            continue;
-        }
-        occurrences(&bucket[start..], repeats, &mut y.occ, &mut y.seen);
-        let mut dups = 0;
-        for (j, &occurrence) in y.occ.iter().enumerate() {
-            let r = bucket[start + j];
+    for (bucket, &start) in y.buckets.iter_mut().zip(&y.starts) {
+        for j in start..bucket.len() {
+            let r = bucket[j];
             if env
                 .faults
-                .duplicates(round, src, env.view.original(r.0 as usize), occurrence)
+                .duplicates(round, src, env.view.original(r.0 as usize))
             {
                 bucket.push(r);
-                dups += 1;
+                y.counts.duplicated += 1;
             }
         }
-        y.counts.duplicated += dups;
     }
 }
 
-/// Expands an outbox into the arena: each payload is moved into the store
-/// once — a broadcast is one entry, whatever the degree; a broadcast to no
-/// live neighbor stores nothing — and each point-to-point message becomes
-/// a `(destination, slot)` reference appended to its destination group's
-/// bucket. Returns the widest message in the batch (0 for an empty batch).
+/// Expands an outbox into the arena: its one payload is moved into the
+/// store once, whatever the number of receivers — an outbox to no live
+/// neighbor stores nothing — and each point-to-point message becomes a
+/// `(destination, slot)` reference appended to its destination group's
+/// bucket. Returns the payload's width (0 for an empty batch).
 ///
 /// # Panics
 ///
-/// Panics if a unicast/multi destination is not a (live) neighbor of the
-/// sender — programs may only talk over live edges; that is the LOCAL
-/// model restricted to the session's [`GraphView`](crate::GraphView).
+/// Panics if a unicast or multicast destination is not a (live) neighbor
+/// of the sender — programs may only talk over live edges; that is the
+/// LOCAL model restricted to the session's
+/// [`GraphView`](crate::GraphView) — or if a multicast list is not
+/// strictly ascending, which would send one edge two messages.
 fn expand_into<M: EngineMessage>(
     src: VertexId,
     outbox: Outbox<M>,
@@ -635,47 +585,41 @@ fn expand_into<M: EngineMessage>(
     env: &StageEnv<'_>,
     y: &mut ShardYield<M>,
 ) -> usize {
-    let ShardYield { buckets, store, .. } = y;
-    let mut push = |dst: VertexId, slot: u32| {
-        let dv = env.view.dense_index(dst);
-        debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
-        // Dense indices fit in 32 bits: the mailboxes check it at boot.
-        buckets[env.group_of(dv)].push((dv as u32, slot));
-    };
-    match outbox {
-        Outbox::Silent => 0,
-        Outbox::Broadcast(m) => {
-            if neighbors.is_empty() {
-                return 0;
-            }
-            let width = m.width();
-            let slot = store.put(src, m);
-            for &dst in neighbors {
-                push(dst, slot);
-            }
-            width
-        }
+    let (unicast, multicast);
+    let (dsts, m) = match outbox {
+        Outbox::Silent => return 0,
+        Outbox::Broadcast(m) => (neighbors, m),
         Outbox::Unicast(dst, m) => {
             if neighbors.binary_search(&dst).is_err() {
                 panic!("node {src} unicast to non-neighbor {dst}")
             }
-            let width = m.width();
-            push(dst, store.put(src, m));
-            width
+            unicast = [dst];
+            (&unicast[..], m)
         }
-        Outbox::Multi(msgs) => {
-            let mut batch_width = 0;
-            for (dst, m) in msgs {
-                if neighbors.binary_search(&dst).is_err() {
-                    panic!("node {src} sent to non-neighbor {dst}")
-                }
-                let width = m.width();
-                batch_width = batch_width.max(width);
-                push(dst, store.put(src, m));
+        Outbox::Multicast(dsts, m) => {
+            assert!(
+                dsts.windows(2).all(|w| w[0] < w[1]),
+                "node {src} multicast to a list that is not strictly ascending: {dsts:?}"
+            );
+            if let Some(dst) = dsts.iter().find(|d| neighbors.binary_search(d).is_err()) {
+                panic!("node {src} multicast to non-neighbor {dst}")
             }
-            batch_width
+            multicast = dsts;
+            (&multicast[..], m)
         }
+    };
+    if dsts.is_empty() {
+        return 0;
     }
+    let width = m.width();
+    let slot = y.store.put(src, m);
+    for &dst in dsts {
+        let dv = env.view.dense_index(dst);
+        debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
+        // Dense indices fit in 32 bits: the mailboxes check it at boot.
+        y.buckets[env.group_of(dv)].push((dv as u32, slot));
+    }
+    width
 }
 
 /// The routing epoch's per-group share: rebuild group `g`'s `next` segment
@@ -1103,30 +1047,36 @@ mod tests {
         assert_eq!(charge(drop, wide()), (0, 0), "dropped traffic is free");
         let delay = FaultPlan::new().delay_outbox(0, 1, 1);
         assert_eq!(charge(delay, wide()), (0, 0), "charged when it comes due");
-        let multi = Outbox::Multi(vec![(1, W(5)), (2, W(2)), (3, W(5))]);
-        assert_eq!(charge(FaultPlan::new(), multi), (6, 5), "per message");
+        let multicast = Outbox::Multicast(vec![1, 3], W(5));
+        assert_eq!(charge(FaultPlan::new(), multicast), (6, 5), "per reference");
+    }
+
+    /// A payload that marks itself when decoded and counts the decodes of
+    /// its type, so a test sees which payloads crossed the wire and how
+    /// often.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Marked(usize, bool);
+    static MARKED_DECODES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    impl crate::program::WireCodec for Marked {
+        fn encode(&self, out: &mut Vec<u64>) {
+            out.resize(out.len() + self.0, 0);
+        }
+        fn decode(words: &[u64]) -> Option<Self> {
+            MARKED_DECODES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Some(Marked(words.len(), true))
+        }
+    }
+    impl EngineMessage for Marked {
+        fn width(&self) -> usize {
+            self.0
+        }
     }
 
     #[test]
     fn split_staging_round_trips_only_the_payloads_it_keeps() {
-        // Decoding marks a payload, so the store shows which ones crossed
-        // the wire: the over-budget payload that stays, never one that
-        // fits the budget or leaves with a delayed outbox.
-        #[derive(Clone, Debug, PartialEq)]
-        struct Marked(usize, bool);
-        impl crate::program::WireCodec for Marked {
-            fn encode(&self, out: &mut Vec<u64>) {
-                out.resize(out.len() + self.0, 0);
-            }
-            fn decode(words: &[u64]) -> Option<Self> {
-                Some(Marked(words.len(), true))
-            }
-        }
-        impl EngineMessage for Marked {
-            fn width(&self) -> usize {
-                self.0
-            }
-        }
+        // The store shows which payloads crossed the wire: the over-budget
+        // one that stays, never one that fits the budget or leaves with a
+        // delayed outbox.
         let (g, bounds) = identity_graph(3);
         let view = GraphView::whole(&g);
         let stage = |faults: FaultPlan| {
@@ -1135,8 +1085,10 @@ mod tests {
                 ..env(&faults, &view, &bounds)
             };
             let mut y: ShardYield<Marked> = ShardYield::new(1, 0..0);
-            let outbox = Outbox::Multi(vec![(1, Marked(5, false)), (2, Marked(2, false))]);
-            stage_outbox(0, outbox, &[1, 2], 1, &e, &mut y);
+            let wide = Outbox::Multicast(vec![1, 2], Marked(5, false));
+            stage_outbox(0, wide, &[1, 2], 1, &e, &mut y);
+            let narrow = Outbox::Multicast(vec![0, 2], Marked(2, false));
+            stage_outbox(1, narrow, &[0, 2], 1, &e, &mut y);
             y
         };
         let y = stage(FaultPlan::new());
@@ -1145,9 +1097,10 @@ mod tests {
         let y = stage(FaultPlan::new().delay_outbox(0, 1, 1));
         assert_eq!(
             y.delayed[&3],
-            vec![(1, 0, Marked(5, false)), (2, 0, Marked(2, false))],
+            vec![(1, 0, Marked(5, false)), (2, 0, Marked(5, false))],
             "a delayed payload crosses when it comes due"
         );
+        assert_eq!(y.store.get(0).1, Marked(2, false));
     }
 
     #[test]
@@ -1175,63 +1128,72 @@ mod tests {
     }
 
     #[test]
-    fn multi_repeats_match_the_prefix_scan_under_loss_and_duplication() {
-        // A Multi outbox naming targets 1 and 2 several times. Each fault
-        // coin is keyed on the message's occurrence index — how many
-        // earlier messages of the batch go to the same target — and the
-        // spec computes it the quadratic way, by scanning the prefix.
-        let neighbors = [1usize, 2, 3];
-        let batch: Vec<(usize, W)> = [1, 2, 1, 3, 1, 2, 1]
-            .into_iter()
-            .enumerate()
-            .map(|(i, dst)| (dst, W(10 + i)))
-            .collect();
-        let prefix_occurrence =
-            |msgs: &[(usize, W)], i: usize| msgs[..i].iter().filter(|m| m.0 == msgs[i].0).count();
-        let (g, _) = identity_graph(4);
+    fn multicast_stores_one_payload_for_every_listed_neighbor() {
+        // Two groups split at dense 3; node 0 multicasts to three of its
+        // four neighbors, across the cut.
+        let neighbors = [1usize, 2, 4, 5];
+        let (g, _) = identity_graph(6);
         let view = GraphView::whole(&g);
-        let mut repeats_decided = false;
-        for seed in 0..32u64 {
-            let faults = FaultPlan::new()
-                .lose_edges(seed, 0.3)
-                .duplicate_edges(seed + 100, 0.5);
-            // Loss first, duplication on the survivors.
-            let survivors: Vec<(usize, W)> = (0..batch.len())
-                .filter(|&i| !faults.loses(1, 0, batch[i].0, prefix_occurrence(&batch, i)))
-                .map(|i| batch[i].clone())
-                .collect();
-            let dups: Vec<(usize, W)> = (0..survivors.len())
-                .filter(|&i| {
-                    faults.duplicates(1, 0, survivors[i].0, prefix_occurrence(&survivors, i))
-                })
-                .map(|i| survivors[i].clone())
-                .collect();
-            repeats_decided |= survivors.len() < batch.len() && !dups.is_empty();
-            // One group, and two groups splitting target 1 from 2 and 3:
-            // each bucket holds its survivors, then its duplicates.
-            for bounds in [vec![0, 4], vec![0, 2, 4]] {
-                let e = env(&faults, &view, &bounds);
-                let mut y: ShardYield<W> = ShardYield::new(bounds.len() - 1, 0..0);
-                stage_outbox(0, Outbox::Multi(batch.clone()), &neighbors, 1, &e, &mut y);
-                assert_eq!(y.counts.lost, batch.len() - survivors.len(), "seed {seed}");
-                assert_eq!(y.counts.duplicated, dups.len(), "seed {seed}");
-                for b in 0..bounds.len() - 1 {
-                    let mine = |m: &&(usize, W)| e.group_of(m.0) == b;
-                    let expect: Vec<(usize, W)> = survivors
-                        .iter()
-                        .filter(mine)
-                        .chain(dups.iter().filter(mine))
-                        .cloned()
-                        .collect();
-                    let got: Vec<(usize, W)> = resolved(&y, b)
-                        .into_iter()
-                        .map(|(dv, _, m)| (dv, m))
-                        .collect();
-                    assert_eq!(got, expect, "seed {seed}, bucket {b} of {bounds:?}");
-                }
-            }
-        }
-        assert!(repeats_decided, "some seed both loses and duplicates");
+        let bounds = vec![0, 3, 6];
+        let faults = FaultPlan::new();
+        let e = env(&faults, &view, &bounds);
+        let mut y: ShardYield<W> = ShardYield::new(2, 0..0);
+        stage_outbox(
+            0,
+            Outbox::Multicast(vec![1, 4, 5], W(3)),
+            &neighbors,
+            1,
+            &e,
+            &mut y,
+        );
+        assert_eq!(y.store.len(), 1, "one payload");
+        assert_eq!(y.buckets[0], vec![(1, 0)]);
+        assert_eq!(y.buckets[1], vec![(4, 0), (5, 0)], "one reference each");
+        assert_eq!((y.counts.messages, y.counts.max_width), (3, 3));
+        stage_outbox(
+            0,
+            Outbox::Multicast(Vec::new(), W(9)),
+            &neighbors,
+            1,
+            &e,
+            &mut y,
+        );
+        assert_eq!(y.store.len(), 1, "an empty list stores nothing");
+        assert_eq!((y.references(), y.counts.max_width), (3, 3));
+
+        // Budget 2: the 5-word payload is round-tripped once and charged
+        // 3 frames per reference.
+        let split = StageEnv { split: 2, ..e };
+        let mut y: ShardYield<Marked> = ShardYield::new(2, 0..0);
+        let before = MARKED_DECODES.load(std::sync::atomic::Ordering::Relaxed);
+        let outbox = Outbox::Multicast(vec![1, 4, 5], Marked(5, false));
+        stage_outbox(0, outbox, &neighbors, 1, &split, &mut y);
+        let decodes = MARKED_DECODES.load(std::sync::atomic::Ordering::Relaxed) - before;
+        assert_eq!(decodes, 1, "one round trip for three receivers");
+        assert_eq!(y.store.get(0).1, Marked(5, true));
+        assert_eq!((y.counts.fragments, y.counts.wire_width), (9, 5));
+    }
+
+    #[test]
+    fn multicast_lists_must_be_strictly_ascending_live_neighbors() {
+        let (g, bounds) = identity_graph(6);
+        let view = GraphView::whole(&g);
+        let faults = FaultPlan::new();
+        let e = env(&faults, &view, &bounds);
+        let panic_of = |dsts: Vec<usize>| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut y: ShardYield<W> = ShardYield::new(1, 0..0);
+                stage_outbox(0, Outbox::Multicast(dsts, W(1)), &[1, 2, 4], 1, &e, &mut y);
+            }))
+            .expect_err("the list is refused");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        assert!(panic_of(vec![4, 1]).contains("not strictly ascending"));
+        assert!(panic_of(vec![1, 1]).contains("not strictly ascending"));
+        assert!(panic_of(vec![1, 3]).contains("multicast to non-neighbor 3"));
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub trait WireCodec: Sized {
 /// Messages are `'static`: they outlive the round that produced them (they
 /// sit in the payload stores and the fault-delay queues), so they may not
 /// borrow from the graph or the session. `Clone` is needed only to copy a
-/// fault-delayed message out of its store: a broadcast is stored once,
-/// whatever the degree, and receivers borrow it.
+/// fault-delayed message out of its store: an outbox's payload is stored
+/// once, whatever the number of receivers, and receivers borrow it.
 pub trait EngineMessage: Clone + Send + Sync + WireCodec + 'static {
     /// Abstract message size in words.
     fn width(&self) -> usize {
@@ -77,17 +77,18 @@ pub trait EngineMessage: Clone + Send + Sync + WireCodec + 'static {
     }
 }
 
-/// What a node emits at the end of a round.
+/// What a node emits at the end of a round: one payload, at most one message per edge.
 #[derive(Clone, Debug)]
 pub enum Outbox<M> {
     /// Nothing this round.
     Silent,
-    /// The same message to every neighbor (the LOCAL-model default).
+    /// The same message to every live neighbor (the LOCAL-model default).
     Broadcast(M),
-    /// One message to one neighbor.
+    /// One message to one live neighbor.
     Unicast(VertexId, M),
-    /// Arbitrary per-neighbor messages.
-    Multi(Vec<(VertexId, M)>),
+    /// The same message to the listed live neighbors, strictly ascending
+    /// (staging panics otherwise); an empty list sends nothing.
+    Multicast(Vec<VertexId>, M),
 }
 
 impl<M> Outbox<M> {
@@ -98,18 +99,18 @@ impl<M> Outbox<M> {
             Outbox::Silent => 0,
             Outbox::Broadcast(_) => degree,
             Outbox::Unicast(..) => 1,
-            Outbox::Multi(v) => v.len(),
+            Outbox::Multicast(dsts, _) => dsts.len(),
         }
     }
 }
 
 /// A node's inbox for one round: the messages its neighbors sent in the
 /// previous round, as `(sender, &message)` pairs in delivery order —
-/// ascending original sender id, one sender's messages in send order (see
-/// [`NodeProgram::on_round`]).
+/// ascending original sender id, a sender recurring only under duplication
+/// or delay faults (see [`NodeProgram::on_round`]).
 ///
 /// A view, not a container: the engine stores each payload once — one
-/// entry per broadcast, not one per edge — and an inbox is a run of
+/// entry per outbox, not one per edge — and an inbox is a run of
 /// references to those entries. [`iter`](Inbox::iter) (or `for (src, m) in
 /// inbox`) borrows each payload in place; a program that needs one past
 /// the round clones it itself.
@@ -252,11 +253,11 @@ pub trait NodeProgram: Send {
 
     /// One synchronous round: previous round's inbox in, outbox out.
     ///
-    /// `inbox` yields `(sender, &message)` pairs sorted by sender id, one
-    /// sender's messages in send order; the order is deterministic and
-    /// independent of the shard count. The payloads are borrowed from the
-    /// engine's per-round stores — one stored copy per broadcast, shared by
-    /// every receiver — and are valid for this call only.
+    /// `inbox` yields `(sender, &message)` pairs sorted by sender id; the
+    /// order is deterministic and independent of the shard count. The
+    /// payloads are borrowed from the engine's per-round stores — one stored
+    /// copy per outbox, shared by every receiver — and are valid for this
+    /// call only.
     fn on_round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(Outbox::<Unit>::Silent.fanout(5), 0);
         assert_eq!(Outbox::Broadcast(Unit).fanout(5), 5);
         assert_eq!(Outbox::Unicast(3, Unit).fanout(5), 1);
-        assert_eq!(Outbox::Multi(vec![(0, Unit), (1, Unit)]).fanout(5), 2);
+        assert_eq!(Outbox::Multicast(vec![0, 1], Unit).fanout(5), 2);
     }
 
     #[test]

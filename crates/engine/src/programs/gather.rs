@@ -160,10 +160,9 @@ impl GatherProgram {
         fresh
     }
 
-    /// Sends `fresh` to the flood recipients, if anything is left to say.
-    /// When the recipients are exactly the live `neighbors` that is a
-    /// broadcast — the same deliveries in the same order, with the list
-    /// stored once instead of once per edge.
+    /// Sends `fresh` to the flood recipients, if anything is left to say:
+    /// one payload, multicast to the rich neighbors, or broadcast when they
+    /// are exactly the live `neighbors`.
     fn forward(&self, fresh: Vec<VertexId>, neighbors: &[VertexId]) -> Outbox<GatherMsg> {
         if fresh.is_empty() || self.rich_nbrs.is_empty() {
             return Outbox::Silent;
@@ -171,12 +170,7 @@ impl GatherProgram {
         if self.rich_nbrs == neighbors {
             return Outbox::Broadcast(GatherMsg::Ball(fresh));
         }
-        Outbox::Multi(
-            self.rich_nbrs
-                .iter()
-                .map(|&w| (w, GatherMsg::Ball(fresh.clone())))
-                .collect(),
-        )
+        Outbox::Multicast(self.rich_nbrs.clone(), GatherMsg::Ball(fresh))
     }
 }
 
@@ -220,12 +214,16 @@ impl NodeProgram for GatherProgram {
         let round = ctx.round as usize;
         if round < flood_start {
             // Rich-first mode only: the rich/poor round. Learn which
-            // neighbors are rich and seed the flood among them.
+            // neighbors are rich and seed the flood among them. The inbox
+            // is sorted by sender, so dropping adjacent repeats (a
+            // duplicated announcement) leaves the strictly ascending list a
+            // multicast takes.
             self.rich_nbrs = inbox
                 .iter()
                 .filter(|(_, m)| matches!(m, GatherMsg::Rich))
                 .map(|(src, _)| src)
                 .collect();
+            self.rich_nbrs.dedup();
             if !self.rich {
                 self.done = true;
                 return Outbox::Silent;

@@ -75,14 +75,13 @@
 //!
 //! Programs own plain payloads (`Vec`s included) and read their inbox
 //! through an [`Inbox`](crate::Inbox) view that borrows each payload in
-//! place. The engine stores each payload once per `Broadcast` and hands
-//! every receiver a reference to it, so the width of a broadcast costs
-//! memory and time once, not once per edge; a `Multi` or `Unicast`
-//! message is stored once per message. That is why the floods prefer
-//! `Broadcast` whenever the recipients are every live neighbor:
-//! [`GatherProgram`] forwards fresh ball members as a broadcast when every
-//! neighbor is rich (`Multi` only to a strict rich subset), and
-//! [`RulingProgram`] broadcasts its token lists and claims.
+//! place. Every [`Outbox`](crate::Outbox) carries one payload, sent to each
+//! receiver at most once, and the engine stores it once and hands every
+//! receiver a reference to it, so the width of a message costs memory and
+//! time once per outbox, not once per edge. [`GatherProgram`] forwards
+//! fresh ball members as one payload — a broadcast when every neighbor is
+//! rich, a multicast to the rich subset otherwise — and [`RulingProgram`]
+//! broadcasts its token lists and claims.
 //!
 //! # Worst-case frontier sizes
 //!

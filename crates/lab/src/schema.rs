@@ -556,6 +556,7 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
                 let Some(spec) = v.get(key) else {
                     return Ok(None);
                 };
+                reject_unknown_keys(spec, &format!("fault {key:?}"), &["seed", "p"])?;
                 let seed = spec
                     .get("seed")
                     .and_then(Value::as_u64)
@@ -568,22 +569,10 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
                 Ok(Some((seed, p)))
             };
             let vertex_round = |key: &str| -> Result<Vec<(usize, u64)>, String> {
-                let Some(items) = v.get(key) else {
-                    return Ok(Vec::new());
-                };
-                items
-                    .as_arr()
-                    .ok_or(format!("fault {key:?} must be an array"))?
-                    .iter()
-                    .map(|e| {
-                        let vx = e.get("v").and_then(Value::as_usize);
-                        let round = e.get("round").and_then(Value::as_u64);
-                        match (vx, round) {
-                            (Some(vx), Some(round)) => Ok((vx, round)),
-                            _ => Err(format!("fault {key:?} entries need \"v\" and \"round\"")),
-                        }
-                    })
-                    .collect()
+                Ok(fault_entries(v, key, &[])?
+                    .into_iter()
+                    .map(|(_, vx, round)| (vx, round))
+                    .collect())
             };
             let spec = FaultSpec {
                 lose: seeded_prob("lose")?,
@@ -598,7 +587,12 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
                 crashes: vertex_round("crash")?,
                 crash_storm: v
                     .get("crash_storm")
-                    .map(|s| {
+                    .map(|s| -> Result<CrashStorm, String> {
+                        reject_unknown_keys(
+                            s,
+                            "fault \"crash_storm\"",
+                            &["seed", "count", "max_round"],
+                        )?;
                         let seed = s.get("seed").and_then(Value::as_u64);
                         let count = s.get("count").and_then(Value::as_usize);
                         let max_round = s.get("max_round").and_then(Value::as_u64);
@@ -610,28 +604,20 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
                                     max_round,
                                 })
                             }
-                            _ => Err("\"crash_storm\" needs seed, count ≥ 1, max_round"),
+                            _ => Err("\"crash_storm\" needs seed, count ≥ 1, max_round".into()),
                         }
                     })
                     .transpose()?,
                 drops: vertex_round("drop")?,
-                delays: match v.get("delay") {
-                    None => Vec::new(),
-                    Some(items) => items
-                        .as_arr()
-                        .ok_or("fault \"delay\" must be an array")?
-                        .iter()
-                        .map(|e| {
-                            let vx = e.get("v").and_then(Value::as_usize);
-                            let round = e.get("round").and_then(Value::as_u64);
-                            let by = e.get("by").and_then(Value::as_u64).unwrap_or(1);
-                            match (vx, round) {
-                                (Some(vx), Some(round)) => Ok((vx, round, by)),
-                                _ => Err("fault \"delay\" entries need \"v\" and \"round\""),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                },
+                delays: fault_entries(v, "delay", &["by"])?
+                    .into_iter()
+                    .map(|(e, vx, round)| match e.get("by") {
+                        None => Ok((vx, round, 1)),
+                        Some(by) => by.as_u64().map(|by| (vx, round, by)).ok_or(
+                            "fault \"delay\" entry key \"by\" must be a non-negative integer",
+                        ),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?,
             };
             // A typo'd fault must not silently mean "none".
             reject_unknown_keys(
@@ -651,6 +637,35 @@ fn parse_fault(v: &Value) -> Result<FaultSpec, String> {
         }
         _ => Err("a fault is \"none\" or an object".into()),
     }
+}
+
+/// The entries of the array fault `key` of fault object `v`, each with its
+/// vertex `"v"` and its `"round"`. An entry key outside those two and
+/// `extra` is an error that names it.
+fn fault_entries<'v>(
+    v: &'v Value,
+    key: &str,
+    extra: &[&str],
+) -> Result<Vec<(&'v Value, usize, u64)>, String> {
+    let Some(items) = v.get(key) else {
+        return Ok(Vec::new());
+    };
+    let what = format!("fault {key:?} entry");
+    let known = [&["v", "round"], extra].concat();
+    items
+        .as_arr()
+        .ok_or(format!("fault {key:?} must be an array"))?
+        .iter()
+        .map(|e| {
+            reject_unknown_keys(e, &what, &known)?;
+            let vx = e.get("v").and_then(Value::as_usize);
+            let round = e.get("round").and_then(Value::as_u64);
+            match (vx, round) {
+                (Some(vx), Some(round)) => Ok((e, vx, round)),
+                _ => Err(format!("fault {key:?} entries need \"v\" and \"round\"")),
+            }
+        })
+        .collect()
 }
 
 fn parse_params(v: Option<&Value>) -> Result<Params, String> {
@@ -856,6 +871,63 @@ mod tests {
         assert!(Suite::from_json(&integer_workers)
             .unwrap_err()
             .contains(r#"expected "auto" or "shards""#));
+    }
+
+    #[test]
+    fn fault_entries_reject_unknown_keys_and_malformed_values() {
+        // A typo'd key inside a fault, or a malformed "by", is an error that
+        // names the key — never a silent default.
+        let suite = |fault: &str| {
+            Suite::from_json(&MINIMAL.replace(
+                "\"algorithm\": \"gather\"",
+                &format!("\"algorithm\": \"gather\", \"faults\": [{fault}]"),
+            ))
+        };
+        let malformed_by = r#"fault "delay" entry key "by" must be a non-negative integer"#;
+        for (fault, named) in [
+            (
+                r#"{"delay": [{"v": 25, "round": 1, "by ": 2}]}"#,
+                r#"unknown fault "delay" entry key "by ""#,
+            ),
+            (
+                r#"{"delay": [{"v": 25, "round": 1, "by": 2.5}]}"#,
+                malformed_by,
+            ),
+            (
+                r#"{"delay": [{"v": 25, "round": 1, "by": "2"}]}"#,
+                malformed_by,
+            ),
+            (
+                r#"{"lose": {"seed": 1, "p": 0.5, "q": 0.1}}"#,
+                r#"unknown fault "lose" key "q""#,
+            ),
+            (
+                r#"{"duplicate": {"sed": 1, "seed": 1, "p": 0.5}}"#,
+                r#"unknown fault "duplicate" key "sed""#,
+            ),
+            (
+                r#"{"crash_storm": {"seed": 1, "count": 2, "max_round": 3, "round": 1}}"#,
+                r#"unknown fault "crash_storm" key "round""#,
+            ),
+            (
+                r#"{"crash": [{"v": 1, "round": 2, "by": 1}]}"#,
+                r#"unknown fault "crash" entry key "by""#,
+            ),
+            (
+                r#"{"drop": [{"v": 1, "round": 2, "vertex": 1}]}"#,
+                r#"unknown fault "drop" entry key "vertex""#,
+            ),
+        ] {
+            let err = suite(fault).unwrap_err();
+            assert!(err.contains(named), "{fault}: {err}");
+        }
+        let ok =
+            suite(r#"{"delay": [{"v": 25, "round": 1, "by": 2}, {"v": 26, "round": 1}]}"#).unwrap();
+        assert_eq!(
+            ok.scenarios[0].faults[0].delays,
+            vec![(25, 1, 2), (26, 1, 1)],
+            "\"by\" defaults to 1 only when absent"
+        );
     }
 
     #[test]

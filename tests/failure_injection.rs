@@ -501,11 +501,12 @@ fn engine_per_edge_loss_perturbs_ruling_forests_detectably_and_replayably() {
 #[test]
 fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
     // A protocol that silently relies on arrival order: each node sends its
-    // right cycle-neighbor TWO messages in one Multi outbox and the
-    // receiver records the payload sequence. The stable sender sort
-    // guarantees send order in clean runs; FaultPlan::reorder must scramble
-    // some same-sender run — deterministically, and identically at every
-    // shard and worker count.
+    // right cycle-neighbor one message in round 1 and one in round 2, and
+    // the receiver records the payload sequence it reads in round 3. Every
+    // round-1 outbox is delayed by one round, so each inbox holds a
+    // same-sender run: the delayed message, then the fresh one. Delivery
+    // keeps that order; FaultPlan::reorder must scramble some such run —
+    // deterministically, and identically at every shard and worker count.
     use engine::{
         EngineConfig, EngineSession, Inbox, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
     };
@@ -535,22 +536,15 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
             Outbox::Silent
         }
         fn on_round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, Tagged>) -> Outbox<Tagged> {
-            if ctx.round == 1 {
-                let right = *ctx.neighbors.iter().find(|&&w| w != ctx.id).unwrap();
-                let right = ctx
-                    .neighbors
-                    .iter()
-                    .copied()
-                    .find(|&w| w == (ctx.id + 1) % ctx.n)
-                    .unwrap_or(right);
-                return Outbox::Multi(vec![
-                    (right, Tagged(2 * ctx.id as u64)),
-                    (right, Tagged(2 * ctx.id as u64 + 1)),
-                ]);
+            let right = (ctx.id + 1) % ctx.n;
+            match ctx.round {
+                1 | 2 => Outbox::Unicast(right, Tagged(2 * ctx.id as u64 + ctx.round - 1)),
+                _ => {
+                    self.received.extend(inbox.iter().map(|(_, Tagged(w))| *w));
+                    self.done = true;
+                    Outbox::Silent
+                }
             }
-            self.received.extend(inbox.iter().map(|(_, Tagged(w))| *w));
-            self.done = true;
-            Outbox::Silent
         }
         fn halted(&self) -> bool {
             self.done
@@ -567,23 +561,29 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
             received: Vec::new(),
             done: false,
         });
-        sess.run_phase("burst", Stop::Rounds(2));
+        sess.run_phase("burst", Stop::Rounds(3));
         sess.programs()
             .iter()
             .map(|p| p.received.clone())
             .collect::<Vec<_>>()
     };
-    let clean = run(FaultPlan::new(), 1);
-    // Clean runs deliver each burst in send order: (even, odd) pairs.
+    let delayed = (0..g.n()).fold(FaultPlan::new(), |plan, v| plan.delay_outbox(v, 1, 1));
+    let clean = run(delayed.clone(), 1);
+    // Without the reorder, each run arrives delayed batch first: (even,
+    // odd) pairs.
     for seq in &clean {
         assert_eq!(seq.len(), 2);
-        assert_eq!(seq[0] + 1, seq[1], "send order preserved without faults");
+        assert_eq!(
+            seq[0] + 1,
+            seq[1],
+            "the delayed batch precedes fresh traffic"
+        );
     }
     // Some seed must flip at least one pair — 16 pairs at p = 1/2 each.
     let seed = (0..64u64)
-        .find(|&s| run(FaultPlan::new().reorder(s), 1) != clean)
-        .expect("some seed must permute some burst");
-    let perturbed = run(FaultPlan::new().reorder(seed), 1);
+        .find(|&s| run(delayed.clone().reorder(s), 1) != clean)
+        .expect("some seed must permute some run");
+    let perturbed = run(delayed.clone().reorder(seed), 1);
     let mut flipped = 0;
     for (seq, base) in perturbed.iter().zip(&clean) {
         assert_eq!(seq.len(), 2, "reorder never loses or invents messages");
@@ -596,7 +596,7 @@ fn engine_adversarial_reorder_flushes_out_arrival_order_reliance() {
     assert!(flipped > 0);
     for shards in [2usize, 4, 8] {
         assert_eq!(
-            run(FaultPlan::new().reorder(seed), shards),
+            run(delayed.clone().reorder(seed), shards),
             perturbed,
             "shards = {shards}: reordered runs must replay bit-identically"
         );
