@@ -15,7 +15,7 @@ use crate::extend::{extend_to_happy_set, UNCOLORED};
 use crate::happy::{split_by_verdict, Classification};
 use crate::lists::ListAssignment;
 use crate::theorem13::ColoringError;
-use graphs::{ball, components, Graph, VertexId, VertexSet};
+use graphs::{components, Bfs, Graph, VertexId, VertexSet};
 use local_model::RoundLedger;
 use std::fmt;
 
@@ -80,13 +80,14 @@ fn classify_nice(
     radius: usize,
     ledger: &mut RoundLedger,
 ) -> Classification {
+    let mut bfs = Bfs::new(g.n());
     let (happy, sad) = split_by_verdict(
         g,
         alive,
         |w| lists.list(w).len(),
         alive,
         Some(radius),
-        |v| ball(g, v, radius, Some(alive)),
+        |v| bfs.ball(g, v, radius, Some(alive)),
     );
     ledger.charge("ball-gather", radius as u64);
     Classification {

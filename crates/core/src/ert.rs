@@ -73,16 +73,14 @@ impl std::error::Error for ErtError {}
 pub fn color_component(state: &mut ColoringState<'_>, anchor: VertexId) -> Result<(), ErtError> {
     let mut anchor = anchor;
     loop {
-        debug_assert!(state.alive().contains(anchor));
-        let comp = state.alive_component(anchor);
-
         // Case 1: a surplus vertex finishes the whole component.
-        if let Some(v) = comp.iter().find(|&v| state.has_surplus(v)) {
+        if let Some(v) = state.surplus_in_component(anchor) {
             state.greedy_from_surplus(v);
             return Ok(());
         }
 
         // All lists tight. Find the structure.
+        let comp = state.alive_component(anchor);
         let g = state.graph();
         let decomposition = block_decomposition(g, Some(&comp));
 
@@ -128,42 +126,11 @@ pub fn color_component(state: &mut ColoringState<'_>, anchor: VertexId) -> Resul
             .find(|&&v| g.has_edge(v, cut))
             .expect("every block vertex set touches its cut vertex");
         let region_set = VertexSet::from_iter_with_universe(g.n(), region.iter().copied());
-        greedy_scoped(state, &region_set, start);
+        // Reverse-BFS greedy inside the region: each vertex keeps its BFS
+        // parent uncolored until its turn, and `start` keeps the cut vertex.
+        let colored = state.greedy_reverse_bfs(start, Some(&region_set));
+        debug_assert_eq!(colored, region.len(), "region must be connected");
         anchor = cut;
-    }
-}
-
-/// Reverse-BFS greedy restricted to `region ∩ alive`, starting the BFS at
-/// `start`. Sound whenever every region vertex keeps at least one alive
-/// neighbor until its turn — guaranteed here because the BFS parent is
-/// colored later and `start` itself retains an alive neighbor outside the
-/// region (the cut vertex).
-fn greedy_scoped(state: &mut ColoringState<'_>, region: &VertexSet, start: VertexId) {
-    let g = state.graph();
-    let mut order = Vec::new();
-    let mut seen = VertexSet::new(g.n());
-    let mut q = std::collections::VecDeque::new();
-    seen.insert(start);
-    q.push_back(start);
-    while let Some(u) = q.pop_front() {
-        order.push(u);
-        for &w in g.neighbors(u) {
-            if region.contains(w) && state.alive().contains(w) && seen.insert(w) {
-                q.push_back(w);
-            }
-        }
-    }
-    debug_assert_eq!(
-        order.len(),
-        region.iter().filter(|&v| state.alive().contains(v)).count(),
-        "region must be connected within the alive set"
-    );
-    for &v in order.iter().rev() {
-        let c = *state
-            .live_list(v)
-            .first()
-            .expect("scoped greedy invariant: live list nonempty");
-        state.assign(v, c);
     }
 }
 

@@ -16,13 +16,20 @@
 //! 5. uncolor each root's radius-`r` rich ball entirely and finish it with
 //!    the constructive Theorem 1.1 ([`crate::ert`]) — the root is happy, so
 //!    its ball has a surplus vertex or is not a Gallai tree.
+//!
+//! Step 5 relies on the `α` spacing: the balls must be disjoint, with no
+//! edge between two of them, or one root's recoloring would reach into
+//! another's ball. A fault-free ruling forest guarantees it. A faulted one
+//! (lost or crashed token messages) can leave two roots closer than `α`,
+//! so step 5 checks the spacing in every build, recording which ball owns
+//! each vertex, and returns [`ExtendError::RootsTooClose`] when it fails.
 
 use crate::ert::{color_component, ErtError};
 use crate::happy::Classification;
 use crate::lists::ListAssignment;
 use crate::state::ColoringState;
 use engine::{EngineConfig, EngineMetrics};
-use graphs::{ball, Graph, VertexId, VertexSet};
+use graphs::{Bfs, Graph, VertexId, VertexSet};
 use local_model::{degree_plus_one_coloring, layered_greedy, ruling_forest, RoundLedger};
 use std::fmt;
 
@@ -38,6 +45,15 @@ pub enum ExtendError {
         /// The underlying Theorem 1.1 error.
         source: ErtError,
     },
+    /// Two ruling-forest roots sit closer than `α`: their radius-`r` rich
+    /// balls share a vertex or are joined by an edge. Only a faulted ruling
+    /// forest produces this.
+    RootsTooClose {
+        /// One of the two roots.
+        root: VertexId,
+        /// The other root.
+        other: VertexId,
+    },
 }
 
 impl fmt::Display for ExtendError {
@@ -46,6 +62,11 @@ impl fmt::Display for ExtendError {
             ExtendError::RootBall { root, source } => {
                 write!(f, "root-ball extension failed at root {root}: {source}")
             }
+            ExtendError::RootsTooClose { root, other } => write!(
+                f,
+                "the balls of roots {root} and {other} overlap or touch: the ruling forest \
+                 broke its spacing"
+            ),
         }
     }
 }
@@ -96,12 +117,15 @@ fn reduced_list(
 /// # Errors
 ///
 /// [`ExtendError::RootBall`] if a root ball violates the Theorem 1.1
-/// hypothesis (never happens when `classification` is honest).
+/// hypothesis (never happens when `classification` is honest);
+/// [`ExtendError::RootsTooClose`] if two root balls overlap or touch
+/// (never happens when the ruling forest keeps its `α` spacing, which a
+/// fault-free run does).
 ///
 /// # Panics
 ///
 /// Panics (in debug) if invariants break: a tree vertex without a free
-/// color, overlapping root balls, or a residual uncolored vertex at the end.
+/// color, or a residual uncolored vertex at the end.
 pub fn extend_to_happy_set(
     g: &Graph,
     alive: &VertexSet,
@@ -202,32 +226,39 @@ pub fn extend_to_happy_set(
         }
     }
 
-    // 5. Root balls: uncolor completely, then Theorem 1.1 per ball.
-    let balls: Vec<Vec<VertexId>> = rf
-        .roots
-        .iter()
-        .map(|&r| ball(g, r, radius, Some(&classification.rich)))
-        .collect();
+    // 5. Root balls: uncolor completely, then Theorem 1.1 per ball. Each
+    // vertex of the union records its ball's root; a second claim or an
+    // edge between two balls means the forest lost its α spacing.
+    let mut owner = vec![usize::MAX; n];
     let mut union = VertexSet::new(n);
-    for b in &balls {
-        for &v in b {
-            let fresh = union.insert(v);
-            debug_assert!(fresh, "root balls must be disjoint (spacing α)");
-            coloring[v] = UNCOLORED;
+    let mut bfs = Bfs::new(n);
+    for &root in &rf.roots {
+        for &v in bfs.run(g, [root], radius, |w| classification.rich.contains(w)) {
+            if !union.insert(v) {
+                return Err(ExtendError::RootsTooClose {
+                    root,
+                    other: owner[v],
+                });
+            }
+            owner[v] = root;
         }
     }
-    #[cfg(debug_assertions)]
     for v in union.iter() {
-        for &w in g.neighbors(v) {
-            debug_assert!(
-                !union.contains(w) || same_ball(&balls, v, w),
-                "no edges may cross distinct root balls"
-            );
+        if let Some(&w) = g
+            .neighbors(v)
+            .iter()
+            .find(|&&w| union.contains(w) && owner[w] != owner[v])
+        {
+            return Err(ExtendError::RootsTooClose {
+                root: owner[v],
+                other: owner[w],
+            });
         }
+        coloring[v] = UNCOLORED;
     }
     let mut ball_state = ColoringState::new(
         g,
-        union,
+        union.clone(),
         (0..n)
             .map(|v| {
                 if coloring[v] == UNCOLORED && alive.contains(v) {
@@ -244,24 +275,15 @@ pub fn extend_to_happy_set(
     }
     ledger.charge("root-ball-recolor", 2 * radius as u64);
     let ball_colors = ball_state.into_colors();
-    for b in &balls {
-        for &v in b {
-            debug_assert_ne!(ball_colors[v], UNCOLORED);
-            coloring[v] = ball_colors[v];
-        }
+    for v in union.iter() {
+        debug_assert_ne!(ball_colors[v], UNCOLORED);
+        coloring[v] = ball_colors[v];
     }
     debug_assert!(
         alive.iter().all(|v| coloring[v] != UNCOLORED),
         "extension must color every alive vertex"
     );
     Ok(())
-}
-
-#[cfg(debug_assertions)]
-fn same_ball(balls: &[Vec<VertexId>], v: VertexId, w: VertexId) -> bool {
-    balls
-        .iter()
-        .any(|b| b.binary_search(&v).is_ok() && b.binary_search(&w).is_ok())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! guarantees at least `n/(3d)³` happy vertices when `d ≥ max(3, mad)` and
 //! no `(d+1)`-clique exists.
 
-use graphs::{ball, components, is_gallai_tree, Graph, VertexId, VertexSet};
+use graphs::{components, is_gallai_tree, Bfs, Graph, VertexId, VertexSet};
 use local_model::RoundLedger;
 
 /// Per-iteration vertex classification.
@@ -75,7 +75,9 @@ fn ball_is_helpful(
 /// component, the verdict is shared by every vertex of that component.
 /// With `seed_radius = Some(r)`, a component one of whose vertices has
 /// eccentricity ≤ r/2 is settled up front — every radius-`r` ball covers
-/// it (triangle inequality), so one BFS decides the whole component.
+/// it (triangle inequality), so one BFS decides the whole component: from
+/// the representative, bounded at depth `⌊r/2⌋`, it covers the component
+/// exactly when that eccentricity is at most `⌊r/2⌋`.
 pub(crate) fn split_by_verdict(
     g: &Graph,
     alive: &VertexSet,
@@ -93,10 +95,11 @@ pub(crate) fn split_by_verdict(
     }
     let mut comp_verdict: Vec<Option<bool>> = vec![None; comp_count];
     if let Some(radius) = seed_radius {
-        for (verdict, &rep) in comp_verdict.iter_mut().zip(&comp_rep) {
-            if 2 * graphs::eccentricity(g, rep, Some(rich)) <= radius {
-                let members = graphs::component_of(g, rep, Some(rich));
-                *verdict = Some(ball_is_helpful(g, alive, &threshold, &members));
+        let mut bfs = Bfs::new(g.n());
+        for (cid, &rep) in comp_rep.iter().enumerate() {
+            let reached = bfs.run(g, [rep], radius / 2, |w| rich.contains(w));
+            if reached.len() == comp_size[cid] {
+                comp_verdict[cid] = Some(ball_is_helpful(g, alive, &threshold, reached));
             }
         }
     }
@@ -171,8 +174,9 @@ pub fn classify(
 
     // Happiness: evaluate balls inside G[rich], settling whole components
     // up front where the radius allows.
+    let mut bfs = Bfs::new(n);
     let (happy, sad) = split_by_verdict(g, alive, degree_threshold(d), &rich, Some(radius), |v| {
-        ball(g, v, radius, Some(&rich))
+        bfs.ball(g, v, radius, Some(&rich))
     });
     ledger.charge("ball-gather", radius as u64);
     Classification {

@@ -7,9 +7,12 @@
 //! `|live(v)| ≥ |L(v)| − (deg(v) − alive_deg(v))`. Any color in the live
 //! list is safe to assign, and surplus (`|live(v)| > alive_deg(v)`) can only
 //! grow as neighbors get colored with repeated or out-of-list colors.
+//!
+//! The state owns one [`Bfs`], sized once for `n`: every component search
+//! and reverse-BFS greedy over it costs what the component holds, however
+//! many of them a level runs.
 
-use graphs::{Graph, VertexId, VertexSet};
-use std::collections::VecDeque;
+use graphs::{Bfs, Graph, VertexId, VertexSet, UNREACHABLE};
 
 /// Mutable partial-coloring state over (a masked part of) a graph.
 #[derive(Clone, Debug)]
@@ -21,6 +24,8 @@ pub struct ColoringState<'g> {
     live: Vec<Vec<usize>>,
     /// Assigned colors (`usize::MAX` = none).
     color: Vec<usize>,
+    /// Search scratch for components and greedy orders.
+    bfs: Bfs,
 }
 
 impl<'g> ColoringState<'g> {
@@ -43,6 +48,7 @@ impl<'g> ColoringState<'g> {
             alive: scope,
             live,
             color: vec![usize::MAX; g.n()],
+            bfs: Bfs::new(g.n()),
         }
     }
 
@@ -123,38 +129,62 @@ impl<'g> ColoringState<'g> {
             self.has_surplus(start),
             "greedy_from_surplus requires a surplus at {start}"
         );
-        // BFS order within the alive component.
-        let order = self.bfs_order(start);
-        for &v in order.iter().rev() {
-            let c = *self.live[v]
-                .first()
-                .expect("surplus invariant guarantees a free color");
-            self.assign(v, c);
-        }
+        self.greedy_reverse_bfs(start, None);
     }
 
-    /// BFS order of `start`'s alive component (start first).
-    pub fn bfs_order(&self, start: VertexId) -> Vec<VertexId> {
-        assert!(self.alive.contains(start));
-        let mut seen = VertexSet::new(self.g.n());
-        let mut order = Vec::new();
-        let mut q = VecDeque::new();
-        seen.insert(start);
-        q.push_back(start);
-        while let Some(u) = q.pop_front() {
-            order.push(u);
-            for &w in self.g.neighbors(u) {
-                if self.alive.contains(w) && seen.insert(w) {
-                    q.push_back(w);
-                }
-            }
+    /// The reverse-BFS greedy over the alive vertices that a search from
+    /// `start` reaches inside `region` (everywhere when `None`): each takes
+    /// the first color of its live list, children before parents. Returns
+    /// how many vertices it colored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not alive, or if a live list runs empty — some
+    /// vertex lost its last uncolored neighbor before its turn.
+    pub(crate) fn greedy_reverse_bfs(
+        &mut self,
+        start: VertexId,
+        region: Option<&VertexSet>,
+    ) -> usize {
+        let reached = self.bfs_order(start, region).len();
+        for i in (0..reached).rev() {
+            let v = self.bfs.order()[i];
+            let c = *self.live[v]
+                .first()
+                .expect("reverse-BFS greedy: a live list ran empty");
+            self.assign(v, c);
         }
-        order
+        reached
+    }
+
+    /// BFS order of `start`'s alive component, inside `region` when given
+    /// (start first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not alive. Root-ball recoloring never gets here
+    /// with a colored root: [`crate::extend`] first checks that the balls
+    /// are disjoint and non-adjacent, so no root's recoloring reaches
+    /// another root.
+    pub fn bfs_order(&mut self, start: VertexId, region: Option<&VertexSet>) -> &[VertexId] {
+        assert!(self.alive.contains(start), "vertex {start} is not alive");
+        let alive = &self.alive;
+        self.bfs.run(self.g, [start], UNREACHABLE, |w| {
+            alive.contains(w) && region.is_none_or(|r| r.contains(w))
+        })
+    }
+
+    /// The smallest surplus vertex of `start`'s alive component, if any.
+    pub(crate) fn surplus_in_component(&mut self, start: VertexId) -> Option<VertexId> {
+        self.bfs_order(start, None);
+        let order = self.bfs.order();
+        order.iter().copied().filter(|&v| self.has_surplus(v)).min()
     }
 
     /// The alive component containing `start`, as a set.
-    pub fn alive_component(&self, start: VertexId) -> VertexSet {
-        VertexSet::from_iter_with_universe(self.g.n(), self.bfs_order(start))
+    pub fn alive_component(&mut self, start: VertexId) -> VertexSet {
+        let n = self.g.n();
+        VertexSet::from_iter_with_universe(n, self.bfs_order(start, None).iter().copied())
     }
 }
 
@@ -242,8 +272,8 @@ mod tests {
     #[test]
     fn bfs_order_covers_component() {
         let g = gen::cycle(6);
-        let st = full_state(&g, 3);
-        let order = st.bfs_order(0);
+        let mut st = full_state(&g, 3);
+        let order = st.bfs_order(0, None);
         assert_eq!(order.len(), 6);
         assert_eq!(order[0], 0);
     }

@@ -225,7 +225,10 @@ pub enum ColoringError {
         /// Residual vertex count when stuck.
         alive: usize,
     },
-    /// Internal extension failure (never expected; indicates a bug).
+    /// The Lemma 3.2 extension failed. A fault-free run never returns
+    /// this; a run under an engine fault plan can, when lost or crashed
+    /// messages leave two ruling-forest roots too close
+    /// ([`ExtendError::RootsTooClose`]).
     Extend(ExtendError),
 }
 

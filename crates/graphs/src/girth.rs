@@ -5,13 +5,17 @@
 //! girth ≥ 5).
 
 use crate::graph::{Graph, VertexId};
+use crate::traversal::{Bfs, UNREACHABLE};
 use crate::vertex_set::VertexSet;
-use std::collections::VecDeque;
 
 /// The girth of `g` (restricted to `mask`), or `None` if acyclic.
 ///
-/// Runs a BFS from every vertex: `O(n·m)`. For each BFS we stop early once
-/// the search depth exceeds half the best cycle found so far.
+/// Runs a BFS from every vertex: `O(n·m)`. Each non-tree edge `(u, w)` of
+/// a search closes a cycle through the two tree paths, of length at most
+/// `depth(u) + depth(w) + 1`; from a root on a shortest cycle of length
+/// `ℓ`, some such edge of that cycle gives exactly `ℓ`, with both ends
+/// within depth `⌊ℓ/2⌋`. So each search stops at half the best cycle
+/// found so far.
 ///
 /// # Examples
 ///
@@ -23,49 +27,20 @@ use std::collections::VecDeque;
 /// assert_eq!(girth(&tree, None), None);
 /// ```
 pub fn girth(g: &Graph, mask: Option<&VertexSet>) -> Option<usize> {
-    let n = g.n();
-    let mut best: usize = usize::MAX;
-    let mut dist = vec![usize::MAX; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut touched: Vec<VertexId> = Vec::new();
-    for s in 0..n {
-        if mask.is_some_and(|m| !m.contains(s)) {
-            continue;
-        }
-        // BFS from s; any non-tree edge (u,w) found closes a cycle through s
-        // of length dist[u] + dist[w] + 1 (an upper bound that is tight for
-        // the shortest cycle through the BFS root over all roots).
-        for &v in &touched {
-            dist[v] = usize::MAX;
-            parent[v] = usize::MAX;
-        }
-        touched.clear();
-        let mut q = VecDeque::new();
-        dist[s] = 0;
-        parent[s] = s;
-        touched.push(s);
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            // Depth pruning: cycles through s found deeper cannot beat best.
-            if 2 * dist[u] + 1 >= best {
-                break;
-            }
+    let admit = |v| mask.is_none_or(|m| m.contains(v));
+    let mut best = UNREACHABLE;
+    let mut bfs = Bfs::new(g.n());
+    for s in g.vertices() {
+        bfs.run(g, [s], best / 2, admit);
+        for &u in bfs.order() {
             for &w in g.neighbors(u) {
-                if mask.is_some_and(|m| !m.contains(w)) {
-                    continue;
-                }
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    parent[w] = u;
-                    touched.push(w);
-                    q.push_back(w);
-                } else if w != parent[u] {
-                    best = best.min(dist[u] + dist[w] + 1);
+                if bfs.depth(w) != UNREACHABLE && w != bfs.parent(u) && u != bfs.parent(w) {
+                    best = best.min(bfs.depth(u) + bfs.depth(w) + 1);
                 }
             }
         }
     }
-    (best != usize::MAX).then_some(best)
+    (best != UNREACHABLE).then_some(best)
 }
 
 /// Whether `g` (restricted to `mask`) contains no triangle.

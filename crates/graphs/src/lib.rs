@@ -6,8 +6,8 @@
 //! * [`Graph`] / [`GraphBuilder`] — immutable CSR undirected simple graphs.
 //! * [`VertexSet`] — dense bit-set masks (the paper lives in induced
 //!   subgraphs `G[R]`, `G[S]`, peeled residuals).
-//! * [`traversal`] — BFS distances, balls `B^r_R(v)`, components,
-//!   bipartiteness.
+//! * [`traversal`] — one reusable breadth-first search ([`Bfs`]) behind
+//!   distances, balls `B^r_R(v)`, components, bipartiteness.
 //! * [`blocks`] — biconnected components, block–cut trees, and **Gallai
 //!   tree** recognition (paper §1.4, Figure 1).
 //! * [`girth`](mod@girth) / [`degeneracy`] — structural analytics used across §2/§4.
@@ -68,6 +68,6 @@ pub use iso::{are_isomorphic, are_rooted_isomorphic, isomorphism};
 pub use subgraph::InducedSubgraph;
 pub use traversal::{
     ball, bfs_distances, bfs_parents, bipartition, component_of, components, eccentricity,
-    is_connected, UNREACHABLE,
+    is_connected, Bfs, UNREACHABLE,
 };
 pub use vertex_set::VertexSet;

@@ -58,6 +58,7 @@ pub fn evaluate(suite: &Suite, run: &RunOutcome) -> Vec<CheckOutcome> {
             Check::Determinism => CheckOutcome::new(check, check_determinism(run)),
             Check::SplitReconciliation => CheckOutcome::new(check, check_split(run)),
             Check::ValidOutputs => CheckOutcome::new(check, check_valid(run)),
+            Check::NoPanics => CheckOutcome::new(check, check_no_panics(run)),
             Check::Budget { metric, max } => {
                 CheckOutcome::new(check, check_budget(run, *metric, *max))
             }
@@ -232,19 +233,32 @@ fn check_valid(run: &RunOutcome) -> Vec<String> {
                 .as_deref()
                 .or(r.invalid_reason.as_deref())
                 .unwrap_or("invalid");
-            format!(
-                "trial {} ({} {} n={} seed={} shards={} congest={} faults={}): {why}",
-                r.spec.id,
-                r.spec.scenario,
-                r.spec.algorithm,
-                r.spec.n,
-                r.spec.seed,
-                r.spec.shards,
-                congest_label(r.spec.congest),
-                r.spec.faults.label()
-            )
+            violation(r, why)
         })
         .collect()
+}
+
+/// Invalid outputs pass; only a trial that died fails.
+fn check_no_panics(run: &RunOutcome) -> Vec<String> {
+    run.rows
+        .iter()
+        .filter_map(|r| Some(violation(r, &format!("died: {}", r.error.as_deref()?))))
+        .collect()
+}
+
+/// One violation line naming a row's trial and axes.
+fn violation(r: &TrialRow, why: &str) -> String {
+    format!(
+        "trial {} ({} {} n={} seed={} shards={} congest={} faults={}): {why}",
+        r.spec.id,
+        r.spec.scenario,
+        r.spec.algorithm,
+        r.spec.n,
+        r.spec.seed,
+        r.spec.shards,
+        congest_label(r.spec.congest),
+        r.spec.faults.label()
+    )
 }
 
 /// One measured configuration: a representative spec plus the best wall
@@ -466,6 +480,31 @@ mod tests {
         );
         assert!(!outcomes[1].passed);
         assert_eq!(outcomes[1].violations.len(), 2);
+    }
+
+    #[test]
+    fn no_panics_fails_only_the_rows_that_died() {
+        let (suite, mut out) = run(r#"{"name": "t", "scenarios": [{
+                "name": "s", "family": "grid", "n": 36, "algorithm": "gather",
+                "shards": [1, 2, 4]
+            }], "checks": [{"kind": "valid-outputs"}, {"kind": "no-panics"}]}"#);
+        // Row 0 returned an error (a faulted pipeline run does): invalid,
+        // but alive. Row 1 panicked. Row 2 is clean.
+        out.rows[0].valid = false;
+        out.rows[0].invalid_reason = Some("pipeline error: roots too close".into());
+        out.rows[1].valid = false;
+        out.rows[1].error = Some("assertion failed".into());
+        let outcomes = evaluate(&suite, &out);
+        assert_eq!(outcomes[0].violations.len(), 2);
+        assert_eq!(outcomes[1].check, "no-panics");
+        assert_eq!(
+            outcomes[1].violations.len(),
+            1,
+            "{:?}",
+            outcomes[1].violations
+        );
+        assert!(outcomes[1].violations[0].starts_with("trial 1 "));
+        assert!(outcomes[1].violations[0].ends_with("died: assertion failed"));
     }
 
     /// Runs `body`, then overwrites every row's wall with `wall(spec)` —

@@ -24,6 +24,7 @@
 //!     {"kind": "determinism"},
 //!     {"kind": "split-reconciliation"},
 //!     {"kind": "valid-outputs"},
+//!     {"kind": "no-panics"},
 //!     {"kind": "budget", "metric": "route-frac", "max": 0.9}
 //!   ]
 //! }
@@ -306,6 +307,9 @@ pub enum Check {
     SplitReconciliation,
     /// Every trial must report a valid output and no panic.
     ValidOutputs,
+    /// No trial may die: a faulted run may report an invalid output or an
+    /// error, but it must not panic.
+    NoPanics,
     /// A ratio budget over best-of-reps measurements.
     Budget {
         /// Which ratio.
@@ -360,6 +364,7 @@ impl Check {
             Check::Determinism => "determinism".into(),
             Check::SplitReconciliation => "split-reconciliation".into(),
             Check::ValidOutputs => "valid-outputs".into(),
+            Check::NoPanics => "no-panics".into(),
             Check::Budget { metric, max } => format!("budget:{} ≤ {max}", metric.label()),
         }
     }
@@ -715,6 +720,7 @@ fn parse_check(v: &Value) -> Result<Check, String> {
         "determinism" => Ok(Check::Determinism),
         "split-reconciliation" => Ok(Check::SplitReconciliation),
         "valid-outputs" => Ok(Check::ValidOutputs),
+        "no-panics" => Ok(Check::NoPanics),
         "budget" => {
             let metric = BudgetMetric::parse(&req_str(v, "metric")?)?;
             let max = v
@@ -726,7 +732,7 @@ fn parse_check(v: &Value) -> Result<Check, String> {
         }
         other => Err(format!(
             "unknown check kind {other:?} (want determinism | split-reconciliation | \
-             valid-outputs | budget)"
+             valid-outputs | no-panics | budget)"
         )),
     }
 }
@@ -817,19 +823,22 @@ mod tests {
                 {"kind": "determinism"},
                 {"kind": "split-reconciliation"},
                 {"kind": "valid-outputs"},
+                {"kind": "no-panics"},
                 {"kind": "budget", "metric": "route-frac", "max": 0.75}
             ]}"#,
         )
         .unwrap();
-        assert_eq!(suite.checks.len(), 4);
+        assert_eq!(suite.checks.len(), 5);
+        assert_eq!(suite.checks[3], Check::NoPanics);
+        assert_eq!(suite.checks[3].label(), "no-panics");
         assert_eq!(
-            suite.checks[3],
+            suite.checks[4],
             Check::Budget {
                 metric: BudgetMetric::RouteFrac,
                 max: 0.75
             }
         );
-        assert_eq!(suite.checks[3].label(), "budget:route-frac ≤ 0.75");
+        assert_eq!(suite.checks[4].label(), "budget:route-frac ≤ 0.75");
         for metric in [
             BudgetMetric::EngineRatio,
             BudgetMetric::ShardRatio,

@@ -5,7 +5,8 @@
 use distributed_coloring::{
     brooks_list_coloring, color_by_arboricity, color_planar_girth6, color_planar_triangle_free,
     degree_choosable_coloring, list_color_sparse, nice_list_coloring, BrooksError, ColoringError,
-    CorollaryError, ErtError, ListAssignment, Outcome, RadiusPolicy, SparseColoringConfig,
+    CorollaryError, ErtError, ExtendError, ListAssignment, Outcome, RadiusPolicy,
+    SparseColoringConfig,
 };
 use engine::{
     engine_gather_balls, engine_h_partition, engine_randomized_list_coloring, engine_ruling_forest,
@@ -173,6 +174,68 @@ fn partial_validity_is_never_silent() {
 // Engine fault injection: the runtime's drop/delay hooks perturb executions
 // deterministically and the damage is observable — never silent.
 // ---------------------------------------------------------------------------
+
+#[test]
+fn crash_storm_too_close_roots_return_an_error_not_a_panic() {
+    // The chaos suite's `pipeline-chaos` input at seed 11 under its crash
+    // storm: crashed token messages leave two ruling-forest roots closer
+    // than α, so their root balls overlap. The run must report that as an
+    // error at every shard count, where it used to die on an assert.
+    let g = gen::build_family("apollonian", 80, 11).unwrap();
+    let storm = lab::schema::FaultSpec {
+        crash_storm: Some(lab::schema::CrashStorm {
+            seed: 9,
+            count: 3,
+            max_round: 4,
+        }),
+        ..Default::default()
+    };
+    let lists = ListAssignment::uniform(g.n(), 6);
+    for shards in [1, 2, 4] {
+        let config = SparseColoringConfig {
+            engine_shards: Some(shards),
+            engine: EngineConfig::default()
+                .with_shards(shards)
+                .with_workers(shards)
+                .with_faults(storm.plan(g.n())),
+            ..Default::default()
+        };
+        let err = list_color_sparse(&g, &lists, 6, config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ColoringError::Extend(ExtendError::RootsTooClose { root: 4, other: 1 })
+            ),
+            "shards {shards}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn per_edge_loss_too_close_roots_return_an_error_not_a_panic() {
+    // colorbench's planar6 input under 1% per-edge loss: lost token
+    // messages leave two roots closer than α at a later level.
+    let g = gen::apollonian(10_000, 1);
+    let lists = ListAssignment::random(g.n(), 6, 12, 1);
+    let config = SparseColoringConfig {
+        engine_shards: Some(2),
+        engine: EngineConfig::default()
+            .with_shards(2)
+            .with_faults(FaultPlan::new().lose_edges(5, 0.01)),
+        ..Default::default()
+    };
+    let err = list_color_sparse(&g, &lists, 6, config).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ColoringError::Extend(ExtendError::RootsTooClose {
+                root: 371,
+                other: 26
+            })
+        ),
+        "{err:?}"
+    );
+}
 
 #[test]
 fn engine_dropped_commit_announcements_are_observable() {

@@ -19,7 +19,10 @@
 //! session keeps per live vertex when it boots, and it bounds a whole
 //! ruling-forest run — the pipeline's hot loop — per delivered message. A message type whose
 //! `Clone` is counted pins the other half of the layout: a payload is
-//! stored once per broadcast and only ever referenced per edge.
+//! stored once per broadcast and only ever referenced per edge. Last, it
+//! pins the host side's breadth-first searches: a ball or a component
+//! search on a reused `graphs::Bfs` costs bytes in proportion to what it
+//! visits, not to `n`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -29,7 +32,7 @@ use engine::{
     engine_ruling_forest, EngineConfig, EngineMessage, EngineMetrics, EngineSession, FaultPlan,
     Inbox, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
 };
-use graphs::{gen, VertexSet};
+use graphs::{gen, Bfs, VertexSet};
 use local_model::RoundLedger;
 
 /// Counts allocations and requested bytes while the gate is up. The
@@ -447,6 +450,49 @@ fn ruling_rounds_allocate_a_small_fraction_per_message() {
         assert!(
             per_message < bound,
             "shards {shards}: {per_message:.3} allocations per delivered message (bound {bound})"
+        );
+    }
+}
+
+/// Bytes requested while `f` runs.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (BYTES.load(Ordering::SeqCst), out)
+}
+
+#[test]
+fn bfs_balls_and_seeding_searches_allocate_what_they_visit() {
+    // On apollonian(10⁵) a fresh distance or mark vector is 800 kB, which
+    // each ball and each seeding search used to fill. On a warm `Bfs`, a
+    // radius-2 ball requests its sorted output (8 B per member) plus any
+    // growth of the visit order (at most 16 B per member); the seeding
+    // search of a small rich component (bounded at ⌊r/2⌋, r = 8, from its
+    // smallest member) requests only that growth.
+    let _turn = serial();
+    let n = 100_000;
+    let g = gen::apollonian(n, 7);
+    let mut bfs = Bfs::new(n);
+    bfs.run(&g, [0], 1, |_| true);
+    for center in [n / 2, n - 1, 31_337] {
+        let (bytes, ball) = bytes_during(|| bfs.ball(&g, center, 2, None));
+        assert!(
+            bytes <= 32 * ball.len(),
+            "radius-2 ball of {center}: {bytes} B for {} members",
+            ball.len()
+        );
+        // The rich set holds one component, this ball: every member lies
+        // within 2 + 2 ≤ ⌊r/2⌋ steps of every other, through the center.
+        let rich = VertexSet::from_iter_with_universe(n, ball);
+        let rep = rich.iter().next().unwrap();
+        let (bytes, reached) =
+            bytes_during(|| bfs.run(&g, [rep], 8 / 2, |w| rich.contains(w)).len());
+        assert_eq!(reached, rich.len(), "the search covers the component");
+        assert!(
+            bytes <= 32 * reached,
+            "seeding search from {rep}: {bytes} B for {reached} members"
         );
     }
 }
