@@ -348,6 +348,111 @@ mod tests {
         ));
     }
 
+    /// 64-bit FNV-1a over the colors.
+    fn fnv(colors: &[usize]) -> u64 {
+        colors.iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+            (h ^ c as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Asserts the colors' FNV-1a hash and every ledger phase total, in
+    /// first-charged order.
+    fn assert_pinned(case: &str, colors: &[usize], ledger: &RoundLedger, pin: Pin) {
+        let phases: Vec<(String, u64)> = pin.1.iter().map(|&(p, t)| (p.to_owned(), t)).collect();
+        assert_eq!((fnv(colors), ledger.summary()), (pin.0, phases), "{case}");
+    }
+
+    type Pin = (u64, &'static [(&'static str, u64)]);
+
+    const PETERSEN_PIN: Pin = (
+        0x0489_7958_e6fe_7e3a,
+        &[
+            ("ball-gather", 2),
+            ("ruling-set", 24),
+            ("ruling-forest-claim", 24),
+            ("ruling-forest-prune", 24),
+            ("forest-decomposition", 1),
+            ("cole-vishkin", 6),
+            ("shift-down", 18),
+            ("class-sweep", 15),
+            ("layered-coloring", 8),
+            ("root-ball-recolor", 4),
+        ],
+    );
+
+    #[test]
+    fn theorem_61_colors_and_ledgers_are_pinned() {
+        // Exact colors and every ledger phase total of Theorem 6.1 and
+        // Corollary 2.1 on fixed inputs, so a change of behaviour fails
+        // here and not only an invalid coloring. The caterpillar input is
+        // the one `examples/brooks_and_planar_classes.rs` runs. Seed 5 is
+        // the first seed ≥ 5 whose 3-regular graph takes uniform 3-lists as
+        // nice (no K4 component); those lists are tight, so the Gallai
+        // verdicts decide.
+        let cat = gen::caterpillar(30, 3);
+        let cat_lists = ListAssignment::new(
+            cat.vertices()
+                .map(|v| (0..=cat.degree(v)).collect())
+                .collect(),
+        );
+        let cases: [(&str, Graph, ListAssignment, Pin); 3] = [
+            (
+                "petersen",
+                gen::petersen(),
+                ListAssignment::uniform(10, 3),
+                PETERSEN_PIN,
+            ),
+            (
+                "caterpillar",
+                cat,
+                cat_lists,
+                (
+                    0x1246_005b_ed0d_4c7f,
+                    &[
+                        ("ball-gather", 2),
+                        ("ruling-set", 42),
+                        ("ruling-forest-claim", 42),
+                        ("ruling-forest-prune", 42),
+                        ("forest-decomposition", 1),
+                        ("cole-vishkin", 10),
+                        ("shift-down", 24),
+                        ("class-sweep", 30),
+                        ("layered-coloring", 30),
+                        ("root-ball-recolor", 4),
+                    ],
+                ),
+            ),
+            (
+                "random-regular seed 5",
+                gen::random_regular(200, 3, 5),
+                ListAssignment::uniform(200, 3),
+                (
+                    0x90f2_495b_aa64_01c6,
+                    &[
+                        ("ball-gather", 8),
+                        ("ruling-set", 192),
+                        ("ruling-forest-claim", 192),
+                        ("ruling-forest-prune", 192),
+                        ("forest-decomposition", 4),
+                        ("cole-vishkin", 27),
+                        ("shift-down", 72),
+                        ("class-sweep", 60),
+                        ("layered-coloring", 84),
+                        ("root-ball-recolor", 16),
+                    ],
+                ),
+            ),
+        ];
+        for (case, g, lists, pin) in cases {
+            let (colors, ledger) = nice_list_coloring(&g, &lists).unwrap();
+            assert!(graphs::is_proper(&g, &colors), "{case}");
+            assert_pinned(case, &colors, &ledger, pin);
+        }
+        let g = gen::petersen();
+        let (colors, ledger) = brooks_list_coloring(&g, &ListAssignment::uniform(10, 3)).unwrap();
+        assert_pinned("brooks petersen", &colors, &ledger, PETERSEN_PIN);
+    }
+
     #[test]
     fn delta_coloring_matches_corollary_on_grid() {
         // Grid has Δ = 4, no K5: 4-coloring must exist (Brooks).
