@@ -9,8 +9,8 @@
 //! least `|S|/12` vertices of degree ≤ d−1. These constructions let the
 //! experiments measure both sides of each inequality.
 
-use crate::happy::Classification;
-use graphs::{block_decomposition, Graph, GraphBuilder, VertexSet};
+use crate::happy::{alive_degree, Classification};
+use graphs::{block_decomposition, Graph, GraphBuilder, VertexId, VertexSet};
 
 /// The Lemma 3.1 worst-case bound on the happy fraction.
 pub fn happy_fraction_bound(d: usize, has_poor: bool) -> f64 {
@@ -112,14 +112,7 @@ pub fn auxiliary_graph(g: &Graph, sad: &VertexSet) -> AuxiliaryGraph {
         }
     }
     // Step 2: suppress vertices of original sad-degree ≥ 3 that now have
-    // degree exactly 2.
-    let original_degree = |v: usize| -> usize {
-        if v < n {
-            g.neighbors(v).iter().filter(|&&w| sad.contains(w)).count()
-        } else {
-            usize::MAX // hubs are never suppressed
-        }
-    };
+    // degree exactly 2 (hubs, numbered from n, are never suppressed).
     let mut suppressed = 0usize;
     let mut changed = true;
     while changed {
@@ -128,7 +121,7 @@ pub fn auxiliary_graph(g: &Graph, sad: &VertexSet) -> AuxiliaryGraph {
             if !sad.contains(v) || adj[v].is_empty() {
                 continue;
             }
-            if adj[v].len() == 2 && original_degree(v) >= 3 {
+            if adj[v].len() == 2 && alive_degree(g, sad, v) >= 3 {
                 let mut it = adj[v].iter();
                 let a = *it.next().expect("degree 2");
                 let b = *it.next().expect("degree 2");
@@ -165,25 +158,14 @@ pub fn auxiliary_graph(g: &Graph, sad: &VertexSet) -> AuxiliaryGraph {
 /// Counts the sad vertices of residual degree ≤ `d − 1` — the quantity
 /// Proposition 4.4 bounds below by `|S|/12`.
 pub fn low_degree_sad_count(g: &Graph, alive: &VertexSet, sad: &VertexSet, d: usize) -> usize {
-    sad.iter()
-        .filter(|&v| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&w| alive.contains(w))
-                .count()
-                <= d.saturating_sub(1)
-        })
-        .count()
+    let low = |&v: &VertexId| alive_degree(g, alive, v) <= d.saturating_sub(1);
+    sad.iter().filter(low).count()
 }
 
 /// Counts sad vertices whose degree *within `G[S]`* is ≤ `d − 1` (the
 /// literal statement of Proposition 4.4).
 pub fn low_degree_in_sad_subgraph(g: &Graph, sad: &VertexSet, d: usize) -> usize {
-    sad.iter()
-        .filter(|&v| {
-            g.neighbors(v).iter().filter(|&&w| sad.contains(w)).count() <= d.saturating_sub(1)
-        })
-        .count()
+    low_degree_sad_count(g, sad, sad, d)
 }
 
 #[cfg(test)]

@@ -5,17 +5,21 @@
 //! `|L(v)| ≥ deg(v) + 1` whenever `deg(v) ≤ 2` or `N(v)` is a clique
 //! (paper §6). The paper observes that Theorem 1.3's machinery runs
 //! verbatim with `d` replaced by each vertex's own list size — every vertex
-//! is rich — giving `O(Δ² log³ n)` rounds. Our implementation reuses the
-//! generic extension (which is already per-vertex) and Theorem 1.3's
-//! verdict loop with `|L(v)|` as each vertex's threshold: a ball is helpful
-//! if it contains a vertex with `|L(v)| > deg(v)` (a *surplus*) or is not a
-//! Gallai tree.
+//! is rich — giving `O(Δ² log³ n)` rounds. [`nice_list_coloring`] runs
+//! exactly that: Theorem 1.3's one peel-and-extend loop
+//! ([`crate::theorem13`]), on the sequential substrate, with the adaptive
+//! radius schedule from 2. Only two inputs differ. Its classification makes
+//! every alive vertex rich and uses `|L(v)|` as each vertex's threshold, so
+//! a ball is helpful if it contains a vertex with `|L(v)| > deg(v)` (a
+//! *surplus*) or is not a Gallai tree. And a stuck level looks for no
+//! clique. The peel statistics are discarded.
 
-use crate::extend::{extend_to_happy_set, UNCOLORED};
-use crate::happy::{split_by_verdict, Classification};
+use crate::extend::UNCOLORED;
+use crate::happy::classify_rich;
 use crate::lists::ListAssignment;
-use crate::theorem13::ColoringError;
-use graphs::{components, Bfs, Graph, VertexId, VertexSet};
+use crate::substrate::Substrate;
+use crate::theorem13::{peel_and_extend, ColoringError, Outcome, RadiusPolicy};
+use graphs::{components, Graph, InducedSubgraph, VertexId, VertexSet};
 use local_model::RoundLedger;
 use std::fmt;
 
@@ -69,36 +73,6 @@ impl From<ColoringError> for BrooksError {
     }
 }
 
-/// Nice-list happiness: every alive vertex is rich; a ball is helpful when
-/// it holds a surplus vertex (`|L(v)| > alive_degree(v)`) or is non-Gallai
-/// — Theorem 1.3's verdict loop with each vertex's list size as its
-/// threshold.
-fn classify_nice(
-    g: &Graph,
-    alive: &VertexSet,
-    lists: &ListAssignment,
-    radius: usize,
-    ledger: &mut RoundLedger,
-) -> Classification {
-    let mut bfs = Bfs::new(g.n());
-    let (happy, sad) = split_by_verdict(
-        g,
-        alive,
-        |w| lists.list(w).len(),
-        alive,
-        Some(radius),
-        |v| bfs.ball(g, v, radius, Some(alive)),
-    );
-    ledger.charge("ball-gather", radius as u64);
-    Classification {
-        rich: alive.clone(),
-        poor: VertexSet::new(g.n()),
-        happy,
-        sad,
-        radius,
-    }
-}
-
 /// Theorem 6.1: finds an `L`-list-coloring for any **nice** assignment `L`
 /// in `O(Δ² log³ n)` rounds.
 ///
@@ -122,58 +96,29 @@ pub fn nice_list_coloring(
     g: &Graph,
     lists: &ListAssignment,
 ) -> Result<(Vec<usize>, RoundLedger), BrooksError> {
-    assert_eq!(lists.n(), g.n());
-    if let Some(v) = g.vertices().find(|&v| {
-        let d = g.degree(v);
-        let len = lists.list(v).len();
-        if d <= 2 || graphs::is_clique(g, g.neighbors(v)) {
-            len < d + 1
-        } else {
-            len < d
-        }
-    }) {
-        return Err(BrooksError::NotNice { vertex: v });
+    if let Some(vertex) = lists.not_nice_at(g) {
+        return Err(BrooksError::NotNice { vertex });
     }
 
-    let n = g.n();
-    let mut ledger = RoundLedger::new();
-    let mut alive = VertexSet::full(n);
-    let mut levels: Vec<(VertexSet, Classification)> = Vec::new();
-    while !alive.is_empty() {
-        let mut radius = 2usize;
-        let classification = loop {
-            let c = classify_nice(g, &alive, lists, radius, &mut ledger);
-            if !c.happy.is_empty() {
-                break c;
-            }
-            if radius >= n {
-                // Unreachable for nice assignments (leaf blocks always hold
-                // surplus vertices); report as a coloring failure.
-                return Err(BrooksError::Coloring(ColoringError::NoHappyVertices {
-                    alive: alive.len(),
-                }));
-            }
-            radius = (2 * radius).min(n);
-        };
-        let pre_removal = alive.clone();
-        alive.difference_with(&classification.happy);
-        levels.push((pre_removal, classification));
-    }
-    let mut colors = vec![UNCOLORED; n];
-    for (level_alive, classification) in levels.iter().rev() {
-        extend_to_happy_set(
-            g,
-            level_alive,
-            lists,
-            classification,
-            &mut colors,
-            &mut ledger,
-            None,
-        )
-        .map_err(|e| BrooksError::Coloring(ColoringError::Extend(e)))?;
-    }
-    debug_assert!(graphs::is_proper(g, &colors));
-    Ok((colors, ledger))
+    // Every alive vertex is rich, and a ball is helpful when it holds a
+    // surplus vertex (`|L(v)| > alive_degree(v)`) or is non-Gallai. A level
+    // without happy vertices is unreachable for nice assignments (leaf
+    // blocks always hold surplus vertices), so none looks for a clique.
+    let list_size = |w: VertexId| lists.list(w).len();
+    let outcome = peel_and_extend(
+        g,
+        lists,
+        RadiusPolicy::Adaptive { initial: 2 },
+        Substrate::Sequential,
+        |_, alive, radius, ledger| {
+            classify_rich(g, alive, alive.clone(), list_size, radius, ledger)
+        },
+        |_, _, _| None,
+    )?;
+    let Outcome::Colored(coloring) = outcome else {
+        unreachable!("Theorem 6.1 looks for no clique")
+    };
+    Ok((coloring.colors, coloring.ledger))
 }
 
 /// Corollary 2.1: given `Δ ≥ 3` and a `Δ`-list-assignment, finds an
@@ -202,55 +147,44 @@ pub fn brooks_list_coloring(
         return Err(BrooksError::NotNice { vertex: v });
     }
 
-    // Split off K_{Δ+1} components.
+    let sub_lists = |sub: &InducedSubgraph| -> Vec<Vec<usize>> {
+        let parents = sub.parent_vertices();
+        parents.iter().map(|&p| lists.list(p).to_vec()).collect()
+    };
+    let mut colors = vec![UNCOLORED; g.n()];
+    let mut lift = |sub: &InducedSubgraph, sub_colors: Vec<usize>| {
+        for (&p, c) in sub.parent_vertices().iter().zip(sub_colors) {
+            colors[p] = c;
+        }
+    };
+
+    // Split off K_{Δ+1} components and solve each exactly (Δ+1 vertices).
     let (comp_id, comp_count) = components(g, None);
     let mut comp_members: Vec<Vec<VertexId>> = vec![Vec::new(); comp_count];
     for v in g.vertices() {
         comp_members[comp_id[v]].push(v);
     }
-    let mut colors = vec![UNCOLORED; g.n()];
-    let mut rest = VertexSet::new(g.n());
-    for members in &comp_members {
-        if members.len() == delta + 1 && graphs::is_clique(g, members) {
-            // Exact solve (tiny: Δ+1 vertices).
-            let sub = graphs::InducedSubgraph::new(g, members.iter().copied());
-            let sub_lists: Vec<Vec<usize>> = sub
-                .parent_vertices()
-                .iter()
-                .map(|&p| lists.list(p).to_vec())
-                .collect();
-            match graphs::list_coloring(sub.graph(), &sub_lists) {
-                Some(sol) => {
-                    for (local, &p) in sub.parent_vertices().iter().enumerate() {
-                        colors[p] = sol[local];
-                    }
-                }
-                None => {
-                    return Err(BrooksError::NoColoringExists {
-                        component: members.clone(),
-                    })
-                }
-            }
-        } else {
-            for &v in members {
-                rest.insert(v);
-            }
+    let mut rest = VertexSet::full(g.n());
+    for clique in comp_members
+        .into_iter()
+        .filter(|m| m.len() == delta + 1 && graphs::is_clique(g, m))
+    {
+        let sub = InducedSubgraph::new(g, clique.iter().copied());
+        let Some(sub_colors) = graphs::list_coloring(sub.graph(), &sub_lists(&sub)) else {
+            return Err(BrooksError::NoColoringExists { component: clique });
+        };
+        lift(&sub, sub_colors);
+        for v in clique {
+            rest.remove(v);
         }
     }
 
     // The rest (as an induced subgraph) has nice Δ-lists: no vertex's closed
     // neighborhood is a K_{Δ+1} there.
-    let sub = graphs::InducedSubgraph::from_set(g, &rest);
-    let sub_lists = ListAssignment::new(
-        sub.parent_vertices()
-            .iter()
-            .map(|&p| lists.list(p).to_vec())
-            .collect(),
-    );
-    let (sub_colors, ledger) = nice_list_coloring(sub.graph(), &sub_lists)?;
-    for (local, &p) in sub.parent_vertices().iter().enumerate() {
-        colors[p] = sub_colors[local];
-    }
+    let sub = InducedSubgraph::from_set(g, &rest);
+    let (sub_colors, ledger) =
+        nice_list_coloring(sub.graph(), &ListAssignment::new(sub_lists(&sub)))?;
+    lift(&sub, sub_colors);
     debug_assert!(graphs::is_proper(g, &colors));
     Ok((colors, ledger))
 }

@@ -61,13 +61,8 @@ impl From<ColoringError> for CorollaryError {
     }
 }
 
-fn run(
-    g: &Graph,
-    lists: &ListAssignment,
-    d: usize,
-    config: SparseColoringConfig,
-) -> Result<Vec<usize>, CorollaryError> {
-    match list_color_sparse(g, lists, d, config)? {
+fn run(g: &Graph, lists: &ListAssignment, d: usize) -> Result<Vec<usize>, CorollaryError> {
+    match list_color_sparse(g, lists, d, SparseColoringConfig::default())? {
         Outcome::Colored(c) => Ok(c.colors),
         Outcome::CliqueFound { vertices, .. } => {
             Err(CorollaryError::ClassViolated { clique: vertices })
@@ -103,7 +98,7 @@ pub fn color_by_arboricity(
     if a < 2 {
         return Err(CorollaryError::ArboricityTooSmall { a });
     }
-    run(g, lists, 2 * a, SparseColoringConfig::default())
+    run(g, lists, 2 * a)
 }
 
 /// Corollary 2.3(1): 6-list-colors a planar graph in `O(log³ n)` rounds.
@@ -112,7 +107,7 @@ pub fn color_by_arboricity(
 /// construction); the consequence we rely on, `mad < 6`, is what the
 /// algorithm actually uses, and a `K_7` would disprove planarity.
 pub fn color_planar(g: &Graph, lists: &ListAssignment) -> Result<Vec<usize>, CorollaryError> {
-    run(g, lists, 6, SparseColoringConfig::default())
+    run(g, lists, 6)
 }
 
 /// Corollary 2.3(2): 4-list-colors a triangle-free planar graph.
@@ -129,7 +124,7 @@ pub fn color_planar_triangle_free(
             check: "triangle-free",
         });
     }
-    run(g, lists, 4, SparseColoringConfig::default())
+    run(g, lists, 4)
 }
 
 /// Corollary 2.3(3): 3-list-colors a planar graph of girth ≥ 6.
@@ -146,7 +141,7 @@ pub fn color_planar_girth6(
             check: "girth ≥ 6"
         });
     }
-    run(g, lists, 3, SparseColoringConfig::default())
+    run(g, lists, 3)
 }
 
 /// The Heawood choice-number bound `H(g) = ⌊(7 + √(24g+1))/2⌋` for Euler
@@ -179,7 +174,7 @@ pub fn color_genus(
     } else {
         m.ceil() as usize
     };
-    run(g, lists, d.max(3), SparseColoringConfig::default())
+    run(g, lists, d.max(3))
 }
 
 #[cfg(test)]

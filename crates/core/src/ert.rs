@@ -92,14 +92,8 @@ pub fn color_component(state: &mut ColoringState<'_>, anchor: VertexId) -> Resul
             return color_two_connected(state, &comp, anchor);
         }
 
-        let non_gallai: Vec<usize> = decomposition
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| classify_block(g, b) == BlockKind::Other)
-            .map(|(i, _)| i)
-            .collect();
-        let Some(&bad_block) = non_gallai.first() else {
+        let non_gallai = |b: &Vec<VertexId>| classify_block(g, b) == BlockKind::Other;
+        let Some(bad_block) = decomposition.blocks.iter().position(non_gallai) else {
             return Err(ErtError::GallaiObstruction { witness: anchor });
         };
 
@@ -177,8 +171,8 @@ fn color_two_connected(
     // Cliques and odd cycles are now genuinely infeasible (identical tight
     // lists): report the obstruction.
     let k = state.live_list(anchor).len();
-    let comp_members: Vec<VertexId> = comp.iter().collect();
-    if classify_block(g, &comp_members) != BlockKind::Other {
+    let members: Vec<VertexId> = comp.iter().collect();
+    if classify_block(g, &members) != BlockKind::Other {
         return Err(ErtError::GallaiObstruction { witness: anchor });
     }
     if k == 2 {
@@ -187,7 +181,6 @@ fn color_two_connected(
             .expect("a 2-regular non-odd-cycle block is an even cycle");
         let palette: Vec<usize> = state.live_list(anchor).to_vec();
         // Color one side then the other; assign() keeps lists consistent.
-        let members: Vec<VertexId> = comp.iter().collect();
         for &v in members.iter().filter(|&&v| side[v] == 0) {
             state.assign(v, palette[0]);
         }

@@ -17,6 +17,11 @@
 //!    the constructive Theorem 1.1 ([`crate::ert`]) — the root is happy, so
 //!    its ball has a surplus vertex or is not a Gallai tree.
 //!
+//! Steps 1, 3 and 4 communicate: they run on the run's
+//! [`Substrate`], the sequential simulations or masked engine sessions,
+//! with identical outputs and ledger charges. Steps 2 and 5 are host
+//! computations on both.
+//!
 //! Step 5 relies on the `α` spacing: the balls must be disjoint, with no
 //! edge between two of them, or one root's recoloring would reach into
 //! another's ball. A fault-free ruling forest guarantees it. A faulted one
@@ -28,9 +33,9 @@ use crate::ert::{color_component, ErtError};
 use crate::happy::Classification;
 use crate::lists::ListAssignment;
 use crate::state::ColoringState;
-use engine::{EngineConfig, EngineMetrics};
+use crate::substrate::Substrate;
 use graphs::{Bfs, Graph, VertexId, VertexSet};
-use local_model::{degree_plus_one_coloring, layered_greedy, ruling_forest, RoundLedger};
+use local_model::{strike_sorted, RoundLedger};
 use std::fmt;
 
 /// Failure of the Lemma 3.2 extension.
@@ -76,43 +81,35 @@ impl std::error::Error for ExtendError {}
 /// Marker for "uncolored" entries in the global color vector.
 pub const UNCOLORED: usize = usize::MAX;
 
-/// Reduced list of `v`: original list minus the colors of its colored
-/// neighbors within `alive`.
-fn reduced_list(
+/// The reduced lists of `vertices`, empty for every other vertex: each
+/// original list minus the colors of its colored neighbors within `alive`.
+fn reduced_lists(
     g: &Graph,
     alive: &VertexSet,
     lists: &ListAssignment,
     coloring: &[usize],
-    v: VertexId,
-) -> Vec<usize> {
-    let mut l = lists.list(v).to_vec();
-    for &w in g.neighbors(v) {
-        if alive.contains(w) && coloring[w] != UNCOLORED {
-            if let Ok(pos) = l.binary_search(&coloring[w]) {
-                l.remove(pos);
+    vertices: impl IntoIterator<Item = VertexId>,
+) -> Vec<Vec<usize>> {
+    let mut reduced = vec![Vec::new(); g.n()];
+    for v in vertices {
+        let mut l = lists.list(v).to_vec();
+        for &w in g.neighbors(v) {
+            if alive.contains(w) && coloring[w] != UNCOLORED {
+                strike_sorted(&mut l, coloring[w]);
             }
         }
+        reduced[v] = l;
     }
-    l
+    reduced
 }
 
 /// Extends `coloring` (proper on `alive ∖ A`, `UNCOLORED` on `A`) to all of
 /// `alive`, possibly recoloring some sad vertices. See module docs.
 ///
-/// `engine` selects the substrate for this level's communication phases:
-/// `None` runs the sequential simulations (step 4's is
-/// [`local_model::layered_greedy`]); `Some((template, sink))` runs
-/// the ruling-forest construction (step 1, [`engine::engine_ruling_forest`]),
-/// the `(d+1)`-coloring (step 3,
-/// [`engine::engine_degree_plus_one_coloring`]), and the layered greedy
-/// (step 4, [`engine::engine_layered_greedy`]) on masked
-/// [`engine::EngineSession`]s over the level's scopes, each a clone of
-/// `template` with only its mask set — identical outputs and ledger
-/// charges, executed as message passing under the template's shards,
-/// CONGEST mode, faults and pool, with every session's observed metrics
-/// absorbed into `sink`. Step 5's root-ball recoloring is
-/// node-local (each ball sits inside one root's radius-`r` neighborhood)
-/// and stays a host computation on both substrates.
+/// Steps 1, 3 and 4 run on `substrate`, over the level's scopes. Step 5's
+/// root-ball recoloring is node-local (each ball sits inside one root's
+/// radius-`r` neighborhood) and stays a host computation on both
+/// substrates.
 ///
 /// # Errors
 ///
@@ -133,7 +130,7 @@ pub fn extend_to_happy_set(
     classification: &Classification,
     coloring: &mut [usize],
     ledger: &mut RoundLedger,
-    mut engine: Option<&mut (EngineConfig, EngineMetrics)>,
+    substrate: &mut Substrate,
 ) -> Result<(), ExtendError> {
     let n = g.n();
     let happy: Vec<VertexId> = classification.happy.iter().collect();
@@ -143,23 +140,8 @@ pub fn extend_to_happy_set(
     let radius = classification.radius;
     let alpha = 2 * radius + 2;
 
-    // 1. Ruling forest in G[R] with respect to A — sequential simulation or
-    // a masked engine session running the same per-round steps.
-    let rf = match engine.as_deref_mut() {
-        None => ruling_forest(g, Some(&classification.rich), &happy, alpha, ledger),
-        Some((template, sink)) => {
-            let (rf, metrics) = engine::engine_ruling_forest(
-                g,
-                Some(&classification.rich),
-                &happy,
-                alpha,
-                template.clone(),
-                ledger,
-            );
-            sink.absorb(metrics);
-            rf
-        }
-    };
+    // 1. Ruling forest in G[R] with respect to A.
+    let rf = substrate.ruling_forest(g, &classification.rich, &happy, alpha, ledger);
 
     // 2. Uncolor T.
     let members = rf.members();
@@ -168,57 +150,22 @@ pub fn extend_to_happy_set(
         coloring[v] = UNCOLORED;
     }
 
-    // 3. (d+1)-coloring of G[T] (T ⊆ R keeps degrees ≤ d) — sequential
-    // simulation or a masked engine session over the tree scope; the two
-    // substrates are bit-identical in colors and ledger charges.
-    let classes = match engine.as_deref_mut() {
-        None => degree_plus_one_coloring(g, Some(&scope), ledger),
-        Some((template, sink)) => {
-            let (classes, metrics) =
-                engine::engine_degree_plus_one_coloring(g, Some(&scope), template.clone(), ledger);
-            sink.absorb(metrics);
-            classes
-        }
-    };
+    // 3. (d+1)-coloring of G[T] (T ⊆ R keeps degrees ≤ d).
+    let classes = substrate.degree_plus_one_coloring(g, &scope, ledger);
     let class_count = members.iter().map(|&v| classes[v] + 1).max().unwrap_or(1);
 
     // 4. Layered greedy, leaves to roots, roots skipped — one (depth,
-    // class) slot per round: the sequential twin or a masked engine
-    // session, bit-identical in colors and ledger charges.
-    let reduced: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            if scope.contains(v) {
-                reduced_list(g, alive, lists, coloring, v)
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let tree_colors = match engine {
-        None => layered_greedy(
-            g,
-            &scope,
-            &reduced,
-            &rf.depth,
-            &classes,
-            class_count,
-            ledger,
-        ),
-        Some((template, sink)) => {
-            let (colors, metrics) = engine::engine_layered_greedy(
-                g,
-                &scope,
-                &reduced,
-                &rf.depth,
-                &classes,
-                class_count,
-                template.clone(),
-                ledger,
-            );
-            sink.absorb(metrics);
-            colors
-        }
-    };
+    // class) slot per round.
+    let reduced = reduced_lists(g, alive, lists, coloring, members.iter().copied());
+    let tree_colors = substrate.layered_greedy(
+        g,
+        &scope,
+        &reduced,
+        &rf.depth,
+        &classes,
+        class_count,
+        ledger,
+    );
     for &v in &members {
         if rf.depth[v] >= 1 {
             debug_assert_ne!(tree_colors[v], UNCOLORED);
@@ -256,19 +203,8 @@ pub fn extend_to_happy_set(
         }
         coloring[v] = UNCOLORED;
     }
-    let mut ball_state = ColoringState::new(
-        g,
-        union.clone(),
-        (0..n)
-            .map(|v| {
-                if coloring[v] == UNCOLORED && alive.contains(v) {
-                    reduced_list(g, alive, lists, coloring, v)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect(),
-    );
+    let ball_lists = reduced_lists(g, alive, lists, coloring, union.iter());
+    let mut ball_state = ColoringState::new(g, union.clone(), ball_lists);
     for &root in &rf.roots {
         color_component(&mut ball_state, root)
             .map_err(|source| ExtendError::RootBall { root, source })?;
@@ -313,13 +249,10 @@ mod tests {
         for (local, &p) in sub.parent_vertices().iter().enumerate() {
             coloring[p] = sub_col[local];
         }
-        for engine_shards in [None, Some(2)] {
+        for shards in [None, Some(2)] {
             let mut coloring = coloring.clone();
             let mut ledger = RoundLedger::new();
-            let mut engine = engine_shards.map(|shards| {
-                let template = EngineConfig::default().with_shards(shards);
-                (template, EngineMetrics::default())
-            });
+            let mut substrate = Substrate::new(shards, Default::default(), g.n());
             extend_to_happy_set(
                 g,
                 &alive,
@@ -327,7 +260,7 @@ mod tests {
                 &cls,
                 &mut coloring,
                 &mut ledger,
-                engine.as_mut(),
+                &mut substrate,
             )
             .expect("extension succeeds");
             assert!(graphs::is_proper(g, &coloring));
@@ -338,9 +271,9 @@ mod tests {
                     coloring[v]
                 );
             }
-            if let Some((_, metrics)) = &engine {
+            if shards.is_some() {
                 assert!(
-                    metrics.total_messages() > 0,
+                    substrate.into_metrics().total_messages() > 0,
                     "engine-mode extension must surface its sessions' traffic"
                 );
             }
@@ -382,7 +315,16 @@ mod tests {
         let cls = classify(&g, &alive, 3, 2, &mut ledger);
         assert_eq!(cls.happy.len(), 30);
         let mut coloring = vec![UNCOLORED; 30];
-        extend_to_happy_set(&g, &alive, &lists, &cls, &mut coloring, &mut ledger, None).unwrap();
+        extend_to_happy_set(
+            &g,
+            &alive,
+            &lists,
+            &cls,
+            &mut coloring,
+            &mut ledger,
+            &mut Substrate::Sequential,
+        )
+        .unwrap();
         assert!(graphs::is_proper(&g, &coloring));
     }
 
@@ -395,7 +337,16 @@ mod tests {
         let cls = classify(&g, &alive, 3, 5, &mut ledger);
         assert!(cls.happy.is_empty());
         let mut coloring = vec![UNCOLORED; 4];
-        extend_to_happy_set(&g, &alive, &lists, &cls, &mut coloring, &mut ledger, None).unwrap();
+        extend_to_happy_set(
+            &g,
+            &alive,
+            &lists,
+            &cls,
+            &mut coloring,
+            &mut ledger,
+            &mut Substrate::Sequential,
+        )
+        .unwrap();
         assert!(coloring.iter().all(|&c| c == UNCOLORED));
     }
 }

@@ -38,7 +38,7 @@ impl Classification {
 }
 
 /// Degree of `v` within `alive`.
-fn alive_degree(g: &Graph, alive: &VertexSet, v: VertexId) -> usize {
+pub(crate) fn alive_degree(g: &Graph, alive: &VertexSet, v: VertexId) -> usize {
     g.neighbors(v)
         .iter()
         .filter(|&&w| alive.contains(w))
@@ -129,7 +129,7 @@ pub(crate) fn split_by_verdict(
 
 /// Theorem 1.3's threshold: a ball is helpful through a vertex of residual
 /// degree ≤ d−1 (saturating, so at d = 0 an isolated vertex still counts).
-fn degree_threshold(d: usize) -> impl Fn(VertexId) -> usize {
+pub(crate) fn degree_threshold(d: usize) -> impl Fn(VertexId) -> usize {
     move |_| d.max(1)
 }
 
@@ -160,22 +160,30 @@ pub fn classify(
     radius: usize,
     ledger: &mut RoundLedger,
 ) -> Classification {
-    let n = g.n();
-    let mut rich = VertexSet::new(n);
-    let mut poor = VertexSet::new(n);
-    for v in alive.iter() {
-        if alive_degree(g, alive, v) <= d {
-            rich.insert(v);
-        } else {
-            poor.insert(v);
-        }
-    }
+    let rich = alive.iter().filter(|&v| alive_degree(g, alive, v) <= d);
+    let rich = VertexSet::from_iter_with_universe(g.n(), rich);
     ledger.charge("rich-poor", 1);
+    classify_rich(g, alive, rich, degree_threshold(d), radius, ledger)
+}
 
-    // Happiness: evaluate balls inside G[rich], settling whole components
-    // up front where the radius allows.
-    let mut bfs = Bfs::new(n);
-    let (happy, sad) = split_by_verdict(g, alive, degree_threshold(d), &rich, Some(radius), |v| {
+/// The verdict tail of both theorems' classification: splits `rich ⊆ alive`
+/// into happy and sad by radius-`radius` balls inside `G[rich]` (settling
+/// whole components up front where the radius allows), charges the ball
+/// gather, and leaves `alive ∖ rich` poor. Theorem 1.3 passes its rich set
+/// and threshold `d`; Theorem 6.1 passes `rich = alive` and each vertex's
+/// list size.
+pub(crate) fn classify_rich(
+    g: &Graph,
+    alive: &VertexSet,
+    rich: VertexSet,
+    threshold: impl Fn(VertexId) -> usize,
+    radius: usize,
+    ledger: &mut RoundLedger,
+) -> Classification {
+    let mut poor = alive.clone();
+    poor.difference_with(&rich);
+    let mut bfs = Bfs::new(g.n());
+    let (happy, sad) = split_by_verdict(g, alive, threshold, &rich, Some(radius), |v| {
         bfs.ball(g, v, radius, Some(&rich))
     });
     ledger.charge("ball-gather", radius as u64);
@@ -186,49 +194,6 @@ pub fn classify(
         sad,
         radius,
     }
-}
-
-/// Classifies the residual graph `g[alive]` with the classification's
-/// communication — the rich/poor degree exchange and the radius-`radius`
-/// rich-ball flood — executed as a **masked engine session**
-/// ([`engine::engine_classification_gather`]) instead of the sequential
-/// ball computation. The happiness verdict itself (degree-≤-d−1 member or
-/// non-Gallai ball) is node-local and evaluated on the gathered balls.
-///
-/// Bit-identical to [`classify`] — same sets, same radius, same
-/// `"rich-poor"` + `"ball-gather"` charges — at any shard count; this is
-/// the classification path `list_color_sparse` takes in engine mode, on a
-/// clone of the run's session template. The session's observed
-/// [`EngineMetrics`](engine::EngineMetrics) are returned alongside the
-/// classification so composite pipelines can aggregate real traffic.
-pub fn classify_engine(
-    g: &Graph,
-    alive: &VertexSet,
-    d: usize,
-    radius: usize,
-    config: engine::EngineConfig,
-    ledger: &mut RoundLedger,
-) -> (Classification, engine::EngineMetrics) {
-    let (rich, mut balls, metrics) =
-        engine::engine_classification_gather(g, alive, d, radius, config, ledger);
-    let mut poor = alive.clone();
-    poor.difference_with(&rich);
-
-    // The same decision loop (and full-component memoization) the
-    // sequential path runs, fed with the engine-gathered balls.
-    let (happy, sad) = split_by_verdict(g, alive, degree_threshold(d), &rich, None, |v| {
-        std::mem::take(&mut balls[v])
-    });
-    (
-        Classification {
-            rich,
-            poor,
-            happy,
-            sad,
-            radius,
-        },
-        metrics,
-    )
 }
 
 /// The paper's ball radius `⌈c · log₂ n⌉` with `c = 12 / log₂(6/5)`
@@ -244,6 +209,7 @@ pub fn paper_radius(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::Substrate;
     use graphs::gen;
 
     fn classify_full(g: &Graph, d: usize, radius: usize) -> Classification {
@@ -370,9 +336,9 @@ mod tests {
                 let seq = classify(g, &alive, *d, *radius, &mut seq_ledger);
                 for shards in [1usize, 2, 8] {
                     let mut eng_ledger = RoundLedger::new();
-                    let config = engine::EngineConfig::default().with_shards(shards);
-                    let (eng, metrics) =
-                        classify_engine(g, &alive, *d, *radius, config, &mut eng_ledger);
+                    let mut substrate = Substrate::new(Some(shards), Default::default(), g.n());
+                    let eng = substrate.classify(g, &alive, *d, *radius, &mut eng_ledger);
+                    let metrics = substrate.into_metrics();
                     let ctx = format!("n={} d={d} r={radius} shards={shards}", g.n());
                     assert!(
                         metrics.total_messages() > 0 || alive.is_empty(),

@@ -34,6 +34,7 @@ pub mod extend;
 pub mod happy;
 pub mod lists;
 pub mod state;
+pub mod substrate;
 pub mod theorem13;
 
 pub use ert::{degree_choosable_coloring, ErtError};
@@ -41,6 +42,7 @@ pub use extend::{extend_to_happy_set, ExtendError, UNCOLORED};
 pub use happy::{classify, paper_radius, Classification};
 pub use lists::ListAssignment;
 pub use state::ColoringState;
+pub use substrate::Substrate;
 pub use theorem13::{
     list_color_sparse, ColoringError, Outcome, PeelStats, RadiusPolicy, SparseColoring,
     SparseColoringConfig,

@@ -118,14 +118,20 @@ impl ListAssignment {
     /// `v` has `|L(v)| ≥ deg(v)`, and `|L(v)| ≥ deg(v) + 1` whenever
     /// `deg(v) ≤ 2` or `N(v)` induces a clique.
     pub fn is_nice(&self, g: &Graph) -> bool {
+        self.not_nice_at(g).is_none()
+    }
+
+    /// The first vertex at which the assignment is not nice for `g` (see
+    /// [`ListAssignment::is_nice`]), if any.
+    pub(crate) fn not_nice_at(&self, g: &Graph) -> Option<VertexId> {
         assert_eq!(self.n(), g.n());
-        g.vertices().all(|v| {
+        g.vertices().find(|&v| {
             let d = g.degree(v);
             let len = self.lists[v].len();
             if d <= 2 || graphs::is_clique(g, g.neighbors(v)) {
-                len > d
+                len <= d
             } else {
-                len >= d
+                len < d
             }
         })
     }

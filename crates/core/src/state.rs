@@ -13,6 +13,7 @@
 //! many of them a level runs.
 
 use graphs::{Bfs, Graph, VertexId, VertexSet, UNREACHABLE};
+use local_model::strike_sorted;
 
 /// Mutable partial-coloring state over (a masked part of) a graph.
 #[derive(Clone, Debug)]
@@ -107,9 +108,7 @@ impl<'g> ColoringState<'g> {
         self.alive.remove(v);
         for &w in self.g.neighbors(v) {
             if self.alive.contains(w) {
-                if let Ok(pos) = self.live[w].binary_search(&c) {
-                    self.live[w].remove(pos);
-                }
+                strike_sorted(&mut self.live[w], c);
             }
         }
     }

@@ -15,56 +15,19 @@
 //! obstruction is a `K_{d+1}` — footnote 2); if none exists the
 //! precondition `d ≥ mad(G)` must have been violated and a diagnostic
 //! error is returned.
+//!
+//! Theorem 6.1 ([`crate::brooks`]) runs the same peel-and-extend loop with
+//! its own classification and no clique detection. The run's
+//! [`Substrate`], sequential or engine, is chosen once per run.
 
 use crate::extend::{extend_to_happy_set, ExtendError, UNCOLORED};
-use crate::happy::{classify, classify_engine, paper_radius, Classification};
+use crate::happy::{paper_radius, Classification};
 use crate::lists::ListAssignment;
-use engine::{EngineConfig, EngineMetrics, EnginePool};
+use crate::substrate::Substrate;
+use engine::{EngineConfig, EngineMetrics};
 use graphs::{Graph, VertexId, VertexSet};
-use local_model::{detect_clique, RoundLedger};
+use local_model::RoundLedger;
 use std::fmt;
-
-/// Runs one classification of `g[alive]` on the substrate `engine` selects:
-/// the sequential simulation, or a masked engine session cloned from the
-/// template (the rich/poor exchange plus the rich-ball flood as real message
-/// rounds), absorbing the session's metrics into the sink.
-fn classify_on(
-    g: &Graph,
-    alive: &VertexSet,
-    d: usize,
-    radius: usize,
-    engine: Option<&mut (EngineConfig, EngineMetrics)>,
-    ledger: &mut RoundLedger,
-) -> Classification {
-    match engine {
-        None => classify(g, alive, d, radius, ledger),
-        Some((template, sink)) => {
-            let (classification, metrics) =
-                classify_engine(g, alive, d, radius, template.clone(), ledger);
-            sink.absorb(metrics);
-            classification
-        }
-    }
-}
-
-/// Runs the §3 two-round clique detection on the selected substrate.
-fn detect_clique_on(
-    g: &Graph,
-    alive: &VertexSet,
-    d: usize,
-    engine: Option<&mut (EngineConfig, EngineMetrics)>,
-    ledger: &mut RoundLedger,
-) -> Option<Vec<VertexId>> {
-    match engine {
-        None => detect_clique(g, Some(alive), d, ledger),
-        Some((template, sink)) => {
-            let (found, metrics) =
-                engine::engine_detect_clique(g, Some(alive), d, template.clone(), ledger);
-            sink.absorb(metrics);
-            found
-        }
-    }
-}
 
 /// Ball-radius policy for the happy-vertex classification.
 ///
@@ -116,7 +79,7 @@ pub struct SparseColoringConfig {
     /// reach them all. One field is overwritten: `engine_shards` sets
     /// `shards`. Each session passes its own vertex set to
     /// [`engine::EngineSession::new`].
-    /// Without a `pool`, the run spawns one [`EnginePool`] sized by
+    /// Without a `pool`, the run spawns one [`engine::EnginePool`] sized by
     /// [`EngineConfig::workers_for`] and shares it across every session.
     ///
     /// A fault-free run's colors, statistics and ledger charges are
@@ -261,10 +224,73 @@ impl From<ExtendError> for ColoringError {
     }
 }
 
-/// One recorded peeling level.
-struct Level {
-    alive: VertexSet,
-    classification: Classification,
+/// The peel-and-extend loop both theorems run (Theorem 6.1 is Theorem 1.3's
+/// machinery with each vertex's list size for `d`, §6).
+///
+/// * **Peel:** `classify` the residual graph at the policy's radius,
+///   doubling it (adaptive policy only) while no vertex is happy, and
+///   remove the happy set. Before each doubling, `stuck` may return the
+///   clique that explains a level without happy vertices.
+/// * **Extend:** re-insert the levels last first, extending the coloring
+///   with Lemma 3.2 on `substrate`.
+pub(crate) fn peel_and_extend(
+    g: &Graph,
+    lists: &ListAssignment,
+    policy: RadiusPolicy,
+    mut substrate: Substrate,
+    mut classify: impl FnMut(&mut Substrate, &VertexSet, usize, &mut RoundLedger) -> Classification,
+    mut stuck: impl FnMut(&mut Substrate, &VertexSet, &mut RoundLedger) -> Option<Vec<VertexId>>,
+) -> Result<Outcome, ColoringError> {
+    let n = g.n();
+    let mut ledger = RoundLedger::new();
+    let mut stats = PeelStats::default();
+    let mut alive = VertexSet::full(n);
+    // Each level: the residual set before its happy set was removed, and
+    // its classification.
+    let mut levels: Vec<(VertexSet, Classification)> = Vec::new();
+    while !alive.is_empty() {
+        let mut radius = initial_radius(policy, n);
+        let classification = loop {
+            let c = classify(&mut substrate, &alive, radius, &mut ledger);
+            if !c.happy.is_empty() {
+                break c;
+            }
+            if let Some(vertices) = stuck(&mut substrate, &alive, &mut ledger) {
+                return Ok(Outcome::CliqueFound { vertices, ledger });
+            }
+            match policy {
+                RadiusPolicy::Adaptive { .. } if radius < n => radius = (2 * radius).min(n),
+                _ => return Err(ColoringError::NoHappyVertices { alive: alive.len() }),
+            }
+        };
+        stats.alive_sizes.push(alive.len());
+        stats.happy_sizes.push(classification.happy.len());
+        stats.poor_sizes.push(classification.poor.len());
+        stats.radii.push(classification.radius);
+        let level_alive = alive.clone();
+        alive.difference_with(&classification.happy);
+        levels.push((level_alive, classification));
+    }
+
+    let mut colors = vec![UNCOLORED; n];
+    for (level_alive, classification) in levels.iter().rev() {
+        extend_to_happy_set(
+            g,
+            level_alive,
+            lists,
+            classification,
+            &mut colors,
+            &mut ledger,
+            &mut substrate,
+        )?;
+    }
+    debug_assert!(graphs::is_proper(g, &colors));
+    Ok(Outcome::Colored(Box::new(SparseColoring {
+        colors,
+        ledger,
+        stats,
+        engine_metrics: substrate.into_metrics(),
+    })))
 }
 
 /// Theorem 1.3: `d`-list-color `g`, or find a `(d+1)`-clique.
@@ -296,13 +322,9 @@ pub fn list_color_sparse(
         return Err(ColoringError::DegreeBoundTooSmall { d });
     }
     assert_eq!(lists.n(), g.n(), "one list per vertex");
-    for v in g.vertices() {
-        if lists.list(v).len() < d {
-            return Err(ColoringError::ListTooSmall {
-                vertex: v,
-                size: lists.list(v).len(),
-            });
-        }
+    if let Some(vertex) = g.vertices().find(|&v| lists.list(v).len() < d) {
+        let size = lists.list(vertex).len();
+        return Err(ColoringError::ListTooSmall { vertex, size });
     }
     if config.verify_mad && !graphs::mad_at_most(g, d as f64) {
         return Err(ColoringError::MadExceedsBound {
@@ -310,83 +332,15 @@ pub fn list_color_sparse(
         });
     }
 
-    let n = g.n();
-    let mut ledger = RoundLedger::new();
-    let mut stats = PeelStats::default();
-    let mut alive = VertexSet::full(n);
-    let mut levels: Vec<Level> = Vec::new();
-    // The engine substrate: the session template every internal session
-    // clones, and the sink absorbing each session's metrics so the run
-    // reports its real traffic. Without a caller pool, one pool serves the
-    // whole run — every session across every peeling level and extension
-    // borrows its threads, so thread spawns are a constant per run. It is
-    // sized for the largest session; level scopes only shrink.
-    let mut engine = config.engine_shards.map(|shards| {
-        let mut template = config.engine.with_shards(shards);
-        if template.pool.is_none() {
-            template.pool = Some(EnginePool::new(template.workers_for(n)));
-        }
-        (template, EngineMetrics::default())
-    });
-
-    // Peeling phase.
-    while !alive.is_empty() {
-        let mut radius = initial_radius(config.radius, n);
-        let classification = loop {
-            let c = classify_on(g, &alive, d, radius, engine.as_mut(), &mut ledger);
-            if !c.happy.is_empty() {
-                break c;
-            }
-            // Stuck: the paper's promise — find the (d+1)-clique.
-            if let Some(clique) = detect_clique_on(g, &alive, d, engine.as_mut(), &mut ledger) {
-                return Ok(Outcome::CliqueFound {
-                    vertices: clique,
-                    ledger,
-                });
-            }
-            match config.radius {
-                RadiusPolicy::Adaptive { .. } if radius < n => radius = (2 * radius).min(n),
-                _ => {
-                    return Err(ColoringError::NoHappyVertices { alive: alive.len() });
-                }
-            }
-        };
-        stats.alive_sizes.push(alive.len());
-        stats.happy_sizes.push(classification.happy.len());
-        stats.poor_sizes.push(classification.poor.len());
-        stats.radii.push(classification.radius);
-        alive.difference_with(&classification.happy);
-        levels.push(Level {
-            alive: {
-                // The level stores the residual set *before* removing A.
-                let mut a = alive.clone();
-                a.union_with(&classification.happy);
-                a
-            },
-            classification,
-        });
-    }
-
-    // Extension phase, last level first.
-    let mut colors = vec![UNCOLORED; n];
-    for level in levels.iter().rev() {
-        extend_to_happy_set(
-            g,
-            &level.alive,
-            lists,
-            &level.classification,
-            &mut colors,
-            &mut ledger,
-            engine.as_mut(),
-        )?;
-    }
-    debug_assert!(graphs::is_proper(g, &colors));
-    Ok(Outcome::Colored(Box::new(SparseColoring {
-        colors,
-        ledger,
-        stats,
-        engine_metrics: engine.map(|(_, metrics)| metrics).unwrap_or_default(),
-    })))
+    // Stuck levels look for the (d+1)-clique the paper promises.
+    peel_and_extend(
+        g,
+        lists,
+        config.radius,
+        Substrate::new(config.engine_shards, config.engine, g.n()),
+        |substrate, alive, radius, ledger| substrate.classify(g, alive, d, radius, ledger),
+        |substrate, alive, ledger| substrate.detect_clique(g, alive, d, ledger),
+    )
 }
 
 fn initial_radius(policy: RadiusPolicy, n: usize) -> usize {

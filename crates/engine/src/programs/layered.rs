@@ -18,7 +18,7 @@
 //! vertex colors when, or with what.
 
 use graphs::{Graph, VertexSet};
-use local_model::{layered_list, layered_pick, layered_slot, RoundLedger};
+use local_model::{layered_list, layered_pick, layered_slot, strike_sorted, RoundLedger};
 
 use crate::context::NodeCtx;
 use crate::driver::{EngineConfig, EngineSession, Stop};
@@ -57,9 +57,7 @@ impl NodeProgram for LayeredGreedyProgram {
         // Strike the colors committed by scope neighbors last round — the
         // same removals the sequential twin performs.
         for (_, &c) in inbox {
-            if let Ok(pos) = self.list.binary_search(&c) {
-                self.list.remove(pos);
-            }
+            strike_sorted(&mut self.list, c);
         }
         let round = ctx.round as usize;
         if self.color != usize::MAX || round > self.max_depth * self.class_count {

@@ -69,5 +69,5 @@ pub use reduce::{
 };
 pub use ruling::{
     claim_choice, layered_greedy, layered_list, layered_pick, layered_slot, layered_slots,
-    ruling_beta, ruling_bits, ruling_forest, ruling_set, RulingForest,
+    ruling_beta, ruling_bits, ruling_forest, ruling_set, strike_sorted, RulingForest,
 };

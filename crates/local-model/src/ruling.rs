@@ -91,6 +91,17 @@ pub fn layered_pick(live: &[usize]) -> usize {
         .expect("Observation 5.1: parent uncolored ⇒ free color")
 }
 
+/// The strike on a sorted live list: a neighbor committed `c`, so `c`
+/// leaves the list (absent colors are ignored). One rule for every sorted
+/// live list: the layered greedy's on both substrates, and the host-side
+/// lists of Lemma 3.2 and Theorem 1.1.
+#[inline]
+pub fn strike_sorted(live: &mut Vec<usize>, c: usize) {
+    if let Ok(pos) = live.binary_search(&c) {
+        live.remove(pos);
+    }
+}
+
 /// Computes an `(alpha, alpha·⌈log₂ n⌉)`-ruling set of `subset` in
 /// `g[mask]`.
 ///
@@ -404,9 +415,7 @@ pub fn layered_greedy(
             color[v] = c;
             for &w in g.neighbors(v) {
                 if scope.contains(w) && color[w] == usize::MAX {
-                    if let Ok(pos) = live[w].binary_search(&c) {
-                        live[w].remove(pos);
-                    }
+                    strike_sorted(&mut live[w], c);
                 }
             }
         }
@@ -578,6 +587,22 @@ mod tests {
     #[should_panic(expected = "Observation 5.1")]
     fn layered_pick_refuses_an_empty_list() {
         layered_pick(&[]);
+    }
+
+    /// [`strike_sorted`]: on every sorted list and every color, present or
+    /// not, the result is the list without that color, still sorted.
+    #[test]
+    fn strike_sorted_removes_exactly_the_struck_color() {
+        let list = vec![1, 3, 4, 8, 9];
+        for c in 0..=10 {
+            let mut live = list.clone();
+            strike_sorted(&mut live, c);
+            let expected: Vec<usize> = list.iter().copied().filter(|&x| x != c).collect();
+            assert_eq!(live, expected, "strike {c}");
+        }
+        let mut live = vec![];
+        strike_sorted(&mut live, 0);
+        assert!(live.is_empty());
     }
 
     /// [`layered_greedy`] on ruling forests of random planar graphs with
