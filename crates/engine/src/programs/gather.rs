@@ -2,10 +2,12 @@
 //! detection as message-passing node programs — the communication half of
 //! Theorem 1.3's happy/sad classification, executed.
 //!
-//! Both programs run the **same per-round step functions as the sequential
-//! simulations** ([`local_model::merge_fresh`] for the flood,
-//! [`local_model::clique_at_apex`] for the apex-local clique decision), so
-//! the substrates cannot drift:
+//! Both programs run the per-round step functions of `local_model`
+//! ([`local_model::merge_fresh`] for the flood,
+//! [`local_model::clique_at_apex`] for the apex-local clique decision).
+//! The sequential [`local_model::gather_balls`] searches each ball
+//! directly instead of flooding, and the equivalence tests tie the two to
+//! the same balls:
 //!
 //! * [`GatherProgram`] floods ball membership one hop per round. In
 //!   [`engine_gather_balls`] every live vertex starts flooding at wake-up

@@ -144,11 +144,10 @@ pub fn engine_layered_greedy(
 mod tests {
     use super::*;
     use graphs::gen;
-    use local_model::layered_slots;
 
     #[test]
     fn slot_schedule_counts_depths_down_and_classes_up() {
-        let slots: Vec<(usize, usize)> = layered_slots(3, 2).collect();
+        let slots: Vec<(usize, usize)> = (1..=6).map(|r| layered_slot(r, 3, 2)).collect();
         assert_eq!(slots, vec![(3, 0), (3, 1), (2, 0), (2, 1), (1, 0), (1, 1)]);
         assert_eq!(layered_slot(1, 3, 2), (3, 0));
         assert_eq!(layered_slot(6, 3, 2), (1, 1));

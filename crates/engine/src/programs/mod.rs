@@ -3,8 +3,11 @@
 //! Each port is a message-passing driver — per-node state, explicit
 //! messages, no global reads — around the per-vertex rules of its
 //! sequential original. The rules live in `local_model`, each a function
-//! of a node's own state and the values it received, and both drivers
-//! call them:
+//! of a node's own state and the values it received. The ports call them
+//! round by round; a sequential original calls them where it needs a
+//! round's outcome and computes the rest directly (ruling levels and balls
+//! by search, sweeps in one pass), so the equivalence tests, not a shared
+//! simulation, tie each pair together:
 //!
 //! * Cole–Vishkin: [`local_model::cv_shrink`],
 //!   [`local_model::cv_shift_down`], [`local_model::cv_recolor`];
@@ -142,4 +145,4 @@ pub use h_partition::{engine_h_partition, HPartitionProgram};
 pub use layered::{engine_layered_greedy, LayeredGreedyProgram};
 pub use randomized::{engine_randomized_list_coloring, RandomizedProgram};
 pub use ruling::{engine_ruling_forest, RulingProgram};
-pub use sweep::{engine_coloring_by_forest_merge, engine_degree_plus_one_coloring, SweepProgram};
+pub use sweep::{engine_degree_plus_one_coloring, SweepProgram};

@@ -8,8 +8,9 @@
 //!    bit level `b` spans α rounds. In its first round every surviving
 //!    ruler whose bit `b` is 0 injects a token tagged with its identifier
 //!    prefix `id >> (b+1)`; tokens flood `g[mask]` one hop per round for
-//!    α − 1 hops ([`local_model::merge_fresh`] — the same step the
-//!    sequential [`local_model::ruling_set`] simulates); a ruler whose bit
+//!    α − 1 hops ([`local_model::merge_fresh`]; the sequential
+//!    [`local_model::ruling_set`] finds the same drop-outs by one search
+//!    per prefix group); a ruler whose bit
 //!    `b` is 1 drops out on receiving a token of its own prefix. In the
 //!    **final** level round the surviving rulers become roots and
 //!    broadcast their first claim, so the claiming BFS below reaches

@@ -22,7 +22,7 @@
 //! Because a product-color class is an independent set of the union graph
 //! and the greedy choice reads only union-neighbor colors — all announced
 //! a round earlier — the engine run commits the same color per vertex as
-//! the sequential member-order loop, at any shard count: the sweep is
+//! the sequential one-pass sweep, at any shard count: the sweep is
 //! order-independent within a class.
 //!
 //! This is the port Theorem 1.3's peel loop rides on: every peeling level
@@ -172,7 +172,7 @@ impl MergeRounds for EngineRounds<'_> {
     }
 
     /// Charges the sweep session's own ledger, which
-    /// [`forest_merge_on_engine`] absorbs once the merge is done.
+    /// [`engine_degree_plus_one_coloring`] absorbs once the merge is done.
     fn sweep(
         &mut self,
         _members: &[VertexId],
@@ -199,60 +199,24 @@ impl MergeRounds for EngineRounds<'_> {
     }
 }
 
-/// Runs [`forest_merge`] with [`EngineRounds`] on `config`, the sweep
-/// session masked to `mask`.
-fn forest_merge_on_engine(
-    g: &Graph,
-    mask: Option<&VertexSet>,
-    priority: &[usize],
-    target: Option<usize>,
-    config: EngineConfig,
-    ledger: &mut RoundLedger,
-) -> (Vec<usize>, EngineMetrics) {
-    let mut rounds = EngineRounds {
-        sweep: EngineSession::new(g, mask, config.clone(), |_| SweepProgram::idle()),
-        config,
-        metrics: EngineMetrics::default(),
-    };
-    let color = forest_merge(g, mask, priority, target, &mut rounds, ledger);
-    let (_, sweep_metrics, sweep_ledger) = rounds.sweep.into_parts();
-    ledger.absorb(sweep_ledger);
-    let mut metrics = rounds.metrics;
-    metrics.absorb(sweep_metrics);
-    (color, metrics)
-}
-
-/// Engine twin of [`local_model::coloring_by_forest_merge`]: same colors
-/// (bit for bit, masked or not, at any shard count) and same ledger phase
-/// totals (`"forest-decomposition"`, `"cole-vishkin"`, `"shift-down"`,
-/// `"class-sweep"`), plus the observed [`EngineMetrics`] of every session
-/// it runs. Both run the one host loop [`forest_merge`].
+/// Engine twin of [`local_model::degree_plus_one_coloring`]: the classic
+/// `(Δ+1)`-coloring of `g[mask]`, executed by running [`forest_merge`]
+/// with engine sessions for its rounds. Returns `color[v] ∈
+/// 0..masked_Δ+1` for masked vertices, `usize::MAX` elsewhere — identical
+/// to the sequential output (bit for bit, at any shard count), with
+/// identical ledger phase totals (`"forest-decomposition"`,
+/// `"cole-vishkin"`, `"shift-down"`, `"class-sweep"`), plus the observed
+/// [`EngineMetrics`] of every session it runs.
 ///
-/// Every session runs on `config`: the masked sweep session and each
-/// forest's Cole–Vishkin session share its pool, faults, CONGEST mode,
-/// frontier gating and round cap, and the returned metrics hold the
-/// rounds of both. The sweep runs over `mask`; each Cole–Vishkin session
-/// runs over its forest's members (see [`engine_cole_vishkin_3color`]).
+/// Every session runs on `config`: the sweep session, masked to `mask`,
+/// and each forest's Cole–Vishkin session, masked to its forest's members
+/// (see [`engine_cole_vishkin_3color`]), share its pool, faults, CONGEST
+/// mode, frontier gating and round cap, and the returned metrics hold the
+/// rounds of all of them.
 ///
 /// # Panics
 ///
-/// Panics if `target` does not exceed the masked maximum degree, or if
-/// `config.max_rounds` interrupts a sweep.
-pub fn engine_coloring_by_forest_merge(
-    g: &Graph,
-    mask: Option<&VertexSet>,
-    priority: &[usize],
-    target: usize,
-    config: EngineConfig,
-    ledger: &mut RoundLedger,
-) -> (Vec<usize>, EngineMetrics) {
-    forest_merge_on_engine(g, mask, priority, Some(target), config, ledger)
-}
-
-/// Engine twin of [`local_model::degree_plus_one_coloring`]: the classic
-/// `(Δ+1)`-coloring of `g[mask]`, executed. Returns `color[v] ∈
-/// 0..masked_Δ+1` for masked vertices, `usize::MAX` elsewhere — identical
-/// to the sequential output, with identical ledger totals.
+/// Panics if `config.max_rounds` interrupts a sweep.
 ///
 /// # Examples
 ///
@@ -276,7 +240,17 @@ pub fn engine_degree_plus_one_coloring(
     config: EngineConfig,
     ledger: &mut RoundLedger,
 ) -> (Vec<usize>, EngineMetrics) {
-    forest_merge_on_engine(g, mask, &vec![0; g.n()], None, config, ledger)
+    let mut rounds = EngineRounds {
+        sweep: EngineSession::new(g, mask, config.clone(), |_| SweepProgram::idle()),
+        config,
+        metrics: EngineMetrics::default(),
+    };
+    let color = forest_merge(g, mask, &vec![0; g.n()], None, &mut rounds, ledger);
+    let (_, sweep_metrics, sweep_ledger) = rounds.sweep.into_parts();
+    ledger.absorb(sweep_ledger);
+    let mut metrics = rounds.metrics;
+    metrics.absorb(sweep_metrics);
+    (color, metrics)
 }
 
 #[cfg(test)]

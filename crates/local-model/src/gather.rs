@@ -1,19 +1,20 @@
-//! Radius-`r` ball gathering and the paper's two-round clique detection,
-//! expressed as **pure per-round step functions**.
+//! Radius-`r` ball gathering and the paper's two-round clique detection.
 //!
 //! In the LOCAL model, "every vertex learns its radius-`r` ball" is exactly
 //! `r` rounds of neighborhood flooding (all vertices in parallel), and §3's
 //! `(d+1)`-clique detection is a two-round handshake (exchange adjacency
-//! lists, then decide locally). Both are factored here into the per-round
-//! node logic — [`merge_fresh`] for one flooding step, [`clique_at_apex`]
-//! for the apex-local clique decision — and the sequential entry points
-//! ([`gather_balls`], [`detect_clique`]) *simulate* those steps round by
-//! round. The engine ports (`engine::programs::gather`) run the very same
-//! functions inside `NodeProgram`s, so the two substrates cannot drift:
-//! equal inputs produce bit-identical balls and cliques by construction.
+//! lists, then decide locally). The per-round node logic lives here —
+//! [`merge_fresh`] for one flooding step, [`clique_at_apex`] for the
+//! apex-local clique decision — and the engine ports
+//! (`engine::programs::gather`) run it inside `NodeProgram`s. The
+//! sequential entry points compute the same results directly:
+//! [`gather_balls`] searches each ball with one reused `graphs::Bfs`, and
+//! [`detect_clique`] scans apexes with [`clique_at_apex`]. The equivalence
+//! tests in `tests/engine_equivalence.rs` tie the two to the same balls
+//! and cliques.
 
 use crate::ledger::RoundLedger;
-use graphs::{Graph, VertexId, VertexSet};
+use graphs::{Bfs, Graph, VertexId, VertexSet};
 
 /// Staged runs up to this length are scanned for duplicates on arrival
 /// (see [`merge_fresh`]).
@@ -94,9 +95,9 @@ pub fn merge_fresh<'a, T, O>(
 /// rounds (one parallel flood). Balls follow the paper's convention: the
 /// ball of a vertex outside the mask is empty.
 ///
-/// Executed as a round-by-round simulation of the flooding protocol — the
-/// same [`merge_fresh`] step the engine's `GatherProgram` runs — so the
-/// engine port reproduces these balls bit for bit.
+/// Each ball is one search on a reused [`Bfs`], so the call costs what the
+/// balls touch. The engine's `GatherProgram` floods the same balls with
+/// [`merge_fresh`].
 pub fn gather_balls(
     g: &Graph,
     mask: Option<&VertexSet>,
@@ -105,38 +106,10 @@ pub fn gather_balls(
     ledger: &mut RoundLedger,
 ) -> Vec<Vec<VertexId>> {
     ledger.charge("ball-gather", radius as u64);
-    let n = g.n();
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    // Round 0 (free wake-up): every live vertex knows — and announces —
-    // itself.
-    let mut known: Vec<Vec<VertexId>> = (0..n)
-        .map(|v| if in_mask(v) { vec![v] } else { Vec::new() })
-        .collect();
-    // Two announce buffers, swapped every round: a vertex's list keeps its
-    // capacity from one round to the next.
-    let mut announce = known.clone();
-    let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for _ in 0..radius {
-        for v in (0..n).filter(|&v| in_mask(v)) {
-            next[v].clear();
-            let incoming = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice());
-            merge_fresh(&mut known[v], incoming, &mut next[v]);
-        }
-        std::mem::swap(&mut announce, &mut next);
-    }
+    let mut bfs = Bfs::new(g.n());
     centers
         .iter()
-        .map(|&c| {
-            if in_mask(c) {
-                known[c].clone()
-            } else {
-                Vec::new()
-            }
-        })
+        .map(|&c| bfs.ball(g, c, radius, mask))
         .collect()
 }
 
@@ -269,8 +242,8 @@ mod tests {
 
     #[test]
     fn flooded_balls_match_bfs_balls() {
-        // The round-by-round simulation must reproduce the direct BFS ball
-        // at every radius, masked or not.
+        // The reused search must reproduce the fresh BFS ball at every
+        // radius, masked or not.
         let g = gen::triangular(5, 5);
         let mask = VertexSet::from_iter_with_universe(g.n(), (0..g.n()).filter(|v| v % 4 != 1));
         let centers: Vec<VertexId> = (0..g.n()).collect();

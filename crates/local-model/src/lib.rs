@@ -25,9 +25,14 @@
 //! Each algorithm's per-vertex rule is a public function of a vertex's own
 //! state and the values it received — [`cv_shrink`], [`smallest_free`],
 //! [`draw_proposal`], [`claim_choice`], [`merge_fresh`], [`layered_pick`]
-//! and the rest. The simulations here and the `engine` crate's node
-//! programs both call them, so the two drivers differ only in how values
-//! reach a vertex.
+//! and the rest. The `engine` crate's node programs call them round by
+//! round. The sequential functions here call them too where a round's
+//! outcome needs them, and compute the rest of what the rounds decide
+//! directly: ruling-set levels and balls are searches on one reused
+//! `graphs::Bfs`, and the class and slot sweeps visit each vertex once, in
+//! sweep order. They charge the rounds a LOCAL execution takes all the
+//! same. The equivalence tests (`tests/engine_equivalence.rs`) tie the
+//! two drivers to the same outputs and round charges.
 //!
 //! # Examples
 //!
@@ -68,6 +73,6 @@ pub use reduce::{
     coloring_by_forest_merge, degree_plus_one_coloring, forest_merge, smallest_free, MergeRounds,
 };
 pub use ruling::{
-    claim_choice, layered_greedy, layered_list, layered_pick, layered_slot, layered_slots,
-    ruling_beta, ruling_bits, ruling_forest, ruling_set, strike_sorted, RulingForest,
+    claim_choice, layered_greedy, layered_list, layered_pick, layered_slot, ruling_beta,
+    ruling_bits, ruling_forest, ruling_set, strike_sorted, RulingForest,
 };

@@ -8,9 +8,12 @@
 //! independent sets of the union, so each sweep step is one LOCAL round.
 //!
 //! [`forest_merge`] is the host loop of that scheme, and [`MergeRounds`] its
-//! communication: this crate simulates the rounds, the engine crate runs
-//! them as sessions (`engine::engine_coloring_by_forest_merge`). Both sweeps
-//! pick colors with [`smallest_free`].
+//! communication: this crate computes each class sweep in one pass over the
+//! swept vertices, the engine crate runs it round by round in a session
+//! (`engine::engine_degree_plus_one_coloring`). Both sweeps pick colors
+//! with [`smallest_free`], and the equivalence tests tie their colors.
+
+use std::cmp::Reverse;
 
 use crate::cole_vishkin::{cole_vishkin_3color, RootedForest};
 use crate::forests::Orientation;
@@ -49,10 +52,10 @@ pub trait MergeRounds {
     );
 }
 
-/// [`MergeRounds`] as a sequential LOCAL simulation.
-struct Simulated;
+/// [`MergeRounds`] computed sequentially.
+struct Sequential;
 
-impl MergeRounds for Simulated {
+impl MergeRounds for Sequential {
     fn three_color(&mut self, forest: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
         cole_vishkin_3color(forest, ledger)
     }
@@ -66,17 +69,21 @@ impl MergeRounds for Simulated {
         target: usize,
         ledger: &mut RoundLedger,
     ) {
+        // Each class is independent in the union, and a recolored vertex
+        // lands below every class still to be swept, so one pass over the
+        // swept vertices, classes from the top, commits what the rounds do.
+        let mut swept: Vec<VertexId> = members
+            .iter()
+            .copied()
+            .filter(|&v| (target..current_colors).contains(&color[v]))
+            .collect();
+        swept.sort_unstable_by_key(|&v| (Reverse(color[v]), v));
         let mut used = Vec::new();
-        for class in (target..current_colors).rev() {
-            for &v in members {
-                if color[v] != class {
-                    continue;
-                }
-                used.clear();
-                used.extend(union_adj[v].iter().map(|&w| color[w]));
-                color[v] = smallest_free(target, &used)
-                    .expect("target exceeds degree, a free color exists");
-            }
+        for v in swept {
+            used.clear();
+            used.extend(union_adj[v].iter().map(|&w| color[w]));
+            color[v] =
+                smallest_free(target, &used).expect("target exceeds degree, a free color exists");
         }
         ledger.charge("class-sweep", (current_colors - target + 1) as u64);
     }
@@ -173,7 +180,7 @@ pub fn forest_merge(
 
 /// Computes a proper `target`-coloring of `g[mask]` by decomposing into
 /// rooted forests (via the given acyclic `priority`), 3-coloring each with
-/// Cole–Vishkin, and merge-reducing — [`forest_merge`], simulated.
+/// Cole–Vishkin, and merge-reducing — [`forest_merge`], sequentially.
 ///
 /// # Panics
 ///
@@ -207,7 +214,7 @@ pub fn coloring_by_forest_merge(
     target: usize,
     ledger: &mut RoundLedger,
 ) -> Vec<usize> {
-    forest_merge(g, mask, priority, Some(target), &mut Simulated, ledger)
+    forest_merge(g, mask, priority, Some(target), &mut Sequential, ledger)
 }
 
 /// The classic `(Δ+1)`-coloring of `g[mask]` in `O(Δ² + log* n)` rounds
@@ -217,7 +224,7 @@ pub fn degree_plus_one_coloring(
     mask: Option<&VertexSet>,
     ledger: &mut RoundLedger,
 ) -> Vec<usize> {
-    forest_merge(g, mask, &vec![0; g.n()], None, &mut Simulated, ledger)
+    forest_merge(g, mask, &vec![0; g.n()], None, &mut Sequential, ledger)
 }
 
 #[cfg(test)]
@@ -308,7 +315,7 @@ mod tests {
         }
         impl MergeRounds for Checked {
             fn three_color(&mut self, f: &RootedForest, ledger: &mut RoundLedger) -> Vec<usize> {
-                Simulated.three_color(f, ledger)
+                Sequential.three_color(f, ledger)
             }
 
             fn sweep(
@@ -321,7 +328,7 @@ mod tests {
                 ledger: &mut RoundLedger,
             ) {
                 assert_proper(members, adj, color, current_colors);
-                Simulated.sweep(members, adj, color, current_colors, target, ledger);
+                Sequential.sweep(members, adj, color, current_colors, target, ledger);
                 assert_proper(members, adj, color, target);
                 self.0 += 1;
             }

@@ -12,21 +12,23 @@
 //! giving a `(α, α·⌈log₂ n⌉)`-ruling set in `O(α log n)` rounds, exactly as
 //! the paper uses it.
 //!
-//! Everything here is phrased as **per-round steps** — token floods via
-//! [`crate::gather::merge_fresh`], the claiming BFS via [`claim_choice`] —
-//! simulated round by round. The engine port
-//! (`engine::programs::ruling::RulingProgram`) executes the same steps as a
-//! `NodeProgram`, so sequential and message-passing runs produce
-//! bit-identical rulers, forests, and round charges by construction.
-//!
-//! The forest's consumer, Lemma 3.2's [`layered_greedy`], follows the same
-//! pattern: its slot schedule ([`layered_slots`]), list form
-//! ([`layered_list`]) and pick ([`layered_pick`]) are shared with
-//! `engine::LayeredGreedyProgram`.
+//! The sequential functions here compute what those rounds decide
+//! without simulating them: a bit level is one reused [`Bfs`] per prefix
+//! group ([`ruling_set`]), and [`layered_greedy`] visits each slot vertex
+//! once, in slot order. Only the claiming BFS runs level by level, because
+//! its tie-break [`claim_choice`] reads the whole previous level. The
+//! engine ports (`engine::programs::ruling::RulingProgram`,
+//! `engine::LayeredGreedyProgram`) run the rounds as `NodeProgram`s: token
+//! floods by [`crate::gather::merge_fresh`], claims by [`claim_choice`],
+//! and the layered schedule, list form and pick ([`layered_slot`],
+//! [`layered_list`], [`layered_pick`]). The equivalence tests in
+//! `tests/engine_equivalence.rs` are what tie both sides to the same
+//! rulers, forests, colors and round charges.
 
-use crate::gather::merge_fresh;
+use std::cmp::Reverse;
+
 use crate::ledger::RoundLedger;
-use graphs::{Graph, VertexId, VertexSet};
+use graphs::{Bfs, Graph, VertexId, VertexSet, UNREACHABLE};
 
 /// Number of identifier-bit levels both substrates process (and charge):
 /// `⌈log₂ n⌉` with a floor of 1.
@@ -63,12 +65,6 @@ pub fn layered_slot(round: usize, max_depth: usize, class_count: usize) -> (usiz
         max_depth - (round - 1) / class_count,
         (round - 1) % class_count,
     )
-}
-
-/// The layered greedy's full slot schedule, in execution order:
-/// [`layered_slot`] of every round. Depth-0 roots get no slot.
-pub fn layered_slots(max_depth: usize, class_count: usize) -> impl Iterator<Item = (usize, usize)> {
-    (1..=max_depth * class_count).map(move |r| layered_slot(r, max_depth, class_count))
 }
 
 /// A tree vertex's list as the layered greedy keeps it: sorted, without
@@ -109,6 +105,12 @@ pub fn strike_sorted(live: &mut Vec<usize>, c: usize) {
 /// `g[mask]`, and every vertex of `subset` is within `alpha·⌈log₂ n⌉` of a
 /// returned vertex *in its own masked component*.
 ///
+/// Bit level `b` decides what its α rounds of prefix-token flooding
+/// decide, by search: for each group of surviving rulers sharing the
+/// prefix `v >> (b + 1)`, one multi-source [`Bfs`] from the group's bit-0
+/// rulers, through `g[mask]` to depth α − 1, finds the group's bit-1
+/// rulers that drop out. One reused search serves every group and level.
+///
 /// Charges `alpha` rounds per identifier-bit level.
 pub fn ruling_set(
     g: &Graph,
@@ -118,92 +120,29 @@ pub fn ruling_set(
     ledger: &mut RoundLedger,
 ) -> Vec<VertexId> {
     assert!(alpha >= 1, "alpha must be at least 1");
-    let n = g.n();
-    let bits = ruling_bits(n);
-    let mut ruler = vec![false; n];
-    for &v in subset {
-        ruler[v] = true;
-    }
-    let mut bufs = LevelBuffers {
-        seen: vec![Vec::new(); n],
-        announce: vec![Vec::new(); n],
-        next: vec![Vec::new(); n],
-    };
+    let bits = ruling_bits(g.n());
+    let mut rulers = subset.to_vec();
+    rulers.sort_unstable();
+    rulers.dedup();
+    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
+    let mut bfs = Bfs::new(g.n());
+    let mut dropped = Vec::new();
     for b in 0..bits {
-        rule_level(g, mask, &mut ruler, b, alpha, &mut bufs);
+        // Sorted rulers sharing a prefix are contiguous, bit-0 ones first.
+        for group in rulers.chunk_by(|&u, &v| u >> (b + 1) == v >> (b + 1)) {
+            let split = group.partition_point(|&v| (v >> b) & 1 == 0);
+            let (sources, ones) = group.split_at(split);
+            if sources.is_empty() || ones.is_empty() {
+                continue;
+            }
+            bfs.run(g, sources.iter().copied(), alpha - 1, in_mask);
+            dropped.extend(ones.iter().filter(|&&v| bfs.depth(v) != UNREACHABLE));
+        }
+        rulers.retain(|v| dropped.binary_search(v).is_err());
+        dropped.clear();
     }
     ledger.charge("ruling-set", (alpha as u64) * (bits as u64));
-    (0..g.n()).filter(|&v| ruler[v]).collect()
-}
-
-/// Per-vertex token lists of the level simulation, allocated once per
-/// [`ruling_set`] and cleared per level, so every vertex's lists keep
-/// their capacity across rounds and levels: the tokens seen this level,
-/// and two announce buffers swapped every round.
-struct LevelBuffers {
-    seen: Vec<Vec<usize>>,
-    announce: Vec<Vec<usize>>,
-    next: Vec<Vec<usize>>,
-}
-
-/// One bit level of the ruling construction, simulated round by round: the
-/// surviving rulers whose bit `b` is 0 inject a token tagged with their
-/// prefix `id >> (b + 1)`; tokens flood `g[mask]` for α − 1 hops (one hop
-/// per round, [`merge_fresh`] per vertex per round); rulers whose bit `b`
-/// is 1 drop out on receiving a token of their own prefix — they were
-/// within distance < α of a kept ruler of their group.
-fn rule_level(
-    g: &Graph,
-    mask: Option<&VertexSet>,
-    ruler: &mut [bool],
-    b: usize,
-    alpha: usize,
-    bufs: &mut LevelBuffers,
-) {
-    let n = g.n();
-    let in_mask = |v: VertexId| mask.is_none_or(|m| m.contains(v));
-    let LevelBuffers {
-        seen,
-        announce,
-        next,
-    } = bufs;
-    for v in 0..n {
-        seen[v].clear();
-        announce[v].clear();
-    }
-    // Level-local round 1: sources announce their prefix (arriving with
-    // round 2's inboxes — distance 1).
-    for v in 0..n {
-        if ruler[v] && (v >> b) & 1 == 0 {
-            let p = v >> (b + 1);
-            seen[v].push(p);
-            if alpha > 1 {
-                announce[v].push(p);
-            }
-        }
-    }
-    // Level rounds 2 ..= α: each vertex merges what its neighbors
-    // announced in the round before.
-    for _ in 2..=alpha {
-        for v in (0..n).filter(|&v| in_mask(v)) {
-            next[v].clear();
-            let incoming = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice());
-            merge_fresh(&mut seen[v], incoming, &mut next[v]);
-        }
-        // A token arriving in level round k has traveled k − 1 hops, so
-        // what is fresh in round α is never forwarded: the level ends,
-        // and the next one clears the buffers before it reads them.
-        std::mem::swap(announce, next);
-    }
-    for v in 0..n {
-        if ruler[v] && (v >> b) & 1 == 1 && seen[v].binary_search(&(v >> (b + 1))).is_ok() {
-            ruler[v] = false;
-        }
-    }
+    rulers
 }
 
 /// An (α, β)-ruling forest: disjoint rooted trees covering a target subset.
@@ -237,13 +176,6 @@ impl RulingForest {
             .map(|v| self.depth[v])
             .max()
             .unwrap_or(0)
-    }
-
-    /// Members of the tree rooted at `root`, sorted.
-    pub fn tree_members(&self, root: VertexId) -> Vec<VertexId> {
-        (0..self.parent.len())
-            .filter(|&v| self.root_of[v] == root)
-            .collect()
     }
 }
 
@@ -308,13 +240,15 @@ pub fn ruling_forest(
         frontier.push(r);
     }
     // Per-vertex claim buffers, allocated once and cleared per touched
-    // vertex, so every round costs only the frontier's edge neighborhood.
+    // vertex, so every round costs only the frontier's edge neighborhood;
+    // the touched and next-frontier lists keep their capacity too.
     let mut claims: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); n];
+    let mut touched: Vec<VertexId> = Vec::new();
+    let mut next: Vec<VertexId> = Vec::new();
     for d in 1..=beta {
         if frontier.is_empty() {
             break;
         }
-        let mut touched: Vec<VertexId> = Vec::new();
         for &u in &frontier {
             for &w in g.neighbors(u) {
                 if dist[w] == usize::MAX && mask.is_none_or(|m| m.contains(w)) {
@@ -325,8 +259,7 @@ pub fn ruling_forest(
                 }
             }
         }
-        let mut next: Vec<VertexId> = Vec::new();
-        for w in touched {
+        for w in touched.drain(..) {
             if let Some((root, p)) = claim_choice(claims[w].iter().copied()) {
                 dist[w] = d;
                 root_of[w] = root;
@@ -335,7 +268,8 @@ pub fn ruling_forest(
             }
             claims[w].clear();
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
     }
     ledger.charge("ruling-forest-claim", beta as u64);
 
@@ -375,10 +309,12 @@ pub fn ruling_forest(
 }
 
 /// Lemma 3.2's layered greedy (step 4 of `distributed_coloring::extend`):
-/// colors the ruling-forest `scope` leaves-to-roots, one [`layered_slots`]
-/// slot per round. In its slot a vertex takes its [`layered_pick`] and its
-/// uncolored scope neighbors strike that color. A slot is one class of a
-/// proper coloring of `g[scope]`, so its vertices pick independently.
+/// colors the ruling-forest `scope` leaves-to-roots, one (depth, class)
+/// slot per round ([`layered_slot`]). In its slot a vertex takes its
+/// [`layered_pick`] and its uncolored scope neighbors strike that color. A
+/// slot is one class of a proper coloring of `g[scope]`, so its vertices
+/// pick independently, and visiting the slot vertices once, sorted by
+/// (depth descending, class ascending), commits what the rounds commit.
 ///
 /// `lists` are the host-reduced lists (only scope entries are read),
 /// `depth` and `classes` the forest depth and class of each vertex. Charges
@@ -405,18 +341,19 @@ pub fn layered_greedy(
         live[v] = layered_list(&lists[v]);
     }
     let max_depth = scope.iter().map(|v| depth[v]).max().unwrap_or(0);
+    // Depth-0 roots get no slot.
+    let mut slotted: Vec<VertexId> = scope
+        .iter()
+        .filter(|&v| depth[v] >= 1 && classes[v] < class_count)
+        .collect();
+    slotted.sort_unstable_by_key(|&v| (Reverse(depth[v]), classes[v], v));
     let mut color = vec![usize::MAX; n];
-    for (d, class) in layered_slots(max_depth, class_count) {
-        for v in scope.iter() {
-            if depth[v] != d || classes[v] != class {
-                continue;
-            }
-            let c = layered_pick(&live[v]);
-            color[v] = c;
-            for &w in g.neighbors(v) {
-                if scope.contains(w) && color[w] == usize::MAX {
-                    strike_sorted(&mut live[w], c);
-                }
+    for v in slotted {
+        let c = layered_pick(&live[v]);
+        color[v] = c;
+        for &w in g.neighbors(v) {
+            if scope.contains(w) && color[w] == usize::MAX {
+                strike_sorted(&mut live[w], c);
             }
         }
     }
@@ -546,7 +483,11 @@ mod tests {
         // root_of is a function: each member belongs to exactly one tree —
         // and tree edges stay within the tree by construction (checked via
         // parent consistency above). Verify member counts add up.
-        let total: usize = rf.roots.iter().map(|&r| rf.tree_members(r).len()).sum();
+        let total: usize = rf
+            .roots
+            .iter()
+            .map(|&r| rf.root_of.iter().filter(|&&x| x == r).count())
+            .sum();
         assert_eq!(total, rf.members().len());
     }
 

@@ -24,6 +24,15 @@ use local_model::{
 use proptest::prelude::*;
 use rand::mix64;
 
+/// A seeded random mask over `0..n`: keeps about three vertices in four,
+/// and never vertex 0.
+fn random_mask(n: usize, seed: u64) -> VertexSet {
+    VertexSet::from_iter_with_universe(
+        n,
+        (1..n).filter(|&v| !mix64(seed, v as u64).is_multiple_of(4)),
+    )
+}
+
 fn forest_from_bfs(g: &graphs::Graph, root: usize) -> RootedForest {
     RootedForest::new(graphs::bfs_parents(g, root, None))
 }
@@ -393,33 +402,47 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// GatherProgram: on random sparse graphs, the engine's flooded ball
-    /// contents equal the sequential [`gather_balls`] for every center, at
-    /// shards {1, 2, 8}, with equal `"ball-gather"` charges.
+    /// GatherProgram: on random sparse graphs, whole and under a seeded
+    /// random mask, the engine's flooded ball contents equal the
+    /// sequential [`gather_balls`] for every center, at shards {1, 2, 8},
+    /// with equal `"ball-gather"` charges. Every vertex is a center, so
+    /// the masked case holds centers outside the mask, whose balls are
+    /// empty.
     #[test]
     fn gather_program_balls_match_sequential(
         n in 20usize..120,
         extra in 0usize..40,
         radius in 0usize..5,
         seed in 0u64..500,
+        mask_seed in 0u64..500,
     ) {
         let g = gen::gnm(n, n + extra, seed); // sparse: m ≤ n + 40
         let centers: Vec<usize> = (0..n).collect();
-        let mut seq_ledger = RoundLedger::new();
-        let seq = gather_balls(&g, None, &centers, radius, &mut seq_ledger);
-        for shards in [1usize, 2, 8] {
-            let mut ledger = RoundLedger::new();
-            let (balls, _) = engine_gather_balls(
-                &g, None, &centers, radius,
-                EngineConfig::default().with_shards(shards),
-                &mut ledger,
-            );
-            prop_assert_eq!(&balls, &seq, "shards = {}", shards);
-            prop_assert_eq!(ledger.total(), seq_ledger.total());
+        let mask = random_mask(n, mask_seed);
+        for mask in [None, Some(&mask)] {
+            let mut seq_ledger = RoundLedger::new();
+            let seq = gather_balls(&g, mask, &centers, radius, &mut seq_ledger);
+            if let Some(m) = mask {
+                prop_assert!(!m.contains(0), "some center lies outside the mask");
+                for &c in &centers {
+                    prop_assert_eq!(seq[c].is_empty(), !m.contains(c), "center {}", c);
+                }
+            }
+            for shards in [1usize, 2, 8] {
+                let mut ledger = RoundLedger::new();
+                let (balls, _) = engine_gather_balls(
+                    &g, mask, &centers, radius,
+                    EngineConfig::default().with_shards(shards),
+                    &mut ledger,
+                );
+                prop_assert_eq!(&balls, &seq, "shards = {}, masked = {}", shards, mask.is_some());
+                prop_assert_eq!(ledger.total(), seq_ledger.total());
+            }
         }
     }
 
-    /// RulingProgram: on random sparse graphs, the engine-built forest —
+    /// RulingProgram: on random sparse graphs, whole and under a seeded
+    /// random mask (the subset inside it), the engine-built forest —
     /// roots, membership, parents, depths — equals the sequential
     /// [`ruling_forest`], at shards {1, 2, 8}, with equal charges.
     #[test]
@@ -429,23 +452,31 @@ proptest! {
         alpha in 1usize..7,
         stride in 1usize..4,
         seed in 0u64..500,
+        mask_seed in 0u64..500,
     ) {
         let g = gen::gnm(n, n + extra, seed);
-        let subset: Vec<usize> = (0..n).step_by(stride).collect();
-        let mut seq_ledger = RoundLedger::new();
-        let seq = ruling_forest(&g, None, &subset, alpha, &mut seq_ledger);
-        for shards in [1usize, 2, 8] {
-            let mut ledger = RoundLedger::new();
-            let (rf, _) = engine_ruling_forest(
-                &g, None, &subset, alpha,
-                EngineConfig::default().with_shards(shards),
-                &mut ledger,
-            );
-            prop_assert_eq!(&rf.roots, &seq.roots, "shards = {}", shards);
-            prop_assert_eq!(&rf.parent, &seq.parent, "shards = {}", shards);
-            prop_assert_eq!(&rf.root_of, &seq.root_of, "shards = {}", shards);
-            prop_assert_eq!(&rf.depth, &seq.depth, "shards = {}", shards);
-            prop_assert_eq!(ledger.total(), seq_ledger.total());
+        let mask = random_mask(n, mask_seed);
+        for mask in [None, Some(&mask)] {
+            let subset: Vec<usize> = (0..n)
+                .filter(|&v| mask.is_none_or(|m| m.contains(v)))
+                .step_by(stride)
+                .collect();
+            let mut seq_ledger = RoundLedger::new();
+            let seq = ruling_forest(&g, mask, &subset, alpha, &mut seq_ledger);
+            for shards in [1usize, 2, 8] {
+                let mut ledger = RoundLedger::new();
+                let (rf, _) = engine_ruling_forest(
+                    &g, mask, &subset, alpha,
+                    EngineConfig::default().with_shards(shards),
+                    &mut ledger,
+                );
+                let label = format!("shards = {shards}, masked = {}", mask.is_some());
+                prop_assert_eq!(&rf.roots, &seq.roots, "{}", label);
+                prop_assert_eq!(&rf.parent, &seq.parent, "{}", label);
+                prop_assert_eq!(&rf.root_of, &seq.root_of, "{}", label);
+                prop_assert_eq!(&rf.depth, &seq.depth, "{}", label);
+                prop_assert_eq!(ledger.total(), seq_ledger.total());
+            }
         }
     }
 

@@ -22,7 +22,8 @@
 //! stored once per broadcast and only ever referenced per edge. Last, it
 //! pins the host side's breadth-first searches: a ball or a component
 //! search on a reused `graphs::Bfs` costs bytes in proportion to what it
-//! visits, not to `n`.
+//! visits, not to `n`, and the sequential ruling forest and ball gather
+//! make a pinned number of allocations of at least n/8 bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -44,6 +45,10 @@ struct CountingAlloc;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Allocations (and reallocations) whose resulting block has at least
+/// `LARGE_MIN` bytes.
+static LARGE: AtomicUsize = AtomicUsize::new(0);
+static LARGE_MIN: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// The counters are process-wide, so the tests of this file take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -54,26 +59,30 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn count(bytes: usize) {
+/// Counts one allocation of `bytes` new bytes whose block is `size` bytes.
+fn count(bytes: usize, size: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes, Ordering::Relaxed);
+        if size >= LARGE_MIN.load(Ordering::Relaxed) {
+            LARGE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
+        count(new_size.saturating_sub(layout.size()), new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -495,4 +504,47 @@ fn bfs_balls_and_seeding_searches_allocate_what_they_visit() {
             "seeding search from {rep}: {bytes} B for {reached} members"
         );
     }
+}
+
+/// Allocations of at least `min` bytes while `f` runs.
+fn large_allocs_during<T>(min: usize, f: impl FnOnce() -> T) -> (usize, T) {
+    LARGE.store(0, Ordering::SeqCst);
+    LARGE_MIN.store(min, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    LARGE_MIN.store(usize::MAX, Ordering::SeqCst);
+    (LARGE.load(Ordering::SeqCst), out)
+}
+
+#[test]
+fn sequential_ruling_and_gather_keep_no_per_round_tables() {
+    // The sequential ruling set and ball gather search with one reused
+    // `Bfs` instead of flooding over n-length tables of per-vertex lists.
+    // On `grid(200, 200)` each case's allocations of at least n/8 bytes
+    // are pinned, so a per-round or per-level n-length table shows up: a
+    // whole ruling forest (random half, α = 6) makes 34, mostly growth of
+    // the `Bfs` visit order and the claiming BFS's frontier lists plus the
+    // forest's own arrays; 16 balls of radius 3 make 2, the `Bfs` arrays.
+    let _turn = serial();
+    let g = gen::grid(200, 200);
+    let n = g.n();
+    let subset: Vec<usize> = g
+        .vertices()
+        .filter(|&v| rand::mix64(7, v as u64) & 1 == 0)
+        .collect();
+    let mut ledger = RoundLedger::new();
+    let (large, forest) = large_allocs_during(n / 8, || {
+        local_model::ruling_forest(&g, None, &subset, 6, &mut ledger)
+    });
+    assert!(!forest.roots.is_empty());
+    assert_eq!(large, 34, "allocations of ≥ n/8 B, ruling forest");
+
+    // Interior centers, rows 10, 21, …, 175 of column 100.
+    let centers: Vec<usize> = (0..16).map(|i| (10 + 11 * i) * 200 + 100).collect();
+    let (large, balls) = large_allocs_during(n / 8, || {
+        local_model::gather_balls(&g, None, &centers, 3, &mut ledger)
+    });
+    assert!(balls.iter().all(|b| b.len() == 25));
+    assert_eq!(large, 2, "allocations of ≥ n/8 B, ball gather");
 }
